@@ -69,11 +69,8 @@ def _prepare_with_decision(system, record_decision: bool):
         txn_id = session.txn_id
         yield from session._send_control(
             "fs1", api.Prepare(system.host.dbid, txn_id))
-        if record_decision:
-            yield from session.session.execute(
-                "INSERT INTO dlk_indoubt (txn_id, server) VALUES (?, ?)",
-                (txn_id, "fs1"))
-        yield from session.session.commit()
+        yield from system.host.decide(
+            session.session, txn_id, ["fs1"] if record_decision else [])
         return txn_id
 
     return system.run(go())
@@ -88,11 +85,11 @@ def scenario_b():
     dlfm.restart()
     result = system.run(resolve_indoubts(system.host))
     return (result["committed"] == 1 and dlfm.linked_count() == 1
-            and system.host.db.table_rows("dlk_indoubt") == [])
+            and system.host.decision_rows() == [])
 
 
 def scenario_c():
-    """DLFM crash after prepare; no decision row → presumed abort."""
+    """DLFM crash after prepare; no decision → presumed abort."""
     system = _fresh(3)
     dlfm = system.dlfms["fs1"]
     _prepare_with_decision(system, record_decision=False)

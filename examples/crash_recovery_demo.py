@@ -40,10 +40,7 @@ def main():
         txn_id = session.txn_id
         yield from session._send_control("fs1",
                                          api.Prepare(host.dbid, txn_id))
-        yield from session.session.execute(
-            "INSERT INTO dlk_indoubt (txn_id, server) VALUES (?, ?)",
-            (txn_id, "fs1"))
-        yield from session.session.commit()
+        yield from host.decide(session.session, txn_id, ["fs1"])
         print(f"txn {txn_id}: prepared at DLFM, commit decision durable "
               "at host")
 

@@ -10,7 +10,7 @@ A campaign builds a full :class:`repro.system.System` with a
    recovery + distributed in-doubt resolution);
 3. **quiesce** — virtual time advances until the deployment is clean (no
    in-flight transactions, no pending delayed updates, empty archive
-   queue, no decision rows) or a budget expires;
+   queue, no pending decisions) or a budget expires;
 4. **check** — :func:`repro.chaos.invariants.check_invariants` cross-
    checks host ↔ DLFM ↔ file system ↔ archive.
 
@@ -517,7 +517,7 @@ class _Campaign:
             try:
                 # Targeted drives for states only a restart rescan or the
                 # host's in-doubt logic resolves (e.g. a dropped phase-2
-                # notify, a decision row whose Commit reply was lost, a
+                # notify, a decision whose Commit reply was lost, a
                 # prepared transaction whose coordinator never crashed —
                 # the paper's in-doubt poller, §3.3).
                 if (self._host_has_decisions()
@@ -535,9 +535,7 @@ class _Campaign:
 
     def _host_has_decisions(self) -> bool:
         host = self.system.host
-        return (not host.db.crashed
-                and bool(host.db.table_rows("dlk_indoubt")
-                         or host.pending_decisions()))
+        return not host.db.crashed and bool(host.pending_decisions())
 
     def _has_committed_txns(self, dlfm) -> bool:
         if dlfm.db.crashed:
@@ -557,10 +555,8 @@ class _Campaign:
         host = self.system.host
         if host.db.crashed:
             return "host down"
-        if host.db.table_rows("dlk_indoubt"):
-            return "dlk_indoubt rows"
         if host.pending_decisions():
-            return "piggybacked decisions pending"
+            return "commit decisions pending"
         if any(t for t in host.db.txns.active):
             return "active host transactions"
         for name in sorted(self.system.dlfms):

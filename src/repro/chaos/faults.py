@@ -372,7 +372,7 @@ def default_plan(seed: int = 0) -> FaultPlan:
         # 2PC fan-out windows: stall the coordinator while every
         # participant's request is in flight, and crash it there once per
         # phase — prepare-window crashes resolve by presumed abort, the
-        # phase-2 window by dlk_indoubt re-drive at restart.
+        # phase-2 window by re-drive from the logged decision at restart.
         FaultRule("twopc.fanout:prepare", "delay", prob=0.05,
                   max_fires=None, delay=0.25),
         FaultRule("twopc.fanout:prepare", "crash", prob=0.01, max_fires=1),

@@ -23,9 +23,9 @@ Violation codes (also documented in DESIGN.md §10):
 ``linked-in-dead-group``    ST_LINKED entry in a deleted/unknown group
 ``stale-write-protection``  file owned by the DLFM admin with no linked entry
 ``unresolved-delayed-update`` ST_UNLINKING row survived quiesce
-``orphan-indoubt-txn``      prepared dfm_txn row with no host decision row
+``orphan-indoubt-txn``      prepared dfm_txn row with no host decision
 ``unfinished-commit-work``  committed/in-flight dfm_txn row after quiesce
-``stale-decision-row``      dlk_indoubt row with no prepared DLFM txn
+``stale-decision-row``      host decision with no prepared DLFM txn behind it
 ``unresolved-deleted-group`` group still in state 'deleted' after quiesce
 ``unarchived-pending``      dfm_archive row survived quiesce
 ``missing-archive-copy``    archived=1 entry with no archive copy
@@ -44,9 +44,9 @@ Violation codes (also documented in DESIGN.md §10):
 ==========================  ====================================================
 
 Decision bookkeeping (``stale-decision-row``, ``orphan-indoubt-txn``)
-covers BOTH decision stores: classic ``dlk_indoubt`` rows and decisions
-piggybacked on the host's COMMIT records (``host.decision_rows()`` is
-their union). Shards of a sharded fleet share one file server, so the
+reads the one decision store: the unforgotten decisions carried on the
+host's COMMIT records (``host.decision_rows()``). Shards of a sharded
+fleet share one file server, so the
 host-ref ↔ linked-entry and write-protection cross-checks run per file
 server against the union of its DLFMs' metadata.
 """
@@ -153,11 +153,10 @@ def _collect_host_refs(system, out: list):
 
 def _check_host(system, downs: set, out: list) -> None:
     host = system.host
-    # Presumed abort bookkeeping: a decision (dlk_indoubt row or
-    # piggybacked COMMIT-payload entry) survives quiesce only if phase 2
-    # never finished — but then the DLFM must still hold a prepared
-    # transaction for it (else the decision is garbage that will
-    # re-drive phase 2 forever).
+    # Presumed abort bookkeeping: a decision survives quiesce only if
+    # phase 2 never finished — but then the DLFM must still hold a
+    # prepared transaction for it (else the decision is garbage that
+    # will re-drive phase 2 forever).
     for txn_id, server in sorted(host.decision_rows()):
         dlfm = system.dlfms.get(server)
         if dlfm is None or server in downs:
@@ -268,7 +267,7 @@ def _check_dlfm_txns(system, name, dlfm, out) -> None:
                 out.append(Violation(
                     "orphan-indoubt-txn", name,
                     f"txn {txn_id} prepared but the host holds no "
-                    f"decision row (presumed abort should have fired)"))
+                    f"decision (presumed abort should have fired)"))
         else:
             out.append(Violation(
                 "unfinished-commit-work", name,

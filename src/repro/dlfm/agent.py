@@ -206,7 +206,7 @@ class ChildAgent:
             # changed nothing, so there is nothing to harden and no
             # in-doubt exposure — release the local session now and let
             # the coordinator skip this server in phase 2 (no dfm_txn
-            # entry, no dlk_indoubt decision row, no Commit RPC).
+            # entry, no host decision entry, no Commit RPC).
             if self.session is not None:
                 yield from self.session.rollback()
             self.dlfm.metrics.readonly_votes += 1

@@ -1,9 +1,12 @@
 """The host database node (the paper's "host DB2").
 
 Owns the user tables (on minidb), the DATALINK column registry, group
-ids, recovery-id generation, access-token issuing, and the durable 2PC
-decision table ``dlk_indoubt`` (presumed abort: a decision row exists iff
-the transaction committed and phase 2 has not been fully acknowledged).
+ids, recovery-id generation, access-token issuing, and the 2PC commit
+decisions (presumed abort: a decision exists iff the transaction
+committed and phase 2 has not been fully acknowledged). A decision is
+the write-participant list carried as the payload of the transaction's
+own COMMIT log record — the host keeps no decision table; the WAL is
+the only durable store and ``HostDB._decisions`` its in-memory mirror.
 """
 
 from __future__ import annotations
@@ -40,14 +43,6 @@ class HostConfig:
     #: the commit-time flush (aborting the transaction) instead of at the
     #: originating statement (statement-level backout). See DESIGN.md §9.
     batch_datalinks: bool = False
-    #: Scatter-gather 2PC fan-out: prepare all participants concurrently
-    #: in phase 1 and send the phase-2 Commit/Abort verbs concurrently,
-    #: so an N-server transaction pays ~1 round-trip per phase instead
-    #: of N. False reproduces the historical serial coordinator (the
-    #: bench's baseline arm). Protocol outcomes are identical either
-    #: way — a no-vote still aborts everyone, including participants
-    #: that already prepared (§3.3).
-    scatter_gather: bool = True
     #: LOAD utility: defer per-row index maintenance on the target table
     #: and fold the run into each B+tree with one sorted bottom-up build
     #: at the end (DB2's LOAD "build phase"). Loaded rows are invisible
@@ -57,26 +52,6 @@ class HostConfig:
     bulk_load_indexes: bool = False
     token_expiry: float = 600.0
     indoubt_poll_period: float = 5.0
-    #: Isolation level for the host's own internal readers (today: the
-    #: in-doubt resolver's cached session). ``"default"`` keeps the host
-    #: engine's configured level; ``"SI"`` makes the poll SELECT a
-    #: lock-free snapshot read so resolution passes never queue behind
-    #: application transactions writing ``dlk_indoubt``.
-    read_isolation: str = "default"
-    #: Decision piggybacking: record the 2PC commit decision as a payload
-    #: on the host transaction's own COMMIT log record instead of logged
-    #: INSERTs into ``dlk_indoubt`` — one WAL force carries both the
-    #: commit and the decision, taking the decision write off the commit
-    #: critical path. Forgetting appends an unforced FORGET record (a
-    #: lost FORGET merely re-drives an idempotent phase-2 Commit after
-    #: restart). Off by default: the paper-faithful experiments (and the
-    #: seed tests) observe the decision table directly.
-    decision_piggyback: bool = False
-    #: Bounded coordinator fan-out: >0 runs 2PC phase-1/phase-2 fan-out
-    #: through a WorkerPool of this many workers instead of spawning one
-    #: process per participant — a 32-shard commit no longer spawns 32
-    #: concurrent coordinator processes. 0 keeps the unbounded scatter.
-    fanout_workers: int = 0
 
 
 @dataclass
@@ -90,7 +65,7 @@ class HostMetrics:
     statement_backouts: int = 0
     prepare_failures: int = 0
     #: Participants that answered phase 1 with the read-only vote and
-    #: were released without a decision row or a phase-2 Commit.
+    #: were released without a decision entry or a phase-2 Commit.
     readonly_votes: int = 0
     #: XA branches released whole at phase 1 (XA_RDONLY): every
     #: participant voted read-only and the local transaction wrote
@@ -120,29 +95,17 @@ class HostDB:
         #: gtrid → XAPrepareResult for branches this incarnation
         #: prepared (volatile; xa_recover degrades gracefully without it).
         self.xa_votes: dict[str, object] = {}
-        #: Piggybacked 2PC decisions not yet forgotten: txn_id → tuple of
-        #: participant servers. In-memory mirror of the COMMIT-payload
-        #: decisions in the WAL; rebuilt from the log at restart.
+        #: 2PC commit decisions not yet forgotten: txn_id → tuple of
+        #: write-participant servers. In-memory mirror of the
+        #: COMMIT-payload decisions in the WAL; rebuilt from the log at
+        #: restart.
         self._decisions: dict[int, tuple] = {}
         #: Shard router (``repro.shard.ShardMap``) — None on an unsharded
         #: host, where datalink ops address DLFMs by file-server name.
         self.shard_map = None
-        #: Reused in-doubt resolver session (keeps the poll SELECT and
-        #: per-txn forget DELETE on cached plans across poller passes).
-        self._indoubt_session = None
         self._bootstrap_schema()
 
     def _bootstrap_schema(self) -> None:
-        self.db.ddl(parse_sql(
-            "CREATE TABLE dlk_indoubt (txn_id INT, server TEXT)"))
-        self.db.ddl(parse_sql(
-            "CREATE INDEX dlk_indoubt_txn ON dlk_indoubt (txn_id)"))
-        # The coordinator's decision table is tiny but hot: without
-        # hand-crafted statistics the optimizer table-scans it on every
-        # phase-2 delete and concurrent committers deadlock — the paper's
-        # E4 lesson applies to the host side too.
-        self.db.set_table_stats("dlk_indoubt", card=100_000,
-                                colcard={"txn_id": 100_000})
         # Shard-map catalog (repro.shard): file group → owning shard,
         # with a fencing epoch bumped by every rebalance. Present (and
         # empty) even on unsharded hosts so the schema is uniform.
@@ -157,13 +120,24 @@ class HostDB:
 
     # ------------------------------------------------------------------ decisions
 
-    def record_decision(self, txn_id: int, servers) -> None:
-        """Note a piggybacked commit decision (already durable: it rode
-        on the host transaction's COMMIT record)."""
-        self._decisions[txn_id] = tuple(servers)
+    def decide(self, session, txn_id: int, servers):
+        """Generator: the coordinator's one decision step.
+
+        Commits the local transaction of ``session`` (a minidb session)
+        with the write-participant list riding on its COMMIT record, so
+        ONE log force makes the commit and the 2PC decision durable
+        together. Presumed abort: a transaction with no such record
+        never committed. With no ``servers`` (nobody voted to write)
+        there is nothing to re-drive and this is a plain commit.
+        """
+        servers = tuple(servers)
+        yield from session.commit(
+            payload={"indoubt": list(servers)} if servers else None)
+        if servers:
+            self._decisions[txn_id] = servers
 
     def forget_decision(self, txn_id: int) -> None:
-        """Forget a piggybacked decision after phase 2 fully acked.
+        """Forget a decision after phase 2 fully acked.
 
         Appends an *unforced* FORGET record — losing it in a crash only
         re-drives an idempotent phase-2 Commit at restart.
@@ -174,20 +148,17 @@ class HostDB:
             del self._decisions[txn_id]
 
     def pending_decisions(self) -> dict:
-        """txn_id → tuple(servers) for piggybacked, unforgotten decisions."""
+        """txn_id → tuple(servers) for every unforgotten decision."""
         return dict(self._decisions)
 
     def decision_rows(self):
-        """Every live commit decision as (txn_id, server) pairs — the
-        union of the durable ``dlk_indoubt`` table and the piggybacked
-        COMMIT-payload decisions."""
-        rows = [tuple(row) for row in self.db.table_rows("dlk_indoubt")]
-        for txn_id, servers in sorted(self._decisions.items()):
-            rows.extend((txn_id, server) for server in servers)
-        return rows
+        """Every live commit decision as (txn_id, server) pairs."""
+        return [(txn_id, server)
+                for txn_id, servers in sorted(self._decisions.items())
+                for server in servers]
 
     def _rescan_decisions(self) -> None:
-        """Rebuild the piggybacked-decision map from the durable log."""
+        """Rebuild the decision map from the durable log."""
         pending: dict[int, tuple] = {}
         for record in self.db.wal.records:
             payload = record.payload
@@ -286,20 +257,17 @@ class HostDB:
         self.db.crash()
         self.xa_votes.clear()
         self._decisions.clear()
-        self._indoubt_session = None
 
     def restart(self):
         """Generator: restart + distributed recovery (paper §3.3).
 
-        Replays forgotten phase-2 commits from the decision log — the
-        ``dlk_indoubt`` table plus piggybacked COMMIT-payload decisions
-        rescanned from the WAL — then resolves every DLFM's remaining
-        prepared transactions to abort (presumed abort: no decision →
-        the host never committed).
+        Re-drives unfinished phase-2 commits from the decisions rescanned
+        out of the WAL, then resolves every DLFM's remaining prepared
+        transactions to abort (presumed abort: no decision → the host
+        never committed).
         """
         from repro.host.indoubt import resolve_indoubts
         self.db.restart()
-        self._indoubt_session = None
         self._rescan_decisions()
         if self.shard_map is not None:
             self.shard_map.reload()

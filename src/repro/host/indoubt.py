@@ -16,123 +16,47 @@ from repro.kernel import rpc
 from repro.kernel.sim import Timeout
 
 
-def _resolver_session(host):
-    """The host's cached resolver session: keeps the poll SELECT and the
-    per-transaction forget DELETE on cached plans across poller passes
-    instead of re-preparing them on a fresh session every time."""
-    session = host._indoubt_session
-    if session is None:
-        if host.config.read_isolation == "SI":
-            session = host.db.session("SI")
-        else:
-            session = host.db.session()
-        host._indoubt_session = session
-    return session
-
-
 def resolve_indoubts(host):
     """Generator: one full resolution pass. Returns a summary dict.
 
-    Presumed abort: first, re-drive phase 2 for every transaction with a
-    durable commit decision — ``dlk_indoubt`` rows and piggybacked
-    COMMIT-payload decisions alike; then every transaction a DLFM still
-    reports as prepared has no decision and is aborted. The re-drive
-    fans out across all (transaction, server) pairs at once
-    (scatter-gather): after a crash mid-fan-out many transactions are in
-    doubt together, and re-driving them serially would stretch recovery
-    by a round-trip per pair. A transaction is forgotten — ONE
-    ``DELETE ... WHERE txn_id = ?`` covering all its decision rows, one
-    FORGET record for a piggybacked decision — only when every one of
-    its participants acknowledged; partially-acked transactions keep
-    their decision intact and the poller re-drives the idempotent
-    Commits on the next pass.
+    Presumed abort, driven through the coordinator's own phase-2 steps
+    (a :class:`~repro.host.session.HostSession` opened for the pass):
+    first re-drive Commit for every transaction with a durable decision
+    (``host.pending_decisions()`` — after a crash mid-fan-out many are
+    in doubt together, so all (transaction, server) pairs go out at
+    once); then every transaction a DLFM still reports as prepared has
+    no decision and is aborted. Transactions the host itself holds
+    PREPARED are XA branches whose outcome belongs to the external
+    transaction manager — they are left alone.
     """
-    committed = aborted = 0
-
-    # 1. Collect every live decision: durable table rows ∪ piggybacked.
-    session = _resolver_session(host)
+    coordinator = host.session()
     try:
-        rows = yield from session.execute(
-            "SELECT txn_id, server FROM dlk_indoubt")
-        yield from session.commit()
-    except ReproError:
-        host._indoubt_session = None  # do not reuse a poisoned session
-        raise
-    decisions: dict[int, set] = {}
-    table_txns = set()
-    for txn_id, server in rows.rows:
-        decisions.setdefault(txn_id, set()).add(server)
-        table_txns.add(txn_id)
-    for txn_id, servers in host.pending_decisions().items():
-        decisions.setdefault(txn_id, set()).update(servers)
+        committed, error = yield from coordinator.commit_participants(
+            host.pending_decisions())
+        host.metrics.indoubt_commits += committed
+        if error is not None:
+            raise error
 
-    # 2. Re-drive phase 2, all (txn, server) pairs at once.
-    pending = sorted((txn_id, server)
-                     for txn_id, servers in decisions.items()
-                     for server in servers)
-    first_error = None
-    if pending:
-        acked: dict[int, set] = {}
-        chans = [host.dlfms[server].connect() for _, server in pending]
-        try:
-            outcomes = yield from rpc.scatter(
-                host.sim,
-                [(chan, api.Commit(host.dbid, txn_id))
-                 for chan, (txn_id, _) in zip(chans, pending)],
-                name="indoubt-commit", return_exceptions=True)
-        finally:
-            for chan in chans:
-                chan.close()
-        for (txn_id, server), outcome in zip(pending, outcomes):
-            if isinstance(outcome, BaseException):
-                if first_error is None:
-                    first_error = outcome
-                continue
-            acked.setdefault(txn_id, set()).add(server)
-            committed += 1
-            host.metrics.indoubt_commits += 1
-        # 3. Forget fully-acknowledged transactions — one prepared
-        #    DELETE executed per transaction.
-        try:
-            forget = yield from session.prepare(
-                "DELETE FROM dlk_indoubt WHERE txn_id = ?")
-            for txn_id in sorted(acked):
-                if acked[txn_id] != decisions[txn_id]:
-                    continue  # partial ack: keep the decision, retry later
-                if txn_id in table_txns:
-                    yield from forget.execute((txn_id,))
-                host.forget_decision(txn_id)
-            yield from session.commit()
-        except ReproError:
-            host._indoubt_session = None
-            raise
-    if first_error is not None:
-        raise first_error
-
-    # 4. Anything still prepared at a DLFM has no decision → abort.
-    counts = yield from rpc.gather_all(
-        host.sim,
-        [_sweep_server(host, server) for server in sorted(host.dlfms)],
-        name="indoubt-sweep")
-    aborted = sum(counts)
-    return {"committed": committed, "aborted": aborted}
-
-
-def _sweep_server(host, server: str):
-    """Generator: abort one server's decision-less prepared txns."""
-    chan = host.dlfms[server].connect()
-    aborted = 0
-    try:
-        indoubt = yield from rpc.call(host.sim, chan,
-                                      api.ListIndoubt(host.dbid))
-        for txn_id in indoubt:
-            yield from rpc.call(host.sim, chan,
-                                api.Abort(host.dbid, txn_id))
-            aborted += 1
-            host.metrics.indoubt_aborts += 1
+        servers = sorted(host.dlfms)
+        listed = yield from rpc.scatter(
+            host.sim,
+            [(coordinator._channel(server), api.ListIndoubt(host.dbid))
+             for server in servers],
+            name="indoubt-list")
+        tm_owned = {txn.id for txn in host.db.indoubt_transactions()}
+        outcomes = yield from coordinator.fan_out(
+            api.Abort,
+            [(txn_id, server) for server, txn_ids in zip(servers, listed)
+             for txn_id in txn_ids if txn_id not in tm_owned],
+            name="indoubt-abort")
     finally:
-        chan.close()
-    return aborted
+        coordinator.close()
+    errors = [o for o in outcomes if isinstance(o, ReproError)]
+    aborted = len(outcomes) - len(errors)
+    host.metrics.indoubt_aborts += aborted
+    if errors:
+        raise errors[0]
+    return {"committed": committed, "aborted": aborted}
 
 
 def indoubt_poller(host, server: str):

@@ -13,9 +13,16 @@ columns the datalink engine intercepts DML exactly as in the paper (§2):
 
 Statement failures are compensated with in_backout requests plus a host
 savepoint rollback; severe errors (deadlock at either side) roll back the
-full transaction. COMMIT runs the 2PC coordinator: Prepare to every
-participant, durable decision row, then phase-2 Commit — synchronously by
-default (lesson §4), asynchronously only for experiment E6.
+full transaction.
+
+The session is also the host's one 2PC coordinator. COMMIT is
+:meth:`HostSession.prepare_participants` (the prepare fan-out), then
+:meth:`HostSession.commit_decided` (the decision riding the local COMMIT
+record, then the phase-2 fan-out — synchronously by default (lesson §4),
+asynchronously only for experiment E6); ROLLBACK and a failed phase 1
+run the same fan-out with Abort. XA branches (:mod:`repro.host.xa`) and
+in-doubt resolution (:mod:`repro.host.indoubt`) drive these same steps
+through a session of their own.
 """
 
 from __future__ import annotations
@@ -53,12 +60,8 @@ class HostSession:
         self._buffered: dict[str, list] = {}
         self._stmt_seq = itertools.count(1)
         self._parse_cache: dict[str, ast.Statement] = {}
-        #: Cached session for phase-2 decision forgetting (sync mode):
-        #: opening a fresh host session per committed transaction was
-        #: pure overhead. Lazily created, dropped on error.
-        self._decision_session = None
-        #: Set once the 2PC commit decision is durable (decision rows +
-        #: local commit). From then on the transaction IS committed:
+        #: Set once the 2PC commit decision is durable (it rode the
+        #: local COMMIT record). From then on the transaction IS committed:
         #: phase-2 failures are resolved by in-doubt re-drive, never by
         #: sending Abort to the participants.
         self._decided = False
@@ -428,39 +431,28 @@ class HostSession:
             # already committed: there is nothing to abort. A phase-2
             # failure lands here when the application reacts to the error
             # with ROLLBACK — sending Abort now would undo links of a
-            # COMMITTED transaction on a live DLFM. The dlk_indoubt rows
-            # re-drive phase 2 instead.
+            # COMMITTED transaction on a live DLFM. In-doubt resolution
+            # re-drives phase 2 from the decision instead.
             self._reset()
             return
         if self.host.db.crashed:
             # The host database died under us, possibly inside the very
             # commit force that hardens the decision — whether this
             # transaction committed is unknowable here. Restart recovery
-            # owns the outcome (re-drive from dlk_indoubt, presumed abort
-            # for the rest); sending Abort now could undo the links of a
-            # transaction whose decision IS in the durable log.
+            # owns the outcome (re-drive from the logged decision,
+            # presumed abort for the rest); sending Abort now could undo
+            # the links of a transaction whose decision IS in the
+            # durable log.
             self._reset()
             return
         txn_id = self.txn_id
         self._buffered.clear()   # unflushed ops never reached any DLFM
-        calls = []
-        for server in sorted(self.participants):
-            try:
-                calls.append((self._channel(server),
-                              api.Abort(self.host.dbid, txn_id)))
-            except ReproError:
-                pass  # participant down; presumed abort resolves it later
-        if self.host.config.scatter_gather and len(calls) > 1:
-            # Fan the Aborts out; a down participant's error is ignored
-            # (presumed abort resolves it later), so drain every reply.
-            yield from rpc.scatter(self.sim, calls, name=f"abort-{txn_id}",
-                                   return_exceptions=True)
-        else:
-            for chan, payload in calls:
-                try:
-                    yield from rpc.call(self.sim, chan, payload)
-                except ReproError:
-                    pass  # participant down; presumed abort resolves it
+        # A participant that is down or unreachable is skipped: presumed
+        # abort resolves it when it comes back.
+        yield from self.fan_out(
+            api.Abort, [(txn_id, server)
+                        for server in sorted(self.participants)],
+            name=f"abort-{txn_id}")
         yield from self.session.rollback()
         self._reset()
         self.host.metrics.rollbacks += 1
@@ -502,100 +494,73 @@ class HostSession:
                     yield from self.dlfm_call(server, req)
         self.pending_drops.append(name)
 
-    # ------------------------------------------------------------------ commit / rollback
+    # ------------------------------------------------------------------ 2PC coordinator
 
     def commit(self):
         """Generator: application COMMIT — the 2PC coordinator."""
         if (self.session.txn is None and not self.participants
                 and not self._buffered):
             return
-        txn_id = self.txn_id
-        phase1 = sorted(set(self.participants) | set(self._buffered))
-        if not phase1:
-            yield from self.session.commit()
-            for name in self.pending_drops:
-                self.host.apply_drop(name)
-            self._reset()
-            self.host.metrics.commits += 1
-            return
+        participants, _ = yield from self.prepare_participants()
+        yield from self.commit_decided(participants)
 
-        # ---- phase 1: prepare every participant — concurrently under
-        # scatter-gather, serially with the historical coordinator; with
-        # batching on, a server's buffered ops ride in one Batch with
-        # Prepare piggybacked. One no-vote aborts everyone, including
-        # those already prepared (§3.3).
-        mode = "scatter" if self.host.config.scatter_gather else "serial"
-        with self.sim.tracer.span("prepare.fanout", n=len(phase1),
-                                  mode=mode):
-            prepared = yield from self._phase1(txn_id, phase1)
-        # ``prepared`` pairs each reply with the server that actually
-        # prepared — a stale batched route may have landed on a different
-        # shard than the one the op was buffered under.
-        for server, reply in prepared:
+    def rollback(self):
+        """Generator: application ROLLBACK."""
+        if (self.session.txn is None and not self.participants
+                and not self._buffered):
+            return
+        yield from self._abort_everything()
+
+    def prepare_participants(self):
+        """Generator: phase 1 — the one prepare fan-out.
+
+        Every participant prepares concurrently (~one round trip, not
+        N); with batching on, a server's buffered ops ride in one Batch
+        with Prepare piggybacked. One no-vote — or the coordinator dying
+        in the scatter→gather window — aborts everyone, including those
+        already prepared (§3.3), and raises
+        ``TransactionAborted(reason="prepare")``.
+
+        Returns sorted ``(writers, readonly)``: the servers that actually
+        prepared (a stale batched route may land on another shard than
+        the op was buffered under), and the read-only voters — they
+        hardened nothing and are released here, with no decision entry
+        and no phase-2 message.
+        """
+        txn_id = self.txn_id
+        targets = sorted(set(self.participants) | set(self._buffered))
+        if not targets:
+            return [], []
+        self._phase1_targets = set(targets)
+        gens = [self._prepare_one(server, txn_id) for server in targets]
+        with self.sim.tracer.span("prepare.fanout", n=len(targets)):
+            try:
+                outcomes = yield from rpc.gather_all(
+                    self.sim, gens, name=f"prepare-{txn_id}",
+                    return_exceptions=True,
+                    fault_point="twopc.fanout:prepare",
+                    fault_node=self.host.db.name)
+            except ReproError as error:
+                # The coordinator itself died in the scatter→gather
+                # window; outstanding prepares drain detached,
+                # participants resolve by presumed abort after restart.
+                targets, outcomes = ["(coordinator)"], [error]
+            for server, outcome in zip(targets, outcomes):
+                if isinstance(outcome, ReproError):
+                    self.host.metrics.prepare_failures += 1
+                    yield from self._abort_everything()
+                    raise TransactionAborted(
+                        f"participant {server} failed to prepare: "
+                        f"{outcome}", reason="prepare") from outcome
+                if isinstance(outcome, BaseException):
+                    raise outcome  # non-protocol error: a bug, surface it
+        readonly = []
+        for server, reply in outcomes:
             if (reply or {}).get("vote", "commit") == "read-only":
-                # Read-only participant optimization: the server hardened
-                # nothing and was released at end of phase 1 — it gets no
-                # dlk_indoubt decision row and no phase-2 Commit.
                 self.participants.discard(server)
                 self.host.metrics.readonly_votes += 1
-
-        # ---- decision: durable with the local commit ------------------
-        participants = sorted(self.participants)
-        if participants and self.host.config.decision_piggyback:
-            # Piggybacked decision: the participant list rides on the
-            # local COMMIT record itself — one WAL force carries both,
-            # no logged INSERTs on the commit critical path.
-            yield from self.session.commit(
-                payload={"indoubt": list(participants)})
-            self.host.record_decision(txn_id, participants)
-        else:
-            # Classic decision table: ONE multi-row INSERT covers every
-            # write participant.
-            if participants:
-                marks = ", ".join(["(?, ?)"] * len(participants))
-                args = tuple(v for server in participants
-                             for v in (txn_id, server))
-                yield from self.session.execute(
-                    f"INSERT INTO dlk_indoubt (txn_id, server) "
-                    f"VALUES {marks}", args)
-            yield from self.session.commit()
-        self._decided = True
-        for name in self.pending_drops:
-            self.host.apply_drop(name)
-        self.host.metrics.commits += 1
-
-        # ---- phase 2 (read-only voters already released) ----------------
-        if not participants:
-            pass  # everyone voted read-only: nothing is in doubt
-        elif self.host.config.sync_commit:
-            with self.sim.tracer.span("phase2.fanout", n=len(participants),
-                                      mode=mode):
-                yield from self._phase2_commit(txn_id, participants)
-        else:
-            # E6 mode: every Commit verb is SENT (each child agent has
-            # received it and started processing), but the application
-            # regains control without waiting for the replies — so its
-            # next transaction's sends queue behind the still-running
-            # commit processing. Scatter-gather overlaps the N sends;
-            # each send still blocks on its rendezvous.
-            calls = [(self._channel(server),
-                      api.Commit(self.host.dbid, txn_id))
-                     for server in participants]
-            with self.sim.tracer.span("phase2.fanout", n=len(participants),
-                                      mode=mode):
-                if self.host.config.scatter_gather:
-                    replies = yield from rpc.scatter_cast(
-                        self.sim, calls, name=f"phase2-cast-{txn_id}",
-                        fault_point="twopc.fanout:phase2",
-                        fault_node=self.host.db.name)
-                else:
-                    replies = []
-                    for chan, payload in calls:
-                        reply = yield from rpc.cast(self.sim, chan, payload)
-                        replies.append(reply)
-            self.sim.spawn(self._phase2_finish(txn_id, replies),
-                           f"async-phase2-{txn_id}")
-        self._reset()
+                readonly.append(server)
+        return sorted(self.participants), sorted(readonly)
 
     def _prepare_one(self, server: str, txn_id: int):
         """Generator: phase-1 prepare of one participant; returns the
@@ -646,145 +611,95 @@ class HostSession:
                 server = new_server
         raise AssertionError("unreachable")
 
-    def _pooled_gather(self, gens, *, name: str, fault_point: str):
-        """Generator: bounded coordinator fan-out over a WorkerPool.
+    def commit_decided(self, participants):
+        """Generator: the decision and phase 2, for a transaction whose
+        write ``participants`` all voted commit in phase 1."""
+        txn_id = self.txn_id
+        yield from self.host.decide(self.session, txn_id, participants)
+        self._decided = True
+        for name in self.pending_drops:
+            self.host.apply_drop(name)
+        self.host.metrics.commits += 1
+        if participants:   # else everyone voted read-only: nothing in doubt
+            with self.sim.tracer.span("phase2.fanout", n=len(participants)):
+                if self.host.config.sync_commit:
+                    _, error = yield from self.commit_participants(
+                        {txn_id: participants},
+                        fault_point="twopc.fanout:phase2")
+                    if error is not None:
+                        raise error
+                else:
+                    yield from self._cast_commits(txn_id, participants)
+        self._reset()
 
-        Runs ``gens`` through ``config.fanout_workers`` pool workers —
-        a 32-participant commit occupies at most that many concurrent
-        coordinator processes — and returns outcomes in ``gens`` order
-        with exceptions captured in place (gather_all's
-        ``return_exceptions=True`` contract). The same chaos window as
-        the unbounded scatter fires between hand-out and drain.
+    def commit_participants(self, decisions, fault_point=None):
+        """Generator: phase-2 Commit for ``decisions`` (txn_id →
+        servers), every (transaction, server) pair at once.
+
+        A transaction is forgotten (one unforced FORGET record) only
+        when all its participants acknowledged; a partial ack keeps the
+        decision and the next resolution pass re-drives the idempotent
+        Commits. Returns ``(acked, error)``: acknowledged Commits and
+        the first participant error (None when all acknowledged).
         """
-        from repro.kernel.pool import WorkerPool
-        outcomes = [None] * len(gens)
+        pairs = sorted((txn_id, server)
+                       for txn_id, servers in decisions.items()
+                       for server in servers)
+        outcomes = yield from self.fan_out(api.Commit, pairs,
+                                           name="phase2",
+                                           fault_point=fault_point)
+        errors = [o for o in outcomes if isinstance(o, ReproError)]
+        unacked = {txn_id for (txn_id, _), outcome in zip(pairs, outcomes)
+                   if isinstance(outcome, ReproError)}
+        for txn_id in sorted(set(decisions) - unacked):
+            self.host.forget_decision(txn_id)
+        return len(pairs) - len(errors), (errors[0] if errors else None)
 
-        def handle(item):
-            index, gen = item
-            try:
-                outcomes[index] = yield from gen
-            except Exception as error:  # incl. CrashedError: captured,
-                outcomes[index] = error  # never kills the pool worker
-        pool = WorkerPool(self.sim, name, handle,
-                          workers=min(self.host.config.fanout_workers,
-                                      len(gens)))
-        pool.start()
-        try:
-            for i, gen in enumerate(gens):
-                yield from pool.submit((i, gen))
-            if self.sim.injector.enabled:
-                yield from rpc._fanout_faults(self.sim, fault_point,
-                                              self.host.db.name)
-            yield from pool.drain()
-        finally:
-            pool.stop()
-        return outcomes
+    def fan_out(self, verb, pairs, *, name: str, fault_point=None):
+        """Generator: the one phase-2 fan-out — ``verb`` (``api.Commit``
+        or ``api.Abort``) to every ``(txn_id, server)`` pair at once,
+        every reply drained. Returns the outcomes in ``pairs`` order, a
+        participant's error (down, unreachable, refused) in place of
+        its reply: a failed Commit keeps the decision, a failed Abort is
+        left to presumed abort — the caller's call."""
+        if not pairs:
+            return []
 
-    def _phase1(self, txn_id: int, phase1: list[str]):
-        """Generator: run phase 1; returns ``(server, reply)`` pairs in
-        ``phase1`` order (the server is the one that actually prepared
-        after any stale-route re-bucketing)."""
-        self._phase1_targets = set(phase1)
-        gens = [self._prepare_one(server, txn_id) for server in phase1]
-        if not self.host.config.scatter_gather:
-            replies = []
-            for server, gen in zip(phase1, gens):
-                try:
-                    replies.append((yield from gen))
-                except ReproError as error:
-                    abort = yield from self._phase1_failed(server, error)
-                    raise abort from error
-            return replies
-        try:
-            if self.host.config.fanout_workers > 0:
-                outcomes = yield from self._pooled_gather(
-                    gens, name=f"prepare-{txn_id}",
-                    fault_point="twopc.fanout:prepare")
-            else:
-                outcomes = yield from rpc.gather_all(
-                    self.sim, gens, name=f"prepare-{txn_id}",
-                    return_exceptions=True,
-                    fault_point="twopc.fanout:prepare",
-                    fault_node=self.host.db.name)
-        except ReproError as error:
-            # The coordinator itself died in the scatter→gather window;
-            # outstanding prepares drain detached, participants resolve
-            # by presumed abort / in-doubt re-drive after restart.
-            abort = yield from self._phase1_failed("(coordinator)", error)
-            raise abort from error
-        for server, outcome in zip(phase1, outcomes):
-            if isinstance(outcome, ReproError):
-                abort = yield from self._phase1_failed(server, outcome)
-                raise abort from outcome
-            if isinstance(outcome, BaseException):
+        def send(txn_id, server):
+            return (yield from rpc.call(self.sim, self._channel(server),
+                                        verb(self.host.dbid, txn_id)))
+
+        outcomes = yield from rpc.gather_all(
+            self.sim, [send(*pair) for pair in pairs], name=name,
+            return_exceptions=True, fault_point=fault_point,
+            fault_node=self.host.db.name)
+        for outcome in outcomes:
+            if (isinstance(outcome, BaseException)
+                    and not isinstance(outcome, ReproError)):
                 raise outcome  # non-protocol error: a bug, surface it
         return outcomes
 
-    def _phase1_failed(self, server: str, error: ReproError):
-        """Generator: back out of a failed phase 1, build the abort."""
-        self.host.metrics.prepare_failures += 1
-        yield from self._abort_everything()
-        return TransactionAborted(
-            f"participant {server} failed to prepare: {error}",
-            reason="prepare")
+    def _cast_commits(self, txn_id: int, participants):
+        """Generator: E6 mode (``sync_commit=False``). Every Commit verb
+        is SENT (each child agent has received it and started
+        processing), but the application regains control without waiting
+        for the replies — so its next transaction's sends queue behind
+        the still-running commit processing. The N sends overlap each
+        other; each send still blocks on its rendezvous."""
+        replies = yield from rpc.scatter_cast(
+            self.sim,
+            [(self._channel(server), api.Commit(self.host.dbid, txn_id))
+             for server in participants],
+            name=f"phase2-cast-{txn_id}",
+            fault_point="twopc.fanout:phase2",
+            fault_node=self.host.db.name)
 
-    def _phase2_commit(self, txn_id: int, servers: list[str]):
-        calls = [(self._channel(server), api.Commit(self.host.dbid, txn_id))
-                 for server in servers]
-        if (self.host.config.scatter_gather
-                and self.host.config.fanout_workers > 0):
-            gens = [rpc.call(self.sim, chan, payload)
-                    for chan, payload in calls]
-            outcomes = yield from self._pooled_gather(
-                gens, name=f"phase2-{txn_id}",
-                fault_point="twopc.fanout:phase2")
-            for outcome in outcomes:
-                if isinstance(outcome, BaseException):
-                    raise outcome
-        elif self.host.config.scatter_gather:
-            yield from rpc.scatter(
-                self.sim, calls, name=f"phase2-{txn_id}",
-                fault_point="twopc.fanout:phase2",
-                fault_node=self.host.db.name)
-        else:
-            for chan, payload in calls:
-                yield from rpc.call(self.sim, chan, payload)
-        yield from self._forget_decision(txn_id)
-
-    def _phase2_finish(self, txn_id: int, replies: list):
-        for reply in replies:
-            yield from rpc.wait_reply(reply)
-        yield from self._forget_decision(txn_id, reuse=False)
-
-    def _forget_decision(self, txn_id: int, reuse: bool = True):
-        if txn_id in self.host._decisions:
-            # Piggybacked decision: forgetting is an unforced FORGET
-            # record, not a logged DELETE + force.
+        def finish():
+            for reply in replies:
+                yield from rpc.wait_reply(reply)
             self.host.forget_decision(txn_id)
-            return
-        # Synchronous commits on a HostSession are serial, so they share
-        # one cached session; the E6 async finishers run concurrently
-        # with later transactions and must take their own.
-        if reuse:
-            session = self._decision_session
-            if session is None:
-                session = self._decision_session = self.host.db.session()
-        else:
-            session = self.host.db.session()
-        try:
-            yield from session.execute(
-                "DELETE FROM dlk_indoubt WHERE txn_id = ?", (txn_id,))
-            yield from session.commit()
-        except ReproError:
-            self._decision_session = None  # do not reuse a poisoned session
-            raise
 
-    def rollback(self):
-        """Generator: application ROLLBACK."""
-        if (self.session.txn is None and not self.participants
-                and not self._buffered):
-            return
-        yield from self._abort_everything()
+        self.sim.spawn(finish(), f"async-phase2-{txn_id}")
 
     def close(self) -> None:
         for chan in self._chans.values():

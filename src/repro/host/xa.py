@@ -6,16 +6,21 @@ id. ... [the local] id is passed to the DLFM in each of the API
 invocation."
 
 Here the host is itself a *participant* of an external transaction
-manager while remaining the *coordinator* of its DLFMs:
+manager while remaining the *coordinator* of its DLFMs — the same
+coordinator an application COMMIT runs (:mod:`repro.host.session`), with
+the TM's verdict arriving between its two halves:
 
-* :func:`xa_prepare` — durably registers the gtrid → (local txn id,
-  participant servers) mapping, prepares every DLFM sub-transaction, and
-  prepares the host's own local transaction (PREPARE log record, locks
-  kept). From then on the outcome belongs to the TM.
-* :func:`xa_commit` / :func:`xa_rollback` — the TM's verdict. Commit
-  makes the local commit record the durable decision, then drives
-  phase 2 at the DLFMs; a crash in between is repaired by
-  :func:`xa_recover` + :func:`xa_finish_pending`.
+* :func:`xa_prepare` — runs the session's phase 1
+  (``prepare_participants``), durably registers the gtrid → (local txn
+  id, write-participant servers) mapping, and prepares the host's own
+  local transaction (PREPARE log record, locks kept). From then on the
+  outcome belongs to the TM.
+* :func:`xa_commit` / :func:`xa_rollback` — the TM's verdict, run on a
+  session re-attached to the prepared branch: ``commit_decided`` (the
+  decision rides the local COMMIT record, then phase 2) or
+  ``rollback``. A crash in between is repaired by host restart's
+  in-doubt resolution; :func:`xa_recover` + :func:`xa_finish_pending`
+  clear the registrations left behind.
 
 Note what the DLFMs see: only the LOCAL transaction id — monotonically
 increasing per host database — never the gtrid. That is the paper's
@@ -26,9 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dlfm import api
-from repro.errors import DataLinkError, ReproError, TransactionAborted
-from repro.kernel import rpc
+from repro.errors import DataLinkError, ReproError
 
 
 @dataclass(frozen=True)
@@ -65,80 +68,53 @@ def xa_prepare(session, gtrid: str):
     """Generator: phase 1 of the global transaction for this host branch.
 
     Returns an :class:`XAPrepareResult` carrying the LOCAL transaction
-    id (distinct from ``gtrid``) and this branch's vote.
+    id (distinct from ``gtrid``) and this branch's vote. The session is
+    detached from the branch afterwards and free for new work.
     """
     host = session.host
     _bootstrap(host)
-    if session.session.txn is None and not session.participants:
+    if (session.session.txn is None and not session.participants
+            and not session._buffered):
         raise DataLinkError(f"nothing to prepare for gtrid {gtrid!r}")
     txn_id = session._ensure_txn()
 
-    # 1. Durable registration BEFORE voting yes anywhere.
-    reg = host.db.session()
-    yield from reg.execute(
-        "INSERT INTO xa_pending (gtrid, txn_id, server) VALUES (?, ?, ?)",
-        (gtrid, txn_id, "*"))
-    for server in sorted(session.participants):
-        yield from reg.execute(
-            "INSERT INTO xa_pending (gtrid, txn_id, server) "
-            "VALUES (?, ?, ?)", (gtrid, txn_id, server))
-    yield from reg.commit()
-
-    # 2. Prepare the DLFM sub-transactions (they see the local txn id) —
-    # fanned out under scatter-gather. Read-only voters are released at
-    # end of phase 1 and pruned from the pending registration so the
-    # TM's eventual commit skips them in phase 2.
-    servers = sorted(session.participants)
-    try:
-        if host.config.scatter_gather:
-            replies = yield from rpc.scatter(
-                host.sim,
-                [(session._channel(server), api.Prepare(host.dbid, txn_id))
-                 for server in servers],
-                name=f"xa-prepare-{txn_id}")
-        else:
-            replies = []
-            for server in servers:
-                replies.append((yield from session._send_control(
-                    server, api.Prepare(host.dbid, txn_id))))
-    except ReproError as error:
-        yield from xa_rollback(host, gtrid, session=session)
-        raise TransactionAborted(
-            f"gtrid {gtrid!r}: participant failed prepare: {error}",
-            reason="prepare") from error
-    readonly = [server for server, reply in zip(servers, replies)
-                if (reply or {}).get("vote") == "read-only"]
-    if readonly:
-        prune = host.db.session()
-        for server in readonly:
-            session.participants.discard(server)
-            host.metrics.readonly_votes += 1
-            yield from prune.execute(
-                "DELETE FROM xa_pending WHERE gtrid = ? AND server = ?",
-                (gtrid, server))
-        yield from prune.commit()
+    # 1. The coordinator's phase 1 (the DLFMs see the local txn id). A
+    # failure aborts every participant and the local transaction and
+    # propagates; nothing is registered yet, so the TM finds the gtrid
+    # unknown — presumed abort.
+    writers, readonly = yield from session.prepare_participants()
 
     local_txn = session.session.txn
-    if not session.participants and (local_txn is None
-                                     or local_txn.last_lsn is None):
-        # 3a. Read-only fast path: every participant voted read-only and
+    if not writers and (local_txn is None or local_txn.last_lsn is None):
+        # 2a. Read-only fast path: every participant voted read-only and
         # the local transaction wrote nothing — release the whole branch
         # at phase 1 (XA_RDONLY). Read locks drop now, no PREPARE record
-        # is forced, the registration is erased, and the TM never drives
+        # is forced, nothing is registered, and the TM never drives
         # phase 2 for this gtrid.
         if local_txn is not None:
             yield from host.db.commit(local_txn)
-        session.session.txn = None
-        yield from _forget(host, gtrid)
         host.metrics.readonly_branches += 1
-        result = XAPrepareResult(txn_id, "read-only", tuple(readonly))
-        host.xa_votes[gtrid] = result
-        return result
-
-    # 3. Prepare the host's own local transaction.
-    yield from host.db.prepare(local_txn)
-    session.session.txn = None  # the session must not touch it any more
-    result = XAPrepareResult(txn_id, "commit", tuple(readonly))
+        vote = "read-only"
+    else:
+        # 2b. Durably register the branch — the servers phase 2 must
+        # reach: read-only voters are already released — BEFORE the
+        # host votes yes, then prepare its own local transaction. (A
+        # host crash in between leaves DLFM sub-transactions with no
+        # decision: restart's presumed abort sweeps them.)
+        reg = host.db.session()
+        for server in ["*"] + writers:
+            yield from reg.execute(
+                "INSERT INTO xa_pending (gtrid, txn_id, server) "
+                "VALUES (?, ?, ?)", (gtrid, txn_id, server))
+        yield from reg.commit()
+        yield from host.db.prepare(local_txn)
+        vote = "commit"
+    # The session must not touch the branch any more; its connections
+    # close so the child agents let go of the prepared sub-transactions.
+    session.session.txn = None
+    session.close()
+    session._reset()
+    result = XAPrepareResult(txn_id, vote, tuple(readonly))
     host.xa_votes[gtrid] = result
     return result
 
@@ -155,6 +131,16 @@ def _pending_rows(host, gtrid: str):
     return txn_id, servers
 
 
+def _attach(host, txn_id: int, servers, txn):
+    """A coordinator session re-attached to a branch some earlier
+    session prepared (possibly before a host crash)."""
+    session = host.session()
+    session.session.txn = txn
+    session.txn_id = txn_id
+    session.participants = set(servers)
+    return session
+
+
 def xa_commit(host, gtrid: str):
     """Generator: the TM decided commit for this branch.
 
@@ -163,63 +149,32 @@ def xa_commit(host, gtrid: str):
     their read-only vote (no phase-2 message goes to them).
     """
     txn_id, servers = yield from _pending_rows(host, gtrid)
-    txn = host.db.find_prepared(txn_id)
-    # The local COMMIT record (forced) is the branch's durable decision.
-    yield from host.db.commit(txn)
-    yield from _drive_phase2(host, gtrid, txn_id, servers)
+    session = _attach(host, txn_id, servers, host.db.find_prepared(txn_id))
+    try:
+        yield from session.commit_decided(servers)
+    finally:
+        session.close()
+    yield from _forget(host, gtrid)
     vote = host.xa_votes.pop(gtrid, None)
     return {"txn_id": txn_id, "servers": tuple(servers),
             "readonly": vote.readonly_servers if vote is not None else ()}
 
 
-def xa_rollback(host, gtrid: str, session=None):
+def xa_rollback(host, gtrid: str):
     """Generator: the TM decided rollback for this branch."""
     txn_id, servers = yield from _pending_rows(host, gtrid)
-    chans = []
-    for server in servers:
-        try:
-            chans.append(host.dlfms[server].connect())
-        except ReproError:
-            pass  # participant down; presumed abort mops up on restart
-    try:
-        # Fan the Aborts out; a down participant's error is swallowed
-        # (presumed abort will mop up when it comes back).
-        yield from rpc.scatter(
-            host.sim,
-            [(chan, api.Abort(host.dbid, txn_id)) for chan in chans],
-            name=f"xa-abort-{txn_id}", return_exceptions=True)
-    finally:
-        for chan in chans:
-            chan.close()
     try:
         txn = host.db.find_prepared(txn_id)
     except ReproError:
-        txn = None  # never reached local prepare (prepare-phase failure)
-    if txn is not None:
-        yield from host.db.rollback(txn)
-    elif session is not None:
-        yield from session.session.rollback()
+        txn = None  # host crashed before the local prepare: already undone
+    session = _attach(host, txn_id, servers, txn)
+    try:
+        yield from session.rollback()
+    finally:
+        session.close()
     yield from _forget(host, gtrid)
     host.xa_votes.pop(gtrid, None)
     return txn_id
-
-
-def _drive_phase2(host, gtrid: str, txn_id: int, servers):
-    chans = [host.dlfms[server].connect() for server in servers]
-    try:
-        if host.config.scatter_gather:
-            yield from rpc.scatter(
-                host.sim,
-                [(chan, api.Commit(host.dbid, txn_id)) for chan in chans],
-                name=f"xa-phase2-{txn_id}")
-        else:
-            for chan in chans:
-                yield from rpc.call(host.sim, chan,
-                                    api.Commit(host.dbid, txn_id))
-    finally:
-        for chan in chans:
-            chan.close()
-    yield from _forget(host, gtrid)
 
 
 def _forget(host, gtrid: str):
@@ -266,13 +221,21 @@ def xa_recover(host):
 
 def xa_finish_pending(host):
     """Generator: re-drive phase 2 for every committed-but-unfinished
-    branch (idempotent at the DLFMs)."""
+    branch (idempotent at the DLFMs) and erase its registration."""
     status = yield from xa_recover(host)
     finished = []
     for gtrid, info in sorted(status.items()):
         if info["state"] != "commit-pending":
             continue
         txn_id, servers = yield from _pending_rows(host, gtrid)
-        yield from _drive_phase2(host, gtrid, txn_id, servers)
+        session = host.session()
+        try:
+            _, error = yield from session.commit_participants(
+                {txn_id: servers})
+        finally:
+            session.close()
+        if error is not None:
+            raise error
+        yield from _forget(host, gtrid)
         finished.append(gtrid)
     return finished

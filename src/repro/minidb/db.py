@@ -191,9 +191,8 @@ class Database:
     def commit(self, txn: Transaction, payload=None):
         """Generator: commit — force the log, release locks.
 
-        ``payload`` rides on the COMMIT record itself (decision
-        piggybacking: the host's 2PC decision shares the commit's one
-        WAL force instead of paying for its own logged INSERTs). A
+        ``payload`` rides on the COMMIT record itself (the host's 2PC
+        decision shares the commit's one WAL force). A
         payload forces a COMMIT record even for a write-free
         transaction — the decision must be durable regardless.
         """
@@ -887,6 +886,13 @@ class Database:
             self.disk.store_index_image(name, image)
         txn_table = {}
         for txn in self.txns.active:
+            if (txn.last_lsn is not None and self.wal.record(
+                    txn.last_lsn).kind in (walmod.COMMIT, walmod.ABORT)):
+                # Ended: only its log force is still outstanding, and
+                # the force below hardens that record too. Snapshotting
+                # it as active would make tail-only analysis (which
+                # never sees the pre-checkpoint COMMIT) undo it.
+                continue
             txn_table[txn.id] = {
                 "first": txn.first_lsn, "last": txn.last_lsn,
                 "prepared": txn.state is TxnState.PREPARED}

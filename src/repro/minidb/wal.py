@@ -46,7 +46,7 @@ UPDATE = "UPDATE"
 CLR = "CLR"
 CHECKPOINT = "CHECKPOINT"
 PREPARE = "PREPARE"  # XA: transaction hardened but outcome undecided
-FORGET = "FORGET"    # 2PC decision forgotten (piggybacked decisions)
+FORGET = "FORGET"    # 2PC decision (COMMIT-record payload) forgotten
 
 _REDOABLE = frozenset({INSERT, DELETE, UPDATE, CLR})
 

@@ -10,8 +10,8 @@
 3. the ``dlk_shardmap`` catalog row flips to the destination at the new
    epoch **in the same host transaction**;
 4. COMMIT runs the normal 2PC: phase 1 hardens both shards, the durable
-   decision (piggybacked or ``dlk_indoubt`` rows) makes the move final,
-   phase 2 deletes the moving-out copy and activates the moving-in one.
+   decision (on the host's COMMIT record) makes the move final, phase 2
+   deletes the moving-out copy and activates the moving-in one.
 
 A crash anywhere leaves nothing stranded: before the decision is
 durable, presumed abort restores the source and deletes the import;

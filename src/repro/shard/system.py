@@ -4,9 +4,8 @@ A :class:`ShardedSystem` runs one shared file server (plus the archive)
 and N DLFM *shards* that partition the metadata by file group: every
 shard mounts the same file system, shares one token secret, and owns
 the groups the shard map assigns to it. The host database routes all
-datalink ops through a :class:`~repro.shard.catalog.ShardMap` and runs
-the fleet-friendly commit path by default (decision piggybacking +
-bounded fan-out pool).
+datalink ops through a :class:`~repro.shard.catalog.ShardMap` and
+batches them per shard by default.
 
 Because every shard constructs its own DLFF filter and the last mount
 wins, the live filter's upcall is replaced with a fleet-wide fan-out:
@@ -57,9 +56,7 @@ class ShardedSystem:
         server.filtered.filter.set_upcall(self._fleet_upcall)
 
         if host_config is None:
-            host_config = HostConfig(batch_datalinks=True,
-                                     decision_piggyback=True,
-                                     fanout_workers=8)
+            host_config = HostConfig(batch_datalinks=True)
         self.host = HostDB(self.sim, dbid, self.dlfms, host_config)
         self.host.shard_map = ShardMap(self.host, self.dlfms)
         self.injector.register_crash(self.host.db.name, self.host.crash)

@@ -76,7 +76,7 @@ def test_dlfm_crash_before_prepare_loses_subtransaction(media):
 
 def test_dlfm_crash_after_prepare_leaves_indoubt_then_host_resolves(media):
     """The E10 core: prepared + crashed → indoubt → host resolution
-    commits it (decision row exists)."""
+    commits it (the decision exists)."""
     dlfm = media.dlfms["fs1"]
     host = media.host
 
@@ -87,11 +87,8 @@ def test_dlfm_crash_after_prepare_leaves_indoubt_then_host_resolves(media):
         # run phase 1 by hand so we can crash between prepare and commit
         yield from session._send_control("fs1", api.Prepare(host.dbid,
                                                             txn_id))
-        # decision recorded durably on the host side
-        yield from session.session.execute(
-            "INSERT INTO dlk_indoubt (txn_id, server) VALUES (?, ?)",
-            (txn_id, "fs1"))
-        yield from session.session.commit()
+        # the coordinator's decision step: durable on the host side
+        yield from host.decide(session.session, txn_id, ["fs1"])
         dlfm.crash()
         return txn_id
 
@@ -116,7 +113,7 @@ def test_dlfm_crash_after_prepare_leaves_indoubt_then_host_resolves(media):
     assert media.dlfms["fs1"].linked_count() == 1
 
 
-def test_prepared_txn_without_decision_row_aborts(media):
+def test_prepared_txn_without_decision_aborts(media):
     """Presumed abort: host crashed before committing its decision."""
     host = media.host
 
@@ -187,10 +184,7 @@ def test_commit_survives_dlfm_crash_and_restart_between_phases(media):
         txn_id = session.txn_id
         yield from session._send_control("fs1", api.Prepare(host.dbid,
                                                             txn_id))
-        yield from session.session.execute(
-            "INSERT INTO dlk_indoubt (txn_id, server) VALUES (?, ?)",
-            (txn_id, "fs1"))
-        yield from session.session.commit()
+        yield from host.decide(session.session, txn_id, ["fs1"])
         return txn_id
 
     txn_id = media.run(phase1())
@@ -203,8 +197,8 @@ def test_commit_survives_dlfm_crash_and_restart_between_phases(media):
 
     media.run(finish())
     assert dlfm.linked_count() == 1
-    # decision row forgotten after successful phase 2
-    assert host.db.table_rows("dlk_indoubt") == []
+    # decision forgotten after successful phase 2
+    assert host.decision_rows() == []
 
 
 def test_host_crash_and_restart_redrives_phase2(media):
@@ -216,10 +210,7 @@ def test_host_crash_and_restart_redrives_phase2(media):
         txn_id = session.txn_id
         yield from session._send_control("fs1", api.Prepare(host.dbid,
                                                             txn_id))
-        yield from session.session.execute(
-            "INSERT INTO dlk_indoubt (txn_id, server) VALUES (?, ?)",
-            (txn_id, "fs1"))
-        yield from session.session.commit()
+        yield from host.decide(session.session, txn_id, ["fs1"])
         return txn_id
 
     media.run(phase1())
@@ -243,10 +234,7 @@ def test_indoubt_poller_waits_for_dlfm_to_return(media):
         txn_id = session.txn_id
         yield from session._send_control("fs1", api.Prepare(host.dbid,
                                                             txn_id))
-        yield from session.session.execute(
-            "INSERT INTO dlk_indoubt (txn_id, server) VALUES (?, ?)",
-            (txn_id, "fs1"))
-        yield from session.session.commit()
+        yield from host.decide(session.session, txn_id, ["fs1"])
         return txn_id
 
     media.run(phase1())

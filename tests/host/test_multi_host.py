@@ -119,7 +119,7 @@ def test_indoubt_resolution_is_per_host(shared):
     from repro.host.indoubt import resolve_indoubts
     system, other = shared
 
-    def phase1(host, path):
+    def phase1(host, path, decided):
         session = host.session()
         yield from session.execute(
             "INSERT INTO t (id, doc) VALUES (?, ?)",
@@ -127,24 +127,17 @@ def test_indoubt_resolution_is_per_host(shared):
         txn_id = session.txn_id
         yield from session._send_control(
             "fs1", api.Prepare(host.dbid, txn_id))
-        yield from session.session.commit()
-        return txn_id
+        yield from host.decide(session.session, txn_id,
+                               ["fs1"] if decided else [])
 
-    # host A prepares WITH a decision row; host B prepares WITHOUT one
+    # host A prepares WITH a decision; host B prepares WITHOUT one
     def go():
-        txn_a = yield from phase1_gen_a
-        plain = system.host.db.session()
-        yield from plain.execute(
-            "INSERT INTO dlk_indoubt (txn_id, server) VALUES (?, ?)",
-            (txn_a, "fs1"))
-        yield from plain.commit()
-        yield from phase1_gen_b
+        yield from phase1(system.host, "/mh/f4", decided=True)
+        yield from phase1(other, "/mh/f5", decided=False)
         result_a = yield from resolve_indoubts(system.host)
         result_b = yield from resolve_indoubts(other)
         return result_a, result_b
 
-    phase1_gen_a = phase1(system.host, "/mh/f4")
-    phase1_gen_b = phase1(other, "/mh/f5")
     result_a, result_b = system.run(go())
     assert result_a == {"committed": 1, "aborted": 0}
     assert result_b == {"committed": 0, "aborted": 1}

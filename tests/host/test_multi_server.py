@@ -86,7 +86,7 @@ def test_prepare_failure_aborts_everyone(twin):
     assert twin.dlfms["fs2"].linked_count() == 0
     # nothing indoubt anywhere
     assert twin.dlfms["fs1"].db.table_rows("dfm_txn") == []
-    assert twin.host.db.table_rows("dlk_indoubt") == []
+    assert twin.host.decision_rows() == []
 
 
 def test_statement_error_on_second_server_backs_out_first(twin):

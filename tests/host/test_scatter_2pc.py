@@ -1,20 +1,20 @@
-"""Scatter-gather 2PC: parallel fan-out, read-only votes, crash windows.
+"""The 2PC coordinator: parallel fan-out, read-only votes, crash windows.
 
-The paper's coordinator drives its participants serially; this repo adds
-a concurrent fan-out behind ``HostConfig.scatter_gather`` whose protocol
-outcomes must be IDENTICAL — one no-vote aborts everyone including
-already-prepared participants (§3.3) — plus the classical read-only
-participant optimization: a DLFM whose local transaction wrote nothing
-votes read-only at Prepare, is released at end of phase 1, gets no
-``dlk_indoubt`` decision row and no phase-2 Commit.
+The coordinator prepares and commits its participants concurrently; one
+no-vote aborts everyone including already-prepared participants (§3.3).
+A DLFM whose local transaction wrote nothing votes read-only at Prepare,
+is released at end of phase 1, and gets no decision entry and no phase-2
+Commit. The decision itself rides the host's COMMIT record, so a host
+crash after that record is forced re-drives phase 2 from the WAL.
 """
 
 import pytest
 
 from repro.chaos.faults import FaultInjector, FaultPlan, FaultRule
+from repro.chaos.invariants import check_invariants
 from repro.errors import CrashedError, LinkError, TransactionAborted
 from repro.host import DatalinkSpec, HostConfig, build_url
-from repro.host.session import HostSession
+from repro.host.hostdb import HostDB
 from repro.system import System
 
 
@@ -56,18 +56,18 @@ def _touch_readonly(session, row_id, server):
 
 def test_readonly_participant_skips_phase2(monkeypatch):
     """fs2 joins the transaction but writes nothing: it votes read-only,
-    gets no decision row and no phase-2 Commit RPC."""
+    gets no decision entry and no phase-2 Commit RPC."""
     system = _make()
     decision_rows = {}
-    orig = HostSession._forget_decision
+    orig = HostDB.forget_decision
 
-    def spy(self, txn_id, reuse=True):
-        # Capture the durable decision rows the instant before phase 2
-        # forgets them.
-        decision_rows["rows"] = self.host.db.table_rows("dlk_indoubt")
-        yield from orig(self, txn_id, reuse)
+    def spy(self, txn_id):
+        # Capture the live decisions the instant before phase 2 forgets
+        # them.
+        decision_rows["rows"] = self.decision_rows()
+        orig(self, txn_id)
 
-    monkeypatch.setattr(HostSession, "_forget_decision", spy)
+    monkeypatch.setattr(HostDB, "forget_decision", spy)
     fs1, fs2 = system.dlfms["fs1"], system.dlfms["fs2"]
     rpcs_before = {}
 
@@ -82,7 +82,7 @@ def test_readonly_participant_skips_phase2(monkeypatch):
 
     system.run(go())
     txn_id = decision_rows["rows"][0][0]
-    assert decision_rows["rows"] == [(txn_id, "fs1")]  # no fs2 row
+    assert decision_rows["rows"] == [(txn_id, "fs1")]  # no fs2 entry
     # fs1 saw Prepare + Commit; fs2 saw ONLY Prepare.
     assert fs1.metrics.rpcs - rpcs_before["fs1"] == 2
     assert fs2.metrics.rpcs - rpcs_before["fs2"] == 1
@@ -91,7 +91,7 @@ def test_readonly_participant_skips_phase2(monkeypatch):
     assert system.host.metrics.readonly_votes == 1
     assert fs2.db.table_rows("dfm_txn") == []  # never went in doubt
     assert fs1.linked_count() == 1
-    assert system.host.db.table_rows("dlk_indoubt") == []
+    assert system.host.decision_rows() == []
 
 
 def test_all_readonly_transaction_has_no_phase2_at_all():
@@ -109,7 +109,7 @@ def test_all_readonly_transaction_has_no_phase2_at_all():
     assert system.host.metrics.readonly_votes == 2
     assert fs1.metrics.readonly_votes == 1
     assert fs2.metrics.readonly_votes == 1
-    assert system.host.db.table_rows("dlk_indoubt") == []
+    assert system.host.decision_rows() == []
     assert fs1.db.table_rows("dfm_txn") == []
     assert fs2.db.table_rows("dfm_txn") == []
     assert system.host.metrics.commits - commits_before == 1
@@ -136,7 +136,7 @@ def test_no_vote_aborts_already_prepared_participants():
     for name in ("fs1", "fs2", "fs3"):
         assert system.dlfms[name].linked_count() == 0
         assert system.dlfms[name].db.table_rows("dfm_txn") == []
-    assert system.host.db.table_rows("dlk_indoubt") == []
+    assert system.host.decision_rows() == []
     assert system.host.metrics.prepare_failures == 1
 
 
@@ -168,10 +168,13 @@ def test_host_crash_between_parallel_prepares_leaves_only_indoubt():
         # local transaction left behind.
         assert len(dlfm.db.table_rows("dfm_txn")) == 1
         assert dlfm.db.txns.active == []
-    # Restart runs distributed recovery: no decision rows survived, so
-    # presumed abort resolves both in-doubt participants.
+    # Restart runs distributed recovery: no decision was ever logged, so
+    # presumed abort resolves both in-doubt participants. (The two
+    # "committed" are the fixture's DDL decisions: their unforced FORGET
+    # records died with the host, so Commit is re-sent and answered
+    # already-finished.)
     resolved = system.run(system.host.restart(), "host-restart")
-    assert resolved == {"committed": 0, "aborted": 2}
+    assert resolved == {"committed": 2, "aborted": 2}
     for name in ("fs1", "fs2"):
         assert system.dlfms[name].db.table_rows("dfm_txn") == []
         assert system.dlfms[name].linked_count() == 0
@@ -179,7 +182,7 @@ def test_host_crash_between_parallel_prepares_leaves_only_indoubt():
 
 def test_indoubt_resolution_with_mixed_readonly_and_write_set():
     """Host dies in the phase-2 fan-out window: the write participant's
-    decision row re-drives Commit after restart; the read-only voter was
+    decision re-drives Commit after restart; the read-only voter was
     already released and needs nothing."""
     plan = FaultPlan([FaultRule("twopc.fanout:phase2", "crash",
                                 prob=1.0, max_fires=1)], name="t")
@@ -201,55 +204,84 @@ def test_indoubt_resolution_with_mixed_readonly_and_write_set():
     system.sim.consume_failures()
     resolved = system.run(system.host.restart(), "host-restart")
     assert resolved["aborted"] == 0
-    assert resolved["committed"] == 1  # fs1's decision row re-driven
+    assert resolved["committed"] == 1  # fs1's decision re-driven
     assert system.dlfms["fs1"].linked_count() == 1  # decision survived
     assert system.dlfms["fs2"].linked_count() == 0
     assert system.dlfms["fs2"].db.table_rows("dfm_txn") == []
-    assert system.host.db.table_rows("dlk_indoubt") == []
+    assert system.host.decision_rows() == []
 
 
-def test_serial_and_scatter_coordinators_agree():
-    """Same workload, both coordinator modes: identical durable state."""
-    outcomes = {}
-    for scatter in (False, True):
-        system = _make(scatter_gather=scatter)
+def test_commit_then_rollback_durable_state():
+    system = _make()
 
-        def go():
-            session = system.session()
-            yield from _link(session, 1, "fs1")
-            yield from _link(session, 2, "fs2")
-            yield from _link(session, 3, "fs3")
+    def go():
+        session = system.session()
+        yield from _link(session, 1, "fs1")
+        yield from _link(session, 2, "fs2")
+        yield from _link(session, 3, "fs3")
+        yield from session.commit()
+        yield from _link(session, 4, "fs1", path="/s/f1")
+        yield from session.rollback()
+
+    system.run(go())
+    assert sorted((name, system.dlfms[name].linked_count())
+                  for name in system.dlfms) == [
+        ("fs1", 1), ("fs2", 1), ("fs3", 1)]
+    assert system.host.metrics.commits == 2   # the fixture's DDL + ours
+    assert system.host.metrics.rollbacks == 1
+    assert system.host.decision_rows() == []
+
+
+def test_host_crash_after_forced_commit_record_redrives_from_wal():
+    """Default configuration, plain ``System()``: the host dies right
+    after the COMMIT record (which carries the decision) is forced and
+    before any phase-2 message. Restart finds the decision in the WAL
+    and re-drives Commit; nothing was ever written to a decision table."""
+    plan = FaultPlan([FaultRule("wal.force.after:host-hostdb", "crash",
+                                prob=1.0, max_fires=1)], name="t")
+    system = _make(servers=("fs1",), injector=FaultInjector(plan))
+    fs1 = system.dlfms["fs1"]
+    phase2_before = fs1.metrics.commits
+
+    def go():
+        session = system.session()
+        yield from _link(session, 1, "fs1")
+        with pytest.raises(CrashedError):
             yield from session.commit()
-            yield from _link(session, 4, "fs1", path="/s/f1")
-            yield from session.rollback()
+        # The application reacts with ROLLBACK: it must not abort what
+        # may already be committed in the durable log.
+        yield from session.rollback()
 
-        system.run(go())
-        outcomes[scatter] = (
-            tuple(sorted((name, system.dlfms[name].linked_count())
-                         for name in system.dlfms)),
-            system.host.metrics.commits,
-            system.host.metrics.rollbacks,
-            system.host.db.table_rows("dlk_indoubt"),
-        )
-    assert outcomes[False] == outcomes[True]
-    assert outcomes[True][0] == (("fs1", 1), ("fs2", 1), ("fs3", 1))
+    system.run(go())
+    assert system.host.db.crashed
+    assert len(fs1.db.table_rows("dfm_txn")) == 1   # prepared, in doubt
+    assert fs1.metrics.commits == phase2_before   # no phase-2 message yet
+    resolved = system.run(system.host.restart(), "host-restart")
+    assert resolved == {"committed": 1, "aborted": 0}
+    assert fs1.linked_count() == 1
+    assert fs1.db.table_rows("dfm_txn") == []
+    assert system.host.decision_rows() == []
+    assert check_invariants(system) == []
 
 
-def test_decision_session_is_reused_across_sync_commits():
-    """Synchronous phase 2 forgets decision rows through one cached
-    session instead of opening a fresh one per transaction."""
+def test_lost_forget_record_only_resends_an_idempotent_commit():
+    """FORGET is appended unforced: a crash right after a fully
+    acknowledged commit loses it, restart rediscovers the decision and
+    re-sends Commit, which the DLFM answers as already finished."""
     system = _make(servers=("fs1",))
+    fs1 = system.dlfms["fs1"]
 
     def go():
         session = system.session()
         yield from _link(session, 1, "fs1")
         yield from session.commit()
-        first = session._decision_session
-        assert first is not None
-        yield from _link(session, 2, "fs1", path="/s/f1")
-        yield from session.commit()
-        assert session._decision_session is first
-        return True
 
-    assert system.run(go()) is True
-    assert system.host.db.table_rows("dlk_indoubt") == []
+    system.run(go())
+    assert system.host.decision_rows() == []
+    assert fs1.linked_count() == 1
+    system.host.crash()
+    resolved = system.run(system.host.restart(), "host-restart")
+    assert resolved == {"committed": 1, "aborted": 0}
+    assert fs1.linked_count() == 1
+    assert system.host.decision_rows() == []
+    assert check_invariants(system) == []

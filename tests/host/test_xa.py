@@ -3,10 +3,13 @@ participant (to the TM) and coordinator (of its DLFMs)."""
 
 import pytest
 
-from repro.errors import DataLinkError, TransactionAborted
-from repro.host import DatalinkSpec, build_url
+from repro.chaos.faults import FaultInjector, FaultPlan, FaultRule
+from repro.chaos.invariants import check_invariants
+from repro.errors import CrashedError, DataLinkError, TransactionAborted
+from repro.host import DatalinkSpec, HostConfig, build_url
 from repro.host.xa import (xa_commit, xa_finish_pending, xa_prepare,
                            xa_recover, xa_rollback)
+from repro.shard import ShardedSystem
 from repro.system import System
 
 
@@ -132,20 +135,32 @@ def test_indoubt_branch_locks_block_other_readers(xa_system):
     assert count_rows(xa_system) == 0
 
 
-def test_host_crash_after_commit_decision_redrives_phase2(xa_system):
-    host = xa_system.host
+def test_host_crash_after_commit_decision_redrives_phase2():
+    """The host dies inside xa_commit's phase-2 fan-out: the decision
+    rode the local COMMIT record, so host restart re-drives phase 2 from
+    the WAL; xa_finish_pending then only clears the registration."""
+    plan = FaultPlan([FaultRule("twopc.fanout:phase2", "crash",
+                                prob=1.0, max_fires=1)], name="t")
+    injector = FaultInjector(plan)
+    injector.enabled = False
+    system = _two_server_system(batch=False, injector=injector)
+    host = system.host
 
-    def phase1():
-        session = xa_system.session()
-        yield from start_branch(xa_system, session)
-        prepared = yield from xa_prepare(session, "g5")
-        txn = host.db.find_prepared(prepared.txn_id)
-        # local commit = durable decision; crash BEFORE phase 2
-        yield from host.db.commit(txn)
+    def commit_and_crash():
+        session = system.session()
+        yield from start_branch(system, session)
+        yield from xa_prepare(session, "g5")
+        injector.enabled = True
+        with pytest.raises(CrashedError):
+            yield from xa_commit(host, "g5")
 
-    xa_system.run(phase1())
-    host.db.crash()
-    host.db.restart()
+    system.run(commit_and_crash())
+    injector.enabled = False
+    assert host.db.crashed
+    system.sim.run(until=system.sim.now + 60.0)   # stray Commits land
+    system.sim.consume_failures()
+    resolved = system.run(host.restart(), "host-restart")
+    assert resolved["aborted"] == 0 and resolved["committed"] >= 2
 
     def recover():
         status = yield from xa_recover(host)
@@ -155,11 +170,38 @@ def test_host_crash_after_commit_decision_redrives_phase2(xa_system):
         finished = yield from xa_finish_pending(host)
         return finished
 
-    finished = xa_system.run(recover())
+    finished = system.run(recover())
     assert finished == ["g5"]
+    assert system.dlfms["fs1"].linked_count() == 1
+    assert system.dlfms["fs2"].linked_count() == 1
+    assert host.db.table_rows("xa_pending") == []
+    assert host.decision_rows() == []
+    assert check_invariants(system) == []
+
+
+def test_host_restart_leaves_tm_owned_branch_in_doubt(xa_system):
+    """Presumed abort must not touch a branch the host itself holds
+    PREPARED: its outcome is the TM's, however long that takes."""
+    host = xa_system.host
+
+    def phase1():
+        session = xa_system.session()
+        yield from start_branch(xa_system, session)
+        yield from xa_prepare(session, "g-held")
+
+    xa_system.run(phase1())
+    host.crash()
+    resolved = xa_system.run(host.restart(), "host-restart")
+    assert resolved["aborted"] == 0
+
+    def commit():
+        yield from xa_commit(host, "g-held")
+
+    xa_system.run(commit())
     assert xa_system.dlfms["fs1"].linked_count() == 1
     assert xa_system.dlfms["fs2"].linked_count() == 1
-    assert host.db.table_rows("xa_pending") == []
+    assert count_rows(xa_system) == 2
+    assert check_invariants(xa_system) == []
 
 
 def test_dlfm_prepare_failure_rolls_back_global_branch(xa_system):
@@ -288,3 +330,79 @@ def test_unknown_gtrid_rejected(xa_system):
         return True
 
     assert xa_system.run(go()) is True
+
+
+# ---------------------------------------------------------------- batching hosts
+
+def _two_server_system(batch=True, injector=None):
+    system = System(seed=61, servers=("fs1", "fs2"), injector=injector,
+                    host_config=HostConfig(batch_datalinks=batch))
+    _create_gt(system, ("fs1", "fs2"))
+    return system
+
+
+def _fleet():
+    system = ShardedSystem(seed=61, shards=2)   # batches by default
+    _create_gt(system, ("fs1",))
+    return system
+
+
+def _create_gt(system, file_servers):
+    def setup():
+        yield from system.host.create_datalink_table(
+            "gt", [("id", "INT"), ("doc", "TEXT")],
+            {"doc": DatalinkSpec(recovery=False)})
+        for server in file_servers:
+            for i in range(3):
+                system.create_user_file(server, f"/g/f{i}", owner="u")
+
+    system.run(setup())
+
+
+def _linked(system):
+    return sum(dlfm.linked_count() for dlfm in system.dlfms.values())
+
+
+@pytest.mark.parametrize("make", [_two_server_system, _fleet])
+def test_xa_commit_on_a_batching_host_links_the_buffered_files(make):
+    """With batch_datalinks the branch's links sit in the session buffer
+    until phase 1: xa_prepare must ship them (Batch + Prepare), or
+    xa_commit commits host rows whose files were never linked."""
+    system = make()
+    assert system.host.config.batch_datalinks
+    ids = ((1, "fs1", 0), (2, sorted(system.servers)[-1], 1))
+
+    def go():
+        session = system.session()
+        yield from start_branch(system, session, ids=ids)
+        prepared = yield from xa_prepare(session, "g-batch")
+        assert prepared.vote == "commit"
+        assert _linked(system) == 2   # hardened at prepare
+        return (yield from xa_commit(system.host, "g-batch"))
+
+    decision = system.run(go())
+    assert decision["servers"]
+    assert _linked(system) == 2
+    assert count_rows(system) == 2
+    assert system.host.db.table_rows("xa_pending") == []
+    assert system.host.decision_rows() == []
+    assert check_invariants(system) == []
+
+
+@pytest.mark.parametrize("make", [_two_server_system, _fleet])
+def test_xa_rollback_on_a_batching_host_unlinks_everything(make):
+    system = make()
+    ids = ((1, "fs1", 0), (2, sorted(system.servers)[-1], 1))
+
+    def go():
+        session = system.session()
+        yield from start_branch(system, session, ids=ids)
+        yield from xa_prepare(session, "g-batch")
+        assert _linked(system) == 2
+        yield from xa_rollback(system.host, "g-batch")
+
+    system.run(go())
+    assert _linked(system) == 0
+    assert count_rows(system) == 0
+    assert system.host.db.table_rows("xa_pending") == []
+    assert check_invariants(system) == []

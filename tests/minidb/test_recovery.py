@@ -253,3 +253,56 @@ def test_active_floor_pins_log_across_other_commits():
         return raised
 
     assert sim.run_process(work()) is True
+
+
+@pytest.mark.parametrize("instant", [True, False])
+@pytest.mark.parametrize("trigger", ["checkpoint", "soft"])
+def test_checkpoint_inside_a_commit_force_keeps_the_commit(instant, trigger):
+    """A checkpoint taken while a committer sits between its COMMIT
+    record and the end of its log force must not snapshot the
+    transaction as active: tail-only analysis never sees the
+    pre-checkpoint COMMIT and would undo an acknowledged commit."""
+    from repro.kernel import Timeout
+    from repro.minidb.config import TimingModel
+
+    sim = Simulator()
+    db = make_db(sim, timing=TimingModel.calibrated(),
+                 instant_recovery=instant, wal_capacity=16)
+    committing, acked = [], []
+
+    def writer():
+        session = db.session()
+        for k in range(9):   # > wal_capacity // 2 records pin the log
+            yield from insert(db, session, k, "acked")
+        committing.append(sim.now)
+        yield from session.commit()   # the log force takes 6 ms
+        acked.append(sim.now)
+
+    def bystander():
+        idle = db.begin()
+        while not committing:
+            yield Timeout(0.0005)
+        yield Timeout(0.003)
+        assert not acked   # inside the writer's force
+        before = db.wal.last_checkpoint_lsn
+        if trigger == "checkpoint":
+            db.checkpoint()
+        else:
+            # Any transaction ending runs the soft-checkpoint check; the
+            # writer's records alone put the window over the limit.
+            yield from db.rollback(idle)
+        assert db.wal.last_checkpoint_lsn > before
+
+    def root():
+        procs = [sim.spawn(writer(), "writer"),
+                 sim.spawn(bystander(), "bystander")]
+        for proc in procs:
+            yield from proc.join()
+
+    sim.run_process(root())
+    assert acked
+    db.crash()
+    summary = db.restart()
+    assert summary["losers"] == []
+    assert summary["undone"] == 0
+    assert len(all_rows(db)) == 9

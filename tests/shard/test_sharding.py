@@ -102,9 +102,9 @@ def test_stale_route_reloads_and_retries(fleet):
     assert fleet.dlfms[other].linked_count() == 0
 
 
-def test_wide_transaction_spans_shards_through_the_pool(fleet):
+def test_wide_transaction_spans_shards(fleet):
     """Two tables land on different shards (hash assignment); one
-    transaction touching both commits through the bounded fan-out."""
+    transaction touching both commits across them."""
     def go():
         yield from fleet.host.create_datalink_table(
             "pics", [("id", "INT"), ("doc", "TEXT")],
@@ -124,7 +124,6 @@ def test_wide_transaction_spans_shards_through_the_pool(fleet):
     assert docs_shard != pics_shard
     assert fleet.dlfms[docs_shard].linked_count() == 1
     assert fleet.dlfms[pics_shard].linked_count() == 1
-    assert fleet.host.config.fanout_workers > 0
     # Phase 2 fully acked: no decision left anywhere.
     assert fleet.host.decision_rows() == []
 
@@ -255,9 +254,9 @@ def test_indoubt_move_resolves_to_new_owner():
     assert system.host.decision_rows() == []
 
 
-def test_piggybacked_decision_redriven_after_crash():
-    """With decision piggybacking the commit decision never touches
-    ``dlk_indoubt`` — it is rescanned from the WAL and re-driven."""
+def test_decision_redriven_after_crash():
+    """The commit decision lives on the COMMIT record only — after a
+    crash it is rescanned from the WAL and re-driven."""
     system = _crashing_fleet()
     grp_id = system.host.group_ids[("docs", "doc")]
     owner = system.shard_of(grp_id)
@@ -278,7 +277,6 @@ def test_piggybacked_decision_redriven_after_crash():
     assert system.dlfms[owner].linked_count() == 1
     assert system.servers["fs1"].fs.stat("/x/f0").owner == DLFM_ADMIN
     assert system.host.pending_decisions() == {}
-    assert system.host.db.table_rows("dlk_indoubt") == []
 
 
 def test_export_refuses_group_with_unresolved_transaction():
@@ -300,7 +298,6 @@ def test_export_refuses_group_with_unresolved_transaction():
     # Bring the host db back WITHOUT resolving, as a poller would see it:
     # the link's prepared transaction is still in doubt on the shard.
     system.host.db.restart()
-    system.host._indoubt_session = None
     system.host._rescan_decisions()
     system.host.shard_map.reload()
 

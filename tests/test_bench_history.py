@@ -33,3 +33,32 @@ def test_foreign_rows_are_never_dropped():
     rows = [{"label": f"pr{i}"} for i in range(5)]
     history = update_history(list(rows), {"label": HISTORY_LABEL})
     assert history[:5] == rows
+
+
+def test_multi_server_gate_bites_when_fanout_latency_grows():
+    """The multi-server gate has no serial strawman to beat: p95 commit
+    at the widest fan-out must stay within 1.25x of one participant."""
+    from repro.bench.harness import check
+
+    def doc(ratio):
+        return {"bulk": {"ratios": {"rpc_reduction": 63,
+                                    "wal_force_reduction": 2.3}},
+                "config": {"ms_server_counts": [1, 2, 4]},
+                "multi_server": {"p95_ratio": ratio},
+                "sentinels": {}}
+
+    def gate(failures):
+        return [f for f in failures if f.startswith("multi_server")]
+
+    assert gate(check(doc(1.0))) == []
+    assert gate(check(doc(1.25))) == []
+    [failure] = gate(check(doc(2.9)))
+    assert "4 participants" in failure and "2.9x" in failure
+
+
+def test_src_loc_counts_every_package_once():
+    from repro.bench.harness import src_loc
+    loc = src_loc()
+    assert loc["total"] == sum(v for k, v in loc.items() if k != "total")
+    assert {"host", "minidb", "dlfm", "kernel", "."} <= set(loc)
+    assert all(isinstance(v, int) and v > 0 for v in loc.values())
