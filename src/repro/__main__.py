@@ -163,9 +163,9 @@ def cmd_bench(args) -> int:
           f"p95={rr_si['si']['p95_txn_s']}s "
           f"({rr_si['p95_improvement']}x)")
     load = doc["load"]
-    print(f"  load          cold={load['cold']['load_sim_s']}s "
-          f"bulk={load['bulk']['load_sim_s']}s "
-          f"speedup={load['speedup']}x")
+    print(f"  load          {load['files']} files in "
+          f"{load['load_sim_s']}s "
+          f"(previous row {doc['load_sim_s_ref']}s)")
     metacat = doc["metacat"]
     print(f"  metacat       interpolated="
           f"{metacat['interpolated']['stmts_per_s']} stmt/s "
@@ -176,7 +176,7 @@ def cmd_bench(args) -> int:
           f"(runstats runs={metacat['ingest']['auto_runstats_runs']})")
     headline_arm = doc["headline_arm"]
     print(f"  headline      fixed={headline_arm['fixed']['ops_per_sec']} "
-          f"auto+bulk={headline_arm['adaptive']['ops_per_sec']} ops/s "
+          f"auto={headline_arm['adaptive']['ops_per_sec']} ops/s "
           f"(speedup {headline_arm['speedup']}x)")
     sweep = doc["shard_sweep"]
     counts = doc["config"]["shard_counts"]

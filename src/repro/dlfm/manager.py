@@ -598,7 +598,13 @@ class DLFM:
     # ------------------------------------------------------------------ 2PC participant
 
     def op_prepare(self, session, req: api.Prepare):
-        """Generator: phase 1 — harden everything with a local COMMIT."""
+        """Generator: phase 1 — harden everything with a local COMMIT.
+
+        A long utility transaction keeps the ``in-flight`` entry its
+        first CommitPiece made: its pieces are never undone (§4), so it
+        must not look in doubt to a presumed-abort resolver. Its Prepare
+        only hardens the tail and votes.
+        """
         groups = yield from session.execute(
             "SELECT COUNT(*) FROM dfm_group WHERE delete_txn = ? AND "
             "dbid = ? AND state = ?",
@@ -613,13 +619,6 @@ class DLFM:
                 "groups_deleted) VALUES (?, ?, ?, ?, ?)",
                 (req.dbid, req.txn_id, schema.TXN_PREPARED, self.sim.now,
                  n_groups))
-        else:
-            # Long utility transaction already has an in-flight entry.
-            yield from session.execute(
-                "UPDATE dfm_txn SET state = ?, prepare_time = ?, "
-                "groups_deleted = ? WHERE dbid = ? AND txn_id = ?",
-                (schema.TXN_PREPARED, self.sim.now, n_groups, req.dbid,
-                 req.txn_id))
         yield from session.commit()  # the vote: local database hardened
         self.metrics.prepares += 1
         return {"vote": "commit"}

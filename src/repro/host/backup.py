@@ -15,31 +15,36 @@ after the backup are released.
 from __future__ import annotations
 
 from repro.dlfm import api
-from repro.kernel import rpc
+
+
+def _broadcast(host, servers, req):
+    """Generator: ``req`` to each of ``servers`` in turn over one
+    coordinator session's channels; returns {server: reply}."""
+    session = host.session()
+    try:
+        replies = {}
+        for server in servers:
+            replies[server] = yield from session._send_control(server, req)
+    finally:
+        session.close()
+    return replies
 
 
 def backup_database(host):
     """Generator: run a coordinated backup; returns the backup id."""
     backup_id = next(host._backup_counter)
     watermark = host.recovery_ids.watermark()
-    archived = {}
-    for server in sorted(host.dlfms):
-        dlfm = host.dlfms[server]
-        chan = dlfm.connect()
-        try:
-            result = yield from rpc.call(
-                host.sim, chan, api.EnsureArchived(
-                    host.dbid, backup_id, watermark))
-            archived[server] = result["archived"]
-        finally:
-            chan.close()
+    replies = yield from _broadcast(
+        host, sorted(host.dlfms),
+        api.EnsureArchived(host.dbid, backup_id, watermark))
     image = host.db.backup_image()
     host.backups[backup_id] = {
         "image": image,
         "watermark": watermark,
         "servers": sorted(host.dlfms),
         "taken_at": host.sim.now,
-        "archived": archived,
+        "archived": {server: reply["archived"]
+                     for server, reply in replies.items()},
         "datalink_columns": {t: dict(c)
                              for t, c in host.datalink_columns.items()},
         "group_ids": dict(host.group_ids),
@@ -54,14 +59,7 @@ def restore_database(host, backup_id: int):
     host.datalink_columns = {t: dict(c)
                              for t, c in backup["datalink_columns"].items()}
     host.group_ids = dict(backup["group_ids"])
-    results = {}
-    for server in backup["servers"]:
-        dlfm = host.dlfms[server]
-        chan = dlfm.connect()
-        try:
-            results[server] = yield from rpc.call(
-                host.sim, chan, api.RestoreToBackup(
-                    host.dbid, backup["watermark"]))
-        finally:
-            chan.close()
+    results = yield from _broadcast(
+        host, backup["servers"],
+        api.RestoreToBackup(host.dbid, backup["watermark"]))
     return results

@@ -28,6 +28,9 @@ from repro.sql.parser import parse as parse_sql
 
 @dataclass
 class HostConfig:
+    """The host's whole configuration surface. The 2PC coordinator and
+    the utilities (LOAD, reconcile, backup/restore) have no knobs."""
+
     db: DBConfig = field(default_factory=DBConfig)
     #: Phase-2 commit synchronous w.r.t. the application's SQL commit.
     #: The paper's lesson says this MUST be True; False reproduces the
@@ -43,13 +46,6 @@ class HostConfig:
     #: the commit-time flush (aborting the transaction) instead of at the
     #: originating statement (statement-level backout). See DESIGN.md §9.
     batch_datalinks: bool = False
-    #: LOAD utility: defer per-row index maintenance on the target table
-    #: and fold the run into each B+tree with one sorted bottom-up build
-    #: at the end (DB2's LOAD "build phase"). Loaded rows are invisible
-    #: to index scans until the build, mirroring DB2's load-pending
-    #: state; a crash discards the deferral and restart rebuilds the
-    #: indexes from durable state.
-    bulk_load_indexes: bool = False
     token_expiry: float = 600.0
     indoubt_poll_period: float = 5.0
 

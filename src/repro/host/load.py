@@ -10,25 +10,29 @@ utility failure), we put intelligence in DLFM to recognize such
 transactions and to do local commit after finishing processing of each
 piece."
 
-:class:`LoadUtility` ingests (row, url) pairs in pieces: each piece
-inserts rows into the host table in its own host transaction and links
-the files under ONE long utility transaction id at the DLFM, followed by
-a :class:`~repro.dlfm.api.CommitPiece`. A crash mid-load is *resumed*
-(already-linked files are skipped), not undone. The final
-prepare/commit flips the DLFM's ``in-flight`` transaction entry to
-``prepared`` and then commits it, whereupon takeover/archiving run for
-every piece's files.
+:class:`LoadUtility` ingests (row, url) pairs in pieces under ONE long
+utility transaction, coordinated by one
+:class:`~repro.host.session.HostSession`. Each piece inserts its rows in
+a host transaction of its own, ships its links as one
+:class:`~repro.dlfm.api.Batch` per server and hardens them with
+:class:`~repro.dlfm.api.CommitPiece` (the DLFM keeps an ``in-flight``
+entry from the first piece on). A crash mid-load is *resumed*
+(already-linked files are skipped), not undone. The load ends in the
+session's ordinary COMMIT: Prepare only hardens the tail and votes —
+the entry stays ``in-flight``, so no resolver can presume-abort
+completed pieces — the decision rides the utility transaction's COMMIT
+record, and phase 2 runs takeover/archiving for every piece's files.
+Index maintenance on the target table is deferred to one sorted
+bottom-up build at the end (DB2's LOAD build phase).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.dlfm import api
 from repro.errors import DataLinkError, LinkError
 from repro.host.datalink import parse_url, shadow_column
-from repro.kernel import rpc
 
 
 @dataclass
@@ -38,8 +42,7 @@ class LoadStats:
     rows_inserted: int = 0
     pieces: int = 0
     batches: int = 0
-    #: Index entries folded in by the end-of-load bulk build (0 when
-    #: per-row maintenance ran, i.e. ``bulk`` was off).
+    #: Index entries folded in by the end-of-load bulk build.
     bulk_merged: int = 0
     resumed: bool = False
 
@@ -48,64 +51,33 @@ class LoadUtility:
     """One bulk ingest into one datalink table."""
 
     def __init__(self, host, table: str, column: str,
-                 entries: list[tuple[dict, str]], piece_size: int = 100,
-                 bulk: Optional[bool] = None):
-        """``entries``: list of (column-values dict, url) pairs.
-
-        ``bulk`` defers the target table's index maintenance to one
-        sorted bottom-up build at end of load (DB2's LOAD build phase);
-        defaults to ``HostConfig.bulk_load_indexes``.
-        """
+                 entries: list[tuple[dict, str]], piece_size: int = 100):
+        """``entries``: list of (column-values dict, url) pairs."""
         self.host = host
         self.table = table
         self.column = column
         self.entries = list(entries)
         self.piece_size = piece_size
-        self.bulk = host.config.bulk_load_indexes if bulk is None else bulk
         self.stats = LoadStats()
         spec = host.datalink_columns.get(table, {}).get(column)
         if spec is None:
             raise DataLinkError(
                 f"{table}.{column} is not a DATALINK column")
         self.spec = spec
-        # One utility transaction id for the whole load: allocated up
-        # front and kept open so it stays monotone w.r.t. regular txns.
-        self._utility_txn = host.db.begin()
+        #: The utility transaction's coordinator. The id is allocated up
+        #: front and the transaction kept open so it stays monotone
+        #: w.r.t. regular transactions.
+        self.session = host.session()
+        self.txn_id = self.session._ensure_txn()
         self._position = 0
-        self._chans: dict[str, object] = {}
-        self._begun: set[str] = set()
-        #: Prepared statements for the current piece's session (the
-        #: upsert trio executes once per file — the canonical
-        #: prepare-once / execute-many site).
-        self._piece_session = None
+        #: The current piece's prepared statements (the upsert trio
+        #: executes once per file: prepare once, execute many).
         self._prepared: dict[str, object] = {}
 
-    # -- plumbing ---------------------------------------------------------------
-
-    def _channel(self, server: str):
-        chan = self._chans.get(server)
-        if chan is None or chan.closed:
-            chan = self.host.dlfms[server].connect()
-            self._chans[server] = chan
-            self._begun.discard(server)  # fresh agent needs a BeginTxn
-        return chan
-
-    def _call(self, server: str, req):
-        chan = self._channel(server)
-        if server not in self._begun:
-            yield from rpc.call(self.host.sim, chan, api.BeginTxn(
-                self.host.dbid, self._utility_txn.id))
-            self._begun.add(server)
-        result = yield from rpc.call(self.host.sim, chan, req)
-        return result
-
-    # -- execution -----------------------------------------------------------------
-
     def run(self):
-        """Generator: ingest everything, then prepare+commit the utility
+        """Generator: ingest everything, then commit the utility
         transaction. Returns LoadStats."""
-        if self.bulk:
-            self.host.db.begin_bulk_load(self.table)
+        self.host.db.begin_bulk_load(self.table)
         try:
             while self._position < len(self.entries):
                 yield from self._load_piece()
@@ -114,24 +86,29 @@ class LoadUtility:
             # their rows must become index-visible (resume semantics —
             # only the failing piece's host transaction rolled back, and
             # undo already dropped its deferred entries).
-            if self.bulk:
-                self.stats.bulk_merged = yield from (
-                    self.host.db.end_bulk_load(self.table))
+            self.stats.bulk_merged = yield from (
+                self.host.db.end_bulk_load(self.table))
         yield from self._finish()
         return self.stats
 
     def resume(self):
-        """Generator: continue after a crash. Already-linked files are
-        skipped; completed pieces were never undone."""
+        """Generator: continue after a crash under the SAME transaction
+        id. Every earlier participant still takes part in the final
+        commit, but its fresh agent knows nothing of the transaction:
+        BeginTxn re-opens it and CommitPiece (a no-op on the existing
+        ``in-flight`` entry) marks the agent a writer, so its Prepare
+        cannot vote read-only and drop out of phase 2."""
         self.stats.resumed = True
-        # Reconnect with the SAME utility transaction id.
-        self._chans = {}
-        self._begun = set()
-        result = yield from self.run()
-        return result
+        self.session.close()
+        for server in sorted(self.session.participants):
+            for verb in (api.BeginTxn, api.CommitPiece):
+                yield from self.session._send_control(
+                    server, verb(self.host.dbid, self.txn_id))
+        return (yield from self.run())
 
     def _load_piece(self):
         session = self.host.db.session()
+        self._prepared = {}
         try:
             yield from self._load_piece_inner(session)
         except Exception:
@@ -144,96 +121,53 @@ class LoadUtility:
         piece = self.entries[self._position:
                              self._position + self.piece_size]
         grp_id = self.host.group_ids[(self.table, self.column)]
-        if self.host.config.batch_datalinks:
-            touched = yield from self._link_piece_batched(session, piece,
-                                                          grp_id)
-        else:
-            touched = yield from self._link_piece(session, piece, grp_id)
-        yield from session.commit()  # host-side piece is durable
-        for server in sorted(touched):
-            yield from self._call(server, api.CommitPiece(
-                self.host.dbid, self._utility_txn.id))
-        self.stats.pieces += 1
-        self._position += len(piece)
-
-    def _link_piece(self, session, piece, grp_id):
-        touched_servers = set()
-        for values, url in piece:
-            server, path = parse_url(url)
-            recovery_id = self.host.recovery_ids.next()
-            try:
-                yield from self._call(server, api.LinkFile(
-                    self.host.dbid, self._utility_txn.id, path, grp_id,
-                    recovery_id, access_ctl=self.spec.access_control,
-                    recovery=self.spec.recovery_flag))
-                self.stats.linked += 1
-                touched_servers.add(server)
-            except LinkError:
-                # Already linked by a piece committed before a crash —
-                # resume semantics: the surviving link keeps its ORIGINAL
-                # recovery id and the host row from the same pre-crash
-                # piece already carries it. Nothing to redo.
-                self.stats.skipped += 1
-                continue
-            yield from self._upsert_row(session, values, url, recovery_id)
-        return touched_servers
-
-    def _link_piece_batched(self, session, piece, grp_id):
-        """Fast path: the piece's links travel as ONE api.Batch per
-        server instead of one rendezvous per file. The host piece commit
-        still precedes CommitPiece, so the crash-consistency ordering of
-        recovery ids is unchanged."""
         per_server: dict[str, list] = {}
         for values, url in piece:
             server, path = parse_url(url)
-            recovery_id = self.host.recovery_ids.next()
+            server, epoch = self.session._route(grp_id, server)
             req = api.LinkFile(
-                self.host.dbid, self._utility_txn.id, path, grp_id,
-                recovery_id, access_ctl=self.spec.access_control,
-                recovery=self.spec.recovery_flag)
-            per_server.setdefault(server, []).append(
-                (req, values, url, recovery_id))
-        touched_servers = set()
+                self.host.dbid, self.txn_id, path, grp_id,
+                self.host.recovery_ids.next(),
+                access_ctl=self.spec.access_control,
+                recovery=self.spec.recovery_flag, route_epoch=epoch)
+            per_server.setdefault(server, []).append((req, values, url))
         for server in sorted(per_server):
-            entries = per_server[server]
-            chan = self._channel(server)
-            self._begun.add(server)  # a Batch begins the txn implicitly
+            linked = entries = per_server[server]
             try:
-                yield from rpc.call(self.host.sim, chan, api.Batch(
-                    self.host.dbid, self._utility_txn.id,
-                    tuple(req for req, _, _, _ in entries)))
-                self.stats.linked += len(entries)
+                yield from self.session._send_batch(
+                    server, self.txn_id, [req for req, _, _ in entries])
                 self.stats.batches += 1
-                linked = entries
             except LinkError:
-                # Resume case: some file of the batch is already linked
-                # by a pre-crash piece. The agent compensated the batch
-                # whole; redo this server's links one at a time so skips
-                # are counted exactly as on the slow path.
+                # Resume case: a file of the batch is already linked by
+                # a pre-crash piece (under its ORIGINAL recovery id,
+                # which the host row of that piece carries). The agent
+                # compensated the batch whole; redo this server's links
+                # one at a time so each such file is skipped and counted.
                 linked = []
                 for entry in entries:
                     try:
-                        yield from self._call(server, entry[0])
-                        self.stats.linked += 1
+                        yield from self.session.dlfm_call(server, entry[0])
                         linked.append(entry)
                     except LinkError:
                         self.stats.skipped += 1
-            if linked:
-                touched_servers.add(server)
-            for _, values, url, recovery_id in linked:
+            self.stats.linked += len(linked)
+            for req, values, url in linked:
                 yield from self._upsert_row(session, values, url,
-                                            recovery_id)
-        return touched_servers
+                                            req.recovery_id)
+        # The host piece commit precedes CommitPiece: a crash in between
+        # leaves rows whose links are redone under fresh recovery ids.
+        yield from session.commit()
+        for server in sorted(per_server):
+            yield from self.session._send_control(server, api.CommitPiece(
+                self.host.dbid, self.txn_id))
+        self.stats.pieces += 1
+        self._position += len(piece)
 
     def _statement(self, session, sql: str):
-        """Generator: a prepared statement cached for the piece session."""
-        if self._piece_session is not session:
-            self._piece_session = session
-            self._prepared = {}
+        """Generator: ``sql`` prepared once per piece session."""
         stmt = self._prepared.get(sql)
         if stmt is None:
-            stmt = yield from session.prepare(sql)
-            self._prepared[sql] = stmt
+            stmt = self._prepared[sql] = yield from session.prepare(sql)
         return stmt
 
     def _upsert_row(self, session, values, url, recovery_id):
@@ -265,13 +199,6 @@ class LoadUtility:
             yield from update.execute((recovery_id, url))
 
     def _finish(self):
-        for server in sorted(getattr(self, "_begun", set())):
-            yield from self._call(server, api.Prepare(
-                self.host.dbid, self._utility_txn.id))
-        for server in sorted(getattr(self, "_begun", set())):
-            yield from self._call(server, api.Commit(
-                self.host.dbid, self._utility_txn.id))
-        # release the (empty) reserved host transaction
-        yield from self.host.db.commit(self._utility_txn)
-        for chan in self._chans.values():
-            chan.close()
+        """Generator: the utility transaction's 2PC, then hang up."""
+        yield from self.session.commit()
+        self.session.close()

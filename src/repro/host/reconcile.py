@@ -15,61 +15,62 @@ from collections import defaultdict
 
 from repro.dlfm import api
 from repro.host.datalink import parse_url, shadow_column
-from repro.kernel import rpc
 
 
 def reconcile(host):
     """Generator: run the utility; returns a per-server summary."""
-    # 1. Collect the host's authoritative references per server.
-    per_server = defaultdict(list)
-    locations = defaultdict(list)  # (server, path) → (table, col, where-rid)
-    session = host.db.session()
-    for table, columns in sorted(host.datalink_columns.items()):
-        for column, spec in sorted(columns.items()):
-            rows = yield from session.execute(
-                f"SELECT {column}, {shadow_column(column)} FROM {table}")
-            grp_id = host.group_ids[(table, column)]
-            for url, recovery_id in rows:
-                if url is None:
-                    continue
-                server, path = parse_url(url)
-                per_server[server].append(
-                    (path, recovery_id, grp_id, spec.access_control,
-                     spec.recovery_flag))
-                locations[(server, path)].append((table, column, url))
-    yield from session.commit()
+    coordinator = host.session()
+    session = coordinator.session
+    try:
+        # 1. Collect the host's authoritative references per DLFM: a
+        #    file belongs to whichever DLFM its group routes to (on a
+        #    sharded fleet the URL names the shared file server only).
+        per_server = defaultdict(list)
+        locations = defaultdict(list)  # (server, path) → (table, col, url)
+        for table, columns in sorted(host.datalink_columns.items()):
+            for column, spec in sorted(columns.items()):
+                rows = yield from session.execute(
+                    f"SELECT {column}, {shadow_column(column)} "
+                    f"FROM {table}")
+                grp_id = host.group_ids[(table, column)]
+                for url, recovery_id in rows:
+                    if url is None:
+                        continue
+                    server, path = parse_url(url)
+                    server, _ = coordinator._route(grp_id, server)
+                    per_server[server].append(
+                        (path, recovery_id, grp_id, spec.access_control,
+                         spec.recovery_flag))
+                    locations[(server, path)].append((table, column, url))
+        yield from session.commit()
 
-    # 2. Each DLFM reconciles against its authoritative slice.
-    summary = {}
-    for server in sorted(host.dlfms):
-        dlfm = host.dlfms[server]
-        chan = dlfm.connect()
-        try:
-            result = yield from rpc.call(
-                host.sim, chan, api.ReconcileFiles(
-                    host.dbid, tuple(per_server.get(server, ()))))
-        finally:
-            chan.close()
-        # 3. Dangling host references (file gone everywhere): null the
-        #    datalink value so the database stops referencing a ghost.
-        #    One session and one prepared UPDATE per (table, column)
-        #    shape — the per-row commits stay, the per-row re-prepare
-        #    does not.
-        nulled = 0
-        session = host.db.session()
+        # 2. Every DLFM reconciles against its authoritative slice.
+        summary = {}
         fixers: dict = {}
-        for path in result["dangling"]:
-            for table, column, url in locations.get((server, path), ()):
-                fixer = fixers.get((table, column))
-                if fixer is None:
-                    fixer = yield from session.prepare(
-                        f"UPDATE {table} SET {column} = NULL, "
-                        f"{shadow_column(column)} = NULL "
-                        f"WHERE {column} = ?")
-                    fixers[(table, column)] = fixer
-                yield from fixer.execute((url,))
-                yield from session.commit()
-                nulled += 1
-        result["nulled"] = nulled
-        summary[server] = result
+        for server in sorted(host.dlfms):
+            result = yield from coordinator._send_control(
+                server, api.ReconcileFiles(
+                    host.dbid, tuple(per_server.get(server, ()))))
+            # 3. Dangling host references (file gone everywhere): null
+            #    the datalink value so the database stops referencing a
+            #    ghost. One prepared UPDATE per (table, column) shape —
+            #    the per-row commits stay, the per-row re-prepare does
+            #    not.
+            nulled = 0
+            for path in result["dangling"]:
+                for table, column, url in locations.get((server, path), ()):
+                    fixer = fixers.get((table, column))
+                    if fixer is None:
+                        fixer = yield from session.prepare(
+                            f"UPDATE {table} SET {column} = NULL, "
+                            f"{shadow_column(column)} = NULL "
+                            f"WHERE {column} = ?")
+                        fixers[(table, column)] = fixer
+                    yield from fixer.execute((url,))
+                    yield from session.commit()
+                    nulled += 1
+            result["nulled"] = nulled
+            summary[server] = result
+    finally:
+        coordinator.close()
     return summary

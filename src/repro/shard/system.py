@@ -17,49 +17,31 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.archive import ArchiveServer
-from repro.dlfm import DLFM, DLFMConfig
-from repro.fs import FileServer
-from repro.host import HostConfig, HostDB
-from repro.kernel import Simulator
+from repro.dlfm import DLFMConfig
+from repro.host import HostConfig
 from repro.shard.catalog import ShardMap
+from repro.system import System
 
 
 def shard_names(n: int) -> tuple[str, ...]:
     return tuple(f"shard{i + 1}" for i in range(n))
 
 
-class ShardedSystem:
+class ShardedSystem(System):
     def __init__(self, seed: int = 0, shards: int = 2,
                  dlfm_config: Optional[DLFMConfig] = None,
                  host_config: Optional[HostConfig] = None,
                  dbid: str = "hostdb", tracer=None, injector=None,
                  fs_name: str = "fs1",
                  archive_charge_time: bool = False):
-        self.sim = Simulator(seed=seed, tracer=tracer, injector=injector)
-        self.tracer = self.sim.tracer
-        self.injector = self.sim.injector
-        self.archive = ArchiveServer(self.sim,
-                                     charge_time=archive_charge_time)
         self.fs_name = fs_name
-        server = FileServer(self.sim, fs_name)
-        self.servers: dict[str, FileServer] = {fs_name: server}
-        self.dlfms: dict[str, DLFM] = {}
-        for name in shard_names(shards):
-            config = dlfm_config or DLFMConfig.tuned()
-            dlfm = DLFM(self.sim, name, server, self.archive, config)
-            dlfm.start()
-            self.dlfms[name] = dlfm
-            self.injector.register_crash(dlfm.db.name, dlfm.crash)
+        super().__init__(seed, shard_names(shards), dlfm_config,
+                         host_config or HostConfig(batch_datalinks=True),
+                         dbid, tracer, injector, archive_charge_time)
         # The last shard's filter won the mount; its upcall must span
         # the fleet (any shard may own the group of the path in hand).
-        server.filtered.filter.set_upcall(self._fleet_upcall)
-
-        if host_config is None:
-            host_config = HostConfig(batch_datalinks=True)
-        self.host = HostDB(self.sim, dbid, self.dlfms, host_config)
+        self.servers[fs_name].filtered.filter.set_upcall(self._fleet_upcall)
         self.host.shard_map = ShardMap(self.host, self.dlfms)
-        self.injector.register_crash(self.host.db.name, self.host.crash)
 
     def _fleet_upcall(self, path: str):
         """Generator: ask every shard's Upcall daemon; first hit wins."""
@@ -68,26 +50,6 @@ class ShardedSystem:
             if info is not None:
                 return info
         return None
-
-    # ------------------------------------------------------------------ running
-
-    def run(self, gen, name: str = "main", until: Optional[float] = None):
-        """Run one root process to completion and return its result."""
-        return self.sim.run_process(gen, name, until=until)
-
-    def session(self):
-        return self.host.session()
-
-    # ------------------------------------------------------------------ conveniences
-
-    def create_user_file(self, server: str, path: str, owner: str,
-                         content: str = ""):
-        """Create an ordinary user file on the shared file server."""
-        return self.servers[server].fs.create(path, owner, content)
-
-    def filtered_fs(self, server: str = None):
-        """The DLFF-filtered file system applications must use."""
-        return self.servers[server or self.fs_name].filtered
 
     def shard_of(self, grp_id: int) -> str:
         """The shard currently routing ``grp_id`` (cache view)."""

@@ -20,6 +20,10 @@ from repro.kernel import Simulator
 
 
 class System:
+    #: The one file server every DLFM shares; None gives each DLFM a
+    #: file server of its own name (paper Figure 1).
+    fs_name: Optional[str] = None
+
     def __init__(self, seed: int = 0, servers: tuple[str, ...] = ("fs1",),
                  dlfm_config: Optional[DLFMConfig] = None,
                  host_config: Optional[HostConfig] = None,
@@ -33,11 +37,13 @@ class System:
         self.servers: dict[str, FileServer] = {}
         self.dlfms: dict[str, DLFM] = {}
         for name in servers:
-            server = FileServer(self.sim, name)
+            fs_name = self.fs_name or name
+            if fs_name not in self.servers:
+                self.servers[fs_name] = FileServer(self.sim, fs_name)
             config = dlfm_config or DLFMConfig.tuned()
-            dlfm = DLFM(self.sim, name, server, self.archive, config)
+            dlfm = DLFM(self.sim, name, self.servers[fs_name],
+                        self.archive, config)
             dlfm.start()
-            self.servers[name] = server
             self.dlfms[name] = dlfm
             self.injector.register_crash(dlfm.db.name, dlfm.crash)
         self.host = HostDB(self.sim, dbid, self.dlfms, host_config)
@@ -59,9 +65,9 @@ class System:
         """Create an ordinary user file on a file server (pre-link)."""
         return self.servers[server].fs.create(path, owner, content)
 
-    def filtered_fs(self, server: str):
+    def filtered_fs(self, server: Optional[str] = None):
         """The DLFF-filtered file system applications must use."""
-        return self.servers[server].filtered
+        return self.servers[server or self.fs_name].filtered
 
     def backup(self):
         """Generator: coordinated backup; returns the backup id."""

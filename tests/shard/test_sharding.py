@@ -330,3 +330,106 @@ def test_drop_table_cleans_catalog_row(fleet):
     assert fleet.host.db.table_rows("dlk_shardmap") == []
     with pytest.raises(DataLinkError):
         fleet.host.shard_map.resolve(grp_id)
+
+
+# -- utilities on a fleet: routed by group, never by the URL's server ----------
+
+@pytest.fixture
+def wide_fleet(fleet):
+    """``fleet`` plus a second table, so both shards own a group, and
+    20 files; rows 0-9 alternate between the two tables."""
+    def setup():
+        yield from fleet.host.create_datalink_table(
+            "pics", [("id", "INT"), ("doc", "TEXT")],
+            {"doc": DatalinkSpec(recovery=True)})
+        for i in range(20):
+            fleet.create_user_file("fs1", f"/y/f{i}", owner="u")
+
+    fleet.run(setup())
+    owners = {fleet.shard_of(fleet.host.group_ids[(table, "doc")])
+              for table in ("docs", "pics")}
+    assert owners == set(fleet.dlfms)
+    return fleet
+
+
+def _link_ten(system):
+    def go():
+        for i in range(10):
+            yield from _link(system, ("docs", "pics")[i % 2], i,
+                             f"/y/f{i}")
+    system.run(go())
+
+
+def _linked(system):
+    return {name: dlfm.linked_count()
+            for name, dlfm in system.dlfms.items()}
+
+
+def test_load_on_a_fleet_links_through_the_shard_map(wide_fleet):
+    from repro.host.load import LoadUtility
+    system = wide_fleet
+    owner = system.shard_of(system.host.group_ids[("docs", "doc")])
+    load = LoadUtility(
+        system.host, "docs", "doc",
+        [({"id": i}, build_url("fs1", f"/y/f{i}")) for i in range(20)],
+        piece_size=5)
+    stats = system.run(load.run())
+    assert stats.linked == 20 and stats.batches == 4
+    assert _linked(system) == {
+        name: 20 if name == owner else 0 for name in system.dlfms}
+    assert system.dlfms[owner].db.table_rows("dfm_txn") == []
+    assert system.servers["fs1"].fs.stat("/y/f7").owner == DLFM_ADMIN
+    assert system.host.decision_rows() == []
+
+
+def test_reconcile_on_a_healthy_fleet_changes_nothing(wide_fleet):
+    system = wide_fleet
+    _link_ten(system)
+    before = _linked(system)
+    summary = system.run(system.reconcile())
+    assert sorted(summary) == sorted(system.dlfms)
+    for result in summary.values():
+        assert (result["removed"], result["relinked"], result["nulled"],
+                result["dangling"]) == (0, 0, 0, [])
+    assert _linked(system) == before == {name: 5 for name in system.dlfms}
+
+
+def test_reconcile_relinks_a_lost_entry_on_its_owning_shard(wide_fleet):
+    system = wide_fleet
+    _link_ten(system)
+    owner = system.shard_of(system.host.group_ids[("pics", "doc")])
+
+    def lose_entry():
+        session = system.dlfms[owner].db.session()
+        yield from session.execute(
+            "DELETE FROM dfm_file WHERE filename = ?", ("/y/f3",))
+        yield from session.commit()
+
+    system.run(lose_entry())
+    assert system.dlfms[owner].linked_count() == 4
+    summary = system.run(system.reconcile())
+    assert {name: result["relinked"] for name, result in summary.items()} \
+        == {name: int(name == owner) for name in system.dlfms}
+    assert all(result["removed"] == 0 for result in summary.values())
+    assert _linked(system) == {name: 5 for name in system.dlfms}
+
+
+def test_backup_unlink_restore_round_trips_on_a_fleet(wide_fleet):
+    system = wide_fleet
+    _link_ten(system)
+
+    def go():
+        backup_id = yield from system.backup()
+        session = system.session()
+        for table in ("docs", "pics"):
+            yield from session.execute(f"DELETE FROM {table}")
+        yield from session.commit()
+        assert _linked(system) == {name: 0 for name in system.dlfms}
+        return (yield from system.restore(backup_id))
+
+    result = system.run(go())
+    assert {name: r["restored"] for name, r in result.items()} \
+        == {name: 5 for name in system.dlfms}
+    assert _linked(system) == {name: 5 for name in system.dlfms}
+    assert system.host.db.table_rows("docs") != []
+    assert system.servers["fs1"].fs.stat("/y/f4").owner == DLFM_ADMIN

@@ -62,3 +62,38 @@ def test_src_loc_counts_every_package_once():
     assert loc["total"] == sum(v for k, v in loc.items() if k != "total")
     assert {"host", "minidb", "dlfm", "kernel", "."} <= set(loc)
     assert all(isinstance(v, int) and v > 0 for v in loc.values())
+
+
+def test_load_gate_compares_against_the_previous_history_row():
+    """The LOAD arm has no strawman: its simulated duration may not
+    exceed the previous history row's by more than 10% — and with no
+    earlier measurement on record the gate says nothing."""
+    from repro.bench.harness import check
+
+    def doc(load_sim_s, ref):
+        return {"bulk": {"ratios": {"rpc_reduction": 63,
+                                    "wal_force_reduction": 2.3}},
+                "load": {"files": 10_000, "load_sim_s": load_sim_s},
+                "load_sim_s_ref": ref,
+                "sentinels": {}}
+
+    def gate(failures):
+        return [f for f in failures if f.startswith("LOAD")]
+
+    assert gate(check(doc(29.35, 29.351))) == []
+    assert gate(check(doc(32.2, 29.351))) == []
+    assert gate(check(doc(99.0, None))) == []
+    [failure] = gate(check(doc(32.3, 29.351)))
+    assert "32.3" in failure and "29.351" in failure
+
+
+def test_load_reference_is_the_previous_row_whatever_its_label():
+    import json
+    from pathlib import Path
+
+    doc = json.loads((Path(__file__).parents[1]
+                      / "BENCH_PERF.json").read_text())
+    rows = doc["history"]
+    assert rows[-1]["label"] == HISTORY_LABEL
+    assert doc["load_sim_s_ref"] == rows[-2]["load_sim_s"]
+    assert rows[-1]["load_sim_s"] == doc["load"]["load_sim_s"]
