@@ -1211,7 +1211,7 @@ def run_e8_sentinel(cfg: BenchConfig, files: int = 200,
 #: The history row this tree's harness writes. Bump per PR so the
 #: BENCH_PERF.json ``history`` grows one row per PR (re-running the same
 #: tree only refreshes its own row).
-HISTORY_LABEL = "pr14-utilities-on-the-coordinator"
+HISTORY_LABEL = "pr16-si-probe-sidecar"
 
 
 def src_loc() -> dict:

@@ -145,19 +145,28 @@ class BTree:
         # Bounds are prefixes: a bound covering only leading columns
         # compares against the same-length prefix of each key (SQL range
         # semantics: ``a > 5`` excludes every key whose first column is 5).
-        leaf = self._leaf_for(elo) if elo is not None else self._leftmost()
+        if elo is None:
+            leaf, start = self._leftmost(), 0
+        else:
+            # Entries sort by (ekey, rid) and a prefix sorts before every
+            # key it prefixes, so (elo,) bisects to the first entry whose
+            # prefix is >= elo; from there on the low bound always holds,
+            # except that an exclusive bound still skips its equal run.
+            leaf = self._leaf_for(elo)
+            start = bisect.bisect_left(leaf.entries, (elo,))
+        skip_equal = elo is not None and not lo_inclusive
         while leaf is not None:
-            for ekey, rid in leaf.entries:
-                if elo is not None:
-                    prefix = ekey[: len(elo)]
-                    if prefix < elo or (prefix == elo and not lo_inclusive):
+            for ekey, rid in leaf.entries[start:] if start else leaf.entries:
+                if skip_equal:
+                    if ekey[: len(elo)] == elo:
                         continue
+                    skip_equal = False
                 if ehi is not None:
                     prefix = ekey[: len(ehi)]
                     if prefix > ehi or (prefix == ehi and not hi_inclusive):
                         return
                 yield ekey, rid
-            leaf = leaf.next
+            leaf, start = leaf.next, 0
 
     def _leftmost(self) -> _Leaf:
         node = self._root

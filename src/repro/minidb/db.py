@@ -63,6 +63,11 @@ class DBMetrics:
     #: records (inline at commit plus the merge daemon's passes).
     versions_created: int = 0
     versions_merged: int = 0
+    #: SI index probes: candidate rids examined (B+tree matches plus the
+    #: off-index sidecar) and rows returned. rows/candidates is the
+    #: probe's useful-work ratio; a sweep over every live chain reads ~0.
+    snapshot_candidates: int = 0
+    snapshot_rows: int = 0
 
     def note_abort(self, reason: str) -> None:
         self.rollbacks += 1
@@ -483,7 +488,11 @@ class Database:
             # First touch pins the committed pre-state as the chain seed;
             # the commit will stamp the final state with its commit LSN.
             heap.version_seed(rid, before)
-            txn.touched[(table, rid)] = None
+            txn.note_write(table, rid)
+            for name in self._bulk_loads.get(table, ()):
+                # LOAD defers this table's entries: the tree may never
+                # have held this rid.
+                heap.mark_off_index(name, rid)
         return record
 
     # ------------------------------------------------------------------ versions
@@ -513,8 +522,7 @@ class Database:
         accumulate chains)."""
         if not self.config.mvcc or not txn.touched:
             return
-        touched = list(txn.touched)
-        txn.touched.clear()
+        touched = txn.drain_writes()
         watermark = self.oldest_snapshot_lsn()
         merged = 0
         for table, rid in touched:
@@ -584,7 +592,9 @@ class Database:
 
     def apply_index_delete(self, table, row: tuple, rid) -> None:
         pending = self._bulk_loads.get(table.name)
+        heap = self.heaps[table.name]
         for index in self.catalog.indexes_by_table.get(table.name, []):
+            heap.mark_off_index(index.name, rid)
             if pending is not None and pending[index.name].drop(rid):
                 continue  # entry was still deferred; undo is a dict pop
             key = tuple(row[table.position(c)] for c in index.columns)
@@ -599,6 +609,7 @@ class Database:
             new_key = tuple(new_row[table.position(c)] for c in index.columns)
             if old_key == new_key:
                 continue
+            self.heaps[table.name].mark_off_index(index.name, rid)
             if pending is not None:
                 p = pending[index.name]
                 if not p.drop(rid):
@@ -692,6 +703,9 @@ class Database:
                 key = tuple(row[table.position(c)] for c in index.columns)
                 btree.insert(key, rid)
             self.btrees[index.name] = btree
+            # Built from current slots: any live chain may hold an older
+            # key the new tree has no entry for.
+            self.heaps[stmt.table].mark_off_index(index.name)
             if stmt.table in self._bulk_loads:
                 # Built from the heap, which already holds the loaded
                 # rows; only entries deferred from here on concern it.
@@ -718,6 +732,7 @@ class Database:
             del self.catalog.indexes[stmt.index]
             del self.btrees[stmt.index]
             self.disk.drop_index_image(stmt.index)
+            self.heaps[index.table].drop_off_index(stmt.index)
             self._bulk_loads.get(index.table, {}).pop(stmt.index, None)
             touched = index.table
         else:

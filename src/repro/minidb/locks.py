@@ -55,30 +55,20 @@ _COMPAT = {
     _M.X:   {_M.IS: False, _M.IX: False, _M.S: False, _M.U: False,
              _M.SIX: False, _M.X: False},
 }
-#: Least upper bound in the lock lattice (for conversions).
+#: Least upper bound in the lock lattice (for conversions), keyed by
+#: the ordered pair so a lookup allocates nothing.
 _SUP = {
-    frozenset({_M.IS, _M.IS}): _M.IS,
-    frozenset({_M.IS, _M.IX}): _M.IX,
-    frozenset({_M.IS, _M.S}): _M.S,
-    frozenset({_M.IS, _M.U}): _M.U,
-    frozenset({_M.IS, _M.SIX}): _M.SIX,
-    frozenset({_M.IS, _M.X}): _M.X,
-    frozenset({_M.IX, _M.IX}): _M.IX,
-    frozenset({_M.IX, _M.S}): _M.SIX,
-    frozenset({_M.IX, _M.U}): _M.X,
-    frozenset({_M.IX, _M.SIX}): _M.SIX,
-    frozenset({_M.IX, _M.X}): _M.X,
-    frozenset({_M.S, _M.S}): _M.S,
-    frozenset({_M.S, _M.U}): _M.U,
-    frozenset({_M.S, _M.SIX}): _M.SIX,
-    frozenset({_M.S, _M.X}): _M.X,
-    frozenset({_M.U, _M.U}): _M.U,
-    frozenset({_M.U, _M.SIX}): _M.X,
-    frozenset({_M.U, _M.X}): _M.X,
-    frozenset({_M.SIX, _M.SIX}): _M.SIX,
-    frozenset({_M.SIX, _M.X}): _M.X,
-    frozenset({_M.X, _M.X}): _M.X,
+    (_M.IS, _M.IS): _M.IS, (_M.IS, _M.IX): _M.IX, (_M.IS, _M.S): _M.S,
+    (_M.IS, _M.U): _M.U, (_M.IS, _M.SIX): _M.SIX, (_M.IS, _M.X): _M.X,
+    (_M.IX, _M.IX): _M.IX, (_M.IX, _M.S): _M.SIX, (_M.IX, _M.U): _M.X,
+    (_M.IX, _M.SIX): _M.SIX, (_M.IX, _M.X): _M.X,
+    (_M.S, _M.S): _M.S, (_M.S, _M.U): _M.U, (_M.S, _M.SIX): _M.SIX,
+    (_M.S, _M.X): _M.X,
+    (_M.U, _M.U): _M.U, (_M.U, _M.SIX): _M.X, (_M.U, _M.X): _M.X,
+    (_M.SIX, _M.SIX): _M.SIX, (_M.SIX, _M.X): _M.X,
+    (_M.X, _M.X): _M.X,
 }
+_SUP.update({(b, a): sup for (a, b), sup in list(_SUP.items())})
 
 
 def compatible(a: LockMode, b: LockMode) -> bool:
@@ -86,21 +76,13 @@ def compatible(a: LockMode, b: LockMode) -> bool:
 
 
 def supremum(a: LockMode, b: LockMode) -> LockMode:
-    return _SUP[frozenset({a, b})]
+    return _SUP[a, b]
 
 
 #: Lock resources. ``table`` granularity:   ("table", tname)
 #:                 ``row``   granularity:   ("row", tname, rid)
 #:                 ``key``   granularity:   ("key", tname, index, ekey)
 Resource = tuple
-
-
-def resource_table(resource: Resource) -> str:
-    return resource[1]
-
-
-def is_table_resource(resource: Resource) -> bool:
-    return resource[0] == "table"
 
 
 class _Request:
@@ -180,9 +162,16 @@ class LockManager:
                 raise DeadlockError(
                     f"txn {txn.id} injected deadlock victim on {resource!r}")
 
-        if not is_table_resource(resource):
-            table = resource_table(resource)
-            covering = self._table_mode(txn, table)
+        # The uncontended cases are resolved right here, with the same
+        # bookkeeping the queueing path does: a lock already held strongly
+        # enough is a no-op, and a resource with no lock head has neither
+        # holder nor waiter, so granting at once overtakes nobody.
+        # Everything else goes through ``_acquire_raw`` as before.
+        if resource[0] != "table":
+            table = resource[1]
+            table_res = ("table", table)
+            head = self.heads.get(table_res)
+            covering = head.holders.get(txn.id) if head is not None else None
             if covering is not None and self._covers(covering, mode):
                 return False  # an escalated table lock already covers this
             # Multi-granularity protocol: row/key locks are always preceded
@@ -190,23 +179,34 @@ class LockManager:
             # table lock held by someone else blocks us here.
             intent = (LockMode.IS if mode in (LockMode.S, LockMode.IS)
                       else LockMode.IX)  # U intends to write → IX
-            yield from self._acquire_raw(txn, ("table", table), intent,
-                                         timeout)
+            if head is None:
+                self._grant(self._new_head(table_res), txn, intent, new=True)
+            elif covering is None or _SUP[covering, intent] != covering:
+                yield from self._acquire_raw(txn, table_res, intent, timeout)
             if self._should_escalate(txn, table):
                 yield from self._escalate(txn, table, mode)
                 return False
+        head = self.heads.get(resource)
+        if head is None:
+            self._grant(self._new_head(resource), txn, mode, new=True)
+            return True
+        held = head.holders.get(txn.id)
+        if held is not None and _SUP[held, mode] == held:
+            return False  # already strong enough
         newly = yield from self._acquire_raw(txn, resource, mode, timeout)
         return newly
 
+    def _new_head(self, resource: Resource) -> _LockHead:
+        head = self.heads[resource] = _LockHead(resource)
+        return head
+
     def _acquire_raw(self, txn, resource: Resource, mode: LockMode,
                      timeout: Optional[float] = None):
-        head = self.heads.get(resource)
-        if head is None:
-            head = self.heads[resource] = _LockHead(resource)
+        head = self.heads.get(resource) or self._new_head(resource)
         held = head.holders.get(txn.id)
-        if held is not None and supremum(held, mode) == held:
+        if held is not None and _SUP[held, mode] == held:
             return False  # already strong enough
-        desired = supremum(held, mode) if held is not None else mode
+        desired = _SUP[held, mode] if held is not None else mode
         is_conversion = held is not None
 
         if self._grantable(head, txn, desired, is_conversion):
@@ -289,6 +289,11 @@ class LockManager:
             self._wake_waiters(head)
 
     def _wake_waiters(self, head: _LockHead) -> None:
+        if not head.queue:
+            # Nobody to wake (the common, uncontended release).
+            if not head.holders:
+                self.heads.pop(head.resource, None)
+            return
         # Pass 1: conversions anywhere in the queue (they jump the line).
         for request in list(head.queue):
             if request.is_conversion and self._compatible_with_others(
@@ -326,12 +331,6 @@ class LockManager:
         self._wake_waiters(head)
 
     # ------------------------------------------------------------------ escalation
-
-    def _table_mode(self, txn, table: str) -> Optional[LockMode]:
-        head = self.heads.get(("table", table))
-        if head is None:
-            return None
-        return head.holders.get(txn.id)
 
     @staticmethod
     def _covers(table_mode: LockMode, row_mode: LockMode) -> bool:
@@ -467,12 +466,9 @@ class LockManager:
         """Grant without queuing — restart recovery reacquiring the write
         locks of a prepared (indoubt) transaction, before any new work is
         admitted, so contention is impossible by construction."""
-        if not is_table_resource(resource):
-            self.force_grant(txn, ("table", resource_table(resource)),
-                             LockMode.IX)
-        head = self.heads.get(resource)
-        if head is None:
-            head = self.heads[resource] = _LockHead(resource)
+        if resource[0] != "table":
+            self.force_grant(txn, ("table", resource[1]), LockMode.IX)
+        head = self.heads.get(resource) or self._new_head(resource)
         held = head.holders.get(txn.id)
         desired = supremum(held, mode) if held is not None else mode
         self._grant(head, txn, desired, new=held is None)

@@ -343,7 +343,7 @@ def _resurrect_prepared(db, prepared: set[int], last_lsn: dict[int, int],
             if record.redoable and record.table in db.heaps:
                 db.locks.force_grant(
                     txn, ("row", record.table, record.rid), LockMode.X)
-                txn.touched[(record.table, record.rid)] = None
+                txn.note_write(record.table, record.rid)
             cursor = record.prev_lsn
         db.txns._active[txn_id] = txn
 
@@ -397,6 +397,10 @@ def _rebuild_versions(db) -> None:
             pending.setdefault(record.txn_id, {})[
                 (record.table, record.rid)] = record.after
     db.merge_versions()
+    # Index repair bypassed ``apply_index_*``: mark what survived the
+    # merge (in-doubt guards only) off-index for every index.
+    for index in db.catalog.indexes.values():
+        db.heaps[index.table].mark_off_index(index.name)
 
 
 def _apply_heap_state(heap: Heap, rid, desired: Optional[tuple]) -> None:

@@ -15,6 +15,7 @@ from the log (see ``recovery.py``).
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -229,6 +230,16 @@ class Heap:
         #: seed entry: the committed state before the first in-flight
         #: writer touched the slot.
         self._versions: dict[Rid, list[tuple[int, Optional[tuple]]]] = {}
+        #: Creation sequence number of each live chain: sorting by it
+        #: reproduces ``_versions`` insertion order for any subset.
+        self._chain_seq: dict[Rid, int] = {}
+        self._chain_counter = itertools.count()
+        #: Off-index sidecar: index name → rids with a live chain whose
+        #: entry in that index was removed, re-keyed or never inserted
+        #: (deferred LOAD) while the chain was live. Only these can hold
+        #: a snapshot-visible version a B+tree probe of the index misses
+        #: (see :meth:`off_index_rids`, DESIGN §13).
+        self._off_index: dict[str, set[Rid]] = {}
 
     # -- bootstrap --------------------------------------------------------------
 
@@ -363,7 +374,7 @@ class Heap:
         than every chained version resolve to.
         """
         if rid not in self._versions:
-            self._versions[rid] = [(0, row)]
+            self._new_chain(rid, [(0, row)])
 
     def version_append(self, rid: Rid, ts: int, row: Optional[tuple]) -> None:
         """Append the committed state at commit LSN ``ts`` (delete → None)."""
@@ -371,7 +382,7 @@ class Heap:
         if chain is None:
             # Guarded against by the write-pin rule (an active writer's
             # chains are never folded); kept for defense in depth.
-            self._versions[rid] = [(0, row), (ts, row)]
+            self._new_chain(rid, [(0, row), (ts, row)])
         else:
             chain.append((ts, row))
 
@@ -382,6 +393,32 @@ class Heap:
 
     def version_rids(self) -> list[Rid]:
         return list(self._versions)
+
+    def _new_chain(self, rid: Rid, chain: list) -> None:
+        self._versions[rid] = chain
+        self._chain_seq[rid] = next(self._chain_counter)
+
+    def mark_off_index(self, index: str, rid: Optional[Rid] = None) -> None:
+        """Note that ``rid``'s chain may hold versions a probe of
+        ``index`` cannot reach through the tree. No-op without a live
+        chain (the base record is what the tree indexes). ``rid=None``
+        marks every live chain — a new index, or a restart, where the
+        tree was (re)built without going through ``apply_index_*``."""
+        if rid is None:
+            self._off_index[index] = set(self._versions)
+        elif rid in self._versions:
+            self._off_index.setdefault(index, set()).add(rid)
+
+    def drop_off_index(self, index: str) -> None:
+        self._off_index.pop(index, None)
+
+    def off_index_rids(self, index: str) -> list[Rid]:
+        """Chained rids an SI probe of ``index`` must examine besides
+        its B+tree matches, in chain-creation order."""
+        marks = self._off_index.get(index)
+        if not marks:
+            return []
+        return sorted(marks, key=self._chain_seq.__getitem__)
 
     def snapshot_fetch(self, rid: Rid, ts: int,
                        own: frozenset = frozenset()) -> Optional[tuple]:
@@ -452,6 +489,9 @@ class Heap:
                 and chain[0][1] == self.pool.peek_slot(
                     self.table, rid[0], rid[1])):
             del self._versions[rid]
+            del self._chain_seq[rid]
+            for marks in self._off_index.values():
+                marks.discard(rid)
             dropped += 1
         return dropped
 
@@ -460,7 +500,13 @@ class Heap:
         return {rid: list(chain) for rid, chain in self._versions.items()}
 
     def restore_versions(self, image: dict) -> None:
-        self._versions = {rid: list(chain) for rid, chain in image.items()}
+        """Replace all chains with ``image``; the sidecar starts empty
+        (restart marks the survivors once its closing merge has run)."""
+        self._versions = {}
+        self._chain_seq = {}
+        self._off_index = {}
+        for rid, chain in image.items():
+            self._new_chain(rid, list(chain))
 
     def set_page_lsn(self, page_no: int, lsn: int) -> None:
         page = self._page_for(page_no, create=True)

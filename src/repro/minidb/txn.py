@@ -7,7 +7,7 @@ import itertools
 from typing import Optional
 
 from repro.errors import TransactionAborted
-from repro.minidb.locks import Resource, is_table_resource, resource_table
+from repro.minidb.locks import Resource
 
 
 class TxnState(enum.Enum):
@@ -37,6 +37,10 @@ class Transaction:
         #: commit stamps one version per entry, and the merge daemon
         #: never folds a chain pinned here.
         self.touched: dict[tuple[str, tuple], None] = {}
+        #: The same rids grouped by table, so a snapshot probe reads its
+        #: own-write set in O(1). Both change only through
+        #: :meth:`note_write` / :meth:`drain_writes`.
+        self.own: dict[str, set[tuple]] = {}
         self._locks: dict[Resource, None] = {}  # insertion-ordered set
         self._row_locks: dict[str, set[Resource]] = {}
         self._savepoints: dict[str, Optional[int]] = {}
@@ -61,18 +65,28 @@ class Transaction:
             self.rollback_only = True
             self.abort_reason = reason
 
+    def note_write(self, table: str, rid: tuple) -> None:
+        self.touched[(table, rid)] = None
+        self.own.setdefault(table, set()).add(rid)
+
+    def drain_writes(self) -> list[tuple[str, tuple]]:
+        """Hand the written (table, rid) pairs to the commit stamp."""
+        touched = list(self.touched)
+        self.touched.clear()
+        self.own.clear()
+        return touched
+
     # -- lock bookkeeping (called by LockManager) ----------------------------------
 
     def note_lock(self, resource: Resource, _mgr) -> None:
         self._locks[resource] = None
-        if not is_table_resource(resource):
-            self._row_locks.setdefault(resource_table(resource),
-                                       set()).add(resource)
+        if resource[0] != "table":
+            self._row_locks.setdefault(resource[1], set()).add(resource)
 
     def forget_lock(self, resource: Resource) -> None:
         self._locks.pop(resource, None)
-        if not is_table_resource(resource):
-            rows = self._row_locks.get(resource_table(resource))
+        if resource[0] != "table":
+            rows = self._row_locks.get(resource[1])
             if rows is not None:
                 rows.discard(resource)
 

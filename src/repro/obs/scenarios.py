@@ -186,6 +186,18 @@ def _plan_cache_counters(db) -> dict:
     }
 
 
+def _mvcc_counters(db) -> dict:
+    """The MVCC group: version traffic, and how much of what SI index
+    probes examine they return (rows / candidates is the useful share)."""
+    m = db.metrics
+    return {
+        "versions_created": m.versions_created,
+        "versions_merged": m.versions_merged,
+        "snapshot_candidates": m.snapshot_candidates,
+        "snapshot_rows": m.snapshot_rows,
+    }
+
+
 def _import_counters(registry, system) -> None:
     """Snapshot flat engine counters into the registry for the report."""
     for name, dlfm in sorted(system.dlfms.items()):
@@ -199,6 +211,7 @@ def _import_counters(registry, system) -> None:
                                    dict(dlfm.db.wal.metrics.__dict__))
         registry.register_counters(f"plancache.{name}",
                                    _plan_cache_counters(dlfm.db))
+        registry.register_counters(f"mvcc.{name}", _mvcc_counters(dlfm.db))
         if dlfm.db.wal.auto_windows:
             registry.histogram(f"wal.{name}.auto_window").extend(
                 dlfm.db.wal.auto_windows)
@@ -208,6 +221,7 @@ def _import_counters(registry, system) -> None:
                                dict(system.host.db.wal.metrics.__dict__))
     registry.register_counters("plancache.host",
                                _plan_cache_counters(system.host.db))
+    registry.register_counters("mvcc.host", _mvcc_counters(system.host.db))
     if system.host.db.wal.auto_windows:
         registry.histogram("wal.host.auto_window").extend(
             system.host.db.wal.auto_windows)

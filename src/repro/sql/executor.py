@@ -286,12 +286,15 @@ class Executor:
         uncommitted writers' entries), so probe matches are candidates
         only — each candidate's visible version is re-checked against
         the probe bounds — and rows whose visible version left the index
-        (deleted or re-keyed after the snapshot) are found through their
-        live chains, the L-Store-style tail sidecar scan.
+        (deleted or re-keyed after the snapshot) are found through the
+        heap's per-index off-index sidecar: the chained rids whose entry
+        in *this* index changed while the chain was live (DESIGN §13).
+        Rows come back tree matches first, then sidecar hits in chain
+        creation order.
         """
         heap = self.db.heaps[access.table]
         ts = txn.snapshot_lsn
-        own = frozenset(r for t, r in txn.touched if t == access.table)
+        own = txn.own.get(access.table, frozenset())
         if access.kind == "table_scan":
             self.db.metrics.table_scans += 1
             return list(heap.snapshot_scan(ts, own))
@@ -320,10 +323,8 @@ class Executor:
             if rid not in seen:
                 seen.add(rid)
                 candidates.append(rid)
-        for rid in heap.version_rids():
-            if rid not in seen:
-                seen.add(rid)
-                candidates.append(rid)
+        candidates.extend(rid for rid in heap.off_index_rids(probe.index.name)
+                          if rid not in seen)
 
         table = self.db.catalog.tables[access.table]
         columns = probe.index.columns
@@ -343,6 +344,8 @@ class Executor:
                 if prefix > ehi or (prefix == ehi and not hi_inc):
                     continue
             rows.append((rid, row))
+        self.db.metrics.snapshot_candidates += len(candidates)
+        self.db.metrics.snapshot_rows += len(rows)
         return rows
 
     def _maybe_release_cs(self, txn, plan: SelectPlan, rid) -> None:

@@ -169,6 +169,45 @@ def test_property_next_key_matches_sorted_order(values):
     assert tree.next_key_after((ordered[-1],)) is INFINITY_KEY
 
 
+composite = st.tuples(st.one_of(st.none(), st.integers(0, 6)),
+                      st.integers(0, 3))
+bound = st.one_of(st.none(),
+                  st.tuples(st.integers(-1, 7)),
+                  st.tuples(st.integers(-1, 7), st.integers(-1, 4)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(composite, min_size=0, max_size=80), bound, st.booleans(),
+       bound, st.booleans(), st.booleans())
+def test_property_range_scan_with_prefix_bounds(keys, lo, lo_inc, hi, hi_inc,
+                                                bulk):
+    """Every bound shape the in-leaf bisect has to get right: full and
+    prefix bounds, inclusive and exclusive, duplicates spanning leaves,
+    NULLs, bounds below and above every key — against a filtered sorted
+    list, for a split-grown and a bulk-loaded tree."""
+    tree = BTree("idx", "t", ("a", "b"), unique=False, order=4)
+    pairs = [(encode_key(key), (i, 0)) for i, key in enumerate(keys)]
+    if bulk:
+        tree.bulk_load(pairs)
+    else:
+        for i, key in enumerate(keys):
+            tree.insert(key, (i, 0))
+
+    def inside(ekey):
+        if lo is not None:
+            prefix, elo = ekey[:len(lo)], encode_key(lo)
+            if prefix < elo or (prefix == elo and not lo_inc):
+                return False
+        if hi is not None:
+            prefix, ehi = ekey[:len(hi)], encode_key(hi)
+            if prefix > ehi or (prefix == ehi and not hi_inc):
+                return False
+        return True
+
+    expected = [pair for pair in sorted(pairs) if inside(pair[0])]
+    assert list(tree.scan_range(lo, lo_inc, hi, hi_inc)) == expected
+
+
 # ------------------------------------------------------------------- bulk load
 
 def test_bulk_load_empty_input():

@@ -357,6 +357,43 @@ def test_si_and_rr_reach_identical_durable_state():
 
 # ------------------------------------------------------------------ guards
 
+def test_si_probe_counts_candidates_and_rows():
+    """``snapshot_rows / snapshot_candidates`` is the probe's useful-work
+    ratio: live chains whose index entries never moved cost a probe
+    nothing; only chains off *this* index are examined."""
+    sim = Simulator()
+    db = make_db(sim)
+    metrics = db.metrics
+
+    def probe(session, k):
+        before = (metrics.snapshot_candidates, metrics.snapshot_rows)
+        result = yield from session.execute(
+            "SELECT v FROM t WHERE k = ?", (k,))
+        return (result.rows,
+                metrics.snapshot_candidates - before[0],
+                metrics.snapshot_rows - before[1])
+
+    def go():
+        old = db.session("SI")
+        assert (yield from probe(old, 3)) == ([(0,)], 1, 1)
+        writer = db.session()
+        yield from writer.execute("UPDATE t SET v = 1 WHERE k >= 0")
+        yield from writer.commit()
+        assert db.live_chains() == 10          # pinned by ``old``
+        fresh = db.session("SI")
+        assert (yield from probe(fresh, 3)) == ([(1,)], 1, 1)
+        yield from writer.execute("UPDATE t SET k = 33 WHERE k = 3")
+        yield from writer.commit()
+        # k=3 left the tree: found through the sidecar, nothing else.
+        assert (yield from probe(old, 3)) == ([(0,)], 1, 1)
+        # Any other probe of t_k also examines that one off-index chain.
+        assert (yield from probe(old, 5)) == ([(0,)], 2, 1)
+        yield from old.commit()
+        yield from fresh.commit()
+
+    sim.run_process(go())
+
+
 def test_si_requires_mvcc():
     with pytest.raises(ValueError):
         DBConfig(isolation="SI", mvcc=False).validate()

@@ -149,6 +149,8 @@ def test_sharded_scenario_exports_per_shard_counter_groups():
         assert f"dlfm.{name}.rpcs" in snapshot
         assert f"locks.{name}.acquires" in snapshot
         assert f"wal.{name}.forces" in snapshot
+        assert f"mvcc.{name}.snapshot_candidates" in snapshot
+        assert f"mvcc.{name}.snapshot_rows" in snapshot
     assert "shardmap.entries" in snapshot
     # Per-shard attribution survives into the rendered report.
     text = render_report(tracer, registry)
