@@ -58,8 +58,7 @@ def test_fastpath_e1_throughput(benchmark):
     cfg = BenchConfig() if full_scale() else BenchConfig.quick_config()
 
     def run():
-        return {"off": run_e1_arm(cfg, fast=False),
-                "on": run_e1_arm(cfg, fast=True)}
+        return {mode: run_e1_arm(cfg, mode) for mode in ("off", "on")}
 
     e1 = run_once(benchmark, run)
     print_table(

@@ -11,14 +11,18 @@ machine and also run with ``--benchmark-disable``:
   live version chains, as long as their index entries never moved
   (≤ 2× allowed; a sweep over every chain is > 20×);
 * an uncontended row-lock acquire + cursor-stability release builds no
-  wait-queue request and no kernel event.
+  wait-queue request and no kernel event;
+* a cursor-stability range or table scan nobody can observe builds no
+  lock head for any row (DESIGN §9, lock avoidance) — and the same range
+  with one row X-held by someone else locks row by row: the reader
+  blocks with real S locks on the rows before it.
 """
 
 import time
 
 import pytest
 
-from repro.kernel import Simulator
+from repro.kernel import Simulator, Timeout
 from repro.minidb import Database, DBConfig
 from repro.minidb import locks as locks_module
 from repro.minidb.btree import BTree, encode_key
@@ -156,3 +160,119 @@ def test_cs_point_select_by_unique_index(benchmark):
         yield from session.commit()
         return row
     assert benchmark(lambda: sim.run_process(work())) == (0,)
+
+
+# ------------------------------------------------ CS scans, lock avoidance
+
+RANGE = ("SELECT COUNT(*) FROM t WHERE k >= ? AND k < ?", (1_000, 1_050))
+SCAN_ROWS = 200
+TABLE_SCAN = ("SELECT COUNT(*) FROM s WHERE v = ?", (0,))
+
+
+def make_scan_db():
+    """``make_db(0)`` plus an unindexed 200-row table ``s``."""
+    sim, db, _pin = make_db(0)
+
+    def setup():
+        session = db.session()
+        yield from session.execute("CREATE TABLE s (k INT, v INT)")
+        for k in range(SCAN_ROWS):
+            yield from session.execute(
+                "INSERT INTO s (k, v) VALUES (?, 0)", (k,))
+        yield from session.commit()
+
+    sim.run_process(setup())
+    assert db.get_plan(RANGE[0]).access.kind == "index_scan"
+    assert db.get_plan(TABLE_SCAN[0]).access.kind == "table_scan"
+    return sim, db
+
+
+def cs_counts(sim, db, query, repeats):
+    sql, params = query
+    session = db.session("CS")
+
+    def work():
+        for _ in range(repeats):
+            count = yield from session.query_one(sql, params)
+        yield from session.commit()
+        return count
+    return lambda: sim.run_process(work())
+
+
+def test_cs_index_range_count_50_rows(benchmark):
+    sim, db = make_scan_db()
+    assert benchmark(cs_counts(sim, db, RANGE, 20)) == (50,)
+    avoided = db.locks.metrics.avoided       # every row of every round
+    assert avoided > 0 and avoided % (20 * 50) == 0
+
+
+def test_cs_table_scan_200_rows(benchmark):
+    sim, db = make_scan_db()
+    assert benchmark(cs_counts(sim, db, TABLE_SCAN, 5)) == (SCAN_ROWS,)
+
+
+def test_unobserved_cs_scans_build_no_row_lock_head(monkeypatch):
+    sim, db = make_scan_db()
+    built = []
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an unobserved scan built a wait object")
+
+    class RecordingHead(locks_module._LockHead):
+        def __init__(self, resource):
+            built.append(resource)
+            super().__init__(resource)
+    monkeypatch.setattr(locks_module, "_Request", forbidden)
+    monkeypatch.setattr(locks_module, "Event", forbidden)
+    monkeypatch.setattr(locks_module, "_LockHead", RecordingHead)
+    before = db.locks.metrics.acquires
+    assert cs_counts(sim, db, RANGE, 1)() == (50,)
+    assert cs_counts(sim, db, TABLE_SCAN, 1)() == (SCAN_ROWS,)
+    assert built == [("table", "t"), ("table", "s")]
+    # Still 250 row requests + 2 intents on the books, 250 of them avoided.
+    assert db.locks.metrics.acquires - before == 50 + SCAN_ROWS + 2
+    assert db.locks.metrics.avoided == 50 + SCAN_ROWS
+    assert db.locks.metrics.waits == 0 and db.locks.heads == {}
+
+
+def contended_range(sim, db):
+    """One round: a writer X-holds k=1025, the CS reader runs the range
+    into it, the writer commits, the reader finishes. Returns what the
+    lock table looked like while the reader was blocked."""
+    writer, reader = db.session("RR"), db.session("CS")
+    state = {}
+
+    def read():
+        state["count"] = yield from reader.query_one(*RANGE)
+        yield from reader.commit()
+
+    def work():
+        yield from writer.execute("UPDATE t SET v = v + 1 WHERE k = 1025")
+        sim.spawn(read())
+        yield Timeout(1.0)
+        state["waiting"] = db.locks.waiting_txns()
+        state["held"] = reader.txn.lock_count
+        yield from writer.commit()
+
+    def run():
+        sim.run_process(work())
+        sim.run()
+        return state
+    return run
+
+
+def test_cs_index_range_with_one_row_x_held(benchmark):
+    sim, db = make_scan_db()
+    assert benchmark(contended_range(sim, db))["count"] == (50,)
+
+
+def test_contended_cs_range_blocks_holding_real_row_locks():
+    sim, db = make_scan_db()
+    state = contended_range(sim, db)()
+    assert state["count"] == (50,)
+    assert len(state["waiting"]) == 1
+    # The intent plus S on k = 1000..1024, taken one by one before it
+    # blocked on 1025; nothing was avoided.
+    assert state["held"] == 1 + 25
+    assert db.locks.metrics.waits == 1 and db.locks.metrics.avoided == 0
+    assert db.locks.heads == {}

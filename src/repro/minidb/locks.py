@@ -108,7 +108,8 @@ class _LockHead:
 
 @dataclass
 class LockMetrics:
-    acquires: int = 0
+    acquires: int = 0   # lock *requests*, avoided ones included
+    avoided: int = 0    # requests answered by ``reads_unobserved``
     waits: int = 0
     deadlocks: int = 0
     timeouts: int = 0
@@ -199,6 +200,48 @@ class LockManager:
     def _new_head(self, resource: Resource) -> _LockHead:
         head = self.heads[resource] = _LockHead(resource)
         return head
+
+    def reads_unobserved(self, txn, table: str, rids: list) -> bool:
+        """May ``txn`` read rows ``rids`` of ``table`` with no row locks?
+
+        True when S-locking each ``("row", table, rid)`` in turn through
+        :meth:`acquire` would grant every one at once, escalate nothing
+        and fail nothing — so a caller that releases them all again
+        before it next yields (a cursor-stability statement) holds locks
+        no other process can ever see: the simulator is cooperative, and
+        a process only yields inside ``acquire`` when it has to wait.
+        The requests are then billed (``acquires``, ``avoided``,
+        ``peak_locks``) exactly as ``acquire`` would have and nothing
+        enters the lock table. False changes nothing: the caller takes
+        the locks one by one.
+        """
+        if self.sim.injector.enabled:
+            return False  # every arrival at lock.acquire:<db> must count
+        try:
+            txn.ensure_active()
+        except TransactionAborted:
+            return False  # the first ``acquire`` raises it
+        head = self.heads.get(("table", table))
+        if head is None or head.holders.get(txn.id) not in (LockMode.IS,
+                                                            LockMode.IX):
+            return False  # intent not held, or an escalated covering lock
+        count = len(rids)
+        total = self._total_locks + count
+        config = self.config
+        if total > config.locklist_size or (
+                config.lock_escalation and txn.row_lock_count(table) + count
+                > config.maxlocks_fraction * config.locklist_size):
+            return False  # some row would escalate or exhaust the locklist
+        heads = self.heads
+        for rid in rids:
+            if ("row", table, rid) in heads:
+                return False  # a holder or a waiter: someone could see us
+        metrics = self.metrics
+        metrics.acquires += count
+        metrics.avoided += count
+        if total > metrics.peak_locks:
+            metrics.peak_locks = total
+        return True
 
     def _acquire_raw(self, txn, resource: Resource, mode: LockMode,
                      timeout: Optional[float] = None):

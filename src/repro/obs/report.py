@@ -2,7 +2,8 @@
 
 ``render_report(tracer, registry)`` returns the human-readable summary
 printed by ``python -m repro trace``: top lock hotspots (total virtual
-time spent waiting per resource), the phase-2 retry breakdown (attempts,
+time spent waiting per resource), lock requests per database
+(requested / avoided / waited), the phase-2 retry breakdown (attempts,
 outcomes, abort causes) and a per-operation latency table with
 p50/p95/p99/max drawn from the registry's span histograms.
 """
@@ -73,6 +74,18 @@ def lock_hotspots(spans: List[dict], top: int = 10) -> List[dict]:
     return ranked[:top]
 
 
+def lock_requests(registry) -> List[List[str]]:
+    """Per database with any lock traffic: requested / avoided / waited,
+    from the registry's ``locks.<db>.*`` counter groups."""
+    counters = registry.snapshot()
+    dbs = sorted(name[len("locks."):-len(".acquires")] for name in counters
+                 if name.startswith("locks.") and name.endswith(".acquires")
+                 and counters[name])
+    return [[db] + [str(counters.get(f"locks.{db}.{key}", 0))
+                    for key in ("acquires", "avoided", "waits")]
+            for db in dbs]
+
+
 def phase2_breakdown(spans: List[dict]) -> dict:
     """Summarize ``dlfm.phase2`` attempt spans per verb."""
     verbs: dict = defaultdict(lambda: {
@@ -122,6 +135,13 @@ def render_report(tracer, registry) -> str:
               _fmt(e["writer_wait"]), _fmt(e["max_wait"]),
               str(e["deadlocks"]), str(e["timeouts"])]
              for e in hotspots])
+
+    lock_rows = lock_requests(registry)
+    if lock_rows:
+        lines += _table(
+            "Lock requests (avoided = cursor-stability reads nobody could "
+            "observe: billed, never taken)",
+            ["db", "requested", "avoided", "waited"], lock_rows)
 
     phase2 = phase2_breakdown(spans)
     if phase2:

@@ -7,7 +7,13 @@ rules implemented here are the ones the paper's lessons depend on:
 * under **RR** read locks are held to commit and, with next-key locking
   on, the key past the end of every index range is S-locked (phantom
   protection); under **CS** read locks on qualifying rows last until the
-  end of the statement and non-qualifying rows are released immediately;
+  end of the statement and non-qualifying rows are released immediately
+  — only locks the scan itself took, never one the transaction already
+  held, and also when the statement fails. A plain CS ``SELECT`` (no
+  join, no ``FOR UPDATE``) whose row locks nobody could observe — no
+  lock head on any row it will read, no escalation due, no injector
+  armed: ``LockManager.reads_unobserved`` — takes none at all; they are
+  billed as requests and counted in ``LockMetrics.avoided``;
 * **index maintenance** (insert/delete of index entries) X-locks the next
   key whenever ``next_key_locking`` is configured on, regardless of
   isolation — this is the behaviour DLFM disabled (E3);
@@ -112,33 +118,48 @@ class Executor:
 
         produced: list[tuple] = []
         order_keys: list[tuple] = []
-        cs_locks: list = []
-
-        scanned = yield from self._scan_access(
-            txn, plan.access, params, {}, read_mode, cs_locks,
-            write_scan=plan.for_update, si=si_read)
-        for rid, row in scanned:
-            env = {binding: row}
-            if plan.join is not None:
-                inner_rows = yield from self._scan_access(
-                    txn, plan.join.access, params, env, LockMode.S, cs_locks,
-                    write_scan=False, si=si_read)
-                for inner_rid, inner_row in inner_rows:
-                    env2 = dict(env)
-                    env2[plan.join.access.binding] = inner_row
-                    if not self._passes(plan.join_filter, env2, params):
-                        continue
-                    if not self._passes(plan.filter, env2, params):
-                        continue
-                    self._emit(plan, env2, params, produced, order_keys)
-            else:
-                if not self._passes(plan.filter, env, params):
-                    self._maybe_release_cs(txn, plan, rid)
+        # CS: the row locks this statement's scans newly took (never one
+        # the transaction already held), in scan order; all are gone
+        # when the statement ends.
+        cs_read = txn.isolation == "CS" and not plan.for_update
+        cs_locks: Optional[dict] = {} if cs_read else None
+        locks = self.db.locks
+        row_filter = plan.filter
+        try:
+            scanned = yield from self._scan_access(
+                txn, plan.access, params, {}, read_mode, cs_locks,
+                write_scan=plan.for_update, si=si_read,
+                avoid_locks=cs_read and plan.join is None)
+            for rid, row in scanned:
+                env = {binding: row}
+                if plan.join is not None:
+                    inner_rows = yield from self._scan_access(
+                        txn, plan.join.access, params, env, LockMode.S,
+                        cs_locks, write_scan=False, si=si_read)
+                    for inner_rid, inner_row in inner_rows:
+                        env2 = dict(env)
+                        env2[plan.join.access.binding] = inner_row
+                        if not self._passes(plan.join_filter, env2, params):
+                            continue
+                        if not self._passes(plan.filter, env2, params):
+                            continue
+                        self._emit(plan, env2, params, produced, order_keys)
+                    continue
+                if row_filter is not None and not row_filter(env, params):
+                    # None (unknown) and False both disqualify. CS: a
+                    # scanned row that did not qualify is unlocked now.
+                    if cs_locks:
+                        resource = ("row", plan.table.name, rid)
+                        if resource in cs_locks:
+                            del cs_locks[resource]
+                            locks.release(txn, resource)
                     continue
                 self._emit(plan, env, params, produced, order_keys)
-
-        if txn.isolation == "CS" and not plan.for_update:
-            self._release_cs_locks(txn, cs_locks)
+        finally:
+            # ... and the qualifying ones at statement end, also when the
+            # statement fails.
+            for resource in cs_locks or ():
+                locks.release(txn, resource)
 
         if plan.aggregates is not None:
             return [self._aggregate_row(plan, produced, order_keys)]
@@ -200,70 +221,74 @@ class Executor:
     # ------------------------------------------------------------------ scans
 
     def _scan_access(self, txn, access: AccessPath, params: tuple,
-                     outer_env: dict, row_mode: LockMode, cs_locks: list,
-                     write_scan: bool, si: bool = False):
+                     outer_env: dict, row_mode: LockMode,
+                     cs_locks: Optional[dict], write_scan: bool,
+                     si: bool = False, avoid_locks: bool = False):
         """Lock-and-fetch all rows the access path touches.
 
         Returns list of (rid, row). ``row_mode`` is the lock taken on each
         examined row (S for reads; write scans take S then convert
-        qualifying rows later). With ``si`` the scan is lock-free: rows
+        qualifying rows later); the row locks the scan newly took are
+        noted in ``cs_locks`` (when given) for the caller's early
+        release. With ``si`` the scan is lock-free: rows
         resolve through the version chains at the transaction's begin
-        snapshot (own writes read the slot).
+        snapshot (own writes read the slot). ``avoid_locks`` is for a
+        statement that drops every S lock again before it next yields:
+        the lock manager is asked once whether anybody could observe
+        them; if not, the rows are fetched in the same order and no
+        lock is taken (DESIGN §9).
         """
         heap = self.db.heaps[access.table]
-        rows: list = []
         if si:
             return self._scan_snapshot(txn, access, params, outer_env)
+        table = access.table
+        locks = self.db.locks
+        key_protect = False
         if access.kind == "table_scan":
             self.db.metrics.table_scans += 1
-            for rid, _ in list(heap.scan()):
-                newly = yield from self.db.locks.acquire(
-                    txn, ("row", access.table, rid), row_mode)
-                row = heap.fetch(rid)  # re-fetch: may have changed while blocked
-                if row is None:
-                    if newly:
-                        self.db.locks.release(txn, ("row", access.table, rid))
-                    continue
-                if newly:
-                    cs_locks.append(("row", access.table, rid))
-                rows.append((rid, row))
-            return rows
+            matches = [(None, rid) for rid, _ in heap.scan()]
+        else:
+            self.db.metrics.index_scans += 1
+            probe = access.probe
+            btree = self.db.btrees[probe.index.name]
+            eq_values = [expr(outer_env, params) for expr in probe.eq_exprs]
+            lo_vals = list(eq_values)
+            hi_vals = list(eq_values)
+            lo_inc = hi_inc = True
+            if probe.lo is not None:
+                lo_vals.append(probe.lo[0](outer_env, params))
+                lo_inc = probe.lo[1]
+            if probe.hi is not None:
+                hi_vals.append(probe.hi[0](outer_env, params))
+                hi_inc = probe.hi[1]
+            lo = tuple(lo_vals) if lo_vals else None
+            hi = tuple(hi_vals) if hi_vals else None
+            # ARIES/KVL: each key read under RR is S-locked for commit
+            # duration, so inserters' next-key X locks collide with us.
+            key_protect = (self.db.config.next_key_locking
+                           and txn.isolation == "RR")
+            matches = list(btree.scan_range(lo, lo_inc, hi, hi_inc))
 
-        self.db.metrics.index_scans += 1
-        probe = access.probe
-        btree = self.db.btrees[probe.index.name]
-        eq_values = [expr(outer_env, params) for expr in probe.eq_exprs]
-        lo_vals = list(eq_values)
-        hi_vals = list(eq_values)
-        lo_inc = hi_inc = True
-        if probe.lo is not None:
-            lo_vals.append(probe.lo[0](outer_env, params))
-            lo_inc = probe.lo[1]
-        if probe.hi is not None:
-            hi_vals.append(probe.hi[0](outer_env, params))
-            hi_inc = probe.hi[1]
-        lo = tuple(lo_vals) if lo_vals else None
-        hi = tuple(hi_vals) if hi_vals else None
+        fetch = heap.fetch
+        if avoid_locks and locks.reads_unobserved(
+                txn, table, [rid for _, rid in matches]):
+            return [(rid, row) for _, rid in matches
+                    if (row := fetch(rid)) is not None]
 
-        key_protect = (self.db.config.next_key_locking
-                       and txn.isolation == "RR")
-        matches = list(btree.scan_range(lo, lo_inc, hi, hi_inc))
+        rows: list = []
         for ekey, rid in matches:
             if key_protect:
-                # ARIES/KVL: each key read under RR is S-locked for commit
-                # duration, so inserters' next-key X locks collide with us.
-                yield from self.db.locks.acquire(
-                    txn, ("key", access.table, probe.index.name, ekey),
-                    LockMode.S)
-            newly = yield from self.db.locks.acquire(
-                txn, ("row", access.table, rid), row_mode)
-            row = heap.fetch(rid)
+                yield from locks.acquire(
+                    txn, ("key", table, probe.index.name, ekey), LockMode.S)
+            resource = ("row", table, rid)
+            newly = yield from locks.acquire(txn, resource, row_mode)
+            row = fetch(rid)  # after the lock: may have changed while blocked
             if row is None:
                 if newly:
-                    self.db.locks.release(txn, ("row", access.table, rid))
+                    locks.release(txn, resource)
                 continue
-            if newly:
-                cs_locks.append(("row", access.table, rid))
+            if newly and cs_locks is not None:
+                cs_locks[resource] = None
             rows.append((rid, row))
 
         # Phantom protection: under RR with next-key locking, lock the key
@@ -273,9 +298,8 @@ class Executor:
             next_key = (btree.next_key_after(boundary) if boundary is not None
                         else INFINITY_KEY)
             nk_mode = LockMode.X if write_scan else LockMode.S
-            yield from self.db.locks.acquire(
-                txn, ("key", access.table, probe.index.name, next_key),
-                nk_mode)
+            yield from locks.acquire(
+                txn, ("key", table, probe.index.name, next_key), nk_mode)
         return rows
 
     def _scan_snapshot(self, txn, access: AccessPath, params: tuple,
@@ -347,15 +371,6 @@ class Executor:
         self.db.metrics.snapshot_candidates += len(candidates)
         self.db.metrics.snapshot_rows += len(rows)
         return rows
-
-    def _maybe_release_cs(self, txn, plan: SelectPlan, rid) -> None:
-        """CS: a scanned row that did not qualify is unlocked immediately."""
-        if txn.isolation == "CS" and not plan.for_update:
-            self.db.locks.release(txn, ("row", plan.table.name, rid))
-
-    def _release_cs_locks(self, txn, cs_locks: list) -> None:
-        for resource in cs_locks:
-            self.db.locks.release(txn, resource)
 
     # ------------------------------------------------------------------ INSERT
 
@@ -435,7 +450,9 @@ class Executor:
         table = plan.table
         yield from self.db.locks.acquire(
             txn, ("table", table.name), LockMode.IX)
-        cs_locks: list = []
+        # CS: a scanned row that does not qualify is unlocked at once —
+        # if this scan took the lock; one held from before stays.
+        cs_locks: Optional[dict] = {} if txn.isolation == "CS" else None
         scan_mode = (LockMode.U if self.db.config.update_locks
                      else LockMode.S)
         scanned = yield from self._scan_access(
@@ -447,7 +464,7 @@ class Executor:
         for rid, row in scanned:
             env = {binding: row}
             if not self._passes(plan.filter, env, params):
-                if txn.isolation == "CS":
+                if cs_locks and ("row", table.name, rid) in cs_locks:
                     self.db.locks.release(txn, ("row", table.name, rid))
                 continue
             yield from self.db.locks.acquire(
@@ -483,7 +500,8 @@ class Executor:
         table = plan.table
         yield from self.db.locks.acquire(
             txn, ("table", table.name), LockMode.IX)
-        cs_locks: list = []
+        # CS early release, as in run_update.
+        cs_locks: Optional[dict] = {} if txn.isolation == "CS" else None
         scan_mode = (LockMode.U if self.db.config.update_locks
                      else LockMode.S)
         scanned = yield from self._scan_access(
@@ -495,7 +513,7 @@ class Executor:
         for rid, row in scanned:
             env = {binding: row}
             if not self._passes(plan.filter, env, params):
-                if txn.isolation == "CS":
+                if cs_locks and ("row", table.name, rid) in cs_locks:
                     self.db.locks.release(txn, ("row", table.name, rid))
                 continue
             yield from self.db.locks.acquire(

@@ -54,6 +54,17 @@ def _comparable(a, b) -> bool:
     return type(a) is type(b)
 
 
+def _missing_param(index: int, params: tuple) -> SQLTypeError:
+    return SQLTypeError(
+        f"statement has parameter ?{index + 1} but only "
+        f"{len(params)} values were supplied")
+
+
+def _incomparable(a, display: str, b) -> SQLTypeError:
+    return SQLTypeError(
+        f"cannot compare {type(a).__name__} {display} {type(b).__name__}")
+
+
 def compile_expr(expr: ast.Expr, scope: Scope) -> Compiled:
     """Compile ``expr`` to ``fn(env, params) -> value``."""
     if isinstance(expr, ast.Literal):
@@ -64,9 +75,7 @@ def compile_expr(expr: ast.Expr, scope: Scope) -> Compiled:
         index = expr.index
         def run_param(env, params):
             if index >= len(params):
-                raise SQLTypeError(
-                    f"statement has parameter ?{index + 1} but only "
-                    f"{len(params)} values were supplied")
+                raise _missing_param(index, params)
             return params[index]
         return run_param
 
@@ -75,19 +84,41 @@ def compile_expr(expr: ast.Expr, scope: Scope) -> Compiled:
         return lambda env, params: env[binding][pos]
 
     if isinstance(expr, ast.Comparison):
-        left = compile_expr(expr.left, scope)
-        right = compile_expr(expr.right, scope)
         op = _CMP[expr.op]
         display = expr.op
+        if (isinstance(expr.left, ast.ColumnRef)
+                and isinstance(expr.right, (ast.Param, ast.Literal))):
+            # ``column <op> ?`` / ``column <op> literal`` — the shape of
+            # nearly every WHERE conjunct, evaluated once per scanned
+            # row: one closure, no calls into sub-expressions. Same
+            # evaluation order and errors as the general form below.
+            binding, pos = scope.resolve(expr.left)
+            operand = expr.right
+            index = operand.index if isinstance(operand, ast.Param) else None
+            literal = None if index is not None else operand.value
+            def run_cmp_column(env, params):
+                a = env[binding][pos]
+                if index is None:
+                    b = literal
+                elif index < len(params):
+                    b = params[index]
+                else:
+                    raise _missing_param(index, params)
+                if a is None or b is None:
+                    return None
+                if type(a) is not type(b) and not _comparable(a, b):
+                    raise _incomparable(a, display, b)
+                return op(a, b)
+            return run_cmp_column
+        left = compile_expr(expr.left, scope)
+        right = compile_expr(expr.right, scope)
         def run_cmp(env, params):
             a = left(env, params)
             b = right(env, params)
             if a is None or b is None:
                 return None
             if not _comparable(a, b):
-                raise SQLTypeError(
-                    f"cannot compare {type(a).__name__} {display} "
-                    f"{type(b).__name__}")
+                raise _incomparable(a, display, b)
             return op(a, b)
         return run_cmp
 

@@ -3,9 +3,10 @@ Fig-4 claim that SQL commit acquires no locks."""
 
 import pytest
 
-from repro.errors import CatalogError
+from repro.errors import CatalogError, SQLTypeError
 from repro.kernel import Simulator, Timeout
 from repro.minidb import Database, DBConfig
+from repro.minidb.locks import LockMode
 
 
 def make_db(sim, **cfg):
@@ -138,3 +139,74 @@ def test_drop_unknown_index_raises():
         return True
 
     assert sim.run_process(drop()) is True
+
+
+@pytest.mark.parametrize("scan", [
+    "SELECT k FROM t WHERE v = 99",
+    "UPDATE t SET v = 1 WHERE v = 99",
+    "DELETE FROM t WHERE v = 99",
+])
+def test_cs_scan_keeps_the_transactions_own_write_lock(scan):
+    """A CS scan unlocks the non-qualifying rows *it* locked — never a
+    row the transaction had already written: the table scan examines
+    k=3 (v=7, does not qualify) and must leave its X lock alone."""
+    sim = Simulator()
+    db = make_db(sim, isolation="CS", next_key_locking=False)
+    seen = {}
+
+    def writer():
+        session = db.session("CS")
+        yield from session.execute("UPDATE t SET v = 7 WHERE k = 3")
+        held = [r for r in db.locks.heads if r[0] == "row"]
+        assert db.explain(scan)["access"] == "table_scan"
+        yield from session.execute(scan)
+        assert [r for r in db.locks.heads if r[0] == "row"] == held
+        assert db.locks.holders_of(held[0]) == {session.txn.id: LockMode.X}
+        yield Timeout(5.0)
+        yield from session.rollback()
+
+    def reader():
+        session = db.session("CS")
+        yield Timeout(1.0)
+        seen["v"] = yield from session.query_one("SELECT v FROM t WHERE k = 3")
+        seen["at"] = sim.now
+        yield from session.commit()
+
+    sim.spawn(writer())
+    sim.spawn(reader())
+    sim.run()
+    assert seen == {"v": (0,), "at": 5.0}    # never the dirty 7
+
+
+@pytest.mark.parametrize("contended", [False, True])
+def test_cs_select_that_fails_releases_its_scan_locks(contended):
+    """``a = 1`` with ``a TEXT`` raises on the first row examined; the
+    rows the scan had S-locked must not stay locked until commit.
+    ``contended``: another reader holds S on a row, so the scan really
+    takes its locks one by one (no avoidance, DESIGN §9)."""
+    sim = Simulator()
+    db = Database(sim, "iso", DBConfig(isolation="CS"))
+
+    def go():
+        session = db.session()
+        yield from session.execute("CREATE TABLE s (a TEXT, b INT)")
+        for b in range(5):
+            yield from session.execute(
+                "INSERT INTO s (a, b) VALUES (?, ?)", (f"a{b}", b))
+        yield from session.commit()
+        other = db.session("RS")
+        others = 0
+        if contended:
+            yield from other.execute("SELECT b FROM s WHERE b = 2")
+            others = other.txn.lock_count
+        with pytest.raises(SQLTypeError, match="cannot compare str = int"):
+            yield from session.execute("SELECT b FROM s WHERE a = 1")
+        assert session.txn.lock_count == 1       # the table intent
+        assert db.locks.holders_of(("table", "s"))[session.txn.id] \
+            == LockMode.IS
+        assert db.locks.total_locks == others + 1
+        yield from session.commit()
+        yield from other.commit()
+        assert db.locks.heads == {}
+
+    sim.run_process(go())

@@ -148,6 +148,7 @@ def test_sharded_scenario_exports_per_shard_counter_groups():
     for name in ("shard1", "shard2", "shard3"):
         assert f"dlfm.{name}.rpcs" in snapshot
         assert f"locks.{name}.acquires" in snapshot
+        assert f"locks.{name}.avoided" in snapshot
         assert f"wal.{name}.forces" in snapshot
         assert f"mvcc.{name}.snapshot_candidates" in snapshot
         assert f"mvcc.{name}.snapshot_rows" in snapshot
@@ -155,3 +156,12 @@ def test_sharded_scenario_exports_per_shard_counter_groups():
     # Per-shard attribution survives into the rendered report.
     text = render_report(tracer, registry)
     assert "dlfm.shard2.rpcs" in text
+    # ... and the lock report says, per database, how many requests were
+    # made, avoided (billed, never taken) and waited for.
+    header = next(line for line in text.splitlines()
+                  if line.startswith("db ") and "requested" in line)
+    assert header.split() == ["db", "requested", "avoided", "waited"]
+    row = next(line.split() for line in text.splitlines()
+               if line.startswith("shard2 "))
+    assert row[1:] == [str(snapshot[f"locks.shard2.{key}"])
+                       for key in ("acquires", "avoided", "waits")]

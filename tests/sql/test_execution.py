@@ -277,3 +277,39 @@ def test_select_after_txn_abort_raises(loaded):
         yield from session.commit()
         return result.scalar()
     assert loaded.sim.run_process(go()) == 50
+
+
+def test_column_vs_operand_closure_equals_the_general_form():
+    """``column <op> ?|literal`` compiles to one direct closure; the
+    mirrored ``? <op'> column`` still takes the general nested form and
+    is the oracle: same value, NULL → unknown, same error class."""
+    from repro.minidb.catalog import ColumnDef, TableDef
+    from repro.sql import ast
+    from repro.sql.expr import Scope, compile_expr
+
+    scope = Scope({"t": TableDef("t", [ColumnDef("c", "INT")])})
+    column = ast.ColumnRef("c")
+    mirror = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+    values = [None, 0, 1, 2.5, True, "a", "b"]
+
+    def outcome(compiled, env, params):
+        try:
+            return compiled(env, params)
+        except SQLTypeError as error:
+            return type(error), "supplied" in str(error)
+
+    for op, mirrored in mirror.items():
+        general = compile_expr(
+            ast.Comparison(mirrored, ast.Param(0), column), scope)
+        direct = compile_expr(ast.Comparison(op, column, ast.Param(0)), scope)
+        assert direct.__name__ == "run_cmp_column"
+        assert general.__name__ == "run_cmp"
+        for a in values:
+            env = {"t": (a,)}
+            assert outcome(direct, env, ()) == outcome(general, env, ())
+            for b in values:
+                expected = outcome(general, env, (b,))
+                assert outcome(direct, env, (b,)) == expected, (a, op, b)
+                literal = compile_expr(
+                    ast.Comparison(op, column, ast.Literal(b)), scope)
+                assert outcome(literal, env, ()) == expected, (a, op, b)
