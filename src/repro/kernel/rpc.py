@@ -24,7 +24,7 @@ from repro.kernel.sim import TIMEOUT, Event, Simulator, Timeout
 IDEMPOTENT_VERBS = frozenset({"Commit", "Abort", "ListIndoubt"})
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     payload: Any
     reply: Event

@@ -1,4 +1,14 @@
-"""Core of the discrete-event kernel: clock, processes, events, timers."""
+"""Core of the discrete-event kernel: clock, processes, events, timers.
+
+The pending heap holds ``(when, seq, target, value)``. A sleeping, woken
+or newly spawned process is its own heap entry — ``target`` is the
+:class:`Process` and the run loop steps it with ``value`` — so the
+common suspensions build no callback. A :class:`Timer` (``target`` is
+the timer, ``value`` unused) exists only where somebody keeps the handle
+to cancel it or wants an arbitrary function run: :meth:`Simulator.after`,
+the timeout of an ``event.wait(timeout)``. Either kind draws one ``seq``
+per push, so same-instant entries run in push order whatever their kind.
+"""
 
 from __future__ import annotations
 
@@ -149,7 +159,8 @@ class _Waiter:
             self.timer.cancel()
         if self.proc._pending_waiter is self:
             self.proc._pending_waiter = None
-        self.proc.sim._schedule_now(lambda: self.proc._step(value))
+        sim = self.proc.sim
+        sim._resume(self.proc, value, sim.now)
 
     def _expire(self) -> None:
         if self.done:
@@ -190,7 +201,7 @@ class Process:
         self.error: Optional[BaseException] = None
         self._killed = False
         self._pending_waiter: Optional["_Waiter"] = None
-        sim._schedule_now(lambda: self._step(None))
+        sim._resume(self, None, sim.now)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         state = "done" if self.finished else "live"
@@ -273,7 +284,8 @@ class Process:
 
     def _dispatch(self, item: Any) -> None:
         if isinstance(item, Timeout):
-            self.sim.after(item.delay, lambda: self._step(None))
+            sim = self.sim
+            sim._resume(self, None, sim.now + item.delay)
         elif isinstance(item, _Wait):
             _Waiter(self, item.event, item.timeout)
         else:
@@ -297,7 +309,8 @@ class Simulator:
         self.injector = injector if injector is not None else NULL_INJECTOR
         self.injector.bind(self)
         self._current_proc: Optional[Process] = None
-        self._heap: list[tuple[float, int, Timer]] = []
+        #: (when, seq, Process to step | Timer to fire, resume value)
+        self._heap: list[tuple[float, int, Any, Any]] = []
         self._seq = itertools.count()
         self._failures: list[tuple[Process, BaseException]] = []
         self._rng_cache: dict[str, random.Random] = {}
@@ -315,11 +328,13 @@ class Simulator:
         if delay < 0:
             raise SimError(f"negative delay {delay!r}")
         timer = Timer(fn, self.now + delay)
-        heapq.heappush(self._heap, (timer.when, next(self._seq), timer))
+        heapq.heappush(self._heap, (timer.when, next(self._seq), timer, None))
         return timer
 
-    def _schedule_now(self, fn: Callable[[], None]) -> Timer:
-        return self.after(0.0, fn)
+    def _resume(self, proc: Process, value: Any, when: float) -> None:
+        """Step ``proc`` with ``value`` at ``when`` (not cancelable: a
+        killed or finished process ignores the step)."""
+        heapq.heappush(self._heap, (when, next(self._seq), proc, value))
 
     def spawn(self, gen: Generator, name: str = "") -> Process:
         """Register ``gen`` as a process; it starts at the current time."""
@@ -340,15 +355,20 @@ class Simulator:
         """
         if stop_when is not None and stop_when():
             return
-        while self._heap:
-            when, _, timer = self._heap[0]
+        heap = self._heap
+        while heap:
+            when = heap[0][0]
             if until is not None and when > until:
                 break
-            heapq.heappop(self._heap)
-            if timer.cancelled:
+            _, _, target, value = heapq.heappop(heap)
+            if type(target) is Process:
+                self.now = when
+                target._step(value)
+            elif target.cancelled:
                 continue
-            self.now = when
-            timer.fn()
+            else:
+                self.now = when
+                target.fn()
             if raise_failures and self._failures:
                 proc, error = self._failures[0]
                 raise SimError(f"process {proc.name} failed") from error

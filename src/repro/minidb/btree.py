@@ -9,17 +9,29 @@ lesson §3.2.1/§4 (experiment E3).
 Indexes are memory-resident and rebuilt from the heap at restart, so index
 maintenance needs no WAL records (documented substitution; DB2 logs index
 pages, but recovery observable behaviour is the same).
+
+The tree is keyed by the whole entry ``(ekey, rid)``, separators
+included: a separator is the first *entry* of its right subtree, so an
+insert or a delete bisects its way to exactly one leaf however many
+duplicates of ``ekey`` the index holds, and a scan descends by the
+1-tuple ``(elo,)``, which sorts just before every entry whose key starts
+with ``elo`` (``(elo + INFINITY_KEY,)`` sorts just after the last of
+them). Entries are therefore globally sorted by ``(ekey, rid)``
+whatever the insert history — the order :meth:`BTree.bulk_load` builds,
+so a tree grown by inserts and the tree restart rebuilds from a
+checkpoint image scan identically (DESIGN.md §9, §11).
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right, insort
 from typing import Iterator, Optional
 
 from repro.errors import DuplicateKeyError
 from repro.minidb.storage import Rid
 
 #: Sorts after every real key; the lock resource for "insert at end".
+#: Appended to a key prefix it sorts after every key with that prefix.
 INFINITY_KEY = ((9, None),)
 
 
@@ -40,8 +52,15 @@ def encode_value(value) -> tuple:
     raise TypeError(f"unindexable value {value!r}")
 
 
+_NULL = (0, 0)
+
+
 def encode_key(values: tuple) -> tuple:
-    return tuple(encode_value(v) for v in values)
+    """:func:`encode_value` over a key, the scalar cases written out."""
+    return tuple([_NULL if v is None
+                  else (1, v) if isinstance(v, (int, float))
+                  else (2, v) if isinstance(v, str)
+                  else encode_value(v) for v in values])
 
 
 class _Leaf:
@@ -56,7 +75,7 @@ class _Inner:
     __slots__ = ("keys", "children")
 
     def __init__(self, keys: list, children: list) -> None:
-        self.keys = keys          # separator i = min key of children[i+1]
+        self.keys = keys          # separator i = min entry of children[i+1]
         self.children = children
 
 
@@ -80,35 +99,45 @@ class BTree:
 
     def insert(self, key_values: tuple, rid: Rid) -> None:
         ekey = encode_key(key_values)
-        if self.unique and self._exists(ekey):
+        if self.unique and self._equal_run(ekey):
             raise DuplicateKeyError(
                 f"duplicate key {key_values!r} in unique index {self.name}")
-        split = self._insert(self._root, ekey, rid)
-        if split is not None:
-            sep, right = split
-            self._root = _Inner([sep], [self._root, right])
+        entry = (ekey, rid)
+        path = []
+        node = self._root
+        while type(node) is _Inner:
+            idx = bisect_right(node.keys, entry)
+            path.append((node, idx))
+            node = node.children[idx]
+        insort(node.entries, entry)
         self._count += 1
+        if len(node.entries) <= self.order:
+            return
+        sep, right = self._split_leaf(node)
+        while path:
+            node, idx = path.pop()
+            node.keys.insert(idx, sep)
+            node.children.insert(idx + 1, right)
+            if len(node.children) <= self.order:
+                return
+            sep, right = self._split_inner(node)
+        self._root = _Inner([sep], [self._root, right])
 
     def delete(self, key_values: tuple, rid: Rid) -> bool:
         """Remove one (key, rid) entry; returns False if absent."""
-        ekey = encode_key(key_values)
-        leaf = self._leaf_for(ekey)
-        while leaf is not None:
-            idx = bisect.bisect_left(leaf.entries, (ekey, rid))
-            if idx < len(leaf.entries) and leaf.entries[idx] == (ekey, rid):
-                del leaf.entries[idx]
-                self._count -= 1
-                return True
-            if leaf.entries and leaf.entries[0][0] > ekey:
-                return False
-            leaf = leaf.next
+        entry = (encode_key(key_values), rid)
+        entries = self._leaf_for(entry).entries
+        idx = bisect_left(entries, entry)
+        if idx < len(entries) and entries[idx] == entry:
+            del entries[idx]
+            self._count -= 1
+            return True
         return False
 
     # -- lookup ------------------------------------------------------------------
 
     def search_eq(self, key_values: tuple) -> list[Rid]:
-        ekey = encode_key(key_values)
-        return [rid for _, rid in self._scan_encoded(ekey, True, ekey, True)]
+        return [rid for _, rid in self._equal_run(encode_key(key_values))]
 
     def scan_range(self, lo: Optional[tuple], lo_inclusive: bool,
                    hi: Optional[tuple], hi_inclusive: bool
@@ -116,11 +145,24 @@ class BTree:
         """Yield ``(encoded_key, rid)`` for keys in the given bounds.
 
         Bounds are *prefix* key-value tuples (may cover only leading
-        columns); ``None`` means unbounded on that side.
+        columns) and compare against the same-length prefix of each key
+        (SQL range semantics: ``a > 5`` excludes every key whose first
+        column is 5); ``None`` means unbounded on that side. Equal bounds
+        (an equality probe) are encoded once: equal values encode equal.
         """
         elo = encode_key(lo) if lo is not None else None
-        ehi = encode_key(hi) if hi is not None else None
-        yield from self._scan_encoded(elo, lo_inclusive, ehi, hi_inclusive)
+        if hi == lo:
+            ehi = elo
+        else:
+            ehi = encode_key(hi) if hi is not None else None
+        # As entry bounds: (e,) sorts just before every entry whose key
+        # starts with e, (e + INFINITY_KEY,) just after the last of them.
+        low = high = None
+        if elo is not None:
+            low = (elo,) if lo_inclusive else (elo + INFINITY_KEY,)
+        if ehi is not None:
+            high = (ehi + INFINITY_KEY,) if hi_inclusive else (ehi,)
+        yield from self._run(low, high)
 
     def next_key_after(self, key_values: Optional[tuple]) -> tuple:
         """Smallest encoded key strictly greater than ``key_values``.
@@ -129,76 +171,59 @@ class BTree:
         :data:`INFINITY_KEY` when no such key exists — the lock manager
         uses it as the "end of index" lock resource.
         """
-        ekey = encode_key(key_values) if key_values is not None else None
-        for found, _ in self._scan_encoded(ekey, False, None, True):
-            return found
+        low = ((encode_key(key_values) + INFINITY_KEY,)
+               if key_values is not None else None)
+        leaf, idx = self._seek(low)
+        while leaf is not None:
+            if idx < len(leaf.entries):
+                return leaf.entries[idx][0]
+            leaf, idx = leaf.next, 0
         return INFINITY_KEY
 
     # -- internals ----------------------------------------------------------------
 
-    def _exists(self, ekey: tuple) -> bool:
-        for _ in self._scan_encoded(ekey, True, ekey, True):
-            return True
-        return False
+    def _equal_run(self, ekey: tuple) -> list:
+        """Every entry whose key is, or starts with, ``ekey``."""
+        return self._run((ekey,), (ekey + INFINITY_KEY,))
 
-    def _scan_encoded(self, elo, lo_inclusive, ehi, hi_inclusive):
-        # Bounds are prefixes: a bound covering only leading columns
-        # compares against the same-length prefix of each key (SQL range
-        # semantics: ``a > 5`` excludes every key whose first column is 5).
-        if elo is None:
-            leaf, start = self._leftmost(), 0
-        else:
-            # Entries sort by (ekey, rid) and a prefix sorts before every
-            # key it prefixes, so (elo,) bisects to the first entry whose
-            # prefix is >= elo; from there on the low bound always holds,
-            # except that an exclusive bound still skips its equal run.
-            leaf = self._leaf_for(elo)
-            start = bisect.bisect_left(leaf.entries, (elo,))
-        skip_equal = elo is not None and not lo_inclusive
+    def _run(self, low: Optional[tuple], high: Optional[tuple]) -> list:
+        """Every entry ``e`` with ``low <= e < high``, in order (None is
+        unbounded): one descent, then one bisect per leaf — no entry is
+        compared one by one."""
+        leaf, start = self._seek(low)
+        found: list = []
         while leaf is not None:
-            for ekey, rid in leaf.entries[start:] if start else leaf.entries:
-                if skip_equal:
-                    if ekey[: len(elo)] == elo:
-                        continue
-                    skip_equal = False
-                if ehi is not None:
-                    prefix = ekey[: len(ehi)]
-                    if prefix > ehi or (prefix == ehi and not hi_inclusive):
-                        return
-                yield ekey, rid
+            entries = leaf.entries
+            stop = (len(entries) if high is None
+                    else bisect_left(entries, high, start))
+            found += entries[start:stop]
+            if stop < len(entries):
+                break
             leaf, start = leaf.next, 0
+        return found
+
+    def _seek(self, bound: Optional[tuple]):
+        """``(leaf, index)`` of the first entry ``>= bound`` — possibly
+        one past the leaf's end, when that entry opens the next leaf."""
+        if bound is None:
+            return self._leftmost(), 0
+        leaf = self._leaf_for(bound)
+        return leaf, bisect_left(leaf.entries, bound)
 
     def _leftmost(self) -> _Leaf:
         node = self._root
-        while isinstance(node, _Inner):
+        while type(node) is _Inner:
             node = node.children[0]
         return node
 
-    def _leaf_for(self, ekey: tuple) -> _Leaf:
-        # bisect_left so a search key equal to a separator descends LEFT:
-        # duplicates of the separator key may live in the left subtree.
+    def _leaf_for(self, bound: tuple) -> _Leaf:
+        """The one leaf ``bound`` belongs in: an entry ``(ekey, rid)``, or
+        a scan's 1-tuple bound. Separators are entries, and an entry equal
+        to a separator is the first of the right subtree."""
         node = self._root
-        while isinstance(node, _Inner):
-            idx = bisect.bisect_left(node.keys, ekey)
-            node = node.children[idx]
+        while type(node) is _Inner:
+            node = node.children[bisect_right(node.keys, bound)]
         return node
-
-    def _insert(self, node, ekey: tuple, rid: Rid):
-        if isinstance(node, _Leaf):
-            bisect.insort(node.entries, (ekey, rid))
-            if len(node.entries) > self.order:
-                return self._split_leaf(node)
-            return None
-        idx = bisect.bisect_right(node.keys, ekey)
-        split = self._insert(node.children[idx], ekey, rid)
-        if split is None:
-            return None
-        sep, right = split
-        node.keys.insert(idx, sep)
-        node.children.insert(idx + 1, right)
-        if len(node.children) > self.order:
-            return self._split_inner(node)
-        return None
 
     def _split_leaf(self, leaf: _Leaf):
         mid = len(leaf.entries) // 2
@@ -207,7 +232,7 @@ class BTree:
         leaf.entries = leaf.entries[:mid]
         right.next = leaf.next
         leaf.next = right
-        return right.entries[0][0], right
+        return right.entries[0], right
 
     def _split_inner(self, node: _Inner):
         mid = len(node.children) // 2
@@ -238,9 +263,9 @@ class BTree:
         """Reload from ``(encoded_key, rid)`` pairs, in any order.
 
         Sorts the run once, then builds bottom-up: sequential leaf fills
-        chained left-to-right, then inner levels over their minimum keys
-        — the classic LOAD-style build, with no per-pair descent or
-        splits. Duplicate keys are kept (entries are (key, rid) pairs);
+        chained left-to-right, then inner levels over their minimum
+        entries — the classic LOAD-style build, with no per-pair descent
+        or splits. Duplicate keys are kept (entries are (key, rid) pairs);
         uniqueness is bypassed: callers pass checkpoint images or
         pre-checked LOAD runs that were consistent when taken.
         """
@@ -249,7 +274,7 @@ class BTree:
         self._count = len(entries)
         if not entries:
             return
-        level: list[tuple[tuple, object]] = []
+        level: list[tuple[tuple, object]] = []  # (min entry, node)
         previous: Optional[_Leaf] = None
         for start in range(0, len(entries), self.order):
             leaf = _Leaf()
@@ -257,12 +282,12 @@ class BTree:
             if previous is not None:
                 previous.next = leaf
             previous = leaf
-            level.append((leaf.entries[0][0], leaf))
+            level.append((leaf.entries[0], leaf))
         while len(level) > 1:
             parents = []
             for start in range(0, len(level), self.order):
                 group = level[start:start + self.order]
-                node = _Inner([key for key, _ in group[1:]],
+                node = _Inner([low for low, _ in group[1:]],
                               [child for _, child in group])
                 parents.append((group[0][0], node))
             level = parents
@@ -272,7 +297,7 @@ class BTree:
     def nlevels(self) -> int:
         levels = 1
         node = self._root
-        while isinstance(node, _Inner):
+        while type(node) is _Inner:
             levels += 1
             node = node.children[0]
         return levels

@@ -13,7 +13,8 @@ plan went bad again" failure mode DLFM guards against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from operator import itemgetter
+from typing import Callable, Optional
 
 from repro.errors import CatalogError
 
@@ -52,6 +53,17 @@ class IndexDef:
     table: str
     columns: tuple[str, ...]
     unique: bool
+    #: ``row -> key values`` (always a tuple, also for one column),
+    #: resolved from the column positions when the index is created: a
+    #: table's columns never move, and every row pays this per index.
+    key_of: Callable[[tuple], tuple] = field(repr=False, compare=False)
+
+
+def _key_extractor(positions: list[int]) -> Callable[[tuple], tuple]:
+    if len(positions) == 1:
+        position = positions[0]
+        return lambda row: (row[position],)
+    return itemgetter(*positions)
 
 
 @dataclass
@@ -100,9 +112,9 @@ class Catalog:
         if name in self.indexes:
             raise CatalogError(f"index {name} already exists")
         tdef = self.require_table(table)
-        for column in columns:
-            tdef.position(column)  # validates
-        index = IndexDef(name, table, tuple(columns), unique)
+        positions = [tdef.position(column) for column in columns]  # validates
+        index = IndexDef(name, table, tuple(columns), unique,
+                         _key_extractor(positions))
         self.indexes[name] = index
         self.indexes_by_table[table].append(index)
         return index

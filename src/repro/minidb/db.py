@@ -582,7 +582,7 @@ class Database:
     def apply_index_insert(self, table, row: tuple, rid) -> None:
         pending = self._bulk_loads.get(table.name)
         for index in self.catalog.indexes_by_table.get(table.name, []):
-            key = tuple(row[table.position(c)] for c in index.columns)
+            key = index.key_of(row)
             if pending is not None:
                 pending[index.name].add(rid, key)
                 self.metrics.bulk_entries_deferred += 1
@@ -597,16 +597,15 @@ class Database:
             heap.mark_off_index(index.name, rid)
             if pending is not None and pending[index.name].drop(rid):
                 continue  # entry was still deferred; undo is a dict pop
-            key = tuple(row[table.position(c)] for c in index.columns)
             self.unbilled_index_entries += 1
-            self.btrees[index.name].delete(key, rid)
+            self.btrees[index.name].delete(index.key_of(row), rid)
 
     def apply_index_update(self, table, old_row: tuple, new_row: tuple,
                            rid) -> None:
         pending = self._bulk_loads.get(table.name)
         for index in self.catalog.indexes_by_table.get(table.name, []):
-            old_key = tuple(old_row[table.position(c)] for c in index.columns)
-            new_key = tuple(new_row[table.position(c)] for c in index.columns)
+            old_key = index.key_of(old_row)
+            new_key = index.key_of(new_row)
             if old_key == new_key:
                 continue
             self.heaps[table.name].mark_off_index(index.name, rid)
@@ -698,10 +697,8 @@ class Database:
                                               stmt.columns, stmt.unique)
             btree = BTree(index.name, index.table, index.columns,
                           index.unique, self.config.btree_order)
-            table = self.catalog.require_table(stmt.table)
             for rid, row in self.heaps[stmt.table].scan():
-                key = tuple(row[table.position(c)] for c in index.columns)
-                btree.insert(key, rid)
+                btree.insert(index.key_of(row), rid)
             self.btrees[index.name] = btree
             # Built from current slots: any live chain may hold an older
             # key the new tree has no entry for.

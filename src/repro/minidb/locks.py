@@ -184,7 +184,14 @@ class LockManager:
                 self._grant(self._new_head(table_res), txn, intent, new=True)
             elif covering is None or _SUP[covering, intent] != covering:
                 yield from self._acquire_raw(txn, table_res, intent, timeout)
-            if self._should_escalate(txn, table):
+            # Every row lock a transaction holds is one of the
+            # ``_total_locks`` entries, so while one more entry stays
+            # within both bounds neither of them can be crossed and there
+            # is nothing to check; at a bound the full check decides.
+            due = self._total_locks + 1
+            size = self.config.locklist_size
+            if ((due > size or due > self.config.maxlocks_fraction * size)
+                    and self._should_escalate(txn, table)):
                 yield from self._escalate(txn, table, mode)
                 return False
         head = self.heads.get(resource)

@@ -161,7 +161,6 @@ def _recover_instant(db) -> dict:
     # ---- chain-driven per-index repair (no full-heap rebuild) -------------
     for index in db.catalog.indexes.values():
         btree = db.btrees[index.name]
-        table = db.catalog.require_table(index.table)
         image = db.disk.load_index_image(index.name)
         if image is None and db.disk.page_numbers(index.table):
             # No checkpoint image but durable heap pages exist: the index
@@ -170,8 +169,7 @@ def _recover_instant(db) -> dict:
             # at the price of replaying this one table eagerly.
             btree.clear()
             for rid, row in db.heaps[index.table].scan():
-                key = tuple(row[table.position(c)] for c in index.columns)
-                btree.insert(key, rid)
+                btree.insert(index.key_of(row), rid)
             continue
         if image is None:
             # No image and no durable pages: every row the index should
@@ -184,13 +182,9 @@ def _recover_instant(db) -> dict:
             if not record.redoable or record.table != index.table:
                 continue
             if record.before is not None:
-                key = tuple(record.before[table.position(c)]
-                            for c in index.columns)
-                btree.delete(key, record.rid)
+                btree.delete(index.key_of(record.before), record.rid)
             if record.after is not None:
-                key = tuple(record.after[table.position(c)]
-                            for c in index.columns)
-                btree.insert(key, record.rid)
+                btree.insert(index.key_of(record.after), record.rid)
 
     # ---- eager undo + indoubt resurrection, then re-checkpoint ------------
     # Undo maintains the indexes directly (they already hold crash-time
@@ -263,10 +257,8 @@ def _recover_classic(db) -> dict:
     for index in db.catalog.indexes.values():
         btree = db.btrees[index.name]
         btree.clear()
-        table = db.catalog.require_table(index.table)
         for rid, row in db.heaps[index.table].scan():
-            key = tuple(row[table.position(c)] for c in index.columns)
-            btree.insert(key, rid)
+            btree.insert(index.key_of(row), rid)
 
     db.checkpoint()
     _close_traffic_gate(db)

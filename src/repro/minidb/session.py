@@ -181,7 +181,11 @@ class Session:
             # Statement-level failure: undo this statement only.
             self.db._undo_to(txn, upto_lsn=statement_start)
             raise
-        yield from self._charge_io()
+        if (self.db.pool.metrics.unbilled_io
+                or self.db.unbilled_index_entries):
+            # Most statements find their pages in the pool and touch no
+            # index: nothing to bill, no generator to build.
+            yield from self._charge_io()
         return result
 
     def _plan_or_ddl(self, sql: str):

@@ -51,7 +51,7 @@ FORGET = "FORGET"    # 2PC decision (COMMIT-record payload) forgotten
 _REDOABLE = frozenset({INSERT, DELETE, UPDATE, CLR})
 
 
-@dataclass
+@dataclass(slots=True)
 class LogRecord:
     """One WAL entry. ``undo_next`` is only set for CLRs.
 

@@ -251,18 +251,8 @@ class Executor:
             self.db.metrics.index_scans += 1
             probe = access.probe
             btree = self.db.btrees[probe.index.name]
-            eq_values = [expr(outer_env, params) for expr in probe.eq_exprs]
-            lo_vals = list(eq_values)
-            hi_vals = list(eq_values)
-            lo_inc = hi_inc = True
-            if probe.lo is not None:
-                lo_vals.append(probe.lo[0](outer_env, params))
-                lo_inc = probe.lo[1]
-            if probe.hi is not None:
-                hi_vals.append(probe.hi[0](outer_env, params))
-                hi_inc = probe.hi[1]
-            lo = tuple(lo_vals) if lo_vals else None
-            hi = tuple(hi_vals) if hi_vals else None
+            lo, lo_inc, hi, hi_inc = self._probe_bounds(probe, outer_env,
+                                                        params)
             # ARIES/KVL: each key read under RR is S-locked for commit
             # duration, so inserters' next-key X locks collide with us.
             key_protect = (self.db.config.next_key_locking
@@ -294,13 +284,29 @@ class Executor:
         # Phantom protection: under RR with next-key locking, lock the key
         # past the end of the scanned range.
         if key_protect:
-            boundary = (tuple(hi_vals) if hi_vals else None)
-            next_key = (btree.next_key_after(boundary) if boundary is not None
+            next_key = (btree.next_key_after(hi) if hi is not None
                         else INFINITY_KEY)
             nk_mode = LockMode.X if write_scan else LockMode.S
             yield from locks.acquire(
                 txn, ("key", table, probe.index.name, next_key), nk_mode)
         return rows
+
+    @staticmethod
+    def _probe_bounds(probe, outer_env: dict, params: tuple):
+        """``(lo, lo_inclusive, hi, hi_inclusive)`` of an index probe.
+
+        Bounds are prefix key-value tuples, None when that side is open.
+        """
+        eq_values = [expr(outer_env, params) for expr in probe.eq_exprs]
+        lo = hi = tuple(eq_values) if eq_values else None
+        lo_inc = hi_inc = True
+        if probe.lo is not None:
+            lo = (*eq_values, probe.lo[0](outer_env, params))
+            lo_inc = probe.lo[1]
+        if probe.hi is not None:
+            hi = (*eq_values, probe.hi[0](outer_env, params))
+            hi_inc = probe.hi[1]
+        return lo, lo_inc, hi, hi_inc
 
     def _scan_snapshot(self, txn, access: AccessPath, params: tuple,
                        outer_env: dict) -> list:
@@ -326,18 +332,7 @@ class Executor:
         self.db.metrics.index_scans += 1
         probe = access.probe
         btree = self.db.btrees[probe.index.name]
-        eq_values = [expr(outer_env, params) for expr in probe.eq_exprs]
-        lo_vals = list(eq_values)
-        hi_vals = list(eq_values)
-        lo_inc = hi_inc = True
-        if probe.lo is not None:
-            lo_vals.append(probe.lo[0](outer_env, params))
-            lo_inc = probe.lo[1]
-        if probe.hi is not None:
-            hi_vals.append(probe.hi[0](outer_env, params))
-            hi_inc = probe.hi[1]
-        lo = tuple(lo_vals) if lo_vals else None
-        hi = tuple(hi_vals) if hi_vals else None
+        lo, lo_inc, hi, hi_inc = self._probe_bounds(probe, outer_env, params)
         elo = encode_key(lo) if lo is not None else None
         ehi = encode_key(hi) if hi is not None else None
 
@@ -350,15 +345,13 @@ class Executor:
         candidates.extend(rid for rid in heap.off_index_rids(probe.index.name)
                           if rid not in seen)
 
-        table = self.db.catalog.tables[access.table]
-        columns = probe.index.columns
+        key_of = probe.index.key_of
         rows: list = []
         for rid in candidates:
             row = heap.snapshot_fetch(rid, ts, own)
             if row is None:
                 continue
-            ekey = encode_key(
-                tuple(row[table.position(c)] for c in columns))
+            ekey = encode_key(key_of(row))
             if elo is not None:
                 prefix = ekey[:len(elo)]
                 if prefix < elo or (prefix == elo and not lo_inc):
@@ -413,9 +406,8 @@ class Executor:
             # Bulk LOAD skips key-value locks: deferred entries are not
             # in the B-tree, so next-key resources are meaningless, and
             # the loader is the table's only writer by contract.
-            from repro.minidb.btree import encode_key
             for index in indexes:
-                key = self._index_key(table, index, row)
+                key = index.key_of(row)
                 yield from self.db.locks.acquire(
                     txn, ("key", table.name, index.name, encode_key(key)),
                     LockMode.X)
@@ -428,14 +420,15 @@ class Executor:
         # except under bulk LOAD, where the insert is deferred and this
         # check, extended over the deferred entries, decides).
         for index in indexes:
-            if index.unique and not self._has_null_key(table, index, row):
-                key = self._index_key(table, index, row)
-                if (self.db.btrees[index.name].search_eq(key)
-                        or self.db.bulk_pending_duplicate(
-                            table.name, index.name, key)):
-                    raise DuplicateKeyError(
-                        f"duplicate key {key!r} for unique index "
-                        f"{index.name}")
+            if not index.unique:
+                continue
+            key = index.key_of(row)
+            if None not in key and (
+                    self.db.btrees[index.name].search_eq(key)
+                    or self.db.bulk_pending_duplicate(
+                        table.name, index.name, key)):
+                raise DuplicateKeyError(
+                    f"duplicate key {key!r} for unique index {index.name}")
 
         self.db.log_write("INSERT", txn, table.name, rid, before=None,
                           after=row)
@@ -461,34 +454,45 @@ class Executor:
         binding = plan.access.binding
         count = 0
         heap = self.db.heaps[table.name]
-        for rid, row in scanned:
-            env = {binding: row}
-            if not self._passes(plan.filter, env, params):
-                if cs_locks and ("row", table.name, rid) in cs_locks:
-                    self.db.locks.release(txn, ("row", table.name, rid))
-                continue
-            yield from self.db.locks.acquire(
-                txn, ("row", table.name, rid), LockMode.X)
-            # SI: the scan saw the snapshot version; with the X lock held,
-            # first-writer-wins — any version committed past the snapshot
-            # aborts us. When it passes, the slot equals the snapshot row.
-            self.db.write_conflict_check(txn, table.name, rid)
-            current = heap.fetch(rid)
-            if current is None:
-                continue
-            new_row = list(current)
-            env = {binding: current}
-            for position, compiled in plan.assignments:
-                new_row[position] = compiled(env, params)
-            new_row = tuple(new_row)
-            self._typecheck(table, new_row)
-            yield from self._index_maintenance_locks(
-                txn, table, current, new_row)
-            self.db.log_write("UPDATE", txn, table.name, rid,
-                              before=current, after=new_row)
-            heap.update(rid, new_row)
-            self.db.apply_index_update(table, current, new_row, rid)
-            count += 1
+        locks = self.db.locks
+        try:
+            for rid, row in scanned:
+                resource = ("row", table.name, rid)
+                env = {binding: row}
+                if not self._passes(plan.filter, env, params):
+                    if cs_locks and resource in cs_locks:
+                        del cs_locks[resource]
+                        locks.release(txn, resource)
+                    continue
+                yield from locks.acquire(txn, resource, LockMode.X)
+                if cs_locks:
+                    cs_locks.pop(resource, None)  # now X: held to commit
+                # SI: the scan saw the snapshot version; with the X lock
+                # held, first-writer-wins — any version committed past the
+                # snapshot aborts us. When it passes, the slot equals the
+                # snapshot row.
+                self.db.write_conflict_check(txn, table.name, rid)
+                current = heap.fetch(rid)
+                if current is None:
+                    continue
+                new_row = list(current)
+                env = {binding: current}
+                for position, compiled in plan.assignments:
+                    new_row[position] = compiled(env, params)
+                new_row = tuple(new_row)
+                self._typecheck(table, new_row)
+                yield from self._index_maintenance_locks(
+                    txn, table, current, new_row)
+                self.db.log_write("UPDATE", txn, table.name, rid,
+                                  before=current, after=new_row)
+                heap.update(rid, new_row)
+                self.db.apply_index_update(table, current, new_row, rid)
+                count += 1
+        finally:
+            # A statement that fails mid-loop never examined the rest of
+            # its scan: those S locks must not outlive it either.
+            for resource in cs_locks or ():
+                locks.release(txn, resource)
         self.db.metrics.rows_updated += count
         if count:
             self.db.note_mutation(table.name, count)
@@ -510,25 +514,33 @@ class Executor:
         binding = plan.access.binding
         count = 0
         heap = self.db.heaps[table.name]
-        for rid, row in scanned:
-            env = {binding: row}
-            if not self._passes(plan.filter, env, params):
-                if cs_locks and ("row", table.name, rid) in cs_locks:
-                    self.db.locks.release(txn, ("row", table.name, rid))
-                continue
-            yield from self.db.locks.acquire(
-                txn, ("row", table.name, rid), LockMode.X)
-            self.db.write_conflict_check(txn, table.name, rid)
-            current = heap.fetch(rid)
-            if current is None:
-                continue
-            yield from self._index_maintenance_locks(
-                txn, table, current, None)
-            self.db.log_write("DELETE", txn, table.name, rid,
-                              before=current, after=None)
-            heap.delete(rid)
-            self.db.apply_index_delete(table, current, rid)
-            count += 1
+        locks = self.db.locks
+        try:
+            for rid, row in scanned:
+                resource = ("row", table.name, rid)
+                env = {binding: row}
+                if not self._passes(plan.filter, env, params):
+                    if cs_locks and resource in cs_locks:
+                        del cs_locks[resource]
+                        locks.release(txn, resource)
+                    continue
+                yield from locks.acquire(txn, resource, LockMode.X)
+                if cs_locks:
+                    cs_locks.pop(resource, None)
+                self.db.write_conflict_check(txn, table.name, rid)
+                current = heap.fetch(rid)
+                if current is None:
+                    continue
+                yield from self._index_maintenance_locks(
+                    txn, table, current, None)
+                self.db.log_write("DELETE", txn, table.name, rid,
+                                  before=current, after=None)
+                heap.delete(rid)
+                self.db.apply_index_delete(table, current, rid)
+                count += 1
+        finally:
+            for resource in cs_locks or ():
+                locks.release(txn, resource)
         self.db.metrics.rows_deleted += count
         if count:
             self.db.note_mutation(table.name, count)
@@ -540,13 +552,12 @@ class Executor:
         if (not self.db.config.next_key_locking
                 or self.db.in_bulk_load(table.name)):
             return
-        from repro.minidb.btree import encode_key
         for index in self.db.catalog.indexes_by_table.get(table.name, []):
             btree = self.db.btrees[index.name]
-            old_key = self._index_key(table, index, old_row)
+            old_key = index.key_of(old_row)
             touched = [old_key]
             if new_row is not None:
-                new_key = self._index_key(table, index, new_row)
+                new_key = index.key_of(new_row)
                 if new_key == old_key:
                     continue  # this index is untouched by the update
                 touched.append(new_key)
@@ -560,14 +571,6 @@ class Executor:
                     LockMode.X)
 
     # ------------------------------------------------------------------ helpers
-
-    @staticmethod
-    def _index_key(table, index, row: tuple) -> tuple:
-        return tuple(row[table.position(c)] for c in index.columns)
-
-    @staticmethod
-    def _has_null_key(table, index, row: tuple) -> bool:
-        return any(row[table.position(c)] is None for c in index.columns)
 
     _PY_TYPES = {"INT": (int,), "FLOAT": (int, float), "TEXT": (str,),
                  "BOOL": (bool, int)}

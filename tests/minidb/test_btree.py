@@ -272,3 +272,166 @@ def test_bulk_load_replaces_prior_contents():
     assert tree.search_eq(("old",)) == []
     assert tree.search_eq(("new",)) == [(0, 0)]
     assert len(tree) == 1
+
+
+# ------------------------------------------------- (ekey, rid) order, modelled
+
+few_keys = st.tuples(st.one_of(st.none(), st.integers(0, 2)),
+                     st.one_of(st.none(), st.integers(0, 1)))
+small_rids = st.tuples(st.integers(0, 30), st.integers(0, 3))
+insert_op = st.tuples(st.just("insert"), few_keys, small_rids)
+model_ops = st.lists(
+    st.one_of(insert_op, insert_op, insert_op,
+              st.tuples(st.just("delete"), st.integers(0, 10_000)),
+              st.tuples(st.just("delete-absent"), few_keys, small_rids),
+              st.tuples(st.just("bulk"))),
+    max_size=150)
+prefix_bound = st.one_of(
+    st.none(),
+    st.tuples(st.one_of(st.none(), st.integers(-1, 3))),
+    st.tuples(st.one_of(st.none(), st.integers(-1, 3)),
+              st.one_of(st.none(), st.integers(-1, 2))))
+
+
+@pytest.mark.parametrize("order", [4, 64])
+@pytest.mark.parametrize("unique", [False, True])
+@settings(max_examples=50, deadline=None)
+@given(ops=model_ops, bounds=st.lists(st.tuples(prefix_bound, prefix_bound),
+                                      max_size=3))
+def test_property_entries_sort_by_key_then_rid_whatever_the_history(
+        order, unique, ops, bounds):
+    """The tree against a plain set of ``(ekey, rid)`` pairs: few
+    distinct keys (NULL components included) so duplicate runs span
+    leaves, inserts landing in the middle of a run, deletes, and a
+    ``bulk_load`` of the current contents in mid-run (what restart does).
+    At the end the tree lists its entries in sorted order — the order a
+    fresh ``bulk_load`` of the same pairs builds — and every probe
+    agrees with a filter over the sorted model."""
+    def decode(ekey):
+        return tuple(None if rank == 0 else value for rank, value in ekey)
+
+    tree = BTree("idx", "t", ("a", "b"), unique=unique, order=order)
+    model: set = set()
+    if not unique:
+        # Two runs of duplicates that already span leaves at this order,
+        # with rids the generated ones (slot < 4) fall in between.
+        for n in range(3 * order):
+            key, rid = ((1, None), (1, 0))[n % 2], (n % 31, 4 + n // 31)
+            tree.insert(key, rid)
+            model.add((encode_key(key), rid))
+    for op in ops:
+        if op[0] == "insert":
+            _, key, rid = op
+            pair = (encode_key(key), rid)
+            if unique and any(ekey == pair[0] for ekey, _ in model):
+                with pytest.raises(DuplicateKeyError):
+                    tree.insert(key, rid)
+            elif pair not in model:
+                tree.insert(key, rid)
+                model.add(pair)
+        elif op[0] == "delete" and model:
+            pair = sorted(model)[op[1] % len(model)]
+            assert tree.delete(decode(pair[0]), pair[1]) is True
+            model.remove(pair)
+        elif op[0] == "delete-absent":
+            _, key, rid = op
+            if (encode_key(key), rid) not in model:
+                assert tree.delete(key, rid) is False
+        elif op[0] == "bulk":
+            tree.bulk_load(list(model))
+        assert len(tree) == len(model)
+
+    expected = sorted(model)
+    assert list(tree.items()) == expected
+    rebuilt = BTree("idx", "t", ("a", "b"), unique=unique, order=order)
+    rebuilt.bulk_load(reversed(expected))
+    assert list(rebuilt.items()) == expected
+
+    for ekey, rid in expected:
+        assert rid in tree.search_eq(decode(ekey))
+    for lo, hi in bounds:
+        elo = encode_key(lo) if lo is not None else None
+        ehi = encode_key(hi) if hi is not None else None
+        for lo_inc in (True, False):
+            for hi_inc in (True, False):
+                def inside(ekey):
+                    if elo is not None:
+                        prefix = ekey[:len(elo)]
+                        if prefix < elo or (prefix == elo and not lo_inc):
+                            return False
+                    if ehi is not None:
+                        prefix = ekey[:len(ehi)]
+                        if prefix > ehi or (prefix == ehi and not hi_inc):
+                            return False
+                    return True
+                assert list(tree.scan_range(lo, lo_inc, hi, hi_inc)) == [
+                    pair for pair in expected if inside(pair[0])]
+        if lo is not None:
+            later = [ekey for ekey, _ in expected if ekey[:len(elo)] > elo]
+            assert tree.next_key_after(lo) == (later[0] if later
+                                               else INFINITY_KEY)
+            assert tree.search_eq(lo) == [
+                rid for ekey, rid in expected if ekey[:len(elo)] == elo]
+    assert tree.next_key_after(None) == (expected[0][0] if expected
+                                         else INFINITY_KEY)
+
+
+def test_a_late_insert_lands_inside_its_duplicate_run():
+    """The smallest case: 20 duplicates of one key fill several leaves
+    of an order-4 tree, then rid 3 arrives. It belongs between rids 2
+    and 10 — not wherever a descent by the bare key happens to drop it."""
+    tree = make(order=4)
+    for n in range(10, 30):
+        tree.insert((1,), (n, 0))
+    tree.insert((1,), (3, 0))
+    rids = [rid for _, rid in tree.scan_range((1,), True, (1,), True)]
+    assert rids == sorted(rids)
+    assert list(tree.items()) == sorted(tree.items())
+    rebuilt = make(order=4)
+    rebuilt.bulk_load(list(tree.items()))
+    assert list(rebuilt.items()) == list(tree.items())
+    assert tree.delete((1,), (3, 0)) is True and len(tree) == 20
+
+
+@pytest.mark.parametrize("bulk", [False, True])
+def test_an_entry_equal_to_a_separator_is_found_again(bulk):
+    """Separators are entries, so one can be deleted and come back as
+    the very same pair; insert, delete and scan must then all descend
+    to the same side of it."""
+    tree = make(order=4)
+    pairs = [(encode_key((1,)), (n, 0)) for n in range(40)]
+    if bulk:
+        tree.bulk_load(pairs)
+    else:
+        for _, rid in pairs:
+            tree.insert((1,), rid)
+    assert tree.nlevels > 2
+    for _, rid in pairs:
+        assert tree.delete((1,), rid) is True
+        tree.insert((1,), rid)
+        assert tree.delete((1,), rid) is True
+        assert rid not in tree.search_eq((1,))
+        tree.insert((1,), rid)
+        assert list(tree.items()) == pairs
+
+
+def test_equal_scan_bounds_are_encoded_once(monkeypatch):
+    """An equality probe's two bounds are equal, not necessarily one
+    object: either way the second ``encode_key`` is skipped, and a
+    genuine range still encodes both."""
+    from repro.minidb import btree as module
+    tree = make()
+    for k in (1, 2, 3):
+        tree.insert((k,), (k, 0))
+    calls = []
+    real = module.encode_key
+    monkeypatch.setattr(module, "encode_key",
+                        lambda values: calls.append(values) or real(values))
+    lo, hi = (2,), tuple([2])
+    assert lo is not hi
+    assert [rid for _, rid in tree.scan_range(lo, True, hi, True)] == [(2, 0)]
+    assert calls == [(2,)]
+    del calls[:]
+    assert [rid for _, rid in tree.scan_range((1,), False, (3,), False)] \
+        == [(2, 0)]
+    assert calls == [(1,), (3,)]

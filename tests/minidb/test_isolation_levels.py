@@ -178,12 +178,14 @@ def test_cs_scan_keeps_the_transactions_own_write_lock(scan):
     assert seen == {"v": (0,), "at": 5.0}    # never the dirty 7
 
 
-@pytest.mark.parametrize("contended", [False, True])
-def test_cs_select_that_fails_releases_its_scan_locks(contended):
-    """``a = 1`` with ``a TEXT`` raises on the first row examined; the
-    rows the scan had S-locked must not stay locked until commit.
-    ``contended``: another reader holds S on a row, so the scan really
-    takes its locks one by one (no avoidance, DESIGN §9)."""
+@pytest.mark.parametrize("statement", [
+    "UPDATE s SET b = b + 10 WHERE b < 2 OR a = 1",
+    "DELETE FROM s WHERE b < 2 OR a = 1"])
+def test_cs_write_that_fails_midway_keeps_x_and_earlier_locks(statement):
+    """Rows 0 and 1 qualify and are X-locked before ``a = 1`` raises on
+    row 2: the statement is undone but strict 2PL keeps those X locks,
+    and the X lock an earlier statement took on row 4 stays too — only
+    the scan's own S locks on rows 2 and 3 go."""
     sim = Simulator()
     db = Database(sim, "iso", DBConfig(isolation="CS"))
 
@@ -194,19 +196,58 @@ def test_cs_select_that_fails_releases_its_scan_locks(contended):
             yield from session.execute(
                 "INSERT INTO s (a, b) VALUES (?, ?)", (f"a{b}", b))
         yield from session.commit()
-        other = db.session("RS")
-        others = 0
-        if contended:
-            yield from other.execute("SELECT b FROM s WHERE b = 2")
-            others = other.txn.lock_count
+        yield from session.execute("UPDATE s SET b = b WHERE b = 4")
+        held = {r for r in session.txn._locks if r[0] == "row"}
+        assert len(held) == 1
         with pytest.raises(SQLTypeError, match="cannot compare str = int"):
-            yield from session.execute("SELECT b FROM s WHERE a = 1")
-        assert session.txn.lock_count == 1       # the table intent
-        assert db.locks.holders_of(("table", "s"))[session.txn.id] \
-            == LockMode.IS
-        assert db.locks.total_locks == others + 1
+            yield from session.execute(statement)
+        rows = {r for r in session.txn._locks if r[0] == "row"}
+        assert len(rows) == 3 and held < rows
+        assert all(db.locks.holders_of(r)[session.txn.id] == LockMode.X
+                   for r in rows - held)
+        assert sorted(db.table_rows("s")) == [
+            (f"a{b}", b) for b in range(5)]          # statement undone
         yield from session.commit()
-        yield from other.commit()
         assert db.locks.heads == {}
 
     sim.run_process(go())
+
+
+@pytest.mark.parametrize("contended", [False, True])
+def test_cs_select_that_fails_releases_its_scan_locks(contended):
+    """``a = 1`` with ``a TEXT`` raises on the first row examined; the
+    rows the scan had S-locked must not stay locked until commit — for a
+    SELECT, and for an UPDATE or DELETE whose loop never got to them.
+    ``contended``: another reader holds S on a row, so the scan really
+    takes its locks one by one (no avoidance, DESIGN §9)."""
+    for statement, intent in (
+            ("SELECT b FROM s WHERE a = 1", LockMode.IS),
+            ("UPDATE s SET b = 9 WHERE a = 1", LockMode.IX),
+            ("DELETE FROM s WHERE a = 1", LockMode.IX)):
+        sim = Simulator()
+        db = Database(sim, "iso", DBConfig(isolation="CS"))
+
+        def go():
+            session = db.session()
+            yield from session.execute("CREATE TABLE s (a TEXT, b INT)")
+            for b in range(5):
+                yield from session.execute(
+                    "INSERT INTO s (a, b) VALUES (?, ?)", (f"a{b}", b))
+            yield from session.commit()
+            other = db.session("RS")
+            others = 0
+            if contended:
+                yield from other.execute("SELECT b FROM s WHERE b = 2")
+                others = other.txn.lock_count
+            with pytest.raises(SQLTypeError,
+                               match="cannot compare str = int"):
+                yield from session.execute(statement)
+            assert session.txn.lock_count == 1, statement  # table intent
+            assert db.locks.holders_of(("table", "s"))[session.txn.id] \
+                == intent
+            assert db.locks.total_locks == others + 1
+            yield from session.commit()
+            yield from other.commit()
+            assert db.locks.heads == {}
+
+        sim.run_process(go())

@@ -306,3 +306,51 @@ def test_checkpoint_inside_a_commit_force_keeps_the_commit(instant, trigger):
     assert summary["losers"] == []
     assert summary["undone"] == 0
     assert len(all_rows(db)) == 9
+
+
+@pytest.mark.parametrize("instant", [True, False])
+@pytest.mark.parametrize("checkpoint", [True, False])
+def test_duplicate_key_scan_order_is_the_same_after_restart(instant,
+                                                            checkpoint):
+    """100 rows share ``k = 1``; row 5 leaves the key and comes back, so
+    its index entry is re-inserted into a run of duplicates that already
+    spans leaves. Index entries sort by ``(key, rid)`` across the whole
+    tree whatever the insert history (DESIGN §9), which is also the order
+    restart rebuilds (image + tail on the instant path, heap scan on the
+    classic one): a ``SELECT`` without ``ORDER BY`` returns its rows, and
+    takes its row locks, in the same order on both sides of a crash."""
+    sim = Simulator()
+    db = Database(sim, "r", DBConfig(instant_recovery=instant))
+
+    def setup():
+        session = db.session()
+        yield from session.execute("CREATE TABLE t (k INT, v INT)")
+        yield from session.execute("CREATE INDEX t_k ON t (k)")
+        for v in range(100):
+            yield from session.execute(
+                "INSERT INTO t (k, v) VALUES (1, ?)", (v,))
+        yield from session.commit()
+        db.set_table_stats("t", card=1_000_000, colcard={"k": 1_000_000})
+        yield from session.execute("UPDATE t SET k = 2 WHERE v = 5")
+        yield from session.execute("UPDATE t SET k = 1 WHERE v = 5")
+        yield from session.commit()
+
+    def scan():
+        session = db.session()
+        assert db.get_plan(
+            "SELECT v FROM t WHERE k = 1").access.kind == "index_scan"
+        result = yield from session.execute("SELECT v FROM t WHERE k = 1")
+        yield from session.commit()
+        return [v for (v,) in result.rows]
+
+    sim.run_process(setup())
+    if checkpoint:
+        db.checkpoint()
+    before = sim.run_process(scan())
+    db.crash()
+    db.restart()
+    db.set_table_stats("t", card=1_000_000, colcard={"k": 1_000_000})
+    after = sim.run_process(scan())
+    assert sorted(before) == list(range(100))
+    assert before == after
+    assert before == list(range(100))   # rid order: v was inserted in it

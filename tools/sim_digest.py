@@ -1,16 +1,19 @@
 """Digest of everything the simulated clock decides, at smoke size.
 
-Runs the four e2e workloads (``--smoke`` sizes, seed 42, untraced, one
-set-up) and prints one JSON object: per workload every ``sim_*``
-metric, ``attempted``/``committed``/``failed`` and the exact
-``counters`` block. A change that says it only touches the interpreter
-clock must leave this output byte-identical:
+Runs the four e2e workloads (``--smoke`` sizes, ``--seed`` 42 unless
+given, untraced, one set-up) and prints one JSON object: per workload
+every ``sim_*`` metric, ``attempted``/``committed``/``failed`` and the
+exact ``counters`` block. A change that says it only touches the
+interpreter clock must leave this output byte-identical, at both seeds
+CI keeps a golden file for:
 
     python3 tools/sim_digest.py | diff - tests/golden/e2e_smoke_sim.json
+    python3 tools/sim_digest.py --seed 7 \
+        | diff - tests/golden/e2e_smoke_sim_seed7.json
 
 A change that means to move simulated numbers regenerates the golden
-file (``python3 tools/sim_digest.py > tests/golden/e2e_smoke_sim.json``)
-and says so in its description.
+files (``python3 tools/sim_digest.py > tests/golden/e2e_smoke_sim.json``,
+and the same with ``--seed 7``) and says so in its description.
 
 Two things are left out because the simulated clock never sees them.
 Simulated seconds are rounded to 12 significant digits: the window's
@@ -22,21 +25,21 @@ counters: a page found in the pool costs no simulated time (only
 so code that simply looks at fewer rows moves it and nothing else.
 """
 
+import argparse
 import json
 import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SEED = 42
 
 
-def digest() -> dict:
+def digest(seed: int) -> dict:
     sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
     from benchmarks.e2e import cli
     from benchmarks.e2e.workloads import WORKLOADS
     out = {}
     for name in WORKLOADS:
-        run = cli.child(name, SEED, cli.SMOKE["seconds"],
+        run = cli.child(name, seed, cli.SMOKE["seconds"],
                         cli.SMOKE["preload"], 1, False)
         out[name] = {
             "sim": {k: float(f"{v:.12g}") for k, v in run["sim"].items()},
@@ -51,5 +54,8 @@ def digest() -> dict:
 
 
 if __name__ == "__main__":
-    json.dump(digest(), sys.stdout, indent=1, sort_keys=True)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=42)
+    json.dump(digest(parser.parse_args().seed), sys.stdout, indent=1,
+              sort_keys=True)
     print()
