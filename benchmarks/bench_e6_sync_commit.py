@@ -13,101 +13,20 @@ We reproduce the exact T1 / T11 / T2 scenario with both commit modes.
 """
 
 from benchmarks.conftest import print_table, run_once
-from repro.dlfm.config import DLFMConfig
-from repro.errors import TransactionAborted
-from repro.host import DatalinkSpec, HostConfig, build_url
-from repro.kernel.sim import Timeout
-from repro.system import System
+from repro.bench import ARMS, Configuration, e6_scenario
 
 HORIZON = 900.0
 
+#: The script and its configuration are the bench's E6 sentinel's
+#: (``paper()`` plus the declared overrides); only the horizon is ours.
+E6 = ARMS["e6_sentinel"]
+
 
 def _scenario(sync_commit: bool):
-    # RR + next-key locking at the DLFM: T1's commit-time scan of its own
-    # entries S-locks the key range boundary — T2's uncommitted insert
-    # holds it X (ARIES/KVL), which is the local wait the cycle needs.
-    dlfm_config = DLFMConfig.tuned()
-    dlfm_config.local_db.isolation = "RR"
-    dlfm_config.local_db.next_key_locking = True
-    dlfm_config.local_db.lock_timeout = 60.0
-    host_config = HostConfig(sync_commit=sync_commit)
-    # DB2's default LOCKTIMEOUT is -1 (wait forever); the paper's 60 s
-    # timeout is on the DLFM side. With a finite host timeout the cycle
-    # would eventually be broken by the host instead.
-    host_config.db.lock_timeout = 1e9
-    system = System(seed=5, dlfm_config=dlfm_config,
-                    host_config=host_config)
-    done = {"T1": None, "T11": None, "T2": None}
-
-    def setup():
-        yield from system.host.create_datalink_table(
-            "t", [("id", "INT"), ("f", "TEXT")], {"f": DatalinkSpec()})
-        for name in ("a", "b", "c"):
-            system.create_user_file("fs1", f"/d/{name}", owner="u")
-        # the host record 'x' that T11 and T2 both need
-        session = system.host.db.session()
-        yield from session.execute("CREATE TABLE hot (id INT, v INT)")
-        yield from session.execute(
-            "INSERT INTO hot (id, v) VALUES (1, 0)")
-        yield from session.commit()
-        system.host.db.set_table_stats("hot", card=1_000_000,
-                                       colcard={"id": 1_000_000})
-
-    system.run(setup())
-
-    def application_a():
-        """Runs T1, then immediately T11 on the same connection."""
-        session = system.session()
-        # T1: link /d/a; commit at t=0.5 so T2's sub-transaction is
-        # already holding its DLFM key locks when phase 2 scans.
-        yield from session.execute(
-            "INSERT INTO t (id, f) VALUES (?, ?)",
-            (1, build_url("fs1", "/d/a")))
-        yield Timeout(0.5)
-        yield from session.commit()
-        done["T1"] = system.sim.now
-        # T11: X-lock record x, then a LinkFile that must reach the SAME
-        # child agent (still busy with T1's commit in async mode).
-        try:
-            yield from session.execute(
-                "UPDATE hot SET v = 1 WHERE id = 1")
-            yield from session.execute(
-                "INSERT INTO t (id, f) VALUES (?, ?)",
-                (2, build_url("fs1", "/d/b")))
-            yield from session.commit()
-            done["T11"] = system.sim.now
-        except TransactionAborted:
-            yield from session.rollback()
-
-    def application_b():
-        """Runs T2: an open DLFM sub-transaction, then needs record x."""
-        session = system.session()
-        yield Timeout(0.1)  # link BEFORE T1 commits (holds its key locks)
-        try:
-            yield from session.execute(
-                "INSERT INTO t (id, f) VALUES (?, ?)",
-                (3, build_url("fs1", "/d/c")))
-            yield Timeout(2.0)  # sub-transaction stays open for a while
-            yield from session.execute(
-                "UPDATE hot SET v = 2 WHERE id = 1")
-            yield from session.commit()
-            done["T2"] = system.sim.now
-        except TransactionAborted:
-            yield from session.rollback()
-
-    def root():
-        system.sim.spawn(application_a(), "app-a")
-        system.sim.spawn(application_b(), "app-b")
-        yield Timeout(HORIZON)
-
-    system.run(root(), until=HORIZON)
-    dlfm = system.dlfms["fs1"]
-    return {
-        "done": dict(done),
-        "completed": sum(1 for v in done.values() if v is not None),
-        "commit_retries": dlfm.metrics.commit_retries,
-        "dlfm_timeouts": dlfm.db.locks.metrics.timeouts,
-    }
+    return e6_scenario(
+        Configuration(E6.base, {**E6.overrides,
+                                "host.sync_commit": sync_commit}),
+        horizon=HORIZON)
 
 
 def test_e6_sync_vs_async_commit(benchmark):

@@ -14,10 +14,7 @@ small active log. Arms: delete-group batch size N ∈ {whole group, 200,
 """
 
 from benchmarks.conftest import print_table, run_once
-from repro.dlfm.config import DLFMConfig
-from repro.host import DatalinkSpec, build_url
-from repro.kernel.sim import Timeout
-from repro.system import System
+from repro.bench import Configuration, e8_scenario
 
 FILES = 800
 WAL_CAPACITY = 500  # a whole-group transaction (800 records) cannot fit
@@ -25,44 +22,16 @@ HORIZON = 600.0
 
 
 def _run(batch_n: int):
-    config = DLFMConfig.tuned()
-    config.local_db.wal_capacity = WAL_CAPACITY
-    config.batch_commit_n = batch_n
-    config.commit_retry_delay = 5.0
-    system = System(seed=2, dlfm_config=config)
-    dlfm = system.dlfms["fs1"]
-
-    def setup():
-        yield from system.host.create_datalink_table(
-            "bulk", [("id", "INT"), ("doc", "TEXT")],
-            {"doc": DatalinkSpec(recovery=False)})
-        session = system.session()
-        for i in range(FILES):
-            path = f"/bulk/f{i:06d}"
-            system.create_user_file("fs1", path, owner="load")
-            yield from session.execute(
-                "INSERT INTO bulk (id, doc) VALUES (?, ?)",
-                (i, build_url("fs1", path)))
-            if (i + 1) % 50 == 0:
-                yield from session.commit()
-        yield from session.commit()
-
-    system.run(setup())
-    assert dlfm.linked_count() == FILES
-
-    def drop_and_wait():
-        session = system.session()
-        yield from session.drop_table("bulk")
-        yield from session.commit()
-        yield Timeout(HORIZON)
-
-    system.run(drop_and_wait(), until=HORIZON + 60)
-    return {
-        "unlinked": FILES - dlfm.linked_count(),
-        "log_fulls": dlfm.db.wal.metrics.log_fulls,
-        "batch_commits": dlfm.delete_groupd.batch_commits,
-        "completed": dlfm.linked_count() == 0,
-    }
+    """The bench's E8 sentinel scenario at the paper experiment's size,
+    under ``paper()`` on the uncalibrated clock."""
+    result = e8_scenario(
+        Configuration("paper", {"timing.enabled": False,
+                                "dlfm.local_db.wal_capacity": WAL_CAPACITY,
+                                "dlfm.batch_commit_n": batch_n,
+                                "dlfm.commit_retry_delay": 5.0}),
+        files=FILES, horizon=HORIZON)
+    assert result["linked"] == FILES
+    return result
 
 
 def test_e8_batched_commit_sweep(benchmark):

@@ -7,10 +7,11 @@ Commands:
 * ``trace`` — run a traced scenario, print the observability report
   (lock hotspots, phase-2 retries, latency percentiles); ``--json`` dumps
   the raw span events (deterministic: same seed → identical bytes).
-* ``bench`` — run the performance harness (RPC batching, WAL group
-  commit, daemon pools, scatter-gather 2PC, instant-vs-classic crash
-  restart) and write ``BENCH_PERF.json``; ``--check`` enforces the
-  acceptance gates, ``--quick`` is the CI scale.
+* ``bench`` — run the bench arms under the two shipped configurations
+  (the ``all_on`` fleet headline and its shard scaling, LOAD, 2PC
+  fan-out, daemon pools, instant-vs-classic crash restart, the E6/E8
+  sentinels) and write ``BENCH_PERF.json``; ``--check`` prints and
+  enforces each arm's gates, ``--quick`` is the CI scale.
 * ``chaos`` — run a seeded fault-injection campaign (crashes, RPC
   delays/duplicates, reply-dropping partitions) with cross-layer
   invariant checking; on violation writes a replayable
@@ -108,18 +109,7 @@ def cmd_bench(args) -> int:
     import json
     import os
 
-    from repro.bench import BenchConfig, check, run_bench
-
-    if args.quick:
-        cfg = BenchConfig.quick_config(seed=args.seed)
-    else:
-        cfg = BenchConfig(seed=args.seed)
-    if args.links is not None:
-        cfg.links = args.links
-    if args.clients is not None:
-        cfg.clients = args.clients
-    if args.txns is not None:
-        cfg.txns = args.txns
+    from repro.bench import BenchConfig, check, gate_results, run_bench
 
     # Carry the trajectory forward: each PR's entry is keyed by label, so
     # re-running replaces this PR's point but keeps earlier ones.
@@ -131,65 +121,22 @@ def cmd_bench(args) -> int:
         except (OSError, ValueError):
             history = None
 
-    doc = run_bench(cfg, history=history)
+    doc = run_bench(BenchConfig(seed=args.seed, quick=args.quick),
+                    history=history)
     with open(args.out, "w") as out:
         json.dump(doc, out, indent=2, sort_keys=True)
         out.write("\n")
 
     print(f"wrote {args.out}")
-    print(f"headline: {doc['headline']}")
-    for arm, stats in doc["bulk"]["arms"].items():
-        print(f"  {arm:<13} rpcs={stats['rpcs']:<6} "
-              f"wal_forces={stats['wal_forces']:<4} "
-              f"p95_txn={stats['p95_txn_s']}s")
-    recovery = doc["recovery"]
-    print(f"  restart       classic={recovery['classic']['first_commit_s']}s "
-          f"instant={recovery['instant']['first_commit_s']}s "
-          f"first-commit speedup={recovery['speedup']}x")
-    e1 = doc["e1"]
-    print(f"  e1 p95        off={e1['off']['p95_latency_s']}s "
-          f"fixed={e1['on']['p95_latency_s']}s "
-          f"auto={e1['auto']['p95_latency_s']}s")
-    burst = doc["burst"]
-    print(f"  burst         forces off={burst['off']['wal_forces']} "
-          f"auto={burst['auto']['wal_forces']} "
-          f"reduction={burst['force_reduction']}x")
-    rr_si = doc["rr_vs_si"]
-    print(f"  rr-vs-si      RR deadlocks={rr_si['rr']['deadlocks']} "
-          f"timeouts={rr_si['rr']['timeouts']} "
-          f"p95={rr_si['rr']['p95_txn_s']}s | "
-          f"SI deadlocks={rr_si['si']['deadlocks']} "
-          f"timeouts={rr_si['si']['timeouts']} "
-          f"p95={rr_si['si']['p95_txn_s']}s "
-          f"({rr_si['p95_improvement']}x)")
-    load = doc["load"]
-    print(f"  load          {load['files']} files in "
-          f"{load['load_sim_s']}s "
-          f"(previous row {doc['load_sim_s_ref']}s)")
-    metacat = doc["metacat"]
-    print(f"  metacat       interpolated="
-          f"{metacat['interpolated']['stmts_per_s']} stmt/s "
-          f"prepared={metacat['prepared']['stmts_per_s']} stmt/s "
-          f"({metacat['prepared_speedup']}x); plans "
-          f"auto={metacat['auto_probe_plan']} "
-          f"cold={metacat['cold']['probe_plan']} "
-          f"(runstats runs={metacat['ingest']['auto_runstats_runs']})")
-    headline_arm = doc["headline_arm"]
-    print(f"  headline      fixed={headline_arm['fixed']['ops_per_sec']} "
-          f"auto={headline_arm['adaptive']['ops_per_sec']} ops/s "
-          f"(speedup {headline_arm['speedup']}x)")
-    sweep = doc["shard_sweep"]
-    counts = doc["config"]["shard_counts"]
-    lo, hi = str(min(counts)), str(max(counts))
-    print(f"  shards        {lo}={sweep[lo]['txns_per_sec']} txn/s "
-          f"{hi}={sweep[hi]['txns_per_sec']} txn/s "
-          f"(scaling {sweep['scaling']}x)")
+    for line in doc["summary"].values():
+        print(f"  {line}")
+    if args.check:
+        for arm, text, passed in gate_results(doc):
+            print(f"  gate {'ok    ' if passed else 'FAILED'} {arm}: {text}")
     failures = check(doc)
     for failure in failures:
         print(f"CHECK FAILED: {failure}", file=sys.stderr)
-    if args.check and failures:
-        return 1
-    return 0
+    return 1 if args.check and failures else 0
 
 
 def cmd_chaos(args) -> int:
@@ -303,19 +250,13 @@ def main(argv=None) -> int:
                     help="also dump the raw trace events as JSON")
     tr.set_defaults(fn=cmd_trace)
 
-    bench = sub.add_parser("bench", help="run the perf harness "
-                           "(fast paths, daemons, 2PC fan-out, restart)")
+    bench = sub.add_parser("bench", help="run the bench arms (fleet, "
+                           "LOAD, 2PC fan-out, daemons, restart, E6/E8)")
     bench.add_argument("--seed", type=int, default=42)
-    bench.add_argument("--links", type=int, default=None,
-                       help="links per transaction (default 100)")
-    bench.add_argument("--clients", type=int, default=None,
-                       help="concurrent bulk clients (default 8)")
-    bench.add_argument("--txns", type=int, default=None,
-                       help="link transactions per client (default 2)")
     bench.add_argument("--out", default="BENCH_PERF.json",
                        help="output document (history is carried forward)")
     bench.add_argument("--quick", action="store_true",
-                       help="CI scale: shrink the E1 workload")
+                       help="CI scale: shrink the fleet arm")
     bench.add_argument("--check", action="store_true",
                        help="exit nonzero if an acceptance gate fails")
     bench.set_defaults(fn=cmd_bench)

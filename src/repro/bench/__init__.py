@@ -1,10 +1,10 @@
-"""Performance harness: ``python -m repro bench`` (DESIGN.md §9)."""
+"""The bench: ``python -m repro bench`` (DESIGN.md §9)."""
 
-from repro.bench.harness import (ARMS, BenchConfig, check, run_bench,
-                                 run_bulk_arm, run_e1_arm, run_e6_sentinel,
-                                 run_e8_sentinel, run_recovery,
-                                 run_recovery_arm)
+from repro.bench.arms import e6_scenario, e8_scenario
+from repro.bench.configs import Configuration, all_on, paper
+from repro.bench.harness import (ARMS, HISTORY_LABEL, Arm, BenchConfig,
+                                 check, gate_results, run_arm, run_bench)
 
-__all__ = ["ARMS", "BenchConfig", "check", "run_bench", "run_bulk_arm",
-           "run_e1_arm", "run_e6_sentinel", "run_e8_sentinel",
-           "run_recovery", "run_recovery_arm"]
+__all__ = ["ARMS", "Arm", "BenchConfig", "Configuration", "HISTORY_LABEL",
+           "all_on", "check", "e6_scenario", "e8_scenario", "gate_results",
+           "paper", "run_arm", "run_bench"]

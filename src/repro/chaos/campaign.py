@@ -186,8 +186,6 @@ def _corrupt_lost_version(system) -> bool:
     the base rows and ``lost-committed-version`` must fire."""
     for name in sorted(system.dlfms):
         db = system.dlfms[name].db
-        if not db.config.mvcc:
-            continue
         heap = db.heaps["dfm_file"]
         for rid, _row in sorted(heap.scan()):
             heap._versions[rid] = [(db.wal.tail_lsn, None)]
@@ -197,12 +195,9 @@ def _corrupt_lost_version(system) -> bool:
 
 def _corrupt_stale_merge(system) -> bool:
     """Force a merge pass with a watermark above every live snapshot."""
-    for name in sorted(system.dlfms):
-        db = system.dlfms[name].db
-        if db.config.mvcc:
-            db.merge_versions(watermark=db.wal.tail_lsn + 1)
-            return True
-    return False
+    db = system.dlfms[min(system.dlfms)].db
+    db.merge_versions(watermark=db.wal.tail_lsn + 1)
+    return True
 
 
 CORRUPTIONS = {

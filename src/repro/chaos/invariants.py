@@ -406,7 +406,7 @@ def _check_version_state(db, node: str, out: list) -> None:
     """
     for detail in db.version_violations:
         out.append(Violation("stale-merge", node, detail))
-    if not db.config.mvcc or db.txns.active:
+    if db.txns.active:
         return
     for table in sorted(db.catalog.tables):
         base = Counter(db.table_rows(table))

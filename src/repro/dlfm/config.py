@@ -30,9 +30,6 @@ class DLFMConfig:
     #: archived (transfer + local commit) by up to this many workers in
     #: parallel. 1 reproduces the historical strictly-serial daemon.
     copy_workers: int = 1
-    #: Capacity of the Copy daemon's claimed-work queue (0 = rendezvous
-    #: handoff: the sweeper blocks until a worker is free).
-    copy_queue_capacity: int = 0
     #: Retrieve-daemon worker processes serving concurrent restores.
     retrieve_workers: int = 1
     #: Capacity of the Retrieve daemon's request channel (restore
@@ -43,10 +40,6 @@ class DLFMConfig:
     delgrp_workers: int = 1
     #: Capacity of the Delete-Group daemon's notification channel.
     delgrp_queue_capacity: int = 64
-    #: Background-replayer workers draining cold pages' pending log
-    #: chains after an instant restart (0 disables the drain: pages are
-    #: then replayed only on demand, at first touch).
-    replay_workers: int = 2
     #: Period of the Garbage Collector daemon (seconds).
     gc_period: float = 600.0
     #: Period of the Version-Merge daemon folding committed MVCC version

@@ -58,7 +58,6 @@ class CopyDaemon:
         self.pool = WorkerPool(
             dlfm.sim, f"{dlfm.name}-copyd", self._archive_entry,
             workers=dlfm.config.copy_workers,
-            capacity=dlfm.config.copy_queue_capacity,
             crash_point=f"daemon.worker:{dlfm.name}:copyd",
             crash_node=dlfm.db.name)
 

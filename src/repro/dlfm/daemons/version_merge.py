@@ -45,7 +45,7 @@ class VersionMergeDaemon:
         db = self.dlfm.db
         sim = self.dlfm.sim
         self.passes += 1
-        if not db.config.mvcc or not db.live_chains():
+        if not db.live_chains():
             return 0
         with sim.tracer.span("daemon.merged.pass",
                              node=self.dlfm.name) as span:

@@ -43,6 +43,10 @@ from repro.kernel.sim import Simulator, Timeout
 from repro.minidb import Database
 from repro.sql.parser import parse as parse_sql
 
+#: Background-replayer workers draining cold pages' pending log chains
+#: after an instant restart.
+REPLAY_WORKERS = 2
+
 
 @dataclass
 class DLFMMetrics:
@@ -113,7 +117,7 @@ class DLFM:
         #: I/O so recovery cost never lands on foreground commits.
         self.replayd = WorkerPool(sim, f"{name}-replayd",
                                   self._replay_page_item,
-                                  workers=max(1, self.config.replay_workers))
+                                  workers=REPLAY_WORKERS)
         self._daemon_procs: list = []
         self._pool_procs: list = []
         self._replay_proc = None
@@ -196,7 +200,7 @@ class DLFM:
             self.metrics.stats_repins += schema.pin_statistics(self.db)
         self.start()
         self.delete_groupd.rescan_needed = True
-        if self.db.replay_pending and self.config.replay_workers > 0:
+        if self.db.replay_pending:
             # Instant restart left cold pages with pending REDO chains:
             # drain them in the background while new traffic commits.
             self.replayd.start()

@@ -70,10 +70,6 @@ class LogFullError(TransactionAborted):
         super().__init__(message, reason="logfull")
 
 
-class LockEscalationError(DatabaseError):
-    """Lock escalation failed (table lock unobtainable, locklist exhausted)."""
-
-
 class DuplicateKeyError(DatabaseError):
     """Insert violated a unique index."""
 
@@ -162,10 +158,6 @@ class StaleRouteError(DataLinkError):
 
 class TwoPCProtocolError(DataLinkError):
     """Out-of-order or unknown-transaction 2PC verb."""
-
-
-class ReconcileError(DataLinkError):
-    """The reconcile utility could not bring both sides to a consistent state."""
 
 
 class AccessTokenError(DataLinkError):

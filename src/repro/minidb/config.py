@@ -34,16 +34,12 @@ class TimingModel:
     compile_cpu: float = 0.0
     page_io: float = 0.004
     log_force: float = 0.006
-    lock_op: float = 0.00002
     rpc: float = 0.002
     #: Per-entry secondary-index maintenance (DB2 logs index pages; our
     #: indexes are memory-resident, so this models that write cost).
     #: 0.0 keeps the historical "indexes are free" calibration — the
     #: LOAD bench arm opts in to expose the bulk-build win.
     index_entry: float = 0.0
-    #: Relative per-entry cost of a sorted bottom-up bulk build versus
-    #: per-row insert maintenance (sequential index-page writes).
-    bulk_index_factor: float = 0.1
 
     @classmethod
     def zero(cls) -> "TimingModel":
@@ -90,14 +86,13 @@ class DBConfig:
     #: (cursor stability), or "SI" (snapshot isolation: reads resolve
     #: against a begin-timestamp snapshot of the version chains and take
     #: no S row/key locks at all; writers keep X locks and the first
-    #: writer to commit wins write-write conflicts). SI requires ``mvcc``.
+    #: writer to commit wins write-write conflicts). The MVCC lineage
+    #: chains SI reads (base slot + append-only version tail stamped
+    #: with commit LSNs) are always maintained; they fold back into base
+    #: records as soon as no live snapshot can see them, so with no SI
+    #: sessions they are pure bookkeeping and RR/RS/CS scheduling is
+    #: unchanged.
     isolation: str = "RR"
-    #: Maintain MVCC lineage chains (base slot + append-only version
-    #: tail stamped with commit LSNs). Required for isolation="SI";
-    #: chains fold back into base records as soon as no live snapshot
-    #: can see them, so with no SI sessions this is pure bookkeeping and
-    #: RR/RS/CS scheduling is unchanged.
-    mvcc: bool = True
     #: Total lock entries available across all transactions (LOCKLIST).
     locklist_size: int = 100_000
     #: Fraction of the locklist one transaction may fill before its row
@@ -179,8 +174,6 @@ class DBConfig:
             raise ValueError("maxlocks_fraction must be in (0, 1]")
         if self.isolation not in ("RR", "RS", "CS", "SI"):
             raise ValueError(f"unknown isolation level {self.isolation!r}")
-        if self.isolation == "SI" and not self.mvcc:
-            raise ValueError("isolation='SI' requires mvcc=True")
         if self.rows_per_page < 1 or self.btree_order < 4:
             raise ValueError("degenerate storage geometry")
         if isinstance(self.group_commit_window, str):

@@ -33,6 +33,10 @@ from repro.sql.executor import Executor
 from repro.sql.optimizer import plan_statement
 from repro.sql.parser import parse
 
+#: Per-entry cost of a sorted bottom-up bulk index build relative to
+#: per-row insert maintenance (sequential index-page writes).
+BULK_INDEX_FACTOR = 0.1
+
 
 @dataclass
 class DBMetrics:
@@ -184,8 +188,6 @@ class Database:
         level = isolation or self.config.isolation
         txn = self.txns.begin(level, self.sim.now)
         if level == "SI":
-            if not self.config.mvcc:
-                raise DatabaseError("isolation='SI' requires mvcc=True")
             # Snapshot = current WAL tail: exactly the commit records
             # appended so far. Reading an appended-but-unforced commit is
             # safe — our own commit force flushes the tail in order, so
@@ -484,15 +486,14 @@ class Database:
             after=after, active_floor=self.txns.active_floor())
         heap = self.heaps[table]
         heap.set_page_lsn(rid[0], record.lsn)
-        if self.config.mvcc:
-            # First touch pins the committed pre-state as the chain seed;
-            # the commit will stamp the final state with its commit LSN.
-            heap.version_seed(rid, before)
-            txn.note_write(table, rid)
-            for name in self._bulk_loads.get(table, ()):
-                # LOAD defers this table's entries: the tree may never
-                # have held this rid.
-                heap.mark_off_index(name, rid)
+        # First touch pins the committed pre-state as the chain seed;
+        # the commit will stamp the final state with its commit LSN.
+        heap.version_seed(rid, before)
+        txn.note_write(table, rid)
+        for name in self._bulk_loads.get(table, ()):
+            # LOAD defers this table's entries: the tree may never
+            # have held this rid.
+            heap.mark_off_index(name, rid)
         return record
 
     # ------------------------------------------------------------------ versions
@@ -520,7 +521,7 @@ class Database:
         what no live snapshot needs (with none live, the chain collapses
         back into the base record immediately — legacy workloads never
         accumulate chains)."""
-        if not self.config.mvcc or not txn.touched:
+        if not txn.touched:
             return
         touched = txn.drain_writes()
         watermark = self.oldest_snapshot_lsn()
@@ -544,8 +545,6 @@ class Database:
         ``stale-merge`` invariant and the fold proceeds as asked, so the
         checker provably catches the damage. Returns entries folded.
         """
-        if not self.config.mvcc:
-            return 0
         safe = self.oldest_snapshot_lsn()
         if watermark is None:
             watermark = safe
@@ -674,10 +673,10 @@ class Database:
 
     def end_bulk_load(self, table: str):
         """Generator: merge deferred entries, charging the sequential
-        bottom-up build at ``bulk_index_factor`` of per-row cost."""
+        bottom-up build at ``BULK_INDEX_FACTOR`` of per-row cost."""
         merged = self._merge_bulk_load(table)
         cost = self.config.timing.index_entry_cost(
-            merged * self.config.timing.bulk_index_factor)
+            merged * BULK_INDEX_FACTOR)
         if cost > 0:
             yield Timeout(cost)
         return merged

@@ -357,8 +357,6 @@ def _rebuild_versions(db) -> None:
     resurrected in-doubt transactions — without them a new SI snapshot
     would read an undecided slot.
     """
-    if not db.config.mvcc:
-        return
     wal = db.wal
     ckpt = wal.last_checkpoint_lsn
     if ckpt:

@@ -116,9 +116,6 @@ class Transaction:
             raise TransactionAborted(f"unknown savepoint {name!r}")
         return self._savepoints[name]
 
-    def drop_savepoint(self, name: str) -> None:
-        self._savepoints.pop(name, None)
-
 
 class TransactionTable:
     """Registry of in-flight transactions; feeds the WAL's active floor.

@@ -188,8 +188,3 @@ class Explain:
 
 Statement = Union[Select, Insert, Update, Delete, CreateTable, CreateIndex,
                   DropTable, DropIndex, Explain]
-
-
-def is_write(stmt: Statement) -> bool:
-    return isinstance(stmt, (Insert, Update, Delete, CreateTable,
-                             CreateIndex, DropTable))

@@ -222,34 +222,3 @@ def conjuncts(where: Optional[ast.Expr]) -> list[ast.Expr]:
 def expr_is_constant(expr: ast.Expr) -> bool:
     """True for literals/params — usable as index probe values at bind time."""
     return isinstance(expr, (ast.Literal, ast.Param))
-
-
-def columns_in(expr: ast.Expr) -> list[ast.ColumnRef]:
-    found: list[ast.ColumnRef] = []
-
-    def walk(node):
-        if isinstance(node, ast.ColumnRef):
-            found.append(node)
-        elif isinstance(node, (ast.Comparison, ast.Arithmetic)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (ast.And, ast.Or)):
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, ast.Not):
-            walk(node.item)
-        elif isinstance(node, ast.IsNull):
-            walk(node.item)
-        elif isinstance(node, ast.InList):
-            walk(node.item)
-            for option in node.options:
-                walk(option)
-        elif isinstance(node, ast.Between):
-            walk(node.item)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, ast.FuncCall) and node.arg is not None:
-            walk(node.arg)
-
-    walk(expr)
-    return found

@@ -7,9 +7,7 @@ with exponential think times calibrated so the tuned configuration with
 100 clients lands near the paper's ~300 inserts/min and ~150 updates/min.
 """
 
-from repro.workloads.metacat import MetaCatConfig, cold_stats_probe, run_metacat
 from repro.workloads.metrics import WorkloadReport
 from repro.workloads.runner import SystemTestConfig, run_system_test
 
-__all__ = ["MetaCatConfig", "SystemTestConfig", "WorkloadReport",
-           "cold_stats_probe", "run_metacat", "run_system_test"]
+__all__ = ["SystemTestConfig", "WorkloadReport", "run_system_test"]

@@ -7,8 +7,6 @@ write-write races first-writer-wins. ``merge_versions`` folds committed
 tails back into base records, never past the oldest live snapshot.
 """
 
-import pytest
-
 from repro.errors import TransactionAborted
 from repro.kernel import Simulator, Timeout
 from repro.minidb import Database, DBConfig
@@ -392,22 +390,3 @@ def test_si_probe_counts_candidates_and_rows():
         yield from fresh.commit()
 
     sim.run_process(go())
-
-
-def test_si_requires_mvcc():
-    with pytest.raises(ValueError):
-        DBConfig(isolation="SI", mvcc=False).validate()
-
-
-def test_mvcc_off_keeps_heaps_chain_free():
-    sim = Simulator()
-    db = make_db(sim, mvcc=False)
-
-    def churn():
-        session = db.session()
-        yield from session.execute("UPDATE t SET v = 3 WHERE k < 5")
-        yield from session.commit()
-
-    sim.run_process(churn())
-    assert db.live_chains() == 0
-    assert db.metrics.versions_created == 0

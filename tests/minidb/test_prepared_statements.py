@@ -35,7 +35,7 @@ def make_db(sim, **cfg):
 def compile_only_timing():
     """Bill ONLY compile time, so sim-clock deltas isolate it."""
     return TimingModel(enabled=True, cpu_per_statement=0.0, page_io=0.0,
-                       lock_op=0.0, rpc=0.0, log_force=0.0,
+                       rpc=0.0, log_force=0.0,
                        compile_cpu=COMPILE)
 
 

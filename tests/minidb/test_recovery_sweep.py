@@ -17,8 +17,7 @@ The expected-state model relies on two engine facts:
   via ``pool.metrics.page_writes == 0`` before each crash).
 
 A fast scripted trace runs in tier 1; a larger randomized sweep is
-marked ``slow`` and excluded from the default run. Every sweep is
-parametrized over ``mvcc`` on/off: with versioning on, each prefix
+marked ``slow`` and excluded from the default run. Each prefix
 additionally proves the rebuilt lineage chains agree with the base
 rows (a snapshot at the WAL tail sees exactly the committed state).
 """
@@ -30,6 +29,13 @@ import pytest
 
 from repro.kernel import Simulator
 from repro.minidb import Database, DBConfig
+
+
+#: Both restart paths, classic as the reference. The ids keep the names
+#: the sweeps have carried since lineage chains were optional (they are
+#: always on now), so a result lines up with its history.
+RESTARTS = pytest.mark.parametrize(
+    "instant", [True, False], ids=["instant-mvcc", "classic-mvcc"])
 
 
 def snapshot(db):
@@ -67,9 +73,9 @@ def check_indexes(db):
 
 
 def check_versions(db):
-    """With MVCC on and no live transactions, a snapshot at the WAL tail
-    must agree with the base rows — recovery rebuilt the chains right."""
-    if not db.config.mvcc or db.txns.active:
+    """With no live transactions, a snapshot at the WAL tail must agree
+    with the base rows — recovery rebuilt the chains right."""
+    if db.txns.active:
         return
     for table in db.catalog.tables:
         assert (Counter(db.snapshot_table_rows(table))
@@ -77,11 +83,10 @@ def check_versions(db):
             f"version chains diverged on {table}"
 
 
-def run_scripted_trace(instant=True, mvcc=True):
+def run_scripted_trace(instant=True):
     """The fixed mixed DDL/DML trace; returns (db, [(end_lsn, snapshot)])."""
     sim = Simulator(seed=0)
-    db = Database(sim, "sweep", DBConfig(instant_recovery=instant,
-                                         mvcc=mvcc))
+    db = Database(sim, "sweep", DBConfig(instant_recovery=instant))
     snaps = []
 
     def snap():
@@ -139,12 +144,11 @@ def run_scripted_trace(instant=True, mvcc=True):
     return db, snaps
 
 
-def run_random_trace(seed, instant=True, mvcc=True):
+def run_random_trace(seed, instant=True):
     """Seeded random DML trace over two tables; same return shape."""
     rng = random.Random(seed)
     sim = Simulator(seed=seed)
-    db = Database(sim, "sweep", DBConfig(instant_recovery=instant,
-                                         mvcc=mvcc))
+    db = Database(sim, "sweep", DBConfig(instant_recovery=instant))
     snaps = []
 
     def script():
@@ -215,11 +219,9 @@ def sweep(build, prefixes=None):
     return tail
 
 
-@pytest.mark.parametrize("mvcc", [True, False], ids=["mvcc", "nomvcc"])
-@pytest.mark.parametrize("instant", [True, False],
-                         ids=["instant", "classic"])
-def test_scripted_trace_every_prefix(instant, mvcc):
-    tail = sweep(lambda: run_scripted_trace(instant, mvcc))
+@RESTARTS
+def test_scripted_trace_every_prefix(instant):
+    tail = sweep(lambda: run_scripted_trace(instant))
     assert tail >= 20  # the trace is big enough to mean something
 
 
@@ -244,25 +246,23 @@ def test_full_prefix_equals_clean_restart():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("mvcc", [True, False], ids=["mvcc", "nomvcc"])
-@pytest.mark.parametrize("instant", [True, False],
-                         ids=["instant", "classic"])
+@RESTARTS
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_random_trace_every_prefix(seed, instant, mvcc):
-    tail = sweep(lambda: run_random_trace(seed, instant, mvcc))
+def test_random_trace_every_prefix(seed, instant):
+    tail = sweep(lambda: run_random_trace(seed, instant))
     assert tail >= 80
 
 
 # ------------------------------------------------------- checkpointed sweep
 
-def run_checkpointed_trace(instant=True, mvcc=True):
+def run_checkpointed_trace(instant=True):
     """Scripted trace with a mid-trace checkpoint: disk pages, index
     images and per-page chain heads are all live at crash time. Returns
     (db, snaps, checkpoint_lsn)."""
     sim = Simulator(seed=0)
     # Small pages spread the rows over several per-page chains.
     db = Database(sim, "sweep", DBConfig(instant_recovery=instant,
-                                         rows_per_page=2, mvcc=mvcc))
+                                         rows_per_page=2))
     snaps = []
 
     def snap():
@@ -301,18 +301,16 @@ def run_checkpointed_trace(instant=True, mvcc=True):
     return db, snaps, db.wal.last_checkpoint_lsn
 
 
-@pytest.mark.parametrize("mvcc", [True, False], ids=["mvcc", "nomvcc"])
-@pytest.mark.parametrize("instant", [True, False],
-                         ids=["instant", "classic"])
-def test_checkpointed_trace_every_tail_prefix(instant, mvcc):
+@RESTARTS
+def test_checkpointed_trace_every_tail_prefix(instant):
     """Per-page-chain sweep: every prefix at or past the checkpoint is a
     legitimate crash state (the checkpoint flushed the pages it covers),
     and recovery from chain heads + index images must match the model."""
-    reference, _, ckpt = run_checkpointed_trace(instant, mvcc)
+    reference, _, ckpt = run_checkpointed_trace(instant)
     tail = reference.wal.tail_lsn
     assert ckpt > 0 and tail > ckpt + 5
     for prefix in range(ckpt, tail + 1):
-        db, snaps, _ = run_checkpointed_trace(instant, mvcc)
+        db, snaps, _ = run_checkpointed_trace(instant)
         db.wal.flushed_upto = prefix
         db.crash()
         db.restart()
