@@ -14,15 +14,15 @@ succeeds.
 """
 
 from benchmarks.conftest import print_table, run_once
-from repro.dlfm.config import DLFMConfig
-from repro.minidb.config import TimingModel
+from repro.configs import UNTUNED, Configuration
 from repro.workloads import SystemTestConfig, run_system_test
 
 
-def _measure(dlfm_config, clients, duration, think):
+def _measure(overrides, clients, duration, think):
+    """The system test under ``paper()`` plus the arm's overrides."""
     report = run_system_test(SystemTestConfig(
         clients=clients, duration=duration, think_time=think,
-        dlfm_config=dlfm_config))
+        configuration=Configuration("paper", overrides)))
     system = report.system
     dlfm = system.dlfms["fs1"]
     dlfm_locks = dlfm.db.locks.metrics
@@ -42,10 +42,8 @@ def _measure(dlfm_config, clients, duration, think):
 
 def test_e2_commit_processing_locks(benchmark):
     def run():
-        tuned = _measure(None, clients=40, duration=600, think=4.0)
-        untuned = _measure(
-            DLFMConfig.untuned(timing=TimingModel.calibrated()),
-            clients=40, duration=600, think=4.0)
+        tuned = _measure({}, clients=40, duration=600, think=4.0)
+        untuned = _measure(UNTUNED, clients=40, duration=600, think=4.0)
         return tuned, untuned
 
     tuned, untuned = run_once(benchmark, run)

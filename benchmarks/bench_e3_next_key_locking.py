@@ -12,17 +12,16 @@ filename index — the collision pattern behind the paper's deadlocks.
 """
 
 from benchmarks.conftest import print_table, run_once
-from repro.dlfm.config import DLFMConfig
-from repro.minidb.config import TimingModel
+from repro.configs import Configuration
 from repro.workloads import SystemTestConfig, run_system_test
 
 
 def _arm(next_key_locking: bool):
-    config = DLFMConfig.tuned(timing=TimingModel.calibrated())
-    config.local_db.next_key_locking = next_key_locking
-    report = run_system_test(SystemTestConfig(
-        clients=40, duration=600, think_time=2.0, dlfm_config=config))
-    return report
+    """``paper()`` with the one flip under test."""
+    return run_system_test(SystemTestConfig(
+        clients=40, duration=600, think_time=2.0,
+        configuration=Configuration("paper", {
+            "dlfm.local_db.next_key_locking": next_key_locking})))
 
 
 def test_e3_next_key_locking_ablation(benchmark):

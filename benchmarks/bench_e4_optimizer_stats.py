@@ -18,18 +18,17 @@ RUNSTATS sabotage mid-run with the guard ON.
 """
 
 from benchmarks.conftest import print_table, run_once
-from repro.dlfm.config import DLFMConfig
-from repro.minidb.config import TimingModel
+from repro.configs import Configuration
 from repro.workloads import SystemTestConfig, run_system_test
 
 PROBE = "SELECT state FROM dfm_file WHERE filename = ? AND check_flag = ?"
 
 
 def _run(pin: bool):
-    config = DLFMConfig.tuned(timing=TimingModel.calibrated())
-    config.pin_statistics = pin
+    """``paper()`` with the one flip under test."""
     report = run_system_test(SystemTestConfig(
-        clients=30, duration=600, think_time=2.0, dlfm_config=config))
+        clients=30, duration=600, think_time=2.0,
+        configuration=Configuration("paper", {"dlfm.pin_statistics": pin})))
     dlfm = report.system.dlfms["fs1"]
     summary = report.summary()
     summary["probe_plan"] = dlfm.db.explain(PROBE)["access"]
@@ -78,12 +77,10 @@ def test_e4_statistics_ablation(benchmark):
 def test_e4_runstats_guard(benchmark):
     """A user RUNSTATS flips plans to table scans; the DLFM guard detects
     the overwrite, re-pins and rebinds (paper's guard logic)."""
-    from repro.system import System
-    from repro.dlfm.config import DLFMConfig
     from repro.host import DatalinkSpec, build_url
 
     def run():
-        system = System(seed=3, dlfm_config=DLFMConfig.tuned())
+        system = Configuration("paper").system(seed=3)
         dlfm = system.dlfms["fs1"]
 
         def go():
@@ -132,16 +129,14 @@ def test_e4_auto_runstats_flips_without_pinning(benchmark):
     mutation threshold and the probe flips to the index on its own —
     no ``set_stats`` anywhere. Pinned tables stay exempt, so the
     paper's guard and the automation coexist."""
-    from repro.system import System
     from repro.host import DatalinkSpec, build_url
 
     def arm(auto: bool):
-        config = DLFMConfig.tuned()
-        config.pin_statistics = False
-        config.auto_runstats = auto
-        config.local_db = config.local_db.with_changes(
-            auto_runstats_threshold=10, auto_runstats_fraction=0.2)
-        system = System(seed=17, dlfm_config=config)
+        system = Configuration("paper", {
+            "dlfm.pin_statistics": False,
+            "dlfm.auto_runstats": auto,
+            "dlfm.local_db.auto_runstats_threshold": 10,
+            "dlfm.local_db.auto_runstats_fraction": 0.2}).system(seed=17)
         dlfm = system.dlfms["fs1"]
 
         def go():

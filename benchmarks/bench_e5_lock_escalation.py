@@ -14,21 +14,20 @@ loader escalates dfm_file to a table lock) vs the tuned large locklist.
 """
 
 from benchmarks.conftest import print_table, run_once
-from repro.dlfm.config import DLFMConfig
+from repro.configs import Configuration
 from repro.errors import ReproError, TransactionAborted
 from repro.host import DatalinkSpec, build_url
 from repro.kernel.sim import Timeout
-from repro.minidb.config import TimingModel
-from repro.system import System
 
 
 def _run(locklist: int, maxlocks: float, bulk_size: int = 250,
          clients: int = 20, duration: float = 900.0):
-    config = DLFMConfig.tuned(timing=TimingModel.calibrated())
-    config.local_db.locklist_size = locklist
-    config.local_db.maxlocks_fraction = maxlocks
-    config.local_db.lock_timeout = 20.0
-    system = System(seed=11, dlfm_config=config)
+    # paper() with the lock list under test (and a 20 s lock timeout so
+    # the stall shows inside the 15-minute run).
+    system = Configuration("paper", {
+        "dlfm.local_db.locklist_size": locklist,
+        "dlfm.local_db.maxlocks_fraction": maxlocks,
+        "dlfm.local_db.lock_timeout": 20.0}).system(seed=11)
     stats = {"ops": 0, "timeouts": 0, "aborts": 0, "bulk_done": 0,
              "latencies": []}
 

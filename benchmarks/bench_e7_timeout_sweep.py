@@ -14,26 +14,21 @@ lets everything stall behind the hog. 60 s is the sweet-ish spot.
 """
 
 from benchmarks.conftest import print_table, run_once
-from repro.dlfm.config import DLFMConfig
+from repro.configs import Configuration
 from repro.errors import ReproError, TransactionAborted
-from repro.host import DatalinkSpec, HostConfig, build_url
+from repro.host import DatalinkSpec, build_url
 from repro.kernel.sim import Timeout
-from repro.minidb.config import TimingModel
 from repro.obs.metrics import Histogram
-from repro.system import System
 
 HOG_HOLD = 90.0
 DURATION = 1_200.0
 
 
 def _run(lock_timeout: float):
-    dlfm_config = DLFMConfig.tuned(timing=TimingModel.calibrated())
-    dlfm_config.local_db.lock_timeout = lock_timeout
-    host_config = HostConfig()
-    host_config.db.lock_timeout = lock_timeout
-    host_config.db.timing = TimingModel.calibrated()
-    system = System(seed=23, dlfm_config=dlfm_config,
-                    host_config=host_config)
+    # paper() with the lock timeout under test on both databases.
+    system = Configuration("paper", {
+        "dlfm.local_db.lock_timeout": lock_timeout,
+        "host.db.lock_timeout": lock_timeout}).system(seed=23)
     stats = {"ops": 0, "timeout_aborts": 0, "deadlock_aborts": 0,
              "latencies": Histogram(), "hog_cycles": 0}
 

@@ -11,8 +11,7 @@ pathological to healthy:
 Run:  python examples/lessons_tour.py        (~1 minute)
 """
 
-from repro.dlfm.config import DLFMConfig
-from repro.minidb.config import TimingModel
+from repro.configs import Configuration
 from repro.workloads import SystemTestConfig, run_system_test
 
 
@@ -24,14 +23,13 @@ def show(tag, summary):
           f"p95={summary['p95_latency_s'] and round(summary['p95_latency_s'], 3)}")
 
 
-def arm(**overrides):
-    config = DLFMConfig.tuned(timing=TimingModel.calibrated())
-    pin = overrides.pop("pin_statistics", True)
-    config.pin_statistics = pin
-    for key, value in overrides.items():
-        setattr(config.local_db, key, value)
+def arm(pin_statistics=True, **local_db):
+    """The system test under ``paper()`` with the row's flips."""
+    flips = {f"dlfm.local_db.{key}": value for key, value in local_db.items()}
+    flips["dlfm.pin_statistics"] = pin_statistics
     report = run_system_test(SystemTestConfig(
-        clients=25, duration=480, think_time=2.0, dlfm_config=config))
+        clients=25, duration=480, think_time=2.0,
+        configuration=Configuration("paper", flips)))
     return report.summary()
 
 

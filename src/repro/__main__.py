@@ -62,16 +62,13 @@ See DESIGN.md and EXPERIMENTS.md."""
 
 
 def cmd_systemtest(args) -> int:
-    from repro.dlfm.config import DLFMConfig
-    from repro.minidb.config import TimingModel
+    from repro.configs import UNTUNED, Configuration
     from repro.workloads import SystemTestConfig, run_system_test
 
-    dlfm_config = None
-    if args.untuned:
-        dlfm_config = DLFMConfig.untuned(timing=TimingModel.calibrated())
     report = run_system_test(SystemTestConfig(
         clients=args.clients, duration=args.minutes * 60.0,
-        seed=args.seed, dlfm_config=dlfm_config))
+        seed=args.seed, configuration=Configuration(
+            "paper", UNTUNED if args.untuned else None)))
     label = "untuned" if args.untuned else "tuned"
     print(f"system test ({label}, {args.clients} clients, "
           f"{args.minutes} virtual minutes):")
@@ -154,7 +151,11 @@ def cmd_chaos(args) -> int:
         except (OSError, ValueError) as error:
             print(f"cannot read {args.replay}: {error}", file=sys.stderr)
             return 2
-        result = replay(doc)
+        try:
+            result = replay(doc)
+        except ValueError as error:
+            print(f"cannot replay {args.replay}: {error}", file=sys.stderr)
+            return 2
     else:
         plan = None
         if args.plan:
@@ -174,15 +175,14 @@ def cmd_chaos(args) -> int:
         result = run_campaign(CampaignConfig(
             seed=args.seed, ops=args.ops, plan=plan,
             corruptions=corruptions, shards=args.shards,
-            read_isolation=args.read_isolation))
+            base=args.config))
 
     doc = result.repro_doc()
     if args.json:
         print(result.to_json())
     else:
         print(f"chaos campaign: seed={doc['seed']} ops={doc['ops']} "
-              f"shards={doc.get('shards', 0)} "
-              f"reads={doc.get('read_isolation', 'default')} "
+              f"shards={doc['shards']} config={doc['config']} "
               f"plan={result.plan.name}")
         print(f"  ops run       {len(doc['op_trace'])}")
         print(f"  rounds        {doc['rounds']} "
@@ -268,11 +268,11 @@ def main(argv=None) -> int:
     chaos.add_argument("--shards", type=int, default=0,
                        help="run against a sharded fleet of N DLFM shards "
                             "(0 = the classic single-server system)")
-    chaos.add_argument("--read-isolation", choices=("default", "SI"),
-                       default="default",
-                       help="isolation for DLFM internal reads: 'default' "
-                            "replays the paper's locking levels, 'SI' runs "
-                            "the campaign on MVCC snapshot reads")
+    chaos.add_argument("--config", choices=("paper", "all_on"),
+                       default="all_on",
+                       help="the shipped configuration the deployment "
+                            "runs: 'paper' has every fast path off, "
+                            "'all_on' every one on (repro.configs)")
     chaos.add_argument("--plan", metavar="FILE",
                        help="FaultPlan JSON (default: built-in default plan)")
     chaos.add_argument("--replay", metavar="FILE",

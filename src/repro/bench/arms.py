@@ -1,7 +1,7 @@
 """What the bench arms run (the registry in ``harness.py`` says under
 which configuration, and what each must prove).
 
-Every function takes the :class:`~repro.bench.configs.Configuration`
+Every function takes the :class:`~repro.configs.Configuration`
 it runs under — none builds one. Sizes are constants: the gates are
 quoted at them. The E6/E8 scenario bodies are shared with
 ``benchmarks/bench_e6_sync_commit.py`` / ``bench_e8_batched_commit.py``,

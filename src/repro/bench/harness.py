@@ -23,12 +23,12 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from repro.bench import arms
-from repro.bench.configs import Configuration
+from repro.configs import Configuration
 
 #: The history row this tree's harness writes: ``pr<N>-…`` with N the
 #: number of the PR (``tests/test_bench_history.py`` holds it to the
 #: last entry of CHANGES.md). Re-running a tree refreshes its own row.
-HISTORY_LABEL = "pr20-one-bench-two-configurations"
+HISTORY_LABEL = "pr21-one-configs-module"
 
 
 @dataclass

@@ -28,18 +28,32 @@ from typing import Callable, Optional
 
 from repro.chaos.faults import FaultInjector, FaultPlan, default_plan
 from repro.chaos.invariants import Violation, check_invariants
-from repro.dlfm.config import DLFMConfig
+from repro.configs import Configuration
+from repro.dlfm import schema
 from repro.errors import ReproError, TransactionAborted
 from repro.host import DatalinkSpec, build_url
 from repro.host.indoubt import resolve_indoubts
 from repro.kernel.sim import Timeout
-from repro.system import System
+from repro.minidb.locks import LockMode
+from repro.minidb.txn import Transaction
+from repro.shard import move_group
 
 #: Virtual seconds a single round may take before the client is killed.
 ROUND_BUDGET = 900.0
 #: Quiesce loop: up to QUIESCE_ROUNDS × QUIESCE_STEP virtual seconds.
 QUIESCE_STEP = 30.0
 QUIESCE_ROUNDS = 60
+#: Repro-document version: 2 records ``"config"``. A version-1 document
+#: ran a hand-built configuration that no longer exists and is refused.
+DOC_VERSION = 2
+#: The campaign's one departure from the configuration it names: the
+#: adaptive group-commit window's cut-off is widened to the campaign's
+#: virtual-time commit gaps (a lone chaos client commits seconds apart),
+#: so leaders actually form and ``wal.group:leader:*`` is reachable.
+#: ``paper`` runs no window, so there the override is inert. It goes
+#: when ROADMAP 3b deletes the knob.
+CHAOS_OVERRIDES = {"dlfm.local_db.group_commit_max_window": 2.0,
+                   "host.db.group_commit_max_window": 2.0}
 
 
 @dataclass
@@ -54,10 +68,9 @@ class CampaignConfig:
     #: over one shared file server; the workload gains ``move_group``
     #: ops and the checker enforces the shard-catalog invariants.
     shards: int = 0
-    #: Isolation for DLFM internal reads/forward lookups: ``"default"``
-    #: replays the paper's locking levels; ``"SI"`` runs the campaign
-    #: with MVCC snapshot reads (the chaos-smoke SI arm).
-    read_isolation: str = "default"
+    #: Which shipped configuration (a key of :data:`repro.configs.BASES`)
+    #: the deployment runs, under :data:`CHAOS_OVERRIDES`.
+    base: str = "all_on"
     #: Named seeded corruptions (keys of :data:`CORRUPTIONS`) applied
     #: right before the final invariant check. Unlike ``corrupt_hook``
     #: these are serialized into the repro document, so a deliberately
@@ -88,7 +101,7 @@ class CampaignResult:
     def repro_doc(self) -> dict:
         """JSON-serializable replay document (see :func:`replay`)."""
         return {
-            "version": 1,
+            "version": DOC_VERSION,
             "seed": self.config.seed,
             "ops": self.config.ops,
             "round_ops": self.config.round_ops,
@@ -102,7 +115,7 @@ class CampaignResult:
             "recoveries": self.recoveries,
             "corruptions": list(self.config.corruptions),
             "shards": self.config.shards,
-            "read_isolation": self.config.read_isolation,
+            "config": self.config.base,
         }
 
     def to_json(self) -> str:
@@ -112,13 +125,17 @@ class CampaignResult:
 
 def config_from_doc(doc: dict) -> CampaignConfig:
     """The campaign configuration a repro document encodes."""
+    if doc.get("version") != DOC_VERSION:
+        raise ValueError(
+            f"repro document version {doc.get('version')!r} names no "
+            f"configuration (version {DOC_VERSION} records \"config\"); "
+            "re-run the campaign to regenerate it")
     return CampaignConfig(
         seed=doc["seed"], ops=doc["ops"],
         plan=FaultPlan.from_doc(doc["plan"]),
         servers=tuple(doc["servers"]), round_ops=doc["round_ops"],
-        corruptions=tuple(doc.get("corruptions", ())),
-        shards=doc.get("shards", 0),
-        read_isolation=doc.get("read_isolation", "default"))
+        corruptions=tuple(doc["corruptions"]), shards=doc["shards"],
+        base=doc["config"])
 
 
 def replay(doc: dict) -> CampaignResult:
@@ -139,7 +156,6 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 
 def _corrupt_dangling_link_row(system) -> bool:
     """Delete an ST_LINKED dfm_file row out from under a host reference."""
-    from repro.dlfm import schema
     for name in sorted(system.dlfms):
         db = system.dlfms[name].db
         pos = db.catalog.tables["dfm_file"].position("state")
@@ -152,8 +168,6 @@ def _corrupt_dangling_link_row(system) -> bool:
 
 def _corrupt_leaked_lock(system) -> bool:
     """Grant a lock to a transaction the engine has no record of."""
-    from repro.minidb.locks import LockMode
-    from repro.minidb.txn import Transaction
     name = sorted(system.dlfms)[0]
     db = system.dlfms[name].db
     ghost = Transaction(999_999, "RR", 0.0)
@@ -163,7 +177,6 @@ def _corrupt_leaked_lock(system) -> bool:
 
 def _corrupt_deleted_group_marker(system) -> bool:
     """Flip an active group to 'deleted' as if delgrpd never finished."""
-    from repro.dlfm import schema
     for name in sorted(system.dlfms):
         db = system.dlfms[name].db
         pos = db.catalog.tables["dfm_group"].position("state")
@@ -216,24 +229,12 @@ class _Campaign:
                      else default_plan(config.seed))
         self.injector = FaultInjector(self.plan)
         self.injector.enabled = False  # setup runs clean
-        # Adaptive group commit on the local databases, with the batching
-        # cut-off widened to the campaign's (virtual-time) commit gaps so
-        # leaders actually form and ``wal.group:leader`` is exercised.
-        dlfm_config = DLFMConfig.tuned()
-        dlfm_config.local_db = dlfm_config.local_db.with_changes(
-            group_commit_window="auto", group_commit_max_window=2.0)
-        dlfm_config.read_isolation = config.read_isolation
         self.sharded = config.shards > 0
-        if self.sharded:
-            from repro.shard import ShardedSystem
-            self.system = ShardedSystem(seed=config.seed,
-                                        shards=config.shards,
-                                        dlfm_config=dlfm_config,
-                                        injector=self.injector)
-        else:
-            self.system = System(seed=config.seed, servers=config.servers,
-                                 dlfm_config=dlfm_config,
-                                 injector=self.injector)
+        #: What the deployment was built from (``.ran`` after the build).
+        self.configuration = Configuration(config.base, CHAOS_OVERRIDES)
+        self.system = self.configuration.system(
+            config.seed, shards=config.shards, servers=config.servers,
+            injector=self.injector)
         #: File-server names client files rotate over (the DLFM names in
         #: the classic deployment, the one shared server when sharded).
         self.file_servers = tuple(sorted(self.system.servers))
@@ -248,7 +249,6 @@ class _Campaign:
     # ------------------------------------------------------------------ driving
 
     def run(self) -> CampaignResult:
-        sim = self.system.sim
         self._run_clean(self._setup(), "chaos-setup")
         max_rounds = 2 * (self.config.ops // max(1, self.config.round_ops)
                           + 1) + 8
@@ -354,7 +354,7 @@ class _Campaign:
             kind = self._pick_kind()
             record = {"kind": kind, "target": "", "outcome": "ok"}
             try:
-                yield from self._one_op(kind, session, record)
+                yield from getattr(self, f"_op_{kind}")(session, record)
             except TransactionAborted as error:
                 record["outcome"] = f"aborted:{error.reason or 'unknown'}"
                 yield from self._discard(session)
@@ -382,20 +382,6 @@ class _Campaign:
         if self.sharded and roll >= 0.96:
             return "move_group"
         return "create_table"
-
-    def _one_op(self, kind: str, session, record: dict):
-        if kind == "insert":
-            yield from self._op_insert(session, record)
-        elif kind == "update":
-            yield from self._op_update(session, record)
-        elif kind == "delete":
-            yield from self._op_delete(session, record)
-        elif kind == "create_table":
-            yield from self._op_create_table(session, record)
-        elif kind == "move_group":
-            yield from self._op_move_group(record)
-        else:
-            yield from self._op_drop_table(session, record)
 
     def _new_file(self) -> tuple:
         self._file_seq += 1
@@ -461,13 +447,12 @@ class _Campaign:
         yield from session.commit()
         self.batch_tables.remove(name)
 
-    def _op_move_group(self, record: dict):
+    def _op_move_group(self, _session, record: dict):
         """Sharded mode only: rebalance a random group to a random shard
-        (its own 2PC transaction on a dedicated session). Refusals
+        (its own 2PC transaction on a session of the move's own). Refusals
         (pending work on the group) and mid-move crashes surface like
         any other failed op; the invariant checker proves no outcome
         strands the group."""
-        from repro.shard import move_group
         host = self.system.host
         groups = sorted(host.group_ids.values())
         grp_id = groups[self.rng.randrange(len(groups))]
@@ -536,7 +521,6 @@ class _Campaign:
         if dlfm.db.crashed:
             return False
         state = dlfm.db.catalog.tables["dfm_txn"].position("state")
-        from repro.dlfm import schema
         return any(row[state] == schema.TXN_COMMITTED
                    for row in dlfm.db.table_rows("dfm_txn"))
 
@@ -546,7 +530,6 @@ class _Campaign:
 
     def _dirty(self) -> Optional[str]:
         """Why the deployment is not yet quiesced (None when clean)."""
-        from repro.dlfm import schema
         host = self.system.host
         if host.db.crashed:
             return "host down"

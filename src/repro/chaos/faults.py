@@ -346,8 +346,8 @@ def default_plan(seed: int = 0) -> FaultPlan:
                   max_fires=2),
         FaultRule("wal.force.after:dlfm-*", "crash", prob=0.002,
                   max_fires=2),
-        # Group-commit leader window (the campaign runs the local
-        # databases with group_commit_window="auto", so leaders exist):
+        # Group-commit leader window (under ``all_on`` the local
+        # databases run group_commit_window="auto", so leaders exist):
         # crash after the window expires but before the shared force —
         # the never-ack contract must fail every member of the group.
         FaultRule("wal.group:leader:dlfm-*", "crash", prob=0.02,

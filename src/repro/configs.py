@@ -1,12 +1,14 @@
-"""The two configurations this repo ships, built once for every arm.
+"""The two configurations this repo ships, built once for everything.
 
 ``paper()`` is the paper's final configuration with every fast path
 off; ``all_on()`` is the same plus every fast path, with compile and
 index-maintenance cost billed. The field values are the ones
 ``benchmarks/e2e/configs.py`` applies (that file is frozen and imports
 nothing from here; ``tests/test_bench_registry.py`` holds the two
-together). An arm names one of them plus, at most, a declared override
-dict — nothing in ``repro.bench`` builds a configuration by hand.
+together). A bench arm, the chaos campaign, a trace scenario and the
+system-test runner each name one of them plus, at most, a declared
+override dict — nothing else in ``src/repro`` builds a configuration by
+hand.
 """
 
 from __future__ import annotations
@@ -50,6 +52,17 @@ def all_on() -> tuple[DLFMConfig, HostConfig]:
 
 BASES = {"paper": paper, "all_on": all_on}
 
+#: The declared overrides that take ``paper()`` back to where the paper
+#: started — a naive deployment: DB2's default locking on the local
+#: database, a small lock list, no statistics surgery — the deployment
+#: that showed the deadlock, timeout and escalation pathologies (E2,
+#: ``systemtest --untuned``).
+UNTUNED = {"dlfm.local_db.isolation": "RR",
+           "dlfm.local_db.next_key_locking": True,
+           "dlfm.local_db.locklist_size": 4_000,
+           "dlfm.local_db.maxlocks_fraction": 0.1,
+           "dlfm.pin_statistics": False}
+
 
 class Configuration:
     """One of the two shipped configurations plus declared overrides.
@@ -80,17 +93,20 @@ class Configuration:
             setattr(target, name, value)
         return dlfm, host
 
-    def system(self, seed: int, shards: int = 0, **kwargs) -> System:
-        """A fresh deployment under this configuration (``shards`` > 0
-        gives a fleet); records what it was built from in ``ran``."""
+    def system(self, seed: int, shards: int = 0,
+               servers: tuple = ("fs1",), **kwargs) -> System:
+        """A fresh deployment under this configuration: a fleet of
+        ``shards`` over one file server when ``shards`` > 0, otherwise
+        one DLFM per name in ``servers``; records what it was built from
+        in ``ran``."""
         dlfm, host = self.build()
         if shards:
             system = ShardedSystem(seed=seed, shards=shards,
                                    dlfm_config=dlfm, host_config=host,
                                    **kwargs)
         else:
-            system = System(seed=seed, dlfm_config=dlfm, host_config=host,
-                            **kwargs)
+            system = System(seed=seed, servers=servers, dlfm_config=dlfm,
+                            host_config=host, **kwargs)
         self.ran = {"name": self.base, "overrides": self.overrides,
                     "dlfm": asdict(dlfm), "host": asdict(host)}
         return system

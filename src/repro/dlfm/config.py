@@ -1,8 +1,8 @@
-"""DLFM configuration, including the paper's tuned/untuned presets."""
+"""DLFM configuration, including the paper's ``tuned()`` preset."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.minidb.config import DBConfig, TimingModel
@@ -13,9 +13,9 @@ class DLFMConfig:
     """Knobs for one DLFM instance.
 
     ``tuned()`` is the configuration the paper converged on after its
-    lessons learned; ``untuned()`` is the starting point that exhibited
-    the deadlock/timeout/escalation pathologies. Experiments flip
-    individual knobs between the two.
+    lessons learned; :data:`repro.configs.UNTUNED` lists the flips back
+    to the starting point that exhibited the deadlock/timeout/escalation
+    pathologies. Experiments flip individual knobs between the two.
     """
 
     #: Configuration of the local (black box) database.
@@ -42,9 +42,6 @@ class DLFMConfig:
     delgrp_queue_capacity: int = 64
     #: Period of the Garbage Collector daemon (seconds).
     gc_period: float = 600.0
-    #: Period of the Version-Merge daemon folding committed MVCC version
-    #: tails back into base records (seconds).
-    merge_period: float = 5.0
     #: Isolation level for DLFM's hot internal reads and forward-session
     #: lookups: ``"default"`` keeps the local database's own level (the
     #: paper's behaviour, byte for byte); ``"SI"`` runs them as snapshot
@@ -59,15 +56,9 @@ class DLFMConfig:
     #: Phase-2 commit/abort retry ceiling (None = retry forever, as the
     #: paper does; experiments may bound it).
     commit_retry_limit: Optional[int] = None
-    #: Base delay between phase-2 retries after a deadlock/timeout. The
-    #: actual sleep grows by ``commit_retry_backoff`` per attempt up to
-    #: ``commit_retry_max_delay``, jittered by ``commit_retry_jitter``
-    #: (relative half-width, drawn from a seeded stream) so independent
-    #: resources don't retry in lockstep convoys.
+    #: Base delay between phase-2 retries after a deadlock/timeout
+    #: (``DLFM.retry_backoff`` grows and jitters it).
     commit_retry_delay: float = 0.5
-    commit_retry_backoff: float = 2.0
-    commit_retry_max_delay: float = 8.0
-    commit_retry_jitter: float = 0.1
     #: Hand-craft File/Archive-table statistics at startup and guard them
     #: against user RUNSTATS (lesson §4 / E4).
     pin_statistics: bool = True
@@ -79,11 +70,6 @@ class DLFMConfig:
     #: never auto-refreshed, so enabling both keeps the paper's guard
     #: authoritative and auto-stats only covers what pinning missed.
     auto_runstats: bool = False
-    #: Access-token lifetime issued by the host for full-control reads.
-    token_expiry: float = 600.0
-
-    def with_changes(self, **kwargs) -> "DLFMConfig":
-        return replace(self, **kwargs)
 
     @classmethod
     def tuned(cls, timing: Optional[TimingModel] = None) -> "DLFMConfig":
@@ -98,17 +84,3 @@ class DLFMConfig:
                 maxlocks_fraction=0.6,
                 timing=timing or TimingModel.zero()),
             pin_statistics=True)
-
-    @classmethod
-    def untuned(cls, timing: Optional[TimingModel] = None) -> "DLFMConfig":
-        """A naive deployment: DB2 defaults, no statistics surgery."""
-        return cls(
-            local_db=DBConfig(
-                isolation="RR",
-                next_key_locking=True,
-                lock_timeout=60.0,
-                deadlock_check_interval=1.0,
-                locklist_size=4_000,
-                maxlocks_fraction=0.1,
-                timing=timing or TimingModel.zero()),
-            pin_statistics=False)

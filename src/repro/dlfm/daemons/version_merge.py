@@ -22,6 +22,9 @@ from __future__ import annotations
 
 from repro.kernel.sim import Timeout
 
+#: Seconds between merge passes.
+MERGE_PERIOD = 5.0
+
 
 class VersionMergeDaemon:
     def __init__(self, dlfm):
@@ -35,9 +38,8 @@ class VersionMergeDaemon:
 
     def run(self):
         """Generator (daemon): periodic merge passes forever."""
-        period = self.dlfm.config.merge_period
         while True:
-            yield Timeout(period)
+            yield Timeout(MERGE_PERIOD)
             self.run_pass()
 
     def run_pass(self) -> int:

@@ -266,11 +266,12 @@ class DLFM:
         return " FOR UPDATE" if session.isolation == "SI" else ""
 
     def retry_backoff(self, what: str) -> Backoff:
-        """The retry-delay policy for phase-2 loops and daemons."""
-        return Backoff(self.config.commit_retry_delay,
-                       factor=self.config.commit_retry_backoff,
-                       cap=self.config.commit_retry_max_delay,
-                       jitter=self.config.commit_retry_jitter,
+        """The retry-delay policy for phase-2 loops and daemons: the
+        sleep doubles per attempt from ``commit_retry_delay`` up to 8 s,
+        jittered ±10 % from a seeded stream so independent resources
+        don't retry in lockstep convoys."""
+        return Backoff(self.config.commit_retry_delay, factor=2.0, cap=8.0,
+                       jitter=0.1,
                        rng=self.sim.stream(f"retry:{self.name}:{what}"))
 
     def daemon_counters(self) -> dict:
@@ -451,12 +452,19 @@ class DLFM:
         return {"unlinked": True}
 
     def op_register_group(self, session, req: api.RegisterGroup):
+        # ``delete_txn`` is the registering transaction's delayed-update
+        # mark (as it is an import's): the Abort of a prepared
+        # transaction finds the group it hardened by it. The group is
+        # active at once — the same transaction links files into it —
+        # and nothing reads the mark of an active group once that
+        # transaction is resolved (no ``dfm_txn`` row, no Abort), so
+        # phase-2 Commit spends no statement on clearing it.
         yield from session.execute(
             "INSERT INTO dfm_group (grp_id, dbid, table_name, column_name, "
             "state, delete_txn, delete_time, expires_at, epoch) "
-            "VALUES (?, ?, ?, ?, ?, NULL, NULL, NULL, ?)",
+            "VALUES (?, ?, ?, ?, ?, ?, NULL, NULL, ?)",
             (req.grp_id, req.dbid, req.table_name, req.column_name,
-             schema.GRP_ACTIVE, req.epoch))
+             schema.GRP_ACTIVE, req.txn_id, req.epoch))
         self.metrics.groups_registered += 1
         return {"registered": True}
 
@@ -796,21 +804,23 @@ class DLFM:
             # utility failure", §4) — the utility is resumed instead.
             yield from session.rollback()
             return {"outcome": "in-flight-kept"}
-        # Aborted move: delete the moving-in import FIRST — its rows keep
-        # their original link/unlink txn ids, so they are invisible to the
-        # generic per-txn statements below, and the moving-out restore to
-        # active must never leave two live copies of one group.
-        moving_in = yield from session.execute(
+        # Groups this transaction brought here — imported by a move, or
+        # registered — go FIRST. An import's rows keep their original
+        # link/unlink txn ids, so they are invisible to the generic
+        # per-txn statements below, and the moving-out restore to active
+        # must never leave two live copies of one group.
+        brought = yield from session.execute(
             "SELECT grp_id FROM dfm_group WHERE delete_txn = ? AND "
-            "dbid = ? AND state = ?",
-            (req.txn_id, req.dbid, schema.GRP_MOVING_IN))
-        for (grp_id,) in moving_in.rows:
+            "dbid = ? AND state IN (?, ?)",
+            (req.txn_id, req.dbid, schema.GRP_MOVING_IN,
+             schema.GRP_ACTIVE))
+        for (grp_id,) in brought.rows:
             yield from session.execute(
                 "DELETE FROM dfm_file WHERE grp_id = ? AND dbid = ?",
                 (grp_id, req.dbid))
             yield from session.execute(
                 "DELETE FROM dfm_group WHERE grp_id = ? AND dbid = ? "
-                "AND state = ?", (grp_id, req.dbid, schema.GRP_MOVING_IN))
+                "AND delete_txn = ?", (grp_id, req.dbid, req.txn_id))
         # Order matters: first remove entries this transaction inserted
         # (frees the unique (filename, '0') slot), then restore entries it
         # marked unlinking (which re-occupy that slot).

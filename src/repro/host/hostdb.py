@@ -46,8 +46,8 @@ class HostConfig:
     #: the commit-time flush (aborting the transaction) instead of at the
     #: originating statement (statement-level backout). See DESIGN.md §9.
     batch_datalinks: bool = False
+    #: Lifetime of the access tokens issued for full-control reads.
     token_expiry: float = 600.0
-    indoubt_poll_period: float = 5.0
 
 
 @dataclass

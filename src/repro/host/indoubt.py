@@ -15,6 +15,9 @@ from repro.errors import ReproError
 from repro.kernel import rpc
 from repro.kernel.sim import Timeout
 
+#: Seconds between the poller's attempts on an unavailable DLFM.
+POLL_PERIOD = 5.0
+
 
 def resolve_indoubts(host):
     """Generator: one full resolution pass. Returns a summary dict.
@@ -67,4 +70,4 @@ def indoubt_poller(host, server: str):
             result = yield from resolve_indoubts(host)
             return result
         except ReproError:
-            yield Timeout(host.config.indoubt_poll_period)
+            yield Timeout(POLL_PERIOD)

@@ -1,10 +1,12 @@
 """Traced scenarios for ``python -m repro trace``.
 
-Each scenario builds a full :class:`~repro.system.System` with a
-recording :class:`~repro.obs.Tracer` attached, drives a deterministic
-workload that exercises every instrumented layer (kernel channels/RPC,
-minidb lock waits, WAL forces, DLFM forward ops, phase-2 retries, at
-least one daemon pass), and returns ``(tracer, registry, meta)``.
+Each scenario builds a full :class:`~repro.system.System` — under one of
+the two shipped configurations (:mod:`repro.configs`) plus, at most, the
+overrides declared in :data:`CONFIGURATIONS` — with a recording
+:class:`~repro.obs.Tracer` attached, drives a deterministic workload
+that exercises every instrumented layer (kernel channels/RPC, minidb
+lock waits, WAL forces, DLFM forward ops, phase-2 retries, at least one
+daemon pass), and returns ``(tracer, registry, meta)``.
 
 Because everything runs on the virtual clock with seeded RNG streams,
 two runs with the same seed produce byte-identical traces.
@@ -12,13 +14,23 @@ two runs with the same seed produce byte-identical traces.
 
 from __future__ import annotations
 
+from repro.configs import Configuration
 from repro.dlfm import api
 from repro.host import DatalinkSpec, build_url
 from repro.kernel import rpc
 from repro.kernel.sim import Timeout
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.system import System
+
+#: Scenario → (base, declared overrides). ``commit-retry`` shortens the
+#: DLFM's lock timeout and retry delay so several phase-2 retry cycles
+#: fit in the 10 s its blocker holds the row.
+CONFIGURATIONS = {
+    "commit-retry": ("paper", {"dlfm.local_db.lock_timeout": 2.0,
+                               "dlfm.commit_retry_delay": 1.0}),
+    "workload": ("paper", {}),
+    "sharded": ("all_on", {}),
+}
 
 
 def commit_retry(seed: int = 7):
@@ -32,10 +44,9 @@ def commit_retry(seed: int = 7):
     """
     registry = MetricsRegistry()
     tracer = Tracer(registry)
-    system = System(seed=seed, tracer=tracer)
+    configuration = Configuration(*CONFIGURATIONS["commit-retry"])
+    system = configuration.system(seed, tracer=tracer)
     dlfm = system.dlfms["fs1"]
-    dlfm.db.config.lock_timeout = 2.0
-    dlfm.config.commit_retry_delay = 1.0
     host = system.host
 
     def setup():
@@ -79,6 +90,7 @@ def commit_retry(seed: int = 7):
     result = system.run(scenario(), "scenario")
     meta = {
         "scenario": "commit-retry",
+        "config": configuration.base,
         "seed": seed,
         "outcome": result["outcome"],
         "commit_retries": dlfm.metrics.commit_retries,
@@ -94,12 +106,14 @@ def workload(seed: int = 42, clients: int = 8, duration: float = 120.0):
 
     registry = MetricsRegistry()
     tracer = Tracer(registry)
+    configuration = Configuration(*CONFIGURATIONS["workload"])
     config = SystemTestConfig(clients=clients, duration=duration, seed=seed,
-                              tracer=tracer)
+                              tracer=tracer, configuration=configuration)
     report = run_system_test(config)
     registry.histogram("workload.latency").extend(report.latencies)
     meta = {
         "scenario": "workload",
+        "config": configuration.base,
         "seed": seed,
         "clients": clients,
         "duration": duration,
@@ -117,11 +131,12 @@ def sharded(seed: int = 11, shards: int = 3):
     one online rebalance, so the trace carries per-shard spans and the
     report's lock hotspots / counter groups attribute work to a shard
     (``dlfm.shard2.*``, ``locks.shard3.*``, ...)."""
-    from repro.shard import ShardedSystem, move_group
+    from repro.shard import move_group
 
     registry = MetricsRegistry()
     tracer = Tracer(registry)
-    system = ShardedSystem(seed=seed, shards=shards, tracer=tracer)
+    configuration = Configuration(*CONFIGURATIONS["sharded"])
+    system = configuration.system(seed, shards=shards, tracer=tracer)
     host = system.host
     tables = 2 * shards
 
@@ -159,6 +174,7 @@ def sharded(seed: int = 11, shards: int = 3):
     moved = system.run(scenario(), "scenario")
     meta = {
         "scenario": "sharded",
+        "config": configuration.base,
         "seed": seed,
         "shards": shards,
         "moved_group": moved,
@@ -205,27 +221,19 @@ def _import_counters(registry, system) -> None:
                                    dict(dlfm.metrics.__dict__))
         registry.register_counters(f"daemon.{name}",
                                    dlfm.daemon_counters())
-        registry.register_counters(f"locks.{name}",
-                                   dlfm.db.locks.metrics.snapshot())
-        registry.register_counters(f"wal.{name}",
-                                   dict(dlfm.db.wal.metrics.__dict__))
-        registry.register_counters(f"plancache.{name}",
-                                   _plan_cache_counters(dlfm.db))
-        registry.register_counters(f"mvcc.{name}", _mvcc_counters(dlfm.db))
-        if dlfm.db.wal.auto_windows:
-            registry.histogram(f"wal.{name}.auto_window").extend(
-                dlfm.db.wal.auto_windows)
-    registry.register_counters("locks.host",
-                               system.host.db.locks.metrics.snapshot())
-    registry.register_counters("wal.host",
-                               dict(system.host.db.wal.metrics.__dict__))
-    registry.register_counters("plancache.host",
-                               _plan_cache_counters(system.host.db))
-    registry.register_counters("mvcc.host", _mvcc_counters(system.host.db))
-    if system.host.db.wal.auto_windows:
-        registry.histogram("wal.host.auto_window").extend(
-            system.host.db.wal.auto_windows)
+        _import_db_counters(registry, name, dlfm.db)
+    _import_db_counters(registry, "host", system.host.db)
     registry.register_counters("host", dict(system.host.metrics.__dict__))
+
+
+def _import_db_counters(registry, name: str, db) -> None:
+    registry.register_counters(f"locks.{name}", db.locks.metrics.snapshot())
+    registry.register_counters(f"wal.{name}", dict(db.wal.metrics.__dict__))
+    registry.register_counters(f"plancache.{name}", _plan_cache_counters(db))
+    registry.register_counters(f"mvcc.{name}", _mvcc_counters(db))
+    if db.wal.auto_windows:
+        registry.histogram(f"wal.{name}.auto_window").extend(
+            db.wal.auto_windows)
 
 
 SCENARIOS = {

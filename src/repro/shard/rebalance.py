@@ -86,6 +86,22 @@ def move_group(host, grp_id: int, dst: str):
         raise
     finally:
         session.close()
+        if session.session.txn is not None and not host.db.crashed:
+            # Only a caller killed mid-move gets here with the
+            # transaction still open (its wait for a reply a partition
+            # dropped never ended). Nobody else holds this session.
+            host.sim.spawn(_roll_back_orphan(session),
+                           f"move-{grp_id}-orphaned")
     shard_map._cache[grp_id] = (dst, new_epoch)
     return {"moved": True, "src": src, "dst": dst, "epoch": new_epoch,
             "files": len(export["file_rows"])}
+
+
+def _roll_back_orphan(session):
+    """Generator (detached): the rollback a killed caller cannot run."""
+    try:
+        yield from session.rollback()
+    except ReproError:
+        pass  # the host crashed meanwhile: restart recovery owns it
+    finally:
+        session.close()

@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.dlfm.config import DLFMConfig
+from repro.configs import Configuration
 from repro.errors import ReproError, TransactionAborted
-from repro.host import DatalinkSpec, HostConfig, build_url
+from repro.host import DatalinkSpec, build_url
 from repro.kernel.sim import Timeout
-from repro.minidb.config import TimingModel
-from repro.system import System
 from repro.workloads.metrics import WorkloadReport
 
 
@@ -32,26 +30,17 @@ class SystemTestConfig:
     access_control: str = "full"
     recovery: bool = True
     seed: int = 42
-    #: Configs under test.
-    dlfm_config: Optional[DLFMConfig] = None
-    host_config: Optional[HostConfig] = None
-    #: Enable the calibrated service-time model (realistic latencies).
-    timed: bool = True
+    #: The configuration under test: ``paper()`` as it stands, unless
+    #: an ablation passes ``Configuration("paper", {its flips})``.
+    configuration: Configuration = field(
+        default_factory=lambda: Configuration("paper"))
     #: Optional tracer (repro.obs.Tracer) attached to the simulator.
     tracer: Optional[object] = None
 
 
 def run_system_test(config: SystemTestConfig) -> WorkloadReport:
     """Run the multi-client link/update workload; returns the report."""
-    timing = TimingModel.calibrated() if config.timed else TimingModel.zero()
-    dlfm_config = config.dlfm_config or DLFMConfig.tuned(timing=timing)
-    if config.dlfm_config is None:
-        dlfm_config.local_db.timing = timing
-    host_config = config.host_config or HostConfig()
-    host_config.db.timing = timing
-
-    system = System(seed=config.seed, dlfm_config=dlfm_config,
-                    host_config=host_config, tracer=config.tracer)
+    system = config.configuration.system(config.seed, tracer=config.tracer)
     report = WorkloadReport(clients=config.clients,
                             virtual_seconds=config.duration)
 
@@ -119,14 +108,10 @@ def run_system_test(config: SystemTestConfig) -> WorkloadReport:
                     yield from session.commit()
                     report.updates += 1
                 report.record_latency(system.sim.now - started)
-            except TransactionAborted as error:
-                report.note_abort(error.reason)
-                try:
-                    yield from session.rollback()
-                except ReproError:
-                    pass
             except ReproError as error:
-                report.note_abort(type(error).__name__)
+                report.note_abort(error.reason
+                                  if isinstance(error, TransactionAborted)
+                                  else type(error).__name__)
                 try:
                     yield from session.rollback()
                 except ReproError:

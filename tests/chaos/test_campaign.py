@@ -2,10 +2,15 @@
 
 import pytest
 
-from repro.chaos.campaign import (CORRUPTIONS, CampaignConfig, replay,
+from repro.chaos.campaign import (CHAOS_OVERRIDES, CORRUPTIONS,
+                                  CampaignConfig, _Campaign, replay,
                                   run_campaign)
 from repro.chaos.faults import FaultPlan, FaultRule
 from repro.chaos.shrink import shrink_config, shrink_doc
+from repro.configs import BASES
+from tests.conftest import assert_holds_declared_configuration
+
+both_bases = pytest.mark.parametrize("base", sorted(BASES))
 
 #: A quiet plan: no faults, so small campaigns stay fast and clean.
 EMPTY_PLAN = FaultPlan(name="none", rules=[])
@@ -32,19 +37,35 @@ def test_fault_free_campaign_is_clean():
     assert result.fired == []
 
 
-def test_campaign_is_deterministic():
-    config = CampaignConfig(seed=5, ops=30, round_ops=15)
+@both_bases
+def test_campaign_is_deterministic(base):
+    config = CampaignConfig(seed=5, ops=30, round_ops=15, base=base)
     first = run_campaign(config)
     second = run_campaign(config)
     assert first.to_json() == second.to_json()
 
 
+@both_bases
+@pytest.mark.parametrize("shards", [0, 2])
+def test_campaign_runs_the_named_configuration_plus_its_declared_override(
+        base, shards):
+    """The deployment holds exactly ``BASES[base]()`` with
+    ``CHAOS_OVERRIDES`` laid over it — nothing hand-built on the side."""
+    campaign = _Campaign(quiet_config(base=base, shards=shards))
+    configuration = campaign.configuration
+    assert (configuration.base, configuration.overrides) == (
+        base, CHAOS_OVERRIDES)
+    assert_holds_declared_configuration(configuration, campaign.system)
+    assert len(campaign.system.dlfms) == (shards or 2)
+
+
 # ------------------------------------------------------------- sharded fleets
 
-def test_sharded_campaign_with_rebalance_is_clean_and_deterministic():
+@both_bases
+def test_sharded_campaign_with_rebalance_is_clean_and_deterministic(base):
     # Default plan: crash/delay/dup faults plus the shard.move crash
     # points, hammering a 3-shard fleet with rebalances mixed in.
-    config = CampaignConfig(seed=1, ops=80, shards=3)
+    config = CampaignConfig(seed=1, ops=80, shards=3, base=base)
     first = run_campaign(config)
     assert first.ok, [v.detail for v in first.violations]
     assert any(op["kind"] == "move_group" for op in first.op_trace)
@@ -52,12 +73,27 @@ def test_sharded_campaign_with_rebalance_is_clean_and_deterministic():
     assert first.to_json() == second.to_json()
 
 
-def test_sharded_repro_doc_replays():
-    result = run_campaign(quiet_config(ops=16, round_ops=16, shards=2))
+@both_bases
+def test_sharded_repro_doc_replays(base):
+    result = run_campaign(quiet_config(ops=16, round_ops=16, shards=2,
+                                       base=base))
     assert result.ok, [v.detail for v in result.violations]
     doc = result.repro_doc()
-    assert doc["shards"] == 2
+    assert (doc["version"], doc["shards"], doc["config"]) == (2, 2, base)
     assert replay(doc).to_json() == result.to_json()
+
+
+def test_version_1_repro_doc_is_refused():
+    """A version-1 document ran the hand-built configuration that no
+    longer exists: replaying it under another would be a silent lie."""
+    doc = run_campaign(quiet_config()).repro_doc()
+    del doc["config"]
+    doc["version"] = 1
+    doc["read_isolation"] = "SI"
+    with pytest.raises(ValueError, match="version 1"):
+        replay(doc)
+    with pytest.raises(ValueError, match="version 1"):
+        shrink_doc({**doc, "violations": [{"code": "leaked-locks"}]})
 
 
 # ------------------------------------------------------- corruptions are caught

@@ -16,6 +16,27 @@ def db(sim):
     return Database(sim, "testdb", DBConfig())
 
 
+def assert_holds_declared_configuration(configuration, system):
+    """``system`` was built by ``configuration.system()`` and holds
+    exactly the named base plus the declared overrides: the live
+    objects equal ``.ran``, which equals a fresh build field for field
+    (the DLFM constructor itself turns its local database's
+    auto-RUNSTATS on under ``all_on``)."""
+    from dataclasses import asdict
+
+    from repro.configs import Configuration
+    ran = configuration.ran
+    assert (ran["name"], ran["overrides"]) == (configuration.base,
+                                               configuration.overrides)
+    for live in system.dlfms.values():
+        assert asdict(live.config) == ran["dlfm"]
+    assert asdict(system.host.config) == ran["host"]
+    dlfm, host = Configuration(configuration.base,
+                               configuration.overrides).build()
+    dlfm.local_db.auto_runstats = dlfm.auto_runstats
+    assert (ran["dlfm"], ran["host"]) == (asdict(dlfm), asdict(host))
+
+
 def run(sim, gen, until=None):
     """Run one root generator to completion and return its result."""
     return sim.run_process(gen, until=until)

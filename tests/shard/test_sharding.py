@@ -11,6 +11,7 @@ decisions re-driven).
 import pytest
 
 from repro.chaos import FaultInjector, FaultPlan, FaultRule
+from repro.chaos.invariants import check_invariants
 from repro.dlff.filter import DLFM_ADMIN
 from repro.dlfm import schema
 from repro.errors import (CrashedError, DataLinkError, LinkedFileError,
@@ -203,8 +204,8 @@ def test_shard_map_survives_host_restart(fleet):
     assert fleet.dlfms[dst].linked_count() == 2
 
 
-def _crashing_fleet(point="twopc.fanout:phase2"):
-    plan = FaultPlan([FaultRule(point=point, kind="crash")], name="t")
+def _crashing_fleet(point="twopc.fanout:phase2", kind="crash"):
+    plan = FaultPlan([FaultRule(point=point, kind=kind)], name="t")
     system = ShardedSystem(seed=11, shards=2, injector=FaultInjector(plan))
     system.injector.enabled = False
 
@@ -433,3 +434,58 @@ def test_backup_unlink_restore_round_trips_on_a_fleet(wide_fleet):
     assert _linked(system) == {name: 5 for name in system.dlfms}
     assert system.host.db.table_rows("docs") != []
     assert system.servers["fs1"].fs.stat("/y/f4").owner == DLFM_ADMIN
+
+
+def test_move_killed_on_a_lost_reply_leaves_no_host_transaction():
+    """A partition drops the reply to the move's first request and the
+    caller, wedged on it, is killed (what the chaos campaign does to a
+    round that outlives its budget). The move's session is its own, so
+    the move must see to it that the transaction it began is rolled
+    back: nothing stays active on the host, the group stays where it
+    was and a second move goes through."""
+    system = _crashing_fleet("rpc.reply:dlfm-agent", kind="partition")
+    grp_id = system.host.group_ids[("docs", "doc")]
+    src = system.shard_of(grp_id)
+    dst = next(n for n in system.dlfms if n != src)
+    system.run(_link(system, "docs", 1, "/x/f0"))
+
+    system.injector.enabled = True
+    mover = system.sim.spawn(move_group(system.host, grp_id, dst), "mover")
+    system.sim.run(until=system.sim.now + 60.0)
+    system.injector.enabled = False
+    assert not mover.finished and len(system.injector.fired) == 1
+    assert len(system.host.db.txns.active) == 1
+    mover.kill()
+    system.sim.run(until=system.sim.now + 60.0)
+
+    assert system.host.db.txns.active == []
+    assert system.host.db.locks.total_locks == 0
+    assert system.shard_of(grp_id) == src
+    moved = system.run(move_group(system.host, grp_id, dst))
+    assert moved["moved"] and moved["files"] == 1
+
+
+def test_abort_after_prepare_takes_back_the_group_it_registered(fleet):
+    """CREATE of a datalink table whose transaction is aborted AFTER the
+    shard prepared (the coordinator died, or a partition ate the vote):
+    the shard-map row goes with the host rollback, so the group the
+    shard registered — and hardened at prepare — must go with the
+    Abort, or it lives on with no catalog row routing to it."""
+    def go():
+        session = fleet.session()
+        yield from fleet.host.create_datalink_table(
+            "extra", [("id", "INT"), ("doc", "TEXT")],
+            {"doc": DatalinkSpec(recovery=False)}, session=session)
+        yield from session.execute(
+            "INSERT INTO extra (id, doc) VALUES (?, ?)",
+            (1, build_url("fs1", "/x/f0")))
+        yield from session.prepare_participants()
+        yield from session.rollback()
+
+    fleet.run(go())
+    grp_id = fleet.host.group_ids[("extra", "doc")]
+    assert all(_group_rows(dlfm, grp_id) == []
+               for dlfm in fleet.dlfms.values())
+    assert sum(d.linked_count() for d in fleet.dlfms.values()) == 0
+    assert check_invariants(fleet) == []
+

@@ -16,8 +16,8 @@ from benchmarks import bench_e6_sync_commit, bench_e8_batched_commit
 from benchmarks.e2e import configs as e2e_configs
 from repro import bench
 from repro.bench import arms, harness
-from repro.bench.configs import Configuration
 from repro.bench.harness import ARMS, OPS, BenchConfig, check, gate_results
+from repro.configs import Configuration
 
 TINY = {"LOAD_FILES": 40, "LOAD_PIECE": 20, "MS_CLIENTS": 2, "MS_TXNS": 2,
         "DRAIN_FILES": 8, "STORM_RESTORES": 8, "RECOVERY_TXNS": 12,
@@ -67,7 +67,7 @@ def test_bench_config_and_cli_carry_no_size_knob():
 
 def test_the_two_configurations_are_the_ones_e2e_ships():
     """``benchmarks/e2e/configs.py`` is frozen and imports nothing from
-    ``repro.bench``; the two must not drift apart."""
+    ``repro.configs``; the two must not drift apart."""
     for name in ("paper", "all_on"):
         dlfm, host = Configuration(name).build()
         e2e_dlfm, e2e_host, _ = getattr(e2e_configs, name)()

@@ -1,5 +1,7 @@
 """CLI smoke tests (`python -m repro`)."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -65,3 +67,19 @@ def test_trace_is_byte_deterministic(tmp_path, capsys):
 def test_trace_unknown_scenario_fails(capsys):
     assert main(["trace", "no-such-scenario"]) == 2
     assert "unknown scenario" in capsys.readouterr().err
+
+
+def test_chaos_names_a_configuration_and_refuses_a_version_1_replay(
+        tmp_path, capsys):
+    out = tmp_path / "repro.json"
+    assert main(["chaos", "--ops", "10", "--config", "paper", "--json",
+                 "--out", str(out)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["version"], doc["config"]) == (2, "paper")
+    with pytest.raises(SystemExit):     # replaced by --config, not kept
+        main(["chaos", "--read-isolation", "SI"])
+    capsys.readouterr()
+    doc["version"] = 1
+    out.write_text(json.dumps(doc))
+    assert main(["chaos", "--replay", str(out)]) == 2
+    assert "version 1" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Workload machinery: metrics math and a small end-to-end run."""
 
 
+from repro.configs import Configuration
 from repro.workloads import SystemTestConfig, run_system_test
 from repro.workloads.metrics import WorkloadReport
 
@@ -88,7 +89,8 @@ def test_small_system_test_run():
 
 def test_untimed_run_finishes_instantly_in_virtual_time():
     report = run_system_test(SystemTestConfig(
-        clients=3, duration=60.0, think_time=5.0, timed=False, seed=9))
+        clients=3, duration=60.0, think_time=5.0, seed=9,
+        configuration=Configuration("paper", {"timing.enabled": False})))
     assert report.inserts > 0
 
 
