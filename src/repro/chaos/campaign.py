@@ -4,7 +4,8 @@ A campaign builds a full :class:`repro.system.System` with a
 :class:`~repro.chaos.faults.FaultInjector`, then alternates:
 
 1. **round** — a client runs a batch of datalink operations (insert /
-   update / delete on a media table, plus create+drop of short-lived
+   update / delete on a media table, an update that commits across a
+   fuzzy checkpoint of every database, plus create+drop of short-lived
    datalink tables) with fault injection ENABLED;
 2. **recover** — injection off, every crashed node is restarted (ARIES
    recovery + distributed in-doubt resolution);
@@ -43,9 +44,10 @@ ROUND_BUDGET = 900.0
 #: Quiesce loop: up to QUIESCE_ROUNDS × QUIESCE_STEP virtual seconds.
 QUIESCE_STEP = 30.0
 QUIESCE_ROUNDS = 60
-#: Repro-document version: 2 records ``"config"``. A version-1 document
-#: ran a hand-built configuration that no longer exists and is refused.
-DOC_VERSION = 2
+#: Repro-document version: 2 added ``"config"``, 3 the ``checkpoint`` op
+#: kind. An older document's seed draws a different op sequence (or ran
+#: a hand-built configuration that no longer exists) and is refused.
+DOC_VERSION = 3
 #: The campaign's one departure from the configuration it names: the
 #: adaptive group-commit window's cut-off is widened to the campaign's
 #: virtual-time commit gaps (a lone chaos client commits seconds apart),
@@ -127,9 +129,9 @@ def config_from_doc(doc: dict) -> CampaignConfig:
     """The campaign configuration a repro document encodes."""
     if doc.get("version") != DOC_VERSION:
         raise ValueError(
-            f"repro document version {doc.get('version')!r} names no "
-            f"configuration (version {DOC_VERSION} records \"config\"); "
-            "re-run the campaign to regenerate it")
+            f"repro document version {doc.get('version')!r} was recorded "
+            f"under another configuration scheme or op mix (this is "
+            f"version {DOC_VERSION}); re-run the campaign to regenerate it")
     return CampaignConfig(
         seed=doc["seed"], ops=doc["ops"],
         plan=FaultPlan.from_doc(doc["plan"]),
@@ -376,9 +378,10 @@ class _Campaign:
             return "delete"
         if self.batch_tables and roll < 0.93:
             return "drop_table"
-        # The move draw exists only in sharded mode, carved out of the
-        # create_table tail so the unsharded kind sequence for a given
-        # seed is untouched.
+        # Both carved out of the create_table tail; the move draw exists
+        # only in sharded mode.
+        if 0.93 <= roll < 0.95:
+            return "checkpoint"
         if self.sharded and roll >= 0.96:
             return "move_group"
         return "create_table"
@@ -404,7 +407,7 @@ class _Campaign:
         yield from session.commit()
         self.rows.append((row_id, server, path))
 
-    def _op_update(self, session, record: dict):
+    def _op_update(self, session, record: dict, checkpoint: bool = False):
         index = self.rng.randrange(len(self.rows))
         row_id, _, _ = self.rows[index]
         server, path = self._new_file()
@@ -412,8 +415,22 @@ class _Campaign:
         yield from session.execute(
             "UPDATE media SET doc = ?, attr = 'moved' WHERE id = ?",
             (build_url(server, path), row_id))
+        if checkpoint:
+            dlfms = self.system.dlfms
+            for node in [self.system.host, *map(dlfms.get, sorted(dlfms))]:
+                if not node.db.crashed:
+                    node.db.checkpoint()
         yield from session.commit()
         self.rows[index] = (row_id, server, path)
+
+    def _op_checkpoint(self, session, record: dict):
+        """An update whose transaction is open across a checkpoint of
+        every live database, the way ``System.backup()`` checkpoints the
+        host under running clients: each checkpoint's transaction table
+        carries it, and its COMMIT lands in the tail behind them. A
+        commit acknowledged after a checkpoint must be visible to every
+        post-restart snapshot (e2e finding 1b)."""
+        yield from self._op_update(session, record, checkpoint=True)
 
     def _op_delete(self, session, record: dict):
         index = self.rng.randrange(len(self.rows))

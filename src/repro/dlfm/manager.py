@@ -637,19 +637,27 @@ class DLFM:
 
     def op_commit(self, req: api.Commit):
         """Generator: phase 2 commit — retry until it succeeds (Fig. 4)."""
+        done_chown: set = set()  # outlives attempts (see _commit_once)
+        return (yield from self._phase2("commit", self._commit_once, req,
+                                        done_chown))
+
+    def _phase2(self, verb: str, once, req, *state):
+        """Generator: the paper's one phase-2 loop (Fig. 4) — run
+        ``once(session, req, *state)`` on a fresh session until it
+        succeeds. ``verb`` (``commit`` / ``abort``) names the span, the
+        ``<verb>s`` / ``<verb>_retries`` metrics and the backoff stream."""
+        counters = vars(self.metrics)
         attempt = 1
-        done_chown: set = set()
-        backoff = self.retry_backoff("commit")
+        backoff = self.retry_backoff(verb)
         while True:
             session = self.db.session()
-            with self.sim.tracer.span("dlfm.phase2", verb="commit",
+            with self.sim.tracer.span("dlfm.phase2", verb=verb,
                                       dbid=req.dbid, txn=req.txn_id,
                                       attempt=attempt) as span:
                 try:
-                    result = yield from self._commit_once(session, req,
-                                                          done_chown)
+                    result = yield from once(session, req, *state)
                     span.set(outcome="ok")
-                    self.metrics.commits += 1
+                    counters[f"{verb}s"] += 1
                     return result
                 except RETRIABLE_FAULTS as error:
                     span.set(outcome="aborted",
@@ -660,8 +668,8 @@ class DLFM:
                     # roll it back before sleeping so the next attempt —
                     # and everyone else — is not blocked by a corpse.
                     yield from session.rollback()
-                    self.metrics.commit_retries += 1
-                    self.sim.tracer.count("retries", f"{self.name}.commit")
+                    counters[f"{verb}_retries"] += 1
+                    self.sim.tracer.count("retries", f"{self.name}.{verb}")
                     limit = self.config.commit_retry_limit
                     if limit is not None and attempt >= limit:
                         raise
@@ -765,31 +773,7 @@ class DLFM:
     def op_abort_prepared(self, req: api.Abort):
         """Generator: phase 2 abort after prepare — undo committed local
         changes via the delayed-update records; retry until success."""
-        attempt = 1
-        backoff = self.retry_backoff("abort")
-        while True:
-            session = self.db.session()
-            with self.sim.tracer.span("dlfm.phase2", verb="abort",
-                                      dbid=req.dbid, txn=req.txn_id,
-                                      attempt=attempt) as span:
-                try:
-                    result = yield from self._abort_once(session, req)
-                    span.set(outcome="ok")
-                    self.metrics.aborts += 1
-                    return result
-                except RETRIABLE_FAULTS as error:
-                    span.set(outcome="aborted",
-                             cause=getattr(error, "reason", None)
-                             or type(error).__name__)
-                    # Same as op_commit: drop the failed attempt's locks.
-                    yield from session.rollback()
-                    self.metrics.abort_retries += 1
-                    self.sim.tracer.count("retries", f"{self.name}.abort")
-                    limit = self.config.commit_retry_limit
-                    if limit is not None and attempt >= limit:
-                        raise
-            attempt += 1
-            yield Timeout(backoff.next())
+        return (yield from self._phase2("abort", self._abort_once, req))
 
     def _abort_once(self, session, req: api.Abort):
         txn_row = yield from session.query_one(

@@ -877,9 +877,10 @@ class Database:
         needs: the transaction table (first/last LSN and prepared flag
         per active transaction — a prepared transaction may predate the
         checkpoint by an arbitrary margin) and the per-page chain-head
-        table. Secondary-index images go to the disk, keyed by index
-        name, so restart repairs each index from image + tail deltas
-        instead of a full-heap rebuild.
+        table — nothing else: MVCC chains are not checkpointed, because
+        no snapshot that could read them survives a crash. Secondary-index
+        images go to the disk, keyed by index name, so restart repairs
+        each index from image + tail deltas instead of a full-heap rebuild.
         """
         self._ensure_up()
         self.pool.flush_all()
@@ -907,15 +908,10 @@ class Database:
             txn_table[txn.id] = {
                 "first": txn.first_lsn, "last": txn.last_lsn,
                 "prepared": txn.state is TxnState.PREPARED}
-        versions = {table: heap.versions_image()
-                    for table, heap in self.heaps.items()
-                    if heap.live_chains}
         record = self.wal.append(
             walmod.CHECKPOINT, None,
-            payload={"active": [t.id for t in self.txns.active],
-                     "chain_heads": dict(self.wal.page_heads),
-                     "txn_table": txn_table,
-                     "versions": versions})
+            payload={"chain_heads": dict(self.wal.page_heads),
+                     "txn_table": txn_table})
         self.wal.force()
         self.wal.note_checkpoint(record.lsn)
 
@@ -962,22 +958,34 @@ class Database:
     # ------------------------------------------------------------------ backup images
 
     def backup_image(self) -> dict:
-        """Full offline-style backup: checkpoint, then snapshot durables."""
+        """Full backup: checkpoint, then snapshot durables — log included.
+
+        The checkpoint is fuzzy (it flushes open transactions' rows into
+        the copied disk), so the image is only consistent together with
+        the log that can undo them. LSNs are list positions, so the whole
+        durable log rides along; records are immutable and are shared.
+        """
         import copy
         self.checkpoint()
         return {
             "disk": copy.deepcopy(self.disk),
             "catalog": copy.deepcopy(self.catalog),
-            "wal_flushed": self.wal.flushed_upto,
+            "log": self.wal.durable_records(),
         }
 
     def restore_image(self, image: dict) -> None:
-        """Point-in-time restore from :meth:`backup_image`."""
+        """Point-in-time restore from :meth:`backup_image`: a restart at
+        the image's closing checkpoint. Losers open then are undone, and
+        new LSNs keep growing past the restored pages' LSNs."""
         import copy
         self.crashed = True
         self.disk = copy.deepcopy(image["disk"])
         self.catalog = copy.deepcopy(image["catalog"])
         self.wal = LogManager(self.config.wal_capacity)
+        self.wal.records = list(image["log"])
+        self.wal.flushed_upto = self.wal.last_checkpoint_lsn = len(
+            self.wal.records)
+        self.wal.crash()   # rebuilds the page heads from that checkpoint
         self.restart()
 
     # ------------------------------------------------------------------ convenience

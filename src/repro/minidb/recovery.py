@@ -78,29 +78,44 @@ class _RecoveryTxn:
 
 
 def recover(db) -> dict:
-    """Bring ``db`` to a transaction-consistent state; returns a summary."""
-    if db.config.instant_recovery:
-        return _recover_instant(db)
-    return _recover_classic(db)
+    """Bring ``db`` to a transaction-consistent state; returns a summary.
 
-
-# ---------------------------------------------------------------- instant path
-
-def _recover_instant(db) -> dict:
+    The two paths differ in what analysis reads (the checkpoint's
+    transaction table plus the tail, or the whole log), in REDO strategy
+    and in index repair — nothing else.
+    """
     wal = db.wal
+    instant = db.config.instant_recovery
+    ckpt = wal.last_checkpoint_lsn if instant else 0
+    records = wal.records[ckpt:]  # after crash(): durable records only
+    losers, prepared, committed, last_lsn, first_lsn = _analyze(
+        records, wal.record(ckpt).payload["txn_table"] if ckpt else {})
+    # The scan is foreground I/O the first post-restart statement pays.
+    db.pool.metrics.unbilled_io += _log_scan_io(len(records))
+    redone = (_redo_instant if instant else _redo_classic)(db, records)
+    # Instant restart's trees already hold crash-time state, so undo
+    # maintains them (touched pages replay through the gate before a
+    # before-image lands); classic rebuilds them from the final heaps.
+    undone = _undo_losers(db, losers, maintain_indexes=instant)
+    _resurrect_prepared(db, prepared, last_lsn, first_lsn)
+    if not instant:
+        for index in db.catalog.indexes.values():
+            _rebuild_index(db, index)
+    db.checkpoint()
+    _close_traffic_gate(db)
+    return {"redone": redone, "undone": undone,
+            "losers": sorted(losers), "committed": sorted(committed),
+            "prepared": sorted(prepared)}
 
-    # ---- analysis: checkpoint snapshot + the durable tail only ------------
-    ckpt = wal.last_checkpoint_lsn
-    snapshot: dict = {}
-    if ckpt:
-        payload = wal.record(ckpt).payload or {}
-        snapshot = payload.get("txn_table", {})
-    tail = wal.records[ckpt:]
 
+def _analyze(records, txn_table: dict) -> tuple:
+    """ARIES analysis of ``records`` on top of a checkpoint's transaction
+    table (``{}`` when ``records`` is the whole log). Returns ``(losers,
+    prepared, committed, last_lsn, first_lsn)``."""
     last_lsn: dict[int, int] = {}
     first_lsn: dict[int, int] = {}
     prepared: set[int] = set()
-    for txn_id, info in snapshot.items():
+    for txn_id, info in txn_table.items():
         if info.get("last") is not None:
             last_lsn[txn_id] = info["last"]
             first_lsn[txn_id] = info.get("first") or info["last"]
@@ -108,7 +123,7 @@ def _recover_instant(db) -> dict:
             prepared.add(txn_id)
     ended: set[int] = set()
     committed: set[int] = set()
-    for record in tail:
+    for record in records:
         if record.txn_id == 0:
             continue
         if record.kind in (walmod.COMMIT, walmod.ABORT):
@@ -121,9 +136,18 @@ def _recover_instant(db) -> dict:
                 prepared.add(record.txn_id)
             last_lsn[record.txn_id] = record.lsn
             first_lsn.setdefault(record.txn_id, record.lsn)
+    # Prepared (XA indoubt) transactions are NOT losers: their outcome
+    # belongs to the transaction manager.
     losers = {txn_id: lsn for txn_id, lsn in last_lsn.items()
               if txn_id not in ended and txn_id not in prepared}
+    return losers, prepared, committed, last_lsn, first_lsn
 
+
+# ---------------------------------------------------------------- instant path
+
+def _redo_instant(db, tail) -> int:
+    """Defer REDO into per-page chains; repair indexes from image + tail."""
+    wal = db.wal
     # ---- build the pending per-page replay chains -------------------------
     # Walk each chain head down until the durable page LSN catches it: the
     # records above the durable LSN are exactly the page's missing REDO
@@ -155,9 +179,6 @@ def _recover_instant(db) -> dict:
     for table in chain_pages:
         db.heaps[table].replay_hook = db.replay_page
 
-    # Analysis read the tail once; the first post-restart statement pays.
-    db.pool.metrics.unbilled_io += _log_scan_io(len(tail))
-
     # ---- chain-driven per-index repair (no full-heap rebuild) -------------
     for index in db.catalog.indexes.values():
         btree = db.btrees[index.name]
@@ -167,9 +188,7 @@ def _recover_instant(db) -> dict:
             # was created after the last checkpoint. Fall back to a heap
             # scan — the replay gate makes the scan see crash-time rows,
             # at the price of replaying this one table eagerly.
-            btree.clear()
-            for rid, row in db.heaps[index.table].scan():
-                btree.insert(index.key_of(row), rid)
+            _rebuild_index(db, index)
             continue
         if image is None:
             # No image and no durable pages: every row the index should
@@ -185,58 +204,16 @@ def _recover_instant(db) -> dict:
                 btree.delete(index.key_of(record.before), record.rid)
             if record.after is not None:
                 btree.insert(index.key_of(record.after), record.rid)
-
-    # ---- eager undo + indoubt resurrection, then re-checkpoint ------------
-    # Undo maintains the indexes directly (they already hold crash-time
-    # state); touched pages replay through the gate before the
-    # before-image lands, so undo is correct on a partially-replayed heap.
-    undone = _undo_losers(db, losers, maintain_indexes=True)
-    _resurrect_prepared(db, prepared, last_lsn, first_lsn)
-    _rebuild_versions(db)
-    db.checkpoint()
-    _close_traffic_gate(db)
-    return {"redone": redone, "undone": undone,
-            "losers": sorted(losers), "committed": sorted(committed),
-            "prepared": sorted(prepared)}
+    return redone
 
 
 # ---------------------------------------------------------------- classic path
 
-def _recover_classic(db) -> dict:
-    records = db.wal.records  # after crash() this is exactly the durable prefix
-
-    # ---- analysis (full log) ----------------------------------------------
-    last_lsn: dict[int, int] = {}
-    first_lsn: dict[int, int] = {}
-    ended: set[int] = set()
-    committed: set[int] = set()
-    prepared: set[int] = set()
-    for record in records:
-        if record.txn_id == 0:
-            continue
-        if record.kind in (walmod.COMMIT, walmod.ABORT):
-            ended.add(record.txn_id)
-            prepared.discard(record.txn_id)
-            if record.kind == walmod.COMMIT:
-                committed.add(record.txn_id)
-        elif record.kind == walmod.PREPARE:
-            prepared.add(record.txn_id)
-            last_lsn[record.txn_id] = record.lsn
-        else:
-            last_lsn[record.txn_id] = record.lsn
-            first_lsn.setdefault(record.txn_id, record.lsn)
-    # Prepared (XA indoubt) transactions are NOT losers: their outcome
-    # belongs to the transaction manager.
-    losers = {txn_id: lsn for txn_id, lsn in last_lsn.items()
-              if txn_id not in ended and txn_id not in prepared}
-
-    # ---- rebuild heap bookkeeping from durable pages ------------------------
+def _redo_classic(db, records) -> int:
+    """Full-log conditional REDO over eagerly recovered heaps."""
     for table in db.catalog.tables:
         db.heaps[table] = Heap.recover(table, db.pool)
     db.replay_pending = {}
-    db.pool.metrics.unbilled_io += _log_scan_io(len(records))
-
-    # ---- redo -------------------------------------------------------------------
     redone = 0
     for record in records:
         if not record.redoable:
@@ -249,22 +226,7 @@ def _recover_classic(db) -> dict:
         _apply_heap_state(heap, record.rid, record.after)
         heap.set_page_lsn(record.rid[0], record.lsn)
         redone += 1
-
-    # ---- undo losers, resurrect indoubts, rebuild indexes -------------------
-    undone = _undo_losers(db, losers, maintain_indexes=False)
-    _resurrect_prepared(db, prepared, last_lsn, first_lsn)
-    _rebuild_versions(db)
-    for index in db.catalog.indexes.values():
-        btree = db.btrees[index.name]
-        btree.clear()
-        for rid, row in db.heaps[index.table].scan():
-            btree.insert(index.key_of(row), rid)
-
-    db.checkpoint()
-    _close_traffic_gate(db)
-    return {"redone": redone, "undone": undone,
-            "losers": sorted(losers), "committed": sorted(committed),
-            "prepared": sorted(prepared)}
+    return redone
 
 
 # ---------------------------------------------------------------- shared parts
@@ -315,8 +277,16 @@ def _undo_losers(db, losers: dict[int, int], maintain_indexes: bool) -> int:
 
 def _resurrect_prepared(db, prepared: set[int], last_lsn: dict[int, int],
                         first_lsn: dict[int, int]) -> None:
+    """Re-admit in-doubt transactions: locks, touched sets, read guards.
+
+    The guards are the only MVCC state a restart builds: a crash ends
+    every snapshot, each new one begins at or past every recovered
+    COMMIT, and the redone/undone slot *is* the committed state — all a
+    snapshot reader must not see is an undecided slot (DESIGN §13).
+    """
     from repro.minidb.locks import LockMode
     from repro.minidb.txn import Transaction, TxnState
+    first_touch: dict[tuple, int] = {}  # (table, rid) → LSN
     for txn_id in sorted(prepared):
         # Stamped with the recovery-time clock: a 0.0 birth time would
         # make age-based lock-wait policies see an ancient transaction.
@@ -326,9 +296,9 @@ def _resurrect_prepared(db, prepared: set[int], last_lsn: dict[int, int],
         txn.first_lsn = first_lsn.get(txn_id, txn.last_lsn)
         # Reacquire X locks on every row the transaction touched so new
         # work cannot read or overwrite its undecided changes. The same
-        # walk rebuilds the touched set: the eventual commit stamps one
-        # version per entry, and until then the merge pass must not fold
-        # the seed guarding each slot's uncommitted state.
+        # walk rebuilds the touched set (the eventual commit stamps one
+        # version per entry; until then the merge pass must not fold the
+        # guard) and ends on each slot's first non-CLR record.
         cursor = txn.last_lsn
         while cursor is not None:
             record = db.wal.record(cursor)
@@ -336,61 +306,25 @@ def _resurrect_prepared(db, prepared: set[int], last_lsn: dict[int, int],
                 db.locks.force_grant(
                     txn, ("row", record.table, record.rid), LockMode.X)
                 txn.note_write(record.table, record.rid)
+                if record.kind != walmod.CLR:
+                    first_touch[record.table, record.rid] = cursor
             cursor = record.prev_lsn
         db.txns._active[txn_id] = txn
-
-
-def _rebuild_versions(db) -> None:
-    """Mirror the runtime MVCC protocol over the durable log.
-
-    Chains as of the last checkpoint come from its payload; each tail
-    record then replays the same steps the runtime took — seed the
-    committed pre-state on a transaction's first touch, stamp one
-    version per written rid at the COMMIT record's LSN. Version appends
-    need no WAL records of their own: the logical heap records plus the
-    commit LSN *are* the version log (the same documented substitution
-    secondary indexes use). Runs after loser undo and in-doubt
-    resurrection, so the tail also covers recovery's own CLR/ABORT
-    chains. No snapshot survives a crash, so the closing merge pass
-    (watermark = log tail) folds every committed tail version back into
-    its base record; what remains are the before-image guards pinned by
-    resurrected in-doubt transactions — without them a new SI snapshot
-    would read an undecided slot.
-    """
-    wal = db.wal
-    ckpt = wal.last_checkpoint_lsn
-    if ckpt:
-        images = (wal.record(ckpt).payload or {}).get("versions", {})
-        for table, image in images.items():
-            heap = db.heaps.get(table)
-            if heap is not None:
-                heap.restore_versions(image)
-    #: txn id → {(table, rid): latest logged state} — what the commit
-    #: stamp would have seen in the slot at commit time (strict 2PL:
-    #: nobody else touches a rid between first write and commit).
-    pending: dict[int, dict] = {}
-    for record in wal.records[ckpt:]:
-        if record.kind == walmod.COMMIT:
-            for (table, rid), state in pending.pop(
-                    record.txn_id, {}).items():
-                heap = db.heaps.get(table)
-                if heap is not None:
-                    heap.version_append(rid, record.lsn, state)
-        elif record.kind == walmod.ABORT:
-            pending.pop(record.txn_id, None)
-        elif record.redoable:
-            heap = db.heaps.get(record.table)
-            if heap is None:
-                continue  # table dropped
-            if record.kind != walmod.CLR:
-                heap.version_seed(record.rid, record.before)
-            pending.setdefault(record.txn_id, {})[
-                (record.table, record.rid)] = record.after
-    db.merge_versions()
-    # Index repair bypassed ``apply_index_*``: mark what survived the
-    # merge (in-doubt guards only) off-index for every index.
+    # Guard each undecided slot with its committed pre-state, in log
+    # order as the runtime seeded them (off-index probes report in chain
+    # order). Index repair bypassed ``apply_index_*``: mark every guard.
+    for lsn in sorted(first_touch.values()):
+        record = db.wal.record(lsn)
+        db.heaps[record.table].version_seed(record.rid, record.before)
     for index in db.catalog.indexes.values():
         db.heaps[index.table].mark_off_index(index.name)
+
+
+def _rebuild_index(db, index) -> None:
+    btree = db.btrees[index.name]
+    btree.clear()
+    for rid, row in db.heaps[index.table].scan():
+        btree.insert(index.key_of(row), rid)
 
 
 def _apply_heap_state(heap: Heap, rid, desired: Optional[tuple]) -> None:

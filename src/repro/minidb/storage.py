@@ -495,19 +495,6 @@ class Heap:
             dropped += 1
         return dropped
 
-    def versions_image(self) -> dict:
-        """Copy of all chains (checkpoint payload; entries are immutable)."""
-        return {rid: list(chain) for rid, chain in self._versions.items()}
-
-    def restore_versions(self, image: dict) -> None:
-        """Replace all chains with ``image``; the sidecar starts empty
-        (restart marks the survivors once its closing merge has run)."""
-        self._versions = {}
-        self._chain_seq = {}
-        self._off_index = {}
-        for rid, chain in image.items():
-            self._new_chain(rid, list(chain))
-
     def set_page_lsn(self, page_no: int, lsn: int) -> None:
         page = self._page_for(page_no, create=True)
         page.page_lsn = max(page.page_lsn, lsn)

@@ -23,10 +23,11 @@ MVCC version chains are logged *implicitly*, the same substitution the
 indexes use: a version append is fully determined by a transaction's
 redoable records (the seed is the before-image of its first touch of a
 slot, the stamped state is its last logged ``after``) plus the LSN of
-its COMMIT record, which doubles as the version timestamp. Checkpoints
-snapshot the chains themselves in the payload (``"versions"``) next to
-the chain heads; ``recovery._rebuild_versions`` replays image + tail
-to reconstruct chains on both the classic and instant paths.
+its COMMIT record, which doubles as the version timestamp. Nothing
+ever reads that log back: a crash ends every snapshot, so restart
+rebuilds no chain. It reads only the ``before`` image of each in-doubt
+transaction's first touch of a slot — the guard that keeps new
+snapshots off the undecided state (``recovery._resurrect_prepared``).
 """
 
 from __future__ import annotations

@@ -79,7 +79,7 @@ def test_sharded_repro_doc_replays(base):
                                        base=base))
     assert result.ok, [v.detail for v in result.violations]
     doc = result.repro_doc()
-    assert (doc["version"], doc["shards"], doc["config"]) == (2, 2, base)
+    assert (doc["version"], doc["shards"], doc["config"]) == (3, 2, base)
     assert replay(doc).to_json() == result.to_json()
 
 
@@ -94,6 +94,31 @@ def test_version_1_repro_doc_is_refused():
         replay(doc)
     with pytest.raises(ValueError, match="version 1"):
         shrink_doc({**doc, "violations": [{"code": "leaked-locks"}]})
+
+
+def test_version_2_repro_doc_is_refused():
+    """Version 2 predates the ``checkpoint`` op: the same seed drew a
+    different op sequence, so a replay would not be the recorded run."""
+    doc = run_campaign(quiet_config()).repro_doc()
+    doc["version"] = 2
+    with pytest.raises(ValueError, match="version 2"):
+        replay(doc)
+
+
+@pytest.mark.parametrize("base,seed,ops,shards", [("all_on", 4, 80, 0),
+                                                  ("paper", 0, 40, 4)])
+def test_commit_across_a_fuzzy_checkpoint_survives_the_crashes(
+        base, seed, ops, shards):
+    """The ``checkpoint`` op commits an update across a checkpoint of
+    every database. With a version rebuild that scanned from the
+    checkpoint, a later crash hid that commit from every snapshot and
+    these cells ended ``lost-committed-version`` (e2e finding 1b)."""
+    result = run_campaign(CampaignConfig(seed=seed, ops=ops, shards=shards,
+                                         base=base))
+    assert any(op == {"kind": "checkpoint", "target": op["target"],
+                      "outcome": "ok"} for op in result.op_trace)
+    assert result.crashes
+    assert result.ok, [v.detail for v in result.violations]
 
 
 # ------------------------------------------------------- corruptions are caught

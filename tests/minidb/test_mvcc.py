@@ -282,10 +282,9 @@ def test_merge_never_folds_past_a_live_snapshot():
 # ------------------------------------------------------------------ recovery
 
 def test_version_state_consistent_after_crash_and_restart():
-    """Recovery mirrors the MVCC protocol over the log, then — since no
-    snapshot survives a crash — merges every committed tail back into
-    the base records. A post-restart snapshot must agree with the base
-    rows and leave no live chains behind."""
+    """No snapshot survives a crash, so restart rebuilds no chains: the
+    redone/undone base records are the committed state. A post-restart
+    snapshot must agree with the base rows and find no live chains."""
     sim = Simulator()
     db = make_db(sim)
 

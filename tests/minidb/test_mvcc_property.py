@@ -143,7 +143,7 @@ op = st.one_of(
     st.tuples(st.just("close_reader"), st.integers(0, 3)),
     st.tuples(st.just("merge")),
     # checkpoint + crash + restart; the writer may be prepared first, so
-    # its before-image guards survive the restart's closing merge.
+    # restart seeds its before-image guards.
     st.tuples(st.just("crash"), st.booleans(), st.booleans()),
 )
 

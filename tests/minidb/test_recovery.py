@@ -24,9 +24,9 @@ def insert(db, session, k, v):
     yield from session.execute("INSERT INTO t (k, v) VALUES (?, ?)", (k, v))
 
 
-def all_rows(db):
+def all_rows(db, isolation=None):
     def go():
-        session = db.session()
+        session = db.session(isolation)
         result = yield from session.execute("SELECT k, v FROM t ORDER BY k")
         yield from session.commit()
         return result.rows
@@ -354,3 +354,121 @@ def test_duplicate_key_scan_order_is_the_same_after_restart(instant,
     assert sorted(before) == list(range(100))
     assert before == after
     assert before == list(range(100))   # rid order: v was inserted in it
+
+
+@pytest.mark.parametrize("instant", [True, False])
+def test_commit_after_a_fuzzy_checkpoint_is_visible_to_snapshots(instant):
+    """e2e finding 1b: a transaction open at a checkpoint that commits
+    after it. Restart builds no version chains (no snapshot survives a
+    crash), so an SI reader sees what a locking reader sees."""
+    sim = Simulator()
+    db = make_db(sim, instant_recovery=instant)
+
+    def work():
+        session = db.session()
+        yield from insert(db, session, 1, "old")
+        yield from session.commit()
+        yield from session.execute("UPDATE t SET v = 'upd' WHERE k = 1")
+        yield from insert(db, session, 2, "new")
+        db.checkpoint()   # fuzzy: the writer is still open
+        yield from session.commit()
+
+    sim.run_process(work())
+    db.crash()
+    db.restart()
+    committed = [(1, "upd"), (2, "new")]
+    assert all_rows(db, "CS") == committed
+    assert all_rows(db, "SI") == committed
+    assert sorted(db.snapshot_table_rows("t")) == committed
+
+
+@pytest.mark.parametrize("instant", [True, False])
+def test_checkpoint_carries_no_version_history_and_restart_builds_none(
+        instant):
+    """The CHECKPOINT payload is the chain heads and the transaction
+    table, nothing else; with no in-doubt transaction a restart leaves
+    no chain (so no off-index mark an SI probe would have to examine),
+    even for tail rids whose page instant restart has not replayed."""
+    sim = Simulator()
+    db = make_db(sim, instant_recovery=instant)
+
+    def work():
+        session = db.session()
+        for k in range(20):
+            yield from insert(db, session, k, "a")
+        yield from session.commit()
+        db.checkpoint()
+        pin = db.session("SI")   # a live snapshot keeps chains alive
+        yield from pin.execute("SELECT k FROM t WHERE k = 0")
+        yield from session.execute("UPDATE t SET v = 'b' WHERE k < 10")
+        yield from session.commit()
+        assert db.live_chains() == 10
+        db.checkpoint()
+        yield from session.execute("DELETE FROM t WHERE k >= 15")
+        yield from session.commit()
+
+    sim.run_process(work())
+    payload = db.wal.record(db.wal.last_checkpoint_lsn).payload
+    assert set(payload) == {"chain_heads", "txn_table"}
+    db.crash()
+    summary = db.restart()
+    assert summary["prepared"] == []
+    if instant:
+        assert db.replay_pending   # the tail's pages are still unreplayed
+    assert db.live_chains() == 0
+    assert all(db.heaps["t"].off_index_rids(name) == []
+               for name in db.catalog.indexes)
+    expected = [(k, "b" if k < 10 else "a") for k in range(15)]
+    assert all_rows(db, "SI") == expected == all_rows(db, "CS")
+
+
+@pytest.mark.parametrize("instant", [True, False])
+def test_backup_under_an_open_transaction_restores_without_it(instant):
+    """``backup_image`` checkpoints, which flushes an open transaction's
+    rows into the copied disk. The image carries the durable log, so
+    ``restore_image`` is a restart at that checkpoint: ordinary loser
+    undo removes them."""
+    sim = Simulator()
+    db = make_db(sim, instant_recovery=instant)
+    images = []
+
+    def work():
+        session = db.session()
+        yield from insert(db, session, 1, "committed")
+        yield from session.commit()
+        yield from insert(db, session, 2, "uncommitted")
+        images.append(db.backup_image())
+        yield from session.rollback()
+        yield from insert(db, session, 3, "after-backup")
+        yield from session.commit()
+
+    sim.run_process(work())
+    db.restore_image(images[0])
+    assert all_rows(db) == [(1, "committed")]
+    assert all_rows(db, "SI") == [(1, "committed")]
+
+
+@pytest.mark.parametrize("instant", [True, False])
+def test_work_committed_after_a_restore_survives_the_next_crash(instant):
+    """The restored pages carry the LSNs of the log they were written
+    under. Restoring over an empty log restarted LSNs at 1, so REDO's
+    ``page_lsn >= lsn`` test skipped every post-restore record."""
+    sim = Simulator()
+    db = make_db(sim, instant_recovery=instant)
+
+    def work(k, v):
+        session = db.session()
+        yield from insert(db, session, k, v)
+        yield from session.execute("UPDATE t SET v = ? WHERE k = 1", (v,))
+        yield from session.commit()
+
+    sim.run_process(work(1, "before"))
+    for take in range(5):   # push the page LSNs well past a fresh log's
+        sim.run_process(work(10 + take, f"before-{take}"))
+    image = db.backup_image()
+    db.restore_image(image)
+    sim.run_process(work(2, "after"))
+    db.crash()
+    db.restart()
+    assert all_rows(db)[:2] == [(1, "after"), (2, "after")]
+    assert len(all_rows(db)) == 7

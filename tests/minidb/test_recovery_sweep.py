@@ -18,8 +18,13 @@ The expected-state model relies on two engine facts:
 
 A fast scripted trace runs in tier 1; a larger randomized sweep is
 marked ``slow`` and excluded from the default run. Each prefix
-additionally proves the rebuilt lineage chains agree with the base
-rows (a snapshot at the WAL tail sees exactly the committed state).
+additionally proves a snapshot at the WAL tail sees exactly the
+committed state (restart rebuilds no lineage chains — DESIGN §13).
+
+The fuzzy-checkpoint sweep at the bottom puts a checkpoint after every
+record position of both scripted traces — inside open transactions,
+between a rollback's records, before and after DDL — and crashes at
+every durable prefix from that checkpoint on.
 """
 
 import random
@@ -74,7 +79,7 @@ def check_indexes(db):
 
 def check_versions(db):
     """With no live transactions, a snapshot at the WAL tail must agree
-    with the base rows — recovery rebuilt the chains right."""
+    with the base rows — recovery left no stale chain behind."""
     if db.txns.active:
         return
     for table in db.catalog.tables:
@@ -83,11 +88,46 @@ def check_versions(db):
             f"version chains diverged on {table}"
 
 
-def run_scripted_trace(instant=True):
+def arm_fuzzy_checkpoint(db, after):
+    """Make ``db`` checkpoint once, as soon as its log holds ``after``
+    records and the engine is between two atomic steps — the only places
+    another process's ``db.checkpoint()`` can land, since log append,
+    heap change and index maintenance of one row never yield in between.
+    Those places are the entry of every non-CLR append and the start of
+    an undo run (undo changes the heap *before* it logs the CLR, and
+    never yields either). Returns the trigger; call it once more when
+    the trace ends to cover ``after == tail``. ``after=None`` arms
+    nothing.
+    """
+    if after is None:
+        return lambda: None
+    append, undo_to = db.wal.append, db._undo_to
+    fired = []
+
+    def fire():
+        if not fired and db.wal.tail_lsn >= after:
+            fired.append(True)   # before: checkpoint() appends a record
+            db.checkpoint()
+
+    def hooked_append(kind, txn, **fields):
+        if kind != "CLR":
+            fire()
+        return append(kind, txn, **fields)
+
+    def hooked_undo_to(txn, upto_lsn):
+        fire()
+        return undo_to(txn, upto_lsn)
+
+    db.wal.append, db._undo_to = hooked_append, hooked_undo_to
+    return fire
+
+
+def run_scripted_trace(instant=True, checkpoint_after=None):
     """The fixed mixed DDL/DML trace; returns (db, [(end_lsn, snapshot)])."""
     sim = Simulator(seed=0)
     db = Database(sim, "sweep", DBConfig(instant_recovery=instant))
     snaps = []
+    fire = arm_fuzzy_checkpoint(db, checkpoint_after)
 
     def snap():
         snaps.append((db.wal.tail_lsn, snapshot(db)))
@@ -138,18 +178,20 @@ def run_scripted_trace(instant=True):
         yield from s.execute("INSERT INTO a (k, v) VALUES (6, 'six')")
         yield from s.execute("UPDATE b SET n = 999 WHERE k = 10")
         yield from s.execute("DELETE FROM a WHERE k = 3")
+        fire()
         db.wal.force()
 
     sim.run_process(script())
     return db, snaps
 
 
-def run_random_trace(seed, instant=True):
+def run_random_trace(seed, instant=True, checkpoint_after=None):
     """Seeded random DML trace over two tables; same return shape."""
     rng = random.Random(seed)
     sim = Simulator(seed=seed)
     db = Database(sim, "sweep", DBConfig(instant_recovery=instant))
     snaps = []
+    fire = arm_fuzzy_checkpoint(db, checkpoint_after)
 
     def script():
         s = db.session()
@@ -187,6 +229,7 @@ def run_random_trace(seed, instant=True):
                 # the live key set from it rather than tracking undo
                 live[:] = [row[0] for row in db.table_rows("a")]
                 snaps.append((db.wal.tail_lsn, snapshot(db)))
+        fire()
         db.wal.force()  # whatever is in flight becomes a durable loser
 
     sim.run_process(script())
@@ -255,15 +298,18 @@ def test_random_trace_every_prefix(seed, instant):
 
 # ------------------------------------------------------- checkpointed sweep
 
-def run_checkpointed_trace(instant=True):
+def run_checkpointed_trace(instant=True, checkpoint_after=None):
     """Scripted trace with a mid-trace checkpoint: disk pages, index
-    images and per-page chain heads are all live at crash time. Returns
-    (db, snaps, checkpoint_lsn)."""
+    images and per-page chain heads are all live at crash time. The
+    checkpoint is the quiescent one in the script, or — with
+    ``checkpoint_after`` — a fuzzy one after that many log records.
+    Returns (db, snaps, checkpoint_lsn)."""
     sim = Simulator(seed=0)
     # Small pages spread the rows over several per-page chains.
     db = Database(sim, "sweep", DBConfig(instant_recovery=instant,
                                          rows_per_page=2))
     snaps = []
+    fire = arm_fuzzy_checkpoint(db, checkpoint_after)
 
     def snap():
         snaps.append((db.wal.tail_lsn, snapshot(db)))
@@ -278,7 +324,8 @@ def run_checkpointed_trace(instant=True):
                 "INSERT INTO a (k, v) VALUES (?, ?)", (k, f"v{k}"))
         yield from s.commit()
         snap()
-        db.checkpoint()
+        if checkpoint_after is None:
+            db.checkpoint()
         # Post-checkpoint tail: updates to checkpointed pages, fresh
         # pages, a rollback, and a durable in-flight loser.
         yield from s.execute("UPDATE a SET v = 'U2' WHERE k = 2")
@@ -295,6 +342,7 @@ def run_checkpointed_trace(instant=True):
         snap()
         yield from s.execute("UPDATE a SET v = 'LOSER' WHERE k = 4")
         yield from s.execute("INSERT INTO a (k, v) VALUES (91, 'loser')")
+        fire()
         db.wal.force()
 
     sim.run_process(script())
@@ -377,3 +425,86 @@ def test_crash_during_lazy_replay_with_new_work_loses_nothing():
     check_indexes(db)
     # And a third restart after full replay is still a no-op.
     check_recovered_state(db, expected)
+
+
+# --------------------------------------------------- fuzzy-checkpoint sweep
+
+def check_reads(db, expected):
+    """An SI snapshot at the WAL tail == the locking read == the state as
+    of the last COMMIT inside the prefix, through real sessions."""
+    def read(isolation, table):
+        session = db.session(isolation)
+        result = yield from session.execute(f"SELECT * FROM {table}")
+        yield from session.commit()
+        return sorted(result.rows)
+
+    for table in db.catalog.tables:
+        want = expected.get(table, [])
+        assert db.sim.run_process(read("CS", table)) == want, \
+            f"locking read of {table} diverged"
+        assert db.sim.run_process(read("SI", table)) == want, \
+            f"SI read of {table} diverged"
+        assert sorted(db.snapshot_table_rows(table)) == want, \
+            f"snapshot at the tail of {table} diverged"
+
+
+def checkpointed(instant, after):
+    return run_checkpointed_trace(instant, checkpoint_after=after)
+
+
+def scripted(instant, after):
+    db, snaps = run_scripted_trace(instant, checkpoint_after=after)
+    return db, snaps, db.wal.last_checkpoint_lsn
+
+
+def fuzzy_sweep(build, instant, every=1):
+    """Checkpoint after every ``every``-th record position of ``build``'s
+    trace, crash at every ``every``-th durable prefix from there on
+    (earlier prefixes are not crash states: the checkpoint flushed pages
+    past them). Returns (record count, distinct checkpoint LSNs)."""
+    records = build(instant, None)[0].wal.tail_lsn
+    if build is checkpointed:
+        records -= 1   # the script's own quiescent checkpoint
+    checkpoints = set()
+    for after in range(0, records + 1, every):
+        reference, _, ckpt = build(instant, after)
+        assert reference.wal.record(ckpt).kind == "CHECKPOINT"
+        if ckpt in checkpoints:
+            continue   # collapsed onto the previous reachable position
+        checkpoints.add(ckpt)
+        tail = reference.wal.tail_lsn
+        assert tail == records + 1
+        for prefix in range(ckpt, tail + 1, every):
+            db, snaps, _ = build(instant, after)
+            db.wal.flushed_upto = prefix
+            expected = expected_at(snaps, prefix)
+            for _ in ("restart", "an immediate second one is a no-op"):
+                db.crash()
+                db.restart()
+                check_recovered_state(db, expected)
+                check_indexes(db)
+                check_reads(db, expected)
+    return records, len(checkpoints)
+
+
+@RESTARTS
+@pytest.mark.parametrize("build", [checkpointed, scripted])
+def test_fuzzy_checkpoint_at_every_position_every_later_prefix(build,
+                                                               instant):
+    """ROADMAP 1a. The checkpoint lands after every record position of
+    the trace — most of them inside an open transaction."""
+    records, checkpoints = fuzzy_sweep(build, instant)
+    # Only the positions inside an undo run collapse.
+    assert checkpoints >= records - 4
+
+
+@pytest.mark.slow
+@RESTARTS
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fuzzy_checkpoint_over_a_random_trace(seed, instant):
+    def build(instant, after):
+        db, snaps = run_random_trace(seed, instant, checkpoint_after=after)
+        return db, snaps, db.wal.last_checkpoint_lsn
+
+    records, checkpoints = fuzzy_sweep(build, instant, every=5)
+    assert records >= 80 and checkpoints >= 12
