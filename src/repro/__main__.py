@@ -244,7 +244,7 @@ def main(argv=None) -> int:
 
     tr = sub.add_parser("trace", help="run a traced scenario and report")
     tr.add_argument("scenario", nargs="?", default="commit-retry",
-                    help="commit-retry (default), workload, or sharded")
+                    help="commit-retry (default), workload, sharded or fleet")
     tr.add_argument("--seed", type=int, default=7)
     tr.add_argument("--json", metavar="PATH",
                     help="also dump the raw trace events as JSON")

@@ -247,13 +247,13 @@ def run_recovery(cfg, instant, classic) -> dict:
 
 # --------------------------------------------------------------------- fleet
 
-def _fleet_at(cfg, config, shards: int) -> dict:
-    """Zero-think clients over a fleet of ``shards``, ``fleet_saturated``'s
-    mix: 50 % four-link inserts (every fifth spans two shards), 25 %
-    relinks, 10 % deletes, 15 % token reads; one pick in ten lands on
-    the hot rows every client shares. An aborted attempt is retried as
-    an application would; a transaction counts once, when it commits."""
-    system = config.system(cfg.seed, shards=shards)
+def fleet_load(system, txns: int) -> dict:
+    """Zero-think clients, ``txns`` each, over the fleet ``system``;
+    ``fleet_saturated``'s mix: 50 % four-link inserts (every fifth spans
+    two shards), 25 % relinks, 10 % deletes, 15 % token reads; one pick
+    in ten lands on the hot rows every client shares. An aborted attempt
+    is retried as an application would; a transaction counts once, when
+    it commits. (``python -m repro trace fleet`` runs it traced.)"""
     names = [f"fleet{k:02d}" for k in range(FLEET_TABLES)]
     hot = [(name, i) for name in names for i in range(FLEET_HOT)]
     row_ids, file_ids = itertools.count(FLEET_ROWS), itertools.count(1)
@@ -302,7 +302,7 @@ def _fleet_at(cfg, config, shards: int) -> dict:
                     else (home, rng.choice(mine)))
 
         inserts = 0
-        for _ in range(FLEET_TXNS_QUICK if cfg.quick else FLEET_TXNS):
+        for _ in range(txns):
             # Every choice is made here, once, so a retried transaction
             # repeats itself.
             draw = rng.random()
@@ -342,7 +342,9 @@ def _fleet_at(cfg, config, shards: int) -> dict:
 def run_fleet(cfg, config) -> dict:
     """The headline (ops/s of the largest fleet) and how much of it is
     capacity: the same load on one shard."""
-    out = {str(n): _fleet_at(cfg, config, n) for n in FLEET_SHARDS}
+    txns = FLEET_TXNS_QUICK if cfg.quick else FLEET_TXNS
+    out = {str(n): fleet_load(config.system(cfg.seed, shards=n), txns)
+           for n in FLEET_SHARDS}
     top, one = out[str(max(FLEET_SHARDS))], out[str(min(FLEET_SHARDS))]
     out["shard_scaling"] = _ratio(top["ops_per_sec"], one["ops_per_sec"])
     return out

@@ -28,7 +28,7 @@ from repro.configs import Configuration
 #: The history row this tree's harness writes: ``pr<N>-…`` with N the
 #: number of the PR (``tests/test_bench_history.py`` holds it to the
 #: last entry of CHANGES.md). Re-running a tree refreshes its own row.
-HISTORY_LABEL = "pr22-restart-builds-no-versions"
+HISTORY_LABEL = "pr23-shared-fence-slot-rule"
 
 
 @dataclass
@@ -66,12 +66,15 @@ class Arm:
 
 ARMS = {arm.name: arm for arm in (
     Arm("fleet", "all_on", arms.run_fleet,
-        gates=(("shard_scaling", ">=", 2),
-               ("1.failed", "==", 0),
+        # No bar on shard_scaling (the one host is the bound: ~1x); what
+        # must not happen is a ratio bought with a slower one-shard arm.
+        gates=(("1.failed", "==", 0),
                ("8.failed", "==", 0),
                ("8.ops_per_sec", ">", 0),
-               ("8.ops_per_sec", ">=", 0.9, "fleet_ops_per_sec")),
+               ("8.ops_per_sec", ">=", 0.9, "fleet_ops_per_sec"),
+               ("1.ops_per_sec", ">=", 0.9, "fleet_one_shard_ops_per_sec")),
         history={"fleet_ops_per_sec": "8.ops_per_sec",
+                 "fleet_one_shard_ops_per_sec": "1.ops_per_sec",
                  "fleet_shard_scaling": "shard_scaling"},
         summary="{8.ops_per_sec} ops/s at 8 shards, {shard_scaling}x one "
                 "shard's {1.ops_per_sec} ({1.retries} aborted attempts "

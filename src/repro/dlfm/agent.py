@@ -102,7 +102,7 @@ class ChildAgent:
         # Forward sessions honour ``read_isolation``: under SI the
         # transaction's lookups are lock-free snapshot reads (writes
         # still take X locks and lose to the first writer); probes that
-        # fence a write carry an explicit FOR UPDATE (see manager).
+        # fence a write carry an explicit lock clause (see manager).
         self.session = self.dlfm.read_session()
         self.current = (req.dbid, req.txn_id)
         self.prepared = False

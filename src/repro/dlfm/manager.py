@@ -246,24 +246,27 @@ class DLFM:
         locks**, so DLFM's hot internal readers (in-doubt poller,
         reconcile scans, delete-group drain, link/unlink lookups) never
         queue behind — or deadlock with — phase-2 writers. Statements
-        that must see and fence the *current* state keep FOR UPDATE,
-        which forces the locking read path even under SI.
+        that must see and fence the *current* state carry a lock clause
+        (FOR SHARE / FOR UPDATE): the locking read path even under SI.
         """
         if self.config.read_isolation == "SI":
             return self.db.session("SI")
         return self.db.session()
 
-    def _probe_lock(self, session) -> str:
-        """``" FOR UPDATE"`` when ``session`` reads at SI, else ``""``.
+    def _probe_lock(self, session, clause: str = " FOR SHARE") -> str:
+        """``clause`` when ``session`` reads at SI, else ``""``.
 
         Existence/state probes that *fence* a subsequent write (link's
-        group check, export's file scan) rely on lock waits under the
-        locking levels; under SI a plain read would resolve against a
-        snapshot and the fence would silently vanish (write-skew). The
-        explicit FOR UPDATE restores the current-read + lock semantics
-        for exactly those probes without touching the default levels.
+        and unlink's group check, export's file scan) rely on lock waits
+        under the locking levels; under SI a plain read would resolve
+        against a snapshot and the fence would silently vanish
+        (write-skew). The explicit lock clause restores the current-read
+        + lock-to-commit semantics for exactly those probes. The group
+        fences are *shared*: they must conflict with the group's writers
+        (DeleteGroup's UPDATE, ExportGroup's FOR UPDATE) — S does, FIFO —
+        never with another linker (DESIGN §13).
         """
-        return " FOR UPDATE" if session.isolation == "SI" else ""
+        return clause if session.isolation == "SI" else ""
 
     def retry_backoff(self, what: str) -> Backoff:
         """The retry-delay policy for phase-2 loops and daemons: the
@@ -524,7 +527,8 @@ class DLFM:
                 f"group {req.grp_id} is {group[4]}, cannot move")
         files = yield from session.execute(
             f"SELECT {self._FILE_COLUMNS} FROM dfm_file "
-            f"WHERE grp_id = ? AND dbid = ?{self._probe_lock(session)}",
+            "WHERE grp_id = ? AND dbid = ?"
+            f"{self._probe_lock(session, ' FOR UPDATE')}",
             (req.grp_id, req.dbid))
         # A move adopts file rows VERBATIM, so every row must be fully
         # resolved: an in-doubt link's phase-2 Commit (chown takeover,

@@ -529,6 +529,12 @@ class LockManager:
     def total_locks(self) -> int:
         return self._total_locks
 
+    def others_on(self, txn, resource: Resource) -> bool:
+        """Does anybody but ``txn`` hold or wait for ``resource``?"""
+        head = self.heads.get(resource)
+        return head is not None and (
+            bool(head.queue) or any(h != txn.id for h in head.holders))
+
     def holders_of(self, resource: Resource) -> dict[int, LockMode]:
         head = self.heads.get(resource)
         return dict(head.holders) if head else {}

@@ -48,6 +48,10 @@ class HeapPage:
                 return i
         return None
 
+    def free_rids(self) -> Iterator[tuple[int, int]]:
+        return ((self.page_no, i) for i, slot in enumerate(self.slots)
+                if slot is None)
+
 
 class Disk:
     """Durable page store: table → page_no → (page_lsn, row snapshot).
@@ -288,16 +292,25 @@ class Heap:
 
     # -- operations ---------------------------------------------------------------
 
-    def candidate_rid(self) -> Rid:
-        """Where the next free-choice insert would land (no mutation).
-
-        The executor X-locks this rid *before* inserting so a reused slot
-        still X-locked by an uncommitted deleter can't expose dirty data.
+    def free_rids(self) -> Iterator[Rid]:
+        """Free slots in the order a free-choice insert prefers them:
+        pages with space lowest first (a committed delete's space is
+        reused before the heap grows), then the slots of a fresh page.
+        The executor X-locks the first one nobody else holds *before*
+        inserting, so a slot an uncommitted deleter still X-locks can
+        neither expose dirty data nor make the insert queue (DESIGN §9).
         """
-        page = self._first_page_with_space()
-        if page is not None:
-            return (page.page_no, page.first_free())
-        return (self._page_count, 0)
+        lowest = self._first_page_with_space()
+        if lowest is not None:
+            yield from lowest.free_rids()
+            for page_no in sorted(self._free_pages - {lowest.page_no}):
+                yield from self._page_for(page_no).free_rids()
+        for slot_no in range(self.rows_per_page):
+            yield (self._page_count, slot_no)
+
+    def candidate_rid(self) -> Rid:
+        """Where the next free-choice insert would land (no mutation)."""
+        return next(self.free_rids())
 
     def is_free(self, rid: Rid) -> bool:
         if rid[0] >= self._page_count:

@@ -10,6 +10,7 @@ p50/p95/p99/max drawn from the registry's span histograms.
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from typing import List
 
@@ -39,17 +40,24 @@ def _table(title: str, columns: List[str], rows: List[List[str]]) -> List[str]:
 READER_MODES = frozenset({"S", "IS"})
 
 
-def lock_hotspots(spans: List[dict], top: int = 10) -> List[dict]:
+def lock_hotspots(spans: List[dict], top: int = 10,
+                  by_table: bool = False) -> List[dict]:
     """Aggregate ``lock.wait`` spans by (database, resource); sorted by
     total wait. Keeping the database in the key matters for sharded
     fleets: every shard has a ``dfm_file`` heap, and a hotspot report
     that merged them could not say WHICH shard is convoying. Each row
-    also splits the waits reader-vs-writer by the requested mode."""
+    also splits the waits reader-vs-writer by the requested mode.
+    ``by_table`` rolls resources up to ``kind table mode``: a convoy
+    spread over reused rids (every ``dfm_txn`` insert queueing on a
+    different slot) is one row then, and never ranks otherwise."""
     agg: dict = {}
     for span in spans:
         if span["name"] != "lock.wait":
             continue
         resource = str(span["attrs"].get("resource", "?"))
+        if by_table:
+            resource = " ".join(re.findall(r"'(\w+)'", resource)[:2]
+                                + [str(span["attrs"].get("mode"))])
         db = str(span["attrs"].get("db", "?"))
         entry = agg.setdefault((db, resource), {
             "db": db, "resource": resource, "waits": 0, "total_wait": 0.0,
@@ -122,19 +130,24 @@ def render_report(tracer, registry) -> str:
         ["span", "count"],
         [[name, str(n)] for name, n in sorted(counts.items())])
 
-    hotspots = lock_hotspots(spans)
-    if hotspots:
-        lines += _table(
-            "Top lock hotspots (by total wait, virtual seconds; "
-            "rd=S/IS waiters, wr=X/IX/SIX/U)",
-            ["db", "resource", "waits", "rd", "wr", "total_wait",
-             "rd_wait", "wr_wait", "max_wait", "deadlock", "timeout"],
-            [[e["db"], e["resource"], str(e["waits"]),
-              str(e["reader_waits"]), str(e["writer_waits"]),
-              _fmt(e["total_wait"]), _fmt(e["reader_wait"]),
-              _fmt(e["writer_wait"]), _fmt(e["max_wait"]),
-              str(e["deadlocks"]), str(e["timeouts"])]
-             for e in hotspots])
+    waits = [span["duration"] for span in spans
+             if span["name"] == "lock.wait"]
+    rollup = (f"Lock waits by table and requested mode ({len(waits)} waits, "
+              f"{_fmt(sum(waits))} s in all)")
+    for by_table, title in ((False, "Top lock hotspots"), (True, rollup)):
+        hotspots = lock_hotspots(spans, by_table=by_table)
+        if hotspots:
+            lines += _table(
+                f"{title} (by total wait, virtual seconds; "
+                "rd=S/IS waiters, wr=X/IX/SIX/U)",
+                ["db", "resource", "waits", "rd", "wr", "total_wait",
+                 "rd_wait", "wr_wait", "max_wait", "deadlock", "timeout"],
+                [[e["db"], e["resource"], str(e["waits"]),
+                  str(e["reader_waits"]), str(e["writer_waits"]),
+                  _fmt(e["total_wait"]), _fmt(e["reader_wait"]),
+                  _fmt(e["writer_wait"]), _fmt(e["max_wait"]),
+                  str(e["deadlocks"]), str(e["timeouts"])]
+                 for e in hotspots])
 
     lock_rows = lock_requests(registry)
     if lock_rows:

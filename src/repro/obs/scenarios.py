@@ -30,6 +30,7 @@ CONFIGURATIONS = {
                                "dlfm.commit_retry_delay": 1.0}),
     "workload": ("paper", {}),
     "sharded": ("all_on", {}),
+    "fleet": ("all_on", {}),
 }
 
 
@@ -190,6 +191,23 @@ def sharded(seed: int = 11, shards: int = 3):
     return tracer, registry, meta
 
 
+def fleet(seed: int = 42, shards: int = 8):
+    """The bench's saturated fleet (32 zero-think clients, ``--quick``
+    scale), traced: unlike ``sharded`` it has the concurrency that makes
+    lock waits, which the report rolls up by table and mode."""
+    from repro.bench import arms
+
+    registry = MetricsRegistry()
+    tracer = Tracer(registry)
+    configuration = Configuration(*CONFIGURATIONS["fleet"])
+    system = configuration.system(seed, shards=shards, tracer=tracer)
+    result = arms.fleet_load(system, arms.FLEET_TXNS_QUICK)
+    meta = {"scenario": "fleet", "config": configuration.base, "seed": seed,
+            "shards": shards, "clients": arms.FLEET_CLIENTS, **result}
+    _import_counters(registry, system)
+    return tracer, registry, meta
+
+
 def _plan_cache_counters(db) -> dict:
     """The plan-cache group: how statement compilation is amortized."""
     m = db.metrics
@@ -240,4 +258,5 @@ SCENARIOS = {
     "commit-retry": commit_retry,
     "workload": workload,
     "sharded": sharded,
+    "fleet": fleet,
 }

@@ -122,7 +122,8 @@ class Select:
     join: Optional[Join] = None
     where: Optional[Expr] = None
     order_by: tuple[OrderItem, ...] = ()
-    for_update: bool = False
+    #: ``FOR SHARE`` / ``FOR UPDATE``: a locking current read at every level.
+    lock: Optional[str] = None  # None | "share" | "update"
     except_select: Optional["Select"] = None
     limit: Optional[Expr] = None  # Literal int or Param
 

@@ -10,7 +10,7 @@ rules implemented here are the ones the paper's lessons depend on:
   end of the statement and non-qualifying rows are released immediately
   — only locks the scan itself took, never one the transaction already
   held, and also when the statement fails. A plain CS ``SELECT`` (no
-  join, no ``FOR UPDATE``) whose row locks nobody could observe — no
+  join, no lock clause) whose row locks nobody could observe — no
   lock head on any row it will read, no escalation due, no injector
   armed: ``LockManager.reads_unobserved`` — takes none at all; they are
   billed as requests and counted in ``LockMetrics.avoided``;
@@ -97,10 +97,13 @@ class Executor:
     def _select_rows(self, txn, plan: SelectPlan, params: tuple):
         binding = plan.access.binding
         # SI: plain reads resolve against the begin snapshot with no
-        # table/row/key locks at all. FOR UPDATE is a write intent and
-        # keeps the locking protocol (current-state read, like RR).
-        si_read = txn.snapshot_lsn is not None and not plan.for_update
-        if plan.for_update:
+        # table/row/key locks at all. A lock clause makes the statement
+        # a current read at every level: FOR UPDATE is a write intent,
+        # FOR SHARE a fence — row S locks kept to end of transaction, so
+        # only the row's writers conflict with it (DESIGN §13).
+        for_update = plan.lock == "update"
+        si_read = txn.snapshot_lsn is not None and plan.lock is None
+        if for_update:
             # DB2 update cursors take U when update locking is enabled:
             # writers serialize against each other without blocking
             # plain readers, and without S→X conversion deadlocks.
@@ -109,7 +112,7 @@ class Executor:
         else:
             read_mode = LockMode.S
         if not si_read:
-            table_intent = LockMode.IX if plan.for_update else LockMode.IS
+            table_intent = LockMode.IX if for_update else LockMode.IS
             yield from self.db.locks.acquire(
                 txn, ("table", plan.table.name), table_intent)
             if plan.join is not None:
@@ -121,14 +124,14 @@ class Executor:
         # CS: the row locks this statement's scans newly took (never one
         # the transaction already held), in scan order; all are gone
         # when the statement ends.
-        cs_read = txn.isolation == "CS" and not plan.for_update
+        cs_read = txn.isolation == "CS" and plan.lock is None
         cs_locks: Optional[dict] = {} if cs_read else None
         locks = self.db.locks
         row_filter = plan.filter
         try:
             scanned = yield from self._scan_access(
                 txn, plan.access, params, {}, read_mode, cs_locks,
-                write_scan=plan.for_update, si=si_read,
+                write_scan=for_update, si=si_read,
                 avoid_locks=cs_read and plan.join is None)
             for rid, row in scanned:
                 env = {binding: row}
@@ -383,17 +386,23 @@ class Executor:
         self._typecheck(table, row)
 
         heap = self.db.heaps[table.name]
-        # Lock the landing rid before the row becomes visible.
+        # Lock the landing rid before the row becomes visible: the lowest
+        # free slot nobody else holds or waits for — a slot freed by an
+        # uncommitted DELETE is still X-locked by its deleter, and like
+        # DB2 we do not queue behind that commit for space (DESIGN §9).
+        locks = self.db.locks
         while True:
-            rid = heap.candidate_rid()
-            newly = yield from self.db.locks.acquire(
+            rid = next((rid for rid in heap.free_rids() if not
+                        locks.others_on(txn, ("row", table.name, rid))),
+                       None) or heap.candidate_rid()
+            newly = yield from locks.acquire(
                 txn, ("row", table.name, rid), LockMode.X)
             if heap.is_free(rid):
                 break
             # Someone landed there while we waited; drop the stale lock
             # (if it is not otherwise ours) and pick a new slot.
             if newly:
-                self.db.locks.release(txn, ("row", table.name, rid))
+                locks.release(txn, ("row", table.name, rid))
 
         # Key-value locks for index maintenance (lesson E3: taken whenever
         # the feature is on, irrespective of isolation level). ARIES/KVL:

@@ -11,7 +11,7 @@ KEYWORDS = frozenset("""
     SELECT FROM WHERE AND OR NOT IN IS NULL BETWEEN ORDER BY ASC DESC
     INSERT INTO VALUES UPDATE SET DELETE CREATE DROP TABLE INDEX UNIQUE ON
     JOIN INNER EXCEPT TRUE FALSE AS FOR COUNT MAX MIN SUM DISTINCT LIMIT
-    EXPLAIN
+    EXPLAIN SHARE
 """.split())
 
 TYPES = frozenset({"INT", "INTEGER", "FLOAT", "REAL", "TEXT", "VARCHAR",

@@ -77,7 +77,7 @@ class SelectPlan:
     items: Optional[list[tuple[Compiled, str]]]   # None → star
     aggregates: Optional[list[AggSpec]]
     order_by: list[tuple[Compiled, bool]]
-    for_update: bool
+    lock: Optional[str]   # None | "share" | "update" (``ast.Select.lock``)
     limit: Optional[Compiled]
     except_plan: Optional["SelectPlan"]
 
@@ -353,7 +353,7 @@ def _plan_select(catalog: Catalog, stmt: ast.Select) -> SelectPlan:
     return SelectPlan(access=access, table=outer, filter=where_filter,
                       join=join_plan, join_filter=join_filter,
                       columns=columns, items=items, aggregates=aggregates,
-                      order_by=order_by, for_update=stmt.for_update,
+                      order_by=order_by, lock=stmt.lock,
                       limit=limit, except_plan=except_plan,
                       tables=tables)
 

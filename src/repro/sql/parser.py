@@ -134,15 +134,16 @@ class _Parser:
                 if token.kind != "NUMBER" or not isinstance(token.value, int):
                     self.fail("expected integer or ? LIMIT")
                 limit = ast.Literal(token.value)
-        for_update = False
+        lock = None
         if self.accept_kw("FOR"):
-            self.expect_kw("UPDATE")
-            for_update = True
+            lock = "share" if self.accept_kw("SHARE") else "update"
+            if lock == "update":
+                self.expect_kw("UPDATE")
         except_select = None
         if allow_except and self.accept_kw("EXCEPT"):
             except_select = self._select(allow_except=False)
         return ast.Select(items=items, table=table, join=join, where=where,
-                          order_by=tuple(order_by), for_update=for_update,
+                          order_by=tuple(order_by), lock=lock,
                           except_select=except_select, limit=limit)
 
     def _join_clause(self) -> ast.Join:

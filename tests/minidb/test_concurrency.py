@@ -5,6 +5,10 @@ These tests exercise the exact engine mechanics that the paper's lessons
 """
 
 
+import math
+
+import pytest
+
 from repro.errors import TransactionAborted
 from repro.kernel import Simulator, Timeout
 from repro.minidb import Database, DBConfig
@@ -366,3 +370,105 @@ def test_escalation_under_sql_table_scan_blocks_everyone():
     sim.run(until=60.0)
     assert db.locks.metrics.escalations >= 1
     assert outcomes[0][0] == "timeout"
+
+
+# ------------------------------------------------------------- the slot rule
+
+def _rid_of(db, name):
+    return next(rid for rid, row in db.heaps["f"].scan() if row[1] == name)
+
+
+@pytest.mark.parametrize("end", ["commit", "rollback"])
+def test_insert_does_not_queue_for_an_uncommitted_deleters_slot(end):
+    """The lowest free slot belongs to a DELETE that has not committed:
+    an INSERT lands on the next free slot at once instead of waiting out
+    somebody else's commit for space (DB2 never reuses space freed by an
+    uncommitted delete). The deleter's ROLLBACK finds its slot untouched;
+    once it has committed, the slot is reused as before."""
+    sim = Simulator()
+    db = make_db(sim, next_key_locking=False)   # as the DLFM runs it
+    heap = db.heaps["f"]
+    freed = _rid_of(db, "n005")
+    original = heap.fetch(freed)
+    at = {}
+
+    def deleter():
+        session = db.session()
+        yield from session.execute("DELETE FROM f WHERE name = 'n005'")
+        yield Timeout(5.0)
+        yield from getattr(session, end)()
+
+    def inserter(name, start):
+        session = db.session()
+        yield Timeout(start)
+        yield from session.execute(
+            "INSERT INTO f (id, name, state) VALUES (99, ?, 'linked')",
+            (name,))
+        at[name] = (sim.now, _rid_of(db, name))
+        yield from session.commit()
+
+    sim.spawn(deleter())
+    sim.spawn(inserter("early", 1.0))
+    sim.spawn(inserter("late", 6.0))
+    sim.run()
+    assert db.locks.metrics.waits == 0
+    assert at["early"][0] == 1.0 and at["early"][1] != freed
+    if end == "rollback":
+        assert heap.fetch(freed) == original          # byte for byte
+        assert at["late"][1] not in (freed, at["early"][1])
+    else:
+        assert at["late"] == (6.0, freed)             # committed: reused
+    assert heap.nrows == (22 if end == "rollback" else 21)
+
+
+def test_an_insert_reuses_the_slot_its_own_transaction_freed():
+    sim = Simulator()
+    db = make_db(sim, next_key_locking=False)   # as the DLFM runs it
+    freed = _rid_of(db, "n005")
+
+    def go():
+        session = db.session()
+        yield from session.execute("DELETE FROM f WHERE name = 'n005'")
+        yield from session.execute(
+            "INSERT INTO f (id, name, state) VALUES (99, 'mine', 'linked')")
+        yield from session.commit()
+
+    sim.run_process(go())
+    assert _rid_of(db, "mine") == freed
+
+
+def test_churn_under_the_slot_rule_does_not_grow_the_heap():
+    """10 000 insert/delete pairs from 8 sessions whose deletes stay
+    uncommitted while the others insert: skipped slots are reused as
+    soon as their deleter commits, so the heap never needs more than the
+    live rows plus one slot per session — and stays within a page of
+    that."""
+    sim = Simulator()
+    db = make_db(sim, next_key_locking=False)   # as the DLFM runs it
+    heap = db.heaps["f"]
+    sessions, pairs = 8, 1_250
+    peak = {"pages": 0, "rows": 0}
+
+    def churn(cid):
+        session = db.session()
+        for n in range(pairs):
+            name = f"c{cid}-{n}"
+            yield from session.execute(
+                "INSERT INTO f (id, name, state) VALUES (?, ?, 'linked')",
+                (n, name))
+            yield from session.commit()
+            yield Timeout(0.001 * (cid + 1))
+            yield from session.execute(
+                "DELETE FROM f WHERE name = ?", (name,))
+            yield Timeout(0.003)       # the others insert meanwhile
+            yield from session.commit()
+            peak["pages"] = max(peak["pages"], heap.npages)
+            peak["rows"] = max(peak["rows"], heap.nrows)
+
+    for cid in range(sessions):
+        sim.spawn(churn(cid))
+    sim.run()
+    assert heap.nrows == 20 and db.metrics.rows_inserted >= sessions * pairs
+    need = math.ceil((peak["rows"] + sessions) / heap.rows_per_page)
+    assert peak["pages"] <= need + 1
+    assert db.locks.metrics.waits == 0

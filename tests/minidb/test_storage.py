@@ -46,6 +46,24 @@ def test_candidate_rid_predicts_insert_position():
     assert heap.candidate_rid() == (0, 0)
 
 
+def test_free_rids_lists_reusable_space_lowest_first_then_a_fresh_page():
+    """The order inserts try slots in: every free slot of every page
+    with space, lowest page first, then the slots of the page the heap
+    would grow by — and ``candidate_rid`` is its first element."""
+    heap, _, _ = make_heap(rows_per_page=2)
+    assert list(heap.free_rids()) == [(0, 0), (0, 1)]   # empty heap
+    rids = [heap.insert((i,)) for i in range(6)]         # pages 0-2, full
+    assert list(heap.free_rids()) == [(3, 0), (3, 1)]
+    heap.delete(rids[5])
+    heap.delete(rids[0])
+    heap.delete(rids[1])
+    assert list(heap.free_rids()) == [(0, 0), (0, 1), (2, 1), (3, 0), (3, 1)]
+    assert heap.candidate_rid() == (0, 0)
+    assert heap.npages == 3          # listing a fresh page creates nothing
+    heap.insert(("x",), rid=(0, 0))
+    assert next(heap.free_rids()) == (0, 1)
+
+
 def test_is_free():
     heap, _, _ = make_heap()
     rid = heap.insert(("a",))

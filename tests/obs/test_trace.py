@@ -139,6 +139,67 @@ def test_render_report_lists_spans_and_histograms():
     assert "rd_wait" in text and "wr_wait" in text
 
 
+def test_lock_rollup_ranks_a_convoy_spread_over_many_rids():
+    """Twelve short waits on twelve different ``dfm_txn`` slots never
+    rank among the exact-resource hotspots; rolled up by (db, kind,
+    table, requested mode) they are the top row."""
+    from repro.obs.report import lock_hotspots
+
+    registry = MetricsRegistry()
+    tracer = Tracer(registry)
+    sim = Simulator(seed=1, tracer=tracer)
+
+    def worker():
+        for slot in range(12):
+            with tracer.span("lock.wait", db="dlfm-shard1", mode="X",
+                             resource=("row", "dfm_txn", (0, slot))):
+                yield Timeout(1.0)
+        with tracer.span("lock.wait", db="dlfm-shard1", mode="X",
+                         resource=("row", "dfm_group", (0, 0))):
+            yield Timeout(5.0)
+        with tracer.span("lock.wait", db="dlfm-shard1", mode="S",
+                         resource=("row", "dfm_group", (0, 0))):
+            yield Timeout(2.0)
+        with tracer.span("lock.wait", db="host-hostdb", mode="X",
+                         resource=("key", "t", "t_id", ((1, 7),))):
+            yield Timeout(0.5)
+
+    sim.run_process(worker(), "worker")
+    spans = tracer.completed_spans()
+    exact = lock_hotspots(spans)
+    assert exact[0]["resource"] == "('row', 'dfm_group', (0, 0))"
+    assert exact[0]["waits"] == 2 and len(exact) == 10   # 14 resources
+    rows = lock_hotspots(spans, by_table=True)
+    assert [(r["db"], r["resource"], r["waits"], r["total_wait"],
+             r["max_wait"]) for r in rows] == [
+        ("dlfm-shard1", "row dfm_txn X", 12, 12.0, 1.0),
+        ("dlfm-shard1", "row dfm_group X", 1, 5.0, 5.0),
+        ("dlfm-shard1", "row dfm_group S", 1, 2.0, 2.0),
+        ("host-hostdb", "key t X", 1, 0.5, 0.5)]
+    text = render_report(tracer, registry)
+    assert ("Lock waits by table and requested mode (15 waits, "
+            "19.500000 s in all)") in text
+    assert "row dfm_txn X" in text
+
+
+def test_fleet_scenario_is_the_saturated_all_on_fleet(monkeypatch):
+    """``trace fleet``: the bench's fleet load — enough concurrency to
+    make lock waits, unlike ``sharded`` — under ``all_on``, traced."""
+    from repro.bench import arms
+    from repro.obs.scenarios import CONFIGURATIONS, fleet
+
+    monkeypatch.setattr(arms, "FLEET_TXNS_QUICK", 2)
+    tracer, registry, meta = fleet(seed=42)
+    assert CONFIGURATIONS["fleet"] == ("all_on", {})
+    assert meta["config"] == "all_on" and meta["shards"] >= 4
+    assert meta["clients"] == arms.FLEET_CLIENTS >= 16
+    assert meta["committed"] == 2 * arms.FLEET_CLIENTS
+    assert meta["failed"] == 0
+    snapshot = registry.snapshot()
+    assert all(f"locks.shard{n}.acquires" in snapshot for n in range(1, 9))
+    assert "prepare.fanout" in render_report(tracer, registry)
+
+
 def test_sharded_scenario_exports_per_shard_counter_groups():
     from repro.obs.scenarios import sharded
 

@@ -79,7 +79,12 @@ def test_limit_param():
 
 def test_for_update():
     stmt = parse("SELECT * FROM f WHERE id = 1 FOR UPDATE")
-    assert stmt.for_update is True
+    assert stmt.lock == "update"
+    assert parse("SELECT * FROM f WHERE id = 1 FOR SHARE").lock == "share"
+    assert parse("SELECT * FROM f WHERE id = 1").lock is None
+    for tail in ("FOR", "FOR DELETE", "FOR SHARE UPDATE", "FOR share_x"):
+        with pytest.raises(SQLSyntaxError):
+            parse(f"SELECT * FROM f WHERE id = 1 {tail}")
 
 
 def test_except():

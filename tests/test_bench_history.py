@@ -143,6 +143,12 @@ def test_rebased_numbers_carry_new_keys_no_earlier_row_has():
                 "fleet_shard_scaling"):
         assert all(key not in row for row in before)
         assert reference(before, key) is None
+    # ... and the one-shard baseline became a history key (and a gate)
+    # only when the ratio stopped being one, in PR 23.
+    rows = COMMITTED["history"]
+    assert "fleet_one_shard_ops_per_sec" not in rows[-2]
+    assert (rows[-1]["fleet_one_shard_ops_per_sec"]
+            == COMMITTED["arms"]["fleet"]["1"]["ops_per_sec"])
 
 
 def test_multi_server_gate_bites_when_fanout_latency_grows():

@@ -165,23 +165,34 @@ def test_fleet_arm_is_byte_deterministic_per_seed(monkeypatch):
 
 
 def test_fleet_gates_bite(tiny):
-    def failures(scaling, failed=0, previous=None):
+    def failures(failed=0, previous=None, previous_one=None, scaling=3.0):
         doc = copy.deepcopy(tiny)
         doc["arms"]["fleet"]["shard_scaling"] = scaling
         doc["arms"]["fleet"]["1"]["failed"] = failed
         doc["references"]["fleet_ops_per_sec"] = previous
+        doc["references"]["fleet_one_shard_ops_per_sec"] = previous_one
         return [f for f in check(doc) if "fleet: " in f]
 
-    # The tiny run is too short to scale; at the committed size it does.
-    assert failures(3.0) == []
-    [failure] = failures(1.99)
-    assert "shard_scaling >= 2" in failure
-    [failure] = failures(3.0, failed=1)
+    # No bar on the ratio itself: with the shards' own convoy gone one
+    # shard does what eight do (1.05x), and a gate on it would assert
+    # the convoy back.
+    assert failures() == failures(scaling=1.05) == []
+    assert not any("shard_scaling" in gate[0]
+                   for gate in ARMS["fleet"].gates)
+    [failure] = failures(failed=1)
     assert "1.failed == 0" in failure
     ops = tiny["arms"]["fleet"]["8"]["ops_per_sec"]
-    assert failures(3.0, previous=ops * 1.1) == []
-    [failure] = failures(3.0, previous=ops * 1.25)
+    assert failures(previous=ops * 1.1) == []
+    [failure] = failures(previous=ops * 1.25)
     assert "previous history row's fleet_ops_per_sec" in failure
+    # ... what is held instead is the baseline the ratio divides by: a
+    # slower one-shard arm is how 81.8x happened.
+    one = tiny["arms"]["fleet"]["1"]["ops_per_sec"]
+    assert failures(previous_one=one * 1.1) == []
+    [failure] = failures(previous_one=one * 1.25)
+    assert "previous history row's fleet_one_shard_ops_per_sec" in failure
+    assert ARMS["fleet"].history["fleet_one_shard_ops_per_sec"] \
+        == "1.ops_per_sec"
 
 
 def test_sentinels_and_paper_benches_run_one_scenario_body(monkeypatch):
