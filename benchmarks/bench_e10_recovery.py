@@ -67,7 +67,7 @@ def _prepare_with_decision(system, record_decision: bool):
         session = system.session()
         yield from _link(system, session, 0)
         txn_id = session.txn_id
-        yield from session._send_control(
+        yield from session.send_control(
             "fs1", api.Prepare(system.host.dbid, txn_id))
         yield from system.host.decide(
             session.session, txn_id, ["fs1"] if record_decision else [])

@@ -38,8 +38,8 @@ def main():
             "INSERT INTO docs (id, doc) VALUES (?, ?)",
             (1, build_url("fs1", "/d/committed.doc")))
         txn_id = session.txn_id
-        yield from session._send_control("fs1",
-                                         api.Prepare(host.dbid, txn_id))
+        yield from session.send_control("fs1",
+                                        api.Prepare(host.dbid, txn_id))
         yield from host.decide(session.session, txn_id, ["fs1"])
         print(f"txn {txn_id}: prepared at DLFM, commit decision durable "
               "at host")

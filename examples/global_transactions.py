@@ -50,8 +50,9 @@ def main():
         print(f"host restart: prepared branches recovered = "
               f"{summary['prepared']}")
 
-        status = yield from xa_recover(host)
-        print(f"xa_recover() → {status}")
+        # The branch rode the PREPARE record: restart hands it back —
+        # gtrid, participants and all — with the resurrected transaction.
+        print(f"xa_recover() → {xa_recover(host)}")
 
         # the branch's rows are still locked against everyone else
         probe = host.db.session()

@@ -5,13 +5,15 @@ A campaign builds a full :class:`repro.system.System` with a
 
 1. **round** — a client runs a batch of datalink operations (insert /
    update / delete on a media table, an update that commits across a
-   fuzzy checkpoint of every database, plus create+drop of short-lived
-   datalink tables) with fault injection ENABLED;
+   fuzzy checkpoint of every database, an insert whose commit is an XA
+   branch, plus create+drop of short-lived datalink tables) with fault
+   injection ENABLED;
 2. **recover** — injection off, every crashed node is restarted (ARIES
    recovery + distributed in-doubt resolution);
 3. **quiesce** — virtual time advances until the deployment is clean (no
    in-flight transactions, no pending delayed updates, empty archive
-   queue, no pending decisions) or a budget expires;
+   queue, no pending decisions) or a budget expires; here the campaign
+   plays the external TM: XA branches in doubt get their verdicts;
 4. **check** — :func:`repro.chaos.invariants.check_invariants` cross-
    checks host ↔ DLFM ↔ file system ↔ archive.
 
@@ -34,6 +36,7 @@ from repro.dlfm import schema
 from repro.errors import ReproError, TransactionAborted
 from repro.host import DatalinkSpec, build_url
 from repro.host.indoubt import resolve_indoubts
+from repro.host.xa import xa_commit, xa_prepare, xa_recover, xa_rollback
 from repro.kernel.sim import Timeout
 from repro.minidb.locks import LockMode
 from repro.minidb.txn import Transaction
@@ -45,9 +48,10 @@ ROUND_BUDGET = 900.0
 QUIESCE_STEP = 30.0
 QUIESCE_ROUNDS = 60
 #: Repro-document version: 2 added ``"config"``, 3 the ``checkpoint`` op
-#: kind. An older document's seed draws a different op sequence (or ran
-#: a hand-built configuration that no longer exists) and is refused.
-DOC_VERSION = 3
+#: kind, 4 the ``xa`` op kind. An older document's seed draws a
+#: different op sequence (or ran a hand-built configuration that no
+#: longer exists) and is refused.
+DOC_VERSION = 4
 #: The campaign's one departure from the configuration it names: the
 #: adaptive group-commit window's cut-off is widened to the campaign's
 #: virtual-time commit gaps (a lone chaos client commits seconds apart),
@@ -244,6 +248,9 @@ class _Campaign:
         self.result = CampaignResult(config, self.plan)
         self.rows: list = []        # (row_id, server, path) live media rows
         self.batch_tables: list = []  # short-lived tables awaiting drop
+        #: The external TM's journal of undelivered verdicts: gtrid →
+        #: (verdict, media row, op record, crashes injected so far).
+        self.branches: dict = {}
         self._row_seq = 0
         self._file_seq = 0
         self._batch_seq = 0
@@ -378,11 +385,13 @@ class _Campaign:
             return "delete"
         if self.batch_tables and roll < 0.93:
             return "drop_table"
-        # Both carved out of the create_table tail; the move draw exists
-        # only in sharded mode.
+        # All three carved out of the create_table tail; the move draw
+        # exists only in sharded mode.
         if 0.93 <= roll < 0.95:
             return "checkpoint"
-        if self.sharded and roll >= 0.96:
+        if 0.95 <= roll < 0.97:
+            return "xa"
+        if self.sharded and roll >= 0.97:
             return "move_group"
         return "create_table"
 
@@ -431,6 +440,52 @@ class _Campaign:
         commit acknowledged after a checkpoint must be visible to every
         post-restart snapshot (e2e finding 1b)."""
         yield from self._op_update(session, record, checkpoint=True)
+
+    def _op_xa(self, session, record: dict):
+        """An insert whose commit is an XA branch: the host prepares,
+        then — by seeded roll — the TM commits it, rolls it back, or
+        leaves it in doubt across whatever crashes the round still
+        holds, its verdict (a second roll) journaled for quiesce to
+        deliver."""
+        self._row_seq += 1
+        row = (self._row_seq, *self._new_file())
+        fate = self.rng.randrange(3)    # commit | rollback | left in doubt
+        verdict = ("commit", "rollback")[
+            fate if fate < 2 else self.rng.randrange(2)]
+        gtrid = f"chaos-{row[0]}"
+        record["target"] = f"media#{row[0]}:{verdict}"
+        yield from session.execute(
+            "INSERT INTO media (id, attr, doc) VALUES (?, ?, ?)",
+            (row[0], "xa", build_url(*row[1:])))
+        self.branches[gtrid] = (verdict, row, record,
+                                len(self.injector.crashes))
+        yield from xa_prepare(session, gtrid)
+        if fate < 2:
+            yield from self._deliver(gtrid)
+        else:
+            record["outcome"] = "indoubt"
+
+    def _deliver(self, gtrid: str):
+        """Generator: the TM hands branch ``gtrid`` its journaled
+        verdict; the row model follows it."""
+        entry = self.branches.get(gtrid)
+        if entry is not None and entry[0] == "commit":
+            yield from xa_commit(self.system.host, gtrid)
+            self.rows.append(entry[1])
+        else:
+            # No entry: a rollback this TM delivered and forgot, whose
+            # unforced ABORT record a host crash then took back — the
+            # branch is in doubt again, and presumed abort answers it.
+            yield from xa_rollback(self.system.host, gtrid)
+        if entry is not None:
+            del self.branches[gtrid]
+            verdict, _, record, crashes = entry
+            if record["outcome"] == "indoubt":
+                # Name the crashes the branch sat through in doubt.
+                nodes = sorted(c["node"]
+                               for c in self.injector.crashes[crashes:])
+                record["outcome"] = (f"indoubt:{verdict} across "
+                                     f"{','.join(nodes) or 'no crash'}")
 
     def _op_delete(self, session, record: dict):
         index = self.rng.randrange(len(self.rows))
@@ -517,6 +572,12 @@ class _Campaign:
                 # notify, a decision whose Commit reply was lost, a
                 # prepared transaction whose coordinator never crashed —
                 # the paper's in-doubt poller, §3.3).
+                # The external TM's recovery pass: every branch still in
+                # doubt gets its journaled verdict; what else the journal
+                # names was never prepared or is an ordinary decision.
+                for gtrid in sorted(xa_recover(self.system.host)):
+                    yield from self._deliver(gtrid)
+                self.branches.clear()
                 if (self._host_has_decisions()
                         or any(self._has_txn_rows(d)
                                for d in self.system.dlfms.values())):

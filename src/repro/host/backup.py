@@ -24,7 +24,7 @@ def _broadcast(host, servers, req):
     try:
         replies = {}
         for server in servers:
-            replies[server] = yield from session._send_control(server, req)
+            replies[server] = yield from session.send_control(server, req)
     finally:
         session.close()
     return replies

@@ -88,9 +88,6 @@ class HostDB:
         self._grp_counter = itertools.count(1)
         self._backup_counter = itertools.count(1)
         self.backups: dict[int, dict] = {}
-        #: gtrid → XAPrepareResult for branches this incarnation
-        #: prepared (volatile; xa_recover degrades gracefully without it).
-        self.xa_votes: dict[str, object] = {}
         #: 2PC commit decisions not yet forgotten: txn_id → tuple of
         #: write-participant servers. In-memory mirror of the
         #: COMMIT-payload decisions in the WAL; rebuilt from the log at
@@ -204,21 +201,18 @@ class HostDB:
         if own_session:
             session = self.session()
         for col in datalink:
-            grp_id = self.group_ids[(name, col)]
             if self.shard_map is not None:
                 # Sharded fleet: the group lives on exactly one shard
                 # (hash-assigned); the catalog row and the registration
                 # commit in the same host transaction.
-                shard = self.shard_map.assign(grp_id)
-                yield from self.shard_map.insert(session, grp_id, shard)
-                yield from session.dlfm_call(shard, api.RegisterGroup(
-                    self.dbid, session.txn_id_for(shard), grp_id, name,
-                    col, epoch=1))
-            else:
-                for server in sorted(self.dlfms):
-                    yield from session.dlfm_call(server, api.RegisterGroup(
-                        self.dbid, session.txn_id_for(server), grp_id,
-                        name, col))
+                grp_id = self.group_ids[(name, col)]
+                yield from self.shard_map.insert(
+                    session, grp_id, self.shard_map.assign(grp_id))
+            # Not a statement's op: it ships when issued under either
+            # wire shape, so a refusal surfaces here, not at commit.
+            for server, req in session.build_ops(api.RegisterGroup, name,
+                                                 col):
+                yield from session.ship(server, [req], batch=False)
         if own_session:
             yield from session.commit()
 
@@ -251,7 +245,6 @@ class HostDB:
 
     def crash(self) -> None:
         self.db.crash()
-        self.xa_votes.clear()
         self._decisions.clear()
 
     def restart(self):

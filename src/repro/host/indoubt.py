@@ -43,7 +43,7 @@ def resolve_indoubts(host):
         servers = sorted(host.dlfms)
         listed = yield from rpc.scatter(
             host.sim,
-            [(coordinator._channel(server), api.ListIndoubt(host.dbid))
+            [(coordinator.channel(server), api.ListIndoubt(host.dbid))
              for server in servers],
             name="indoubt-list")
         tm_owned = {txn.id for txn in host.db.indoubt_transactions()}

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from repro.dlfm import api
 from repro.errors import DataLinkError, LinkError
-from repro.host.datalink import parse_url, shadow_column
+from repro.host.datalink import shadow_column
 
 
 @dataclass
@@ -59,16 +59,14 @@ class LoadUtility:
         self.entries = list(entries)
         self.piece_size = piece_size
         self.stats = LoadStats()
-        spec = host.datalink_columns.get(table, {}).get(column)
-        if spec is None:
+        if column not in host.datalink_columns.get(table, {}):
             raise DataLinkError(
                 f"{table}.{column} is not a DATALINK column")
-        self.spec = spec
         #: The utility transaction's coordinator. The id is allocated up
         #: front and the transaction kept open so it stays monotone
         #: w.r.t. regular transactions.
         self.session = host.session()
-        self.txn_id = self.session._ensure_txn()
+        self.txn_id = self.session.begin()
         self._position = 0
         #: The current piece's prepared statements (the upsert trio
         #: executes once per file: prepare once, execute many).
@@ -102,7 +100,7 @@ class LoadUtility:
         self.session.close()
         for server in sorted(self.session.participants):
             for verb in (api.BeginTxn, api.CommitPiece):
-                yield from self.session._send_control(
+                yield from self.session.send_control(
                     server, verb(self.host.dbid, self.txn_id))
         return (yield from self.run())
 
@@ -120,22 +118,18 @@ class LoadUtility:
     def _load_piece_inner(self, session):
         piece = self.entries[self._position:
                              self._position + self.piece_size]
-        grp_id = self.host.group_ids[(self.table, self.column)]
         per_server: dict[str, list] = {}
         for values, url in piece:
-            server, path = parse_url(url)
-            server, epoch = self.session._route(grp_id, server)
-            req = api.LinkFile(
-                self.host.dbid, self.txn_id, path, grp_id,
-                self.host.recovery_ids.next(),
-                access_ctl=self.spec.access_control,
-                recovery=self.spec.recovery_flag, route_epoch=epoch)
+            [(server, req)] = self.session.build_ops(
+                api.LinkFile, self.table, self.column, url)
             per_server.setdefault(server, []).append((req, values, url))
+        landed = set()   # where the links went: a stale route re-sends
         for server in sorted(per_server):
             linked = entries = per_server[server]
             try:
-                yield from self.session._send_batch(
-                    server, self.txn_id, [req for req, _, _ in entries])
+                # A piece travels as one Batch under either wire shape.
+                server, _, _ = yield from self.session.ship(
+                    server, [req for req, _, _ in entries], batch=True)
                 self.stats.batches += 1
             except LinkError:
                 # Resume case: a file of the batch is already linked by
@@ -146,10 +140,12 @@ class LoadUtility:
                 linked = []
                 for entry in entries:
                     try:
-                        yield from self.session.dlfm_call(server, entry[0])
+                        server, _, _ = yield from self.session.ship(
+                            server, [entry[0]], batch=False)
                         linked.append(entry)
                     except LinkError:
                         self.stats.skipped += 1
+            landed.add(server)
             self.stats.linked += len(linked)
             for req, values, url in linked:
                 yield from self._upsert_row(session, values, url,
@@ -157,8 +153,8 @@ class LoadUtility:
         # The host piece commit precedes CommitPiece: a crash in between
         # leaves rows whose links are redone under fresh recovery ids.
         yield from session.commit()
-        for server in sorted(per_server):
-            yield from self.session._send_control(server, api.CommitPiece(
+        for server in sorted(landed):
+            yield from self.session.send_control(server, api.CommitPiece(
                 self.host.dbid, self.txn_id))
         self.stats.pieces += 1
         self._position += len(piece)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.dlfm import api
-from repro.host.datalink import parse_url, shadow_column
+from repro.host.datalink import shadow_column
 
 
 def reconcile(host):
@@ -32,12 +32,11 @@ def reconcile(host):
                 rows = yield from session.execute(
                     f"SELECT {column}, {shadow_column(column)} "
                     f"FROM {table}")
-                grp_id = host.group_ids[(table, column)]
                 for url, recovery_id in rows:
                     if url is None:
                         continue
-                    server, path = parse_url(url)
-                    server, _ = coordinator._route(grp_id, server)
+                    server, _, grp_id, path = coordinator.route(
+                        table, column, url)
                     per_server[server].append(
                         (path, recovery_id, grp_id, spec.access_control,
                          spec.recovery_flag))
@@ -48,7 +47,7 @@ def reconcile(host):
         summary = {}
         fixers: dict = {}
         for server in sorted(host.dlfms):
-            result = yield from coordinator._send_control(
+            result = yield from coordinator.send_control(
                 server, api.ReconcileFiles(
                     host.dbid, tuple(per_server.get(server, ()))))
             # 3. Dangling host references (file gone everywhere): null

@@ -23,6 +23,11 @@ asynchronously only for experiment E6); ROLLBACK and a failed phase 1
 run the same fan-out with Abort. XA branches (:mod:`repro.host.xa`) and
 in-doubt resolution (:mod:`repro.host.indoubt`) drive these same steps
 through a session of their own.
+
+It is also the one module that knows how a datalink op reaches its DLFM
+— :meth:`HostSession.build_ops` (route), :meth:`~HostSession.send_ops`
+(now, or at commit), :meth:`~HostSession.ship` (the two wire shapes, the
+only stale-route handler): DML, DDL, LOAD and phase 1 all go through them.
 """
 
 from __future__ import annotations
@@ -43,13 +48,10 @@ from repro.sql.parser import parse as parse_sql
 
 
 class HostSession:
-    _ids = itertools.count(1)
-
     def __init__(self, host):
         self.host = host
         self.sim = host.sim
         self.session = host.db.session()
-        self.id = next(HostSession._ids)
         self._chans: dict[str, object] = {}   # server → DLFM child channel
         self.participants: set[str] = set()
         self.txn_id: Optional[int] = None
@@ -58,6 +60,8 @@ class HostSession:
         #: per-server op buffers, shipped as one api.Batch per server at
         #: commit with Prepare piggybacked on the final envelope.
         self._buffered: dict[str, list] = {}
+        #: The servers phase 1 is preparing right now (empty outside it).
+        self._preparing: set[str] = set()
         self._stmt_seq = itertools.count(1)
         self._parse_cache: dict[str, ast.Statement] = {}
         #: Set once the 2PC commit decision is durable (it rode the
@@ -68,15 +72,37 @@ class HostSession:
 
     # ------------------------------------------------------------------ txn plumbing
 
-    def _ensure_txn(self) -> int:
+    def begin(self) -> int:
+        """Begin (or join) the host transaction; returns its id — the
+        one every DLFM request of this transaction carries."""
         txn = self.session._require_txn()
         self.txn_id = txn.id
         return txn.id
 
-    def txn_id_for(self, server: str) -> int:
-        return self._ensure_txn()
+    @property
+    def idle(self) -> bool:
+        """No local transaction, no participant, nothing buffered."""
+        return (self.session.txn is None and not self.participants
+                and not self._buffered)
 
-    def _channel(self, server: str):
+    def attach(self, txn, servers):
+        """Adopt a branch some earlier session prepared (possibly before
+        a host crash): ``txn`` is the PREPARED local transaction,
+        ``servers`` its write participants. Returns the session."""
+        self.session.txn = txn
+        self.txn_id = txn.id
+        self.participants = set(servers)
+        return self
+
+    def detach(self) -> None:
+        """Let go of the open branch without ending it (XA: it is
+        PREPARED, its outcome the TM's). Connections close so the child
+        agents let go of the prepared sub-transactions."""
+        self.session.txn = None
+        self.close()
+        self._reset()
+
+    def channel(self, server: str):
         chan = self._chans.get(server)
         if chan is None or chan.closed:
             dlfm = self.host.dlfms.get(server)
@@ -89,54 +115,125 @@ class HostSession:
     def dlfm_call(self, server: str, req):
         """Generator: send a transactional op, opening the sub-transaction
         on first contact (BeginTxn carries the host transaction id)."""
-        txn_id = self._ensure_txn()
-        chan = self._channel(server)
+        txn_id = self.begin()
+        chan = self.channel(server)
         if server not in self.participants:
             yield from rpc.call(self.sim, chan,
                                 api.BeginTxn(self.host.dbid, txn_id))
             self.participants.add(server)
-        result = yield from rpc.call(self.sim, chan, req)
-        return result
+        return (yield from rpc.call(self.sim, chan, req))
 
-    def _send_control(self, server: str, req):
-        """Generator: 2PC verbs — no BeginTxn, no participant tracking."""
-        chan = self._channel(server)
-        result = yield from rpc.call(self.sim, chan, req)
-        return result
+    def send_control(self, server: str, req):
+        """Generator: a control verb (2PC, CommitPiece, a utility's
+        request) to a named server — no BeginTxn, no participant
+        tracking, no routing."""
+        return (yield from rpc.call(self.sim, self.channel(server), req))
 
-    # ------------------------------------------------------------------ shard routing
+    # ------------------------------------------------------------------ build → route → ship
 
-    def _route(self, grp_id: int, server: str):
-        """Resolve a datalink op's target: (server, route_epoch).
+    def route(self, table: str, column: str, url: Optional[str] = None):
+        """Where the ops of datalink column ``table.column`` go:
+        ``(server, route_epoch, grp_id, path)``. Unsharded hosts address
+        the DLFM named in the URL (epoch 0 = no validation; without a
+        URL the op is group-wide and ``server`` None); sharded hosts
+        resolve the file group through the shard-map cache and fence the
+        op with the cached epoch."""
+        grp_id = self.host.group_ids[(table, column)]
+        server, path = parse_url(url) if url is not None else (None, None)
+        epoch = 0
+        if self.host.shard_map is not None:
+            server, epoch = self.host.shard_map.resolve(grp_id)
+        return server, epoch, grp_id, path
 
-        Unsharded hosts address the DLFM named in the URL (epoch 0 =
-        no validation); sharded hosts resolve the file group through
-        the shard-map cache and fence the op with the cached epoch.
+    def build_ops(self, verb, table: str, column: str,
+                  url: Optional[str] = None) -> list:
+        """The one op builder: ``verb`` (LinkFile, UnlinkFile,
+        RegisterGroup or DeleteGroup) for datalink column
+        ``table.column`` as routed ``(server, request)`` pairs — one
+        pair, except a group-wide op on an unsharded host, which goes
+        to every DLFM. A link or unlink draws a fresh recovery id."""
+        host = self.host
+        txn_id = self.begin()
+        server, epoch, grp_id, path = self.route(table, column, url)
+        if verb is api.LinkFile:
+            spec = host.datalink_columns[table][column]
+            req = api.LinkFile(
+                host.dbid, txn_id, path, grp_id, host.recovery_ids.next(),
+                access_ctl=spec.access_control,
+                recovery=spec.recovery_flag, route_epoch=epoch)
+        elif verb is api.UnlinkFile:
+            req = api.UnlinkFile(
+                host.dbid, txn_id, path, host.recovery_ids.next(),
+                grp_id=grp_id, route_epoch=epoch)
+        elif verb is api.RegisterGroup:
+            req = api.RegisterGroup(host.dbid, txn_id, grp_id, table,
+                                    column, epoch=epoch)
+        else:
+            req = api.DeleteGroup(host.dbid, txn_id, grp_id,
+                                  route_epoch=epoch)
+        servers = [server] if server is not None else sorted(host.dlfms)
+        return [(target, req) for target in servers]
+
+    def send_ops(self, ops, done: Optional[list] = None):
+        """Generator: hand routed ``ops`` — ``(server, request)`` pairs,
+        in order — to their DLFMs under the host's wire shape; the one
+        place ``batch_datalinks`` is read. Off: each op ships now, and
+        ``done`` (if given) collects what landed where — what a
+        statement backout must compensate. On: the ops wait in
+        per-server buffers and travel as one Batch per server at commit
+        (or :meth:`flush_datalinks`), where a DLFM's refusal then
+        surfaces instead of at the statement."""
+        if self.host.config.batch_datalinks:
+            for server, req in ops:
+                self._buffered.setdefault(server, []).append(req)
+            return
+        for server, req in ops:
+            server, (req,), _ = yield from self.ship(server, [req],
+                                                     batch=False)
+            if done is not None:
+                done.append((server, req))
+
+    def ship(self, server: str, ops, *, batch: bool, prepare: bool = False):
+        """Generator: put forward ``ops``, all routed to ``server``, on
+        the wire; returns ``(server, ops, last reply)`` as they landed.
+
+        Two wire shapes: BeginTxn on first contact, then one call per op
+        — or, with ``batch``, ONE api.Batch rendezvous that opens the
+        sub-transaction implicitly, phase-1 Prepare piggybacked with
+        ``prepare``.
+
+        And the one stale-route handler. When a shard answers
+        StaleRouteError (its group epoch disagrees with the route we
+        cached — a move_group committed under us) the map is reloaded
+        from the catalog and the ops re-resolved. A failed Batch left
+        the wrong shard's sub-transaction as if it never arrived, so the
+        bucket is re-sent whole to the new owner — unless its groups
+        re-resolve to several shards, to one phase 1 is already
+        preparing, or away from a shard that holds earlier work of this
+        transaction: then the stale error propagates.
         """
-        shard_map = self.host.shard_map
-        if shard_map is None:
-            return server, 0
-        return shard_map.resolve(grp_id)
-
-    def _routed_call(self, server: str, req):
-        """Generator: dlfm_call with stale-route retry.
-
-        When a shard answers StaleRouteError (its group epoch disagrees
-        with the route we cached — a move_group committed under us), the
-        map is reloaded from the catalog and the op re-resolved. Returns
-        the final ``(server, req)`` actually applied, which is what a
-        statement backout must compensate.
-        """
-        shard_map = self.host.shard_map
-        if shard_map is None:
-            yield from self.dlfm_call(server, req)
-            return server, req
+        shard_map, metrics = self.host.shard_map, self.host.metrics
         for attempt in range(5):
+            first_contact = server not in self.participants
             try:
-                yield from self.dlfm_call(server, req)
-                return server, req
+                if batch:
+                    # Register the participant BEFORE the call, as
+                    # BeginTxn does: even a failed Batch leaves an
+                    # implicit local transaction on the server that our
+                    # Abort must roll back (presumed abort makes this
+                    # harmless if it never arrived).
+                    self.participants.add(server)
+                    reply = yield from rpc.call(
+                        self.sim, self.channel(server),
+                        api.Batch(self.host.dbid, self.begin(), tuple(ops),
+                                  prepare=prepare))
+                    metrics.batches_sent += 1
+                    metrics.batched_ops_sent += len(ops)
+                else:
+                    for op in ops:
+                        reply = yield from self.dlfm_call(server, op)
             except StaleRouteError:
-                if attempt == 4:
+                if shard_map is None or attempt == 4:
                     raise
                 # A mid-move group stays *moving* from the source's
                 # prepare until phase 2 lands on both shards; back off a
@@ -144,29 +241,30 @@ class HostSession:
                 # burning out against the same moving state.
                 yield Timeout(0.05 * (attempt + 1))
                 shard_map.reload()
-                server, epoch = shard_map.resolve(req.grp_id)
-                req = replace(req, route_epoch=epoch)
+                routes = {shard_map.resolve(op.grp_id) for op in ops}
+                if len(routes) != 1:
+                    raise
+                (new_server, epoch), = routes
+                if batch and new_server != server:
+                    if not first_contact or new_server in self._preparing:
+                        raise
+                    # The wrong shard holds an untouched open sub-txn
+                    # (the Batch compensated itself): close it out.
+                    yield from self.send_control(
+                        server, api.Abort(self.host.dbid, self.txn_id))
+                    self.participants.discard(server)
+                    if prepare:
+                        self._preparing.add(new_server)
+                ops = [replace(op, route_epoch=epoch) for op in ops]
+                server = new_server
+            else:
+                for op in ops:
+                    if isinstance(op, api.UnlinkFile):
+                        metrics.unlinks_sent += 1
+                    elif isinstance(op, api.LinkFile):
+                        metrics.links_sent += 1
+                return server, ops, reply
         raise AssertionError("unreachable")
-
-    def _send_batch(self, server: str, txn_id: int, ops, prepare=False):
-        """Generator: ship buffered ops as ONE api.Batch rendezvous. The
-        batch opens the sub-transaction implicitly — no BeginTxn trip."""
-        chan = self._channel(server)
-        # Register the participant BEFORE the call, like the classic
-        # path does at BeginTxn: even a failed Batch leaves an implicit
-        # local transaction on the server that our Abort must roll back
-        # (presumed abort makes this harmless if the batch never arrived).
-        self.participants.add(server)
-        result = yield from rpc.call(self.sim, chan, api.Batch(
-            self.host.dbid, txn_id, tuple(ops), prepare=prepare))
-        self.host.metrics.batches_sent += 1
-        self.host.metrics.batched_ops_sent += len(ops)
-        for op in ops:
-            if isinstance(op, api.UnlinkFile):
-                self.host.metrics.unlinks_sent += 1
-            elif isinstance(op, api.LinkFile):
-                self.host.metrics.links_sent += 1
-        return result
 
     def flush_datalinks(self):
         """Generator: ship all buffered datalink ops now (one Batch per
@@ -174,11 +272,9 @@ class HostSession:
         point. Errors follow batch semantics: the failing server's local
         transaction is as if the batch never arrived, and the caller
         decides whether to abort."""
-        txn_id = self._ensure_txn()
         for server in sorted(self._buffered):
-            ops = self._buffered.pop(server)
-            if ops:
-                yield from self._send_batch(server, txn_id, ops)
+            yield from self.ship(server, self._buffered.pop(server),
+                                 batch=True)
 
     # ------------------------------------------------------------------ execute
 
@@ -205,10 +301,6 @@ class HostSession:
                                                              specs))
         result = yield from self.session.execute(sql, params)
         return result
-
-    def query_one(self, sql: str, params: tuple = ()):
-        row = yield from self.session.query_one(sql, params)
-        return row
 
     def fetch_with_tokens(self, sql: str, params: tuple = ()):
         """Generator: SELECT returning (ResultSet, {url: AccessToken}).
@@ -239,26 +331,18 @@ class HostSession:
         if stmt.more_rows:
             raise DataLinkError(
                 "multi-row INSERT is not supported for DATALINK tables")
-        txn_id = self._ensure_txn()
-        links = []   # (LinkFile request, server)
+        links = []
         extra_cols, extra_params = [], []
-        for col, spec in specs.items():
+        for col in specs:
             if col not in stmt.columns:
                 continue
             value = self._eval_value(
                 stmt.values[stmt.columns.index(col)], params)
             if value is None:
                 continue
-            server, path = parse_url(value)
-            recovery_id = self.host.recovery_ids.next()
-            grp_id = self.host.group_ids[(stmt.table, col)]
-            server, epoch = self._route(grp_id, server)
-            links.append((server, api.LinkFile(
-                self.host.dbid, txn_id, path, grp_id, recovery_id,
-                access_ctl=spec.access_control,
-                recovery=spec.recovery_flag, route_epoch=epoch)))
+            links += self.build_ops(api.LinkFile, stmt.table, col, value)
             extra_cols.append(shadow_column(col))
-            extra_params.append(recovery_id)
+            extra_params.append(links[-1][1].recovery_id)
 
         # The shadow recovery-id values travel as parameters, never as
         # interpolated literals: the rebuilt text depends only on the
@@ -271,50 +355,39 @@ class HostSession:
                            + ["?"] * len(extra_params))
         new_sql = f"INSERT INTO {stmt.table} ({columns}) VALUES ({values})"
         return (yield from self._run_with_backout(
-            new_sql, tuple(params) + tuple(extra_params), links,
-            unlinks=[]))
+            new_sql, tuple(params) + tuple(extra_params), links))
 
-    def _delete_datalink(self, stmt: ast.Delete, sql: str, params: tuple,
-                         specs):
-        txn_id = self._ensure_txn()
+    def _pre_read(self, stmt, cols, params: tuple):
+        """Generator: lock and read the datalink values ``stmt`` is about
+        to replace or drop; returns ``(WHERE text, ResultSet)``."""
+        self.begin()   # the id is drawn before the pre-read's first wait
         where_text = (f" WHERE {render_expr(stmt.where)}"
                       if stmt.where is not None else "")
         sel_cols = []
-        for col in specs:
+        for col in cols:
             sel_cols += [col, shadow_column(col)]
         pre = yield from self.session.execute(
             f"SELECT {', '.join(sel_cols)} FROM {stmt.table}{where_text} "
             "FOR UPDATE", params)
+        return where_text, pre
+
+    def _delete_datalink(self, stmt: ast.Delete, sql: str, params: tuple,
+                         specs):
+        _, pre = yield from self._pre_read(stmt, specs, params)
         unlinks = []
         for row in pre.rows:
             for i, col in enumerate(specs):
-                url = row[2 * i]
-                if url is None:
-                    continue
-                server, path = parse_url(url)
-                grp_id = self.host.group_ids[(stmt.table, col)]
-                server, epoch = self._route(grp_id, server)
-                unlinks.append((server, api.UnlinkFile(
-                    self.host.dbid, txn_id, path,
-                    self.host.recovery_ids.next(), grp_id=grp_id,
-                    route_epoch=epoch)))
-        return (yield from self._run_with_backout(
-            sql, params, links=[], unlinks=unlinks))
+                if row[2 * i] is not None:
+                    unlinks += self.build_ops(api.UnlinkFile, stmt.table,
+                                              col, row[2 * i])
+        return (yield from self._run_with_backout(sql, params, unlinks))
 
     def _update_datalink(self, stmt: ast.Update, params: tuple, specs):
-        txn_id = self._ensure_txn()
         dl_assignments = {c: e for c, e in stmt.assignments if c in specs}
         n_set_params = sum(count_params(e) for _, e in stmt.assignments)
         where_params = params[n_set_params:]
-        where_text = (f" WHERE {render_expr(stmt.where)}"
-                      if stmt.where is not None else "")
-
-        sel_cols = []
-        for col in dl_assignments:
-            sel_cols += [col, shadow_column(col)]
-        pre = yield from self.session.execute(
-            f"SELECT {', '.join(sel_cols)} FROM {stmt.table}{where_text} "
-            "FOR UPDATE", where_params)
+        where_text, pre = yield from self._pre_read(stmt, dl_assignments,
+                                                    where_params)
 
         unlinks, links = [], []
         sets = [f"{c} = {render_expr(e)}" for c, e in stmt.assignments]
@@ -323,18 +396,11 @@ class HostSession:
             new_url = self._eval_value(expr, params)
             new_recid = None
             if new_url is not None:
-                server, path = parse_url(new_url)
-                new_recid = self.host.recovery_ids.next()
-                grp_id = self.host.group_ids[(stmt.table, col)]
-                server, epoch = self._route(grp_id, server)
+                link = self.build_ops(api.LinkFile, stmt.table, col, new_url)
+                new_recid = link[0][1].recovery_id
                 # one link per qualifying row — linking the same file for
                 # several rows fails, as it must (a file has one link)
-                for _ in pre.rows:
-                    links.append((server, api.LinkFile(
-                        self.host.dbid, txn_id, path, grp_id, new_recid,
-                        access_ctl=specs[col].access_control,
-                        recovery=specs[col].recovery_flag,
-                        route_epoch=epoch)))
+                links += link * len(pre.rows)
             # Parameter marker, not a spliced literal (NULL included):
             # the rebuilt text is one shared, cacheable shape per
             # statement template instead of one plan per recovery id.
@@ -342,16 +408,9 @@ class HostSession:
             shadow_params.append(new_recid)
         for row in pre.rows:
             for i, col in enumerate(dl_assignments):
-                old_url = row[2 * i]
-                if old_url is None:
-                    continue
-                server, path = parse_url(old_url)
-                grp_id = self.host.group_ids[(stmt.table, col)]
-                server, epoch = self._route(grp_id, server)
-                unlinks.append((server, api.UnlinkFile(
-                    self.host.dbid, txn_id, path,
-                    self.host.recovery_ids.next(), grp_id=grp_id,
-                    route_epoch=epoch)))
+                if row[2 * i] is not None:
+                    unlinks += self.build_ops(api.UnlinkFile, stmt.table,
+                                              col, row[2 * i])
 
         # Marker order in the rebuilt text: original SET markers, then
         # the shadow-column markers, then the WHERE markers — the shadow
@@ -359,31 +418,24 @@ class HostSession:
         new_sql = (f"UPDATE {stmt.table} SET {', '.join(sets)}{where_text}")
         new_params = (tuple(params[:n_set_params]) + tuple(shadow_params)
                       + tuple(where_params))
+        # Unlink before link: the same-file unlink+relink case needs the
+        # linked slot freed first.
         return (yield from self._run_with_backout(
-            new_sql, new_params, links, unlinks))
+            new_sql, new_params, unlinks + links))
 
-    def _run_with_backout(self, sql: str, params: tuple, links, unlinks):
+    def _run_with_backout(self, sql: str, params: tuple, ops):
         """Execute the host statement + its datalink ops atomically at
-        statement level: on failure, compensate completed DLFM ops with
-        in_backout requests and roll the host statement back (§3.2)."""
-        if self.host.config.batch_datalinks:
-            return (yield from self._run_buffered(sql, params, links,
-                                                  unlinks))
+        statement level: on failure, compensate the DLFM ops that landed
+        with in_backout requests and roll the host statement back
+        (§3.2). Under the batching wire shape the ops are buffered only
+        AFTER the host statement succeeds and nothing has landed yet, so
+        a failing statement has nothing to compensate."""
         savepoint = f"dlstmt-{next(self._stmt_seq)}"
         self.session.savepoint(savepoint)
         done = []
         try:
             count = yield from self.session.execute(sql, params)
-            # Unlink before link: the same-file unlink+relink case needs
-            # the linked slot freed first.
-            for server, req in unlinks:
-                server, req = yield from self._routed_call(server, req)
-                self.host.metrics.unlinks_sent += 1
-                done.append((server, req))
-            for server, req in links:
-                server, req = yield from self._routed_call(server, req)
-                self.host.metrics.links_sent += 1
-                done.append((server, req))
+            yield from self.send_ops(ops, done)
             return count
         except TransactionAborted:
             # Severe failure (deadlock/timeout at host or DLFM): the whole
@@ -393,24 +445,6 @@ class HostSession:
         except ReproError:
             yield from self._statement_backout(savepoint, done)
             raise
-
-    def _run_buffered(self, sql: str, params: tuple, links, unlinks):
-        """Batching fast path: the statement's datalink ops are buffered
-        per server (unlinks before links, preserving the unlink+relink
-        order) only AFTER the host statement succeeds, so a failing
-        statement has nothing to compensate — no ops were sent yet. The
-        buffers travel at commit (or flush_datalinks) as one Batch per
-        server."""
-        try:
-            count = yield from self.session.execute(sql, params)
-        except TransactionAborted:
-            yield from self._abort_everything()
-            raise
-        for server, req in unlinks:
-            self._buffered.setdefault(server, []).append(req)
-        for server, req in links:
-            self._buffered.setdefault(server, []).append(req)
-        return count
 
     def _statement_backout(self, savepoint: str, done):
         self.host.metrics.statement_backouts += 1
@@ -462,6 +496,7 @@ class HostSession:
         self.txn_id = None
         self.pending_drops = []
         self._buffered = {}
+        self._preparing = set()
         self._decided = False
 
     # ------------------------------------------------------------------ DDL with datalinks
@@ -473,41 +508,33 @@ class HostSession:
         if not specs:
             self.host.db.ddl(parse_sql(f"DROP TABLE {name}"))
             return
-        txn_id = self._ensure_txn()
         for col in specs:
-            grp_id = self.host.group_ids[(name, col)]
+            ops = self.build_ops(api.DeleteGroup, name, col)
+            yield from self.send_ops(ops)
             if self.host.shard_map is not None:
                 # Sharded fleet: the group lives on one shard; retire its
-                # catalog row in the same transaction.
-                target, epoch = self._route(grp_id, None)
-                targets = [target]
+                # catalog row in the same transaction — once the
+                # DeleteGroup has landed, because healing a stale route
+                # re-reads the catalog and must not find our own
+                # uncommitted DELETE there.
+                yield from self.flush_datalinks()
                 yield from self.session.execute(
-                    "DELETE FROM dlk_shardmap WHERE grp_id = ?", (grp_id,))
-            else:
-                targets, epoch = sorted(self.host.dlfms), 0
-            for server in targets:
-                req = api.DeleteGroup(self.host.dbid, txn_id, grp_id,
-                                      route_epoch=epoch)
-                if self.host.config.batch_datalinks:
-                    self._buffered.setdefault(server, []).append(req)
-                else:
-                    yield from self.dlfm_call(server, req)
+                    "DELETE FROM dlk_shardmap WHERE grp_id = ?",
+                    (ops[0][1].grp_id,))
         self.pending_drops.append(name)
 
     # ------------------------------------------------------------------ 2PC coordinator
 
     def commit(self):
         """Generator: application COMMIT — the 2PC coordinator."""
-        if (self.session.txn is None and not self.participants
-                and not self._buffered):
+        if self.idle:
             return
         participants, _ = yield from self.prepare_participants()
         yield from self.commit_decided(participants)
 
     def rollback(self):
         """Generator: application ROLLBACK."""
-        if (self.session.txn is None and not self.participants
-                and not self._buffered):
+        if self.idle:
             return
         yield from self._abort_everything()
 
@@ -531,7 +558,7 @@ class HostSession:
         targets = sorted(set(self.participants) | set(self._buffered))
         if not targets:
             return [], []
-        self._phase1_targets = set(targets)
+        self._preparing = set(targets)
         gens = [self._prepare_one(server, txn_id) for server in targets]
         with self.sim.tracer.span("prepare.fanout", n=len(targets)):
             try:
@@ -564,52 +591,18 @@ class HostSession:
 
     def _prepare_one(self, server: str, txn_id: int):
         """Generator: phase-1 prepare of one participant; returns the
-        ``(server, reply)`` pair that actually prepared.
-
-        With batching on, a stale route is only discovered HERE — the
-        ops were buffered under whatever shard the cache named and the
-        true owner first speaks up when the Batch applies. A failed
-        Batch leaves the wrong shard's sub-transaction as if it never
-        arrived, so it can be retried: abort the wrong shard, reload the
-        map, and re-send the whole bucket (Prepare still piggybacked) to
-        the new owner. A bucket whose groups re-resolve to several
-        shards, or to a shard this transaction is already preparing
-        concurrently, cannot be re-bucketed mid phase 1 — the stale
-        error propagates and aborts the transaction instead.
-        """
+        ``(server, reply)`` pair that actually prepared. With batching
+        on, the server's buffered ops ride along in one Batch — where a
+        stale route is first discovered, so the bucket may land (and
+        prepare) on another shard than it was buffered under."""
         ops = self._buffered.pop(server, None)
         if not ops:
-            reply = yield from self._send_control(
+            reply = yield from self.send_control(
                 server, api.Prepare(self.host.dbid, txn_id))
             return server, reply
-        shard_map = self.host.shard_map
-        for attempt in range(5):
-            try:
-                reply = yield from self._send_batch(server, txn_id, ops,
-                                                    prepare=True)
-                return server, (reply.get("prepare") or {})
-            except StaleRouteError:
-                if shard_map is None or attempt == 4:
-                    raise
-                yield Timeout(0.05 * (attempt + 1))
-                shard_map.reload()
-                routes = {shard_map.resolve(op.grp_id) for op in ops
-                          if getattr(op, "grp_id", None) is not None}
-                if len(routes) != 1:
-                    raise  # groups split across new owners: cannot re-bucket
-                (new_server, epoch), = routes
-                if new_server != server:
-                    if new_server in self._phase1_targets:
-                        raise  # already preparing there concurrently
-                    # The wrong shard holds an untouched open sub-txn
-                    # (the Batch compensated itself): close it out.
-                    yield from self._send_control(
-                        server, api.Abort(self.host.dbid, txn_id))
-                    self.participants.discard(server)
-                    self._phase1_targets.add(new_server)
-                ops = [replace(op, route_epoch=epoch) for op in ops]
-                server = new_server
-        raise AssertionError("unreachable")
+        server, _, reply = yield from self.ship(server, ops, batch=True,
+                                                prepare=True)
+        return server, (reply.get("prepare") or {})
 
     def commit_decided(self, participants):
         """Generator: the decision and phase 2, for a transaction whose
@@ -666,7 +659,7 @@ class HostSession:
             return []
 
         def send(txn_id, server):
-            return (yield from rpc.call(self.sim, self._channel(server),
+            return (yield from rpc.call(self.sim, self.channel(server),
                                         verb(self.host.dbid, txn_id)))
 
         outcomes = yield from rpc.gather_all(
@@ -688,7 +681,7 @@ class HostSession:
         other; each send still blocks on its rendezvous."""
         replies = yield from rpc.scatter_cast(
             self.sim,
-            [(self._channel(server), api.Commit(self.host.dbid, txn_id))
+            [(self.channel(server), api.Commit(self.host.dbid, txn_id))
              for server in participants],
             name=f"phase2-cast-{txn_id}",
             fault_point="twopc.fanout:phase2",

@@ -17,8 +17,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import (CatalogError, CrashedError, DatabaseError,
-                          TransactionAborted)
+from repro.errors import CatalogError, CrashedError, TransactionAborted
 from repro.kernel.sim import Event, Simulator, Timeout
 from repro.minidb import wal as walmod
 from repro.minidb.btree import BTree, encode_key
@@ -232,13 +231,15 @@ class Database:
         self._maybe_auto_runstats()
         self._maybe_soft_checkpoint()
 
-    def prepare(self, txn: Transaction):
+    def prepare(self, txn: Transaction, payload=None):
         """Generator: XA phase 1 — harden the transaction, keep locks.
 
         From here on the transaction's outcome belongs to the external
         transaction manager: restart recovery neither redoes-away nor
         undoes it, and its write locks are reacquired (it stays indoubt
         until :meth:`commit` or :meth:`rollback` is called for it).
+        ``payload`` rides on the PREPARE record — one force — and stays
+        on the transaction as ``txn.payload``, after a restart too.
         """
         self._ensure_up()
         if txn.rollback_only:
@@ -247,8 +248,9 @@ class Database:
                 f"txn {txn.id} was rollback-only at prepare",
                 reason=txn.abort_reason or "error")
         txn.ensure_active()
-        self.wal.append(walmod.PREPARE, txn,
+        self.wal.append(walmod.PREPARE, txn, payload=payload,
                         active_floor=self.txns.active_floor())
+        txn.payload = payload
         injector = self.sim.injector
         if injector.enabled:
             injector.maybe_crash(f"wal.force.before:{self.name}", self.name)
@@ -373,12 +375,6 @@ class Database:
         """Prepared transactions awaiting an outcome (after restart too)."""
         return [t for t in self.txns.active
                 if t.state is TxnState.PREPARED]
-
-    def find_prepared(self, txn_id: int) -> Transaction:
-        for txn in self.txns.active:
-            if txn.id == txn_id and txn.state is TxnState.PREPARED:
-                return txn
-        raise DatabaseError(f"no prepared transaction {txn_id}")
 
     def rollback(self, txn: Transaction):
         """Generator: undo everything the transaction did, release locks."""

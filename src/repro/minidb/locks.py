@@ -274,7 +274,13 @@ class LockManager:
         with self.sim.tracer.span("lock.wait", db=self.name,
                                   resource=resource, mode=desired.name,
                                   txn=txn.id) as span:
-            outcome = yield event.wait(wait_limit)
+            try:
+                outcome = yield event.wait(wait_limit)
+            except GeneratorExit:
+                # The waiter was killed: left queued, the request would
+                # be granted to its corpse at the next release.
+                self._cancel_request(head, request)
+                raise
             if outcome is TIMEOUT:
                 span.set(outcome="timeout")
                 self._cancel_request(head, request)

@@ -302,6 +302,8 @@ def _resurrect_prepared(db, prepared: set[int], last_lsn: dict[int, int],
         cursor = txn.last_lsn
         while cursor is not None:
             record = db.wal.record(cursor)
+            if record.kind == walmod.PREPARE:
+                txn.payload = record.payload
             if record.redoable and record.table in db.heaps:
                 db.locks.force_grant(
                     txn, ("row", record.table, record.rid), LockMode.X)

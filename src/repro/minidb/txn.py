@@ -29,6 +29,8 @@ class Transaction:
         self.abort_reason: Optional[str] = None
         self.first_lsn: Optional[int] = None
         self.last_lsn: Optional[int] = None
+        #: What rode on the PREPARE record; restart hands it back.
+        self.payload = None
         #: SI only: WAL tail LSN at begin. Reads resolve to the newest
         #: version committed at or before it; None for RR/RS/CS.
         self.snapshot_lsn: Optional[int] = None

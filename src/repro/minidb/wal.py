@@ -28,6 +28,11 @@ ever reads that log back: a crash ends every snapshot, so restart
 rebuilds no chain. It reads only the ``before`` image of each in-doubt
 transaction's first touch of a slot — the guard that keeps new
 snapshots off the undecided state (``recovery._resurrect_prepared``).
+
+Three record kinds carry a ``payload`` — a fact that must be durable with
+exactly that record and lives nowhere else: CHECKPOINT (transaction
+table, chain heads), COMMIT (the host's 2PC decision: the participants
+phase 2 must reach) and PREPARE (the XA branch: gtrid and participants).
 """
 
 from __future__ import annotations
@@ -71,7 +76,9 @@ class LogRecord:
     after: Optional[tuple] = None
     undo_next: Optional[int] = None
     prev_page_lsn: Optional[int] = None
-    payload: Any = None  # checkpoint snapshots
+    #: CHECKPOINT snapshot, COMMIT 2PC decision, PREPARE XA branch (see
+    #: the module docstring); a FORGET names the decision it ends.
+    payload: Any = None
 
     @property
     def redoable(self) -> bool:

@@ -66,8 +66,8 @@ def commit_retry(seed: int = 7):
             "INSERT INTO clips (id, title, video) VALUES (?, ?, ?)",
             (0, "clip 0", build_url("fs1", "/v/clip0.mpg")))
         txn_id = session.txn_id
-        yield from session._send_control("fs1",
-                                         api.Prepare(host.dbid, txn_id))
+        yield from session.send_control("fs1",
+                                        api.Prepare(host.dbid, txn_id))
         yield from session.session.commit()
         return txn_id
 

@@ -61,12 +61,12 @@ def move_group(host, grp_id: int, dst: str):
     session = host.session()
     try:
         export = yield from session.dlfm_call(src, api.ExportGroup(
-            host.dbid, session.txn_id_for(src), grp_id))
+            host.dbid, session.begin(), grp_id))
         if injector.enabled:
             injector.maybe_crash("shard.move:exported", host.db.name)
         new_epoch = int(export["epoch"] or 0) + 1
         yield from session.dlfm_call(dst, api.ImportGroup(
-            host.dbid, session.txn_id_for(dst), grp_id,
+            host.dbid, session.begin(), grp_id,
             export["group_row"], export["file_rows"], new_epoch))
         if injector.enabled:
             injector.maybe_crash("shard.move:imported", host.db.name)

@@ -79,7 +79,7 @@ def test_sharded_repro_doc_replays(base):
                                        base=base))
     assert result.ok, [v.detail for v in result.violations]
     doc = result.repro_doc()
-    assert (doc["version"], doc["shards"], doc["config"]) == (3, 2, base)
+    assert (doc["version"], doc["shards"], doc["config"]) == (4, 2, base)
     assert replay(doc).to_json() == result.to_json()
 
 
@@ -103,6 +103,26 @@ def test_version_2_repro_doc_is_refused():
     doc["version"] = 2
     with pytest.raises(ValueError, match="version 2"):
         replay(doc)
+
+
+def test_version_3_repro_doc_is_refused():
+    """Version 3 predates the ``xa`` op, carved out of the same draws."""
+    doc = run_campaign(quiet_config()).repro_doc()
+    doc["version"] = 3
+    with pytest.raises(ValueError, match="version 3"):
+        replay(doc)
+
+
+def test_xa_branch_left_in_doubt_across_a_host_crash_gets_its_verdict():
+    """One CI cell where the ``xa`` op leaves its branch in doubt and
+    the host then crashes under it: restart resurrects the branch from
+    its PREPARE record, quiesce (the TM) finds it by gtrid and delivers
+    the journaled commit, and the deployment checks clean."""
+    result = run_campaign(CampaignConfig(seed=4, ops=200, base="all_on"))
+    assert any(op["kind"] == "xa" and "host-hostdb" in op["outcome"]
+               and op["outcome"].startswith("indoubt:commit across")
+               for op in result.op_trace)
+    assert result.ok, [v.detail for v in result.violations]
 
 
 @pytest.mark.parametrize("base,seed,ops,shards", [("all_on", 4, 80, 0),

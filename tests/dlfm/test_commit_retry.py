@@ -18,8 +18,8 @@ def _prepared_txn(media):
         session = media.session()
         yield from insert_clip(session, 0)
         txn_id = session.txn_id
-        yield from session._send_control("fs1",
-                                         api.Prepare(host.dbid, txn_id))
+        yield from session.send_control("fs1",
+                                        api.Prepare(host.dbid, txn_id))
         yield from session.session.commit()
         return txn_id
 

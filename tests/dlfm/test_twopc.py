@@ -85,8 +85,8 @@ def test_dlfm_crash_after_prepare_leaves_indoubt_then_host_resolves(media):
         yield from insert_clip(session, 0)
         txn_id = session.txn_id
         # run phase 1 by hand so we can crash between prepare and commit
-        yield from session._send_control("fs1", api.Prepare(host.dbid,
-                                                            txn_id))
+        yield from session.send_control("fs1", api.Prepare(host.dbid,
+                                                           txn_id))
         # the coordinator's decision step: durable on the host side
         yield from host.decide(session.session, txn_id, ["fs1"])
         dlfm.crash()
@@ -121,8 +121,8 @@ def test_prepared_txn_without_decision_aborts(media):
         session = media.session()
         yield from insert_clip(session, 0)
         txn_id = session.txn_id
-        yield from session._send_control("fs1", api.Prepare(host.dbid,
-                                                            txn_id))
+        yield from session.send_control("fs1", api.Prepare(host.dbid,
+                                                           txn_id))
         return txn_id
 
     media.run(prepare_only())
@@ -157,11 +157,11 @@ def test_phase2_abort_restores_unlink_and_drops_new_links(media):
             "INSERT INTO clips (id, title, video) VALUES (?, ?, ?)",
             (1, "new", url(1)))
         txn_id = session.txn_id
-        yield from session._send_control("fs1", api.Prepare(host.dbid,
-                                                            txn_id))
+        yield from session.send_control("fs1", api.Prepare(host.dbid,
+                                                           txn_id))
         # host decides ABORT (e.g. another participant voted no)
-        yield from session._send_control("fs1", api.Abort(host.dbid,
-                                                          txn_id))
+        yield from session.send_control("fs1", api.Abort(host.dbid,
+                                                         txn_id))
         yield from session.session.rollback()
         return txn_id
 
@@ -182,8 +182,8 @@ def test_commit_survives_dlfm_crash_and_restart_between_phases(media):
         session = media.session()
         yield from insert_clip(session, 2)
         txn_id = session.txn_id
-        yield from session._send_control("fs1", api.Prepare(host.dbid,
-                                                            txn_id))
+        yield from session.send_control("fs1", api.Prepare(host.dbid,
+                                                           txn_id))
         yield from host.decide(session.session, txn_id, ["fs1"])
         return txn_id
 
@@ -208,8 +208,8 @@ def test_host_crash_and_restart_redrives_phase2(media):
         session = media.session()
         yield from insert_clip(session, 3)
         txn_id = session.txn_id
-        yield from session._send_control("fs1", api.Prepare(host.dbid,
-                                                            txn_id))
+        yield from session.send_control("fs1", api.Prepare(host.dbid,
+                                                           txn_id))
         yield from host.decide(session.session, txn_id, ["fs1"])
         return txn_id
 
@@ -232,8 +232,8 @@ def test_indoubt_poller_waits_for_dlfm_to_return(media):
         session = media.session()
         yield from insert_clip(session, 1)
         txn_id = session.txn_id
-        yield from session._send_control("fs1", api.Prepare(host.dbid,
-                                                            txn_id))
+        yield from session.send_control("fs1", api.Prepare(host.dbid,
+                                                           txn_id))
         yield from host.decide(session.session, txn_id, ["fs1"])
         return txn_id
 

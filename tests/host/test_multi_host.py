@@ -125,7 +125,7 @@ def test_indoubt_resolution_is_per_host(shared):
             "INSERT INTO t (id, doc) VALUES (?, ?)",
             (9, build_url("fs1", path)))
         txn_id = session.txn_id
-        yield from session._send_control(
+        yield from session.send_control(
             "fs1", api.Prepare(host.dbid, txn_id))
         yield from host.decide(session.session, txn_id,
                                ["fs1"] if decided else [])

@@ -5,10 +5,12 @@ import pytest
 
 from repro.chaos.faults import FaultInjector, FaultPlan, FaultRule
 from repro.chaos.invariants import check_invariants
-from repro.errors import CrashedError, DataLinkError, TransactionAborted
+from repro.errors import (CrashedError, DataLinkError, ReproError,
+                          TransactionAborted)
 from repro.host import DatalinkSpec, HostConfig, build_url
-from repro.host.xa import (xa_commit, xa_finish_pending, xa_prepare,
-                           xa_recover, xa_rollback)
+from repro.host.indoubt import resolve_indoubts
+from repro.host.xa import xa_commit, xa_prepare, xa_recover, xa_rollback
+from repro.minidb import DBConfig
 from repro.shard import ShardedSystem
 from repro.system import System
 
@@ -77,7 +79,8 @@ def test_xa_rollback_undoes_both_sides(xa_system):
     assert xa_system.dlfms["fs1"].linked_count() == 0
     assert xa_system.dlfms["fs2"].linked_count() == 0
     assert count_rows(xa_system) == 0
-    assert xa_system.host.db.table_rows("xa_pending") == []
+    assert xa_recover(xa_system.host) == {}
+    assert xa_system.host.db.indoubt_transactions() == []
 
 
 def test_prepared_branch_survives_host_crash_as_indoubt(xa_system):
@@ -93,15 +96,9 @@ def test_prepared_branch_survives_host_crash_as_indoubt(xa_system):
     summary = host.db.restart()
     assert summary["prepared"] == [local_id]
 
-    def recover_and_commit():
-        status = yield from xa_recover(host)
-        assert status == {"g3": {"state": "indoubt", "txn_id": local_id,
-                                 "readonly": ()}}
-        yield from xa_commit(host, "g3")
-        return (yield from xa_recover(host))
-
-    status_after = xa_system.run(recover_and_commit())
-    assert status_after == {}
+    assert xa_recover(host) == {"g3": {"txn_id": local_id, "readonly": ()}}
+    xa_system.run(xa_commit(host, "g3"))
+    assert xa_recover(host) == {}
     assert count_rows(xa_system) == 2
     assert xa_system.dlfms["fs1"].linked_count() == 1
 
@@ -137,8 +134,9 @@ def test_indoubt_branch_locks_block_other_readers(xa_system):
 
 def test_host_crash_after_commit_decision_redrives_phase2():
     """The host dies inside xa_commit's phase-2 fan-out: the decision
-    rode the local COMMIT record, so host restart re-drives phase 2 from
-    the WAL; xa_finish_pending then only clears the registration."""
+    rode the local COMMIT record, so it is an ordinary host decision —
+    host restart re-drives phase 2 from the WAL and nothing is left for
+    the TM: the branch is no longer in doubt."""
     plan = FaultPlan([FaultRule("twopc.fanout:phase2", "crash",
                                 prob=1.0, max_fires=1)], name="t")
     injector = FaultInjector(plan)
@@ -162,19 +160,9 @@ def test_host_crash_after_commit_decision_redrives_phase2():
     resolved = system.run(host.restart(), "host-restart")
     assert resolved["aborted"] == 0 and resolved["committed"] >= 2
 
-    def recover():
-        status = yield from xa_recover(host)
-        assert set(status) == {"g5"}
-        assert status["g5"]["state"] == "commit-pending"
-        assert status["g5"]["readonly"] == ()
-        finished = yield from xa_finish_pending(host)
-        return finished
-
-    finished = system.run(recover())
-    assert finished == ["g5"]
+    assert xa_recover(host) == {}
     assert system.dlfms["fs1"].linked_count() == 1
     assert system.dlfms["fs2"].linked_count() == 1
-    assert host.db.table_rows("xa_pending") == []
     assert host.decision_rows() == []
     assert check_invariants(system) == []
 
@@ -216,7 +204,8 @@ def test_dlfm_prepare_failure_rolls_back_global_branch(xa_system):
     xa_system.run(go())
     assert xa_system.dlfms["fs1"].linked_count() == 0
     assert count_rows(xa_system) == 0
-    assert xa_system.host.db.table_rows("xa_pending") == []
+    assert xa_recover(xa_system.host) == {}
+    assert xa_system.host.db.txns.active == []
 
 
 def test_prepare_with_no_work_rejected(xa_system):
@@ -232,7 +221,7 @@ def test_prepare_with_no_work_rejected(xa_system):
 def test_xa_readonly_branch_released_at_phase1(xa_system):
     """Every participant votes read-only and the local txn wrote nothing:
     the whole branch finishes at phase 1 (XA_RDONLY) — no PREPARE
-    record, no xa_pending rows, nothing for the TM to drive."""
+    record, nothing for the TM to drive."""
     from repro.dlfm import api
     from repro.errors import LinkError
     host = xa_system.host
@@ -243,7 +232,7 @@ def test_xa_readonly_branch_released_at_phase1(xa_system):
         # link leaves no state) and the host session never writes.
         with pytest.raises(LinkError):
             yield from session.dlfm_call("fs1", api.LinkFile(
-                host.dbid, session.txn_id_for("fs1"), "/g/missing",
+                host.dbid, session.begin(), "/g/missing",
                 host.group_ids[("gt", "doc")], "r-ro-1"))
         return (yield from xa_prepare(session, "g-ro"))
 
@@ -251,14 +240,9 @@ def test_xa_readonly_branch_released_at_phase1(xa_system):
     assert result.vote == "read-only"
     assert result.readonly_servers == ("fs1",)
     assert host.metrics.readonly_branches == 1
-    assert host.db.table_rows("xa_pending") == []
     assert host.db.indoubt_transactions() == []
     assert xa_system.dlfms["fs1"].db.table_rows("dfm_txn") == []
-
-    def recover():
-        return (yield from xa_recover(host))
-
-    assert xa_system.run(recover()) == {}  # nothing survives to resolve
+    assert xa_recover(host) == {}  # nothing survives to resolve
 
     def commit_released():
         with pytest.raises(DataLinkError):
@@ -305,26 +289,24 @@ def test_xa_mixed_readonly_participant_in_results(xa_system):
                 "INSERT INTO gt (id, doc) VALUES (?, ?)",
                 (2, build_url("fs2", "/g/missing")))
         prepared = yield from xa_prepare(session, "g-mix")
-        status = yield from xa_recover(host)
+        status = xa_recover(host)
         decision = yield from xa_commit(host, "g-mix")
         return prepared, status, decision
 
     prepared, status, decision = xa_system.run(go())
     assert prepared.vote == "commit"
     assert prepared.readonly_servers == ("fs2",)
-    assert status["g-mix"]["state"] == "indoubt"
-    assert status["g-mix"]["readonly"] == ("fs2",)
+    assert status == {"g-mix": {"txn_id": prepared.txn_id,
+                                "readonly": ("fs2",)}}
     assert decision["servers"] == ("fs1",)  # fs2 pruned from phase 2
     assert decision["readonly"] == ("fs2",)
     assert host.metrics.readonly_votes == 1
     assert xa_system.dlfms["fs1"].linked_count() == 1
-    assert host.db.table_rows("xa_pending") == []
+    assert xa_recover(host) == {}
 
 
 def test_unknown_gtrid_rejected(xa_system):
     def go():
-        from repro.host.xa import _bootstrap
-        _bootstrap(xa_system.host)
         with pytest.raises(DataLinkError):
             yield from xa_commit(xa_system.host, "nope")
         return True
@@ -384,7 +366,7 @@ def test_xa_commit_on_a_batching_host_links_the_buffered_files(make):
     assert decision["servers"]
     assert _linked(system) == 2
     assert count_rows(system) == 2
-    assert system.host.db.table_rows("xa_pending") == []
+    assert xa_recover(system.host) == {}
     assert system.host.decision_rows() == []
     assert check_invariants(system) == []
 
@@ -404,5 +386,161 @@ def test_xa_rollback_on_a_batching_host_unlinks_everything(make):
     system.run(go())
     assert _linked(system) == 0
     assert count_rows(system) == 0
-    assert system.host.db.table_rows("xa_pending") == []
+    assert xa_recover(system.host) == {}
     assert check_invariants(system) == []
+
+
+# ---------------------------------------------------------------- one store: the PREPARE record
+
+def test_host_crash_at_the_prepare_force_leaves_no_branch():
+    """The host dies with the PREPARE record appended but not durable,
+    and fs2 is down while it restarts. The branch was never prepared, so
+    there is nothing for the TM to find — and above all nothing to
+    COMMIT: the rolled-back host rows must not get their files linked
+    (a registration forced ahead of the PREPARE once reported this
+    branch commit-pending and sent Commit for it)."""
+    plan = FaultPlan([FaultRule("wal.force.before:host-*", "crash")],
+                     name="t")
+    injector = FaultInjector(plan)
+    injector.enabled = False
+    system = _two_server_system(batch=False, injector=injector)
+    host = system.host
+    prepare = host.db.prepare
+
+    def armed_prepare(txn, **kwargs):
+        injector.enabled = True     # the next host log force is PREPARE's
+        return prepare(txn, **kwargs)
+
+    host.db.prepare = armed_prepare
+
+    def branch():
+        session = system.session()
+        yield from start_branch(system, session)
+        with pytest.raises(CrashedError):
+            yield from xa_prepare(session, "g-hole")
+
+    system.run(branch())
+    injector.enabled = False
+    assert host.db.crashed and len(injector.crashes) == 1
+    system.dlfms["fs2"].crash()
+
+    def restart_without_fs2():
+        with pytest.raises(ReproError):
+            yield from host.restart()
+
+    system.run(restart_without_fs2())
+    system.dlfms["fs2"].restart()
+    assert xa_recover(host) == {}          # the TM's recovery scan
+    system.run(resolve_indoubts(host))     # the in-doubt poller's pass
+    assert _linked(system) == 0
+    assert count_rows(system) == 0
+    assert check_invariants(system) == []
+
+
+def test_a_branch_costs_two_host_log_forces(xa_system):
+    """One force for PREPARE (the branch rides on it), one for the
+    verdict's COMMIT (the 2PC decision rides on that)."""
+    host = xa_system.host
+    forces = host.db.wal.metrics.forces
+
+    def phase1():
+        session = xa_system.session()
+        yield from start_branch(xa_system, session)
+        yield from xa_prepare(session, "g-forces")
+
+    xa_system.run(phase1())
+    assert host.db.wal.metrics.forces - forces == 1
+    xa_system.run(xa_commit(host, "g-forces"))
+    assert host.db.wal.metrics.forces - forces == 2
+    assert not [t for t in host.db.catalog.tables if t.startswith("xa")]
+
+
+def test_readonly_voters_survive_a_host_restart(xa_system):
+    """They ride the PREPARE payload with the rest of the branch."""
+    from repro.errors import LinkError
+    host = xa_system.host
+
+    def phase1():
+        session = xa_system.session()
+        yield from start_branch(xa_system, session, ids=((1, "fs1", 0),))
+        with pytest.raises(LinkError):
+            yield from session.execute(
+                "INSERT INTO gt (id, doc) VALUES (?, ?)",
+                (2, build_url("fs2", "/g/missing")))
+        return (yield from xa_prepare(session, "g-ro-restart"))
+
+    prepared = xa_system.run(phase1())
+    host.crash()
+    xa_system.run(host.restart(), "host-restart")
+    assert xa_recover(host) == {"g-ro-restart": {
+        "txn_id": prepared.txn_id, "readonly": ("fs2",)}}
+    decision = xa_system.run(xa_commit(host, "g-ro-restart"))
+    assert decision == {"txn_id": prepared.txn_id, "servers": ("fs1",),
+                        "readonly": ("fs2",)}
+    assert xa_system.dlfms["fs1"].linked_count() == 1
+    assert check_invariants(xa_system) == []
+
+
+@pytest.mark.parametrize("instant", [True, False])
+def test_branch_prepared_before_a_fuzzy_checkpoint_is_found_after_a_crash(
+        instant):
+    """The checkpoint's transaction table carries the prepared
+    transaction's last LSN — its PREPARE record — so restart finds the
+    payload behind the checkpoint on both recovery paths."""
+    system = System(seed=61, servers=("fs1", "fs2"), host_config=HostConfig(
+        db=DBConfig(instant_recovery=instant)))
+    _create_gt(system, ("fs1", "fs2"))
+    host = system.host
+
+    def go():
+        session = system.session()
+        yield from start_branch(system, session)
+        prepared = yield from xa_prepare(session, "g-ckpt")
+        other = host.db.session()    # open across the checkpoint: fuzzy
+        yield from other.execute("CREATE TABLE side (k INT)")
+        yield from other.execute("INSERT INTO side (k) VALUES (1)")
+        host.db.checkpoint()
+        yield from other.commit()
+        return prepared
+
+    prepared = system.run(go())
+    host.crash()
+    system.run(host.restart(), "host-restart")
+    assert xa_recover(host) == {"g-ckpt": {"txn_id": prepared.txn_id,
+                                           "readonly": ()}}
+    decision = system.run(xa_commit(host, "g-ckpt"))
+    assert decision["servers"] == ("fs1", "fs2")
+    assert count_rows(system) == 2 and _linked(system) == 2
+    assert check_invariants(system) == []
+
+
+def test_rollback_taken_back_by_a_crash_leaves_a_branch_the_tm_can_find(
+        xa_system):
+    """A rollback forces nothing (presumed abort): a host crash before
+    the next log force takes the ABORT record back and restart
+    resurrects the branch PREPARED. It must then be in ``xa_recover``
+    again, payload and all, so the TM — which has forgotten it — can
+    presume abort and roll it back once more. (The chaos ``xa`` op
+    walked into this; the old registration table's forced DELETE used to
+    harden the ABORT record as a side effect.)"""
+    host = xa_system.host
+
+    def go():
+        session = xa_system.session()
+        yield from start_branch(xa_system, session)
+        prepared = yield from xa_prepare(session, "g-again")
+        yield from xa_rollback(host, "g-again")
+        return prepared
+
+    prepared = xa_system.run(go())
+    assert xa_recover(host) == {}
+    host.crash()
+    xa_system.run(host.restart(), "host-restart")
+    assert [txn.id for txn in host.db.indoubt_transactions()] \
+        == [prepared.txn_id]
+    assert xa_recover(host) == {"g-again": {"txn_id": prepared.txn_id,
+                                            "readonly": ()}}
+    xa_system.run(xa_rollback(host, "g-again"))
+    assert host.db.txns.active == [] and host.db.locks.total_locks == 0
+    assert count_rows(xa_system) == 0 and _linked(xa_system) == 0
+    assert check_invariants(xa_system) == []

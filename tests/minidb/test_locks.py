@@ -202,6 +202,36 @@ def test_lock_timeout_raises_and_marks_rollback_only():
     assert locks.metrics.timeouts == 1
 
 
+def test_a_waiter_killed_in_the_queue_is_never_granted_the_lock():
+    """A process killed while it waits (a chaos round that outlived its
+    budget, behind an in-doubt XA branch's locks) leaves the queue with
+    it: its transaction is rolled back by whoever cleans up, and the
+    holder's release must not grant the lock to the corpse."""
+    sim, locks, txns = make()
+    t1, t2, t3 = (txns.begin("RR", 0) for _ in range(3))
+
+    def holder():
+        yield from locks.acquire(t1, ROW, LockMode.X)
+        yield Timeout(10.0)
+        locks.release_all(t1)
+
+    def waiter(txn):
+        yield Timeout(1.0)
+        yield from locks.acquire(txn, ROW, LockMode.X)
+        return sim.now
+
+    sim.spawn(holder())
+    doomed, patient = sim.spawn(waiter(t2)), sim.spawn(waiter(t3))
+    sim.run(until=5.0)
+    doomed.kill()
+    locks.release_all(t2)           # the cleanup's rollback
+    sim.run()
+    assert patient.result == 10.0   # next in line, not stuck behind t2
+    locks.release_all(t3)
+    assert locks.total_locks == 0 and locks.heads == {}
+    assert locks.waiting_txns() == []
+
+
 def test_per_request_timeout_overrides_config():
     sim, locks, txns = make(lock_timeout=60.0)
 

@@ -206,7 +206,7 @@ def test_si_probe_equals_the_sweep_oracle(ops, writer_isolation):
                 readers = [db.begin("SI")]
                 if prepared is not None:
                     check_probes(db, snapshots())
-                    indoubt = db.find_prepared(prepared)
+                    [indoubt] = db.indoubt_transactions()
                     if step[2]:
                         yield from db.commit(indoubt)
                     else:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import DatabaseError, TransactionAborted
+from repro.errors import TransactionAborted
 from repro.kernel import Simulator, Timeout
 from repro.minidb import Database, DBConfig
 from repro.minidb.txn import TxnState
@@ -20,6 +20,11 @@ def make_db(sim, **cfg):
 
     sim.run_process(setup())
     return db
+
+
+def find_prepared(db, txn_id):
+    [txn] = [t for t in db.indoubt_transactions() if t.id == txn_id]
+    return txn
 
 
 def test_prepare_keeps_locks_and_state():
@@ -81,7 +86,7 @@ def test_prepared_txn_survives_crash_and_can_commit():
     db.crash()
     summary = db.restart()
     assert summary["prepared"] == [txn_id]
-    txn = db.find_prepared(txn_id)
+    txn = find_prepared(db, txn_id)
 
     def decide():
         yield from db.commit(txn)
@@ -111,7 +116,7 @@ def test_resurrected_indoubt_is_stamped_with_recovery_time():
     txn_id = sim.run_process(phase1())
     db.crash()
     db.restart()
-    txn = db.find_prepared(txn_id)
+    txn = find_prepared(db, txn_id)
     assert txn.start_time == sim.now
     assert txn.start_time >= 42.0
 
@@ -129,7 +134,7 @@ def test_prepared_txn_survives_crash_and_can_roll_back():
     txn_id = sim.run_process(phase1())
     db.crash()
     db.restart()
-    txn = db.find_prepared(txn_id)
+    txn = find_prepared(db, txn_id)
 
     def decide():
         yield from db.rollback(txn)
@@ -165,7 +170,7 @@ def test_recovered_indoubt_locks_block_writers():
     assert sim.run_process(intruder()) is True
 
     def finish():
-        yield from db.commit(db.find_prepared(txn_id))
+        yield from db.commit(find_prepared(db, txn_id))
 
     sim.run_process(finish())
 
@@ -186,7 +191,7 @@ def test_double_crash_keeps_indoubt_txn():
     db.crash()
     summary = db.restart()
     assert summary["prepared"] == [txn_id]
-    assert db.find_prepared(txn_id) is not None
+    assert find_prepared(db, txn_id) is not None
 
 
 def test_prepare_of_rollback_only_txn_fails():
@@ -202,13 +207,6 @@ def test_prepare_of_rollback_only_txn_fails():
         return True
 
     assert sim.run_process(go()) is True
-
-
-def test_find_prepared_unknown_raises():
-    sim = Simulator()
-    db = make_db(sim)
-    with pytest.raises(DatabaseError):
-        db.find_prepared(12345)
 
 
 def test_prepared_txn_pins_log_floor():

@@ -12,12 +12,14 @@ import pytest
 
 from repro.chaos import FaultInjector, FaultPlan, FaultRule
 from repro.chaos.invariants import check_invariants
+from repro.configs import Configuration
 from repro.dlff.filter import DLFM_ADMIN
 from repro.dlfm import schema
 from repro.errors import (CrashedError, DataLinkError, LinkedFileError,
-                          LinkError)
+                          LinkError, ReproError)
 from repro.host import DatalinkSpec, build_url
 from repro.host.indoubt import resolve_indoubts
+from repro.kernel import Timeout
 from repro.shard import ShardedSystem, move_group
 
 
@@ -489,3 +491,125 @@ def test_abort_after_prepare_takes_back_the_group_it_registered(fleet):
     assert sum(d.linked_count() for d in fleet.dlfms.values()) == 0
     assert check_invariants(fleet) == []
 
+
+
+# -- one stale-route handler: LOAD, DROP and a racing move heal like DML -------
+
+def _poison(system, table="docs"):
+    """Point the route cache at the wrong shard, at a wrong epoch."""
+    grp_id = system.host.group_ids[(table, "doc")]
+    owner = system.shard_of(grp_id)
+    other = next(n for n in system.dlfms if n != owner)
+    system.host.shard_map._cache[grp_id] = (other, 99)
+    return grp_id, owner, other
+
+
+def _settled_invariants(system):
+    """check_invariants once the daemons (copy, delete-group) are done."""
+    def settle():
+        yield Timeout(120.0)
+
+    system.run(settle())
+    return check_invariants(system)
+
+
+def _load(system, files=6, piece_size=3):
+    from repro.host.load import LoadUtility
+    return LoadUtility(
+        system.host, "docs", "doc",
+        [({"id": i}, build_url("fs1", f"/x/f{i}")) for i in range(files)],
+        piece_size=piece_size)
+
+
+def test_load_on_a_stale_route_reloads_and_lands_on_the_owner(fleet):
+    _, owner, other = _poison(fleet)
+    before = fleet.host.shard_map.reloads
+    stats = fleet.run(_load(fleet).run())
+    assert fleet.host.shard_map.reloads > before
+    assert stats.linked == 6 and stats.pieces == 2
+    assert _linked(fleet) == {owner: 6, other: 0}
+    assert all(dlfm.db.table_rows("dfm_txn") == []
+               for dlfm in fleet.dlfms.values())
+    assert _settled_invariants(fleet) == []
+
+
+def test_drop_table_on_a_stale_route_reloads_and_lands_on_the_owner(fleet):
+    grp_id, owner, other = _poison(fleet)
+    before = fleet.host.shard_map.reloads
+
+    def go():
+        session = fleet.session()
+        yield from session.drop_table("docs")
+        yield from session.commit()
+
+    fleet.run(go())
+    assert fleet.host.shard_map.reloads > before
+    assert fleet.host.db.table_rows("dlk_shardmap") == []
+    assert _settled_invariants(fleet) == []
+    [group] = _group_rows(fleet.dlfms[owner], grp_id)
+    assert group[4] == "emptied"            # the delete-group daemon ran
+    assert _group_rows(fleet.dlfms[other], grp_id) == []
+
+
+def test_load_racing_move_group_waits_the_move_out():
+    """The first piece reaches the source while the move holds the group
+    moving-out: it backs off with everyone else's retry, follows the
+    group and the whole load lands on the new owner. (Once a piece is
+    committed the order is the other way round: the next test.) Runs
+    under ``all_on``'s calibrated clock so the move has a duration."""
+    fleet = Configuration("all_on").system(seed=7, shards=2)
+
+    def setup():
+        yield from fleet.host.create_datalink_table(
+            "docs", [("id", "INT"), ("doc", "TEXT")],
+            {"doc": DatalinkSpec(recovery=True)})
+        for i in range(6):
+            fleet.create_user_file("fs1", f"/x/f{i}", owner="u")
+
+    fleet.run(setup())
+    grp_id = fleet.host.group_ids[("docs", "doc")]
+    src = fleet.shard_of(grp_id)
+    dst = next(n for n in fleet.dlfms if n != src)
+    load = _load(fleet)
+    out = {}
+
+    def mover():
+        out["moved"] = yield from move_group(fleet.host, grp_id, dst)
+        out["moved_at"] = fleet.sim.now
+
+    def loader():
+        yield Timeout(0.02)        # the export has marked the group
+        try:
+            out["stats"] = yield from load.run()
+        except ReproError as error:
+            out["stats"] = error
+            yield from load.session.rollback()   # or the move never ends
+
+    before = fleet.host.shard_map.reloads
+    fleet.run(fleet.sim.gather([mover(), loader()], "race"))
+    assert out["moved"]["moved"] and fleet.host.shard_map.reloads > before
+    assert not isinstance(out["stats"], ReproError), out["stats"]
+    assert out["stats"].linked == 6 and out["stats"].pieces == 2
+    assert _linked(fleet) == {src: 0, dst: 6}
+    assert all(dlfm.db.table_rows("dfm_txn") == []
+               for dlfm in fleet.dlfms.values())
+    assert _settled_invariants(fleet) == []
+
+
+def test_move_group_is_refused_once_a_load_piece_is_committed(fleet):
+    """ExportGroup adopts rows verbatim, so a group with an unresolved
+    transaction — a LOAD between pieces — stays where it is."""
+    grp_id = fleet.host.group_ids[("docs", "doc")]
+    src = fleet.shard_of(grp_id)
+    dst = next(n for n in fleet.dlfms if n != src)
+    load = _load(fleet)
+
+    def go():
+        yield from load._load_piece()
+        with pytest.raises(LinkError, match="unresolved transaction"):
+            yield from move_group(fleet.host, grp_id, dst)
+        return (yield from load.run())
+
+    stats = fleet.run(go())
+    assert stats.linked == 6 and _linked(fleet) == {src: 6, dst: 0}
+    assert _settled_invariants(fleet) == []

@@ -75,7 +75,7 @@ def test_chaos_names_a_configuration_and_refuses_a_version_1_replay(
     assert main(["chaos", "--ops", "10", "--config", "paper", "--json",
                  "--out", str(out)]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert (doc["version"], doc["config"]) == (3, "paper")
+    assert (doc["version"], doc["config"]) == (4, "paper")
     with pytest.raises(SystemExit):     # replaced by --config, not kept
         main(["chaos", "--read-isolation", "SI"])
     capsys.readouterr()
@@ -83,3 +83,7 @@ def test_chaos_names_a_configuration_and_refuses_a_version_1_replay(
     out.write_text(json.dumps(doc))
     assert main(["chaos", "--replay", str(out)]) == 2
     assert "version 1" in capsys.readouterr().err
+    doc["version"] = 3                  # predates the xa op: refused too
+    out.write_text(json.dumps(doc))
+    assert main(["chaos", "--replay", str(out)]) == 2
+    assert "version 3" in capsys.readouterr().err

@@ -1,0 +1,183 @@
+"""Which functions of ``src/repro`` does no shipped driver ever enter?
+
+Verify the traffic, don't guess it. This runs the drivers the repo
+ships — the e2e benchmark at ``--smoke`` size, ``bench --quick``, the
+chaos campaign (seeds 0-1 x ``paper``/``all_on`` x plain/``--shards 4``),
+the four trace scenarios and ``systemtest``; ``--with-experiments`` adds
+``benchmarks/bench_e*.py`` (~8 min traced) — with a ``sitecustomize``
+directory on ``PYTHONPATH`` that installs ``sys.settrace`` in every
+(child) process, and prints every function of ``src/repro`` none of them
+entered, with per-file totals of functions and of function lines (the
+``def`` line through the last line of the body).
+
+    python3 tools/reached.py                    # the report (~3 min)
+    python3 tools/reached.py --require src/repro/host/xa.py
+
+``--require PATH`` (repeatable) exits 1 when a function of that file is
+unreached: code kept for a reason must be driven by something shipped.
+Tests are deliberately not drivers here — a function only its own unit
+test calls is exactly what this is looking for.
+
+Only ``call`` events are traced, and only for files under ``src/repro``
+(the tracer returns no local trace function, so no line events fire):
+the drivers run about twice as slow as untraced. Each process appends a
+``file:line`` record the first time it enters a function, so a child
+that ends in ``os._exit`` loses nothing.
+"""
+
+import argparse
+import ast
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+PACKAGE = os.path.join(SRC, "repro")
+
+SITECUSTOMIZE = '''\
+import os, sys, threading
+
+_PREFIX = os.environ["REACHED_PREFIX"]
+_out = open(os.path.join(os.environ["REACHED_DIR"], "%d.txt" % os.getpid()),
+            "a", buffering=1)
+_seen = set()
+
+
+def _trace(frame, event, arg):
+    code = frame.f_code
+    if code not in _seen:
+        _seen.add(code)
+        if code.co_filename.startswith(_PREFIX):
+            _out.write("%s:%d\\n" % (code.co_filename, code.co_firstlineno))
+    return None
+
+
+threading.settrace(_trace)
+sys.settrace(_trace)
+'''
+
+CHAOS = [["chaos", "--seed", str(seed), "--config", config, *shape]
+         for seed in (0, 1) for config in ("paper", "all_on")
+         for shape in (["--ops", "200"], ["--ops", "120", "--shards", "4"])]
+DRIVERS = (
+    [[sys.executable, "benchmarks/e2e/run.py", "--smoke"],
+     [sys.executable, "-m", "repro", "bench", "--quick", "--out",
+      os.devnull],
+     [sys.executable, "-m", "repro", "systemtest", "--clients", "3",
+      "--minutes", "1", "--seed", "5"]]
+    + [[sys.executable, "-m", "repro", *args, "--no-shrink", "--out",
+        os.devnull] for args in CHAOS]
+    + [[sys.executable, "-m", "repro", "trace", scenario]
+       for scenario in ("commit-retry", "workload", "sharded", "fleet")])
+EXPERIMENTS = [[sys.executable, "-m", "pytest", "-q", "--benchmark-disable",
+                "-p", "no:cacheprovider", "benchmarks/" + name]
+               for name in sorted(os.listdir(os.path.join(ROOT, "benchmarks")))
+               if name.startswith("bench_e") and name.endswith(".py")]
+
+
+def functions(path: str) -> dict:
+    """``{first line: (qualified name, lines)}`` for every ``def`` of the
+    file; the first line is the first decorator's, as code objects count."""
+    found = {}
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno]
+                            + [d.lineno for d in child.decorator_list])
+                name = prefix + child.name
+                found[first] = (name, child.end_lineno - child.lineno + 1)
+                walk(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, prefix + child.name + ".")
+            else:
+                walk(child, prefix)
+
+    with open(path) as handle:
+        walk(ast.parse(handle.read()), "")
+    return found
+
+
+def run_drivers(drivers, record_dir: str, site_dir: str) -> None:
+    env = dict(os.environ, REACHED_DIR=record_dir, REACHED_PREFIX=PACKAGE,
+               PYTHONPATH=os.pathsep.join([site_dir, SRC]))
+    for command in drivers:
+        print("  " + " ".join(command[1:]), file=sys.stderr, flush=True)
+        done = subprocess.run(command, cwd=ROOT, env=env,
+                              stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True)
+        if done.returncode:
+            sys.exit(f"driver failed ({done.returncode}): "
+                     f"{' '.join(command)}\n{done.stderr[-2000:]}")
+
+
+def entered(record_dir: str) -> set:
+    """Every ``(file, first line)`` some traced process entered."""
+    reached = set()
+    for name in os.listdir(record_dir):
+        with open(os.path.join(record_dir, name)) as handle:
+            for line in handle:
+                path, _, lineno = line.rstrip("\n").rpartition(":")
+                reached.add((path, int(lineno)))
+    return reached
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--with-experiments", action="store_true",
+                        help="also run benchmarks/bench_e*.py (~8 min)")
+    parser.add_argument("--require", action="append", default=[],
+                        metavar="PATH",
+                        help="exit 1 if a function of this file is unreached")
+    args = parser.parse_args()
+    required = [os.path.relpath(os.path.abspath(path), ROOT)
+                for path in args.require]
+    for rel in required:
+        if not os.path.isfile(os.path.join(ROOT, rel)) \
+                or not rel.startswith(os.path.relpath(PACKAGE, ROOT)):
+            parser.error(f"--require {rel}: not a file under src/repro")
+    drivers = DRIVERS + (EXPERIMENTS if args.with_experiments else [])
+    with tempfile.TemporaryDirectory() as work:
+        site_dir = os.path.join(work, "site")
+        record_dir = os.path.join(work, "records")
+        os.mkdir(site_dir)
+        os.mkdir(record_dir)
+        with open(os.path.join(site_dir, "sitecustomize.py"), "w") as handle:
+            handle.write(SITECUSTOMIZE)
+        run_drivers(drivers, record_dir, site_dir)
+        reached = entered(record_dir)
+
+    total = total_lines = missed = missed_lines = 0
+    incomplete = set()
+    for folder, _, names in sorted(os.walk(PACKAGE)):
+        for name in sorted(n for n in names if n.endswith(".py")):
+            path = os.path.join(folder, name)
+            defs = functions(path)
+            lost = [(line, *defs[line]) for line in sorted(defs)
+                    if (path, line) not in reached]
+            total += len(defs)
+            total_lines += sum(lines for _, lines in defs.values())
+            if not lost:
+                continue
+            rel = os.path.relpath(path, ROOT)
+            incomplete.add(rel)
+            lines = sum(span for _, _, span in lost)
+            missed += len(lost)
+            missed_lines += lines
+            print(f"{rel}: {len(lost)} of {len(defs)} functions unreached, "
+                  f"{lines} function lines")
+            for line, func, span in lost:
+                print(f"    {line:5d}  {func}  ({span} lines)")
+    print(f"unreached: {missed} of {total} functions, {missed_lines} of "
+          f"{total_lines} function lines, under {len(drivers)} drivers")
+
+    failed = [rel for rel in required if rel in incomplete]
+    for rel in failed:
+        print(f"--require {rel}: unreached functions", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
