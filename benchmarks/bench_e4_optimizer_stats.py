@@ -135,8 +135,7 @@ def test_e4_auto_runstats_flips_without_pinning(benchmark):
         system = Configuration("paper", {
             "dlfm.pin_statistics": False,
             "dlfm.auto_runstats": auto,
-            "dlfm.local_db.auto_runstats_threshold": 10,
-            "dlfm.local_db.auto_runstats_fraction": 0.2}).system(seed=17)
+            "dlfm.local_db.auto_runstats_threshold": 10}).system(seed=17)
         dlfm = system.dlfms["fs1"]
 
         def go():

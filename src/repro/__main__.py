@@ -36,7 +36,7 @@ EXPERIMENTS = [
     ("E4", "optimizer statistics: table-scan havoc + RUNSTATS guard",
      "pytest benchmarks/bench_e4_optimizer_stats.py --benchmark-only -s"),
     ("E5", "lock escalation brings the system to its knees",
-     "pytest benchmarks/bench_e5_lock_escalation.py --benchmark-only -s"),
+     "pytest benchmarks/bench_e5_escalation.py --benchmark-only -s"),
     ("E6", "async commit → distributed deadlock",
      "pytest benchmarks/bench_e6_sync_commit.py --benchmark-only -s"),
     ("E7", "lock-timeout sweep (the 60 s choice)",

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.chaos.faults import FaultInjector, FaultPlan, default_plan
 from repro.chaos.invariants import Violation, check_invariants
@@ -78,13 +78,10 @@ class CampaignConfig:
     #: the deployment runs, under :data:`CHAOS_OVERRIDES`.
     base: str = "all_on"
     #: Named seeded corruptions (keys of :data:`CORRUPTIONS`) applied
-    #: right before the final invariant check. Unlike ``corrupt_hook``
-    #: these are serialized into the repro document, so a deliberately
-    #: broken invariant replays to the same violation.
+    #: right before the final invariant check; they are serialized into
+    #: the repro document, so a deliberately broken invariant replays to
+    #: the same violation.
     corruptions: tuple = ()
-    #: Test hook: corrupt the system right before the final invariant
-    #: check (used to prove the checker catches seeded corruptions).
-    corrupt_hook: Optional[Callable] = None
 
 
 @dataclass
@@ -278,14 +275,12 @@ class _Campaign:
                 "campaign-stalled", "campaign",
                 f"only {len(self.result.op_trace)}/{self.config.ops} ops "
                 f"ran in {self.result.rounds} rounds"))
-        if self.config.corruptions or self.config.corrupt_hook is not None:
+        if self.config.corruptions:
             for name in self.config.corruptions:
                 if not CORRUPTIONS[name](self.system):
                     self.result.violations.append(Violation(
                         "corruption-inapplicable", "campaign",
                         f"corruption {name!r} found nothing to corrupt"))
-            if self.config.corrupt_hook is not None:
-                self.config.corrupt_hook(self.system)
             self.result.checks += 1
             self.result.violations.extend(check_invariants(self.system))
         self.result.fired = list(self.injector.fired)

@@ -352,8 +352,15 @@ def default_plan(seed: int = 0) -> FaultPlan:
         # the never-ack contract must fail every member of the group.
         FaultRule("wal.group:leader:dlfm-*", "crash", prob=0.02,
                   max_fires=2),
+        # The same window on the host, whose COMMIT records carry the 2PC
+        # decision. A lone chaos client opens only one or two host
+        # windows per campaign, hence the high rate.
+        FaultRule("wal.group:leader:host-*", "crash", prob=0.3),
         FaultRule("wal.force.after:host-*", "crash", prob=0.001,
                   max_fires=1),
+        # Auto-RUNSTATS: crash after a commit, before the refresh and its
+        # plan invalidation are installed.
+        FaultRule("runstats.refresh:dlfm-*", "crash"),
         FaultRule("daemon.pass:*:copyd", "crash", prob=0.01, max_fires=1),
         FaultRule("daemon.pass:*:delgrpd", "crash", prob=0.01, max_fires=1),
         # Pool-worker crashes land between claim/dispatch and the work —

@@ -13,6 +13,7 @@ manager's retry loops on fresh sessions.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.dlfm import api
@@ -161,6 +162,7 @@ class ChildAgent:
         compensates ops 0..k-1 (reverse order, ``in_backout``) and
         re-raises, leaving the local transaction as if the batch never
         arrived — the host can still do statement-level backout or retry.
+        A Batch never carries a RegisterGroup: registrations ship alone.
         """
         if self.current is None:
             self._begin(api.BeginTxn(req.dbid, req.txn_id))
@@ -176,25 +178,13 @@ class ChildAgent:
             raise  # local txn already rolled back; nothing to compensate
         except Exception:
             for op in reversed(applied):
-                yield from self._compensate(op)
+                yield from self._forward(replace(op, in_backout=True))
             raise
         reply = {"results": results}
         if req.prepare:
             reply["prepare"] = yield from self._prepare(
                 api.Prepare(req.dbid, req.txn_id))
         return reply
-
-    def _compensate(self, op):
-        """Undo one applied batch op inside the still-open local txn."""
-        from dataclasses import replace
-        if isinstance(op, (api.LinkFile, api.UnlinkFile, api.DeleteGroup)):
-            yield from self._forward(replace(op, in_backout=True))
-        elif isinstance(op, api.RegisterGroup):
-            # RegisterGroup has no in_backout form (it is never issued
-            # from statement scope in the paper); delete the row we made.
-            yield from self.session.execute(
-                "DELETE FROM dfm_group WHERE grp_id = ? AND dbid = ?",
-                (op.grp_id, op.dbid))
 
     def _prepare(self, req: api.Prepare):
         self._check_txn(req)

@@ -32,16 +32,6 @@ class DLFMConfig:
     copy_workers: int = 1
     #: Retrieve-daemon worker processes serving concurrent restores.
     retrieve_workers: int = 1
-    #: Capacity of the Retrieve daemon's request channel (restore
-    #: callers beyond workers + this many queued requests block).
-    retrieve_queue_capacity: int = 16
-    #: Delete-Group daemon workers draining group deletes; >1 overlaps
-    #: the batched deletes of independent transactions with the scan.
-    delgrp_workers: int = 1
-    #: Capacity of the Delete-Group daemon's notification channel.
-    delgrp_queue_capacity: int = 64
-    #: Period of the Garbage Collector daemon (seconds).
-    gc_period: float = 600.0
     #: Isolation level for DLFM's hot internal reads and forward-session
     #: lookups: ``"default"`` keeps the local database's own level (the
     #: paper's behaviour, byte for byte); ``"SI"`` runs them as snapshot
@@ -49,15 +39,9 @@ class DLFMConfig:
     #: scans, delete-group drain and link/unlink lookups never queue
     #: behind — or deadlock with — phase-2 writers.
     read_isolation: str = "default"
-    #: Lifetime of a deleted file group before GC removes its metadata.
-    group_lifetime: float = 3600.0
-    #: Keep unlinked-file backup copies for the last N host backups.
-    keep_backups: int = 2
-    #: Phase-2 commit/abort retry ceiling (None = retry forever, as the
-    #: paper does; experiments may bound it).
-    commit_retry_limit: Optional[int] = None
     #: Base delay between phase-2 retries after a deadlock/timeout
-    #: (``DLFM.retry_backoff`` grows and jitters it).
+    #: (``DLFM.retry_backoff`` grows and jitters it); phase 2 retries
+    #: until it succeeds, as the paper's does (Fig. 4).
     commit_retry_delay: float = 0.5
     #: Hand-craft File/Archive-table statistics at startup and guard them
     #: against user RUNSTATS (lesson §4 / E4).
@@ -79,7 +63,6 @@ class DLFMConfig:
                 isolation="CS",           # repeatable read "not really needed"
                 next_key_locking=False,   # disabled to kill index deadlocks
                 lock_timeout=60.0,        # the paper's global-deadlock breaker
-                deadlock_check_interval=1.0,
                 locklist_size=200_000,    # "lock list size set sufficiently large"
                 maxlocks_fraction=0.6,
                 timing=timing or TimingModel.zero()),

@@ -8,14 +8,12 @@ escalate locks (lesson §4, experiment E8). Because the transaction-table
 entry stays in state ``committed`` until the work is done, a DLFM crash
 mid-way is resumed by a restart rescan (§3.5).
 
-With ``DLFMConfig.delgrp_workers > 1`` the batched deletes of
-independent transactions overlap: the ``run()`` process stays the single
-intake (so killing it freezes the daemon, as the freeze tests rely on)
-but hands each transaction to a :class:`~repro.kernel.pool.WorkerPool`
-worker. The ``_active`` set dispatches each (dbid, txn_id) at most once
-even when a notify races the restart rescan; crash safety is unchanged —
-a worker crash leaves the ``committed`` dfm_txn row in place and the
-restart rescan resumes it.
+The ``run()`` process is the single intake (so killing it freezes the
+daemon, as the freeze tests rely on) and hands each transaction to a
+one-worker :class:`~repro.kernel.pool.WorkerPool`. The ``_active`` set
+dispatches each (dbid, txn_id) at most once even when a notify races the
+restart rescan; a worker crash leaves the ``committed`` dfm_txn row in
+place and the restart rescan resumes it.
 """
 
 from __future__ import annotations
@@ -26,12 +24,14 @@ from repro.kernel.channel import Channel
 from repro.kernel.pool import WorkerPool
 from repro.kernel.sim import Timeout
 
+#: Capacity of the daemon's commit-notification channel.
+QUEUE_CAPACITY = 64
+
 
 class DeleteGroupDaemon:
     def __init__(self, dlfm):
         self.dlfm = dlfm
-        self.chan = Channel(dlfm.sim,
-                            capacity=dlfm.config.delgrp_queue_capacity,
+        self.chan = Channel(dlfm.sim, capacity=QUEUE_CAPACITY,
                             name="delgrpd")
         self.rescan_needed = True
         self.groups_processed = 0
@@ -41,7 +41,6 @@ class DeleteGroupDaemon:
         self._active: set = set()
         self.pool = WorkerPool(
             dlfm.sim, f"{dlfm.name}-delgrpd", self._process_one,
-            workers=dlfm.config.delgrp_workers,
             crash_point=f"daemon.worker:{dlfm.name}:delgrpd",
             crash_node=dlfm.db.name)
 

@@ -16,6 +16,11 @@ from repro.dlfm import schema
 from repro.errors import ArchiveError, TransactionAborted
 from repro.kernel.sim import Timeout
 
+#: Period of the Garbage Collector daemon (seconds).
+GC_PERIOD = 600.0
+#: Unlinked-file entries (and archive copies) stay for the last N backups.
+KEEP_BACKUPS = 2
+
 
 class GarbageCollector:
     def __init__(self, dlfm):
@@ -27,7 +32,7 @@ class GarbageCollector:
 
     def run(self):
         while True:
-            yield Timeout(self.dlfm.config.gc_period)
+            yield Timeout(GC_PERIOD)
             # Housekeeping sweep also hosts the paper's statistics guard:
             # "additional logic is put into DLFM to check for changes in
             # metadata statistics and re-invoke the utility to reset
@@ -56,7 +61,6 @@ class GarbageCollector:
     # -- backup retention --------------------------------------------------------
 
     def _prune_backups(self, summary: dict):
-        keep = self.dlfm.config.keep_backups
         db = self.dlfm.db
         session = db.session()
         backups = yield from session.execute(
@@ -74,10 +78,10 @@ class GarbageCollector:
             "DELETE FROM dfm_file WHERE filename = ? AND "
             "recovery_id = ? AND state = ?")
         for dbid, cycles in sorted(by_dbid.items()):
-            if len(cycles) <= keep:
+            if len(cycles) <= KEEP_BACKUPS:
                 continue
-            oldest_kept_watermark = cycles[keep - 1][1]
-            for backup_id, _ in cycles[keep:]:
+            oldest_kept_watermark = cycles[KEEP_BACKUPS - 1][1]
+            for backup_id, _ in cycles[KEEP_BACKUPS:]:
                 yield from drop_backup.execute((backup_id, dbid))
                 summary["backups"] += 1
                 self.backups_pruned += 1

@@ -10,8 +10,8 @@ Restores are served by a :class:`~repro.kernel.pool.WorkerPool` of
 ``DLFMConfig.retrieve_workers`` processes so a post-restore "restore
 storm" pipelines archive fetches with Chown handoffs instead of
 draining one file at a time; the request backlog is bounded by
-``DLFMConfig.retrieve_queue_capacity`` (callers beyond that block, which
-is the intended backpressure). The ``run()`` process stays the single
+:data:`QUEUE_CAPACITY` (callers beyond that block, which is the intended
+backpressure). The ``run()`` process stays the single
 intake so killing it freezes the daemon exactly as before.
 """
 
@@ -22,12 +22,14 @@ from repro.kernel.channel import Channel
 from repro.kernel.pool import WorkerPool
 from repro.kernel.rpc import call
 
+#: Restore requests the daemon's channel queues beyond its workers.
+QUEUE_CAPACITY = 16
+
 
 class RetrieveDaemon:
     def __init__(self, dlfm):
         self.dlfm = dlfm
-        self.chan = Channel(dlfm.sim,
-                            capacity=dlfm.config.retrieve_queue_capacity,
+        self.chan = Channel(dlfm.sim, capacity=QUEUE_CAPACITY,
                             name="retrieved")
         self.restored = 0
         self.pool = WorkerPool(

@@ -46,6 +46,8 @@ from repro.sql.parser import parse as parse_sql
 #: Background-replayer workers draining cold pages' pending log chains
 #: after an instant restart.
 REPLAY_WORKERS = 2
+#: Seconds a deleted file group lives before GC removes its metadata.
+GROUP_LIFETIME = 3600.0
 
 
 @dataclass
@@ -490,7 +492,7 @@ class DLFM:
             "delete_time = ?, expires_at = ? "
             "WHERE grp_id = ? AND dbid = ? AND state = ?",
             (schema.GRP_DELETED, req.txn_id, self.sim.now,
-             self.sim.now + self.config.group_lifetime, req.grp_id,
+             self.sim.now + GROUP_LIFETIME, req.grp_id,
              req.dbid, schema.GRP_ACTIVE))
         if changed != 1:
             raise LinkError(f"group {req.grp_id} missing or already deleted")
@@ -674,9 +676,6 @@ class DLFM:
                     yield from session.rollback()
                     counters[f"{verb}_retries"] += 1
                     self.sim.tracer.count("retries", f"{self.name}.{verb}")
-                    limit = self.config.commit_retry_limit
-                    if limit is not None and attempt >= limit:
-                        raise
             attempt += 1
             yield Timeout(backoff.next())
 

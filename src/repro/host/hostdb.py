@@ -25,6 +25,9 @@ from repro.minidb import Database, DBConfig
 from repro.minidb import wal as walmod
 from repro.sql.parser import parse as parse_sql
 
+#: Lifetime of the access tokens issued for full-control reads (seconds).
+TOKEN_EXPIRY = 600.0
+
 
 @dataclass
 class HostConfig:
@@ -46,8 +49,6 @@ class HostConfig:
     #: the commit-time flush (aborting the transaction) instead of at the
     #: originating statement (statement-level backout). See DESIGN.md §9.
     batch_datalinks: bool = False
-    #: Lifetime of the access tokens issued for full-control reads.
-    token_expiry: float = 600.0
 
 
 @dataclass
@@ -113,19 +114,21 @@ class HostDB:
 
     # ------------------------------------------------------------------ decisions
 
-    def decide(self, session, txn_id: int, servers):
+    def decide(self, session, txn_id: int, servers, dropped=()):
         """Generator: the coordinator's one decision step.
 
         Commits the local transaction of ``session`` (a minidb session)
-        with the write-participant list riding on its COMMIT record, so
-        ONE log force makes the commit and the 2PC decision durable
+        with the write-participant list — and the file groups of the
+        datalink tables it drops — riding on its COMMIT record, so ONE
+        log force makes the commit and the 2PC decision durable
         together. Presumed abort: a transaction with no such record
         never committed. With no ``servers`` (nobody voted to write)
         there is nothing to re-drive and this is a plain commit.
         """
         servers = tuple(servers)
-        yield from session.commit(
-            payload={"indoubt": list(servers)} if servers else None)
+        yield from session.commit(payload={
+            "indoubt": list(servers), "dropped": list(dropped)}
+            if servers else None)
         if servers:
             self._decisions[txn_id] = servers
 
@@ -150,18 +153,22 @@ class HostDB:
                 for txn_id, servers in sorted(self._decisions.items())
                 for server in servers]
 
-    def _rescan_decisions(self) -> None:
-        """Rebuild the decision map from the durable log."""
+    def _rescan_decisions(self) -> set:
+        """Rebuild the decision map from the durable log; returns the
+        file groups the pending decisions drop."""
         pending: dict[int, tuple] = {}
+        dropped: dict[int, list] = {}
         for record in self.db.wal.records:
             payload = record.payload
             if not isinstance(payload, dict):
                 continue
             if record.kind == walmod.COMMIT and payload.get("indoubt"):
                 pending[record.txn_id] = tuple(payload["indoubt"])
+                dropped[record.txn_id] = payload.get("dropped", ())
             elif record.kind == walmod.FORGET:
                 pending.pop(payload.get("txn"), None)
         self._decisions = pending
+        return {grp for txn_id in pending for grp in dropped[txn_id]}
 
     # ------------------------------------------------------------------ sessions
 
@@ -239,7 +246,7 @@ class HostDB:
             raise DataLinkError(f"unknown file server {server!r}")
         self.metrics.tokens_issued += 1
         return AccessToken.sign(dlfm.filter.token_secret, path,
-                                self.sim.now + self.config.token_expiry)
+                                self.sim.now + TOKEN_EXPIRY)
 
     # ------------------------------------------------------------------ crash / restart
 
@@ -257,8 +264,12 @@ class HostDB:
         """
         from repro.host.indoubt import resolve_indoubts
         self.db.restart()
-        self._rescan_decisions()
+        dropped = self._rescan_decisions()
         if self.shard_map is not None:
             self.shard_map.reload()
+        # Drops a crash caught between their decision and apply_drop.
+        for name in sorted({name for (name, _), grp in self.group_ids.items()
+                            if grp in dropped}):
+            self.apply_drop(name)
         result = yield from resolve_indoubts(self)
         return result

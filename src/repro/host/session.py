@@ -480,7 +480,6 @@ class HostSession:
             self._reset()
             return
         txn_id = self.txn_id
-        self._buffered.clear()   # unflushed ops never reached any DLFM
         # A participant that is down or unreachable is skipped: presumed
         # abort resolves it when it comes back.
         yield from self.fan_out(
@@ -608,7 +607,9 @@ class HostSession:
         """Generator: the decision and phase 2, for a transaction whose
         write ``participants`` all voted commit in phase 1."""
         txn_id = self.txn_id
-        yield from self.host.decide(self.session, txn_id, participants)
+        yield from self.host.decide(self.session, txn_id, participants, [
+            self.host.group_ids[(name, col)] for name in self.pending_drops
+            for col in self.host.datalink_columns[name]])
         self._decided = True
         for name in self.pending_drops:
             self.host.apply_drop(name)

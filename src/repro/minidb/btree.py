@@ -34,6 +34,8 @@ from repro.minidb.storage import Rid
 #: Sorts after every real key; the lock resource for "insert at end".
 #: Appended to a key prefix it sorts after every key with that prefix.
 INFINITY_KEY = ((9, None),)
+#: Fanout of every index the engine builds (tests build smaller trees).
+BTREE_ORDER = 64
 
 
 def encode_value(value) -> tuple:
@@ -84,7 +86,7 @@ class BTree:
     """One secondary index over a table."""
 
     def __init__(self, name: str, table: str, columns: tuple[str, ...],
-                 unique: bool, order: int = 64):
+                 unique: bool, order: int = BTREE_ORDER):
         self.name = name
         self.table = table
         self.columns = columns

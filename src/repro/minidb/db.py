@@ -35,6 +35,19 @@ from repro.sql.parser import parse
 #: Per-entry cost of a sorted bottom-up bulk index build relative to
 #: per-row insert maintenance (sequential index-page writes).
 BULK_INDEX_FACTOR = 0.1
+#: Bound on the bound-plan cache's entries (LRU eviction beyond it).
+PLAN_CACHE_SIZE = 512
+#: Auto-RUNSTATS refreshes once mutations exceed ``threshold + fraction *
+#: card`` — the PostgreSQL-autovacuum shape: cheap tables refresh eagerly,
+#: million-row tables only after proportional churn.
+AUTO_RUNSTATS_FRACTION = 0.2
+#: ``"auto"`` group commit (see :meth:`Database._commit_window`): the
+#: window floor — a dense burst still collects followers arriving "now" —
+#: the commit-gap EWMA's smoothing factor, and the expected arrivals a
+#: leader waits for.
+GROUP_COMMIT_MIN_WINDOW = 0.002
+GROUP_COMMIT_EWMA_ALPHA = 0.25
+GROUP_COMMIT_BURST_FACTOR = 4.0
 
 
 @dataclass
@@ -147,7 +160,7 @@ class Database:
         self.traffic_open_at: float = 0.0
         self.executor = Executor(self)
         #: Bound-plan cache, LRU-ordered (oldest first); capped at
-        #: ``config.plan_cache_size``.
+        #: ``PLAN_CACHE_SIZE``.
         self._plan_cache: OrderedDict[str, tuple] = OrderedDict()
         #: In-flight group-commit force (Event) or None; volatile state.
         self._group_force: Optional[Event] = None
@@ -171,8 +184,7 @@ class Database:
             self.heaps[table.name] = Heap(table.name, self.pool)
         for index in self.catalog.indexes.values():
             self.btrees[index.name] = BTree(
-                index.name, index.table, index.columns, index.unique,
-                self.config.btree_order)
+                index.name, index.table, index.columns, index.unique)
 
     # ------------------------------------------------------------------ sessions
 
@@ -266,7 +278,7 @@ class Database:
         the WAL's commit inter-arrival EWMA: when the expected gap is at
         or beyond the max window, waiting would buy nothing — force
         immediately (no latency tax at low concurrency). Under bursts,
-        wait long enough to cover about ``group_commit_burst_factor``
+        wait long enough to cover about ``GROUP_COMMIT_BURST_FACTOR``
         expected arrivals, clamped to [min_window, max_window].
         """
         cfg = self.config
@@ -275,8 +287,8 @@ class Database:
         gap = self.wal.commit_gap_ewma
         if gap is None or gap >= cfg.group_commit_max_window:
             return 0.0
-        return min(max(cfg.group_commit_burst_factor * gap,
-                       cfg.group_commit_min_window),
+        return min(max(GROUP_COMMIT_BURST_FACTOR * gap,
+                       GROUP_COMMIT_MIN_WINDOW),
                    cfg.group_commit_max_window)
 
     def _force_wal(self, txn: Transaction, record: str):
@@ -295,7 +307,7 @@ class Database:
         auto = cfg.group_commit_window == "auto"
         if auto:
             self.wal.note_commit_request(self.sim.now,
-                                         cfg.group_commit_ewma_alpha)
+                                         GROUP_COMMIT_EWMA_ALPHA)
         elif cfg.group_commit_window <= 0:
             if self.wal.force():
                 with self.sim.tracer.span("wal.force", db=self.name,
@@ -691,7 +703,7 @@ class Database:
             index = self.catalog.create_index(stmt.index, stmt.table,
                                               stmt.columns, stmt.unique)
             btree = BTree(index.name, index.table, index.columns,
-                          index.unique, self.config.btree_order)
+                          index.unique)
             for rid, row in self.heaps[stmt.table].scan():
                 btree.insert(index.key_of(row), rid)
             self.btrees[index.name] = btree
@@ -763,7 +775,7 @@ class Database:
         versions = {t: self.catalog.stats_version(t) for t in plan.tables}
         self._plan_cache[sql] = (plan, versions)
         self._plan_cache.move_to_end(sql)
-        while len(self._plan_cache) > self.config.plan_cache_size:
+        while len(self._plan_cache) > PLAN_CACHE_SIZE:
             self._plan_cache.popitem(last=False)
             self.metrics.plan_evictions += 1
         self.metrics.plan_binds += 1
@@ -830,7 +842,7 @@ class Database:
             # guard always wins over the refresh daemon.
             return False
         due = (self.config.auto_runstats_threshold
-               + self.config.auto_runstats_fraction * stats.card)
+               + AUTO_RUNSTATS_FRACTION * stats.card)
         return self.stats_mutations.get(table, 0) >= due
 
     def _maybe_auto_runstats(self) -> None:

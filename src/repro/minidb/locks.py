@@ -9,7 +9,8 @@ Implements the DB2 behaviours the paper's lessons revolve around:
   exceed ``maxlocks_fraction × locklist_size``, or the locklist is full,
   its row locks are traded for a single table lock — experiment E5;
 * FIFO queuing with conversion priority, **interval-based deadlock
-  detection** (victim = youngest) and per-request **timeouts** — E7.
+  detection** every :data:`DEADLOCK_CHECK_INTERVAL` (victim = youngest)
+  and per-request **timeouts** — E7.
 
 The detector timer is armed only while requests are blocked, so drained
 simulations terminate.
@@ -27,44 +28,40 @@ from repro.kernel.sim import TIMEOUT, Event, Simulator
 
 from repro.minidb.config import DBConfig
 
+#: Period of the wait-for-graph deadlock detector, seconds (DLCHKTIME).
+DEADLOCK_CHECK_INTERVAL = 1.0
+
 
 class LockMode(enum.IntEnum):
     IS = 0
     IX = 1
     S = 2
-    U = 3    # update lock: read now, intend to convert to X
-    SIX = 4
-    X = 5
+    SIX = 3
+    X = 4
 
 
 _M = LockMode
 #: COMPAT[a][b] — may a be held concurrently with b?
-#: U coexists with readers (S/IS) but not with another U/IX/X — the
-#: classic remedy for S→X conversion deadlocks on update scans.
 _COMPAT = {
-    _M.IS:  {_M.IS: True,  _M.IX: True,  _M.S: True,  _M.U: True,
-             _M.SIX: True,  _M.X: False},
-    _M.IX:  {_M.IS: True,  _M.IX: True,  _M.S: False, _M.U: False,
-             _M.SIX: False, _M.X: False},
-    _M.S:   {_M.IS: True,  _M.IX: False, _M.S: True,  _M.U: True,
-             _M.SIX: False, _M.X: False},
-    _M.U:   {_M.IS: True,  _M.IX: False, _M.S: True,  _M.U: False,
-             _M.SIX: False, _M.X: False},
-    _M.SIX: {_M.IS: True,  _M.IX: False, _M.S: False, _M.U: False,
-             _M.SIX: False, _M.X: False},
-    _M.X:   {_M.IS: False, _M.IX: False, _M.S: False, _M.U: False,
-             _M.SIX: False, _M.X: False},
+    _M.IS:  {_M.IS: True,  _M.IX: True,  _M.S: True,  _M.SIX: True,
+             _M.X: False},
+    _M.IX:  {_M.IS: True,  _M.IX: True,  _M.S: False, _M.SIX: False,
+             _M.X: False},
+    _M.S:   {_M.IS: True,  _M.IX: False, _M.S: True,  _M.SIX: False,
+             _M.X: False},
+    _M.SIX: {_M.IS: True,  _M.IX: False, _M.S: False, _M.SIX: False,
+             _M.X: False},
+    _M.X:   {_M.IS: False, _M.IX: False, _M.S: False, _M.SIX: False,
+             _M.X: False},
 }
 #: Least upper bound in the lock lattice (for conversions), keyed by
 #: the ordered pair so a lookup allocates nothing.
 _SUP = {
     (_M.IS, _M.IS): _M.IS, (_M.IS, _M.IX): _M.IX, (_M.IS, _M.S): _M.S,
-    (_M.IS, _M.U): _M.U, (_M.IS, _M.SIX): _M.SIX, (_M.IS, _M.X): _M.X,
-    (_M.IX, _M.IX): _M.IX, (_M.IX, _M.S): _M.SIX, (_M.IX, _M.U): _M.X,
-    (_M.IX, _M.SIX): _M.SIX, (_M.IX, _M.X): _M.X,
-    (_M.S, _M.S): _M.S, (_M.S, _M.U): _M.U, (_M.S, _M.SIX): _M.SIX,
-    (_M.S, _M.X): _M.X,
-    (_M.U, _M.U): _M.U, (_M.U, _M.SIX): _M.X, (_M.U, _M.X): _M.X,
+    (_M.IS, _M.SIX): _M.SIX, (_M.IS, _M.X): _M.X,
+    (_M.IX, _M.IX): _M.IX, (_M.IX, _M.S): _M.SIX, (_M.IX, _M.SIX): _M.SIX,
+    (_M.IX, _M.X): _M.X,
+    (_M.S, _M.S): _M.S, (_M.S, _M.SIX): _M.SIX, (_M.S, _M.X): _M.X,
     (_M.SIX, _M.SIX): _M.SIX, (_M.SIX, _M.X): _M.X,
     (_M.X, _M.X): _M.X,
 }
@@ -142,8 +139,7 @@ class LockManager:
         Returns True when a *new* lock entry was created for this
         transaction (used by cursor-stability early release). Raises
         DeadlockError / LockTimeoutError (both mark the transaction
-        rollback-only) or TransactionAborted("locklist") when the locklist
-        is exhausted and escalation is disabled or fails.
+        rollback-only), also when the escalation's table lock fails.
         """
         txn.ensure_active()
         self.metrics.acquires += 1
@@ -179,7 +175,7 @@ class LockManager:
             # by the matching intent lock on the table, so an escalated
             # table lock held by someone else blocks us here.
             intent = (LockMode.IS if mode in (LockMode.S, LockMode.IS)
-                      else LockMode.IX)  # U intends to write → IX
+                      else LockMode.IX)
             if head is None:
                 self._grant(self._new_head(table_res), txn, intent, new=True)
             elif covering is None or _SUP[covering, intent] != covering:
@@ -236,7 +232,7 @@ class LockManager:
         total = self._total_locks + count
         config = self.config
         if total > config.locklist_size or (
-                config.lock_escalation and txn.row_lock_count(table) + count
+                txn.row_lock_count(table) + count
                 > config.maxlocks_fraction * config.locklist_size):
             return False  # some row would escalate or exhaust the locklist
         heads = self.heads
@@ -397,13 +393,6 @@ class LockManager:
         return False
 
     def _should_escalate(self, txn, table: str) -> bool:
-        if not self.config.lock_escalation:
-            if self._total_locks + 1 > self.config.locklist_size:
-                txn.mark_rollback_only()
-                raise TransactionAborted(
-                    f"locklist exhausted ({self.config.locklist_size}) and "
-                    "lock escalation is disabled", reason="locklist")
-            return False
         threshold = self.config.maxlocks_fraction * self.config.locklist_size
         if txn.row_lock_count(table) + 1 > threshold:
             return True
@@ -413,8 +402,7 @@ class LockManager:
 
     def _escalate(self, txn, table: str, pending_mode: LockMode):
         """Trade row/key locks on ``table`` for one table lock."""
-        wants_x = pending_mode in (LockMode.X, LockMode.IX, LockMode.SIX,
-                                   LockMode.U)
+        wants_x = pending_mode in (LockMode.X, LockMode.IX, LockMode.SIX)
         if not wants_x:
             wants_x = any(
                 self.heads[res].holders.get(txn.id) == LockMode.X
@@ -442,8 +430,7 @@ class LockManager:
         if self._detector_armed:
             return
         self._detector_armed = True
-        self.sim.after(self.config.deadlock_check_interval,
-                       self._detector_tick)
+        self.sim.after(DEADLOCK_CHECK_INTERVAL, self._detector_tick)
 
     def _detector_tick(self) -> None:
         self._detector_armed = False

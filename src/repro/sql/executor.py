@@ -103,14 +103,7 @@ class Executor:
         # only the row's writers conflict with it (DESIGN §13).
         for_update = plan.lock == "update"
         si_read = txn.snapshot_lsn is not None and plan.lock is None
-        if for_update:
-            # DB2 update cursors take U when update locking is enabled:
-            # writers serialize against each other without blocking
-            # plain readers, and without S→X conversion deadlocks.
-            read_mode = (LockMode.U if self.db.config.update_locks
-                         else LockMode.X)
-        else:
-            read_mode = LockMode.S
+        read_mode = LockMode.X if for_update else LockMode.S
         if not si_read:
             table_intent = LockMode.IX if for_update else LockMode.IS
             yield from self.db.locks.acquire(
@@ -455,10 +448,8 @@ class Executor:
         # CS: a scanned row that does not qualify is unlocked at once —
         # if this scan took the lock; one held from before stays.
         cs_locks: Optional[dict] = {} if txn.isolation == "CS" else None
-        scan_mode = (LockMode.U if self.db.config.update_locks
-                     else LockMode.S)
         scanned = yield from self._scan_access(
-            txn, plan.access, params, {}, scan_mode, cs_locks,
+            txn, plan.access, params, {}, LockMode.S, cs_locks,
             write_scan=True, si=txn.snapshot_lsn is not None)
         binding = plan.access.binding
         count = 0
@@ -515,10 +506,8 @@ class Executor:
             txn, ("table", table.name), LockMode.IX)
         # CS early release, as in run_update.
         cs_locks: Optional[dict] = {} if txn.isolation == "CS" else None
-        scan_mode = (LockMode.U if self.db.config.update_locks
-                     else LockMode.S)
         scanned = yield from self._scan_access(
-            txn, plan.access, params, {}, scan_mode, cs_locks,
+            txn, plan.access, params, {}, LockMode.S, cs_locks,
             write_scan=True, si=txn.snapshot_lsn is not None)
         binding = plan.access.binding
         count = 0

@@ -12,6 +12,10 @@ from repro.host import DatalinkSpec, build_url
 from repro.kernel.sim import Timeout
 from repro.workloads.metrics import WorkloadReport
 
+#: Operation mix weights: the paper's 2:1 link-insert:relink.
+INSERT_WEIGHT = 2.0
+UPDATE_WEIGHT = 1.0
+
 
 @dataclass
 class SystemTestConfig:
@@ -23,12 +27,6 @@ class SystemTestConfig:
     #: Mean exponential think time between operations per client. 13.3 s
     #: with 100 clients ≈ 450 ops/min ≈ the paper's 300 ins + 150 upd.
     think_time: float = 13.3
-    #: Operation mix weights.
-    insert_weight: float = 2.0
-    update_weight: float = 1.0
-    #: Access control / recovery of the datalink column.
-    access_control: str = "full"
-    recovery: bool = True
     seed: int = 42
     #: The configuration under test: ``paper()`` as it stands, unless
     #: an ablation passes ``Configuration("paper", {its flips})``.
@@ -48,8 +46,7 @@ def run_system_test(config: SystemTestConfig) -> WorkloadReport:
         yield from system.host.create_datalink_table(
             "media", [("id", "INT"), ("owner_name", "TEXT"),
                       ("attr", "TEXT"), ("doc", "TEXT")],
-            {"doc": DatalinkSpec(access_control=config.access_control,
-                                 recovery=config.recovery)})
+            {"doc": DatalinkSpec(access_control="full", recovery=True)})
         plain = system.host.db.session()
         yield from plain.execute(
             "CREATE UNIQUE INDEX media_id ON media (id)")
@@ -84,9 +81,8 @@ def run_system_test(config: SystemTestConfig) -> WorkloadReport:
             yield Timeout(rng.expovariate(1.0 / config.think_time))
             if system.sim.now >= config.duration:
                 break
-            total = config.insert_weight + config.update_weight
-            do_insert = (rng.random() < config.insert_weight / total
-                         or not my_rows)
+            total = INSERT_WEIGHT + UPDATE_WEIGHT
+            do_insert = rng.random() < INSERT_WEIGHT / total or not my_rows
             started = system.sim.now
             try:
                 if do_insert:

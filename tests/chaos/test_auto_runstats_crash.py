@@ -25,8 +25,7 @@ def build(seed=5):
     injector = FaultInjector(plan)
     sim = Simulator(seed=seed, injector=injector)
     db = Database(sim, "autostats", DBConfig(
-        auto_runstats=True, auto_runstats_threshold=50,
-        auto_runstats_fraction=0.0))
+        auto_runstats=True, auto_runstats_threshold=50))
     injector.register_crash("autostats", db.crash)
 
     def setup():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.dlff.filter import AccessToken
 from repro.errors import AccessTokenError, LinkedFileError
+from repro.host.hostdb import TOKEN_EXPIRY
 from repro.kernel import Timeout
 
 from tests.dlfm.conftest import insert_clip, url
@@ -77,7 +78,7 @@ def test_expired_token_rejected(linked):
     token = linked.host.issue_token(url(0))
 
     def go():
-        yield Timeout(linked.host.config.token_expiry + 1)
+        yield Timeout(TOKEN_EXPIRY + 1)
         with pytest.raises(AccessTokenError):
             linked.filtered_fs("fs1").read("/v/clip0.mpg", "bob",
                                            token=token)

@@ -19,7 +19,7 @@ def build_system(pin: bool, auto: bool) -> System:
     config.pin_statistics = pin
     config.auto_runstats = auto
     config.local_db = config.local_db.with_changes(
-        auto_runstats_threshold=10, auto_runstats_fraction=0.2)
+        auto_runstats_threshold=10)
     return System(seed=13, dlfm_config=config)
 
 

@@ -1,10 +1,8 @@
 """Deterministic tests of the phase-2 retry loop (Fig. 4) and the
 periodic statistics guard."""
 
-import pytest
-
-from repro.dlfm import api, schema
-from repro.errors import TransactionAborted
+from repro.dlfm import api
+from repro.dlfm.daemons.gc import GC_PERIOD
 from repro.kernel import Timeout, rpc
 
 from tests.dlfm.conftest import insert_clip
@@ -98,33 +96,6 @@ def test_phase2_failed_attempt_holds_no_locks_while_waiting(media):
     assert media.dlfms["fs1"].linked_count() == 1
 
 
-def test_phase2_retry_limit_can_bound_the_loop(media):
-    """Experiments can bound the retry loop (the paper never does)."""
-    dlfm = media.dlfms["fs1"]
-    dlfm.db.config.lock_timeout = 1.0
-    dlfm.config.commit_retry_limit = 3
-    dlfm.config.commit_retry_delay = 0.5
-    txn_id = _prepared_txn(media)
-
-    def scenario():
-        blocker = dlfm.db.session()
-        yield from blocker.execute(
-            "SELECT * FROM dfm_txn WHERE txn_id = ? FOR UPDATE", (txn_id,))
-        chan = dlfm.connect()
-        with pytest.raises(TransactionAborted):
-            yield from rpc.call(media.sim, chan,
-                                api.Commit(media.host.dbid, txn_id))
-        chan.close()
-        yield from blocker.rollback()
-        # the transaction is still there — nothing was lost
-        rows = dlfm.db.table_rows("dfm_txn")
-        return rows
-
-    rows = media.run(scenario())
-    assert rows and rows[0][2] == schema.TXN_PREPARED
-    assert dlfm.metrics.commit_retries == 3
-
-
 def test_statistics_guard_runs_periodically(media):
     """A user RUNSTATS is repaired by the next GC housekeeping sweep."""
     dlfm = media.dlfms["fs1"]
@@ -132,7 +103,7 @@ def test_statistics_guard_runs_periodically(media):
     assert dlfm.db.catalog.stats_for("dfm_file").manual is False
 
     def wait_for_gc():
-        yield Timeout(dlfm.config.gc_period + 5)
+        yield Timeout(GC_PERIOD + 5)
 
     media.run(wait_for_gc())
     assert dlfm.db.catalog.stats_for("dfm_file").manual is True

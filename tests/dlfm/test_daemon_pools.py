@@ -4,6 +4,7 @@ import pytest
 
 from repro.chaos import FaultInjector, FaultPlan, FaultRule
 from repro.dlfm import DLFMConfig
+from repro.dlfm.daemons import delete_group, retrieved
 from repro.errors import CrashedError
 from repro.host import DatalinkSpec, build_url
 from repro.kernel import Timeout
@@ -158,34 +159,16 @@ def test_concurrent_restores_pipeline_fetches():
     assert elapsed["pooled"] == pytest.approx(0.12)
 
 
-def test_delgrp_workers_drain_independent_txns():
-    system = build_system(delgrp_workers=2)
-    link_files(system, 6)
-    dlfm = system.dlfms["fs1"]
-
-    def drop_and_wait():
-        session = system.session()
-        yield from session.drop_table("clips")
-        yield from session.commit()
-        yield Timeout(30)
-
-    system.run(drop_and_wait())
-    assert dlfm.linked_count() == 0
-    assert dlfm.db.table_rows("dfm_txn") == []
-    assert dlfm.delete_groupd.pool.metrics.completed >= 1
-    assert dlfm.delete_groupd.pool.alive == 2
-
-
 # ------------------------------------------------------------------ lifecycle
 
 def test_config_knobs_size_queues_and_pools():
-    system = build_system(retrieve_queue_capacity=2, retrieve_workers=3,
-                          delgrp_queue_capacity=7, copy_workers=2)
+    system = build_system(retrieve_workers=3, copy_workers=2)
     dlfm = system.dlfms["fs1"]
-    assert dlfm.retrieved.chan.capacity == 2
-    assert dlfm.delete_groupd.chan.capacity == 7
+    assert dlfm.retrieved.chan.capacity == retrieved.QUEUE_CAPACITY == 16
+    assert dlfm.delete_groupd.chan.capacity == delete_group.QUEUE_CAPACITY == 64
     assert dlfm.retrieved.pool.alive == 3
     assert dlfm.copyd.pool.alive == 2
+    assert dlfm.delete_groupd.pool.alive == 1
     assert len(dlfm._pool_procs) == 6
 
 

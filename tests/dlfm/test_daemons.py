@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dlfm.manager import GROUP_LIFETIME
 from repro.errors import PermissionDenied
 from repro.kernel import Timeout
 
@@ -190,7 +191,7 @@ def test_gc_expired_groups(media):
         yield Timeout(10)  # delete-group daemon empties the group
         # before expiry: nothing collected
         early = yield from media.dlfms["fs1"].gc.collect()
-        yield Timeout(media.dlfms["fs1"].config.group_lifetime + 10)
+        yield Timeout(GROUP_LIFETIME + 10)
         late = yield from media.dlfms["fs1"].gc.collect()
         return early, late
 

@@ -9,7 +9,9 @@ these tests pin the exact envelope counts and the failure semantics.
 
 import pytest
 
+from repro.configs import Configuration
 from repro.dlfm import api
+from repro.dlfm.agent import ChildAgent
 from repro.errors import DuplicateKeyError, LinkError, TransactionAborted
 from repro.host import DatalinkSpec, HostConfig, build_url
 from repro.kernel import rpc
@@ -194,3 +196,48 @@ def test_batch_compensates_completed_ops_on_failure():
     system.run(go())
     assert dlfm.linked_count() == 1
     assert dlfm.db.table_rows("dfm_txn") == []
+
+
+def test_registration_never_rides_a_batch(monkeypatch):
+    """Under ``all_on`` a table created inside a transaction registers
+    its group with one call of its own, so a mid-batch failure at commit
+    compensates the batched links and never a RegisterGroup; the abort
+    takes the registration back."""
+    system = Configuration("all_on").system(seed=7)
+    batched, compensated = [], []
+    real_batch, real_forward = ChildAgent._batch, ChildAgent._forward
+
+    def spy_batch(self, req):
+        batched.extend(type(op) for op in req.ops)
+        return (yield from real_batch(self, req))
+
+    def spy_forward(self, op):
+        if getattr(op, "in_backout", False):
+            compensated.append(type(op))
+        return (yield from real_forward(self, op))
+
+    monkeypatch.setattr(ChildAgent, "_batch", spy_batch)
+    monkeypatch.setattr(ChildAgent, "_forward", spy_forward)
+
+    def go():
+        for i in range(2):
+            system.create_user_file("fs1", f"/v/clip{i}.mpg", owner="alice",
+                                    content="V")
+        session = system.session()
+        yield from system.host.create_datalink_table(
+            "clips", [("id", "INT"), ("video", "TEXT")],
+            {"video": DatalinkSpec(recovery=False)}, session=session)
+        yield from session.execute(
+            "INSERT INTO clips (id, video) VALUES (?, ?)", (0, url(0)))
+        yield from session.execute(
+            "INSERT INTO clips (id, video) VALUES (?, ?)", (1, url(1)))
+        yield from session.execute(
+            "INSERT INTO clips (id, video) VALUES (?, ?)",
+            (2, build_url("fs1", "/v/missing.mpg")))
+        with pytest.raises(TransactionAborted):
+            yield from session.commit()
+
+    system.run(go())
+    assert batched == [api.LinkFile] * 3
+    assert compensated == [api.LinkFile] * 2
+    assert system.dlfms["fs1"].db.table_rows("dfm_group") == []

@@ -158,7 +158,7 @@ def test_per_host_backup_retention(shared):
         return result
 
     result = system.run(go())
-    assert result["backups"] == 1  # only host A exceeded keep_backups=2
+    assert result["backups"] == 1  # only host A exceeded KEEP_BACKUPS=2
     remaining = system.dlfms["fs1"].db.table_rows("dfm_backup")
     assert sorted(r[1] for r in remaining) == ["hostdb", "hostdb",
                                                "otherdb"]

@@ -15,6 +15,7 @@ from repro.chaos.invariants import check_invariants
 from repro.errors import CrashedError, LinkError, TransactionAborted
 from repro.host import DatalinkSpec, HostConfig, build_url
 from repro.host.hostdb import HostDB
+from repro.kernel import Timeout
 from repro.system import System
 
 
@@ -261,6 +262,44 @@ def test_host_crash_after_forced_commit_record_redrives_from_wal():
     assert fs1.linked_count() == 1
     assert fs1.db.table_rows("dfm_txn") == []
     assert system.host.decision_rows() == []
+    assert check_invariants(system) == []
+
+
+def test_host_crash_after_a_drops_commit_record_still_drops_the_table():
+    """A datalink table's DROP is finished after the COMMIT record that
+    decides it is forced. The host dying in between must not leave the
+    table — and its rows naming files the re-driven Commit lets the
+    Delete-Group daemon unlink — behind: restart finishes the drop the
+    durable decision names."""
+    plan = FaultPlan([FaultRule("wal.force.after:host-hostdb", "crash")],
+                     name="t")
+    injector = FaultInjector(plan)
+    system = _make(servers=("fs1",), injector=injector)
+
+    def link():
+        session = system.session()
+        yield from _link(session, 1, "fs1")
+        yield from session.commit()
+
+    def drop():
+        session = system.session()
+        yield from session.drop_table("spread")
+        with pytest.raises(CrashedError):
+            yield from session.commit()
+
+    def settle():
+        yield Timeout(60.0)
+
+    injector.enabled = False
+    system.run(link())
+    injector.enabled = True
+    system.run(drop())
+    assert system.host.db.crashed
+    injector.enabled = False
+    system.run(system.host.restart(), "host-restart")
+    system.run(settle())
+    assert "spread" not in system.host.db.catalog.tables
+    assert system.dlfms["fs1"].linked_count() == 0
     assert check_invariants(system) == []
 
 

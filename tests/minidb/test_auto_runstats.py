@@ -2,8 +2,8 @@
 
 The engine keeps a volatile per-table mutation counter (DB2's in-memory
 UDI counters); at commit, any table whose counter crossed
-``threshold + fraction * card`` gets a RUNSTATS, bumping the stats
-version so cached plans re-bind. Hand-crafted (manual) statistics are
+``threshold + AUTO_RUNSTATS_FRACTION * card`` (0.2) gets a RUNSTATS,
+bumping the stats version so cached plans re-bind. Hand-crafted (manual) statistics are
 never overwritten — the paper's pinning guard stays authoritative.
 """
 
@@ -15,7 +15,6 @@ from repro.minidb import Database, DBConfig
 def make_db(sim, **cfg):
     cfg.setdefault("auto_runstats", True)
     cfg.setdefault("auto_runstats_threshold", 20)
-    cfg.setdefault("auto_runstats_fraction", 0.5)
     db = Database(sim, "autostats", DBConfig(**cfg))
 
     def setup():
@@ -44,8 +43,6 @@ def insert_rows(db, start, count, per_commit=None):
 def test_validation():
     with pytest.raises(ValueError):
         DBConfig(auto_runstats_threshold=0).validate()
-    with pytest.raises(ValueError):
-        DBConfig(auto_runstats_fraction=-0.1).validate()
 
 
 def test_threshold_trigger_at_commit(sim):
@@ -62,16 +59,16 @@ def test_threshold_trigger_at_commit(sim):
 
 
 def test_refresh_scales_with_cardinality(sim):
-    """After a refresh at card=N the next one needs threshold + N/2 more
-    mutations (fraction=0.5) — big tables refresh proportionally."""
+    """After a refresh at card=N the next one needs threshold + 0.2 N
+    more mutations — big tables refresh proportionally."""
     db = make_db(sim)
     insert_rows(db, 0, 20)
     assert db.metrics.auto_runstats_runs == 1     # card now 20
-    insert_rows(db, 20, 29)                       # 29 < 20 + 0.5*20
+    insert_rows(db, 20, 23)                       # 23 < 20 + 0.2*20
     assert db.metrics.auto_runstats_runs == 1
-    insert_rows(db, 49, 1)                        # 30th crosses
+    insert_rows(db, 43, 1)                        # 24th crosses
     assert db.metrics.auto_runstats_runs == 2
-    assert db.catalog.stats_for("t").card == 50
+    assert db.catalog.stats_for("t").card == 44
 
 
 def test_disabled_by_default(sim):
@@ -99,20 +96,19 @@ def test_user_runstats_resets_the_counter(sim):
     assert db.stats_mutations.get("t", 0) == 15
     db.runstats("t")
     assert db.stats_mutations.get("t", 0) == 0    # fresh stats, fresh count
-    insert_rows(db, 15, 15)                       # 15 < 20 + 0.5*15
+    insert_rows(db, 15, 15)                       # 15 < 20 + 0.2*15
     assert db.metrics.auto_runstats_runs == 0
 
 
 def test_updates_and_deletes_count_as_mutations(sim):
-    db = make_db(sim, auto_runstats_threshold=10,
-                 auto_runstats_fraction=0.0)
+    db = make_db(sim, auto_runstats_threshold=10)
     insert_rows(db, 0, 10)
-    assert db.metrics.auto_runstats_runs == 1
+    assert db.metrics.auto_runstats_runs == 1     # card now 10
 
-    def churn():
+    def churn():                                  # 12 = 10 + 0.2*10
         session = db.session()
         yield from session.execute(
-            "UPDATE t SET v = ? WHERE k < ?", ("x", 6))   # 6 rows
+            "UPDATE t SET v = ? WHERE k < ?", ("x", 8))   # 8 rows
         yield from session.execute(
             "DELETE FROM t WHERE k >= ?", (6,))            # 4 rows
         yield from session.commit()
@@ -138,8 +134,7 @@ def test_crash_loses_the_volatile_counters(sim):
 def test_refresh_rebinds_cached_plans(sim):
     """The payoff: a scan plan bound while the table looked empty flips
     to the index automatically once auto-RUNSTATS sees the growth."""
-    db = make_db(sim, auto_runstats_threshold=100,
-                 auto_runstats_fraction=0.0)
+    db = make_db(sim, auto_runstats_threshold=100)
     sql = "SELECT v FROM t WHERE k = ?"
     assert db.explain(sql)["access"] == "table_scan"   # card=0 plan
     insert_rows(db, 0, 3000, per_commit=100)

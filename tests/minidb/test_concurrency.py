@@ -207,7 +207,7 @@ def test_nkl_off_allows_phantoms_under_rr():
 def test_nkl_on_concurrent_adjacent_inserts_can_deadlock():
     """Lesson E3's mechanism: multi-index next-key X locks collide."""
     sim = Simulator()
-    db = make_db(sim, next_key_locking=True, deadlock_check_interval=0.5)
+    db = make_db(sim, next_key_locking=True)
     outcomes = []
 
     def inserter(name, state, delay):
@@ -257,7 +257,7 @@ def test_nkl_off_concurrent_adjacent_inserts_proceed():
 
 def test_deadlock_via_sql_updates_opposite_order():
     sim = Simulator()
-    db = make_db(sim, deadlock_check_interval=0.5, next_key_locking=False)
+    db = make_db(sim, next_key_locking=False)
     outcomes = []
 
     def txn(first, second, delay):
@@ -278,6 +278,75 @@ def test_deadlock_via_sql_updates_opposite_order():
     sim.run()
     assert sorted(outcomes) == ["deadlock", "ok"]
     assert db.metrics.aborts_by_reason.get("deadlock") == 1
+
+
+def _read_then_update(select_sql: str):
+    """Two RR transactions read row n001 (holding their locks), pause,
+    then both update it."""
+    sim = Simulator()
+    db = make_db(sim, isolation="RR", next_key_locking=False)
+    outcomes = []
+
+    def txn(value):
+        session = db.session()
+        try:
+            yield from session.execute(select_sql)
+            yield Timeout(1.0)
+            yield from session.execute(
+                "UPDATE f SET state = ? WHERE name = 'n001'", (value,))
+            yield from session.commit()
+            outcomes.append("ok")
+        except TransactionAborted as error:
+            outcomes.append(error.reason)
+            yield from session.rollback()
+
+    sim.spawn(txn("a"))
+    sim.spawn(txn("b"))
+    sim.run()
+    return sorted(outcomes), db
+
+
+def test_plain_read_then_update_conversion_deadlock():
+    """Both readers hold S, both convert to X: a conversion deadlock."""
+    outcomes, db = _read_then_update(
+        "SELECT state FROM f WHERE name = 'n001'")
+    assert outcomes == ["deadlock", "ok"]
+    assert db.locks.metrics.deadlocks == 1
+
+
+def test_for_update_with_x_also_avoids_deadlock_but_blocks_readers():
+    """FOR UPDATE takes X up front: the second cursor waits for the
+    first's commit instead of deadlocking with it..."""
+    outcomes, db = _read_then_update(
+        "SELECT state FROM f WHERE name = 'n001' FOR UPDATE")
+    assert outcomes == ["ok", "ok"]
+    assert db.locks.metrics.deadlocks == 0
+
+
+def test_for_update_cursor_blocks_plain_readers():
+    """...and a plain reader waits out the cursor's whole transaction."""
+    sim = Simulator()
+    db = make_db(sim, isolation="CS", next_key_locking=False)
+    done = {}
+
+    def cursor_holder():
+        session = db.session()
+        yield from session.execute(
+            "SELECT state FROM f WHERE name = 'n001' FOR UPDATE")
+        yield Timeout(10.0)   # think before deciding to update
+        yield from session.commit()
+
+    def reader():
+        session = db.session()
+        yield Timeout(1.0)
+        yield from session.execute("SELECT state FROM f WHERE name = 'n001'")
+        yield from session.commit()
+        done["at"] = sim.now
+
+    sim.spawn(cursor_holder())
+    sim.spawn(reader())
+    sim.run()
+    assert done["at"] == 10.0
 
 
 def test_lock_timeout_via_sql():

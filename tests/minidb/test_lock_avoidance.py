@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chaos.faults import FaultInjector, FaultPlan, FaultRule
-from repro.errors import LockTimeoutError, ReproError, TransactionAborted
+from repro.errors import LockTimeoutError, ReproError
 from repro.kernel import Simulator, Timeout
 from repro.minidb import Database, DBConfig
 from repro.minidb.config import TimingModel
@@ -105,8 +105,7 @@ GAPS = (0.0, 0.0005, 0.02, 0.7)
 CONFIGS = (
     {},
     {"locklist_size": 40, "maxlocks_fraction": 0.25},   # 10 rows escalate
-    {"locklist_size": 16, "lock_escalation": False},    # a full scan aborts
-    {"update_locks": True},
+    {"locklist_size": 16, "maxlocks_fraction": 1.0},    # a full locklist does
 )
 
 
@@ -139,8 +138,7 @@ def run_schedule(plans, cfg, oracle):
         yield from session.commit()
 
     with per_row_oracle() if oracle else nullcontext():
-        db = make_db(sim, lock_timeout=1.0, deadlock_check_interval=0.5,
-                     **cfg)
+        db = make_db(sim, lock_timeout=1.0, **cfg)
         for index, ((isolation, _), plan) in enumerate(zip(CLIENTS, plans)):
             sim.spawn(client(index, isolation, plan), f"client-{index}")
         sim.run()
@@ -296,43 +294,31 @@ def test_table_scan_over_the_threshold_escalates_at_the_same_row():
 def test_rows_other_transactions_hold_count_against_the_locklist():
     """Locklist of 19: the writer holds 1 + 8 entries, the reader's
     intent is the 10th, so a 9-row scan of free rows fits exactly and a
-    10-row scan would overflow it — it must escalate (or, with
-    escalation off, abort) on the same request as the row-by-row path."""
-    for escalation in (True, False):
-        sim = Simulator()
-        db = make_db(sim, locklist_size=19, maxlocks_fraction=1.0,
-                     lock_escalation=escalation)
-        metrics = db.locks.metrics
+    10-row scan would overflow it — it must escalate on the same request
+    as the row-by-row path."""
+    sim = Simulator()
+    db = make_db(sim, locklist_size=19, maxlocks_fraction=1.0)
+    metrics = db.locks.metrics
 
-        def go():
-            writer = db.session("RR")
-            yield from writer.execute(
-                "UPDATE t SET v = 1 WHERE a >= 10 AND a < 18")
-            assert db.locks.total_locks == 9
-            reader = db.session("CS")
-            yield from reader.execute("SELECT a FROM t WHERE a >= 0 AND a < 9")
-            assert (metrics.avoided, metrics.peak_locks) == (9, 19)
-            overflowing = "SELECT a FROM t WHERE a >= 0 AND a < 10"
-            if escalation:
-                yield from reader.execute(overflowing)
-            else:
-                with pytest.raises(TransactionAborted) as aborted:
-                    yield from reader.execute(overflowing)
-                assert aborted.value.reason == "locklist"
-            yield from writer.rollback()
-            yield from reader.rollback()
+    def go():
+        writer = db.session("RR")
+        yield from writer.execute(
+            "UPDATE t SET v = 1 WHERE a >= 10 AND a < 18")
+        assert db.locks.total_locks == 9
+        reader = db.session("CS")
+        yield from reader.execute("SELECT a FROM t WHERE a >= 0 AND a < 9")
+        assert (metrics.avoided, metrics.peak_locks) == (9, 19)
+        yield from reader.execute("SELECT a FROM t WHERE a >= 0 AND a < 10")
+        yield from writer.rollback()
+        yield from reader.rollback()
 
-        sim.spawn(go())
-        sim.run(until=1.0)
-        # The overflowing scan locked row by row: with escalation on the
-        # reader now waits for table S behind the writer's IX, its nine
-        # row locks in the table; with it off everything has ended.
-        assert metrics.avoided == 9
-        if escalation:
-            assert len(db.locks.waiting_txns()) == 1
-            assert db.locks.total_locks == 9 + 1 + 9
-        else:
-            assert db.locks.heads == {}
+    sim.spawn(go())
+    sim.run(until=1.0)
+    # The overflowing scan locked row by row: the reader now waits for
+    # table S behind the writer's IX, its nine row locks in the table.
+    assert metrics.avoided == 9
+    assert len(db.locks.waiting_txns()) == 1
+    assert db.locks.total_locks == 9 + 1 + 9
 
 
 def test_armed_lock_rule_fires_on_the_same_arrival():

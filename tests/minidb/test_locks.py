@@ -256,7 +256,7 @@ def test_per_request_timeout_overrides_config():
 # -- deadlock detection ------------------------------------------------------------
 
 def test_two_txn_deadlock_detected_youngest_dies():
-    sim, locks, txns = make(deadlock_check_interval=1.0)
+    sim, locks, txns = make()
     outcome = {}
 
     def t1_proc():
@@ -292,7 +292,7 @@ def test_two_txn_deadlock_detected_youngest_dies():
 
 
 def test_three_txn_cycle_detected():
-    sim, locks, txns = make(deadlock_check_interval=1.0)
+    sim, locks, txns = make()
     deadlocked = []
 
     def proc(mine, wanted):
@@ -315,7 +315,7 @@ def test_three_txn_cycle_detected():
 
 
 def test_no_false_deadlock_for_plain_waiting():
-    sim, locks, txns = make(deadlock_check_interval=0.5)
+    sim, locks, txns = make()
 
     def holder():
         t = txns.begin("RR", 0)
@@ -337,7 +337,7 @@ def test_no_false_deadlock_for_plain_waiting():
 
 
 def test_conversion_deadlock_two_s_holders_both_want_x():
-    sim, locks, txns = make(deadlock_check_interval=1.0)
+    sim, locks, txns = make()
     results = []
 
     def proc(delay):
@@ -430,21 +430,6 @@ def test_escalation_blocks_other_transactions_entirely():
     sim.spawn(small())
     sim.run()
     assert ("small-timeout", 6.0) in timeline
-
-
-def test_locklist_exhaustion_without_escalation_aborts():
-    sim, locks, txns = make(locklist_size=5, maxlocks_fraction=1.0,
-                            lock_escalation=False)
-
-    def main():
-        t = txns.begin("RR", 0)
-        with pytest.raises(TransactionAborted) as err:
-            for i in range(10):
-                yield from locks.acquire(t, ("row", "t", (0, i)), LockMode.X)
-        assert err.value.reason == "locklist"
-        locks.release_all(t)
-
-    sim.run_process(main())
 
 
 def test_release_all_wakes_compatible_queue_prefix():

@@ -30,7 +30,7 @@ process_plan = st.lists(step, min_size=1, max_size=4)
 @given(st.lists(process_plan, min_size=2, max_size=5))
 def test_random_workloads_hold_invariants(plans):
     sim = Simulator(seed=3)
-    config = DBConfig(lock_timeout=30.0, deadlock_check_interval=0.5)
+    config = DBConfig(lock_timeout=30.0)
     locks = LockManager(sim, config)
     txns = TransactionTable()
     violations = []
@@ -83,7 +83,7 @@ def test_opposite_order_x_locks_always_resolve(orders):
     """All-X workloads in arbitrary orders: pure deadlock bait. Everyone
     must terminate via grant or victim selection."""
     sim = Simulator(seed=11)
-    config = DBConfig(lock_timeout=60.0, deadlock_check_interval=0.5)
+    config = DBConfig(lock_timeout=60.0)
     locks = LockManager(sim, config)
     txns = TransactionTable()
     outcomes = []
@@ -216,9 +216,10 @@ plan_step = st.one_of(
 @given(st.lists(plan_step, min_size=12, max_size=40))
 def test_fast_paths_change_no_decision(plan):
     sim = Simulator(seed=5)
-    # No timer may fire: the model has no timeouts and no detector.
-    config = DBConfig(lock_timeout=1e9, deadlock_check_interval=1e9,
-                      locklist_size=10_000)
+    # No timer may fire — the model has no timeouts and no detector —
+    # and none can: every run below stops at ``sim.now``, so a lock
+    # timeout or a detector tick never comes due.
+    config = DBConfig(locklist_size=10_000)
     locks = LockManager(sim, config)
     txns = TransactionTable()
     txn = [txns.begin("RR", 0.0) for _ in range(4)]
@@ -234,7 +235,7 @@ def test_fast_paths_change_no_decision(plan):
         if step[0] == "acquire":
             resource, mode = RESOURCES[step[2]], step[3]
             if resource[0] != "table" and mode not in (
-                    LockMode.S, LockMode.U, LockMode.X):
+                    LockMode.S, LockMode.X):
                 continue                  # intent modes are for tables
             sim.spawn(acquire(who, resource, mode))
             model.acquire(who, resource, mode)

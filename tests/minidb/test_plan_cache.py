@@ -1,15 +1,14 @@
 """Bound-plan cache: LRU bound + DDL-driven eviction.
 
 The cache is keyed by SQL text. It must stay bounded
-(``DBConfig.plan_cache_size``), keep hot statements resident (LRU), and
+(``PLAN_CACHE_SIZE``), keep hot statements resident (LRU), and
 evict exactly the plans a DDL statement could invalidate or improve —
 most importantly, a scan plan cached before CREATE INDEX must re-bind
 and pick up the new index on its next execution.
 """
 
-import pytest
-
 from repro.minidb import Database, DBConfig
+from repro.minidb.db import PLAN_CACHE_SIZE
 
 
 def make_db(sim, **cfg):
@@ -30,31 +29,29 @@ def make_db(sim, **cfg):
     return db
 
 
-def test_cache_size_validation():
-    with pytest.raises(ValueError):
-        DBConfig(plan_cache_size=0).validate()
+def distinct_selects(count):
+    return [f"SELECT * FROM t WHERE k = {i}" for i in range(count)]
 
 
 def test_lru_cap_evicts_oldest(sim):
-    db = make_db(sim, plan_cache_size=4)
+    db = make_db(sim)
     db._plan_cache.clear()               # drop the setup INSERT plans
-    sqls = [f"SELECT * FROM t WHERE k = {i}" for i in range(6)]
+    sqls = distinct_selects(PLAN_CACHE_SIZE + 1)
     for sql in sqls:
         db.get_plan(sql)
-    assert len(db._plan_cache) == 4
-    assert db.metrics.plan_evictions == 2
+    assert len(db._plan_cache) == PLAN_CACHE_SIZE
+    assert db.metrics.plan_evictions == 1
     assert sqls[0] not in db._plan_cache
-    assert sqls[1] not in db._plan_cache
-    assert sqls[5] in db._plan_cache
+    assert sqls[1] in db._plan_cache
+    assert sqls[-1] in db._plan_cache
 
 
 def test_lru_hit_refreshes_recency(sim):
-    db = make_db(sim, plan_cache_size=2)
+    db = make_db(sim)
     db._plan_cache.clear()               # drop the setup INSERT plans
-    a, b, c = ("SELECT * FROM t WHERE k = 1", "SELECT * FROM t WHERE k = 2",
-               "SELECT * FROM t WHERE k = 3")
-    db.get_plan(a)
-    db.get_plan(b)
+    a, b, *rest, c = distinct_selects(PLAN_CACHE_SIZE + 1)
+    for sql in (a, b, *rest):            # the cache is full
+        db.get_plan(sql)
     binds = db.metrics.plan_binds
     db.get_plan(a)                       # hit: no re-bind, A becomes MRU
     assert db.metrics.plan_binds == binds

@@ -104,7 +104,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DBConfig(isolation="SNAPSHOT").validate()
     with pytest.raises(ValueError):
-        DBConfig(btree_order=2).validate()
+        DBConfig(rows_per_page=0).validate()
 
 
 def test_config_with_changes_is_functional():
