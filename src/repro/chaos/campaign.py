@@ -52,14 +52,6 @@ QUIESCE_ROUNDS = 60
 #: different op sequence (or ran a hand-built configuration that no
 #: longer exists) and is refused.
 DOC_VERSION = 4
-#: The campaign's one departure from the configuration it names: the
-#: adaptive group-commit window's cut-off is widened to the campaign's
-#: virtual-time commit gaps (a lone chaos client commits seconds apart),
-#: so leaders actually form and ``wal.group:leader:*`` is reachable.
-#: ``paper`` runs no window, so there the override is inert. It goes
-#: when ROADMAP 3b deletes the knob.
-CHAOS_OVERRIDES = {"dlfm.local_db.group_commit_max_window": 2.0,
-                   "host.db.group_commit_max_window": 2.0}
 
 
 @dataclass
@@ -75,7 +67,7 @@ class CampaignConfig:
     #: ops and the checker enforces the shard-catalog invariants.
     shards: int = 0
     #: Which shipped configuration (a key of :data:`repro.configs.BASES`)
-    #: the deployment runs, under :data:`CHAOS_OVERRIDES`.
+    #: the deployment runs, as shipped.
     base: str = "all_on"
     #: Named seeded corruptions (keys of :data:`CORRUPTIONS`) applied
     #: right before the final invariant check; they are serialized into
@@ -234,7 +226,7 @@ class _Campaign:
         self.injector.enabled = False  # setup runs clean
         self.sharded = config.shards > 0
         #: What the deployment was built from (``.ran`` after the build).
-        self.configuration = Configuration(config.base, CHAOS_OVERRIDES)
+        self.configuration = Configuration(config.base)
         self.system = self.configuration.system(
             config.seed, shards=config.shards, servers=config.servers,
             injector=self.injector)

@@ -17,8 +17,9 @@ point                      kinds                     wired into
                                                      yet durable
 ``wal.force.after:<db>``   crash                     durable, ack lost
 ``wal.group:leader:<db>``  crash                     group-commit leader
-                                                     between window expiry
-                                                     and the shared force:
+                                                     whose force covers
+                                                     queued committers,
+                                                     before it is issued:
                                                      every member's record
                                                      is in the unforced
                                                      tail, none may ack
@@ -346,15 +347,14 @@ def default_plan(seed: int = 0) -> FaultPlan:
                   max_fires=2),
         FaultRule("wal.force.after:dlfm-*", "crash", prob=0.002,
                   max_fires=2),
-        # Group-commit leader window (under ``all_on`` the local
-        # databases run group_commit_window="auto", so leaders exist):
-        # crash after the window expires but before the shared force —
-        # the never-ack contract must fail every member of the group.
+        # Group-commit leader: a force that covers other committers'
+        # records, crashed before it is issued — the never-ack contract
+        # must fail every member of the group.
         FaultRule("wal.group:leader:dlfm-*", "crash", prob=0.02,
                   max_fires=2),
-        # The same window on the host, whose COMMIT records carry the 2PC
-        # decision. A lone chaos client opens only one or two host
-        # windows per campaign, hence the high rate.
+        # The same point on the host, whose COMMIT records carry the 2PC
+        # decision. A lone chaos client queues behind another host
+        # committer only once or twice per campaign, hence the high rate.
         FaultRule("wal.group:leader:host-*", "crash", prob=0.3),
         FaultRule("wal.force.after:host-*", "crash", prob=0.001,
                   max_fires=1),

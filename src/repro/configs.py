@@ -44,9 +44,6 @@ def all_on() -> tuple[DLFMConfig, HostConfig]:
     host.batch_datalinks = True
     host.db.isolation = "CS"
     host.db.next_key_locking = False
-    for db in (dlfm.local_db, host.db):
-        db.group_commit_window = "auto"
-        db.instant_recovery = True
     return dlfm, host
 
 

@@ -154,21 +154,15 @@ class HostDB:
                 for server in servers]
 
     def _rescan_decisions(self) -> set:
-        """Rebuild the decision map from the durable log; returns the
-        file groups the pending decisions drop."""
-        pending: dict[int, tuple] = {}
-        dropped: dict[int, list] = {}
-        for record in self.db.wal.records:
-            payload = record.payload
-            if not isinstance(payload, dict):
-                continue
-            if record.kind == walmod.COMMIT and payload.get("indoubt"):
-                pending[record.txn_id] = tuple(payload["indoubt"])
-                dropped[record.txn_id] = payload.get("dropped", ())
-            elif record.kind == walmod.FORGET:
-                pending.pop(payload.get("txn"), None)
-        self._decisions = pending
-        return {grp for txn_id in pending for grp in dropped[txn_id]}
+        """Rebuild the decision map from the COMMIT records of the WAL's
+        open decisions; returns the file groups they drop."""
+        wal = self.db.wal
+        payloads = {txn_id: wal.record(lsn).payload
+                    for txn_id, lsn in wal.decisions.items()}
+        self._decisions = {txn_id: tuple(payload["indoubt"])
+                           for txn_id, payload in payloads.items()}
+        return {grp for payload in payloads.values()
+                for grp in payload["dropped"]}
 
     # ------------------------------------------------------------------ sessions
 

@@ -8,7 +8,7 @@ Owns every engine component and exposes:
 * plan binding with statistics-version invalidation (E4);
 * RUNSTATS and hand-crafted statistics;
 * :meth:`crash` / :meth:`restart` with ARIES-style recovery (E10);
-* :meth:`checkpoint` — flush dirty pages and truncate the active log.
+* :meth:`checkpoint` — flush dirty pages and truncate the log.
 """
 
 from __future__ import annotations
@@ -41,13 +41,10 @@ PLAN_CACHE_SIZE = 512
 #: card`` — the PostgreSQL-autovacuum shape: cheap tables refresh eagerly,
 #: million-row tables only after proportional churn.
 AUTO_RUNSTATS_FRACTION = 0.2
-#: ``"auto"`` group commit (see :meth:`Database._commit_window`): the
-#: window floor — a dense burst still collects followers arriving "now" —
-#: the commit-gap EWMA's smoothing factor, and the expected arrivals a
-#: leader waits for.
-GROUP_COMMIT_MIN_WINDOW = 0.002
-GROUP_COMMIT_EWMA_ALPHA = 0.25
-GROUP_COMMIT_BURST_FACTOR = 4.0
+#: Log records since the last checkpoint that trigger a soft one (DB2's
+#: SOFTMAX): restart reads a tail bounded by log volume, not by how fast
+#: transactions commit.
+SOFT_CHECKPOINT_RECORDS = 3_000
 
 
 @dataclass
@@ -162,8 +159,10 @@ class Database:
         #: Bound-plan cache, LRU-ordered (oldest first); capped at
         #: ``PLAN_CACHE_SIZE``.
         self._plan_cache: OrderedDict[str, tuple] = OrderedDict()
-        #: In-flight group-commit force (Event) or None; volatile state.
-        self._group_force: Optional[Event] = None
+        #: The log force in flight, ``(event, upto)``, or None; and the
+        #: LSNs of committers queued for the next one. Volatile state.
+        self._force: Optional[tuple[Event, int]] = None
+        self._queued: set[int] = set()
         #: Active bulk LOADs: table → {index name → _BulkIndexPending}.
         #: Volatile by design — a crash discards the deferral and restart
         #: rebuilds indexes from durable state as usual.
@@ -271,117 +270,63 @@ class Database:
             injector.maybe_crash(f"wal.force.after:{self.name}", self.name)
         txn.state = TxnState.PREPARED
 
-    def _commit_window(self) -> float:
-        """Window a new group-commit leader should wait, in seconds.
-
-        Fixed mode returns the configured constant. ``"auto"`` consults
-        the WAL's commit inter-arrival EWMA: when the expected gap is at
-        or beyond the max window, waiting would buy nothing — force
-        immediately (no latency tax at low concurrency). Under bursts,
-        wait long enough to cover about ``GROUP_COMMIT_BURST_FACTOR``
-        expected arrivals, clamped to [min_window, max_window].
-        """
-        cfg = self.config
-        if cfg.group_commit_window != "auto":
-            return float(cfg.group_commit_window)
-        gap = self.wal.commit_gap_ewma
-        if gap is None or gap >= cfg.group_commit_max_window:
-            return 0.0
-        return min(max(GROUP_COMMIT_BURST_FACTOR * gap,
-                       GROUP_COMMIT_MIN_WINDOW),
-                   cfg.group_commit_max_window)
-
     def _force_wal(self, txn: Transaction, record: str):
         """Generator: make the just-appended commit/prepare record durable.
 
-        With a positive ``group_commit_window`` (or ``"auto"`` choosing
-        one), committers arriving while a force is pending share ONE
-        physical force: the first becomes the group leader, waits out
-        the window, then forces to the log tail — covering everyone who
-        appended meanwhile; followers just wait (``forces_saved``).
-        Control never returns before the record is durable, so an
-        acknowledgement cannot precede the force: a crash inside the
-        window fails every member with CrashedError.
+        Pipelined group commit, with nothing to tune: a committer that
+        finds no force in flight leads one at once, to the log tail.
+        Committers that arrive while it is in flight queue behind it; the
+        first of them to wake leads the next force for the whole queue,
+        and the rest ride on it (``forces_saved``). Control never returns
+        before the force covering the record has completed, so an
+        acknowledgement cannot precede it: a crash fails every member of
+        the in-flight group with CrashedError.
         """
-        cfg = self.config
-        auto = cfg.group_commit_window == "auto"
-        if auto:
-            self.wal.note_commit_request(self.sim.now,
-                                         GROUP_COMMIT_EWMA_ALPHA)
-        elif cfg.group_commit_window <= 0:
-            if self.wal.force():
-                with self.sim.tracer.span("wal.force", db=self.name,
-                                          txn=txn.id, record=record,
-                                          lsn=self.wal.flushed_upto):
-                    cost = cfg.timing.log_force_cost()
-                    if cost > 0:
-                        yield Timeout(cost)
-            return
-        target = self.wal.tail_lsn
-        while target > self.wal.flushed_upto:
-            event = self._group_force
-            if event is None:
-                window = self._commit_window()
-                if auto:
-                    self.wal.auto_windows.append(window)
-                if window <= 0:
-                    # Auto, sparse arrivals: nobody is expected within a
-                    # useful window, so pay our own force right away.
-                    self.wal.metrics.auto_immediate += 1
-                    if self.wal.force():
-                        with self.sim.tracer.span("wal.force", db=self.name,
-                                                  txn=txn.id, record=record,
-                                                  lsn=self.wal.flushed_upto):
-                            cost = cfg.timing.log_force_cost()
-                            if cost > 0:
-                                yield Timeout(cost)
-                    return
-                if auto:
-                    self.wal.metrics.auto_batched += 1
-                # Leader: open a group, collect committers for one window.
-                event = Event(self.sim, latch=True,
-                              name=f"group-force-{self.name}")
-                self._group_force = event
-                yield Timeout(window)
-                if self._group_force is not event:
-                    # crash() failed the group while we slept
-                    raise CrashedError(
-                        f"database {self.name} crashed during group commit")
-                injector = self.sim.injector
-                if injector.enabled:
-                    # Crash between window expiry and the physical force:
-                    # the whole group's records sit in the unforced tail,
-                    # so crash() must fail every member (never-ack). Fires
-                    # while _group_force is still set so crash() can see
-                    # and fail the group.
-                    injector.maybe_crash(f"wal.group:leader:{self.name}",
-                                         self.name)
-                self._group_force = None
-                if txn.rollback_only:
-                    # Aborted while waiting (e.g. picked as a victim): a
-                    # dead transaction must not force its own commit
-                    # record. Wake the followers with a benign outcome so
-                    # one of them re-loops into leadership.
-                    event.trigger(None)
-                    raise TransactionAborted(
-                        f"txn {txn.id} aborted inside the group-commit "
-                        f"window", reason=txn.abort_reason or "error")
-                self.wal.metrics.group_commits += 1
-                if self.wal.force():
-                    with self.sim.tracer.span("wal.force", db=self.name,
-                                              txn=txn.id, record=record,
-                                              lsn=self.wal.flushed_upto,
-                                              group=True):
-                        cost = cfg.timing.log_force_cost()
-                        if cost > 0:
-                            yield Timeout(cost)
-                event.trigger(None)
+        lsn, txns, wal = txn.last_lsn, self.txns, self.wal
+        while self._force is not None:
+            event, upto = self._force
+            if upto >= lsn:
+                wal.metrics.forces_saved += 1
             else:
-                # Follower: the pending force will cover our record.
-                self.wal.metrics.forces_saved += 1
-                outcome = yield event.wait()
-                if isinstance(outcome, BaseException):
-                    raise outcome
+                self._queued.add(lsn)
+            yield event.wait()
+            self._queued.discard(lsn)
+            if self.crashed or self.txns is not txns:
+                raise CrashedError(f"database {self.name} crashed before "
+                                   f"the force covering txn {txn.id}")
+            if upto >= lsn:
+                return
+        if lsn <= wal.flushed_upto:
+            return
+        if txn.rollback_only:
+            # Aborted while queued (e.g. picked as a victim): a dead
+            # transaction must not force its own commit record; the next
+            # queued committer leads instead.
+            raise TransactionAborted(
+                f"txn {txn.id} aborted while queued for the log force",
+                reason=txn.abort_reason or "error")
+        force = self._force = (Event(self.sim, latch=True,
+                                     name=f"group-force-{self.name}"),
+                               wal.tail_lsn)
+        if any(queued > wal.flushed_upto for queued in self._queued):
+            wal.metrics.group_commits += 1
+            injector = self.sim.injector
+            if injector.enabled:
+                # Crash with other committers' records in the unforced
+                # tail: crash() must fail every member (never-ack).
+                injector.maybe_crash(f"wal.group:leader:{self.name}",
+                                     self.name)
+        wal.force(force[1])
+        with self.sim.tracer.span("wal.force", db=self.name, txn=txn.id,
+                                  record=record, lsn=force[1]):
+            cost = self.config.timing.log_force_cost()
+            if cost > 0:
+                yield Timeout(cost)
+        if self._force is not force:
+            raise CrashedError(
+                f"database {self.name} crashed during the log force")
+        self._force = None
+        force[0].trigger(None)
 
     def indoubt_transactions(self) -> list[Transaction]:
         """Prepared transactions awaiting an outcome (after restart too)."""
@@ -871,11 +816,14 @@ class Database:
     # ------------------------------------------------------------------ checkpoint / crash
 
     def _maybe_soft_checkpoint(self) -> None:
-        """Reclaim log space once no old transaction pins it (as DB2's
-        automatic log truncation does). Without this, one log-full event
-        would poison the log forever."""
-        window = self.wal.window(self.txns.active_floor())
-        if window > self.config.wal_capacity // 2:
+        """Checkpoint once ``SOFT_CHECKPOINT_RECORDS`` were logged since
+        the last one, or once the active window passes half the log's
+        capacity (as DB2's automatic log truncation does: without it, one
+        log-full event would poison the log forever)."""
+        wal = self.wal
+        if (wal.tail_lsn - wal.last_checkpoint_lsn > SOFT_CHECKPOINT_RECORDS
+                or wal.window(self.txns.active_floor())
+                > self.config.wal_capacity // 2):
             self.checkpoint()
 
     def checkpoint(self) -> None:
@@ -922,16 +870,25 @@ class Database:
                      "txn_table": txn_table})
         self.wal.force()
         self.wal.note_checkpoint(record.lsn)
+        # Drop what no restart can read. Besides the checkpoint, three
+        # things reach further back: an active or prepared transaction
+        # (undo, lock resurrection), an unforgotten 2PC decision (the
+        # host re-drives phase 2 from its COMMIT record) and a page still
+        # queued for lazy replay (this checkpoint did not flush it).
+        self.wal.truncate(min([
+            record.lsn, *self.wal.decisions.values(),
+            *(txn.first_lsn for txn in self.txns.active
+              if txn.first_lsn is not None),
+            *(lsns[0] for lsns in self.replay_pending.values())]))
 
     def crash(self) -> None:
         """Power failure: volatile state gone, durable state preserved."""
         self.crashed = True
-        pending, self._group_force = self._group_force, None
-        if pending is not None:
-            # Fail every group-commit member: their commit records are in
-            # the tail being discarded and were never acknowledged.
-            pending.trigger(CrashedError(
-                f"database {self.name} crashed before the group force"))
+        force, self._force = self._force, None
+        if force is not None:
+            # Wake every member of the in-flight group into CrashedError:
+            # none of them was acknowledged.
+            force[0].trigger(None)
         self.wal.crash()
         self.pool.clear()
         self.locks.clear()
@@ -970,8 +927,9 @@ class Database:
 
         The checkpoint is fuzzy (it flushes open transactions' rows into
         the copied disk), so the image is only consistent together with
-        the log that can undo them. LSNs are list positions, so the whole
-        durable log rides along; records are immutable and are shared.
+        the log that can undo them: the retained log rides along, from
+        the oldest LSN a restart still needs; records are immutable and
+        are shared.
         """
         import copy
         self.checkpoint()
@@ -979,6 +937,7 @@ class Database:
             "disk": copy.deepcopy(self.disk),
             "catalog": copy.deepcopy(self.catalog),
             "log": self.wal.durable_records(),
+            "base": self.wal.base,
         }
 
     def restore_image(self, image: dict) -> None:
@@ -991,9 +950,10 @@ class Database:
         self.catalog = copy.deepcopy(image["catalog"])
         self.wal = LogManager(self.config.wal_capacity)
         self.wal.records = list(image["log"])
-        self.wal.flushed_upto = self.wal.last_checkpoint_lsn = len(
-            self.wal.records)
-        self.wal.crash()   # rebuilds the page heads from that checkpoint
+        self.wal.base = image["base"]
+        self.wal.flushed_upto = self.wal.last_checkpoint_lsn = (
+            self.wal.tail_lsn)
+        self.wal.crash()   # rebuilds page heads and decisions from there
         self.restart()
 
     # ------------------------------------------------------------------ convenience

@@ -16,8 +16,9 @@ loser transactions and prepared-transaction lock resurrection stay
 eager, so the engine is transaction-consistent (and accepts new work)
 the moment ``restart()`` returns, after tail-proportional work only.
 
-With ``instant_recovery=False`` the classic path runs: full-log
-conditional REDO, then undo, then index rebuilds from the heaps.
+With ``instant_recovery=False`` the classic path runs: conditional REDO
+over the whole retained log (everything a checkpoint did not truncate),
+then undo, then index rebuilds from the heaps.
 Both paths write CLRs during undo so a crash during recovery is itself
 recoverable. Each path's foreground I/O (log scan, page reads, index
 repair) accumulates in the buffer pool's unbilled counter and is
@@ -81,13 +82,13 @@ def recover(db) -> dict:
     """Bring ``db`` to a transaction-consistent state; returns a summary.
 
     The two paths differ in what analysis reads (the checkpoint's
-    transaction table plus the tail, or the whole log), in REDO strategy
+    transaction table plus the tail, or the whole retained log), in REDO strategy
     and in index repair — nothing else.
     """
     wal = db.wal
     instant = db.config.instant_recovery
     ckpt = wal.last_checkpoint_lsn if instant else 0
-    records = wal.records[ckpt:]  # after crash(): durable records only
+    records = wal.since(ckpt)  # after crash(): durable records only
     losers, prepared, committed, last_lsn, first_lsn = _analyze(
         records, wal.record(ckpt).payload["txn_table"] if ckpt else {})
     # The scan is foreground I/O the first post-restart statement pays.

@@ -249,9 +249,6 @@ def _import_db_counters(registry, name: str, db) -> None:
     registry.register_counters(f"wal.{name}", dict(db.wal.metrics.__dict__))
     registry.register_counters(f"plancache.{name}", _plan_cache_counters(db))
     registry.register_counters(f"mvcc.{name}", _mvcc_counters(db))
-    if db.wal.auto_windows:
-        registry.histogram(f"wal.{name}.auto_window").extend(
-            db.wal.auto_windows)
 
 
 SCENARIOS = {

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.chaos.campaign import (CHAOS_OVERRIDES, CORRUPTIONS,
-                                  CampaignConfig, _Campaign, replay,
-                                  run_campaign)
+from repro.chaos.campaign import (CORRUPTIONS, CampaignConfig, _Campaign,
+                                  replay, run_campaign)
 from repro.chaos.faults import FaultPlan, FaultRule
 from repro.chaos.shrink import shrink_config, shrink_doc
 from repro.configs import BASES
@@ -49,12 +48,13 @@ def test_campaign_is_deterministic(base):
 @pytest.mark.parametrize("shards", [0, 2])
 def test_campaign_runs_the_named_configuration_plus_its_declared_override(
         base, shards):
-    """The deployment holds exactly ``BASES[base]()`` with
-    ``CHAOS_OVERRIDES`` laid over it — nothing hand-built on the side."""
+    """The deployment holds exactly ``BASES[base]()`` — the declared
+    override is empty since group commit lost its window (the leader
+    point is reached without widening one), and nothing is hand-built
+    on the side."""
     campaign = _Campaign(quiet_config(base=base, shards=shards))
     configuration = campaign.configuration
-    assert (configuration.base, configuration.overrides) == (
-        base, CHAOS_OVERRIDES)
+    assert (configuration.base, configuration.overrides) == (base, {})
     assert_holds_declared_configuration(configuration, campaign.system)
     assert len(campaign.system.dlfms) == (shards or 2)
 
@@ -114,18 +114,20 @@ def test_version_3_repro_doc_is_refused():
 
 
 def test_xa_branch_left_in_doubt_across_a_host_crash_gets_its_verdict():
-    """One CI cell where the ``xa`` op leaves its branch in doubt and
-    the host then crashes under it: restart resurrects the branch from
-    its PREPARE record, quiesce (the TM) finds it by gtrid and delivers
-    the journaled commit, and the deployment checks clean."""
-    result = run_campaign(CampaignConfig(seed=4, ops=200, base="all_on"))
+    """A cell where the ``xa`` op leaves its branch in doubt and the
+    host then crashes under it: restart resurrects the branch from its
+    PREPARE record, quiesce (the TM) finds it by gtrid and delivers the
+    journaled commit, and the deployment checks clean. (No CI cell has
+    one since the host's leader point fires only for a real group: a
+    lone chaos client rarely queues behind another host committer.)"""
+    result = run_campaign(CampaignConfig(seed=26, ops=200, base="all_on"))
     assert any(op["kind"] == "xa" and "host-hostdb" in op["outcome"]
                and op["outcome"].startswith("indoubt:commit across")
                for op in result.op_trace)
     assert result.ok, [v.detail for v in result.violations]
 
 
-@pytest.mark.parametrize("base,seed,ops,shards", [("all_on", 4, 80, 0),
+@pytest.mark.parametrize("base,seed,ops,shards", [("all_on", 0, 80, 0),
                                                   ("paper", 0, 40, 4)])
 def test_commit_across_a_fuzzy_checkpoint_survives_the_crashes(
         base, seed, ops, shards):

@@ -16,6 +16,7 @@ from repro.errors import CrashedError, LinkError, TransactionAborted
 from repro.host import DatalinkSpec, HostConfig, build_url
 from repro.host.hostdb import HostDB
 from repro.kernel import Timeout
+from repro.sql.parser import parse as parse_sql
 from repro.system import System
 
 
@@ -323,4 +324,42 @@ def test_lost_forget_record_only_resends_an_idempotent_commit():
     assert resolved == {"committed": 1, "aborted": 0}
     assert fs1.linked_count() == 1
     assert system.host.decision_rows() == []
+    assert check_invariants(system) == []
+
+
+def test_an_unforgotten_decision_survives_checkpoints_and_a_host_crash():
+    """The host's log may be truncated at a checkpoint only down to its
+    oldest decision not yet FORGOTTEN: restart reads the participants
+    back from that COMMIT record. Here phase 2 never ran, two checkpoints
+    and a stream of plain commits pile up behind the decision, and the
+    host crashes — restart must still re-drive Commit to fs1."""
+    system = _make(servers=("fs1",))
+    host, fs1 = system.host, system.dlfms["fs1"]
+    session = system.session()
+
+    def decide_without_phase2():
+        yield from _link(session, 1, "fs1")
+        writers, _ = yield from session.prepare_participants()
+        yield from host.decide(session.session, session.txn_id, writers)
+
+    def plain_commits(first):
+        plain = host.db.session()
+        for k in range(first, first + 20):
+            yield from plain.execute(f"INSERT INTO churn (k) VALUES ({k})")
+            yield from plain.commit()
+        host.db.checkpoint()
+
+    system.run(decide_without_phase2())
+    [(txn_id, server)] = host.decision_rows()
+    assert server == "fs1"
+    host.db.ddl(parse_sql("CREATE TABLE churn (k INT)"))
+    system.run(plain_commits(0))
+    system.run(plain_commits(20))
+    assert host.db.wal.base == host.db.wal.decisions[txn_id] - 1
+    session.close()
+    host.crash()
+    resolved = system.run(host.restart(), "host-restart")
+    assert resolved == {"committed": 1, "aborted": 0}
+    assert fs1.linked_count() == 1
+    assert host.decision_rows() == []
     assert check_invariants(system) == []
