@@ -9,7 +9,7 @@ Commands:
   the raw span events (deterministic: same seed → identical bytes).
 * ``bench`` — run the bench arms under the two shipped configurations
   (the ``all_on`` fleet headline and its shard scaling, LOAD, 2PC
-  fan-out, daemon pools, instant-vs-classic crash restart, the E6/E8
+  fan-out, daemon pools, time to first commit after a crash, the E6/E8
   sentinels) and write ``BENCH_PERF.json``; ``--check`` prints and
   enforces each arm's gates, ``--quick`` is the CI scale.
 * ``chaos`` — run a seeded fault-injection campaign (crashes, RPC

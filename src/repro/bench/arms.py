@@ -205,13 +205,11 @@ def run_daemons(cfg, serial, pooled) -> dict:
 
 # ------------------------------------------------------------------ recovery
 
-def _first_commit_after_crash(cfg, config) -> dict:
+def run_recovery(cfg, config) -> dict:
     """Seed committed link transactions, crash the DLFM, restart it and
-    time the FIRST new link transaction. Classic restart makes it pay
-    the full-log REDO scan, every touched page's read and the index
-    rebuilds; instant restart only the post-checkpoint tail scan and
-    the one page the insert touches — the rest drains in the background
-    while the commit is already done."""
+    time the FIRST new link transaction. It pays the post-checkpoint
+    tail scan and the one page the insert touches; the rest drains in
+    the background while the commit is already done."""
     system = config.system(cfg.seed)
     dlfm = system.dlfms["fs1"]
 
@@ -233,16 +231,6 @@ def _first_commit_after_crash(cfg, config) -> dict:
     return {"seed_txns": RECOVERY_TXNS, "redone": summary["redone"],
             "first_commit_s": round(system.sim.now - started, 6),
             "pages_replayed": dlfm.db.metrics.pages_replayed}
-
-
-def run_recovery(cfg, instant, classic) -> dict:
-    """Instant restart against the classic reference over the identical
-    WAL."""
-    out = {"instant": _first_commit_after_crash(cfg, instant),
-           "classic": _first_commit_after_crash(cfg, classic)}
-    out["speedup"] = _ratio(out["classic"]["first_commit_s"],
-                            out["instant"]["first_commit_s"])
-    return out
 
 
 # --------------------------------------------------------------------- fleet

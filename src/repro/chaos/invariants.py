@@ -41,6 +41,8 @@ Violation codes (also documented in DESIGN.md §10):
                             with
 ``unrouted-group``          sharded: catalog row with no active group behind
                             it, or an active group no catalog row routes to
+``unreplayed-page``         a live database still has pages waiting for lazy
+                            replay (its log stays pinned below them)
 ==========================  ====================================================
 
 Decision bookkeeping (``stale-decision-row``, ``orphan-indoubt-txn``)
@@ -105,6 +107,8 @@ def check_invariants(system) -> list["Violation"]:
 # ---------------------------------------------------------------- node state
 
 def _check_nodes_up(system, out: list) -> set:
+    """``node-down``, and ``unreplayed-page`` — checked before anything
+    scans a table, since a scan replays every page it touches."""
     downs = set()
     if system.host.db.crashed:
         out.append(Violation("node-down", "host",
@@ -114,6 +118,12 @@ def _check_nodes_up(system, out: list) -> set:
             downs.add(name)
             out.append(Violation("node-down", name,
                                  f"DLFM database on {name} still down"))
+    for name, db in [("host", system.host.db)] + [
+            (name, dlfm.db) for name, dlfm in sorted(system.dlfms.items())]:
+        if db.replay_pending:
+            out.append(Violation(
+                "unreplayed-page", name,
+                f"{len(db.replay_pending)} pages still wait for lazy replay"))
     return downs
 
 

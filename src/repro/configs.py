@@ -66,7 +66,7 @@ class Configuration:
 
     An override key is a dotted path from ``dlfm``, ``host`` or
     ``timing`` (the one clock both databases share), e.g.
-    ``"dlfm.local_db.instant_recovery"``; a path that names no existing
+    ``"dlfm.local_db.wal_capacity"``; a path that names no existing
     field is an error, not a new attribute.
     """
 

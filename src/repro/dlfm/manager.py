@@ -38,14 +38,10 @@ from repro.errors import (RETRIABLE_FAULTS, LinkError, StaleRouteError,
                           UnlinkError)
 from repro.fs.filesystem import FileServer
 from repro.kernel.backoff import Backoff
-from repro.kernel.pool import WorkerPool
 from repro.kernel.sim import Simulator, Timeout
 from repro.minidb import Database
 from repro.sql.parser import parse as parse_sql
 
-#: Background-replayer workers draining cold pages' pending log chains
-#: after an instant restart.
-REPLAY_WORKERS = 2
 #: Seconds a deleted file group lives before GC removes its metadata.
 GROUP_LIFETIME = 3600.0
 
@@ -77,9 +73,6 @@ class DLFMMetrics:
     gc_copies_removed: int = 0
     indoubt_reported: int = 0
     stats_repins: int = 0
-    #: Cold pages whose pending log chain the background replayer (not
-    #: first-touch traffic) drained after an instant restart.
-    pages_replayed_bg: int = 0
 
 
 class DLFM:
@@ -113,16 +106,8 @@ class DLFM:
         self.merged = VersionMergeDaemon(self)
         self.upcalld = UpcallDaemon(self)
         self.filter.set_upcall(self.upcalld.query)
-        #: Background replayer: drains cold pages' pending log chains
-        #: after an instant restart, so the replay gate runs dry even
-        #: for pages no transaction ever touches. Workers pay their own
-        #: I/O so recovery cost never lands on foreground commits.
-        self.replayd = WorkerPool(sim, f"{name}-replayd",
-                                  self._replay_page_item,
-                                  workers=REPLAY_WORKERS)
         self._daemon_procs: list = []
         self._pool_procs: list = []
-        self._replay_proc = None
         self._agents: list = []
         self.running = False
 
@@ -160,10 +145,6 @@ class DLFM:
         self.copyd.stop_workers()
         self.retrieved.stop_workers()
         self.delete_groupd.stop_workers()
-        self.replayd.stop()
-        if self._replay_proc is not None and not self._replay_proc.finished:
-            self._replay_proc.kill()
-        self._replay_proc = None
         self._pool_procs = []
         self.running = False
 
@@ -195,48 +176,15 @@ class DLFM:
         Prepared transactions stay indoubt until the host resolves them
         (§3.3); committed transactions with pending group deletions are
         picked up again by the Delete-Group daemon; pending archive
-        entries are picked up by the Copy daemon.
+        entries are picked up by the Copy daemon; the local database
+        drains its own cold pages.
         """
         summary = self.db.restart()
         if self.config.pin_statistics:
             self.metrics.stats_repins += schema.pin_statistics(self.db)
         self.start()
         self.delete_groupd.rescan_needed = True
-        if self.db.replay_pending:
-            # Instant restart left cold pages with pending REDO chains:
-            # drain them in the background while new traffic commits.
-            self.replayd.start()
-            self._replay_proc = self.sim.spawn(
-                self._replay_feeder(), f"{self.name}-replayd-feed")
         return summary
-
-    def _replay_feeder(self):
-        """Generator: feed every still-pending page to the replay pool."""
-        for key in sorted(self.db.replay_pending):
-            if key not in self.db.replay_pending:
-                continue  # foreground traffic already replayed it
-            yield from self.replayd.submit(key)
-        yield from self.replayd.drain()
-        self.replayd.stop()
-
-    def _replay_page_item(self, key):
-        """Generator: replay one cold page's chain, paying its own I/O.
-
-        The replay's buffer-pool misses land in ``unbilled_io``, which
-        foreground statements drain; snapshot/restore the counter so the
-        background worker charges the cost to itself instead.
-        """
-        table, page_no = key
-        metrics = self.db.pool.metrics
-        before = metrics.unbilled_io
-        applied = self.db.replay_page(table, page_no)
-        delta = metrics.unbilled_io - before
-        metrics.unbilled_io = before
-        if applied:
-            self.metrics.pages_replayed_bg += 1
-        cost = self.config.local_db.timing.io_cost(max(1, delta))
-        if cost > 0:
-            yield Timeout(cost)
 
     def read_session(self):
         """A local-DB session at ``config.read_isolation``.

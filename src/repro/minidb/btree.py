@@ -7,9 +7,9 @@ whose interaction with DLFM's multi-index tables caused the deadlocks of
 lesson §3.2.1/§4 (experiment E3).
 
 Indexes are memory-resident; restart repairs each from its checkpoint
-image plus the log tail (classic restart: rebuilds it from the heap), so
-index maintenance needs no WAL records (documented substitution; DB2 logs
-index pages, but recovery observable behaviour is the same).
+image plus the log tail, so index maintenance needs no WAL records
+(documented substitution; DB2 logs index pages, but recovery observable
+behaviour is the same).
 
 The tree is keyed by the whole entry ``(ekey, rid)``, separators
 included: a separator is the first *entry* of its right subtree, so an

@@ -110,12 +110,6 @@ class DBConfig:
     #: Mutations (insert/update/delete rows) since the last refresh, plus
     #: ``db.AUTO_RUNSTATS_FRACTION`` × card, that trigger auto-RUNSTATS.
     auto_runstats_threshold: int = 200
-    #: Instant, REDO-only restart (Sauer & Härder): analysis over the
-    #: durable tail builds per-page replay chains; pages are replayed
-    #: lazily on first touch (plus a background drain in DLFM) instead
-    #: of a full-log REDO pass before the first statement. False gives
-    #: the classic ARIES full-replay restart (the bench baseline).
-    instant_recovery: bool = True
     #: Buffer-pool capacity in pages.
     buffer_pool_pages: int = 2_000
     #: Heap rows per page (drives optimizer page counts and I/O volume).

@@ -1,31 +1,25 @@
-"""Restart recovery: instant REDO-only restart, or classic ARIES replay.
+"""Restart recovery: instant, REDO-only restart (Sauer & Härder).
 
 Runs against the durable state only: disk page images plus the forced
 prefix of the WAL.
 
-With ``DBConfig.instant_recovery`` (the default) restart follows Sauer &
-Härder's instant-recovery design: analysis reads only the durable tail
-since the last checkpoint (the checkpoint payload carries the
-transaction table and the per-page chain-head snapshot), REDO is
-*deferred* — each page's pending log chain is recorded in
-``db.replay_pending`` and replayed on first touch through the heap's
-replay gate (``Database.replay_page``) or by DLFM's background
-replayer — and secondary indexes are repaired from their checkpoint
-images plus the tail deltas instead of a full-heap rebuild. Undo of
-loser transactions and prepared-transaction lock resurrection stay
-eager, so the engine is transaction-consistent (and accepts new work)
-the moment ``restart()`` returns, after tail-proportional work only.
+Analysis reads only the durable tail since the last checkpoint (the
+checkpoint payload carries the transaction table and the per-page
+chain-head snapshot). REDO is *deferred*: each page's pending log chain
+is recorded in ``db.replay_pending`` and replayed on first touch through
+the heap's replay gate (``Database.replay_page``) or by the background
+drain ``Database.restart`` spawns. Secondary indexes are repaired from
+their checkpoint images plus the tail deltas instead of a full-heap
+rebuild. Undo of loser transactions and prepared-transaction lock
+resurrection stay eager, so the engine is transaction-consistent (and
+accepts new work) the moment ``restart()`` returns, after
+tail-proportional work only.
 
-With ``instant_recovery=False`` the classic path runs: conditional REDO
-over the whole retained log (everything a checkpoint did not truncate),
-then undo, then index rebuilds from the heaps.
-Both paths write CLRs during undo so a crash during recovery is itself
-recoverable. Each path's foreground I/O (log scan, page reads, index
-repair) accumulates in the buffer pool's unbilled counter and is
-converted, at the end of recovery, into ``Database.traffic_open_at`` —
-a gate every new statement waits out. That is how "time to first
-commit" materializes in simulated time: classic restart stalls traffic
-for the whole replay, instant restart for the tail analysis only.
+Undo writes CLRs so a crash during recovery is itself recoverable. The
+foreground I/O (log scan, page reads, index repair) accumulates in the
+buffer pool's unbilled counter and is converted, at the end of recovery,
+into ``Database.traffic_open_at`` — a gate every new statement waits
+out. That is how "time to first commit" materializes in simulated time.
 """
 
 from __future__ import annotations
@@ -79,29 +73,19 @@ class _RecoveryTxn:
 
 
 def recover(db) -> dict:
-    """Bring ``db`` to a transaction-consistent state; returns a summary.
-
-    The two paths differ in what analysis reads (the checkpoint's
-    transaction table plus the tail, or the whole retained log), in REDO strategy
-    and in index repair — nothing else.
-    """
+    """Bring ``db`` to a transaction-consistent state; returns a summary."""
     wal = db.wal
-    instant = db.config.instant_recovery
-    ckpt = wal.last_checkpoint_lsn if instant else 0
+    ckpt = wal.last_checkpoint_lsn
     records = wal.since(ckpt)  # after crash(): durable records only
     losers, prepared, committed, last_lsn, first_lsn = _analyze(
         records, wal.record(ckpt).payload["txn_table"] if ckpt else {})
     # The scan is foreground I/O the first post-restart statement pays.
     db.pool.metrics.unbilled_io += _log_scan_io(len(records))
-    redone = (_redo_instant if instant else _redo_classic)(db, records)
-    # Instant restart's trees already hold crash-time state, so undo
-    # maintains them (touched pages replay through the gate before a
-    # before-image lands); classic rebuilds them from the final heaps.
-    undone = _undo_losers(db, losers, maintain_indexes=instant)
+    redone = _redo(db, records)
+    # The trees already hold crash-time state, so undo maintains them
+    # (touched pages replay through the gate before a before-image lands).
+    undone = _undo_losers(db, losers)
     _resurrect_prepared(db, prepared, last_lsn, first_lsn)
-    if not instant:
-        for index in db.catalog.indexes.values():
-            _rebuild_index(db, index)
     db.checkpoint()
     _close_traffic_gate(db)
     return {"redone": redone, "undone": undone,
@@ -144,9 +128,7 @@ def _analyze(records, txn_table: dict) -> tuple:
     return losers, prepared, committed, last_lsn, first_lsn
 
 
-# ---------------------------------------------------------------- instant path
-
-def _redo_instant(db, tail) -> int:
+def _redo(db, tail) -> int:
     """Defer REDO into per-page chains; repair indexes from image + tail."""
     wal = db.wal
     # ---- build the pending per-page replay chains -------------------------
@@ -189,7 +171,9 @@ def _redo_instant(db, tail) -> int:
             # was created after the last checkpoint. Fall back to a heap
             # scan — the replay gate makes the scan see crash-time rows,
             # at the price of replaying this one table eagerly.
-            _rebuild_index(db, index)
+            btree.clear()
+            for rid, row in db.heaps[index.table].scan():
+                btree.insert(index.key_of(row), rid)
             continue
         if image is None:
             # No image and no durable pages: every row the index should
@@ -208,31 +192,7 @@ def _redo_instant(db, tail) -> int:
     return redone
 
 
-# ---------------------------------------------------------------- classic path
-
-def _redo_classic(db, records) -> int:
-    """Full-log conditional REDO over eagerly recovered heaps."""
-    for table in db.catalog.tables:
-        db.heaps[table] = Heap.recover(table, db.pool)
-    db.replay_pending = {}
-    redone = 0
-    for record in records:
-        if not record.redoable:
-            continue
-        heap = db.heaps.get(record.table)
-        if heap is None:
-            continue  # table was dropped
-        if heap.page_lsn(record.rid[0]) >= record.lsn:
-            continue
-        _apply_heap_state(heap, record.rid, record.after)
-        heap.set_page_lsn(record.rid[0], record.lsn)
-        redone += 1
-    return redone
-
-
-# ---------------------------------------------------------------- shared parts
-
-def _undo_losers(db, losers: dict[int, int], maintain_indexes: bool) -> int:
+def _undo_losers(db, losers: dict[int, int]) -> int:
     """Single backward pass over all losers, writing CLR chains.
 
     ``undone`` counts only undos actually *applied*; records of dropped
@@ -254,10 +214,7 @@ def _undo_losers(db, losers: dict[int, int], maintain_indexes: bool) -> int:
         elif record.redoable:
             heap = db.heaps.get(record.table)
             if heap is not None:
-                if maintain_indexes:
-                    db._apply_state(record.table, record.rid, record.before)
-                else:
-                    _apply_heap_state(heap, record.rid, record.before)
+                db._apply_state(record.table, record.rid, record.before)
                 undone += 1
             clr = db.wal.append(
                 walmod.CLR, shim, table=record.table, rid=record.rid,
@@ -321,19 +278,3 @@ def _resurrect_prepared(db, prepared: set[int], last_lsn: dict[int, int],
         db.heaps[record.table].version_seed(record.rid, record.before)
     for index in db.catalog.indexes.values():
         db.heaps[index.table].mark_off_index(index.name)
-
-
-def _rebuild_index(db, index) -> None:
-    btree = db.btrees[index.name]
-    btree.clear()
-    for rid, row in db.heaps[index.table].scan():
-        btree.insert(index.key_of(row), rid)
-
-
-def _apply_heap_state(heap: Heap, rid, desired: Optional[tuple]) -> None:
-    """Force a heap slot to ``desired`` (indexes handled separately)."""
-    current = heap.fetch(rid)
-    if current is not None:
-        heap.delete(rid)
-    if desired is not None:
-        heap.insert(desired, rid=rid)

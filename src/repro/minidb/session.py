@@ -131,10 +131,9 @@ class Session:
         self.db.metrics.statements += 1
         stall = self.db.traffic_open_at - self.db.sim.now
         if stall > 0:
-            # Crash recovery is still replaying: classic ARIES restart
-            # holds ALL new statements until REDO and the index rebuilds
-            # finish; the instant path only holds them for the log-tail
-            # analysis pass (DESIGN.md §11).
+            # Restart holds ALL new statements for its foreground I/O:
+            # the log-tail scan, undo and index repair — page REDO is
+            # deferred (DESIGN.md §11).
             yield Timeout(stall)
         cost = self.db.config.timing.statement_cost()
         if cost > 0:

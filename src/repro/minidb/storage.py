@@ -248,19 +248,6 @@ class Heap:
     # -- bootstrap --------------------------------------------------------------
 
     @classmethod
-    def recover(cls, table: str, pool: BufferPool) -> "Heap":
-        """Rebuild heap bookkeeping from durable pages after a restart."""
-        heap = cls(table, pool)
-        for page_no in pool.disk.page_numbers(table):
-            page = pool.fetch(table, page_no)
-            heap._page_count = max(heap._page_count, page_no + 1)
-            used = sum(1 for slot in page.slots if slot is not None)
-            heap._row_count += used
-            if used < heap.rows_per_page:
-                heap._note_free(page_no)
-        return heap
-
-    @classmethod
     def recover_lazy(cls, table: str, pool: BufferPool,
                      chain_pages: Iterable[int] = ()) -> "Heap":
         """Heap bookkeeping without reading a single page.

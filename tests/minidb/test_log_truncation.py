@@ -6,19 +6,24 @@ the oldest unforgotten 2PC decision (pinned in ``tests/host``) and the
 oldest record still queued for lazy replay. Each floor has a test here
 that fails when it is removed; LSNs stay monotone across the cut, a
 backup carries only the retained log, and the retained log stays
-bounded by the soft checkpoint's volume trigger.
+bounded by the soft checkpoint's volume trigger — after a restart too,
+because the restart's background drain replays the pages no commit
+touches.
 """
 
 import pytest
 
+from repro.host.hostdb import HostConfig
 from repro.kernel import Simulator
 from repro.minidb import Database, DBConfig
+from repro.minidb.config import TimingModel
 from repro.minidb.db import SOFT_CHECKPOINT_RECORDS
+from repro.system import System
 
 
-def make_db(instant=True, **cfg):
+def make_db(**cfg):
     db = Database(Simulator(seed=0), "trunc", DBConfig(
-        instant_recovery=instant, next_key_locking=False, **cfg))
+        next_key_locking=False, **cfg))
     run(db, "CREATE TABLE a (k INT, v TEXT)",
         "CREATE UNIQUE INDEX a_k ON a (k)",
         "CREATE TABLE b (k INT, v TEXT)")
@@ -51,13 +56,21 @@ def rows(db, table):
     return sorted(db.table_rows(table))
 
 
-RESTARTS = pytest.mark.parametrize("instant", [True, False],
-                                   ids=["instant", "classic"])
+def settle(db, drained):
+    """With ``drained``, let the restart's background drain replay every
+    cold page before the test goes on; otherwise they wait for the gate."""
+    if drained:
+        db.sim.run()
+        assert not db.replay_pending
+
+
+RESTARTS = pytest.mark.parametrize("drained", [False, True],
+                                   ids=["instant", "drained"])
 
 
 @RESTARTS
-def test_a_loser_spanning_a_truncating_checkpoint_is_undone(instant):
-    db = make_db(instant)
+def test_a_loser_spanning_a_truncating_checkpoint_is_undone(drained):
+    db = make_db()
     run(db, "INSERT INTO a (k, v) VALUES (1, 'kept')")
     loser = run(db, "INSERT INTO a (k, v) VALUES (2, 'loser')",
                 commit=False)
@@ -69,13 +82,14 @@ def test_a_loser_spanning_a_truncating_checkpoint_is_undone(instant):
     db.wal.force()
     db.crash()
     db.restart()
+    settle(db, drained)
     assert rows(db, "a") == [(1, "kept")]
     assert len(rows(db, "b")) == 40
 
 
 @RESTARTS
-def test_an_xa_branch_prepared_before_two_checkpoints_resolves(instant):
-    db = make_db(instant)
+def test_an_xa_branch_prepared_before_two_checkpoints_resolves(drained):
+    db = make_db()
     branch = run(db, "INSERT INTO a (k, v) VALUES (7, 'xa')", commit=False)
     db.sim.run_process(db.prepare(branch.txn, payload={"gtrid": "g7"}))
     churn(db, range(20))
@@ -83,6 +97,7 @@ def test_an_xa_branch_prepared_before_two_checkpoints_resolves(instant):
     assert db.wal.base == branch.txn.first_lsn - 1
     db.crash()
     db.restart()
+    settle(db, drained)
     [txn] = db.indoubt_transactions()
     assert (txn.id, txn.payload) == (branch.txn.id, {"gtrid": "g7"})
     db.sim.run_process(db.commit(txn))
@@ -90,21 +105,24 @@ def test_an_xa_branch_prepared_before_two_checkpoints_resolves(instant):
 
 
 def test_a_page_pending_lazy_replay_survives_a_second_checkpoint():
-    """Instant restart's own closing checkpoint does not flush the pages
-    it left for lazy replay; neither does the next one. Their chains
-    must stay readable for the replay gate and for another restart."""
-    db = make_db(instant=True, rows_per_page=2)
+    """Restart's own closing checkpoint does not flush the pages it left
+    for lazy replay; neither does the next one, taken while the drain is
+    still under way. Their chains must stay readable for the replay gate,
+    the drain and another restart."""
+    db = make_db(rows_per_page=2)
     churn(db, range(10), table="a")
     run(db, "UPDATE a SET v = 'u3' WHERE k = 3",
         "UPDATE a SET v = 'u8' WHERE k = 8")
     expected = rows(db, "a")
     db.crash()
     db.restart()
+    assert len(db.replay_pending) == 2
+    # Stop the simulation once the drain has replayed its first page.
+    db.sim.run(stop_when=lambda: len(db.replay_pending) < 2)
+    [lsns] = db.replay_pending.values()
+    db.checkpoint()
     assert db.replay_pending
-    pending_floor = min(lsns[0] for lsns in db.replay_pending.values())
-    churn(db, range(100, 120))       # table b: pages of a stay cold
-    assert db.replay_pending
-    assert db.wal.base == pending_floor - 1
+    assert db.wal.base == lsns[0] - 1
     db.crash()
     db.restart()
     assert rows(db, "a") == expected
@@ -113,8 +131,8 @@ def test_a_page_pending_lazy_replay_survives_a_second_checkpoint():
 
 
 @RESTARTS
-def test_backup_restore_round_trip_over_a_truncated_log(instant):
-    db = make_db(instant)
+def test_backup_restore_round_trip_over_a_truncated_log(drained):
+    db = make_db()
     churn(db, range(30), table="a")
     image = db.backup_image()
     assert image["base"] > 0
@@ -123,31 +141,81 @@ def test_backup_restore_round_trip_over_a_truncated_log(instant):
     at_backup = rows(db, "a")
     churn(db, range(30, 40), table="a")
     db.restore_image(image)
+    settle(db, drained)
     assert rows(db, "a") == at_backup
     assert db.wal.base >= image["base"]
     run(db, "INSERT INTO a (k, v) VALUES (99, 'after')")
     db.crash()
     db.restart()
+    settle(db, drained)
     assert rows(db, "a") == sorted(at_backup + [(99, "after")])
 
 
-def test_retained_log_stays_bounded_over_ten_thousand_commits():
-    """No explicit checkpoint: the soft checkpoint's volume trigger alone
-    keeps the log at one checkpoint plus ``SOFT_CHECKPOINT_RECORDS`` plus
-    the transaction that crossed it (two records)."""
-    db = make_db()
-    run(db, "INSERT INTO b (k, v) VALUES (0, 'x')")
+def restart_with_cold_pages(db, restart):
+    """Checkpoint 100 rows over 50 pages of ``a``, RUNSTATS it (so a
+    probe by ``k`` is an index plan that touches one page), touch every
+    page after the checkpoint, crash and restart: 50 cold pages wait for
+    lazy replay (the drain may have taken one while a host's restart
+    ran the simulation). Returns the records retained right after the
+    restart."""
+    churn(db, range(100), table="a")
+    db.runstats("a")
+    run(db, "UPDATE a SET v = 'touched'")
+    db.crash()
+    restart()
+    assert len(db.replay_pending) >= 49
+    return len(db.wal.records)
+
+
+def commit_ten_thousand(db, sim):
+    """10 000 single-row updates by index, one commit each; returns the
+    longest the retained log got."""
     session = db.session()
     longest = 0
 
     def go():
         nonlocal longest
         for n in range(10_000):
-            yield from session.execute(f"UPDATE b SET v = 'v{n}' WHERE k = 0")
+            yield from session.execute(
+                f"UPDATE a SET v = 'v{n}' WHERE k = 0")
             yield from session.commit()
             longest = max(longest, len(db.wal.records))
 
-    db.sim.run_process(go())
-    assert longest <= SOFT_CHECKPOINT_RECORDS + 3
+    sim.run_process(go())
+    return longest
+
+
+def assert_bounded(db, longest, retained):
+    """One checkpoint plus ``SOFT_CHECKPOINT_RECORDS`` plus the
+    transaction that crossed it (two records) — beyond the restart's
+    own retained tail only until the first soft checkpoint after the
+    drain."""
+    assert longest <= retained + SOFT_CHECKPOINT_RECORDS + 3
+    assert len(db.wal.records) <= SOFT_CHECKPOINT_RECORDS + 3
     assert db.wal.base >= db.wal.tail_lsn - SOFT_CHECKPOINT_RECORDS - 3
     assert db.wal.tail_lsn > 20_000
+    assert not db.replay_pending
+
+
+def test_retained_log_stays_bounded_over_ten_thousand_commits():
+    """No explicit checkpoint: the soft checkpoint's volume trigger alone
+    bounds the log, even after a restart left 49 pages no commit touches
+    — the restart's drain replays them, so they stop pinning it."""
+    db = make_db(rows_per_page=2, timing=TimingModel.calibrated())
+    retained = restart_with_cold_pages(db, db.restart)
+    assert_bounded(db, commit_ten_thousand(db, db.sim), retained)
+
+
+def test_a_restarted_host_stops_pinning_its_log():
+    """The same through a ``System``'s host: the host database has no
+    daemon of its own, and its restart drains its cold pages too."""
+    system = System(seed=0, host_config=HostConfig(db=DBConfig(
+        next_key_locking=False, rows_per_page=2,
+        timing=TimingModel.calibrated())))
+    db = system.host.db
+    run(db, "CREATE TABLE a (k INT, v TEXT)",
+        "CREATE UNIQUE INDEX a_k ON a (k)", "CREATE TABLE b (k INT, v TEXT)")
+    host = system.host
+    retained = restart_with_cold_pages(
+        db, lambda: system.run(host.restart(), "host-restart"))
+    assert_bounded(db, commit_ten_thousand(db, system.sim), retained)

@@ -24,6 +24,21 @@ def insert(db, session, k, v):
     yield from session.execute("INSERT INTO t (k, v) VALUES (?, ?)", (k, v))
 
 
+def restart(db, drained):
+    """Restart ``db``. With ``drained`` the restart's background drain
+    replays every cold page before the test goes on; without, the test
+    reads at once and cold pages replay on first touch."""
+    summary = db.restart()
+    if drained:
+        db.sim.run()
+        assert not db.replay_pending
+    return summary
+
+
+#: The two states a restarted engine can be read in.
+DRAINED = pytest.mark.parametrize("drained", [True, False])
+
+
 def all_rows(db, isolation=None):
     def go():
         session = db.session(isolation)
@@ -255,9 +270,9 @@ def test_active_floor_pins_log_across_other_commits():
     assert sim.run_process(work()) is True
 
 
-@pytest.mark.parametrize("instant", [True, False])
+@DRAINED
 @pytest.mark.parametrize("trigger", ["checkpoint", "soft"])
-def test_checkpoint_inside_a_commit_force_keeps_the_commit(instant, trigger):
+def test_checkpoint_inside_a_commit_force_keeps_the_commit(drained, trigger):
     """A checkpoint taken while a committer sits between its COMMIT
     record and the end of its log force must not snapshot the
     transaction as active: tail-only analysis never sees the
@@ -266,8 +281,7 @@ def test_checkpoint_inside_a_commit_force_keeps_the_commit(instant, trigger):
     from repro.minidb.config import TimingModel
 
     sim = Simulator()
-    db = make_db(sim, timing=TimingModel.calibrated(),
-                 instant_recovery=instant, wal_capacity=16)
+    db = make_db(sim, timing=TimingModel.calibrated(), wal_capacity=16)
     committing, acked = [], []
 
     def writer():
@@ -302,25 +316,26 @@ def test_checkpoint_inside_a_commit_force_keeps_the_commit(instant, trigger):
     sim.run_process(root())
     assert acked
     db.crash()
-    summary = db.restart()
+    summary = restart(db, drained)
     assert summary["losers"] == []
     assert summary["undone"] == 0
     assert len(all_rows(db)) == 9
 
 
-@pytest.mark.parametrize("instant", [True, False])
+@DRAINED
 @pytest.mark.parametrize("checkpoint", [True, False])
-def test_duplicate_key_scan_order_is_the_same_after_restart(instant,
+def test_duplicate_key_scan_order_is_the_same_after_restart(drained,
                                                             checkpoint):
     """100 rows share ``k = 1``; row 5 leaves the key and comes back, so
     its index entry is re-inserted into a run of duplicates that already
     spans leaves. Index entries sort by ``(key, rid)`` across the whole
     tree whatever the insert history (DESIGN §9), which is also the order
-    restart rebuilds (image + tail on the instant path, heap scan on the
-    classic one): a ``SELECT`` without ``ORDER BY`` returns its rows, and
-    takes its row locks, in the same order on both sides of a crash."""
+    restart repairs (checkpoint image + tail, or the heap scan of an
+    index with no image): a ``SELECT`` without ``ORDER BY`` returns its
+    rows, and takes its row locks, in the same order on both sides of a
+    crash."""
     sim = Simulator()
-    db = Database(sim, "r", DBConfig(instant_recovery=instant))
+    db = Database(sim, "r", DBConfig())
 
     def setup():
         session = db.session()
@@ -348,7 +363,7 @@ def test_duplicate_key_scan_order_is_the_same_after_restart(instant,
         db.checkpoint()
     before = sim.run_process(scan())
     db.crash()
-    db.restart()
+    restart(db, drained)
     db.set_table_stats("t", card=1_000_000, colcard={"k": 1_000_000})
     after = sim.run_process(scan())
     assert sorted(before) == list(range(100))
@@ -356,13 +371,13 @@ def test_duplicate_key_scan_order_is_the_same_after_restart(instant,
     assert before == list(range(100))   # rid order: v was inserted in it
 
 
-@pytest.mark.parametrize("instant", [True, False])
-def test_commit_after_a_fuzzy_checkpoint_is_visible_to_snapshots(instant):
+@DRAINED
+def test_commit_after_a_fuzzy_checkpoint_is_visible_to_snapshots(drained):
     """e2e finding 1b: a transaction open at a checkpoint that commits
     after it. Restart builds no version chains (no snapshot survives a
     crash), so an SI reader sees what a locking reader sees."""
     sim = Simulator()
-    db = make_db(sim, instant_recovery=instant)
+    db = make_db(sim)
 
     def work():
         session = db.session()
@@ -375,22 +390,22 @@ def test_commit_after_a_fuzzy_checkpoint_is_visible_to_snapshots(instant):
 
     sim.run_process(work())
     db.crash()
-    db.restart()
+    restart(db, drained)
     committed = [(1, "upd"), (2, "new")]
     assert all_rows(db, "CS") == committed
     assert all_rows(db, "SI") == committed
     assert sorted(db.snapshot_table_rows("t")) == committed
 
 
-@pytest.mark.parametrize("instant", [True, False])
+@DRAINED
 def test_checkpoint_carries_no_version_history_and_restart_builds_none(
-        instant):
+        drained):
     """The CHECKPOINT payload is the chain heads and the transaction
     table, nothing else; with no in-doubt transaction a restart leaves
     no chain (so no off-index mark an SI probe would have to examine),
-    even for tail rids whose page instant restart has not replayed."""
+    even for tail rids whose page has not been replayed yet."""
     sim = Simulator()
-    db = make_db(sim, instant_recovery=instant)
+    db = make_db(sim)
 
     def work():
         session = db.session()
@@ -411,9 +426,9 @@ def test_checkpoint_carries_no_version_history_and_restart_builds_none(
     payload = db.wal.record(db.wal.last_checkpoint_lsn).payload
     assert set(payload) == {"chain_heads", "txn_table"}
     db.crash()
-    summary = db.restart()
+    summary = restart(db, drained)
     assert summary["prepared"] == []
-    if instant:
+    if not drained:
         assert db.replay_pending   # the tail's pages are still unreplayed
     assert db.live_chains() == 0
     assert all(db.heaps["t"].off_index_rids(name) == []
@@ -422,14 +437,14 @@ def test_checkpoint_carries_no_version_history_and_restart_builds_none(
     assert all_rows(db, "SI") == expected == all_rows(db, "CS")
 
 
-@pytest.mark.parametrize("instant", [True, False])
-def test_backup_under_an_open_transaction_restores_without_it(instant):
+@DRAINED
+def test_backup_under_an_open_transaction_restores_without_it(drained):
     """``backup_image`` checkpoints, which flushes an open transaction's
     rows into the copied disk. The image carries the durable log, so
     ``restore_image`` is a restart at that checkpoint: ordinary loser
     undo removes them."""
     sim = Simulator()
-    db = make_db(sim, instant_recovery=instant)
+    db = make_db(sim)
     images = []
 
     def work():
@@ -444,17 +459,19 @@ def test_backup_under_an_open_transaction_restores_without_it(instant):
 
     sim.run_process(work())
     db.restore_image(images[0])
+    if drained:
+        sim.run()
     assert all_rows(db) == [(1, "committed")]
     assert all_rows(db, "SI") == [(1, "committed")]
 
 
-@pytest.mark.parametrize("instant", [True, False])
-def test_work_committed_after_a_restore_survives_the_next_crash(instant):
+@DRAINED
+def test_work_committed_after_a_restore_survives_the_next_crash(drained):
     """The restored pages carry the LSNs of the log they were written
     under. Restoring over an empty log restarted LSNs at 1, so REDO's
     ``page_lsn >= lsn`` test skipped every post-restore record."""
     sim = Simulator()
-    db = make_db(sim, instant_recovery=instant)
+    db = make_db(sim)
 
     def work(k, v):
         session = db.session()
@@ -467,8 +484,10 @@ def test_work_committed_after_a_restore_survives_the_next_crash(instant):
         sim.run_process(work(10 + take, f"before-{take}"))
     image = db.backup_image()
     db.restore_image(image)
+    if drained:
+        sim.run()
     sim.run_process(work(2, "after"))
     db.crash()
-    db.restart()
+    restart(db, drained)
     assert all_rows(db)[:2] == [(1, "after"), (2, "after")]
     assert len(all_rows(db)) == 7

@@ -36,11 +36,20 @@ from repro.kernel import Simulator
 from repro.minidb import Database, DBConfig
 
 
-#: Both restart paths, classic as the reference. The ids keep the names
-#: the sweeps have carried since lineage chains were optional (they are
-#: always on now), so a result lines up with its history.
+#: The two states a restarted engine is read in: cold pages left to the
+#: replay gate, or first replayed by the restart's background drain. The
+#: "-mvcc" suffix keeps the ids the sweeps have carried since lineage
+#: chains were optional (they are always on now).
 RESTARTS = pytest.mark.parametrize(
-    "instant", [True, False], ids=["instant-mvcc", "classic-mvcc"])
+    "drained", [False, True], ids=["instant-mvcc", "drained-mvcc"])
+
+
+def restart(db, drained):
+    """Restart ``db``; with ``drained`` run its background drain dry."""
+    db.restart()
+    if drained:
+        db.sim.run()
+        assert not db.replay_pending
 
 
 def snapshot(db):
@@ -122,10 +131,10 @@ def arm_fuzzy_checkpoint(db, after):
     return fire
 
 
-def run_scripted_trace(instant=True, checkpoint_after=None):
+def run_scripted_trace(checkpoint_after=None):
     """The fixed mixed DDL/DML trace; returns (db, [(end_lsn, snapshot)])."""
     sim = Simulator(seed=0)
-    db = Database(sim, "sweep", DBConfig(instant_recovery=instant))
+    db = Database(sim, "sweep", DBConfig())
     snaps = []
     fire = arm_fuzzy_checkpoint(db, checkpoint_after)
 
@@ -185,11 +194,11 @@ def run_scripted_trace(instant=True, checkpoint_after=None):
     return db, snaps
 
 
-def run_random_trace(seed, instant=True, checkpoint_after=None):
+def run_random_trace(seed, checkpoint_after=None):
     """Seeded random DML trace over two tables; same return shape."""
     rng = random.Random(seed)
     sim = Simulator(seed=seed)
-    db = Database(sim, "sweep", DBConfig(instant_recovery=instant))
+    db = Database(sim, "sweep", DBConfig())
     snaps = []
     fire = arm_fuzzy_checkpoint(db, checkpoint_after)
 
@@ -236,7 +245,7 @@ def run_random_trace(seed, instant=True, checkpoint_after=None):
     return db, snaps
 
 
-def sweep(build, prefixes=None):
+def sweep(build, drained, prefixes=None):
     """Crash/restart at each durable prefix; verify against the model."""
     reference, _ = build()
     tail = reference.wal.tail_lsn
@@ -248,14 +257,14 @@ def sweep(build, prefixes=None):
             "dirty page reached disk: arbitrary prefixes are no longer valid"
         db.wal.flushed_upto = min(prefix, db.wal.tail_lsn)
         db.crash()
-        db.restart()
+        restart(db, drained)
         expected = expected_at(snaps, prefix)
         check_recovered_state(db, expected)
         check_indexes(db)
         check_versions(db)
         # Recovery checkpointed; an immediate second crash loses nothing.
         db.crash()
-        db.restart()
+        restart(db, drained)
         check_recovered_state(db, expected)
         check_indexes(db)
         check_versions(db)
@@ -263,8 +272,8 @@ def sweep(build, prefixes=None):
 
 
 @RESTARTS
-def test_scripted_trace_every_prefix(instant):
-    tail = sweep(lambda: run_scripted_trace(instant))
+def test_scripted_trace_every_prefix(drained):
+    tail = sweep(run_scripted_trace, drained)
     assert tail >= 20  # the trace is big enough to mean something
 
 
@@ -291,14 +300,14 @@ def test_full_prefix_equals_clean_restart():
 @pytest.mark.slow
 @RESTARTS
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_random_trace_every_prefix(seed, instant):
-    tail = sweep(lambda: run_random_trace(seed, instant))
+def test_random_trace_every_prefix(seed, drained):
+    tail = sweep(lambda: run_random_trace(seed), drained)
     assert tail >= 80
 
 
 # ------------------------------------------------------- checkpointed sweep
 
-def run_checkpointed_trace(instant=True, checkpoint_after=None):
+def run_checkpointed_trace(checkpoint_after=None):
     """Scripted trace with a mid-trace checkpoint: disk pages, index
     images and per-page chain heads are all live at crash time. The
     checkpoint is the quiescent one in the script, or — with
@@ -306,8 +315,7 @@ def run_checkpointed_trace(instant=True, checkpoint_after=None):
     Returns (db, snaps, checkpoint_lsn)."""
     sim = Simulator(seed=0)
     # Small pages spread the rows over several per-page chains.
-    db = Database(sim, "sweep", DBConfig(instant_recovery=instant,
-                                         rows_per_page=2))
+    db = Database(sim, "sweep", DBConfig(rows_per_page=2))
     snaps = []
     fire = arm_fuzzy_checkpoint(db, checkpoint_after)
 
@@ -350,18 +358,18 @@ def run_checkpointed_trace(instant=True, checkpoint_after=None):
 
 
 @RESTARTS
-def test_checkpointed_trace_every_tail_prefix(instant):
+def test_checkpointed_trace_every_tail_prefix(drained):
     """Per-page-chain sweep: every prefix at or past the checkpoint is a
     legitimate crash state (the checkpoint flushed the pages it covers),
     and recovery from chain heads + index images must match the model."""
-    reference, _, ckpt = run_checkpointed_trace(instant)
+    reference, _, ckpt = run_checkpointed_trace()
     tail = reference.wal.tail_lsn
     assert ckpt > 0 and tail > ckpt + 5
     for prefix in range(ckpt, tail + 1):
-        db, snaps, _ = run_checkpointed_trace(instant)
+        db, snaps, _ = run_checkpointed_trace()
         db.wal.flushed_upto = prefix
         db.crash()
-        db.restart()
+        restart(db, drained)
         expected = expected_at(snaps, prefix)
         check_recovered_state(db, expected)
         check_indexes(db)
@@ -370,7 +378,7 @@ def test_checkpointed_trace_every_tail_prefix(instant):
         # still-pending chain heads, so an immediate second crash —
         # i.e. a crash DURING the lazy replay — loses nothing.
         db.crash()
-        db.restart()
+        restart(db, drained)
         check_recovered_state(db, expected)
         check_indexes(db)
         check_versions(db)
@@ -381,7 +389,7 @@ def test_checkpointed_trace_every_tail_prefix(instant):
 def test_replay_gate_replays_pages_on_first_touch():
     """After an instant restart the heap gate replays exactly the pages
     a reader touches, on demand, and uninstalls itself once dry."""
-    db, snaps, _ = run_checkpointed_trace(instant=True)
+    db, snaps, _ = run_checkpointed_trace()
     db.crash()
     db.restart()
     assert db.replay_pending, "expected pending per-page chains"
@@ -404,10 +412,11 @@ def test_crash_during_lazy_replay_with_new_work_loses_nothing():
     """Commit NEW transactions against a partially-replayed engine, crash
     again mid-replay, and recover: both the old rows (still parked in
     per-page chains) and the new work must survive."""
-    db, snaps, _ = run_checkpointed_trace(instant=True)
+    db, snaps, _ = run_checkpointed_trace()
     db.crash()
     db.restart()
-    assert len(db.replay_pending) > 1, "need >1 pending page to be partial"
+    pending = len(db.replay_pending)
+    assert pending > 2, "need >2 pending pages to stay partial"
     expected = dict(expected_at(snaps, db.wal.tail_lsn))
 
     def new_work():
@@ -415,10 +424,11 @@ def test_crash_during_lazy_replay_with_new_work_loses_nothing():
         yield from s.execute("INSERT INTO a (k, v) VALUES (50, 'new')")
         yield from s.commit()
 
+    # The drain replays one page per step, so the simulation stops when
+    # the new work has committed, before the drain empties the map.
     db.sim.run_process(new_work())
     expected["a"] = sorted(expected["a"] + [(50, "new")])
-    # The insert replayed the page it landed on; others are still cold.
-    assert db.replay_pending, "crash must land mid-replay"
+    assert 0 < len(db.replay_pending) < pending, "crash must land mid-replay"
     db.crash()
     db.restart()
     check_recovered_state(db, expected)
@@ -448,26 +458,26 @@ def check_reads(db, expected):
             f"snapshot at the tail of {table} diverged"
 
 
-def checkpointed(instant, after):
-    return run_checkpointed_trace(instant, checkpoint_after=after)
+def checkpointed(after):
+    return run_checkpointed_trace(checkpoint_after=after)
 
 
-def scripted(instant, after):
-    db, snaps = run_scripted_trace(instant, checkpoint_after=after)
+def scripted(after):
+    db, snaps = run_scripted_trace(checkpoint_after=after)
     return db, snaps, db.wal.last_checkpoint_lsn
 
 
-def fuzzy_sweep(build, instant, every=1):
+def fuzzy_sweep(build, drained, every=1):
     """Checkpoint after every ``every``-th record position of ``build``'s
     trace, crash at every ``every``-th durable prefix from there on
     (earlier prefixes are not crash states: the checkpoint flushed pages
     past them). Returns (record count, distinct checkpoint LSNs)."""
-    records = build(instant, None)[0].wal.tail_lsn
+    records = build(None)[0].wal.tail_lsn
     if build is checkpointed:
         records -= 1   # the script's own quiescent checkpoint
     checkpoints = set()
     for after in range(0, records + 1, every):
-        reference, _, ckpt = build(instant, after)
+        reference, _, ckpt = build(after)
         assert reference.wal.record(ckpt).kind == "CHECKPOINT"
         if ckpt in checkpoints:
             continue   # collapsed onto the previous reachable position
@@ -475,12 +485,12 @@ def fuzzy_sweep(build, instant, every=1):
         tail = reference.wal.tail_lsn
         assert tail == records + 1
         for prefix in range(ckpt, tail + 1, every):
-            db, snaps, _ = build(instant, after)
+            db, snaps, _ = build(after)
             db.wal.flushed_upto = prefix
             expected = expected_at(snaps, prefix)
             for _ in ("restart", "an immediate second one is a no-op"):
                 db.crash()
-                db.restart()
+                restart(db, drained)
                 check_recovered_state(db, expected)
                 check_indexes(db)
                 check_reads(db, expected)
@@ -490,10 +500,10 @@ def fuzzy_sweep(build, instant, every=1):
 @RESTARTS
 @pytest.mark.parametrize("build", [checkpointed, scripted])
 def test_fuzzy_checkpoint_at_every_position_every_later_prefix(build,
-                                                               instant):
+                                                               drained):
     """ROADMAP 1a. The checkpoint lands after every record position of
     the trace — most of them inside an open transaction."""
-    records, checkpoints = fuzzy_sweep(build, instant)
+    records, checkpoints = fuzzy_sweep(build, drained)
     # Only the positions inside an undo run collapse.
     assert checkpoints >= records - 4
 
@@ -501,10 +511,10 @@ def test_fuzzy_checkpoint_at_every_position_every_later_prefix(build,
 @pytest.mark.slow
 @RESTARTS
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_fuzzy_checkpoint_over_a_random_trace(seed, instant):
-    def build(instant, after):
-        db, snaps = run_random_trace(seed, instant, checkpoint_after=after)
+def test_fuzzy_checkpoint_over_a_random_trace(seed, drained):
+    def build(after):
+        db, snaps = run_random_trace(seed, checkpoint_after=after)
         return db, snaps, db.wal.last_checkpoint_lsn
 
-    records, checkpoints = fuzzy_sweep(build, instant, every=5)
+    records, checkpoints = fuzzy_sweep(build, drained, every=5)
     assert records >= 80 and checkpoints >= 12
