@@ -91,7 +91,7 @@ def si_probe(db):
 
     def run():
         for k in keys:
-            rows = scan(txn, access, (k,), {})
+            rows = scan(txn, access, (k,))
         return rows
     return run
 

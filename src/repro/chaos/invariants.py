@@ -35,6 +35,8 @@ Violation codes (also documented in DESIGN.md §10):
                             with the base rows (a fold lost or invented data)
 ``stale-merge``             MVCC: a merge ran with a watermark above the
                             oldest live snapshot
+``orphan-seed``             MVCC: a lone ``(0, row)`` chain seed with no
+                            live transaction (its writer never settled it)
 ``unresolved-moving-group`` group still moving-out/moving-in after quiesce
 ``ambiguous-group-ownership`` sharded: group active on several shards, on the
                             wrong shard, or at an epoch the catalog disagrees
@@ -413,11 +415,23 @@ def _check_version_state(db, node: str, out: list) -> None:
     comparison per table (row tuples may contain None, so no sorting).
     Skipped while any transaction is live: a prepared transaction's
     uncommitted slot data legitimately differs from its seed versions.
+
+    ``orphan-seed``: a writer pins a ``(0, row)`` seed on first touch and
+    its commit or rollback settles it; with no transaction live, no chain
+    may still be that lone seed.
     """
     for detail in db.version_violations:
         out.append(Violation("stale-merge", node, detail))
     if db.txns.active:
         return
+    for table, heap in sorted(db.heaps.items()):
+        seeds = sum(len(chain) == 1 and chain[0][0] == 0
+                    for chain in heap._versions.values())
+        if seeds:
+            out.append(Violation(
+                "orphan-seed", node,
+                f"{table}: {seeds} lone (0, row) seed chains with no "
+                f"live transaction"))
     for table in sorted(db.catalog.tables):
         base = Counter(db.table_rows(table))
         visible = Counter(db.snapshot_table_rows(table))

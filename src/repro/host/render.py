@@ -18,25 +18,15 @@ def render_expr(expr: ast.Expr) -> str:
     if isinstance(expr, ast.Param):
         return "?"
     if isinstance(expr, ast.ColumnRef):
-        return expr.display()
+        return expr.name
     if isinstance(expr, ast.Comparison):
         return (f"({render_expr(expr.left)} {expr.op} "
                 f"{render_expr(expr.right)})")
     if isinstance(expr, ast.And):
         return "(" + " AND ".join(render_expr(i) for i in expr.items) + ")"
-    if isinstance(expr, ast.Or):
-        return "(" + " OR ".join(render_expr(i) for i in expr.items) + ")"
-    if isinstance(expr, ast.Not):
-        return f"(NOT {render_expr(expr.item)})"
-    if isinstance(expr, ast.IsNull):
-        suffix = "IS NOT NULL" if expr.negated else "IS NULL"
-        return f"({render_expr(expr.item)} {suffix})"
     if isinstance(expr, ast.InList):
         options = ", ".join(render_expr(o) for o in expr.options)
         return f"({render_expr(expr.item)} IN ({options}))"
-    if isinstance(expr, ast.Between):
-        return (f"({render_expr(expr.item)} BETWEEN "
-                f"{render_expr(expr.low)} AND {render_expr(expr.high)})")
     if isinstance(expr, ast.Arithmetic):
         return (f"({render_expr(expr.left)} {expr.op} "
                 f"{render_expr(expr.right)})")
@@ -46,10 +36,6 @@ def render_expr(expr: ast.Expr) -> str:
 def render_literal(value) -> str:
     if value is None:
         return "NULL"
-    if value is True:
-        return "TRUE"
-    if value is False:
-        return "FALSE"
     if isinstance(value, str):
         escaped = value.replace("'", "''")
         return f"'{escaped}'"
@@ -68,21 +54,13 @@ def count_params(expr: ast.Expr) -> int:
         elif isinstance(node, (ast.Comparison, ast.Arithmetic)):
             walk(node.left)
             walk(node.right)
-        elif isinstance(node, (ast.And, ast.Or)):
+        elif isinstance(node, ast.And):
             for item in node.items:
                 walk(item)
-        elif isinstance(node, ast.Not):
-            walk(node.item)
-        elif isinstance(node, ast.IsNull):
-            walk(node.item)
         elif isinstance(node, ast.InList):
             walk(node.item)
             for option in node.options:
                 walk(option)
-        elif isinstance(node, ast.Between):
-            walk(node.item)
-            walk(node.low)
-            walk(node.high)
 
     walk(expr)
     return count

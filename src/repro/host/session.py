@@ -284,10 +284,7 @@ class HostSession:
         if stmt is None:
             stmt = parse_sql(sql)
             self._parse_cache[sql] = stmt
-        specs = None
-        table = getattr(stmt, "table", None)
-        if isinstance(table, str):
-            specs = self.host.datalink_columns.get(table)
+        specs = self.host.datalink_columns.get(getattr(stmt, "table", None))
         if specs:
             if isinstance(stmt, ast.Insert):
                 return (yield from self._insert_datalink(stmt, params, specs))
@@ -328,9 +325,6 @@ class HostSession:
             "datalink column values must be literals or parameters")
 
     def _insert_datalink(self, stmt: ast.Insert, params: tuple, specs):
-        if stmt.more_rows:
-            raise DataLinkError(
-                "multi-row INSERT is not supported for DATALINK tables")
         links = []
         extra_cols, extra_params = [], []
         for col in specs:

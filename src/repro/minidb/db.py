@@ -227,7 +227,7 @@ class Database:
             # Stamp the version tail with the commit LSN before any yield:
             # in the cooperative kernel no snapshot can begin in between,
             # so versions and the commit record appear atomically.
-            self._stamp_versions(txn, record.lsn)
+            self._settle_versions(txn, record.lsn)
             injector = self.sim.injector
             if injector.enabled:
                 # Crash with the COMMIT record appended but NOT durable.
@@ -341,6 +341,7 @@ class Database:
         if txn.state not in (TxnState.ACTIVE, TxnState.PREPARED):
             return
         self._undo_to(txn, upto_lsn=None)
+        self._settle_versions(txn, None)
         if txn.last_lsn is not None:
             self.wal.append(walmod.ABORT, txn,
                             active_floor=self.txns.active_floor())
@@ -471,11 +472,13 @@ class Database:
                 f"txn {txn.id}: row {table}:{rid} was modified after the "
                 f"snapshot (first writer wins)", reason="write-conflict")
 
-    def _stamp_versions(self, txn: Transaction, commit_lsn: int) -> None:
-        """Append one version per written rid at the commit LSN, then fold
-        what no live snapshot needs (with none live, the chain collapses
-        back into the base record immediately — legacy workloads never
-        accumulate chains)."""
+    def _settle_versions(self, txn: Transaction,
+                         commit_lsn: Optional[int]) -> None:
+        """Settle the chains ``txn``'s writes pinned: at commit append one
+        version per written rid at the commit LSN (at rollback, None, the
+        undo already put the seed back in the slot), then fold what no
+        live snapshot needs — with none live, the chain collapses back
+        into the base record at once, so no seed outlives its writer."""
         if not txn.touched:
             return
         touched = txn.drain_writes()
@@ -485,8 +488,9 @@ class Database:
             heap = self.heaps.get(table)
             if heap is None:
                 continue  # table dropped mid-transaction (DDL is immediate)
-            heap.version_append(rid, commit_lsn, heap.fetch(rid))
-            self.metrics.versions_created += 1
+            if commit_lsn is not None:
+                heap.version_append(rid, commit_lsn, heap.fetch(rid))
+                self.metrics.versions_created += 1
             merged += heap.fold_versions(rid, watermark)
         self.metrics.versions_merged += merged
 
@@ -746,7 +750,7 @@ class Database:
             self.metrics.plan_evictions += 1
 
     def explain(self, sql: str) -> dict:
-        """Access-path summary for tests/benchmarks (not SQL EXPLAIN)."""
+        """Access-path summary of ``sql``'s plan, for tests and benchmarks."""
         plan = self.get_plan(sql)
         info = {"kind": plan.kind}
         access = getattr(plan, "access", None)

@@ -27,15 +27,6 @@ from repro.sql.executor import ResultSet
 from repro.sql.parser import parse
 
 
-class _ExplainPlan:
-    """Pseudo-plan carrying an EXPLAIN result row (never cached)."""
-
-    kind = "explain"
-
-    def __init__(self, row: tuple):
-        self.row = row
-
-
 class PreparedStatement:
     """A statement handle from :meth:`Session.prepare`: parse once, bind
     once, execute many.
@@ -150,10 +141,6 @@ class Session:
         if plan is None:
             return None  # DDL handled eagerly
 
-        if plan.kind == "explain":
-            return ResultSet(["kind", "access", "index", "cost"],
-                             [plan.row])
-
         txn = self._require_txn()
         statement_start = txn.last_lsn
         try:
@@ -196,20 +183,7 @@ class Session:
                                  ast.DropTable, ast.DropIndex)):
                 self.db.ddl(stmt)
                 return None, False
-            if isinstance(stmt, ast.Explain):
-                return self._explain_plan(stmt), False
         return self.db.bind_plan(sql, stmt)
-
-    def _explain_plan(self, stmt):
-        """EXPLAIN: plan the inner statement, return a descriptor plan."""
-        from repro.sql.optimizer import plan_statement
-        inner = plan_statement(self.db.catalog, stmt.statement)
-        access = getattr(inner, "access", None)
-        row = (inner.kind,
-               access.kind if access else "n/a",
-               access.index_name if access else None,
-               round(access.cost, 3) if access else None)
-        return _ExplainPlan(row)
 
     def _charge_io(self):
         pages = self.db.pool.metrics.drain_unbilled()
@@ -228,13 +202,12 @@ class Session:
 
         Binding happens now, through the shared plan cache — a miss
         charges ``compile_cpu`` here so the executions themselves run
-        at cache-hit cost. DDL and EXPLAIN have no bound plan and
-        cannot be prepared.
+        at cache-hit cost. DDL has no bound plan and cannot be prepared.
         """
         stmt = parse(sql)
         if isinstance(stmt, (ast.CreateTable, ast.CreateIndex,
-                             ast.DropTable, ast.DropIndex, ast.Explain)):
-            raise DatabaseError(f"cannot prepare DDL/EXPLAIN: {sql!r}")
+                             ast.DropTable, ast.DropIndex)):
+            raise DatabaseError(f"cannot prepare DDL: {sql!r}")
         _, hit = self.db.bind_plan(sql, stmt)
         if not hit:
             cost = self.db.config.timing.compile_cost()

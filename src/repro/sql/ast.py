@@ -1,4 +1,4 @@
-"""Abstract syntax tree for the SQL subset."""
+"""Abstract syntax tree for the SQL subset: one table per statement."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from typing import Optional, Union
 
 @dataclass(frozen=True)
 class Literal:
-    value: object  # int | float | str | bool | None
+    value: object  # int | float | str | None
 
 
 @dataclass(frozen=True)
@@ -20,11 +20,7 @@ class Param:
 
 @dataclass(frozen=True)
 class ColumnRef:
-    name: str
-    qualifier: Optional[str] = None  # table name or alias
-
-    def display(self) -> str:
-        return f"{self.qualifier}.{self.name}" if self.qualifier else self.name
+    name: str  # a column of the statement's one table
 
 
 @dataclass(frozen=True)
@@ -40,32 +36,9 @@ class And:
 
 
 @dataclass(frozen=True)
-class Or:
-    items: tuple["Expr", ...]
-
-
-@dataclass(frozen=True)
-class Not:
-    item: "Expr"
-
-
-@dataclass(frozen=True)
-class IsNull:
-    item: "Expr"
-    negated: bool = False
-
-
-@dataclass(frozen=True)
 class InList:
     item: "Expr"
     options: tuple["Expr", ...]
-
-
-@dataclass(frozen=True)
-class Between:
-    item: "Expr"
-    low: "Expr"
-    high: "Expr"
 
 
 @dataclass(frozen=True)
@@ -76,52 +49,28 @@ class Arithmetic:
 
 
 @dataclass(frozen=True)
-class FuncCall:
-    name: str  # COUNT | MAX | MIN | SUM
-    arg: Optional["Expr"]  # None for COUNT(*)
+class CountStar:
+    """``COUNT(*)`` — the one aggregate, allowed only in the select list."""
 
 
-Expr = Union[Literal, Param, ColumnRef, Comparison, And, Or, Not, IsNull,
-             InList, Between, Arithmetic, FuncCall]
+Expr = Union[Literal, Param, ColumnRef, Comparison, And, InList, Arithmetic,
+             CountStar]
 
 
 # -- statements ---------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TableRef:
-    name: str
-    alias: Optional[str] = None
-
-    @property
-    def binding(self) -> str:
-        return self.alias or self.name
-
-
-@dataclass(frozen=True)
-class SelectItem:
-    expr: Expr
-    alias: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class OrderItem:
+class SortKey:
     expr: ColumnRef
     descending: bool = False
 
 
 @dataclass(frozen=True)
-class Join:
-    table: TableRef
-    on: Expr
-
-
-@dataclass(frozen=True)
 class Select:
-    items: Optional[tuple[SelectItem, ...]]  # None means `*`
-    table: TableRef
-    join: Optional[Join] = None
+    items: Optional[tuple[Expr, ...]]  # None means `*`
+    table: str
     where: Optional[Expr] = None
-    order_by: tuple[OrderItem, ...] = ()
+    order_by: tuple[SortKey, ...] = ()
     #: ``FOR SHARE`` / ``FOR UPDATE``: a locking current read at every level.
     lock: Optional[str] = None  # None | "share" | "update"
     except_select: Optional["Select"] = None
@@ -133,15 +82,6 @@ class Insert:
     table: str
     columns: tuple[str, ...]
     values: tuple[Expr, ...]
-    #: Additional value tuples of a multi-row ``VALUES (...), (...)``
-    #: insert; ``values`` stays the first (and usually only) row so
-    #: single-row consumers keep working unchanged.
-    more_rows: tuple[tuple[Expr, ...], ...] = ()
-
-    @property
-    def rows(self) -> tuple[tuple[Expr, ...], ...]:
-        """Every value tuple, first row included."""
-        return (self.values,) + self.more_rows
 
 
 @dataclass(frozen=True)
@@ -181,11 +121,5 @@ class DropIndex:
     index: str
 
 
-@dataclass(frozen=True)
-class Explain:
-    """EXPLAIN <statement>: report the chosen access path, don't run it."""
-    statement: "Statement"
-
-
 Statement = Union[Select, Insert, Update, Delete, CreateTable, CreateIndex,
-                  DropTable, DropIndex, Explain]
+                  DropTable, DropIndex]

@@ -10,7 +10,7 @@ rules implemented here are the ones the paper's lessons depend on:
   end of the statement and non-qualifying rows are released immediately
   — only locks the scan itself took, never one the transaction already
   held, and also when the statement fails. A plain CS ``SELECT`` (no
-  join, no lock clause) whose row locks nobody could observe — no
+  lock clause) whose row locks nobody could observe — no
   lock head on any row it will read, no escalation due, no injector
   armed: ``LockManager.reads_unobserved`` — takes none at all; they are
   billed as requests and counted in ``LockMetrics.avoided``;
@@ -26,8 +26,10 @@ rules implemented here are the ones the paper's lessons depend on:
   keep the full X/next-key protocol above plus a first-writer-wins
   check, so mixed SI/RR workloads preserve RR's guarantees.
 
-Statement-level atomicity: the session wraps each statement in an
-implicit savepoint and undoes partial work on statement errors.
+Every statement reads or writes one table, so a scan's row tuple is
+all its compiled expressions read. Statement-level atomicity: the
+session wraps each statement in an implicit savepoint and undoes partial
+work on statement errors.
 """
 
 from __future__ import annotations
@@ -88,14 +90,13 @@ class Executor:
                     kept.append(row)
             rows = kept
         if plan.limit is not None:
-            limit = plan.limit({}, params)
+            limit = plan.limit((), params)
             if not isinstance(limit, int) or limit < 0:
                 raise SQLTypeError(f"bad LIMIT value {limit!r}")
             rows = rows[:limit]
         return ResultSet(plan.columns, rows)
 
     def _select_rows(self, txn, plan: SelectPlan, params: tuple):
-        binding = plan.access.binding
         # SI: plain reads resolve against the begin snapshot with no
         # table/row/key locks at all. A lock clause makes the statement
         # a current read at every level: FOR UPDATE is a write intent,
@@ -108,40 +109,23 @@ class Executor:
             table_intent = LockMode.IX if for_update else LockMode.IS
             yield from self.db.locks.acquire(
                 txn, ("table", plan.table.name), table_intent)
-            if plan.join is not None:
-                yield from self.db.locks.acquire(
-                    txn, ("table", plan.join.table.name), LockMode.IS)
 
         produced: list[tuple] = []
         order_keys: list[tuple] = []
-        # CS: the row locks this statement's scans newly took (never one
+        # CS: the row locks this statement's scan newly took (never one
         # the transaction already held), in scan order; all are gone
         # when the statement ends.
         cs_read = txn.isolation == "CS" and plan.lock is None
         cs_locks: Optional[dict] = {} if cs_read else None
         locks = self.db.locks
         row_filter = plan.filter
+        items = plan.items
         try:
             scanned = yield from self._scan_access(
-                txn, plan.access, params, {}, read_mode, cs_locks,
-                write_scan=for_update, si=si_read,
-                avoid_locks=cs_read and plan.join is None)
+                txn, plan.access, params, read_mode, cs_locks,
+                write_scan=for_update, si=si_read, avoid_locks=cs_read)
             for rid, row in scanned:
-                env = {binding: row}
-                if plan.join is not None:
-                    inner_rows = yield from self._scan_access(
-                        txn, plan.join.access, params, env, LockMode.S,
-                        cs_locks, write_scan=False, si=si_read)
-                    for inner_rid, inner_row in inner_rows:
-                        env2 = dict(env)
-                        env2[plan.join.access.binding] = inner_row
-                        if not self._passes(plan.join_filter, env2, params):
-                            continue
-                        if not self._passes(plan.filter, env2, params):
-                            continue
-                        self._emit(plan, env2, params, produced, order_keys)
-                    continue
-                if row_filter is not None and not row_filter(env, params):
+                if row_filter is not None and not row_filter(row, params):
                     # None (unknown) and False both disqualify. CS: a
                     # scanned row that did not qualify is unlocked now.
                     if cs_locks:
@@ -150,76 +134,42 @@ class Executor:
                             del cs_locks[resource]
                             locks.release(txn, resource)
                     continue
-                self._emit(plan, env, params, produced, order_keys)
+                produced.append(row if items is None else
+                                tuple(item(row, params) for item in items))
+                if plan.order_by:
+                    key = []
+                    for compiled, descending in plan.order_by:
+                        encoded = encode_value(compiled(row, params))
+                        key.append(_Reversed(encoded) if descending
+                                   else encoded)
+                    order_keys.append(tuple(key))
         finally:
             # ... and the qualifying ones at statement end, also when the
             # statement fails.
             for resource in cs_locks or ():
                 locks.release(txn, resource)
 
-        if plan.aggregates is not None:
-            return [self._aggregate_row(plan, produced, order_keys)]
-
+        if plan.count:
+            return [(len(produced),) * len(plan.columns)]
         if plan.order_by:
             paired = sorted(zip(order_keys, produced),
                             key=lambda pair: pair[0])
             produced = [row for _, row in paired]
         return produced
 
-    def _emit(self, plan: SelectPlan, env: dict, params: tuple,
-              produced: list, order_keys: list) -> None:
-        if plan.aggregates is not None:
-            # For aggregates we keep the raw env values per spec.
-            values = tuple(
-                (spec.arg(env, params) if spec.arg is not None else 1)
-                for spec in plan.aggregates)
-            produced.append(values)
-            return
-        if plan.items is None:
-            row = env[plan.access.binding]
-        else:
-            row = tuple(item(env, params) for item, _ in plan.items)
-        produced.append(row)
-        if plan.order_by:
-            key = []
-            for compiled, descending in plan.order_by:
-                value = compiled(env, params)
-                encoded = encode_value(value)
-                key.append(_Reversed(encoded) if descending else encoded)
-            order_keys.append(tuple(key))
-
-    def _aggregate_row(self, plan: SelectPlan, produced: list[tuple],
-                       _order_keys) -> tuple:
-        result = []
-        for i, spec in enumerate(plan.aggregates):
-            column = [row[i] for row in produced]
-            non_null = [v for v in column if v is not None]
-            if spec.name == "COUNT":
-                result.append(len(non_null) if spec.arg is not None
-                              else len(column))
-            elif spec.name == "MAX":
-                result.append(max(non_null) if non_null else None)
-            elif spec.name == "MIN":
-                result.append(min(non_null) if non_null else None)
-            elif spec.name == "SUM":
-                result.append(sum(non_null) if non_null else None)
-            else:  # pragma: no cover - parser restricts names
-                raise SQLTypeError(f"unknown aggregate {spec.name}")
-        return tuple(result)
-
     @staticmethod
-    def _passes(compiled, env: dict, params: tuple) -> bool:
+    def _passes(compiled, row: tuple, params: tuple) -> bool:
         if compiled is None:
             return True
-        value = compiled(env, params)
+        value = compiled(row, params)
         return bool(value) and value is not None
 
     # ------------------------------------------------------------------ scans
 
     def _scan_access(self, txn, access: AccessPath, params: tuple,
-                     outer_env: dict, row_mode: LockMode,
-                     cs_locks: Optional[dict], write_scan: bool,
-                     si: bool = False, avoid_locks: bool = False):
+                     row_mode: LockMode, cs_locks: Optional[dict],
+                     write_scan: bool, si: bool = False,
+                     avoid_locks: bool = False):
         """Lock-and-fetch all rows the access path touches.
 
         Returns list of (rid, row). ``row_mode`` is the lock taken on each
@@ -236,7 +186,7 @@ class Executor:
         """
         heap = self.db.heaps[access.table]
         if si:
-            return self._scan_snapshot(txn, access, params, outer_env)
+            return self._scan_snapshot(txn, access, params)
         table = access.table
         locks = self.db.locks
         key_protect = False
@@ -247,8 +197,7 @@ class Executor:
             self.db.metrics.index_scans += 1
             probe = access.probe
             btree = self.db.btrees[probe.index.name]
-            lo, lo_inc, hi, hi_inc = self._probe_bounds(probe, outer_env,
-                                                        params)
+            lo, lo_inc, hi, hi_inc = self._probe_bounds(probe, params)
             # ARIES/KVL: each key read under RR is S-locked for commit
             # duration, so inserters' next-key X locks collide with us.
             key_protect = (self.db.config.next_key_locking
@@ -288,24 +237,23 @@ class Executor:
         return rows
 
     @staticmethod
-    def _probe_bounds(probe, outer_env: dict, params: tuple):
+    def _probe_bounds(probe, params: tuple):
         """``(lo, lo_inclusive, hi, hi_inclusive)`` of an index probe.
 
         Bounds are prefix key-value tuples, None when that side is open.
         """
-        eq_values = [expr(outer_env, params) for expr in probe.eq_exprs]
+        eq_values = [expr((), params) for expr in probe.eq_exprs]
         lo = hi = tuple(eq_values) if eq_values else None
         lo_inc = hi_inc = True
         if probe.lo is not None:
-            lo = (*eq_values, probe.lo[0](outer_env, params))
+            lo = (*eq_values, probe.lo[0]((), params))
             lo_inc = probe.lo[1]
         if probe.hi is not None:
-            hi = (*eq_values, probe.hi[0](outer_env, params))
+            hi = (*eq_values, probe.hi[0]((), params))
             hi_inc = probe.hi[1]
         return lo, lo_inc, hi, hi_inc
 
-    def _scan_snapshot(self, txn, access: AccessPath, params: tuple,
-                       outer_env: dict) -> list:
+    def _scan_snapshot(self, txn, access: AccessPath, params: tuple) -> list:
         """SI access path: resolve rows at the begin snapshot, lock-free.
 
         Index probes need care: the B+tree reflects *current* keys (and
@@ -328,7 +276,7 @@ class Executor:
         self.db.metrics.index_scans += 1
         probe = access.probe
         btree = self.db.btrees[probe.index.name]
-        lo, lo_inc, hi, hi_inc = self._probe_bounds(probe, outer_env, params)
+        lo, lo_inc, hi, hi_inc = self._probe_bounds(probe, params)
         elo = encode_key(lo) if lo is not None else None
         ehi = encode_key(hi) if hi is not None else None
 
@@ -367,13 +315,10 @@ class Executor:
         table = plan.table
         yield from self.db.locks.acquire(
             txn, ("table", table.name), LockMode.IX)
-        count = 0
-        for row_exprs in plan.rows:
-            row = tuple(expr({}, params) if expr is not None else None
-                        for expr in row_exprs)
-            yield from self._insert_row(txn, table, row)
-            count += 1
-        return count
+        row = tuple(expr((), params) if expr is not None else None
+                    for expr in plan.values)
+        yield from self._insert_row(txn, table, row)
+        return 1
 
     def _insert_row(self, txn, table, row: tuple):
         self._typecheck(table, row)
@@ -449,17 +394,15 @@ class Executor:
         # if this scan took the lock; one held from before stays.
         cs_locks: Optional[dict] = {} if txn.isolation == "CS" else None
         scanned = yield from self._scan_access(
-            txn, plan.access, params, {}, LockMode.S, cs_locks,
+            txn, plan.access, params, LockMode.S, cs_locks,
             write_scan=True, si=txn.snapshot_lsn is not None)
-        binding = plan.access.binding
         count = 0
         heap = self.db.heaps[table.name]
         locks = self.db.locks
         try:
             for rid, row in scanned:
                 resource = ("row", table.name, rid)
-                env = {binding: row}
-                if not self._passes(plan.filter, env, params):
+                if not self._passes(plan.filter, row, params):
                     if cs_locks and resource in cs_locks:
                         del cs_locks[resource]
                         locks.release(txn, resource)
@@ -476,9 +419,8 @@ class Executor:
                 if current is None:
                     continue
                 new_row = list(current)
-                env = {binding: current}
                 for position, compiled in plan.assignments:
-                    new_row[position] = compiled(env, params)
+                    new_row[position] = compiled(current, params)
                 new_row = tuple(new_row)
                 self._typecheck(table, new_row)
                 yield from self._index_maintenance_locks(
@@ -507,17 +449,15 @@ class Executor:
         # CS early release, as in run_update.
         cs_locks: Optional[dict] = {} if txn.isolation == "CS" else None
         scanned = yield from self._scan_access(
-            txn, plan.access, params, {}, LockMode.S, cs_locks,
+            txn, plan.access, params, LockMode.S, cs_locks,
             write_scan=True, si=txn.snapshot_lsn is not None)
-        binding = plan.access.binding
         count = 0
         heap = self.db.heaps[table.name]
         locks = self.db.locks
         try:
             for rid, row in scanned:
                 resource = ("row", table.name, rid)
-                env = {binding: row}
-                if not self._passes(plan.filter, env, params):
+                if not self._passes(plan.filter, row, params):
                     if cs_locks and resource in cs_locks:
                         del cs_locks[resource]
                         locks.release(txn, resource)

@@ -1,10 +1,11 @@
-"""Expression resolution and compilation to Python closures.
+"""Expression compilation to Python closures.
 
-Expressions are compiled once at plan time against a :class:`Scope`
-(binding name → TableDef). At execution the environment is a dict mapping
-binding names to the current row tuple. SQL three-valued logic is
-approximated: comparisons involving NULL evaluate to ``None`` (unknown),
-and filters treat ``None`` as not-qualifying.
+A statement reads one table, so an expression is compiled once at plan
+time against that table's :class:`TableDef` — a column reference becomes
+its position — to ``fn(row, params)``, evaluated on the row tuple
+itself. SQL three-valued logic is approximated: comparisons involving
+NULL evaluate to ``None`` (unknown), and filters treat ``None`` as
+not-qualifying.
 """
 
 from __future__ import annotations
@@ -16,35 +17,17 @@ from repro.errors import SQLTypeError
 from repro.minidb.catalog import TableDef
 from repro.sql import ast
 
-#: runtime environment: binding name → row tuple
-Env = dict
-Compiled = Callable[[Env, tuple], object]
+Compiled = Callable[[tuple, tuple], object]
 
 _CMP = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
         "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-class Scope:
-    """Name-resolution context for one statement."""
-
-    def __init__(self, bindings: dict[str, TableDef]):
-        self.bindings = bindings
-
-    def resolve(self, ref: ast.ColumnRef) -> tuple[str, int]:
-        """Return (binding, column position) or raise."""
-        if ref.qualifier is not None:
-            table = self.bindings.get(ref.qualifier)
-            if table is None:
-                raise SQLTypeError(f"unknown table qualifier {ref.qualifier!r}")
-            return ref.qualifier, table.position(ref.name)
-        matches = [(binding, table.positions[ref.name])
-                   for binding, table in self.bindings.items()
-                   if ref.name in table.positions]
-        if not matches:
-            raise SQLTypeError(f"unknown column {ref.name!r}")
-        if len(matches) > 1:
-            raise SQLTypeError(f"ambiguous column {ref.name!r}")
-        return matches[0]
+def _position(ref: ast.ColumnRef, table: Optional[TableDef]) -> int:
+    position = table.positions.get(ref.name) if table is not None else None
+    if position is None:
+        raise SQLTypeError(f"unknown column {ref.name!r}")
+    return position
 
 
 def _comparable(a, b) -> bool:
@@ -65,23 +48,24 @@ def _incomparable(a, display: str, b) -> SQLTypeError:
         f"cannot compare {type(a).__name__} {display} {type(b).__name__}")
 
 
-def compile_expr(expr: ast.Expr, scope: Scope) -> Compiled:
-    """Compile ``expr`` to ``fn(env, params) -> value``."""
+def compile_expr(expr: ast.Expr, table: Optional[TableDef]) -> Compiled:
+    """Compile ``expr`` to ``fn(row, params) -> value`` over ``table``'s
+    rows (None: no columns in scope, as in INSERT ... VALUES)."""
     if isinstance(expr, ast.Literal):
         value = expr.value
-        return lambda env, params: value
+        return lambda row, params: value
 
     if isinstance(expr, ast.Param):
         index = expr.index
-        def run_param(env, params):
+        def run_param(row, params):
             if index >= len(params):
                 raise _missing_param(index, params)
             return params[index]
         return run_param
 
     if isinstance(expr, ast.ColumnRef):
-        binding, pos = scope.resolve(expr)
-        return lambda env, params: env[binding][pos]
+        pos = _position(expr, table)
+        return lambda row, params: row[pos]
 
     if isinstance(expr, ast.Comparison):
         op = _CMP[expr.op]
@@ -92,12 +76,12 @@ def compile_expr(expr: ast.Expr, scope: Scope) -> Compiled:
             # nearly every WHERE conjunct, evaluated once per scanned
             # row: one closure, no calls into sub-expressions. Same
             # evaluation order and errors as the general form below.
-            binding, pos = scope.resolve(expr.left)
+            pos = _position(expr.left, table)
             operand = expr.right
             index = operand.index if isinstance(operand, ast.Param) else None
             literal = None if index is not None else operand.value
-            def run_cmp_column(env, params):
-                a = env[binding][pos]
+            def run_cmp_column(row, params):
+                a = row[pos]
                 if index is None:
                     b = literal
                 elif index < len(params):
@@ -110,11 +94,11 @@ def compile_expr(expr: ast.Expr, scope: Scope) -> Compiled:
                     raise _incomparable(a, display, b)
                 return op(a, b)
             return run_cmp_column
-        left = compile_expr(expr.left, scope)
-        right = compile_expr(expr.right, scope)
-        def run_cmp(env, params):
-            a = left(env, params)
-            b = right(env, params)
+        left = compile_expr(expr.left, table)
+        right = compile_expr(expr.right, table)
+        def run_cmp(row, params):
+            a = left(row, params)
+            b = right(row, params)
             if a is None or b is None:
                 return None
             if not _comparable(a, b):
@@ -123,11 +107,11 @@ def compile_expr(expr: ast.Expr, scope: Scope) -> Compiled:
         return run_cmp
 
     if isinstance(expr, ast.And):
-        parts = [compile_expr(item, scope) for item in expr.items]
-        def run_and(env, params):
+        parts = [compile_expr(item, table) for item in expr.items]
+        def run_and(row, params):
             unknown = False
             for part in parts:
-                value = part(env, params)
+                value = part(row, params)
                 if value is None:
                     unknown = True
                 elif not value:
@@ -135,62 +119,23 @@ def compile_expr(expr: ast.Expr, scope: Scope) -> Compiled:
             return None if unknown else True
         return run_and
 
-    if isinstance(expr, ast.Or):
-        parts = [compile_expr(item, scope) for item in expr.items]
-        def run_or(env, params):
-            unknown = False
-            for part in parts:
-                value = part(env, params)
-                if value is None:
-                    unknown = True
-                elif value:
-                    return True
-            return None if unknown else False
-        return run_or
-
-    if isinstance(expr, ast.Not):
-        inner = compile_expr(expr.item, scope)
-        def run_not(env, params):
-            value = inner(env, params)
-            return None if value is None else not value
-        return run_not
-
-    if isinstance(expr, ast.IsNull):
-        inner = compile_expr(expr.item, scope)
-        if expr.negated:
-            return lambda env, params: inner(env, params) is not None
-        return lambda env, params: inner(env, params) is None
-
     if isinstance(expr, ast.InList):
-        inner = compile_expr(expr.item, scope)
-        options = [compile_expr(o, scope) for o in expr.options]
-        def run_in(env, params):
-            value = inner(env, params)
+        inner = compile_expr(expr.item, table)
+        options = [compile_expr(o, table) for o in expr.options]
+        def run_in(row, params):
+            value = inner(row, params)
             if value is None:
                 return None
-            return any(option(env, params) == value for option in options)
+            return any(option(row, params) == value for option in options)
         return run_in
 
-    if isinstance(expr, ast.Between):
-        inner = compile_expr(expr.item, scope)
-        low = compile_expr(expr.low, scope)
-        high = compile_expr(expr.high, scope)
-        def run_between(env, params):
-            value = inner(env, params)
-            lo = low(env, params)
-            hi = high(env, params)
-            if value is None or lo is None or hi is None:
-                return None
-            return lo <= value <= hi
-        return run_between
-
     if isinstance(expr, ast.Arithmetic):
-        left = compile_expr(expr.left, scope)
-        right = compile_expr(expr.right, scope)
+        left = compile_expr(expr.left, table)
+        right = compile_expr(expr.right, table)
         op = operator.add if expr.op == "+" else operator.sub
-        def run_arith(env, params):
-            a = left(env, params)
-            b = right(env, params)
+        def run_arith(row, params):
+            a = left(row, params)
+            b = right(row, params)
             if a is None or b is None:
                 return None
             if not (isinstance(a, (int, float))
@@ -200,9 +145,8 @@ def compile_expr(expr: ast.Expr, scope: Scope) -> Compiled:
             return op(a, b)
         return run_arith
 
-    if isinstance(expr, ast.FuncCall):
-        raise SQLTypeError(
-            f"aggregate {expr.name} is only allowed in the select list")
+    if isinstance(expr, ast.CountStar):
+        raise SQLTypeError("COUNT(*) is only allowed in the select list")
 
     raise SQLTypeError(f"cannot compile {expr!r}")
 

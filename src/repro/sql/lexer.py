@@ -7,11 +7,12 @@ from typing import Iterator
 
 from repro.errors import SQLSyntaxError
 
+#: TRUE and FALSE are reserved with no grammar rule: either is a syntax
+#: error, never a column name.
 KEYWORDS = frozenset("""
-    SELECT FROM WHERE AND OR NOT IN IS NULL BETWEEN ORDER BY ASC DESC
-    INSERT INTO VALUES UPDATE SET DELETE CREATE DROP TABLE INDEX UNIQUE ON
-    JOIN INNER EXCEPT TRUE FALSE AS FOR COUNT MAX MIN SUM DISTINCT LIMIT
-    EXPLAIN SHARE
+    SELECT FROM WHERE AND IN NULL ORDER BY ASC DESC INSERT INTO VALUES UPDATE
+    SET DELETE CREATE DROP TABLE INDEX UNIQUE ON EXCEPT FOR COUNT LIMIT
+    SHARE TRUE FALSE
 """.split())
 
 TYPES = frozenset({"INT", "INTEGER", "FLOAT", "REAL", "TEXT", "VARCHAR",
@@ -19,7 +20,7 @@ TYPES = frozenset({"INT", "INTEGER", "FLOAT", "REAL", "TEXT", "VARCHAR",
 
 #: Multi-char operators first so `<=` never lexes as `<`, `=`.
 OPERATORS = ("<>", "!=", "<=", ">=", "=", "<", ">", "(", ")", ",", "*",
-             "?", ".", "+", "-")
+             "?", "+", "-")
 
 
 @dataclass(frozen=True)

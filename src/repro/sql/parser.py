@@ -1,4 +1,11 @@
-"""Recursive-descent parser for the SQL subset."""
+"""Recursive-descent parser for the SQL subset.
+
+The subset is the SQL the system itself issues (``tools/reached.py``
+prints the census): one table per statement, a WHERE clause that is an
+AND of comparisons and IN lists, ``+``/``-``, ``COUNT(*)``, ORDER BY
+[ASC|DESC], EXCEPT, LIMIT, FOR SHARE / FOR UPDATE, single-row INSERT,
+UPDATE, DELETE and DDL. Anything else is a syntax error.
+"""
 
 from __future__ import annotations
 
@@ -80,8 +87,6 @@ class _Parser:
         return stmt
 
     def _statement(self) -> ast.Statement:
-        if self.accept_kw("EXPLAIN"):
-            return ast.Explain(self._statement())
         if self.check_kw("SELECT"):
             return self._select(allow_except=True)
         if self.accept_kw("INSERT"):
@@ -101,29 +106,23 @@ class _Parser:
 
     def _select(self, allow_except: bool) -> ast.Select:
         self.expect_kw("SELECT")
-        items: Optional[tuple[ast.SelectItem, ...]]
+        items: Optional[tuple[ast.Expr, ...]]
         if self.accept_op("*"):
             items = None
         else:
-            parsed = [self._select_item()]
+            parsed = [self._expr()]
             while self.accept_op(","):
-                parsed.append(self._select_item())
+                parsed.append(self._expr())
             items = tuple(parsed)
         self.expect_kw("FROM")
-        table = self._table_ref()
-        join = None
-        if self.accept_kw("INNER"):
-            self.expect_kw("JOIN")
-            join = self._join_clause()
-        elif self.accept_kw("JOIN"):
-            join = self._join_clause()
+        table = self.expect_ident()
         where = self._expr() if self.accept_kw("WHERE") else None
-        order_by: list[ast.OrderItem] = []
+        order_by: list[ast.SortKey] = []
         if self.accept_kw("ORDER"):
             self.expect_kw("BY")
-            order_by.append(self._order_item())
+            order_by.append(self._sort_key())
             while self.accept_op(","):
-                order_by.append(self._order_item())
+                order_by.append(self._sort_key())
         limit = None
         if self.accept_kw("LIMIT"):
             if self.accept_op("?"):
@@ -142,41 +141,16 @@ class _Parser:
         except_select = None
         if allow_except and self.accept_kw("EXCEPT"):
             except_select = self._select(allow_except=False)
-        return ast.Select(items=items, table=table, join=join, where=where,
+        return ast.Select(items=items, table=table, where=where,
                           order_by=tuple(order_by), lock=lock,
                           except_select=except_select, limit=limit)
 
-    def _join_clause(self) -> ast.Join:
-        join_table = self._table_ref()
-        self.expect_kw("ON")
-        return ast.Join(join_table, self._expr())
-
-    def _select_item(self) -> ast.SelectItem:
-        expr = self._expr()
-        alias = None
-        if self.accept_kw("AS"):
-            alias = self.expect_ident()
-        return ast.SelectItem(expr, alias)
-
-    def _order_item(self) -> ast.OrderItem:
-        expr = self._primary()
-        if not isinstance(expr, ast.ColumnRef):
-            self.fail("ORDER BY supports only column references")
-        descending = False
-        if self.accept_kw("DESC"):
-            descending = True
-        else:
+    def _sort_key(self) -> ast.SortKey:
+        column = ast.ColumnRef(self.expect_ident())
+        descending = self.accept_kw("DESC")
+        if not descending:
             self.accept_kw("ASC")
-        return ast.OrderItem(expr, descending)
-
-    def _table_ref(self) -> ast.TableRef:
-        name = self.expect_ident()
-        alias = None
-        if self.cur.kind == "IDENT":
-            alias = self.advance().value
-        elif self.accept_kw("AS"):
-            alias = self.expect_ident()
-        return ast.TableRef(name, alias)
+        return ast.SortKey(column, descending)
 
     def _insert(self) -> ast.Insert:
         self.expect_kw("INTO")
@@ -187,21 +161,14 @@ class _Parser:
             columns.append(self.expect_ident())
         self.expect_op(")")
         self.expect_kw("VALUES")
-        rows = [self._values_row(len(columns))]
-        while self.accept_op(","):
-            rows.append(self._values_row(len(columns)))
-        return ast.Insert(table, tuple(columns), rows[0],
-                          more_rows=tuple(rows[1:]))
-
-    def _values_row(self, n_columns: int) -> tuple:
         self.expect_op("(")
         values = [self._expr()]
         while self.accept_op(","):
             values.append(self._expr())
         self.expect_op(")")
-        if len(values) != n_columns:
-            self.fail(f"{n_columns} columns but {len(values)} values")
-        return tuple(values)
+        if len(values) != len(columns):
+            self.fail(f"{len(columns)} columns but {len(values)} values")
+        return ast.Insert(table, tuple(columns), tuple(values))
 
     def _update(self) -> ast.Update:
         table = self.expect_ident()
@@ -255,27 +222,13 @@ class _Parser:
             self.fail("expected a column type")
         return name, _TYPE_MAP[self.advance().value]
 
-    # -- expressions (precedence: OR < AND < NOT < predicate < additive) -----------
+    # -- expressions (precedence: AND < predicate < additive) --------------------
 
     def _expr(self) -> ast.Expr:
-        return self._or_expr()
-
-    def _or_expr(self) -> ast.Expr:
-        items = [self._and_expr()]
-        while self.accept_kw("OR"):
-            items.append(self._and_expr())
-        return items[0] if len(items) == 1 else ast.Or(tuple(items))
-
-    def _and_expr(self) -> ast.Expr:
-        items = [self._not_expr()]
+        items = [self._predicate()]
         while self.accept_kw("AND"):
-            items.append(self._not_expr())
+            items.append(self._predicate())
         return items[0] if len(items) == 1 else ast.And(tuple(items))
-
-    def _not_expr(self) -> ast.Expr:
-        if self.accept_kw("NOT"):
-            return ast.Not(self._not_expr())
-        return self._predicate()
 
     def _predicate(self) -> ast.Expr:
         left = self._additive()
@@ -285,10 +238,6 @@ class _Parser:
             if op == "!=":
                 op = "<>"
             return ast.Comparison(op, left, self._additive())
-        if self.accept_kw("IS"):
-            negated = self.accept_kw("NOT")
-            self.expect_kw("NULL")
-            return ast.IsNull(left, negated)
         if self.accept_kw("IN"):
             self.expect_op("(")
             options = [self._additive()]
@@ -296,10 +245,6 @@ class _Parser:
                 options.append(self._additive())
             self.expect_op(")")
             return ast.InList(left, tuple(options))
-        if self.accept_kw("BETWEEN"):
-            low = self._additive()
-            self.expect_kw("AND")
-            return ast.Between(left, low, self._additive())
         return left
 
     def _additive(self) -> ast.Expr:
@@ -319,29 +264,15 @@ class _Parser:
             param = ast.Param(self.param_count)
             self.param_count += 1
             return param
-        if self.check_kw("NULL"):
-            self.advance()
+        if self.accept_kw("NULL"):
             return ast.Literal(None)
-        if self.check_kw("TRUE"):
-            self.advance()
-            return ast.Literal(True)
-        if self.check_kw("FALSE"):
-            self.advance()
-            return ast.Literal(False)
-        if self.check_kw("COUNT", "MAX", "MIN", "SUM"):
-            name = self.advance().value
+        if self.accept_kw("COUNT"):
             self.expect_op("(")
-            if name == "COUNT" and self.accept_op("*"):
-                self.expect_op(")")
-                return ast.FuncCall("COUNT", None)
-            arg = self._expr()
+            self.expect_op("*")
             self.expect_op(")")
-            return ast.FuncCall(name, arg)
+            return ast.CountStar()
         if token.kind == "IDENT":
-            name = self.advance().value
-            if self.accept_op("."):
-                return ast.ColumnRef(self.expect_ident(), qualifier=name)
-            return ast.ColumnRef(name)
+            return ast.ColumnRef(self.advance().value)
         if self.accept_op("("):
             expr = self._expr()
             self.expect_op(")")

@@ -5,8 +5,10 @@ import pytest
 from repro.chaos.campaign import (CORRUPTIONS, CampaignConfig, _Campaign,
                                   replay, run_campaign)
 from repro.chaos.faults import FaultPlan, FaultRule
+from repro.chaos.invariants import check_invariants
 from repro.chaos.shrink import shrink_config, shrink_doc
 from repro.configs import BASES
+from repro.system import System
 from tests.conftest import assert_holds_declared_configuration
 
 both_bases = pytest.mark.parametrize("base", sorted(BASES))
@@ -160,6 +162,29 @@ def test_checker_catches_deleted_group_marker():
     result = run_campaign(quiet_config(
         corruptions=("deleted-group-marker",)))
     assert "unresolved-deleted-group" in codes(result)
+
+
+def test_checker_catches_an_orphan_seed():
+    """``orphan-seed``: with no transaction live, a lone ``(0, row)``
+    chain seed is a write nobody settled. A rolled-back update settles
+    its own; a seed planted by hand is flagged."""
+    system = System(seed=7)
+    db = system.host.db
+
+    def go():
+        session = db.session()
+        yield from session.execute("CREATE TABLE s (k INT)")
+        yield from session.execute("INSERT INTO s (k) VALUES (1)")
+        yield from session.commit()
+        yield from session.execute("UPDATE s SET k = 2")
+        yield from session.rollback()
+
+    system.run(go())
+    assert check_invariants(system) == []
+    heap = db.heaps["s"]
+    (rid, row), = heap.scan()
+    heap.version_seed(rid, row)
+    assert [v.code for v in check_invariants(system)] == ["orphan-seed"]
 
 
 def test_every_registered_corruption_applies():

@@ -87,9 +87,7 @@ READS = (
        ("SELECT a FROM t WHERE v = ? ORDER BY a DESC LIMIT 3", (1,)),
        ("SELECT a FROM t WHERE b = ? EXCEPT SELECT a FROM t WHERE v = ?",
         (0, 1)),
-       ("SELECT a FROM t WHERE a = ? FOR UPDATE", (5,)),
-       ("SELECT x.a, y.v FROM t x JOIN t y ON x.a = y.b WHERE x.b = ?",
-        (1,))])
+       ("SELECT a FROM t WHERE a = ? FOR UPDATE", (5,))])
 WRITES = (
     [("UPDATE t SET v = ? WHERE a = ?", (1, a)) for a in (0, 5, 9)]
     + [("UPDATE t SET v = v + 1 WHERE b = ?", (2,)),
@@ -350,7 +348,6 @@ def test_armed_lock_rule_fires_on_the_same_arrival():
     ("RR", "SELECT a FROM t WHERE a >= 2 AND a < 9", 8),
     ("RS", "SELECT a FROM t WHERE a >= 2 AND a < 9", 8),
     ("CS", "SELECT a FROM t WHERE a >= 2 AND a < 9 FOR UPDATE", 8),
-    ("CS", "SELECT x.a FROM t x JOIN t y ON x.a = y.a WHERE x.a < 3", 1),
     ("CS", "UPDATE t SET v = 1 WHERE a >= 2 AND a < 9", 8),
 ])
 def test_only_plain_cs_selects_are_avoided(isolation, sql, held_after):
@@ -366,44 +363,6 @@ def test_only_plain_cs_selects_are_avoided(isolation, sql, held_after):
 
     assert sim.run_process(go()) == held_after
     assert db.locks.metrics.avoided == 0
-
-
-def test_join_inner_scan_blocks_with_outer_row_locks_visible():
-    """Why joins lock row by row: the outer scan reads a = 15, 16, 17
-    and an inner probe (y.a = x.b, so a = 0, 1, 2) blocks on X-held
-    a = 1 — with the outer rows' S locks taken, which only the outer
-    scan can have put in the table."""
-    sim = Simulator()
-    db = make_db(sim, lock_timeout=50.0)
-    seen = {}
-
-    def holder():
-        session = db.session("RR")
-        yield from session.execute("UPDATE t SET v = 7 WHERE a = 1")
-        yield Timeout(5.0)
-        yield from session.commit()
-
-    def joiner():
-        session = db.session("CS")
-        yield Timeout(1.0)
-        seen["txn"] = session._require_txn().id
-        rows = yield from session.execute(
-            "SELECT x.a, y.a, y.v FROM t x JOIN t y ON x.b = y.a "
-            "WHERE x.a >= 15 AND x.a < 18")
-        seen["rows"], seen["at"] = rows.rows, sim.now
-        yield from session.commit()
-
-    def observer():
-        yield Timeout(2.0)
-        assert db.locks.waiting_txns() == [seen["txn"]]
-        for a in (15, 16, 17):
-            assert db.locks.holders_of(row(a)) == {seen["txn"]: LockMode.S}
-
-    for proc in (holder(), joiner(), observer()):
-        sim.spawn(proc)
-    sim.run()
-    assert seen["rows"] == [(15, 0, 0), (16, 1, 7), (17, 2, 0)]
-    assert seen["at"] >= 5.0 and db.locks.metrics.avoided == 0
 
 
 def test_precheck_is_side_effect_free_and_needs_an_active_intent_holder():

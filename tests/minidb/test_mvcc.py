@@ -432,6 +432,39 @@ def test_merge_never_folds_past_a_live_snapshot():
     assert db.live_chains() == 0
 
 
+@pytest.mark.parametrize("level", ["CS", "SI"])
+def test_rollback_settles_the_seeds_its_writes_pinned(level):
+    """Each first write pins a ``(0, row)`` seed; outside a DLFM no
+    merge pass ever runs, so the writer's own end must fold it — at
+    rollback as at commit — or the chain stays until someone rewrites
+    the row. A live snapshot keeps what it can still see."""
+    sim = Simulator()
+    db = make_db(sim)
+
+    def go():
+        reader = db.session("SI")
+        yield from reader.execute("SELECT v FROM t WHERE k = 0")
+        session = db.session(level)
+        for _ in range(20):
+            for k in range(10):
+                yield from session.execute(
+                    "UPDATE t SET v = v + 1 WHERE k = ?", (k,))
+            yield from session.execute("DELETE FROM t WHERE k = 9")
+            yield from session.rollback()
+        assert db.live_chains() == 0
+        yield from session.execute("UPDATE t SET v = 5 WHERE k = 0")
+        yield from session.commit()
+        assert db.live_chains() == 1     # the reader's snapshot pins k = 0
+        assert (yield from reader.execute(
+            "SELECT v FROM t WHERE k = 0")).scalar() == 0
+        yield from reader.commit()
+
+    sim.run_process(go())
+    assert db.merge_versions() > 0 and db.live_chains() == 0
+    assert sorted(db.table_rows("t")) == [(0, 5)] + [(k, 0)
+                                                     for k in range(1, 10)]
+
+
 # ------------------------------------------------------------------ recovery
 
 def test_version_state_consistent_after_crash_and_restart():

@@ -68,14 +68,14 @@ def sweep_oracle(db, txn, access, params):
     own = frozenset(r for t, r in txn.touched if t == access.table)
     probe = access.probe
     btree = db.btrees[probe.index.name]
-    lo_vals = [expr({}, params) for expr in probe.eq_exprs]
+    lo_vals = [expr((), params) for expr in probe.eq_exprs]
     hi_vals = list(lo_vals)
     lo_inc = hi_inc = True
     if probe.lo is not None:
-        lo_vals.append(probe.lo[0]({}, params))
+        lo_vals.append(probe.lo[0]((), params))
         lo_inc = probe.lo[1]
     if probe.hi is not None:
-        hi_vals.append(probe.hi[0]({}, params))
+        hi_vals.append(probe.hi[0]((), params))
         hi_inc = probe.hi[1]
     lo = tuple(lo_vals) if lo_vals else None
     hi = tuple(hi_vals) if hi_vals else None
@@ -122,7 +122,7 @@ def check_probes(db, snapshots, probes=PROBES):
         for sql, params, predicate in probes:
             access = db.get_plan(sql).access
             assert access.kind == "index_scan", sql
-            got = db.executor._scan_snapshot(txn, access, params, {})
+            got = db.executor._scan_snapshot(txn, access, params)
             assert got == sweep_oracle(db, txn, access, params), (sql, params)
             assert sorted(got) == sorted(
                 (rid, row) for rid, row in visible if predicate(row)), (
@@ -244,7 +244,7 @@ def test_probe_during_a_deferred_index_load():
         yield from db.end_bulk_load("t")
         check_probes(db, [before, during, db.begin("SI")])
         got = db.executor._scan_snapshot(
-            during, db.get_plan(PROBES[4][0]).access, (4,), {})
+            during, db.get_plan(PROBES[4][0]).access, (4,))
         assert [row for _, row in got] == [(4, 1, 0)]
 
     sim.run_process(run())
@@ -267,7 +267,7 @@ def test_create_index_while_a_snapshot_is_live():
         pin_stats(db)
         check_probes(db, [reader, db.begin("SI")], PROBES + by_v)
         got = db.executor._scan_snapshot(
-            reader, db.get_plan(by_v[0][0]).access, (0,), {})
+            reader, db.get_plan(by_v[0][0]).access, (0,))
         assert sorted(row for _, row in got) == [
             (0, 0, 0), (1, 1, 0), (2, 2, 0)]
         yield from writer.execute("DROP INDEX t_v")

@@ -32,28 +32,6 @@ def q(db, sql, params=()):
     return db.sim.run_process(go())
 
 
-def test_multi_row_insert_inserts_every_row(loaded):
-    count = q(loaded,
-              "INSERT INTO files (id, name, size, state) VALUES "
-              "(100, 'extra-a', 1, 'free'), (101, 'extra-b', 2, 'free'), "
-              "(?, ?, ?, ?)",
-              (102, "extra-c", 3, "free"))
-    assert count == 3  # param indices are absolute across the rows
-    result = q(loaded, "SELECT id, name FROM files WHERE id BETWEEN 100 AND 110")
-    assert sorted(result.rows) == [(100, "extra-a"), (101, "extra-b"),
-                                   (102, "extra-c")]
-
-
-def test_multi_row_insert_duplicate_key_fails_whole_statement(loaded):
-    with pytest.raises(DuplicateKeyError):
-        q(loaded,
-          "INSERT INTO files (id, name, size, state) VALUES "
-          "(200, 'fresh-name', 1, 'free'), (201, 'file-00003', 2, 'free')")
-    # The statement failed as a unit: row 200 must not survive.
-    result = q(loaded, "SELECT id FROM files WHERE id = 200")
-    assert result.rows == []
-
-
 def test_select_star_returns_all_columns(loaded):
     result = q(loaded, "SELECT * FROM files WHERE id = 7")
     assert result.columns == ["id", "name", "size", "state"]
@@ -76,23 +54,12 @@ def test_missing_param_raises(loaded):
 
 
 def test_in_and_between(loaded):
-    result = q(loaded,
-               "SELECT id FROM files WHERE id IN (1, 2, 99) OR id BETWEEN 47 AND 48")
-    assert sorted(r[0] for r in result) == [1, 2, 47, 48]
-
-
-def test_is_null_matching(loaded):
-    def go():
-        session = loaded.session()
-        yield from session.execute(
-            "INSERT INTO files (id, name, size, state) VALUES (?, ?, ?, ?)",
-            (999, "nullsize", None, "free"))
-        result = yield from session.execute(
-            "SELECT id FROM files WHERE size IS NULL")
-        yield from session.commit()
-        return result
-    result = loaded.sim.run_process(go())
-    assert result.rows == [(999,)]
+    """IN, and BETWEEN's two-sided form ``>= ? AND <= ?``."""
+    result = q(loaded, "SELECT id FROM files WHERE id IN (1, 2, 99)")
+    assert sorted(r[0] for r in result) == [1, 2]
+    result = q(loaded, "SELECT id FROM files WHERE id >= ? AND id <= ?",
+               (47, 48))
+    assert sorted(r[0] for r in result) == [47, 48]
 
 
 def test_null_comparison_is_unknown_not_match(loaded):
@@ -120,13 +87,15 @@ def test_order_by_text_column(loaded):
 
 
 def test_aggregates(loaded):
-    result = q(loaded, "SELECT COUNT(*), MAX(id), MIN(id), SUM(id) FROM files")
-    assert result.rows == [(50, 49, 0, sum(range(50)))]
+    result = q(loaded, "SELECT COUNT(*) FROM files WHERE id < 20")
+    assert (result.columns, result.rows) == (["count"], [(20,)])
+    with pytest.raises(SQLTypeError, match="GROUP BY"):
+        q(loaded, "SELECT COUNT(*), id FROM files")
 
 
 def test_aggregate_on_empty_set(loaded):
-    result = q(loaded, "SELECT COUNT(*), MAX(id) FROM files WHERE id > 1000")
-    assert result.rows == [(0, None)]
+    result = q(loaded, "SELECT COUNT(*) FROM files WHERE id > 1000")
+    assert result.rows == [(0,)]
 
 
 def test_update_rowcount_and_effect(loaded):
@@ -171,10 +140,10 @@ def test_statement_rollback_undoes_partial_update(loaded):
             yield from session.execute(
                 "UPDATE files SET size = name WHERE id < 10")
         result = yield from session.execute(
-            "SELECT COUNT(*) FROM files WHERE size IS NULL")
+            "SELECT id, size FROM files WHERE id < 10")
         yield from session.commit()
-        return result.scalar()
-    assert loaded.sim.run_process(go()) == 0
+        return sorted(result.rows)
+    assert loaded.sim.run_process(go()) == [(i, 10 * i) for i in range(10)]
 
 
 def test_rollback_undoes_everything(loaded):
@@ -199,23 +168,6 @@ def test_savepoint_partial_rollback(loaded):
         yield from session.commit()
         return result.scalar()
     assert loaded.sim.run_process(go()) == 49  # only id=0 gone
-
-
-def test_join_with_index_lookup(loaded):
-    def go():
-        session = loaded.session()
-        yield from session.execute("CREATE TABLE tags (fid INT, tag TEXT)")
-        yield from session.execute(
-            "INSERT INTO tags (fid, tag) VALUES (1, 'video')")
-        yield from session.execute(
-            "INSERT INTO tags (fid, tag) VALUES (2, 'audio')")
-        result = yield from session.execute(
-            "SELECT f.name, t.tag FROM files f JOIN tags t ON f.id = t.fid "
-            "WHERE t.tag = 'video'")
-        yield from session.commit()
-        return result
-    result = loaded.sim.run_process(go())
-    assert result.rows == [("file-00001", "video")]
 
 
 def test_except_difference(loaded):
@@ -285,31 +237,31 @@ def test_column_vs_operand_closure_equals_the_general_form():
     is the oracle: same value, NULL → unknown, same error class."""
     from repro.minidb.catalog import ColumnDef, TableDef
     from repro.sql import ast
-    from repro.sql.expr import Scope, compile_expr
+    from repro.sql.expr import compile_expr
 
-    scope = Scope({"t": TableDef("t", [ColumnDef("c", "INT")])})
+    table = TableDef("t", [ColumnDef("c", "INT")])
     column = ast.ColumnRef("c")
     mirror = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
     values = [None, 0, 1, 2.5, True, "a", "b"]
 
-    def outcome(compiled, env, params):
+    def outcome(compiled, row, params):
         try:
-            return compiled(env, params)
+            return compiled(row, params)
         except SQLTypeError as error:
             return type(error), "supplied" in str(error)
 
     for op, mirrored in mirror.items():
         general = compile_expr(
-            ast.Comparison(mirrored, ast.Param(0), column), scope)
-        direct = compile_expr(ast.Comparison(op, column, ast.Param(0)), scope)
+            ast.Comparison(mirrored, ast.Param(0), column), table)
+        direct = compile_expr(ast.Comparison(op, column, ast.Param(0)), table)
         assert direct.__name__ == "run_cmp_column"
         assert general.__name__ == "run_cmp"
         for a in values:
-            env = {"t": (a,)}
-            assert outcome(direct, env, ()) == outcome(general, env, ())
+            row = (a,)
+            assert outcome(direct, row, ()) == outcome(general, row, ())
             for b in values:
-                expected = outcome(general, env, (b,))
-                assert outcome(direct, env, (b,)) == expected, (a, op, b)
+                expected = outcome(general, row, (b,))
+                assert outcome(direct, row, (b,)) == expected, (a, op, b)
                 literal = compile_expr(
-                    ast.Comparison(op, column, ast.Literal(b)), scope)
-                assert outcome(literal, env, ()) == expected, (a, op, b)
+                    ast.Comparison(op, column, ast.Literal(b)), table)
+                assert outcome(literal, row, ()) == expected, (a, op, b)

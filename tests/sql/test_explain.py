@@ -1,4 +1,4 @@
-"""EXPLAIN statement: report access paths without executing."""
+"""Database.explain: report access paths without executing."""
 
 import pytest
 
@@ -22,45 +22,32 @@ def db(sim):
     return db
 
 
-def explain(db, sql):
-    def go():
-        session = db.session()
-        result = yield from session.execute(sql)
-        yield from session.commit()
-        return result.rows[0]
-    return db.sim.run_process(go())
-
-
 def test_explain_select_reports_plan(db):
-    kind, access, index, cost = explain(db, "EXPLAIN SELECT * FROM t "
-                                            "WHERE a = 1")
-    assert kind == "select"
-    assert access == "table_scan"   # default stats: card=0
-    assert cost is not None
+    info = db.explain("SELECT * FROM t WHERE a = 1")
+    assert info["kind"] == "select"
+    assert info["access"] == "table_scan"   # default stats: card=0
+    assert info["cost"] is not None
 
 
 def test_explain_reflects_statistics(db):
     db.set_table_stats("t", card=1_000_000, colcard={"a": 1_000_000})
-    _, access, index, _ = explain(db, "EXPLAIN SELECT * FROM t WHERE a = 1")
-    assert access == "index_scan"
-    assert index == "t_a"
+    info = db.explain("SELECT * FROM t WHERE a = 1")
+    assert info["access"] == "index_scan"
+    assert info["index"] == "t_a"
 
 
 def test_explain_update_and_delete(db):
-    assert explain(db, "EXPLAIN UPDATE t SET b = 'y' WHERE a = 1")[0] == \
-        "update"
-    assert explain(db, "EXPLAIN DELETE FROM t WHERE a = 1")[0] == "delete"
+    assert db.explain("UPDATE t SET b = 'y' WHERE a = 1")["kind"] == "update"
+    assert db.explain("DELETE FROM t WHERE a = 1")["kind"] == "delete"
 
 
 def test_explain_insert(db):
-    kind, access, index, cost = explain(
-        db, "EXPLAIN INSERT INTO t (a, b) VALUES (99, 'z')")
-    assert kind == "insert"
-    assert access == "n/a"
+    info = db.explain("INSERT INTO t (a, b) VALUES (99, 'z')")
+    assert info == {"kind": "insert"}   # no access path
 
 
 def test_explain_does_not_execute(db):
-    explain(db, "EXPLAIN DELETE FROM t")
+    db.explain("DELETE FROM t")
     def count():
         session = db.session()
         result = yield from session.execute("SELECT COUNT(*) FROM t")
@@ -70,8 +57,6 @@ def test_explain_does_not_execute(db):
 
 
 def test_explain_takes_no_locks(db):
-    def go():
-        session = db.session()
-        yield from session.execute("EXPLAIN SELECT * FROM t WHERE a = 1")
-        return session.txn
-    assert db.sim.run_process(go()) is None  # no transaction even began
+    db.explain("SELECT * FROM t WHERE a = 1")
+    assert db.locks.heads == {}
+    assert not db.txns.active   # no transaction even began

@@ -3,20 +3,23 @@
 import pytest
 
 from repro.errors import SQLSyntaxError
+from repro.host import DatalinkSpec
 from repro.sql import ast
 from repro.sql.parser import parse
+from repro.system import System
 
 
 def test_select_star():
     stmt = parse("SELECT * FROM files")
     assert isinstance(stmt, ast.Select)
     assert stmt.items is None
-    assert stmt.table == ast.TableRef("files", None)
+    assert stmt.table == "files"
 
 
-def test_select_columns_with_alias():
-    stmt = parse("SELECT name, size AS s FROM files")
-    assert [i.alias for i in stmt.items] == [None, "s"]
+def test_select_columns_and_expressions():
+    stmt = parse("SELECT name, size + 1 FROM files")
+    assert stmt.items == (ast.ColumnRef("name"), ast.Arithmetic(
+        "+", ast.ColumnRef("size"), ast.Literal(1)))
 
 
 def test_select_where_comparison():
@@ -25,44 +28,24 @@ def test_select_where_comparison():
                                         ast.Literal(5))
 
 
-def test_where_precedence_or_binds_weaker_than_and():
-    stmt = parse("SELECT * FROM f WHERE a = 1 AND b = 2 OR c = 3")
-    assert isinstance(stmt.where, ast.Or)
-    assert isinstance(stmt.where.items[0], ast.And)
-
-
 def test_parenthesized_predicate():
-    stmt = parse("SELECT * FROM f WHERE a = 1 AND (b = 2 OR c = 3)")
+    stmt = parse("SELECT * FROM f WHERE a = 1 AND (b = 2 AND c = 3)")
     assert isinstance(stmt.where, ast.And)
-    assert isinstance(stmt.where.items[1], ast.Or)
+    assert isinstance(stmt.where.items[1], ast.And)
 
 
-def test_not_between_in_isnull():
-    stmt = parse("SELECT * FROM f WHERE NOT a IN (1, 2) AND b BETWEEN 1 AND 9"
-                 " AND c IS NOT NULL")
+def test_in_list_and_range_conjuncts():
+    stmt = parse("SELECT * FROM f WHERE a IN (1, 2) AND b >= 1 AND b <= 9")
     conj = stmt.where.items
-    assert isinstance(conj[0], ast.Not)
-    assert isinstance(conj[0].item, ast.InList)
-    assert isinstance(conj[1], ast.Between)
-    assert conj[2] == ast.IsNull(ast.ColumnRef("c"), negated=True)
+    assert conj[0] == ast.InList(ast.ColumnRef("a"),
+                                 (ast.Literal(1), ast.Literal(2)))
+    assert [c.op for c in conj[1:]] == [">=", "<="]
 
 
 def test_params_numbered_in_order():
     stmt = parse("SELECT * FROM f WHERE a = ? AND b = ?")
     assert stmt.where.items[0].right == ast.Param(0)
     assert stmt.where.items[1].right == ast.Param(1)
-
-
-def test_qualified_columns_and_join():
-    stmt = parse("SELECT f.name FROM f JOIN g ON f.id = g.fid WHERE g.x = 1")
-    assert stmt.join.table.name == "g"
-    assert stmt.join.on == ast.Comparison(
-        "=", ast.ColumnRef("id", "f"), ast.ColumnRef("fid", "g"))
-
-
-def test_table_alias():
-    stmt = parse("SELECT t.name FROM files t")
-    assert stmt.table == ast.TableRef("files", "t")
 
 
 def test_order_by_asc_desc_and_limit():
@@ -90,14 +73,12 @@ def test_for_update():
 def test_except():
     stmt = parse("SELECT a FROM f EXCEPT SELECT a FROM g")
     assert stmt.except_select is not None
-    assert stmt.except_select.table.name == "g"
+    assert stmt.except_select.table == "g"
 
 
 def test_aggregates():
-    stmt = parse("SELECT COUNT(*), MAX(id), MIN(id), SUM(size) FROM f")
-    names = [item.expr.name for item in stmt.items]
-    assert names == ["COUNT", "MAX", "MIN", "SUM"]
-    assert stmt.items[0].expr.arg is None
+    stmt = parse("SELECT COUNT(*) FROM f WHERE a = 1")
+    assert stmt.items == (ast.CountStar(),)
 
 
 def test_insert():
@@ -109,16 +90,6 @@ def test_insert():
 def test_insert_arity_mismatch_raises():
     with pytest.raises(SQLSyntaxError):
         parse("INSERT INTO f (a, b) VALUES (1)")
-
-
-def test_insert_multi_row():
-    stmt = parse("INSERT INTO f (a, b) VALUES (1, 'x'), (2, 'y'), (?, ?)")
-    assert stmt.values == (ast.Literal(1), ast.Literal("x"))
-    assert stmt.more_rows == (
-        (ast.Literal(2), ast.Literal("y")),
-        (ast.Param(0), ast.Param(1)),
-    )
-    assert len(stmt.rows) == 3
 
 
 def test_insert_multi_row_arity_mismatch_raises():
@@ -159,9 +130,13 @@ def test_negative_literal():
 
 
 def test_null_true_false_literals():
-    stmt = parse("INSERT INTO f (a, b, c) VALUES (NULL, TRUE, FALSE)")
-    assert stmt.values == (ast.Literal(None), ast.Literal(True),
-                           ast.Literal(False))
+    """NULL is the one literal keyword; TRUE and FALSE are reserved words
+    with no grammar rule, so neither can pass for a column."""
+    stmt = parse("INSERT INTO f (a) VALUES (NULL)")
+    assert stmt.values == (ast.Literal(None),)
+    for word in ("TRUE", "FALSE"):
+        with pytest.raises(SQLSyntaxError):
+            parse(f"INSERT INTO f (a) VALUES ({word})")
 
 
 def test_trailing_garbage_raises():
@@ -177,3 +152,48 @@ def test_missing_from_raises():
 def test_error_message_mentions_position():
     with pytest.raises(SQLSyntaxError, match="position"):
         parse("SELECT FROM")
+
+
+#: One case per construct the subset dropped: none of the SQL the system
+#: sends uses them (the census at the end of ``tools/reached.py``). Each
+#: must fail in the parser, never later in the planner, the executor or
+#: the host.
+DELETED = {
+    "join": "SELECT * FROM clips JOIN tags ON id = clip",
+    "inner-join": "SELECT * FROM clips INNER JOIN tags ON id = clip",
+    "table-alias": "SELECT id FROM clips c WHERE id = 1",
+    "as": "SELECT id AS n FROM clips",
+    "qualified-column": "SELECT clips.id FROM clips",
+    "or": "SELECT id FROM clips WHERE id = 1 OR id = 2",
+    "not": "DELETE FROM clips WHERE NOT id = 1",
+    "between": "SELECT id FROM clips WHERE id BETWEEN 1 AND 2",
+    "is-null": "UPDATE clips SET video = NULL WHERE title IS NULL",
+    "is-not-null": "SELECT id FROM clips WHERE video IS NOT NULL",
+    "max": "SELECT MAX(id) FROM clips",
+    "min": "SELECT MIN(id) FROM clips",
+    "sum": "SELECT SUM(id) FROM clips",
+    "count-expr": "SELECT COUNT(id) FROM clips",
+    "distinct": "SELECT DISTINCT title FROM clips",
+    "multi-row-values": "INSERT INTO clips (id, title, video) "
+                        "VALUES (1, 'a', NULL), (2, 'b', NULL)",
+    "true": "SELECT id FROM clips WHERE title = TRUE",
+    "false": "UPDATE clips SET title = FALSE WHERE id = 1",
+    "explain": "EXPLAIN SELECT * FROM clips WHERE id = 1",
+}
+
+
+@pytest.mark.parametrize("sql", list(DELETED.values()), ids=list(DELETED))
+def test_deleted_construct_is_a_syntax_error(sql):
+    with pytest.raises(SQLSyntaxError):
+        parse(sql)
+    system = System(seed=7)
+    session = system.host.session()
+
+    def go():
+        yield from system.host.create_datalink_table(
+            "clips", [("id", "INT"), ("title", "TEXT"), ("video", "TEXT")],
+            {"video": DatalinkSpec()})
+        with pytest.raises(SQLSyntaxError):
+            yield from session.execute(sql)
+
+    system.run(go())

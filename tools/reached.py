@@ -3,15 +3,25 @@
 Verify the traffic, don't guess it. This runs the drivers the repo
 ships — the e2e benchmark at ``--smoke`` size, ``bench --quick``, the
 chaos campaign (seeds 0-1 x ``paper``/``all_on`` x plain/``--shards 4``),
-the four trace scenarios and ``systemtest``; ``--with-experiments`` adds
-``benchmarks/bench_e*.py`` (~8 min traced) — with a ``sitecustomize``
-directory on ``PYTHONPATH`` that installs ``sys.settrace`` in every
-(child) process, and prints every function of ``src/repro`` none of them
-entered, with per-file totals of functions and of function lines (the
-``def`` line through the last line of the body).
+the four trace scenarios, ``systemtest`` and the examples;
+``--with-experiments`` adds ``benchmarks/bench_e*.py`` (~8 min traced) —
+with a ``sitecustomize`` directory on ``PYTHONPATH`` that installs
+``sys.settrace`` in every (child) process, and prints every function of
+``src/repro`` none of them entered, with per-file totals of functions
+and of function lines (the ``def`` line through the last line of the
+body).
 
     python3 tools/reached.py                    # the report (~3 min)
     python3 tools/reached.py --require src/repro/host/xa.py
+
+The report ends with the SQL census: the same tracer records every
+distinct text ``repro.sql.parser.parse`` is called with — by the
+drivers, and by ``benchmarks/perf``, which runs for its texts alone
+(its layer micro-benchmarks call internals, so the functions it enters
+are not counted) — and each text is parsed again here. Every AST node
+type and optional field the texts use is printed with the number of
+texts and one example: the SQL the system actually speaks. A recorded
+text the parser rejects is printed and makes the exit status 1.
 
 ``--require PATH`` (repeatable) exits 1 when a function of that file is
 unreached: code kept for a reason must be driven by something shipped.
@@ -27,6 +37,8 @@ that ends in ``os._exit`` loses nothing.
 
 import argparse
 import ast
+import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -35,22 +47,40 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 PACKAGE = os.path.join(SRC, "repro")
+sys.path.insert(0, SRC)
+
+from repro.errors import SQLSyntaxError  # noqa: E402
+from repro.sql.parser import parse  # noqa: E402
 
 SITECUSTOMIZE = '''\
-import os, sys, threading
+import json, os, sys, threading
 
 _PREFIX = os.environ["REACHED_PREFIX"]
+_PARSER = os.path.join(_PREFIX, "sql", "parser.py")
+_FUNCTIONS = not os.environ.get("REACHED_SQL_ONLY")
 _out = open(os.path.join(os.environ["REACHED_DIR"], "%d.txt" % os.getpid()),
             "a", buffering=1)
 _seen = set()
+_parse = set()   # the code object of repro.sql.parser.parse, once entered
+_texts = set()
 
 
 def _trace(frame, event, arg):
     code = frame.f_code
-    if code not in _seen:
+    if code in _parse:
+        sql = frame.f_locals.get("sql")
+        if sql not in _texts:
+            _texts.add(sql)
+            _out.write("sql " + json.dumps(sql) + "\\n")
+    elif code not in _seen:
         _seen.add(code)
         if code.co_filename.startswith(_PREFIX):
-            _out.write("%s:%d\\n" % (code.co_filename, code.co_firstlineno))
+            if _FUNCTIONS:
+                _out.write("%s:%d\\n"
+                           % (code.co_filename, code.co_firstlineno))
+            if code.co_filename == _PARSER and code.co_name == "parse":
+                _parse.add(code)
+                _trace(frame, event, arg)
     return None
 
 
@@ -70,7 +100,14 @@ DRIVERS = (
     + [[sys.executable, "-m", "repro", *args, "--no-shrink", "--out",
         os.devnull] for args in CHAOS]
     + [[sys.executable, "-m", "repro", "trace", scenario]
-       for scenario in ("commit-retry", "workload", "sharded", "fleet")])
+       for scenario in ("commit-retry", "workload", "sharded", "fleet")]
+    + [[sys.executable, "examples/" + name]
+       for name in sorted(os.listdir(os.path.join(ROOT, "examples")))
+       if name.endswith(".py")])
+#: Counted for their SQL texts alone: the layer micro-benchmarks call
+#: internals directly, so the functions they enter are not traffic.
+SQL_ONLY = [[sys.executable, "-m", "pytest", "-q", "--benchmark-disable",
+             "-p", "no:cacheprovider", "benchmarks/perf"]]
 EXPERIMENTS = [[sys.executable, "-m", "pytest", "-q", "--benchmark-disable",
                 "-p", "no:cacheprovider", "benchmarks/" + name]
                for name in sorted(os.listdir(os.path.join(ROOT, "benchmarks")))
@@ -100,9 +137,12 @@ def functions(path: str) -> dict:
     return found
 
 
-def run_drivers(drivers, record_dir: str, site_dir: str) -> None:
+def run_drivers(drivers, record_dir: str, site_dir: str,
+                sql_only: bool = False) -> None:
     env = dict(os.environ, REACHED_DIR=record_dir, REACHED_PREFIX=PACKAGE,
                PYTHONPATH=os.pathsep.join([site_dir, SRC]))
+    if sql_only:
+        env["REACHED_SQL_ONLY"] = "1"
     for command in drivers:
         print("  " + " ".join(command[1:]), file=sys.stderr, flush=True)
         done = subprocess.run(command, cwd=ROOT, env=env,
@@ -113,15 +153,73 @@ def run_drivers(drivers, record_dir: str, site_dir: str) -> None:
                      f"{' '.join(command)}\n{done.stderr[-2000:]}")
 
 
-def entered(record_dir: str) -> set:
-    """Every ``(file, first line)`` some traced process entered."""
-    reached = set()
+def entered(record_dir: str) -> tuple[set, set]:
+    """Every ``(file, first line)`` some traced process entered, and
+    every SQL text some process parsed."""
+    reached, texts = set(), set()
     for name in os.listdir(record_dir):
         with open(os.path.join(record_dir, name)) as handle:
             for line in handle:
+                if line.startswith("sql "):
+                    texts.add(json.loads(line[4:]))
+                    continue
                 path, _, lineno = line.rstrip("\n").rpartition(":")
                 reached.add((path, int(lineno)))
-    return reached
+    return reached, texts
+
+
+# -- the SQL census ------------------------------------------------------------
+
+def _nodes(value):
+    """Every AST node in ``value`` (a node, a tuple of them, or a leaf)."""
+    if dataclasses.is_dataclass(value):
+        yield value
+        for field in dataclasses.fields(value):
+            yield from _nodes(getattr(value, field.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _nodes(item)
+
+
+def constructs(stmt) -> set:
+    """The statement's node types (``Comparison`` and ``Arithmetic`` with
+    their operator) and every optional field it sets, as ``Class.field``."""
+    found = set()
+    for node in _nodes(stmt):
+        name = type(node).__name__
+        found.add(f"{name} {node.op}" if hasattr(node, "op") else name)
+        for field in dataclasses.fields(node):
+            if field.default is not dataclasses.MISSING \
+                    and getattr(node, field.name) != field.default:
+                found.add(f"{name}.{field.name}")
+    return found
+
+
+def sql_census(texts: set) -> list:
+    """Print each construct the parsed texts use — how many texts, and the
+    shortest as its example — and every text the parser rejects, which
+    is returned."""
+    uses: dict = {}
+    rejected = []
+    for sql in sorted(texts):
+        try:
+            stmt = parse(sql)
+        except SQLSyntaxError as error:
+            rejected.append((sql, error))
+            continue
+        for name in constructs(stmt):
+            uses.setdefault(name, []).append(sql)
+    print(f"SQL census: {len(texts)} distinct texts, "
+          f"{len(rejected)} the parser rejects")
+    width = max(map(len, uses), default=0)
+    for name, hits in sorted(uses.items()):
+        example = " ".join(min(hits, key=len).split())
+        if len(example) > 90:
+            example = example[:87] + "..."
+        print(f"  {name:<{width}}  {len(hits):4d}  {example}")
+    for sql, error in rejected:
+        print(f"  rejected: {error}")
+    return rejected
 
 
 def main() -> int:
@@ -147,7 +245,8 @@ def main() -> int:
         with open(os.path.join(site_dir, "sitecustomize.py"), "w") as handle:
             handle.write(SITECUSTOMIZE)
         run_drivers(drivers, record_dir, site_dir)
-        reached = entered(record_dir)
+        run_drivers(SQL_ONLY, record_dir, site_dir, sql_only=True)
+        reached, texts = entered(record_dir)
 
     total = total_lines = missed = missed_lines = 0
     incomplete = set()
@@ -173,10 +272,15 @@ def main() -> int:
     print(f"unreached: {missed} of {total} functions, {missed_lines} of "
           f"{total_lines} function lines, under {len(drivers)} drivers")
 
+    rejected = sql_census(texts)
+
     failed = [rel for rel in required if rel in incomplete]
     for rel in failed:
         print(f"--require {rel}: unreached functions", file=sys.stderr)
-    return 1 if failed else 0
+    if rejected:
+        print(f"{len(rejected)} recorded SQL texts do not parse",
+              file=sys.stderr)
+    return 1 if failed or rejected else 0
 
 
 if __name__ == "__main__":
