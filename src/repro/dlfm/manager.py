@@ -879,10 +879,7 @@ class DLFM:
         set difference (EXCEPT) against dfm_file drives the fix-up.
         """
         session = self.read_session()
-        yield from session.execute("CREATE TABLE temp_reconcile "
-                                   "(filename TEXT, recovery_id TEXT, "
-                                   "grp_id INT, access_ctl TEXT, "
-                                   "recovery TEXT)")
+        yield from session.execute(schema.RECONCILE_DDL)
         try:
             count = 0
             for path, recovery_id, grp_id, access_ctl, recovery in req.entries:

@@ -19,7 +19,9 @@ Five SQL tables:
 * ``dfm_backup`` — host backup cycles, for retention-driven GC.
 
 The multiple secondary indexes on ``dfm_file`` are faithful to the paper
-— they are what made next-key locking deadlock-prone (E3).
+— they are what made next-key locking deadlock-prone (E3). Every index
+is some plan's access path (``tests/dlfm/test_schema_plans.py``): an
+index no plan reads only adds an entry to every write of its table.
 """
 
 from __future__ import annotations
@@ -59,27 +61,27 @@ DDL = [
     "CREATE INDEX dfm_file_link_txn ON dfm_file (dbid, link_txn)",
     "CREATE INDEX dfm_file_unlink_txn ON dfm_file (dbid, unlink_txn)",
     "CREATE INDEX dfm_file_grp ON dfm_file (grp_id, state)",
-    "CREATE INDEX dfm_file_recovery ON dfm_file (recovery_id)",
     """CREATE TABLE dfm_group (
         grp_id INT, dbid TEXT, table_name TEXT, column_name TEXT,
         state TEXT, delete_txn INT, delete_time FLOAT, expires_at FLOAT,
         epoch INT)""",
     "CREATE UNIQUE INDEX dfm_group_id ON dfm_group (dbid, grp_id)",
-    "CREATE INDEX dfm_group_state ON dfm_group (state)",
     "CREATE INDEX dfm_group_txn ON dfm_group (dbid, delete_txn)",
     """CREATE TABLE dfm_txn (
         dbid TEXT, txn_id INT, state TEXT, prepare_time FLOAT,
         groups_deleted INT)""",
     "CREATE UNIQUE INDEX dfm_txn_id ON dfm_txn (dbid, txn_id)",
-    "CREATE INDEX dfm_txn_state ON dfm_txn (state)",
     """CREATE TABLE dfm_archive (
         filename TEXT, recovery_id TEXT, state TEXT, enqueued_at FLOAT)""",
     "CREATE UNIQUE INDEX dfm_archive_key ON dfm_archive (filename, recovery_id)",
-    "CREATE INDEX dfm_archive_state ON dfm_archive (state)",
     """CREATE TABLE dfm_backup (
         backup_id INT, dbid TEXT, recovery_id TEXT, backup_time FLOAT)""",
     "CREATE UNIQUE INDEX dfm_backup_id ON dfm_backup (backup_id, dbid)",
 ]
+
+#: The Reconcile utility's temp table of the host's references (§3.4).
+RECONCILE_DDL = ("CREATE TABLE temp_reconcile (filename TEXT, "
+                 "recovery_id TEXT, grp_id INT, access_ctl TEXT, recovery TEXT)")
 
 #: Hand-crafted statistics (the paper's utility): large cardinalities and
 #: near-unique key columns force index access paths for every probe,

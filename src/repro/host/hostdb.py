@@ -73,6 +73,18 @@ class HostMetrics:
     tokens_issued: int = 0
 
 
+def create_shardmap(db: Database) -> None:
+    """Shard-map catalog (repro.shard): file group → owning shard, with
+    a fencing epoch bumped by every rebalance. Present (and empty) even
+    on unsharded hosts so the schema is uniform."""
+    db.ddl(parse_sql("CREATE TABLE dlk_shardmap (grp_id INT, shard TEXT, "
+                     "epoch INT)"))
+    db.ddl(parse_sql("CREATE UNIQUE INDEX dlk_shardmap_grp ON dlk_shardmap "
+                     "(grp_id)"))
+    db.set_table_stats("dlk_shardmap", card=100_000,
+                       colcard={"grp_id": 100_000})
+
+
 class HostDB:
     def __init__(self, sim: Simulator, dbid: str, dlfms: dict,
                  config: Optional[HostConfig] = None):
@@ -97,20 +109,7 @@ class HostDB:
         #: Shard router (``repro.shard.ShardMap``) — None on an unsharded
         #: host, where datalink ops address DLFMs by file-server name.
         self.shard_map = None
-        self._bootstrap_schema()
-
-    def _bootstrap_schema(self) -> None:
-        # Shard-map catalog (repro.shard): file group → owning shard,
-        # with a fencing epoch bumped by every rebalance. Present (and
-        # empty) even on unsharded hosts so the schema is uniform.
-        self.db.ddl(parse_sql(
-            "CREATE TABLE dlk_shardmap (grp_id INT, shard TEXT, "
-            "epoch INT)"))
-        self.db.ddl(parse_sql(
-            "CREATE UNIQUE INDEX dlk_shardmap_grp ON dlk_shardmap "
-            "(grp_id)"))
-        self.db.set_table_stats("dlk_shardmap", card=100_000,
-                                colcard={"grp_id": 100_000})
+        create_shardmap(self.db)
 
     # ------------------------------------------------------------------ decisions
 

@@ -122,7 +122,7 @@ def test_xa_branch_left_in_doubt_across_a_host_crash_gets_its_verdict():
     journaled commit, and the deployment checks clean. (No CI cell has
     one since the host's leader point fires only for a real group: a
     lone chaos client rarely queues behind another host committer.)"""
-    result = run_campaign(CampaignConfig(seed=26, ops=200, base="all_on"))
+    result = run_campaign(CampaignConfig(seed=52, ops=200, base="all_on"))
     assert any(op["kind"] == "xa" and "host-hostdb" in op["outcome"]
                and op["outcome"].startswith("indoubt:commit across")
                for op in result.op_trace)

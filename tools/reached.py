@@ -23,6 +23,15 @@ type and optional field the texts use is printed with the number of
 texts and one example: the SQL the system actually speaks. A recorded
 text the parser rejects is printed and makes the exit status 1.
 
+Last comes the index census: every recorded text on a ``dfm_*`` or
+``dlk_*`` table is bound in :func:`plan_context` — the DLFM schema
+under its pinned statistics, the way the shipped system plans it — and
+each index there is printed with the number of texts whose plan reads
+it. An index no text reads is upkeep every write of its table pays for
+nothing, and makes the exit status 1. ``--plans PATH`` writes each of
+those texts' access path as JSON: the golden of
+``tests/dlfm/test_schema_plans.py``.
+
 ``--require PATH`` (repeatable) exits 1 when a function of that file is
 unreached: code kept for a reason must be driven by something shipped.
 Tests are deliberately not drivers here — a function only its own unit
@@ -49,7 +58,12 @@ SRC = os.path.join(ROOT, "src")
 PACKAGE = os.path.join(SRC, "repro")
 sys.path.insert(0, SRC)
 
+from repro.dlfm import schema  # noqa: E402
 from repro.errors import SQLSyntaxError  # noqa: E402
+from repro.host.hostdb import create_shardmap  # noqa: E402
+from repro.kernel.sim import Simulator  # noqa: E402
+from repro.minidb import Database  # noqa: E402
+from repro.sql import ast as sql_ast  # noqa: E402
 from repro.sql.parser import parse  # noqa: E402
 
 SITECUSTOMIZE = '''\
@@ -222,6 +236,69 @@ def sql_census(texts: set) -> list:
     return rejected
 
 
+# -- the index census ----------------------------------------------------------
+
+def plan_context() -> Database:
+    """A fresh database with the DLFM schema under its pinned statistics,
+    the host's shard-map catalog and the Reconcile utility's temp table:
+    where the shipped system binds every DLFM text."""
+    sim = Simulator()
+    db = Database(sim, "census")
+    schema.create_schema(db, sim)
+    schema.pin_statistics(db)
+    create_shardmap(db)
+    db.ddl(parse(schema.RECONCILE_DDL))
+    return db
+
+
+def dlfm_texts(texts) -> list:
+    """The DML texts that touch a ``dfm_*`` or ``dlk_*`` table."""
+    found = []
+    for sql in sorted(texts):
+        try:
+            stmt = parse(sql)
+        except SQLSyntaxError:
+            continue
+        if not isinstance(stmt, (sql_ast.Select, sql_ast.Insert,
+                                 sql_ast.Update, sql_ast.Delete)):
+            continue
+        if any(node.table.startswith(("dfm_", "dlk_"))
+               for node in _nodes(stmt) if hasattr(node, "table")):
+            found.append(sql)
+    return found
+
+
+def access_path(db: Database, sql: str):
+    """The index ``sql``'s plan reads, or ``table_scan`` — one per SELECT
+    of an EXCEPT, joined by `` EXCEPT `` — and None for an INSERT."""
+    plan = db.get_plan(sql)
+    if plan.kind == "insert":
+        return None
+    paths = []
+    while plan is not None:
+        paths.append(plan.access.index_name or plan.access.kind)
+        plan = getattr(plan, "except_plan", None)
+    return " EXCEPT ".join(paths)
+
+
+def index_census(texts) -> tuple:
+    """Bind every DLFM text in :func:`plan_context` and print, for each
+    of its indexes, how many texts read it. Returns the texts' access
+    paths and the indexes no text reads."""
+    db = plan_context()
+    paths = {sql: access_path(db, sql) for sql in dlfm_texts(texts)}
+    reads = {index: 0 for index in sorted(db.catalog.indexes)}
+    for path in paths.values():
+        for index in set((path or "").split(" EXCEPT ")) & set(reads):
+            reads[index] += 1
+    print(f"index census: {len(paths)} DLFM texts bound under pinned "
+          f"statistics")
+    width = max(map(len, reads), default=0)
+    for index, count in reads.items():
+        print(f"  {index:<{width}}  {count:4d}")
+    return paths, [index for index, count in reads.items() if not count]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--with-experiments", action="store_true",
@@ -229,6 +306,9 @@ def main() -> int:
     parser.add_argument("--require", action="append", default=[],
                         metavar="PATH",
                         help="exit 1 if a function of this file is unreached")
+    parser.add_argument("--plans", metavar="PATH",
+                        help="write each DLFM text's access path to PATH "
+                             "as JSON (tests/golden/dlfm_plans.json)")
     args = parser.parse_args()
     required = [os.path.relpath(os.path.abspath(path), ROOT)
                 for path in args.require]
@@ -273,6 +353,11 @@ def main() -> int:
           f"{total_lines} function lines, under {len(drivers)} drivers")
 
     rejected = sql_census(texts)
+    paths, unread = index_census(texts)
+    if args.plans:
+        with open(args.plans, "w") as handle:
+            json.dump(paths, handle, indent=1, sort_keys=True)
+            handle.write("\n")
 
     failed = [rel for rel in required if rel in incomplete]
     for rel in failed:
@@ -280,7 +365,10 @@ def main() -> int:
     if rejected:
         print(f"{len(rejected)} recorded SQL texts do not parse",
               file=sys.stderr)
-    return 1 if failed or rejected else 0
+    if unread:
+        print(f"{len(unread)} indexes no DLFM text reads: "
+              f"{', '.join(unread)}", file=sys.stderr)
+    return 1 if failed or rejected or unread else 0
 
 
 if __name__ == "__main__":
