@@ -1,15 +1,12 @@
 """Per-layer micro-benchmarks of the interpreter clock (ROADMAP item 3).
 
-First slice: the three hot spots the end-to-end profile named — the SI
-index probe, the uncontended lock, the B+tree point probe — plus the
-statement they add up to. ``pytest benchmarks/perf/bench_layers.py
+First slice: the hot spots the end-to-end profile named — the
+uncontended lock, the B+tree point probe — plus the statement they add
+up to. ``pytest benchmarks/perf/bench_layers.py
 --benchmark-only`` prints the timings; the assertions are about *shape*
 only (how cost scales, what gets allocated), so they hold on any
 machine and also run with ``--benchmark-disable``:
 
-* an SI point probe costs the same whether the table has 0 or 1 000
-  live version chains, as long as their index entries never moved
-  (≤ 2× allowed; a sweep over every chain is > 20×);
 * an uncontended row-lock acquire + cursor-stability release builds no
   wait-queue request and no kernel event;
 * a cursor-stability range or table scan nobody can observe builds no
@@ -33,7 +30,6 @@ Second slice, the write path's fixed cost (DESIGN §9):
 """
 
 import gc
-import time
 import types
 
 import pytest
@@ -54,9 +50,8 @@ ROWS = 2_000
 BATCH = 200
 
 
-def make_db(live_chains: int):
-    """A 2 000-row table with a unique index; ``live_chains`` of its rows
-    carry a version chain (non-key update, pinned by a held snapshot)."""
+def make_db():
+    """A 2 000-row table with a unique index."""
     sim = Simulator(seed=1)
     db = Database(sim, "layers", DBConfig())
 
@@ -69,59 +64,9 @@ def make_db(live_chains: int):
                 "INSERT INTO t (k, v) VALUES (?, 0)", (k,))
         yield from session.commit()
         db.set_table_stats("t", card=1_000_000, colcard={"k": 1_000_000})
-        pin = db.begin("SI")          # keeps the chains below alive
-        if live_chains:
-            yield from session.execute(
-                "UPDATE t SET v = 1 WHERE k < ?", (live_chains,))
-            yield from session.commit()
-        return pin
 
-    pin = sim.run_process(setup())
-    assert db.live_chains() == live_chains
-    return sim, db, pin
-
-
-def si_probe(db):
-    """BATCH point probes through the SI access path, as one callable."""
-    txn = db.begin("SI")
-    access = db.get_plan("SELECT v FROM t WHERE k = ?").access
-    assert access.kind == "index_scan"
-    scan = db.executor._scan_snapshot
-    keys = [(k * 7919) % ROWS for k in range(BATCH)]
-
-    def run():
-        for k in keys:
-            rows = scan(txn, access, (k,))
-        return rows
-    return run
-
-
-def best_of(fn, repeats: int = 5) -> float:
-    times = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - started)
-    return min(times)
-
-
-@pytest.mark.parametrize("live_chains", [0, 100, 1_000])
-def test_si_point_probe(benchmark, live_chains):
-    _, db, _pin = make_db(live_chains)
-    rows = benchmark(si_probe(db))
-    assert len(rows) == 1
-
-
-def test_si_probe_cost_does_not_scale_with_live_chains():
-    _, bare, _pin0 = make_db(0)
-    _, chained, _pin1 = make_db(1_000)
-    probe_bare, probe_chained = si_probe(bare), si_probe(chained)
-    probe_bare(), probe_chained()                          # warm up
-    before = chained.metrics.snapshot_candidates
-    slow, fast = best_of(probe_chained), best_of(probe_bare)
-    # One candidate per probe: the tree match, none of the 1 000 chains.
-    assert chained.metrics.snapshot_candidates - before == 5 * BATCH
-    assert slow <= 2.0 * fast, (slow, fast)
+    sim.run_process(setup())
+    return sim, db
 
 
 def lock_pairs(sim, locks, txn):
@@ -171,7 +116,7 @@ def test_btree_point_probe_at_full_leaf_fanout(benchmark):
 
 
 def test_cs_point_select_by_unique_index(benchmark):
-    sim, db, _pin = make_db(0)
+    sim, db = make_db()
     session = db.session("CS")
 
     def work():
@@ -191,8 +136,8 @@ TABLE_SCAN = ("SELECT COUNT(*) FROM s WHERE v = ?", (0,))
 
 
 def make_scan_db():
-    """``make_db(0)`` plus an unindexed 200-row table ``s``."""
-    sim, db, _pin = make_db(0)
+    """``make_db()`` plus an unindexed 200-row table ``s``."""
+    sim, db = make_db()
 
     def setup():
         session = db.session()

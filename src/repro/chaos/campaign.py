@@ -48,10 +48,11 @@ ROUND_BUDGET = 900.0
 QUIESCE_STEP = 30.0
 QUIESCE_ROUNDS = 60
 #: Repro-document version: 2 added ``"config"``, 3 the ``checkpoint`` op
-#: kind, 4 the ``xa`` op kind. An older document's seed draws a
-#: different op sequence (or ran a hand-built configuration that no
-#: longer exists) and is refused.
-DOC_VERSION = 4
+#: kind, 4 the ``xa`` op kind, 5 dropped the version-merge fault rule
+#: and a DLFM configuration field. An older document's seed draws a
+#: different op sequence or fault schedule (or ran a configuration that
+#: no longer exists) and is refused.
+DOC_VERSION = 5
 
 
 @dataclass
@@ -185,35 +186,10 @@ def _corrupt_deleted_group_marker(system) -> bool:
     return False
 
 
-def _corrupt_lost_version(system) -> bool:
-    """Clobber a linked row's version chain with a bogus delete marker.
-
-    The chain then claims the newest committed state of the row is
-    "deleted" while the base slot still holds it — exactly the damage a
-    buggy merge fold would do — so the freshest snapshot disagrees with
-    the base rows and ``lost-committed-version`` must fire."""
-    for name in sorted(system.dlfms):
-        db = system.dlfms[name].db
-        heap = db.heaps["dfm_file"]
-        for rid, _row in sorted(heap.scan()):
-            heap._versions[rid] = [(db.wal.tail_lsn, None)]
-            return True
-    return False
-
-
-def _corrupt_stale_merge(system) -> bool:
-    """Force a merge pass with a watermark above every live snapshot."""
-    db = system.dlfms[min(system.dlfms)].db
-    db.merge_versions(watermark=db.wal.tail_lsn + 1)
-    return True
-
-
 CORRUPTIONS = {
     "dangling-link-row": _corrupt_dangling_link_row,
     "leaked-lock": _corrupt_leaked_lock,
     "deleted-group-marker": _corrupt_deleted_group_marker,
-    "lost-committed-version": _corrupt_lost_version,
-    "stale-merge": _corrupt_stale_merge,
 }
 
 
@@ -425,7 +401,7 @@ class _Campaign:
         host under running clients: each checkpoint's transaction table
         carries it, and its COMMIT lands in the tail behind them. A
         commit acknowledged after a checkpoint must be visible to every
-        post-restart snapshot (e2e finding 1b)."""
+        post-restart read (e2e finding 1b)."""
         yield from self._op_update(session, record, checkpoint=True)
 
     def _op_xa(self, session, record: dict):

@@ -32,13 +32,7 @@ point                      kinds                     wired into
                                                      retrieved, delgrpd):
                                                      after the claim/
                                                      dispatch, before the
-                                                     work; for ``merged``,
-                                                     after a merge pass
-                                                     folded version chains
-                                                     (all in memory,
-                                                     nothing durable —
-                                                     recovery must rebuild
-                                                     the chains from WAL)
+                                                     work
 ``rpc.reply:<chan>``       partition                 agent serve loop:
                                                      request delivered and
                                                      processed, REPLY
@@ -369,12 +363,6 @@ def default_plan(seed: int = 0) -> FaultPlan:
         # worker strands its synchronous caller by design.)
         FaultRule("daemon.worker:*:copyd", "crash", prob=0.01, max_fires=1),
         FaultRule("daemon.worker:*:delgrpd", "crash", prob=0.01,
-                  max_fires=1),
-        # Version-merge daemon: crash right after a pass folded chains.
-        # The fold is volatile bookkeeping, so restart recovery must
-        # rebuild every chain a live snapshot could still need from the
-        # WAL (the lost-committed-version invariant checks the result).
-        FaultRule("daemon.worker:*:merged", "crash", prob=0.01,
                   max_fires=1),
         # 2PC fan-out windows: stall the coordinator while every
         # participant's request is in flight, and crash it there once per

@@ -31,12 +31,6 @@ Violation codes (also documented in DESIGN.md §10):
 ``missing-archive-copy``    archived=1 entry with no archive copy
 ``leaked-txn``              active (never-prepared) transaction after quiesce
 ``leaked-locks``            lock table non-empty with no transactions
-``lost-committed-version``  MVCC: newest committed version state disagrees
-                            with the base rows (a fold lost or invented data)
-``stale-merge``             MVCC: a merge ran with a watermark above the
-                            oldest live snapshot
-``orphan-seed``             MVCC: a lone ``(0, row)`` chain seed with no
-                            live transaction (its writer never settled it)
 ``unresolved-moving-group`` group still moving-out/moving-in after quiesce
 ``ambiguous-group-ownership`` sharded: group active on several shards, on the
                             wrong shard, or at an epoch the catalog disagrees
@@ -57,7 +51,6 @@ server against the union of its DLFMs' metadata.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from repro.dlff.filter import DLFM_ADMIN
@@ -400,45 +393,3 @@ def _check_engine_residue(db, node: str, out: list) -> None:
         out.append(Violation(
             "leaked-locks", node,
             f"{db.locks.total_locks} locks held with no live transactions"))
-    _check_version_state(db, node, out)
-
-
-def _check_version_state(db, node: str, out: list) -> None:
-    """MVCC residue inside one engine.
-
-    ``stale-merge``: the engine records every merge pass whose watermark
-    exceeded the oldest live snapshot (a daemon bug would tear rows out
-    from under a reader); the record survives until checked.
-
-    ``lost-committed-version``: with no transaction in flight, a fresh
-    snapshot at the WAL tail must see exactly the base rows — a multiset
-    comparison per table (row tuples may contain None, so no sorting).
-    Skipped while any transaction is live: a prepared transaction's
-    uncommitted slot data legitimately differs from its seed versions.
-
-    ``orphan-seed``: a writer pins a ``(0, row)`` seed on first touch and
-    its commit or rollback settles it; with no transaction live, no chain
-    may still be that lone seed.
-    """
-    for detail in db.version_violations:
-        out.append(Violation("stale-merge", node, detail))
-    if db.txns.active:
-        return
-    for table, heap in sorted(db.heaps.items()):
-        seeds = sum(len(chain) == 1 and chain[0][0] == 0
-                    for chain in heap._versions.values())
-        if seeds:
-            out.append(Violation(
-                "orphan-seed", node,
-                f"{table}: {seeds} lone (0, row) seed chains with no "
-                f"live transaction"))
-    for table in sorted(db.catalog.tables):
-        base = Counter(db.table_rows(table))
-        visible = Counter(db.snapshot_table_rows(table))
-        if base != visible:
-            lost = sum((base - visible).values())
-            extra = sum((visible - base).values())
-            out.append(Violation(
-                "lost-committed-version", node,
-                f"{table}: snapshot at the WAL tail disagrees with base "
-                f"rows ({lost} missing from the snapshot, {extra} extra)"))

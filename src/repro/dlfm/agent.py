@@ -100,11 +100,7 @@ class ChildAgent:
         if self.current is not None and not self.failed:
             raise TwoPCProtocolError(
                 f"BeginTxn {req.txn_id} while {self.current} is active")
-        # Forward sessions honour ``read_isolation``: under SI the
-        # transaction's lookups are lock-free snapshot reads (writes
-        # still take X locks and lose to the first writer); probes that
-        # fence a write carry an explicit lock clause (see manager).
-        self.session = self.dlfm.read_session()
+        self.session = self.dlfm.db.session()
         self.current = (req.dbid, req.txn_id)
         self.prepared = False
         self.failed = False

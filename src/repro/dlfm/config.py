@@ -32,13 +32,6 @@ class DLFMConfig:
     copy_workers: int = 1
     #: Retrieve-daemon worker processes serving concurrent restores.
     retrieve_workers: int = 1
-    #: Isolation level for DLFM's hot internal reads and forward-session
-    #: lookups: ``"default"`` keeps the local database's own level (the
-    #: paper's behaviour, byte for byte); ``"SI"`` runs them as snapshot
-    #: reads that take no read locks, so the in-doubt poller, reconcile
-    #: scans, delete-group drain and link/unlink lookups never queue
-    #: behind — or deadlock with — phase-2 writers.
-    read_isolation: str = "default"
     #: Base delay between phase-2 retries after a deadlock/timeout
     #: (``DLFM.retry_backoff`` grows and jitters it); phase 2 retries
     #: until it succeeds, as the paper's does (Fig. 4).

@@ -6,6 +6,4 @@
 * :mod:`delete_group` — asynchronous unlinking of dropped tables' files.
 * :mod:`gc` — metadata/backup-copy garbage collection.
 * :mod:`upcall` — answers DLFF "is this file linked?" queries.
-* :mod:`version_merge` — folds committed MVCC version tails into base
-  records (the L-Store merge behind snapshot-isolation reads).
 """

@@ -88,7 +88,7 @@ class DeleteGroupDaemon:
     def _rescan_committed(self):
         """After restart (and at quiesce): resume every committed txn
         with pending groups; completes only when all are drained."""
-        session = self.dlfm.read_session()
+        session = self.dlfm.db.session()
         rows = yield from session.execute(
             "SELECT dbid, txn_id FROM dfm_txn WHERE state = ?",
             (schema.TXN_COMMITTED,))
@@ -106,7 +106,7 @@ class DeleteGroupDaemon:
                 f"daemon.pass:{self.dlfm.name}:delgrpd", db.name)
         with self.dlfm.sim.tracer.span("daemon.delgrpd.process_txn",
                                        dbid=dbid, txn=txn_id) as span:
-            session = self.dlfm.read_session()
+            session = db.session()
             groups = yield from session.execute(
                 "SELECT grp_id FROM dfm_group WHERE delete_txn = ? AND "
                 "dbid = ? AND state = ?", (txn_id, dbid, schema.GRP_DELETED))
@@ -129,10 +129,7 @@ class DeleteGroupDaemon:
         backoff = self.dlfm.retry_backoff(f"delgrpd:{grp_id}")
         while True:
             try:
-                # SI drain sessions scan lock-free; their UPDATE/DELETE
-                # still X-lock and a first-writer-wins conflict lands in
-                # RETRIABLE_FAULTS below, like any deadlock would.
-                session = self.dlfm.read_session()
+                session = db.session()
                 batch = yield from session.execute(
                     "SELECT filename, recovery_id, recovery, orig_owner, "
                     "orig_group, orig_mode FROM dfm_file WHERE grp_id = ? "

@@ -32,7 +32,6 @@ from repro.dlfm.daemons.delete_group import DeleteGroupDaemon
 from repro.dlfm.daemons.gc import GarbageCollector
 from repro.dlfm.daemons.retrieved import RetrieveDaemon
 from repro.dlfm.daemons.upcall import UpcallDaemon
-from repro.dlfm.daemons.version_merge import VersionMergeDaemon
 from repro.errors import (RETRIABLE_FAULTS, LinkError, StaleRouteError,
                           TransactionAborted, TwoPCProtocolError,
                           UnlinkError)
@@ -103,7 +102,6 @@ class DLFM:
         self.retrieved = RetrieveDaemon(self)
         self.delete_groupd = DeleteGroupDaemon(self)
         self.gc = GarbageCollector(self)
-        self.merged = VersionMergeDaemon(self)
         self.upcalld = UpcallDaemon(self)
         self.filter.set_upcall(self.upcalld.query)
         self._daemon_procs: list = []
@@ -133,7 +131,6 @@ class DLFM:
             spawn(self.retrieved.run(), f"{self.name}-retrieved"),
             spawn(self.delete_groupd.run(), f"{self.name}-delgrpd"),
             spawn(self.gc.run(), f"{self.name}-gcd"),
-            spawn(self.merged.run(), f"{self.name}-merged"),
             spawn(self.upcalld.run(), f"{self.name}-upcalld"),
         ]
 
@@ -186,38 +183,6 @@ class DLFM:
         self.delete_groupd.rescan_needed = True
         return summary
 
-    def read_session(self):
-        """A local-DB session at ``config.read_isolation``.
-
-        ``"default"`` returns a plain session at the engine's configured
-        level — the paper's behaviour, unchanged. ``"SI"`` returns a
-        snapshot-isolation session: its reads resolve against the MVCC
-        version chains at a begin-timestamp snapshot and take **no read
-        locks**, so DLFM's hot internal readers (in-doubt poller,
-        reconcile scans, delete-group drain, link/unlink lookups) never
-        queue behind — or deadlock with — phase-2 writers. Statements
-        that must see and fence the *current* state carry a lock clause
-        (FOR SHARE / FOR UPDATE): the locking read path even under SI.
-        """
-        if self.config.read_isolation == "SI":
-            return self.db.session("SI")
-        return self.db.session()
-
-    def _probe_lock(self, session, clause: str = " FOR SHARE") -> str:
-        """``clause`` when ``session`` reads at SI, else ``""``.
-
-        Existence/state probes that *fence* a subsequent write (link's
-        and unlink's group check, export's file scan) rely on lock waits
-        under the locking levels; under SI a plain read would resolve
-        against a snapshot and the fence would silently vanish
-        (write-skew). The explicit lock clause restores the current-read
-        + lock-to-commit semantics for exactly those probes. The group
-        fences are *shared*: they must conflict with the group's writers
-        (DeleteGroup's UPDATE, ExportGroup's FOR UPDATE) — S does, FIFO —
-        never with another linker (DESIGN §13).
-        """
-        return clause if session.isolation == "SI" else ""
-
     def retry_backoff(self, what: str) -> Backoff:
         """The retry-delay policy for phase-2 loops and daemons: the
         sleep doubles per attempt from ``commit_retry_delay`` up to 8 s,
@@ -235,9 +200,6 @@ class DLFM:
             "copyd_conflicts": self.copyd.conflicts,
             "retrieved_queue_depth": self.retrieved.queue_depth,
             "delgrpd_queue_depth": self.delete_groupd.queue_depth,
-            "merged_passes": self.merged.passes,
-            "merged_versions_merged": self.merged.versions_merged,
-            "merged_live_chains": self.merged.live_chains,
         }
         for daemon in (self.copyd, self.retrieved, self.delete_groupd):
             prefix = daemon.pool.name.rsplit("-", 1)[-1]
@@ -313,10 +275,14 @@ class DLFM:
         # Check 2: the file group must exist and be active. A routed op
         # (route_epoch > 0) is fenced against the shard map: a missing,
         # moving, or epoch-mismatched group means the host's cached route
-        # is stale — retryable, unlike a genuinely deleted group.
+        # is stale — retryable, unlike a genuinely deleted group. FOR
+        # SHARE keeps the S lock to commit at every level (under CS a
+        # plain read's lock ends with the statement): the group's writers
+        # — DeleteGroup's UPDATE, ExportGroup's FOR UPDATE — wait for this
+        # link, another linker does not (DESIGN §13).
         group = yield from session.query_one(
             "SELECT state, epoch FROM dfm_group WHERE grp_id = ? AND "
-            f"dbid = ?{self._probe_lock(session)}", (req.grp_id, req.dbid))
+            "dbid = ? FOR SHARE", (req.grp_id, req.dbid))
         if req.route_epoch:
             self._check_route(group, req.grp_id, req.route_epoch)
         if group is None or group[0] != schema.GRP_ACTIVE:
@@ -383,7 +349,7 @@ class DLFM:
             # "not linked" for a file whose group moved elsewhere.
             group = yield from session.query_one(
                 "SELECT state, epoch FROM dfm_group WHERE grp_id = ? AND "
-                f"dbid = ?{self._probe_lock(session)}",
+                "dbid = ? FOR SHARE",
                 (req.grp_id, req.dbid))
             self._check_route(group, req.grp_id, req.route_epoch)
         entry = yield from session.query_one(
@@ -458,11 +424,12 @@ class DLFM:
     def op_export_group(self, session, req: api.ExportGroup):
         """Generator: rebalance source side — snapshot and mark moving-out.
 
-        The FOR UPDATE on the group row plus the full file-row scan mean
-        the export waits for (or deadlocks with, and retries after) any
-        in-flight transaction touching the group; a *prepared* in-doubt
-        transaction keeps its locks, so a move cannot start while the
-        group has in-doubt work — by design, never by luck.
+        The FOR UPDATE on the group row and on every file row means the
+        export waits for (or deadlocks with, and retries after) any
+        in-flight transaction touching the group, a link's FOR SHARE
+        group fence included; in-doubt work is refused below
+        (retryable), so a move cannot start while the group has any —
+        by design, never by luck.
         """
         group = yield from session.query_one(
             "SELECT grp_id, dbid, table_name, column_name, state, "
@@ -477,8 +444,7 @@ class DLFM:
                 f"group {req.grp_id} is {group[4]}, cannot move")
         files = yield from session.execute(
             f"SELECT {self._FILE_COLUMNS} FROM dfm_file "
-            "WHERE grp_id = ? AND dbid = ?"
-            f"{self._probe_lock(session, ' FOR UPDATE')}",
+            "WHERE grp_id = ? AND dbid = ? FOR UPDATE",
             (req.grp_id, req.dbid))
         # A move adopts file rows VERBATIM, so every row must be fully
         # resolved: an in-doubt link's phase-2 Commit (chown takeover,
@@ -781,7 +747,7 @@ class DLFM:
 
     def op_list_indoubt(self, req: api.ListIndoubt):
         """Generator: prepared transactions awaiting the host's verdict."""
-        session = self.read_session()
+        session = self.db.session()
         rows = yield from session.execute(
             "SELECT txn_id FROM dfm_txn WHERE dbid = ? AND state = ?",
             (req.dbid, schema.TXN_PREPARED))
@@ -878,7 +844,7 @@ class DLFM:
         a temp table (reducing message count, as the paper describes) and
         set difference (EXCEPT) against dfm_file drives the fix-up.
         """
-        session = self.read_session()
+        session = self.db.session()
         yield from session.execute(schema.RECONCILE_DDL)
         try:
             count = 0

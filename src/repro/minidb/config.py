@@ -69,6 +69,10 @@ class TimingModel:
         return self.index_entry * entries if self.enabled else 0.0
 
 
+#: The locking isolation levels a session may run at.
+ISOLATION_LEVELS = ("RR", "RS", "CS")
+
+
 @dataclass
 class DBConfig:
     """Engine configuration; defaults approximate an untuned DB2 instance."""
@@ -82,15 +86,8 @@ class DBConfig:
     #: with phantom protection when next-key locking is on), "RS" (read
     #: stability: read locks held to commit, no phantom protection — what
     #: DLFM effectively got by disabling next-key locking), "CS"
-    #: (cursor stability), or "SI" (snapshot isolation: reads resolve
-    #: against a begin-timestamp snapshot of the version chains and take
-    #: no S row/key locks at all; writers keep X locks and the first
-    #: writer to commit wins write-write conflicts). The MVCC lineage
-    #: chains SI reads (base slot + append-only version tail stamped
-    #: with commit LSNs) are always maintained; they fold back into base
-    #: records as soon as no live snapshot can see them, so with no SI
-    #: sessions they are pure bookkeeping and RR/RS/CS scheduling is
-    #: unchanged.
+    #: (cursor stability: read locks end with the statement; a
+    #: ``FOR SHARE`` / ``FOR UPDATE`` clause keeps them to commit).
     isolation: str = "RR"
     #: Total lock entries available across all transactions (LOCKLIST).
     locklist_size: int = 100_000
@@ -126,7 +123,7 @@ class DBConfig:
             raise ValueError("lock_timeout must be positive")
         if not 0 < self.maxlocks_fraction <= 1:
             raise ValueError("maxlocks_fraction must be in (0, 1]")
-        if self.isolation not in ("RR", "RS", "CS", "SI"):
+        if self.isolation not in ISOLATION_LEVELS:
             raise ValueError(f"unknown isolation level {self.isolation!r}")
         if self.rows_per_page < 1:
             raise ValueError("degenerate storage geometry")

@@ -22,7 +22,7 @@ from repro.kernel.sim import Event, Simulator, Timeout
 from repro.minidb import wal as walmod
 from repro.minidb.btree import BTree, encode_key
 from repro.minidb.catalog import Catalog, ColumnDef
-from repro.minidb.config import DBConfig
+from repro.minidb.config import ISOLATION_LEVELS, DBConfig
 from repro.minidb.locks import LockManager
 from repro.minidb.storage import BufferPool, Disk, Heap
 from repro.minidb.txn import Transaction, TransactionTable, TxnState
@@ -73,15 +73,6 @@ class DBMetrics:
     #: Bulk LOAD: index entries whose maintenance was deferred to the
     #: end-of-load bottom-up build instead of per-row inserts.
     bulk_entries_deferred: int = 0
-    #: MVCC: tail versions stamped at commit / folded back into base
-    #: records (inline at commit plus the merge daemon's passes).
-    versions_created: int = 0
-    versions_merged: int = 0
-    #: SI index probes: candidate rids examined (B+tree matches plus the
-    #: off-index sidecar) and rows returned. rows/candidates is the
-    #: probe's useful-work ratio; a sweep over every live chain reads ~0.
-    snapshot_candidates: int = 0
-    snapshot_rows: int = 0
 
     def note_abort(self, reason: str) -> None:
         self.rollbacks += 1
@@ -172,10 +163,6 @@ class Database:
         #: Index-entry maintenance work not yet converted into simulated
         #: time (drained by Session._charge_io, like pool.unbilled_io).
         self.unbilled_index_entries: float = 0.0
-        #: Guard-rail log for the merge path: an explicit fold watermark
-        #: above the oldest live snapshot lands here (the chaos checker
-        #: surfaces entries as ``stale-merge`` violations).
-        self.version_violations: list[str] = []
         #: Auto-RUNSTATS bookkeeping: rows mutated per table since its
         #: statistics were last computed. Volatile by design — a crash
         #: loses the counters and staleness re-accumulates from zero,
@@ -198,14 +185,9 @@ class Database:
     def begin(self, isolation: Optional[str] = None) -> Transaction:
         self._ensure_up()
         level = isolation or self.config.isolation
-        txn = self.txns.begin(level, self.sim.now)
-        if level == "SI":
-            # Snapshot = current WAL tail: exactly the commit records
-            # appended so far. Reading an appended-but-unforced commit is
-            # safe — our own commit force flushes the tail in order, so
-            # this read can never become durable before what it saw.
-            txn.snapshot_lsn = self.wal.tail_lsn
-        return txn
+        if level not in ISOLATION_LEVELS:
+            raise ValueError(f"unknown isolation level {level!r}")
+        return self.txns.begin(level, self.sim.now)
 
     def commit(self, txn: Transaction, payload=None):
         """Generator: commit — force the log, release locks.
@@ -222,12 +204,8 @@ class Database:
                 f"txn {txn.id} was rollback-only at commit",
                 reason=txn.abort_reason or "error")
         if txn.last_lsn is not None or payload is not None:
-            record = self.wal.append(walmod.COMMIT, txn, payload=payload,
-                                     active_floor=self.txns.active_floor())
-            # Stamp the version tail with the commit LSN before any yield:
-            # in the cooperative kernel no snapshot can begin in between,
-            # so versions and the commit record appear atomically.
-            self._settle_versions(txn, record.lsn)
+            self.wal.append(walmod.COMMIT, txn, payload=payload,
+                            active_floor=self.txns.active_floor())
             injector = self.sim.injector
             if injector.enabled:
                 # Crash with the COMMIT record appended but NOT durable.
@@ -341,7 +319,6 @@ class Database:
         if txn.state not in (TxnState.ACTIVE, TxnState.PREPARED):
             return
         self._undo_to(txn, upto_lsn=None)
-        self._settle_versions(txn, None)
         if txn.last_lsn is not None:
             self.wal.append(walmod.ABORT, txn,
                             active_floor=self.txns.active_floor())
@@ -440,100 +417,8 @@ class Database:
         record = self.wal.append(
             getattr(walmod, kind), txn, table=table, rid=rid, before=before,
             after=after, active_floor=self.txns.active_floor())
-        heap = self.heaps[table]
-        heap.set_page_lsn(rid[0], record.lsn)
-        # First touch pins the committed pre-state as the chain seed;
-        # the commit will stamp the final state with its commit LSN.
-        heap.version_seed(rid, before)
-        txn.note_write(table, rid)
-        for name in self._bulk_loads.get(table, ()):
-            # LOAD defers this table's entries: the tree may never
-            # have held this rid.
-            heap.mark_off_index(name, rid)
+        self.heaps[table].set_page_lsn(rid[0], record.lsn)
         return record
-
-    # ------------------------------------------------------------------ versions
-
-    def oldest_snapshot_lsn(self) -> int:
-        """Merge watermark: oldest live SI snapshot, else the WAL tail."""
-        snap = self.txns.oldest_snapshot()
-        return snap if snap is not None else self.wal.tail_lsn
-
-    def write_conflict_check(self, txn: Transaction, table: str,
-                             rid) -> None:
-        """SI first-writer-wins: abort if the row has a version committed
-        after our snapshot (called with the X row lock already held, so
-        the newest version is final). Rows we already wrote are ours."""
-        if txn.snapshot_lsn is None or (table, rid) in txn.touched:
-            return
-        if self.heaps[table].version_newest_ts(rid) > txn.snapshot_lsn:
-            txn.mark_rollback_only("write-conflict")
-            raise TransactionAborted(
-                f"txn {txn.id}: row {table}:{rid} was modified after the "
-                f"snapshot (first writer wins)", reason="write-conflict")
-
-    def _settle_versions(self, txn: Transaction,
-                         commit_lsn: Optional[int]) -> None:
-        """Settle the chains ``txn``'s writes pinned: at commit append one
-        version per written rid at the commit LSN (at rollback, None, the
-        undo already put the seed back in the slot), then fold what no
-        live snapshot needs — with none live, the chain collapses back
-        into the base record at once, so no seed outlives its writer."""
-        if not txn.touched:
-            return
-        touched = txn.drain_writes()
-        watermark = self.oldest_snapshot_lsn()
-        merged = 0
-        for table, rid in touched:
-            heap = self.heaps.get(table)
-            if heap is None:
-                continue  # table dropped mid-transaction (DDL is immediate)
-            if commit_lsn is not None:
-                heap.version_append(rid, commit_lsn, heap.fetch(rid))
-                self.metrics.versions_created += 1
-            merged += heap.fold_versions(rid, watermark)
-        self.metrics.versions_merged += merged
-
-    def merge_versions(self, watermark: Optional[int] = None) -> int:
-        """One merge pass: fold every chain no live snapshot can see.
-
-        Skips chains pinned by an in-flight writer (their slot holds
-        uncommitted data, so the seed must survive until commit/abort
-        resolves it). An explicit ``watermark`` above the oldest live
-        snapshot is a caller bug — it is recorded for the chaos
-        ``stale-merge`` invariant and the fold proceeds as asked, so the
-        checker provably catches the damage. Returns entries folded.
-        """
-        safe = self.oldest_snapshot_lsn()
-        if watermark is None:
-            watermark = safe
-        elif watermark > safe:
-            self.version_violations.append(
-                f"merge watermark {watermark} above oldest live "
-                f"snapshot {safe}")
-        pinned = set()
-        for active in self.txns.active:
-            pinned.update(active.touched)
-        merged = 0
-        for table, heap in self.heaps.items():
-            for rid in heap.version_rids():
-                if (table, rid) in pinned:
-                    continue
-                merged += heap.fold_versions(rid, watermark)
-        self.metrics.versions_merged += merged
-        return merged
-
-    def live_chains(self) -> int:
-        return sum(heap.live_chains for heap in self.heaps.values())
-
-    def snapshot_table_rows(self, table: str,
-                            ts: Optional[int] = None) -> list[tuple]:
-        """Rows of ``table`` visible at snapshot ``ts`` (default: a fresh
-        snapshot at the current tail). Lock-free; used by tests and the
-        chaos ``lost-committed-version`` checker."""
-        if ts is None:
-            ts = self.wal.tail_lsn
-        return [row for _, row in self.heaps[table].snapshot_scan(ts)]
 
     # ------------------------------------------------------------------ index maintenance
 
@@ -550,9 +435,7 @@ class Database:
 
     def apply_index_delete(self, table, row: tuple, rid) -> None:
         pending = self._bulk_loads.get(table.name)
-        heap = self.heaps[table.name]
         for index in self.catalog.indexes_by_table.get(table.name, []):
-            heap.mark_off_index(index.name, rid)
             if pending is not None and pending[index.name].drop(rid):
                 continue  # entry was still deferred; undo is a dict pop
             self.unbilled_index_entries += 1
@@ -566,7 +449,6 @@ class Database:
             new_key = index.key_of(new_row)
             if old_key == new_key:
                 continue
-            self.heaps[table.name].mark_off_index(index.name, rid)
             if pending is not None:
                 p = pending[index.name]
                 if not p.drop(rid):
@@ -658,9 +540,6 @@ class Database:
             for rid, row in self.heaps[stmt.table].scan():
                 btree.insert(index.key_of(row), rid)
             self.btrees[index.name] = btree
-            # Built from current slots: any live chain may hold an older
-            # key the new tree has no entry for.
-            self.heaps[stmt.table].mark_off_index(index.name)
             if stmt.table in self._bulk_loads:
                 # Built from the heap, which already holds the loaded
                 # rows; only entries deferred from here on concern it.
@@ -687,7 +566,6 @@ class Database:
             del self.catalog.indexes[stmt.index]
             del self.btrees[stmt.index]
             self.disk.drop_index_image(stmt.index)
-            self.heaps[index.table].drop_off_index(stmt.index)
             self._bulk_loads.get(index.table, {}).pop(stmt.index, None)
             touched = index.table
         else:
@@ -839,10 +717,9 @@ class Database:
         needs: the transaction table (first/last LSN and prepared flag
         per active transaction — a prepared transaction may predate the
         checkpoint by an arbitrary margin) and the per-page chain-head
-        table — nothing else: MVCC chains are not checkpointed, because
-        no snapshot that could read them survives a crash. Secondary-index
-        images go to the disk, keyed by index name, so restart repairs
-        each index from image + tail deltas instead of a full-heap rebuild.
+        table — nothing else. Secondary-index images go to the disk,
+        keyed by index name, so restart repairs each index from image +
+        tail deltas instead of a full-heap rebuild.
         """
         self._ensure_up()
         self.pool.flush_all()

@@ -215,8 +215,9 @@ class LockManager:
         a process only yields inside ``acquire`` when it has to wait.
         The requests are then billed (``acquires``, ``avoided``,
         ``peak_locks``) exactly as ``acquire`` would have and nothing
-        enters the lock table. False changes nothing: the caller takes
-        the locks one by one.
+        enters the lock table. A row ``txn`` itself already holds in S
+        or X is unobserved too: ``acquire`` answers it as a no-op. False
+        changes nothing: the caller takes the locks one by one.
         """
         if self.sim.injector.enabled:
             return False  # every arrival at lock.acquire:<db> must count
@@ -236,14 +237,18 @@ class LockManager:
                 > config.maxlocks_fraction * config.locklist_size):
             return False  # some row would escalate or exhaust the locklist
         heads = self.heads
+        owned = 0
         for rid in rids:
-            if ("row", table, rid) in heads:
-                return False  # a holder or a waiter: someone could see us
+            head = heads.get(("row", table, rid))
+            if head is not None:
+                if head.holders.get(txn.id) not in (LockMode.S, LockMode.X):
+                    return False  # a holder or a waiter: someone could see us
+                owned += 1
         metrics = self.metrics
         metrics.acquires += count
         metrics.avoided += count
-        if total > metrics.peak_locks:
-            metrics.peak_locks = total
+        if total - owned > metrics.peak_locks:
+            metrics.peak_locks = total - owned
         return True
 
     def _acquire_raw(self, txn, resource: Resource, mode: LockMode,

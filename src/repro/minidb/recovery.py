@@ -235,16 +235,9 @@ def _undo_losers(db, losers: dict[int, int]) -> int:
 
 def _resurrect_prepared(db, prepared: set[int], last_lsn: dict[int, int],
                         first_lsn: dict[int, int]) -> None:
-    """Re-admit in-doubt transactions: locks, touched sets, read guards.
-
-    The guards are the only MVCC state a restart builds: a crash ends
-    every snapshot, each new one begins at or past every recovered
-    COMMIT, and the redone/undone slot *is* the committed state — all a
-    snapshot reader must not see is an undecided slot (DESIGN §13).
-    """
+    """Re-admit in-doubt transactions with the X locks they held."""
     from repro.minidb.locks import LockMode
     from repro.minidb.txn import Transaction, TxnState
-    first_touch: dict[tuple, int] = {}  # (table, rid) → LSN
     for txn_id in sorted(prepared):
         # Stamped with the recovery-time clock: a 0.0 birth time would
         # make age-based lock-wait policies see an ancient transaction.
@@ -253,10 +246,7 @@ def _resurrect_prepared(db, prepared: set[int], last_lsn: dict[int, int],
         txn.last_lsn = last_lsn.get(txn_id)
         txn.first_lsn = first_lsn.get(txn_id, txn.last_lsn)
         # Reacquire X locks on every row the transaction touched so new
-        # work cannot read or overwrite its undecided changes. The same
-        # walk rebuilds the touched set (the eventual commit stamps one
-        # version per entry; until then the merge pass must not fold the
-        # guard) and ends on each slot's first non-CLR record.
+        # work cannot read or overwrite its undecided changes.
         cursor = txn.last_lsn
         while cursor is not None:
             record = db.wal.record(cursor)
@@ -265,16 +255,5 @@ def _resurrect_prepared(db, prepared: set[int], last_lsn: dict[int, int],
             if record.redoable and record.table in db.heaps:
                 db.locks.force_grant(
                     txn, ("row", record.table, record.rid), LockMode.X)
-                txn.note_write(record.table, record.rid)
-                if record.kind != walmod.CLR:
-                    first_touch[record.table, record.rid] = cursor
             cursor = record.prev_lsn
         db.txns._active[txn_id] = txn
-    # Guard each undecided slot with its committed pre-state, in log
-    # order as the runtime seeded them (off-index probes report in chain
-    # order). Index repair bypassed ``apply_index_*``: mark every guard.
-    for lsn in sorted(first_touch.values()):
-        record = db.wal.record(lsn)
-        db.heaps[record.table].version_seed(record.rid, record.before)
-    for index in db.catalog.indexes.values():
-        db.heaps[index.table].mark_off_index(index.name)

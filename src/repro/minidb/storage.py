@@ -15,7 +15,6 @@ from the log (see ``recovery.py``).
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -188,21 +187,6 @@ class BufferPool:
         self._frames.clear()
         self._dirty.clear()
 
-    def peek_slot(self, table: str, page_no: int, slot_no: int):
-        """Read one slot without touching pool state (no LRU move, no
-        miss/IO accounting, no caching). The version-merge fold uses it
-        to compare a chain's newest entry against the base record, so
-        folding never perturbs buffer metrics or eviction order. Reads
-        the cached frame when present (it is newer than disk), else the
-        durable page — which may be stale during a lazy restart; callers
-        treat a mismatch as "keep the chain" (conservative)."""
-        page = self._frames.get((table, page_no))
-        if page is None:
-            page = self.disk.read_page(table, page_no, self.rows_per_page)
-        if page is None or slot_no >= len(page.slots):
-            return None
-        return page.slots[slot_no]
-
 
 class Heap:
     """Slotted heap file for one table, accessed through the buffer pool."""
@@ -224,26 +208,6 @@ class Heap:
         #: log chain first (see ``Database.replay_page``). None outside
         #: of a lazy restart — the common case pays one attribute test.
         self.replay_hook = None
-        #: MVCC lineage chains (L-Store style): rid → ascending list of
-        #: ``(commit_lsn, row_or_None)`` versions. The base record is the
-        #: heap slot itself; the chain is its append-only tail, oldest
-        #: first — each entry's lineage predecessor is simply the entry
-        #: before it, and a ``None`` row is a delete marker. A missing
-        #: chain means the slot's committed value is the base, visible to
-        #: every snapshot (effective timestamp 0). Timestamp 0 marks the
-        #: seed entry: the committed state before the first in-flight
-        #: writer touched the slot.
-        self._versions: dict[Rid, list[tuple[int, Optional[tuple]]]] = {}
-        #: Creation sequence number of each live chain: sorting by it
-        #: reproduces ``_versions`` insertion order for any subset.
-        self._chain_seq: dict[Rid, int] = {}
-        self._chain_counter = itertools.count()
-        #: Off-index sidecar: index name → rids with a live chain whose
-        #: entry in that index was removed, re-keyed or never inserted
-        #: (deferred LOAD) while the chain was live. Only these can hold
-        #: a snapshot-visible version a B+tree probe of the index misses
-        #: (see :meth:`off_index_rids`, DESIGN §13).
-        self._off_index: dict[str, set[Rid]] = {}
 
     # -- bootstrap --------------------------------------------------------------
 
@@ -359,141 +323,6 @@ class Heap:
             for slot_no, row in enumerate(page.slots):
                 if row is not None:
                     yield (page_no, slot_no), row
-
-    # -- version chains (MVCC lineage tails) ---------------------------------------
-
-    @property
-    def live_chains(self) -> int:
-        return len(self._versions)
-
-    def version_seed(self, rid: Rid, row: Optional[tuple]) -> None:
-        """Pin the committed pre-state when a writer first touches a slot.
-
-        No-op if the rid already has a chain: its newest committed entry
-        is the pre-state. The seed (timestamp 0) is what snapshots older
-        than every chained version resolve to.
-        """
-        if rid not in self._versions:
-            self._new_chain(rid, [(0, row)])
-
-    def version_append(self, rid: Rid, ts: int, row: Optional[tuple]) -> None:
-        """Append the committed state at commit LSN ``ts`` (delete → None)."""
-        chain = self._versions.get(rid)
-        if chain is None:
-            # Guarded against by the write-pin rule (an active writer's
-            # chains are never folded); kept for defense in depth.
-            self._new_chain(rid, [(0, row), (ts, row)])
-        else:
-            chain.append((ts, row))
-
-    def version_newest_ts(self, rid: Rid) -> int:
-        """Commit LSN of the newest version (0 = base only, never conflicts)."""
-        chain = self._versions.get(rid)
-        return chain[-1][0] if chain else 0
-
-    def version_rids(self) -> list[Rid]:
-        return list(self._versions)
-
-    def _new_chain(self, rid: Rid, chain: list) -> None:
-        self._versions[rid] = chain
-        self._chain_seq[rid] = next(self._chain_counter)
-
-    def mark_off_index(self, index: str, rid: Optional[Rid] = None) -> None:
-        """Note that ``rid``'s chain may hold versions a probe of
-        ``index`` cannot reach through the tree. No-op without a live
-        chain (the base record is what the tree indexes). ``rid=None``
-        marks every live chain — a new index, or a restart, where the
-        tree was (re)built without going through ``apply_index_*``."""
-        if rid is None:
-            self._off_index[index] = set(self._versions)
-        elif rid in self._versions:
-            self._off_index.setdefault(index, set()).add(rid)
-
-    def drop_off_index(self, index: str) -> None:
-        self._off_index.pop(index, None)
-
-    def off_index_rids(self, index: str) -> list[Rid]:
-        """Chained rids an SI probe of ``index`` must examine besides
-        its B+tree matches, in chain-creation order."""
-        marks = self._off_index.get(index)
-        if not marks:
-            return []
-        return sorted(marks, key=self._chain_seq.__getitem__)
-
-    def snapshot_fetch(self, rid: Rid, ts: int,
-                       own: frozenset = frozenset()) -> Optional[tuple]:
-        """Row visible at snapshot ``ts``: newest version with commit
-        LSN ≤ ts; rids in ``own`` read the slot (a transaction sees its
-        own uncommitted writes); no chain means the slot is the base."""
-        if rid in own:
-            return self.fetch(rid)
-        chain = self._versions.get(rid)
-        if chain is None:
-            return self.fetch(rid)
-        for entry_ts, row in reversed(chain):
-            if entry_ts <= ts:
-                return row
-        return None
-
-    def snapshot_scan(self, ts: int, own: frozenset = frozenset()
-                      ) -> Iterator[tuple[Rid, tuple]]:
-        """Like :meth:`scan`, resolved through version chains at ``ts``.
-
-        Pages are fetched through the pool (snapshot readers pay the
-        same I/O a locking scan would); only visibility differs.
-        """
-        for page_no in range(self._page_count):
-            page = self._page_for(page_no)
-            for slot_no, slot in enumerate(page.slots):
-                rid = (page_no, slot_no)
-                if rid in own:
-                    if slot is not None:
-                        yield rid, slot
-                    continue
-                chain = self._versions.get(rid)
-                if chain is not None:
-                    row = None
-                    for entry_ts, entry_row in reversed(chain):
-                        if entry_ts <= ts:
-                            row = entry_row
-                            break
-                    if row is not None:
-                        yield rid, row
-                elif slot is not None:
-                    yield rid, slot
-
-    def fold_versions(self, rid: Rid, watermark: int) -> int:
-        """Merge: drop chain entries no snapshot ≥ ``watermark`` can see.
-
-        Keeps the newest entry with ts ≤ watermark (it is what the
-        oldest live snapshot resolves to) and everything newer. When a
-        single entry remains and it equals the base record, the whole
-        chain folds away — the base alone serves every snapshot. The
-        slot comparison uses the pool-neutral peek; a stale durable page
-        during a lazy restart just means the chain is kept for now.
-        Returns the number of entries dropped.
-        """
-        chain = self._versions.get(rid)
-        if not chain:
-            return 0
-        keep_from = 0
-        for i, (entry_ts, _) in enumerate(chain):
-            if entry_ts <= watermark:
-                keep_from = i
-            else:
-                break
-        dropped = keep_from
-        if keep_from:
-            del chain[:keep_from]
-        if (len(chain) == 1 and chain[0][0] <= watermark
-                and chain[0][1] == self.pool.peek_slot(
-                    self.table, rid[0], rid[1])):
-            del self._versions[rid]
-            del self._chain_seq[rid]
-            for marks in self._off_index.values():
-                marks.discard(rid)
-            dropped += 1
-        return dropped
 
     def set_page_lsn(self, page_no: int, lsn: int) -> None:
         page = self._page_for(page_no, create=True)

@@ -31,18 +31,6 @@ class Transaction:
         self.last_lsn: Optional[int] = None
         #: What rode on the PREPARE record; restart hands it back.
         self.payload = None
-        #: SI only: WAL tail LSN at begin. Reads resolve to the newest
-        #: version committed at or before it; None for RR/RS/CS.
-        self.snapshot_lsn: Optional[int] = None
-        #: (table, rid) written by this transaction, insertion-ordered.
-        #: Snapshot reads treat these as own-writes (read the slot), the
-        #: commit stamps one version per entry, and the merge daemon
-        #: never folds a chain pinned here.
-        self.touched: dict[tuple[str, tuple], None] = {}
-        #: The same rids grouped by table, so a snapshot probe reads its
-        #: own-write set in O(1). Both change only through
-        #: :meth:`note_write` / :meth:`drain_writes`.
-        self.own: dict[str, set[tuple]] = {}
         self._locks: dict[Resource, None] = {}  # insertion-ordered set
         self._row_locks: dict[str, set[Resource]] = {}
         self._savepoints: dict[str, Optional[int]] = {}
@@ -66,17 +54,6 @@ class Transaction:
         if not self.rollback_only:
             self.rollback_only = True
             self.abort_reason = reason
-
-    def note_write(self, table: str, rid: tuple) -> None:
-        self.touched[(table, rid)] = None
-        self.own.setdefault(table, set()).add(rid)
-
-    def drain_writes(self) -> list[tuple[str, tuple]]:
-        """Hand the written (table, rid) pairs to the commit stamp."""
-        touched = list(self.touched)
-        self.touched.clear()
-        self.own.clear()
-        return touched
 
     # -- lock bookkeeping (called by LockManager) ----------------------------------
 
@@ -151,17 +128,6 @@ class TransactionTable:
         lsns = [t.first_lsn for t in self._active.values()
                 if t.first_lsn is not None]
         return min(lsns) if lsns else None
-
-    def oldest_snapshot(self) -> Optional[int]:
-        """Smallest begin-snapshot among live SI transactions, or None.
-
-        This is the version-merge watermark source: versions older than
-        the newest one at-or-below it are invisible to every live and
-        future snapshot and can fold into the base record.
-        """
-        snaps = [t.snapshot_lsn for t in self._active.values()
-                 if t.snapshot_lsn is not None]
-        return min(snaps) if snaps else None
 
     @property
     def active(self) -> list[Transaction]:

@@ -27,16 +27,6 @@ log; :meth:`LogManager.crash` rebuilds the heads from the last durable
 checkpoint plus the surviving tail (prev links only ever point
 backward, so truncating the unforced tail cannot dangle a chain).
 
-MVCC version chains are logged *implicitly*, the same substitution the
-indexes use: a version append is fully determined by a transaction's
-redoable records (the seed is the before-image of its first touch of a
-slot, the stamped state is its last logged ``after``) plus the LSN of
-its COMMIT record, which doubles as the version timestamp. Nothing
-ever reads that log back: a crash ends every snapshot, so restart
-rebuilds no chain. It reads only the ``before`` image of each in-doubt
-transaction's first touch of a slot — the guard that keeps new
-snapshots off the undecided state (``recovery._resurrect_prepared``).
-
 Three record kinds carry a ``payload`` — a fact that must be durable with
 exactly that record and lives nowhere else: CHECKPOINT (transaction
 table, chain heads), COMMIT (the host's 2PC decision: the participants

@@ -34,9 +34,8 @@ def _table(title: str, columns: List[str], rows: List[List[str]]) -> List[str]:
 
 
 #: Requested lock modes that make the waiter a READER; everything else
-#: (X/IX/SIX/U) intends to write. The split answers the §13 question
-#: "would SI snapshot reads dissolve this hotspot?" — reader waits
-#: vanish under SI, writer waits do not.
+#: (X/IX/SIX) intends to write. The split tells a convoy of fences and
+#: lookups from one of writers queueing behind each other.
 READER_MODES = frozenset({"S", "IS"})
 
 

@@ -220,18 +220,6 @@ def _plan_cache_counters(db) -> dict:
     }
 
 
-def _mvcc_counters(db) -> dict:
-    """The MVCC group: version traffic, and how much of what SI index
-    probes examine they return (rows / candidates is the useful share)."""
-    m = db.metrics
-    return {
-        "versions_created": m.versions_created,
-        "versions_merged": m.versions_merged,
-        "snapshot_candidates": m.snapshot_candidates,
-        "snapshot_rows": m.snapshot_rows,
-    }
-
-
 def _import_counters(registry, system) -> None:
     """Snapshot flat engine counters into the registry for the report."""
     for name, dlfm in sorted(system.dlfms.items()):
@@ -248,7 +236,6 @@ def _import_db_counters(registry, name: str, db) -> None:
     registry.register_counters(f"locks.{name}", db.locks.metrics.snapshot())
     registry.register_counters(f"wal.{name}", dict(db.wal.metrics.__dict__))
     registry.register_counters(f"plancache.{name}", _plan_cache_counters(db))
-    registry.register_counters(f"mvcc.{name}", _mvcc_counters(db))
 
 
 SCENARIOS = {

@@ -21,10 +21,9 @@ rules implemented here are the ones the paper's lessons depend on:
   picking table scans under concurrency "causes havoc" (E4);
 * update/delete scans lock examined rows S then convert qualifying rows
   to X (conversion deadlocks included, as in real life without U locks);
-* under **SI** plain reads take no locks at all — they resolve against
-  the begin-snapshot version chains (see ``storage.py``) — while writes
-  keep the full X/next-key protocol above plus a first-writer-wins
-  check, so mixed SI/RR workloads preserve RR's guarantees.
+* a lock clause keeps the statement's row locks to commit at every
+  level: ``FOR UPDATE`` X-locks, ``FOR SHARE`` S-locks — a fence only
+  the row's writers conflict with (DESIGN §13).
 
 Every statement reads or writes one table, so a scan's row tuple is
 all its compiled expressions read. Statement-level atomicity: the
@@ -97,18 +96,11 @@ class Executor:
         return ResultSet(plan.columns, rows)
 
     def _select_rows(self, txn, plan: SelectPlan, params: tuple):
-        # SI: plain reads resolve against the begin snapshot with no
-        # table/row/key locks at all. A lock clause makes the statement
-        # a current read at every level: FOR UPDATE is a write intent,
-        # FOR SHARE a fence — row S locks kept to end of transaction, so
-        # only the row's writers conflict with it (DESIGN §13).
         for_update = plan.lock == "update"
-        si_read = txn.snapshot_lsn is not None and plan.lock is None
         read_mode = LockMode.X if for_update else LockMode.S
-        if not si_read:
-            table_intent = LockMode.IX if for_update else LockMode.IS
-            yield from self.db.locks.acquire(
-                txn, ("table", plan.table.name), table_intent)
+        table_intent = LockMode.IX if for_update else LockMode.IS
+        yield from self.db.locks.acquire(
+            txn, ("table", plan.table.name), table_intent)
 
         produced: list[tuple] = []
         order_keys: list[tuple] = []
@@ -123,7 +115,7 @@ class Executor:
         try:
             scanned = yield from self._scan_access(
                 txn, plan.access, params, read_mode, cs_locks,
-                write_scan=for_update, si=si_read, avoid_locks=cs_read)
+                write_scan=for_update, avoid_locks=cs_read)
             for rid, row in scanned:
                 if row_filter is not None and not row_filter(row, params):
                     # None (unknown) and False both disqualify. CS: a
@@ -168,25 +160,20 @@ class Executor:
 
     def _scan_access(self, txn, access: AccessPath, params: tuple,
                      row_mode: LockMode, cs_locks: Optional[dict],
-                     write_scan: bool, si: bool = False,
-                     avoid_locks: bool = False):
+                     write_scan: bool, avoid_locks: bool = False):
         """Lock-and-fetch all rows the access path touches.
 
         Returns list of (rid, row). ``row_mode`` is the lock taken on each
         examined row (S for reads; write scans take S then convert
         qualifying rows later); the row locks the scan newly took are
         noted in ``cs_locks`` (when given) for the caller's early
-        release. With ``si`` the scan is lock-free: rows
-        resolve through the version chains at the transaction's begin
-        snapshot (own writes read the slot). ``avoid_locks`` is for a
+        release. ``avoid_locks`` is for a
         statement that drops every S lock again before it next yields:
         the lock manager is asked once whether anybody could observe
         them; if not, the rows are fetched in the same order and no
         lock is taken (DESIGN §9).
         """
         heap = self.db.heaps[access.table]
-        if si:
-            return self._scan_snapshot(txn, access, params)
         table = access.table
         locks = self.db.locks
         key_protect = False
@@ -252,62 +239,6 @@ class Executor:
             hi = (*eq_values, probe.hi[0]((), params))
             hi_inc = probe.hi[1]
         return lo, lo_inc, hi, hi_inc
-
-    def _scan_snapshot(self, txn, access: AccessPath, params: tuple) -> list:
-        """SI access path: resolve rows at the begin snapshot, lock-free.
-
-        Index probes need care: the B+tree reflects *current* keys (and
-        uncommitted writers' entries), so probe matches are candidates
-        only — each candidate's visible version is re-checked against
-        the probe bounds — and rows whose visible version left the index
-        (deleted or re-keyed after the snapshot) are found through the
-        heap's per-index off-index sidecar: the chained rids whose entry
-        in *this* index changed while the chain was live (DESIGN §13).
-        Rows come back tree matches first, then sidecar hits in chain
-        creation order.
-        """
-        heap = self.db.heaps[access.table]
-        ts = txn.snapshot_lsn
-        own = txn.own.get(access.table, frozenset())
-        if access.kind == "table_scan":
-            self.db.metrics.table_scans += 1
-            return list(heap.snapshot_scan(ts, own))
-
-        self.db.metrics.index_scans += 1
-        probe = access.probe
-        btree = self.db.btrees[probe.index.name]
-        lo, lo_inc, hi, hi_inc = self._probe_bounds(probe, params)
-        elo = encode_key(lo) if lo is not None else None
-        ehi = encode_key(hi) if hi is not None else None
-
-        candidates: list = []
-        seen: set = set()
-        for _, rid in btree.scan_range(lo, lo_inc, hi, hi_inc):
-            if rid not in seen:
-                seen.add(rid)
-                candidates.append(rid)
-        candidates.extend(rid for rid in heap.off_index_rids(probe.index.name)
-                          if rid not in seen)
-
-        key_of = probe.index.key_of
-        rows: list = []
-        for rid in candidates:
-            row = heap.snapshot_fetch(rid, ts, own)
-            if row is None:
-                continue
-            ekey = encode_key(key_of(row))
-            if elo is not None:
-                prefix = ekey[:len(elo)]
-                if prefix < elo or (prefix == elo and not lo_inc):
-                    continue
-            if ehi is not None:
-                prefix = ekey[:len(ehi)]
-                if prefix > ehi or (prefix == ehi and not hi_inc):
-                    continue
-            rows.append((rid, row))
-        self.db.metrics.snapshot_candidates += len(candidates)
-        self.db.metrics.snapshot_rows += len(rows)
-        return rows
 
     # ------------------------------------------------------------------ INSERT
 
@@ -395,7 +326,7 @@ class Executor:
         cs_locks: Optional[dict] = {} if txn.isolation == "CS" else None
         scanned = yield from self._scan_access(
             txn, plan.access, params, LockMode.S, cs_locks,
-            write_scan=True, si=txn.snapshot_lsn is not None)
+            write_scan=True)
         count = 0
         heap = self.db.heaps[table.name]
         locks = self.db.locks
@@ -410,11 +341,6 @@ class Executor:
                 yield from locks.acquire(txn, resource, LockMode.X)
                 if cs_locks:
                     cs_locks.pop(resource, None)  # now X: held to commit
-                # SI: the scan saw the snapshot version; with the X lock
-                # held, first-writer-wins — any version committed past the
-                # snapshot aborts us. When it passes, the slot equals the
-                # snapshot row.
-                self.db.write_conflict_check(txn, table.name, rid)
                 current = heap.fetch(rid)
                 if current is None:
                     continue
@@ -450,7 +376,7 @@ class Executor:
         cs_locks: Optional[dict] = {} if txn.isolation == "CS" else None
         scanned = yield from self._scan_access(
             txn, plan.access, params, LockMode.S, cs_locks,
-            write_scan=True, si=txn.snapshot_lsn is not None)
+            write_scan=True)
         count = 0
         heap = self.db.heaps[table.name]
         locks = self.db.locks
@@ -465,7 +391,6 @@ class Executor:
                 yield from locks.acquire(txn, resource, LockMode.X)
                 if cs_locks:
                     cs_locks.pop(resource, None)
-                self.db.write_conflict_check(txn, table.name, rid)
                 current = heap.fetch(rid)
                 if current is None:
                     continue

@@ -1,4 +1,4 @@
-"""The file-group fence under ``all_on`` (SI at the DLFM), end to end.
+"""The file-group fence under ``all_on``, end to end.
 
 LinkFile and UnlinkFile probe their group row ``FOR SHARE``: a current
 read whose S lock lasts to the local commit at Prepare. It must conflict
@@ -124,9 +124,8 @@ def test_delete_group_waits_for_a_link_that_got_there_first(shards):
 
 @DEPLOYMENTS
 def test_a_link_behind_delete_group_waits_and_then_fails(shards):
-    """The read that a snapshot would answer "active" (the delete is
-    uncommitted, and commits after the linker's snapshot began) waits
-    for the deleter and sees what it wrote."""
+    """The group probe waits for the uncommitted delete and sees what
+    it wrote."""
     system = build(shards)
     out = race(system,
                lambda s, o: dropper(s, o, start=0.0, hold=1.0),
@@ -139,13 +138,24 @@ def test_a_link_behind_delete_group_waits_and_then_fails(shards):
 
 
 def test_move_group_waits_for_a_link_that_got_there_first():
+    """The export waits for the link's group fence until the link
+    PREPAREs, then finds its ``dfm_txn`` row in doubt and refuses,
+    retryably: the group stays on its source. Once phase 2 has settled,
+    the retry moves it, the link with it."""
     system = build(shards=4)
+    grp_id = system.host.group_ids[("docs", "doc")]
+    src = system.host.shard_map.resolve(grp_id)[0]
     out = race(system,
                lambda s, o: linker(s, o, start=0.0, hold=1.0),
                lambda s, o: mover(s, o, start=0.5))
-    assert out["link"] == out["move"] == "committed"
-    assert out["fenced_at"] + 1.0 < out["link_at"] < out["move_at"]
-    assert _linked(system) == {out["dst"]: 1}   # the link moved with it
+    assert out["link"] == "committed"
+    assert isinstance(out["move"], LinkError)
+    assert "retry later" in str(out["move"])
+    assert out["fenced_at"] + 1.0 < out["move_at"] < out["link_at"]
+    assert _linked(system) == {src: 1}
+    retry = race(system, lambda s, o: mover(s, o, start=0.0))
+    assert retry["move"] == "committed"
+    assert _linked(system) == {retry["dst"]: 1}    # the link moved with it
 
 
 def test_a_link_behind_move_group_waits_and_then_gets_a_stale_route():

@@ -1,8 +1,7 @@
 """Figure 5 — the DLFM process model.
 
 The main daemon spawns a child agent per host connection plus the
-service daemons (the paper's six, plus the MVCC version-merge daemon);
-all are real simulation processes.
+paper's six service daemons; all are real simulation processes.
 """
 
 import pytest
@@ -16,7 +15,7 @@ def test_service_daemons_running(media):
     names = sorted(p.name for p in dlfm._daemon_procs)
     expected = sorted(f"fs1-{d}" for d in
                       ("chownd", "copyd", "retrieved", "delgrpd", "gcd",
-                       "merged", "upcalld"))
+                       "upcalld"))
     assert names == expected
     assert all(not p.finished for p in dlfm._daemon_procs)
 
@@ -96,5 +95,5 @@ def test_daemons_die_on_crash_and_restart_respawns(media):
     dlfm.crash()
     assert dlfm._daemon_procs == []
     dlfm.restart()
-    assert len(dlfm._daemon_procs) == 7
+    assert len(dlfm._daemon_procs) == 6
     assert all(p not in old for p in dlfm._daemon_procs)

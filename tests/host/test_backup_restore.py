@@ -203,8 +203,7 @@ def test_reconcile_clean_system_is_noop(media):
 def test_backup_under_running_clients_survives_a_host_crash(media):
     """``backup()`` checkpoints the host while clients hold transactions
     open; each of those commits after the checkpoint. A host crash and
-    restart later, every snapshot must still see them (e2e finding 1b:
-    ``lost-committed-version``)."""
+    restart later, every read must still see them (e2e finding 1b)."""
     from repro.chaos.invariants import check_invariants
     from repro.kernel.sim import Timeout
 

@@ -1,9 +1,9 @@
-"""RR vs RS vs CS isolation semantics, plus DROP INDEX and the measured
-Fig-4 claim that SQL commit acquires no locks."""
+"""RR vs RS vs CS isolation semantics, the FOR SHARE fence, plus DROP
+INDEX and the measured Fig-4 claim that SQL commit acquires no locks."""
 
 import pytest
 
-from repro.errors import CatalogError, SQLTypeError
+from repro.errors import CatalogError, SQLTypeError, TransactionAborted
 from repro.kernel import Simulator, Timeout
 from repro.minidb import Database, DBConfig
 from repro.minidb.locks import LockMode
@@ -253,3 +253,145 @@ def test_cs_select_that_fails_releases_its_scan_locks(contended):
             assert db.locks.heads == {}
 
         sim.run_process(go())
+
+
+# ------------------------------------------------- FOR SHARE: the shared fence
+
+SHARE = "SELECT v FROM t WHERE k = 6 FOR SHARE"
+
+
+def _row_holders(db):
+    """txn id → mode over every held row lock of ``t``."""
+    return {txn: mode for resource in db.locks.heads
+            if resource[:2] == ("row", "t")
+            for txn, mode in db.locks.holders_of(resource).items()}
+
+
+def test_for_share_readers_overlap_and_a_writer_waits_for_both():
+    """Two fence holders never wait for each other; a writer of the row
+    waits for the last of them (with FOR UPDATE the second reader would
+    read at t=5; with an S lock dropped at statement end the writer
+    would be done at t=2)."""
+    sim = Simulator()
+    db = make_db(sim, isolation="CS")
+    at = {}
+
+    def reader(name, start):
+        session = db.session()
+        yield Timeout(start)
+        row = yield from session.execute(SHARE)
+        at[name] = (sim.now, row.scalar())
+        yield Timeout(5.0)
+        yield from session.commit()
+
+    def writer():
+        session = db.session()
+        yield Timeout(2.0)
+        yield from session.execute("UPDATE t SET v = 7 WHERE k = 6")
+        at["writer"] = sim.now
+        yield from session.commit()
+
+    sim.spawn(reader("r1", 0.0))
+    sim.spawn(reader("r2", 1.0))
+    sim.spawn(writer())
+    sim.run()
+    assert at["r1"] == (0.0, 0) and at["r2"] == (1.0, 0)
+    assert at["writer"] == 6.0            # r2 commits at 1 + 5
+    assert db.locks.metrics.waits == 1    # the writer's, nobody else's
+
+
+def test_for_share_is_a_current_read_behind_an_earlier_writer():
+    """A writer that got there first is waited for, and both fence
+    holders see what it committed and are granted together. A fence
+    that arrives behind a *waiting* writer queues behind it (FIFO): no
+    stream of linkers starves a dropper."""
+    sim = Simulator()
+    db = make_db(sim, isolation="CS")
+    at = {}
+
+    def writer(name, start, value, hold):
+        session = db.session()
+        yield Timeout(start)
+        yield from session.execute("UPDATE t SET v = ? WHERE k = 6",
+                                   (value,))
+        at[name] = sim.now
+        yield Timeout(hold)
+        yield from session.commit()
+
+    def reader(name, start):
+        session = db.session()
+        yield Timeout(start)
+        row = yield from session.execute(SHARE)
+        at[name] = (sim.now, row.scalar())
+        yield Timeout(2.0)
+        yield from session.commit()
+
+    sim.spawn(writer("w1", 0.0, 5, hold=4.0))
+    sim.spawn(reader("r1", 1.0))
+    sim.spawn(reader("r2", 2.0))
+    sim.spawn(writer("w2", 5.0, 8, hold=1.0))   # waits for r1 and r2
+    sim.spawn(reader("r3", 5.5))                 # behind w2, not beside r2
+    sim.run()
+    assert at["r1"] == at["r2"] == (4.0, 5)
+    assert at["w2"] == 6.0
+    assert at["r3"] == (7.0, 8)
+
+
+@pytest.mark.parametrize("end", ["commit", "rollback"])
+def test_for_share_lock_outlives_the_statement_not_the_transaction(end):
+    sim = Simulator()
+    db = make_db(sim, isolation="CS")
+    seen = []
+
+    def go():
+        session = db.session()
+        yield from session.execute(SHARE)
+        seen.append(_row_holders(db))
+        yield from session.execute("SELECT v FROM t WHERE k = 2")
+        seen.append(_row_holders(db))
+        txn = session.txn.id
+        yield from getattr(session, end)()
+        seen.append(_row_holders(db))
+        return txn
+
+    txn = sim.run_process(go())
+    assert seen == [{txn: LockMode.S}, {txn: LockMode.S}, {}]
+    assert db.locks.holders_of(("table", "t")) == {}
+
+
+def test_fence_holder_that_writes_the_row_upgrades_and_commits():
+    """Link into a group, then drop it, in one transaction: S -> X is an
+    ordinary conversion. Two holders converting at once deadlock like
+    any conversion pair; the victim's abort is retriable."""
+    sim = Simulator()
+    db = make_db(sim, isolation="CS")
+
+    def alone():
+        session = db.session()
+        yield from session.execute(SHARE)
+        yield from session.execute("UPDATE t SET v = 1 WHERE k = 6")
+        held = _row_holders(db)
+        yield from session.commit()
+        return held
+
+    assert set(sim.run_process(alone()).values()) == {LockMode.X}
+    outcomes = []
+
+    def converter(value):
+        session = db.session()
+        yield from session.execute(SHARE)
+        yield Timeout(1.0)
+        try:
+            yield from session.execute("UPDATE t SET v = ? WHERE k = 6",
+                                       (value,))
+            yield from session.commit()
+            outcomes.append("committed")
+        except TransactionAborted as error:
+            yield from session.rollback()
+            outcomes.append(error.reason)
+
+    sim.spawn(converter(2))
+    sim.spawn(converter(3))
+    sim.run()
+    assert sorted(outcomes) == ["committed", "deadlock"]
+    assert db.locks.heads == {}

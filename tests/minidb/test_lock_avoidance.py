@@ -183,6 +183,30 @@ def test_uncontended_cs_scans_take_no_row_locks():
     sim.run_process(reader())
 
 
+def test_rows_the_reader_itself_holds_do_not_force_row_locks():
+    """A row the reading transaction X-holds (it inserted it) is a no-op
+    for ``acquire``, so it must not send the scan down the per-row path:
+    no new row lock head, every row counted in ``avoided``."""
+    sim = Simulator()
+    db = make_db(sim)
+    metrics = db.locks.metrics
+
+    def reader():
+        session = db.session("CS")
+        yield from session.execute(
+            "INSERT INTO t (a, b, v) VALUES (?, ?, 0)", (ROWS, 1))
+        heads = set(db.locks.heads)
+        assert len(heads) == 2                  # table IX + the new row X
+        rows = yield from session.execute("SELECT a FROM t WHERE v = 0")
+        assert len(rows) == ROWS + 1
+        assert set(db.locks.heads) == heads
+        assert metrics.avoided == ROWS + 1
+        assert metrics.peak_locks == 2 + ROWS
+        yield from session.commit()
+
+    sim.run_process(reader())
+
+
 def test_blocked_reader_holds_its_earlier_row_locks_while_it_waits():
     """Row a=5 is X-held: the range scan 2..8 must lock row by row, so
     while it waits on a=5 its S locks on a=2,3,4 are in the lock table

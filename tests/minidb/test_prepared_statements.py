@@ -203,29 +203,3 @@ def test_crash_clears_prepared_state_then_rebinds(sim):
     rows, cost = sim.run_process(reexecute())
     assert rows == [("v1",)]
     assert cost == pytest.approx(COMPILE)   # implicit re-prepare, once
-
-
-def test_si_snapshot_reads_through_prepared_plan(sim):
-    """A prepared SELECT executed under SI resolves against the session
-    snapshot: a concurrent committed UPDATE stays invisible."""
-    db = make_db(sim, isolation="CS")
-
-    def go():
-        reader = db.session("SI")
-        stmt = yield from reader.prepare("SELECT v FROM t WHERE k = ?")
-        first = yield from stmt.execute((1,))
-        writer = db.session()
-        yield from writer.execute(
-            "UPDATE t SET v = ? WHERE k = ?", ("changed", 1))
-        yield from writer.commit()
-        again = yield from stmt.execute((1,))     # same snapshot
-        yield from reader.commit()
-        fresh = db.session("SI")
-        final = yield from fresh.execute(stmt.sql, (1,))
-        yield from fresh.commit()
-        return first.rows, again.rows, final.rows
-
-    first, again, final = sim.run_process(go())
-    assert first == [("v1",)]
-    assert again == [("v1",)]               # snapshot-stable through handle
-    assert final == [("changed",)]          # new snapshot sees the commit

@@ -17,9 +17,7 @@ The expected-state model relies on two engine facts:
   via ``pool.metrics.page_writes == 0`` before each crash).
 
 A fast scripted trace runs in tier 1; a larger randomized sweep is
-marked ``slow`` and excluded from the default run. Each prefix
-additionally proves a snapshot at the WAL tail sees exactly the
-committed state (restart rebuilds no lineage chains — DESIGN §13).
+marked ``slow`` and excluded from the default run.
 
 The fuzzy-checkpoint sweep at the bottom puts a checkpoint after every
 record position of both scripted traces — inside open transactions,
@@ -28,7 +26,6 @@ every durable prefix from that checkpoint on.
 """
 
 import random
-from collections import Counter
 
 import pytest
 
@@ -38,8 +35,8 @@ from repro.minidb import Database, DBConfig
 
 #: The two states a restarted engine is read in: cold pages left to the
 #: replay gate, or first replayed by the restart's background drain. The
-#: "-mvcc" suffix keeps the ids the sweeps have carried since lineage
-#: chains were optional (they are always on now).
+#: "-mvcc" suffix only keeps the ids the sweeps have always carried (the
+#: engine has no version chains any more).
 RESTARTS = pytest.mark.parametrize(
     "drained", [False, True], ids=["instant-mvcc", "drained-mvcc"])
 
@@ -84,17 +81,6 @@ def check_indexes(db):
             key = tuple(row[table.position(c)] for c in index.columns)
             assert rid in btree.search_eq(key), \
                 f"index {index.name} lost rid {rid} for key {key}"
-
-
-def check_versions(db):
-    """With no live transactions, a snapshot at the WAL tail must agree
-    with the base rows — recovery left no stale chain behind."""
-    if db.txns.active:
-        return
-    for table in db.catalog.tables:
-        assert (Counter(db.snapshot_table_rows(table))
-                == Counter(db.table_rows(table))), \
-            f"version chains diverged on {table}"
 
 
 def arm_fuzzy_checkpoint(db, after):
@@ -261,13 +247,11 @@ def sweep(build, drained, prefixes=None):
         expected = expected_at(snaps, prefix)
         check_recovered_state(db, expected)
         check_indexes(db)
-        check_versions(db)
         # Recovery checkpointed; an immediate second crash loses nothing.
         db.crash()
         restart(db, drained)
         check_recovered_state(db, expected)
         check_indexes(db)
-        check_versions(db)
     return tail
 
 
@@ -373,7 +357,6 @@ def test_checkpointed_trace_every_tail_prefix(drained):
         expected = expected_at(snaps, prefix)
         check_recovered_state(db, expected)
         check_indexes(db)
-        check_versions(db)
         # Double restart: recovery's end checkpoint re-snapshots the
         # still-pending chain heads, so an immediate second crash —
         # i.e. a crash DURING the lazy replay — loses nothing.
@@ -381,7 +364,6 @@ def test_checkpointed_trace_every_tail_prefix(drained):
         restart(db, drained)
         check_recovered_state(db, expected)
         check_indexes(db)
-        check_versions(db)
 
 
 # ------------------------------------------------------------- lazy replay
@@ -440,22 +422,18 @@ def test_crash_during_lazy_replay_with_new_work_loses_nothing():
 # --------------------------------------------------- fuzzy-checkpoint sweep
 
 def check_reads(db, expected):
-    """An SI snapshot at the WAL tail == the locking read == the state as
-    of the last COMMIT inside the prefix, through real sessions."""
-    def read(isolation, table):
-        session = db.session(isolation)
+    """The locking read == the state as of the last COMMIT inside the
+    prefix, through a real session."""
+    def read(table):
+        session = db.session("CS")
         result = yield from session.execute(f"SELECT * FROM {table}")
         yield from session.commit()
         return sorted(result.rows)
 
     for table in db.catalog.tables:
         want = expected.get(table, [])
-        assert db.sim.run_process(read("CS", table)) == want, \
+        assert db.sim.run_process(read(table)) == want, \
             f"locking read of {table} diverged"
-        assert db.sim.run_process(read("SI", table)) == want, \
-            f"SI read of {table} diverged"
-        assert sorted(db.snapshot_table_rows(table)) == want, \
-            f"snapshot at the tail of {table} diverged"
 
 
 def checkpointed(after):

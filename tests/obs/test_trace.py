@@ -211,8 +211,6 @@ def test_sharded_scenario_exports_per_shard_counter_groups():
         assert f"locks.{name}.acquires" in snapshot
         assert f"locks.{name}.avoided" in snapshot
         assert f"wal.{name}.forces" in snapshot
-        assert f"mvcc.{name}.snapshot_candidates" in snapshot
-        assert f"mvcc.{name}.snapshot_rows" in snapshot
     assert "shardmap.entries" in snapshot
     # Per-shard attribution survives into the rendered report.
     text = render_report(tracer, registry)

@@ -75,7 +75,7 @@ def test_chaos_names_a_configuration_and_refuses_a_version_1_replay(
     assert main(["chaos", "--ops", "10", "--config", "paper", "--json",
                  "--out", str(out)]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert (doc["version"], doc["config"]) == (4, "paper")
+    assert (doc["version"], doc["config"]) == (5, "paper")
     with pytest.raises(SystemExit):     # replaced by --config, not kept
         main(["chaos", "--read-isolation", "SI"])
     capsys.readouterr()
