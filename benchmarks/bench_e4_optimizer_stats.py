@@ -134,7 +134,7 @@ def test_e4_auto_runstats_flips_without_pinning(benchmark):
     def arm(auto: bool):
         system = Configuration("paper", {
             "dlfm.pin_statistics": False,
-            "dlfm.auto_runstats": auto,
+            "dlfm.local_db.auto_runstats": auto,
             "dlfm.local_db.auto_runstats_threshold": 10}).system(seed=17)
         dlfm = system.dlfms["fs1"]
 

@@ -14,9 +14,8 @@ Commands:
   enforces each arm's gates, ``--quick`` is the CI scale.
 * ``chaos`` — run a seeded fault-injection campaign (crashes, RPC
   delays/duplicates, reply-dropping partitions) with cross-layer
-  invariant checking; on violation writes a replayable
-  ``chaos_repro.json`` (``--replay FILE`` re-runs it) plus a greedily
-  shrunken fault schedule.
+  invariant checking; the summary's first line is the command that
+  reproduces the run, and the exit status is 1 on a violation.
 * ``experiments`` — list every experiment and the command regenerating it.
 * ``paper`` — one-paragraph description of what this reproduces.
 """
@@ -137,53 +136,31 @@ def cmd_bench(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    import json
+    import shlex
 
-    from repro.chaos.campaign import (CORRUPTIONS, CampaignConfig, replay,
-                                      run_campaign)
+    from repro.chaos.campaign import CampaignConfig, run_campaign
     from repro.chaos.faults import FaultPlan, FaultPlanError
-    from repro.chaos.shrink import shrink_doc
 
-    if args.replay:
+    plan = None
+    if args.plan:
         try:
-            with open(args.replay) as handle:
-                doc = json.load(handle)
-        except (OSError, ValueError) as error:
-            print(f"cannot read {args.replay}: {error}", file=sys.stderr)
+            with open(args.plan) as handle:
+                plan = FaultPlan.from_json(handle.read())
+        except (OSError, FaultPlanError) as error:
+            print(f"cannot load plan {args.plan}: {error}", file=sys.stderr)
             return 2
-        try:
-            result = replay(doc)
-        except ValueError as error:
-            print(f"cannot replay {args.replay}: {error}", file=sys.stderr)
-            return 2
-    else:
-        plan = None
-        if args.plan:
-            try:
-                with open(args.plan) as handle:
-                    plan = FaultPlan.from_json(handle.read())
-            except (OSError, FaultPlanError) as error:
-                print(f"cannot load plan {args.plan}: {error}",
-                      file=sys.stderr)
-                return 2
-        corruptions = tuple(args.corrupt or ())
-        for name in corruptions:
-            if name not in CORRUPTIONS:
-                print(f"unknown corruption {name!r}; choose from: "
-                      f"{', '.join(sorted(CORRUPTIONS))}", file=sys.stderr)
-                return 2
-        result = run_campaign(CampaignConfig(
-            seed=args.seed, ops=args.ops, plan=plan,
-            corruptions=corruptions, shards=args.shards,
-            base=args.config))
+    result = run_campaign(CampaignConfig(
+        seed=args.seed, ops=args.ops, plan=plan, shards=args.shards,
+        base=args.config))
 
-    doc = result.repro_doc()
+    doc = result.to_doc()
     if args.json:
         print(result.to_json())
     else:
-        print(f"chaos campaign: seed={doc['seed']} ops={doc['ops']} "
-              f"shards={doc['shards']} config={doc['config']} "
-              f"plan={result.plan.name}")
+        print(f"python -m repro chaos --seed {doc['seed']} --ops {doc['ops']} "
+              f"--shards {doc['shards']} --config {doc['config']}"
+              + (f" --plan {shlex.quote(args.plan)}" if args.plan else ""))
+        print(f"  plan          {result.plan.name}")
         print(f"  ops run       {len(doc['op_trace'])}")
         print(f"  rounds        {doc['rounds']} "
               f"({result.stuck_rounds} stuck)")
@@ -194,25 +171,7 @@ def cmd_chaos(args) -> int:
         for violation in result.violations:
             print(f"    [{violation.code}] {violation.node}: "
                   f"{violation.detail}")
-    if result.ok:
-        return 0
-
-    if args.shrink and not args.replay:
-        doc = shrink_doc(doc, max_trials=args.shrink_trials)
-        print(f"shrunk to ops={doc['ops']} "
-              f"rules={len(doc['plan']['rules'])} "
-              f"(from ops={doc['shrunk_from']['ops']} "
-              f"rules={doc['shrunk_from']['rules']})")
-    try:
-        with open(args.out, "w") as out:
-            json.dump(doc, out, indent=2, sort_keys=True)
-            out.write("\n")
-    except OSError as error:
-        print(f"cannot write {args.out}: {error}", file=sys.stderr)
-        return 2
-    print(f"wrote replayable failure to {args.out} "
-          f"(python -m repro chaos --replay {args.out})")
-    return 1
+    return 0 if result.ok else 1
 
 
 def cmd_experiments(_args) -> int:
@@ -256,7 +215,7 @@ def main(argv=None) -> int:
     bench.add_argument("--out", default="BENCH_PERF.json",
                        help="output document (history is carried forward)")
     bench.add_argument("--quick", action="store_true",
-                       help="CI scale: shrink the fleet arm")
+                       help="CI scale: a smaller fleet arm")
     bench.add_argument("--check", action="store_true",
                        help="exit nonzero if an acceptance gate fails")
     bench.set_defaults(fn=cmd_bench)
@@ -275,19 +234,8 @@ def main(argv=None) -> int:
                             "'all_on' every one on (repro.configs)")
     chaos.add_argument("--plan", metavar="FILE",
                        help="FaultPlan JSON (default: built-in default plan)")
-    chaos.add_argument("--replay", metavar="FILE",
-                       help="re-run a chaos_repro.json failure document")
-    chaos.add_argument("--corrupt", metavar="NAME", action="append",
-                       help="apply a named seeded corruption before the "
-                            "final check (test-only; serialized for replay)")
-    chaos.add_argument("--out", default="chaos_repro.json",
-                       help="where to write the failure document")
     chaos.add_argument("--json", action="store_true",
                        help="print the full result document (deterministic)")
-    chaos.add_argument("--no-shrink", dest="shrink", action="store_false",
-                       help="skip fault-schedule shrinking on failure")
-    chaos.add_argument("--shrink-trials", type=int, default=24,
-                       help="max re-runs the shrinker may spend")
     chaos.set_defaults(fn=cmd_chaos)
 
     exps = sub.add_parser("experiments", help="list experiment harnesses")

@@ -5,8 +5,7 @@ nothing but ``repro.errors``, so the kernel can import it without
 cycles. The heavier pieces live in submodules:
 
 * :mod:`repro.chaos.invariants` — post-quiesce cross-layer checker;
-* :mod:`repro.chaos.campaign` — the seeded fault campaign runner;
-* :mod:`repro.chaos.shrink` — greedy failing-plan minimizer.
+* :mod:`repro.chaos.campaign` — the seeded fault campaign runner.
 """
 
 from repro.chaos.faults import (FaultInjector, FaultPlan, FaultRule,

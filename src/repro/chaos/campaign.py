@@ -17,10 +17,10 @@ A campaign builds a full :class:`repro.system.System` with a
 4. **check** — :func:`repro.chaos.invariants.check_invariants` cross-
    checks host ↔ DLFM ↔ file system ↔ archive.
 
-Everything is deterministic given (seed, plan): the workload draws from
-``sim.stream("chaos:workload")`` and faults from per-rule streams, so a
-violation's :func:`repro_doc` replays to the same violation with
-:func:`replay`.
+Everything is deterministic given (seed, ops, shards, base, plan): the
+workload draws from ``sim.stream("chaos:workload")`` and faults from
+per-rule streams, so the command line that ran a campaign reproduces it,
+violation and all (``python -m repro chaos`` prints that line first).
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ from repro.host import DatalinkSpec, build_url
 from repro.host.indoubt import resolve_indoubts
 from repro.host.xa import xa_commit, xa_prepare, xa_recover, xa_rollback
 from repro.kernel.sim import Timeout
-from repro.minidb.locks import LockMode
-from repro.minidb.txn import Transaction
 from repro.shard import move_group
 
 #: Virtual seconds a single round may take before the client is killed.
@@ -47,12 +45,10 @@ ROUND_BUDGET = 900.0
 #: Quiesce loop: up to QUIESCE_ROUNDS × QUIESCE_STEP virtual seconds.
 QUIESCE_STEP = 30.0
 QUIESCE_ROUNDS = 60
-#: Repro-document version: 2 added ``"config"``, 3 the ``checkpoint`` op
-#: kind, 4 the ``xa`` op kind, 5 dropped the version-merge fault rule
-#: and a DLFM configuration field. An older document's seed draws a
-#: different op sequence or fault schedule (or ran a configuration that
-#: no longer exists) and is refused.
-DOC_VERSION = 5
+#: The classic deployment's file servers (a fleet ignores them).
+SERVERS = ("fs1", "fs2")
+#: Operations the client runs per round before recovery and a check.
+ROUND_OPS = 25
 
 
 @dataclass
@@ -60,8 +56,6 @@ class CampaignConfig:
     seed: int = 0
     ops: int = 200
     plan: Optional[FaultPlan] = None          # None → default_plan(seed)
-    servers: tuple = ("fs1", "fs2")
-    round_ops: int = 25
     #: 0 → the classic unsharded deployment (one DLFM per file server).
     #: N > 0 → a :class:`~repro.shard.ShardedSystem` fleet of N shards
     #: over one shared file server; the workload gains ``move_group``
@@ -70,11 +64,6 @@ class CampaignConfig:
     #: Which shipped configuration (a key of :data:`repro.configs.BASES`)
     #: the deployment runs, as shipped.
     base: str = "all_on"
-    #: Named seeded corruptions (keys of :data:`CORRUPTIONS`) applied
-    #: right before the final invariant check; they are serialized into
-    #: the repro document, so a deliberately broken invariant replays to
-    #: the same violation.
-    corruptions: tuple = ()
 
 
 @dataclass
@@ -94,14 +83,11 @@ class CampaignResult:
     def ok(self) -> bool:
         return not self.violations
 
-    def repro_doc(self) -> dict:
-        """JSON-serializable replay document (see :func:`replay`)."""
+    def to_doc(self) -> dict:
+        """The JSON-serializable result (the ``--json`` output)."""
         return {
-            "version": DOC_VERSION,
             "seed": self.config.seed,
             "ops": self.config.ops,
-            "round_ops": self.config.round_ops,
-            "servers": list(self.config.servers),
             "plan": self.plan.to_doc(),
             "violations": [v.to_doc() for v in self.violations],
             "op_trace": self.op_trace,
@@ -109,88 +95,17 @@ class CampaignResult:
             "crashes": self.crashes,
             "rounds": self.rounds,
             "recoveries": self.recoveries,
-            "corruptions": list(self.config.corruptions),
             "shards": self.config.shards,
             "config": self.config.base,
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.repro_doc(), sort_keys=True,
+        return json.dumps(self.to_doc(), sort_keys=True,
                           separators=(",", ":"), indent=None)
-
-
-def config_from_doc(doc: dict) -> CampaignConfig:
-    """The campaign configuration a repro document encodes."""
-    if doc.get("version") != DOC_VERSION:
-        raise ValueError(
-            f"repro document version {doc.get('version')!r} was recorded "
-            f"under another configuration scheme or op mix (this is "
-            f"version {DOC_VERSION}); re-run the campaign to regenerate it")
-    return CampaignConfig(
-        seed=doc["seed"], ops=doc["ops"],
-        plan=FaultPlan.from_doc(doc["plan"]),
-        servers=tuple(doc["servers"]), round_ops=doc["round_ops"],
-        corruptions=tuple(doc["corruptions"]), shards=doc["shards"],
-        base=doc["config"])
-
-
-def replay(doc: dict) -> CampaignResult:
-    """Re-run the campaign a repro document describes."""
-    return run_campaign(config_from_doc(doc))
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     return _Campaign(config).run()
-
-
-# -------------------------------------------------------------- seeded corruptions
-#
-# Deliberate metadata damage the invariant checker must catch. Each
-# function corrupts the first applicable site and returns True, or False
-# when the campaign left nothing to corrupt (surfaced as its own
-# violation). They are *named* so a repro document can carry them.
-
-def _corrupt_dangling_link_row(system) -> bool:
-    """Delete an ST_LINKED dfm_file row out from under a host reference."""
-    for name in sorted(system.dlfms):
-        db = system.dlfms[name].db
-        pos = db.catalog.tables["dfm_file"].position("state")
-        for rid, row in sorted(db.heaps["dfm_file"].scan()):
-            if row[pos] == schema.ST_LINKED:
-                db.heaps["dfm_file"].delete(rid)
-                return True
-    return False
-
-
-def _corrupt_leaked_lock(system) -> bool:
-    """Grant a lock to a transaction the engine has no record of."""
-    name = sorted(system.dlfms)[0]
-    db = system.dlfms[name].db
-    ghost = Transaction(999_999, "RR", 0.0)
-    db.locks.force_grant(ghost, ("row", "dfm_file", (0, 0)), LockMode.X)
-    return True
-
-
-def _corrupt_deleted_group_marker(system) -> bool:
-    """Flip an active group to 'deleted' as if delgrpd never finished."""
-    for name in sorted(system.dlfms):
-        db = system.dlfms[name].db
-        pos = db.catalog.tables["dfm_group"].position("state")
-        for rid, row in sorted(db.heaps["dfm_group"].scan()):
-            if row[pos] == schema.GRP_ACTIVE:
-                changed = list(row)
-                changed[pos] = schema.GRP_DELETED
-                db.heaps["dfm_group"].delete(rid)
-                db.heaps["dfm_group"].insert(tuple(changed), rid=rid)
-                return True
-    return False
-
-
-CORRUPTIONS = {
-    "dangling-link-row": _corrupt_dangling_link_row,
-    "leaked-lock": _corrupt_leaked_lock,
-    "deleted-group-marker": _corrupt_deleted_group_marker,
-}
 
 
 class _Campaign:
@@ -204,7 +119,7 @@ class _Campaign:
         #: What the deployment was built from (``.ran`` after the build).
         self.configuration = Configuration(config.base)
         self.system = self.configuration.system(
-            config.seed, shards=config.shards, servers=config.servers,
+            config.seed, shards=config.shards, servers=SERVERS,
             injector=self.injector)
         #: File-server names client files rotate over (the DLFM names in
         #: the classic deployment, the one shared server when sharded).
@@ -224,8 +139,7 @@ class _Campaign:
 
     def run(self) -> CampaignResult:
         self._run_clean(self._setup(), "chaos-setup")
-        max_rounds = 2 * (self.config.ops // max(1, self.config.round_ops)
-                          + 1) + 8
+        max_rounds = 2 * (self.config.ops // ROUND_OPS + 1) + 8
         while (len(self.result.op_trace) < self.config.ops
                and self.result.rounds < max_rounds):
             self.result.rounds += 1
@@ -243,14 +157,6 @@ class _Campaign:
                 "campaign-stalled", "campaign",
                 f"only {len(self.result.op_trace)}/{self.config.ops} ops "
                 f"ran in {self.result.rounds} rounds"))
-        if self.config.corruptions:
-            for name in self.config.corruptions:
-                if not CORRUPTIONS[name](self.system):
-                    self.result.violations.append(Violation(
-                        "corruption-inapplicable", "campaign",
-                        f"corruption {name!r} found nothing to corrupt"))
-            self.result.checks += 1
-            self.result.violations.extend(check_invariants(self.system))
         self.result.fired = list(self.injector.fired)
         self.result.crashes = list(self.injector.crashes)
         return self.result
@@ -286,7 +192,7 @@ class _Campaign:
 
     def _round(self, number: int) -> None:
         sim = self.system.sim
-        budget = min(self.config.round_ops,
+        budget = min(ROUND_OPS,
                      self.config.ops - len(self.result.op_trace))
         holder: dict = {}
         self.injector.enabled = True

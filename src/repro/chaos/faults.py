@@ -67,7 +67,7 @@ point                      kinds                     wired into
 
 Determinism: every probabilistic decision draws from a per-rule RNG
 stream ``sim.stream("chaos:<rule_id>")``, so removing one rule from a
-plan (shrinking) does not perturb the draws of the remaining rules.
+plan does not perturb the draws of the remaining rules.
 
 Zero cost when disabled: the simulator carries :data:`NULL_INJECTOR`
 (class attribute ``enabled = False``) by default and every call site
@@ -167,9 +167,8 @@ class FaultPlan:
         """A copy where every rule has a stable, unique ``rule_id``.
 
         Default ids are derived from (kind, point) plus a disambiguating
-        ordinal among same-shaped rules — NOT from list position, so
-        dropping an unrelated rule during shrinking leaves the ids (and
-        therefore the RNG streams) of the survivors untouched.
+        ordinal among same-shaped rules — NOT from list position. The id
+        keys the rule's RNG stream.
         """
         used: dict[str, int] = {}
         rules = []
@@ -352,9 +351,6 @@ def default_plan(seed: int = 0) -> FaultPlan:
         FaultRule("wal.group:leader:host-*", "crash", prob=0.3),
         FaultRule("wal.force.after:host-*", "crash", prob=0.001,
                   max_fires=1),
-        # Auto-RUNSTATS: crash after a commit, before the refresh and its
-        # plan invalidation are installed.
-        FaultRule("runstats.refresh:dlfm-*", "crash"),
         FaultRule("daemon.pass:*:copyd", "crash", prob=0.01, max_fires=1),
         FaultRule("daemon.pass:*:delgrpd", "crash", prob=0.01, max_fires=1),
         # Pool-worker crashes land between claim/dispatch and the work —

@@ -70,10 +70,6 @@ class Violation:
     def to_doc(self) -> dict:
         return {"code": self.code, "node": self.node, "detail": self.detail}
 
-    @classmethod
-    def from_doc(cls, doc: dict) -> "Violation":
-        return cls(doc["code"], doc["node"], doc["detail"])
-
 
 def _rows(db, table: str) -> list[dict]:
     """Whole table as column-name dicts (robust to column reordering)."""

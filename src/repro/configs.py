@@ -38,7 +38,6 @@ def all_on() -> tuple[DLFMConfig, HostConfig]:
     timing = host.db.timing
     timing.compile_cpu = 0.004
     timing.index_entry = 0.002
-    dlfm.auto_runstats = True
     dlfm.copy_workers = 4
     host.batch_datalinks = True
     host.db.isolation = "CS"

@@ -39,14 +39,6 @@ class DLFMConfig:
     #: Hand-craft File/Archive-table statistics at startup and guard them
     #: against user RUNSTATS (lesson §4 / E4).
     pin_statistics: bool = True
-    #: Auto-RUNSTATS on the local database: ``dfm_file``/``dfm_archive``
-    #: growth trips the mutation-counter threshold and refreshes
-    #: statistics inline, re-binding cached plans — the index-vs-scan
-    #: flip happens WITHOUT the hand-crafted ``set_stats`` pinning.
-    #: Orthogonal to ``pin_statistics``: pinned (manual) tables are
-    #: never auto-refreshed, so enabling both keeps the paper's guard
-    #: authoritative and auto-stats only covers what pinning missed.
-    auto_runstats: bool = False
 
     @classmethod
     def tuned(cls, timing: Optional[TimingModel] = None) -> "DLFMConfig":

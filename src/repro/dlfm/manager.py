@@ -33,8 +33,7 @@ from repro.dlfm.daemons.gc import GarbageCollector
 from repro.dlfm.daemons.retrieved import RetrieveDaemon
 from repro.dlfm.daemons.upcall import UpcallDaemon
 from repro.errors import (RETRIABLE_FAULTS, LinkError, StaleRouteError,
-                          TransactionAborted, TwoPCProtocolError,
-                          UnlinkError)
+                          TwoPCProtocolError, UnlinkError)
 from repro.fs.filesystem import FileServer
 from repro.kernel.backoff import Backoff
 from repro.kernel.sim import Simulator, Timeout
@@ -85,10 +84,6 @@ class DLFM:
         self.archive = archive
         self.config = config or DLFMConfig.tuned()
         self.metrics = DLFMMetrics()
-        if (self.config.auto_runstats
-                and not self.config.local_db.auto_runstats):
-            self.config.local_db = self.config.local_db.with_changes(
-                auto_runstats=True)
         self.db = Database(sim, f"dlfm-{name}", self.config.local_db)
         schema.create_schema(self.db, sim)
         if self.config.pin_statistics:

@@ -131,11 +131,6 @@ class WorkerPool:
         return sum(1 for p in self._procs
                    if not p.finished and not p._killed)
 
-    @property
-    def depth(self) -> int:
-        """Items queued and not yet picked up by a worker."""
-        return self.chan.pending if self.chan is not None else 0
-
     # ------------------------------------------------------------------ producing
 
     def submit(self, item) -> Generator:

@@ -29,18 +29,6 @@ class Envelope:
     payload: Any
     reply: Event
 
-    @property
-    def nops(self) -> int:
-        """Logical operations riding in this one physical message.
-
-        A vectored payload (anything exposing an ``ops`` sequence, such
-        as :class:`repro.dlfm.api.Batch`) counts each carried operation;
-        a plain request counts 1. This is what the batching fast path
-        optimises: many ops, one rendezvous.
-        """
-        ops = getattr(self.payload, "ops", None)
-        return len(ops) if ops is not None else 1
-
 
 def call(sim: Simulator, chan: Channel, payload: Any,
          timeout: Optional[float] = None):
@@ -78,6 +66,8 @@ def cast(sim: Simulator, chan: Channel, payload: Any):
 
 
 def _payload_nops(payload: Any) -> int:
+    """Logical operations riding in one physical message: each op of a
+    vectored payload (a :class:`repro.dlfm.api.Batch`), else 1."""
     ops = getattr(payload, "ops", None)
     return len(ops) if ops is not None else 1
 

@@ -101,10 +101,6 @@ class Event:
         self._waiters: list["_Waiter"] = []
 
     @property
-    def triggered(self) -> bool:
-        return self._value is not _UNSET
-
-    @property
     def value(self) -> Any:
         if self._value is _UNSET:
             raise SimError(f"event {self.name!r} not triggered")

@@ -73,10 +73,6 @@ class Session:
 
     # ------------------------------------------------------------------ txn control
 
-    @property
-    def in_txn(self) -> bool:
-        return self.txn is not None
-
     def _require_txn(self):
         if self.txn is None:
             self.txn = self.db.begin(self.isolation)

@@ -89,9 +89,6 @@ class Disk:
     def drop_table(self, table: str) -> None:
         self._tables.pop(table, None)
 
-    def tables(self) -> list[str]:
-        return sorted(self._tables)
-
     # -- index images (checkpoint ↔ instant recovery) -------------------------
 
     def store_index_image(self, name: str, pairs: list) -> None:

@@ -62,9 +62,6 @@ class ResultSet:
         """First column of the first row, or None for an empty result."""
         return self.rows[0][0] if self.rows else None
 
-    def dicts(self) -> list[dict]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"<ResultSet {self.columns} x{len(self.rows)}>"
 

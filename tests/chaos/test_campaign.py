@@ -1,12 +1,14 @@
-"""Campaign determinism, seeded corruptions, replay, and shrinking."""
+"""Campaign determinism, and the checker against seeded corruptions."""
 
 import pytest
 
-from repro.chaos.campaign import (CORRUPTIONS, CampaignConfig, _Campaign,
-                                  replay, run_campaign)
-from repro.chaos.faults import FaultPlan, FaultRule
-from repro.chaos.shrink import shrink_config, shrink_doc
+from repro.chaos.campaign import CampaignConfig, _Campaign, run_campaign
+from repro.chaos.faults import FaultPlan
+from repro.chaos.invariants import check_invariants
 from repro.configs import BASES
+from repro.dlfm import schema
+from repro.minidb.locks import LockMode
+from repro.minidb.txn import Transaction
 from tests.conftest import assert_holds_declared_configuration
 
 both_bases = pytest.mark.parametrize("base", sorted(BASES))
@@ -18,13 +20,8 @@ EMPTY_PLAN = FaultPlan(name="none", rules=[])
 def quiet_config(**kw):
     kw.setdefault("seed", 0)
     kw.setdefault("ops", 12)
-    kw.setdefault("round_ops", 12)
     kw.setdefault("plan", EMPTY_PLAN)
     return CampaignConfig(**kw)
-
-
-def codes(result):
-    return {v.code for v in result.violations}
 
 
 # ------------------------------------------------------------------ clean runs
@@ -38,7 +35,7 @@ def test_fault_free_campaign_is_clean():
 
 @both_bases
 def test_campaign_is_deterministic(base):
-    config = CampaignConfig(seed=5, ops=30, round_ops=15, base=base)
+    config = CampaignConfig(seed=5, ops=30, base=base)
     first = run_campaign(config)
     second = run_campaign(config)
     assert first.to_json() == second.to_json()
@@ -73,42 +70,6 @@ def test_sharded_campaign_with_rebalance_is_clean_and_deterministic(base):
     assert first.to_json() == second.to_json()
 
 
-@both_bases
-def test_sharded_repro_doc_replays(base):
-    result = run_campaign(quiet_config(ops=16, round_ops=16, shards=2,
-                                       base=base))
-    assert result.ok, [v.detail for v in result.violations]
-    doc = result.repro_doc()
-    assert (doc["version"], doc["shards"], doc["config"]) == (5, 2, base)
-    assert replay(doc).to_json() == result.to_json()
-
-
-def test_version_1_repro_doc_is_refused():
-    """A version-1 document ran the hand-built configuration that no
-    longer exists: replaying it under another would be a silent lie."""
-    doc = run_campaign(quiet_config()).repro_doc()
-    del doc["config"]
-    doc["version"] = 1
-    doc["read_isolation"] = "SI"
-    with pytest.raises(ValueError, match="version 1"):
-        replay(doc)
-    with pytest.raises(ValueError, match="version 1"):
-        shrink_doc({**doc, "violations": [{"code": "leaked-locks"}]})
-
-
-@pytest.mark.parametrize("version", [2, 3, 4])
-def test_older_repro_doc_is_refused(version):
-    """Version 2 predates the ``checkpoint`` op and 3 the ``xa`` op, so
-    the same seed drew a different op sequence; version 4 ran the
-    version-merge fault rule, which shifted the fault schedule, and a
-    DLFM configuration field that is gone. A replay would not be the
-    recorded run."""
-    doc = run_campaign(quiet_config()).repro_doc()
-    doc["version"] = version
-    with pytest.raises(ValueError, match=f"version {version}"):
-        replay(doc)
-
-
 def test_xa_branch_left_in_doubt_across_a_host_crash_gets_its_verdict():
     """A cell where the ``xa`` op leaves its branch in doubt and the
     host then crashes under it: restart resurrects the branch from its
@@ -141,79 +102,78 @@ def test_commit_across_a_fuzzy_checkpoint_survives_the_crashes(
 
 
 # ------------------------------------------------------- corruptions are caught
+#
+# Deliberate metadata damage the invariant checker must catch. Each
+# function corrupts the first applicable site and returns True, or False
+# when the campaign left nothing to corrupt.
+
+def _corrupt_dangling_link_row(system) -> bool:
+    """Delete an ST_LINKED dfm_file row out from under a host reference."""
+    for name in sorted(system.dlfms):
+        db = system.dlfms[name].db
+        pos = db.catalog.tables["dfm_file"].position("state")
+        for rid, row in sorted(db.heaps["dfm_file"].scan()):
+            if row[pos] == schema.ST_LINKED:
+                db.heaps["dfm_file"].delete(rid)
+                return True
+    return False
+
+
+def _corrupt_leaked_lock(system) -> bool:
+    """Grant a lock to a transaction the engine has no record of."""
+    name = sorted(system.dlfms)[0]
+    db = system.dlfms[name].db
+    ghost = Transaction(999_999, "RR", 0.0)
+    db.locks.force_grant(ghost, ("row", "dfm_file", (0, 0)), LockMode.X)
+    return True
+
+
+def _corrupt_deleted_group_marker(system) -> bool:
+    """Flip an active group to 'deleted' as if delgrpd never finished."""
+    for name in sorted(system.dlfms):
+        db = system.dlfms[name].db
+        pos = db.catalog.tables["dfm_group"].position("state")
+        for rid, row in sorted(db.heaps["dfm_group"].scan()):
+            if row[pos] == schema.GRP_ACTIVE:
+                changed = list(row)
+                changed[pos] = schema.GRP_DELETED
+                db.heaps["dfm_group"].delete(rid)
+                db.heaps["dfm_group"].insert(tuple(changed), rid=rid)
+                return True
+    return False
+
+
+#: Each seeded corruption and the violation code it must raise.
+CORRUPTIONS = {_corrupt_dangling_link_row: "dangling-host-ref",
+               _corrupt_leaked_lock: "leaked-locks",
+               _corrupt_deleted_group_marker: "unresolved-deleted-group"}
+
+
+def corrupted(corrupt, **kw) -> set:
+    """Run a quiet campaign, corrupt what it left, and return the codes
+    the checker then reports."""
+    campaign = _Campaign(quiet_config(**kw))
+    result = campaign.run()
+    assert result.ok, [v.detail for v in result.violations]
+    assert corrupt(campaign.system), "nothing to corrupt"
+    return {v.code for v in check_invariants(campaign.system)}
+
 
 def test_checker_catches_dangling_link_row():
-    result = run_campaign(quiet_config(
-        corruptions=("dangling-link-row",)))
-    assert "dangling-host-ref" in codes(result)
+    assert "dangling-host-ref" in corrupted(_corrupt_dangling_link_row)
 
 
 def test_checker_catches_leaked_lock():
-    result = run_campaign(quiet_config(corruptions=("leaked-lock",)))
-    assert "leaked-locks" in codes(result)
+    assert "leaked-locks" in corrupted(_corrupt_leaked_lock)
 
 
 def test_checker_catches_deleted_group_marker():
-    result = run_campaign(quiet_config(
-        corruptions=("deleted-group-marker",)))
-    assert "unresolved-deleted-group" in codes(result)
+    assert "unresolved-deleted-group" in corrupted(
+        _corrupt_deleted_group_marker)
 
 
 def test_every_registered_corruption_applies():
-    """The registry stays honest: each corruption finds a target and the
-    checker flags it (no silent 'corruption-inapplicable')."""
-    for name in sorted(CORRUPTIONS):
-        result = run_campaign(quiet_config(corruptions=(name,)))
-        assert not result.ok, name
-        assert "corruption-inapplicable" not in codes(result), name
-
-
-# ------------------------------------------------------------------ replay
-
-def test_corruption_repro_doc_replays_to_same_violation():
-    result = run_campaign(quiet_config(corruptions=("leaked-lock",)))
-    assert not result.ok
-    doc = result.repro_doc()
-    again = replay(doc)
-    assert [v.to_doc() for v in again.violations] == doc["violations"]
-    assert again.to_json() == result.to_json()
-
-
-# ------------------------------------------------------------------ shrinking
-
-def test_shrinker_produces_smaller_still_failing_config():
-    # Noise rules around a deterministic failure: the shrinker must keep
-    # failing while never growing the campaign.
-    plan = FaultPlan(name="noisy", rules=[
-        FaultRule("channel.send:dlfm-agent", "delay", prob=0.05,
-                  max_fires=None, delay=0.25),
-        FaultRule("fs.stat:*", "io_error", prob=0.01, max_fires=None),
-        FaultRule("rpc.dup:Commit", "dup", prob=0.05, max_fires=None),
-    ])
-    config = quiet_config(ops=24, round_ops=12, plan=plan,
-                          corruptions=("leaked-lock",))
-    target = {"leaked-locks"}
-    smaller, trials = shrink_config(config, target, max_trials=8)
-    assert trials <= 8
-    assert smaller.ops <= config.ops
-    assert len(smaller.plan.rules) <= len(plan.rules)
-    final = run_campaign(smaller)
-    assert codes(final) & target
-
-
-def test_shrink_doc_records_provenance():
-    result = run_campaign(quiet_config(
-        ops=24, round_ops=12, corruptions=("leaked-lock",)))
-    assert not result.ok
-    out = shrink_doc(result.repro_doc(), max_trials=6)
-    assert out["shrunk_from"] == {"ops": 24, "rules": 0}
-    assert out["ops"] <= 24
-    assert {v["code"] for v in out["violations"]} & {"leaked-locks"}
-    # the shrunken document still replays to the failure
-    assert not replay(out).ok
-
-
-def test_shrink_doc_passes_clean_docs_through():
-    result = run_campaign(quiet_config())
-    doc = result.repro_doc()
-    assert shrink_doc(doc) is doc
+    """On a 2-shard fleet too, each corruption finds a target and the
+    checker flags it."""
+    for corrupt, code in CORRUPTIONS.items():
+        assert code in corrupted(corrupt, shards=2), corrupt.__name__

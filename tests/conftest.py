@@ -19,9 +19,7 @@ def db(sim):
 def assert_holds_declared_configuration(configuration, system):
     """``system`` was built by ``configuration.system()`` and holds
     exactly the named base plus the declared overrides: the live
-    objects equal ``.ran``, which equals a fresh build field for field
-    (the DLFM constructor itself turns its local database's
-    auto-RUNSTATS on under ``all_on``)."""
+    objects equal ``.ran``, which equals a fresh build field for field."""
     from dataclasses import asdict
 
     from repro.configs import Configuration
@@ -33,7 +31,6 @@ def assert_holds_declared_configuration(configuration, system):
     assert asdict(system.host.config) == ran["host"]
     dlfm, host = Configuration(configuration.base,
                                configuration.overrides).build()
-    dlfm.local_db.auto_runstats = dlfm.auto_runstats
     assert (ran["dlfm"], ran["host"]) == (asdict(dlfm), asdict(host))
 
 

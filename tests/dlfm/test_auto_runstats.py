@@ -1,9 +1,9 @@
 """Auto-RUNSTATS on the DLFM local database.
 
-With ``DLFMConfig.auto_runstats`` on and the paper's hand-crafted
-pinning OFF, ``dfm_file`` growth from ordinary link traffic trips the
-mutation threshold and the probe plan flips to the index WITHOUT any
-``set_stats`` call. With pinning ON, auto-RUNSTATS never touches the
+With the local database's ``DBConfig.auto_runstats`` on and the paper's
+hand-crafted pinning OFF, ``dfm_file`` growth from ordinary link traffic
+trips the mutation threshold and the probe plan flips to the index
+WITHOUT any ``set_stats`` call. With pinning ON, auto-RUNSTATS never touches the
 pinned tables — the guard stays authoritative.
 """
 
@@ -17,9 +17,8 @@ PROBE = "SELECT state FROM dfm_file WHERE filename = ? AND check_flag = ?"
 def build_system(pin: bool, auto: bool) -> System:
     config = DLFMConfig.tuned()
     config.pin_statistics = pin
-    config.auto_runstats = auto
     config.local_db = config.local_db.with_changes(
-        auto_runstats_threshold=10)
+        auto_runstats=auto, auto_runstats_threshold=10)
     return System(seed=13, dlfm_config=config)
 
 

@@ -93,16 +93,14 @@ def test_config_block_is_asdict_of_what_the_arm_ran(tiny):
         assert block["name"] == arm.base
         assert block["overrides"] == arm.overrides
         assert block["contrast"] == arm.contrast
-        # What a system built from the declaration really holds: under
-        # all_on the DLFM itself switches its local database's
-        # auto-RUNSTATS on, which the block must show.
+        # What a system built from the declaration really holds: no
+        # arm runs auto-RUNSTATS on a DLFM's local database.
         config = Configuration(arm.base, arm.overrides)
         system = config.system(seed=3)
         live = next(iter(system.dlfms.values())).config
         assert block["dlfm"] == asdict(live)
         assert block["host"] == asdict(system.host.config)
-        assert block["dlfm"]["local_db"]["auto_runstats"] == (
-            arm.base == "all_on")
+        assert block["dlfm"]["local_db"]["auto_runstats"] is False
         for path, value in arm.overrides.items():
             found = {"dlfm": block["dlfm"], "host": block["host"],
                      "timing": block["host"]["db"]["timing"]}

@@ -70,20 +70,50 @@ def test_trace_unknown_scenario_fails(capsys):
 
 
 def test_chaos_names_a_configuration_and_refuses_a_version_1_replay(
-        tmp_path, capsys):
-    out = tmp_path / "repro.json"
-    assert main(["chaos", "--ops", "10", "--config", "paper", "--json",
-                 "--out", str(out)]) == 0
+        capsys):
+    """The run is its command line: there is no replay document, so
+    ``--replay`` (like the old ``--read-isolation``) is an argparse
+    error."""
+    assert main(["chaos", "--ops", "10", "--config", "paper",
+                 "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert (doc["version"], doc["config"]) == (5, "paper")
-    with pytest.raises(SystemExit):     # replaced by --config, not kept
-        main(["chaos", "--read-isolation", "SI"])
+    assert doc["config"] == "paper" and "version" not in doc
+    for flag in (["--replay", "chaos_repro.json"],
+                 ["--read-isolation", "SI"], ["--corrupt", "leaked-lock"]):
+        with pytest.raises(SystemExit):
+            main(["chaos", *flag])
     capsys.readouterr()
-    doc["version"] = 1
-    out.write_text(json.dumps(doc))
-    assert main(["chaos", "--replay", str(out)]) == 2
-    assert "version 1" in capsys.readouterr().err
-    doc["version"] = 3                  # predates the xa op: refused too
-    out.write_text(json.dumps(doc))
-    assert main(["chaos", "--replay", str(out)]) == 2
-    assert "version 3" in capsys.readouterr().err
+
+
+def _rerun_line(argv, capsys) -> tuple:
+    """Run ``argv``; return its exit code and the arguments of the
+    command its first line prints."""
+    code = main(argv)
+    line = capsys.readouterr().out.splitlines()[0]
+    prefix = "python -m repro "
+    assert line.startswith(prefix)
+    return code, line[len(prefix):].split()
+
+
+def test_chaos_prints_the_command_that_reproduces_it(capsys):
+    argv = ["chaos", "--seed", "3", "--ops", "12", "--shards", "2"]
+    assert main([*argv, "--json"]) == 0
+    first = capsys.readouterr().out
+    code, rerun = _rerun_line(argv, capsys)
+    assert code == 0
+    assert rerun == [*argv, "--config", "all_on"]
+    assert main([*rerun, "--json"]) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_a_chaos_violation_exits_1_and_prints_the_same_line(
+        capsys, monkeypatch):
+    from repro.chaos import campaign
+    from repro.chaos.invariants import Violation
+
+    argv = ["chaos", "--ops", "12", "--config", "paper"]
+    code, clean = _rerun_line(argv, capsys)
+    assert code == 0
+    monkeypatch.setattr(campaign, "check_invariants", lambda system: [
+        Violation("leaked-locks", "dlfm-fs1", "seeded")])
+    assert _rerun_line(argv, capsys) == (1, clean)

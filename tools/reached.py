@@ -111,8 +111,7 @@ DRIVERS = (
       os.devnull],
      [sys.executable, "-m", "repro", "systemtest", "--clients", "3",
       "--minutes", "1", "--seed", "5"]]
-    + [[sys.executable, "-m", "repro", *args, "--no-shrink", "--out",
-        os.devnull] for args in CHAOS]
+    + [[sys.executable, "-m", "repro", *args] for args in CHAOS]
     + [[sys.executable, "-m", "repro", "trace", scenario]
        for scenario in ("commit-retry", "workload", "sharded", "fleet")]
     + [[sys.executable, "examples/" + name]
