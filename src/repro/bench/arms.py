@@ -146,10 +146,10 @@ def run_multi_server(cfg, config) -> dict:
 
 def _archive_drain(cfg, config) -> dict:
     """A backlog of recovery=yes links drained by ONE Copy-daemon sweep.
-    The archive server charges simulated transfer time, so the sweep's
+    The arm bills archive transfers (``timing.archive``), so the sweep's
     duration measures how well the claimed batch pipelines across the
     workers (serial: backlog × per-file cost)."""
-    system = config.system(cfg.seed, archive_charge_time=True)
+    system = config.system(cfg.seed)
     dlfm = system.dlfms["fs1"]
 
     def setup():
@@ -170,7 +170,7 @@ def _restore_storm(cfg, config) -> dict:
     post-PIT-restore storm of §3.5); each pays an archive fetch plus a
     Chown handoff, so workers pipeline fetches that a serial daemon
     serves one at a time."""
-    system = config.system(cfg.seed, archive_charge_time=True)
+    system = config.system(cfg.seed)
     dlfm = system.dlfms["fs1"]
 
     def seed_archive():

@@ -28,7 +28,7 @@ from repro.configs import Configuration
 #: The history row this tree's harness writes: ``pr<N>-…`` with N the
 #: number of the PR (``tests/test_bench_history.py`` holds it to the
 #: last entry of CHANGES.md). Re-running a tree refreshes its own row.
-HISTORY_LABEL = "pr32-command-line-repro"
+HISTORY_LABEL = "pr33-one-cost-model"
 
 
 @dataclass
@@ -98,8 +98,9 @@ ARMS = {arm.name: arm for arm in (
                 "{archive_drain.speedup}x and serve a 64-restore storm "
                 "{restore_storm.speedup}x faster than one",
         # Keep the periodic sweeper out of the measured window: the arm
-        # drives the sweep itself.
-        overrides={"dlfm.copy_period": 1e6},
+        # drives the sweep itself. Archive transfers are billed, so
+        # workers have transfer time to overlap.
+        overrides={"dlfm.copy_period": 1e6, "timing.archive": True},
         # all_on's worker count, against paper's single worker.
         contrast={"dlfm.copy_workers": 4, "dlfm.retrieve_workers": 4}),
     Arm("recovery", "all_on", arms.run_recovery,

@@ -20,6 +20,7 @@ from repro.dlfm import api
 from repro.errors import ReproError, TransactionAborted, TwoPCProtocolError
 from repro.kernel.channel import Channel
 from repro.kernel.rpc import serve_loop
+from repro.minidb.config import RPC
 
 
 class ChildAgent:
@@ -62,7 +63,7 @@ class ChildAgent:
     def _dispatch(self, req):
         self.requests += 1
         self.dlfm.metrics.rpcs += 1
-        yield from self.dlfm._charge_rpc()
+        yield from self.dlfm.config.local_db.timing.charge(RPC)
 
         if isinstance(req, api.BeginTxn):
             return self._begin(req)

@@ -50,5 +50,5 @@ class DLFMConfig:
                 lock_timeout=60.0,        # the paper's global-deadlock breaker
                 locklist_size=200_000,    # "lock list size set sufficiently large"
                 maxlocks_fraction=0.6,
-                timing=timing or TimingModel.zero()),
+                timing=timing or TimingModel()),
             pin_statistics=True)

@@ -215,11 +215,6 @@ class DLFM:
 
     # ------------------------------------------------------------------ forward ops
 
-    def _charge_rpc(self):
-        cost = self.config.local_db.timing.rpc_cost()
-        if cost > 0:
-            yield Timeout(cost)
-
     def _check_route(self, group, grp_id: int, route_epoch: int) -> None:
         """Fence a routed op against this shard's view of the group.
 

@@ -1,14 +1,14 @@
-"""Bounded worker pools: N processes draining a shared channel.
+"""Worker pools: N processes draining a shared rendezvous channel.
 
 The daemons the paper makes *asynchronous* (Copy, Retrieve,
 Delete-Group, Fig. 5) were still strictly *serial* in this
 reproduction. A :class:`WorkerPool` gives them real concurrency while
 staying inside the deterministic kernel: ``workers`` generator
 processes block on one work :class:`~repro.kernel.channel.Channel`
-(``capacity=0`` → rendezvous handoff from the producer, ``capacity>0``
-→ a bounded backlog), run a shared ``handler(item)`` generator per
-item, and overlap wherever the handler yields (archive transfers, lock
-waits, chown round-trips).
+(a rendezvous: the producer hands each item to an idle worker, or waits
+for one), run a shared ``handler(item)`` generator per item, and
+overlap wherever the handler yields (archive transfers, lock waits,
+chown round-trips).
 
 Lifecycle contract (what DLFM ``start``/``stop``/``crash`` rely on):
 
@@ -76,15 +76,13 @@ class WorkerPool:
 
     def __init__(self, sim: Simulator, name: str,
                  handler: Callable[..., Generator], *, workers: int = 1,
-                 capacity: int = 0, crash_point: Optional[str] = None,
-                 crash_node: str = ""):
+                 crash_point: Optional[str] = None, crash_node: str = ""):
         if workers < 1:
             raise SimError(f"pool {name} needs at least one worker")
         self.sim = sim
         self.name = name
         self.handler = handler
         self.workers = workers
-        self.capacity = capacity
         self.crash_point = crash_point
         self.crash_node = crash_node
         self.metrics = PoolMetrics()
@@ -109,8 +107,7 @@ class WorkerPool:
         are dropped with the old channel (crash semantics).
         """
         self.stop()
-        self.chan = Channel(self.sim, capacity=self.capacity,
-                            name=f"{self.name}.q")
+        self.chan = Channel(self.sim, name=f"{self.name}.q")
         self._outstanding = 0
         self.busy = 0
         self._procs = [self.sim.spawn(self._worker(), f"{self.name}-w{i}")

@@ -5,68 +5,116 @@ tunes: LOCKTIMEOUT, LOCKLIST/MAXLOCKS (escalation), the next-key-locking
 registry switch and log capacity (DLCHKTIME is a constant in ``locks``,
 SOFTMAX one in ``db``). The log force has no knob: every database runs
 the one pipelined group commit (``Database._force_wal``).
+
+It is also the one cost model: every simulated service second is priced
+by :meth:`TimingModel.price` and slept by :func:`bill`; work billed
+later waits in a database's one :class:`Unbilled` accumulator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.kernel.sim import Timeout
+
+#: The billed kinds: one unit of simulated service work each.
+STATEMENT = "statement"      # a statement executed
+COMPILE = "compile_cpu"      # a plan-cache miss (parse + optimize)
+PAGE_IO = "page_io"          # a page read or written
+INDEX_ENTRY = "index_entry"  # a secondary-index entry maintained
+LOG_FORCE = "log_force"      # a log force
+RPC = "rpc"                  # a DLFM request served
+ARCHIVE = "archive"          # a byte moved to or from the archive server
+
+#: The price table: simulated seconds per unit, chosen so the tuned E1
+#: configuration lands near the paper's 300 links/min with 100 clients
+#: (EXPERIMENTS.md, "Calibration"). ``COMPILE`` and ``INDEX_ENTRY`` are
+#: priced by the :class:`TimingModel` fields of the same name.
+PRICES = {STATEMENT: 0.0005, PAGE_IO: 0.004, LOG_FORCE: 0.006, RPC: 0.002,
+          ARCHIVE: 0.0001}
+#: Fixed cost of one archive transfer, on top of its bytes.
+ARCHIVE_SETUP = 0.05
+#: Conversions into those units. Restart's log scan reads this many
+#: records per page; checkpoint index images pack this many entries per
+#: page (dense sorted (key, rid) runs); a sorted bottom-up bulk index
+#: build costs this fraction of a per-row entry (sequential writes).
+LOG_RECORDS_PER_PAGE = 10
+INDEX_IMAGE_ENTRIES_PER_PAGE = 100
+BULK_INDEX_FACTOR = 0.1
+
+
+def bill(seconds: float, always: bool = False):
+    """Generator: sleep ``seconds`` of billed service time. Free work
+    does not yield, unless ``always`` asks for the yield anyway."""
+    if seconds > 0 or always:
+        yield Timeout(seconds)
+
 
 @dataclass
 class TimingModel:
-    """Virtual service times charged to operations (seconds).
+    """Which work costs simulated time, and the two prices a
+    configuration sets (:data:`PRICES` holds the rest).
 
-    With ``enabled=False`` (the default for unit tests) no time is charged
-    and simulations complete at t≈0 except for explicit waits. Benchmarks
-    use :meth:`calibrated`, whose values are chosen so the tuned E1
-    configuration lands near the paper's reported 300 links/min with 100
-    clients (see EXPERIMENTS.md, "Calibration").
+    With ``enabled=False`` (the default for unit tests) the engine
+    charges nothing and simulations complete at t≈0 except for explicit
+    waits. Benchmarks use :meth:`calibrated`.
     """
 
     enabled: bool = False
-    cpu_per_statement: float = 0.0005
     #: Parse + optimize cost, charged only when a statement misses the
     #: bound-plan cache (a re-bind after invalidation pays it again).
     #: Dynamic SQL that interpolates literals gets a distinct cache key
     #: per value and pays this on EVERY execution — the cost the
     #: prepared-statement API exists to amortize. 0.0 keeps the
-    #: historical "compilation is free" calibration (like
-    #: ``index_entry``); the prepared-statement bench arm opts in.
+    #: historical "compilation is free" calibration; ``all_on()`` bills it.
     compile_cpu: float = 0.0
-    page_io: float = 0.004
-    log_force: float = 0.006
-    rpc: float = 0.002
     #: Per-entry secondary-index maintenance (DB2 logs index pages; our
     #: indexes are memory-resident, so this models that write cost).
-    #: 0.0 keeps the historical "indexes are free" calibration — the
-    #: LOAD bench arm opts in to expose the bulk-build win.
+    #: 0.0 keeps the historical "indexes are free" calibration.
     index_entry: float = 0.0
-
-    @classmethod
-    def zero(cls) -> "TimingModel":
-        return cls(enabled=False)
+    #: Bill archive transfers, whatever ``enabled`` says (the archive is
+    #: its own machine). Off by default: see ``ArchiveServer``.
+    archive: bool = False
 
     @classmethod
     def calibrated(cls) -> "TimingModel":
         return cls(enabled=True)
 
-    def statement_cost(self) -> float:
-        return self.cpu_per_statement if self.enabled else 0.0
+    def price(self, kind: str, units: float = 1) -> float:
+        """Simulated seconds ``units`` of ``kind`` cost under this model."""
+        if kind == ARCHIVE:
+            return ARCHIVE_SETUP + PRICES[kind] * units if self.archive else 0.0
+        if not self.enabled:
+            return 0.0
+        return (PRICES[kind] if kind in PRICES else getattr(self, kind)) * units
 
-    def compile_cost(self) -> float:
-        return self.compile_cpu if self.enabled else 0.0
+    def charge(self, kind: str, units: float = 1):
+        """Generator: sleep the price of ``units`` of ``kind``."""
+        return bill(self.price(kind, units))
 
-    def io_cost(self, pages: int = 1) -> float:
-        return self.page_io * pages if self.enabled else 0.0
 
-    def log_force_cost(self) -> float:
-        return self.log_force if self.enabled else 0.0
+class Unbilled:
+    """One database's work done but not yet billed: page I/Os (pool
+    misses and writes, restart's log scan and index images) and index
+    entries maintained."""
 
-    def rpc_cost(self) -> float:
-        return self.rpc if self.enabled else 0.0
+    __slots__ = ("timing", "pages", "entries")
 
-    def index_entry_cost(self, entries: float = 1) -> float:
-        return self.index_entry * entries if self.enabled else 0.0
+    def __init__(self, timing: TimingModel):
+        self.timing = timing
+        self.pages = 0
+        self.entries = 0.0
+
+    def drain(self, entries: bool = True, above: int = 0, least: int = 0) -> float:
+        """Seconds owed for the pages counted past ``above`` (at least
+        ``least`` of them) and, with ``entries``, for every index entry;
+        all of it is billed, so only ``above`` pages stay owed."""
+        pages, self.pages = self.pages - above, above
+        cost = self.timing.price(PAGE_IO, max(least, pages))
+        if entries:
+            cost += self.timing.price(INDEX_ENTRY, self.entries)
+            self.entries = 0.0
+        return cost
 
 
 #: The locking isolation levels a session may run at.
@@ -112,7 +160,7 @@ class DBConfig:
     #: Heap rows per page (drives optimizer page counts and I/O volume).
     rows_per_page: int = 32
     #: Virtual service times.
-    timing: TimingModel = field(default_factory=TimingModel.zero)
+    timing: TimingModel = field(default_factory=TimingModel)
 
     def with_changes(self, **kwargs) -> "DBConfig":
         """Functional update helper used by experiment configuration."""

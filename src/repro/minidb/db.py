@@ -18,11 +18,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import CatalogError, CrashedError, TransactionAborted
-from repro.kernel.sim import Event, Simulator, Timeout
+from repro.kernel.sim import Event, Simulator
 from repro.minidb import wal as walmod
 from repro.minidb.btree import BTree, encode_key
 from repro.minidb.catalog import Catalog, ColumnDef
-from repro.minidb.config import ISOLATION_LEVELS, DBConfig
+from repro.minidb.config import (BULK_INDEX_FACTOR, INDEX_ENTRY,
+                                 ISOLATION_LEVELS, LOG_FORCE, DBConfig,
+                                 Unbilled, bill)
 from repro.minidb.locks import LockManager
 from repro.minidb.storage import BufferPool, Disk, Heap
 from repro.minidb.txn import Transaction, TransactionTable, TxnState
@@ -32,9 +34,6 @@ from repro.sql.executor import Executor
 from repro.sql.optimizer import plan_statement
 from repro.sql.parser import parse
 
-#: Per-entry cost of a sorted bottom-up bulk index build relative to
-#: per-row insert maintenance (sequential index-page writes).
-BULK_INDEX_FACTOR = 0.1
 #: Bound on the bound-plan cache's entries (LRU eviction beyond it).
 PLAN_CACHE_SIZE = 512
 #: Auto-RUNSTATS refreshes once mutations exceed ``threshold + fraction *
@@ -130,8 +129,11 @@ class Database:
 
     def _build_volatile(self) -> None:
         """(Re)create everything lost in a crash."""
+        #: Drained at statement end, into restart's traffic gate, and
+        #: per page by the replay drain.
+        self.unbilled = Unbilled(self.config.timing)
         self.pool = BufferPool(self.disk, self.config.buffer_pool_pages,
-                               self.config.rows_per_page)
+                               self.config.rows_per_page, self.unbilled)
         self.wal = getattr(self, "wal", None) or LogManager(
             self.config.wal_capacity)
         self.locks = LockManager(self.sim, self.config, self.name)
@@ -160,9 +162,6 @@ class Database:
         #: Volatile by design — a crash discards the deferral and restart
         #: rebuilds indexes from durable state as usual.
         self._bulk_loads: dict[str, dict[str, _BulkIndexPending]] = {}
-        #: Index-entry maintenance work not yet converted into simulated
-        #: time (drained by Session._charge_io, like pool.unbilled_io).
-        self.unbilled_index_entries: float = 0.0
         #: Auto-RUNSTATS bookkeeping: rows mutated per table since its
         #: statistics were last computed. Volatile by design — a crash
         #: loses the counters and staleness re-accumulates from zero,
@@ -299,9 +298,7 @@ class Database:
         wal.force(force[1])
         with self.sim.tracer.span("wal.force", db=self.name, txn=txn.id,
                                   record=record, lsn=force[1]):
-            cost = self.config.timing.log_force_cost()
-            if cost > 0:
-                yield Timeout(cost)
+            yield from self.config.timing.charge(LOG_FORCE)
         if self._force is not force:
             raise CrashedError(
                 f"database {self.name} crashed during the log force")
@@ -430,7 +427,7 @@ class Database:
                 pending[index.name].add(rid, key)
                 self.metrics.bulk_entries_deferred += 1
             else:
-                self.unbilled_index_entries += 1
+                self.unbilled.entries += 1
                 self.btrees[index.name].insert(key, rid)
 
     def apply_index_delete(self, table, row: tuple, rid) -> None:
@@ -438,7 +435,7 @@ class Database:
         for index in self.catalog.indexes_by_table.get(table.name, []):
             if pending is not None and pending[index.name].drop(rid):
                 continue  # entry was still deferred; undo is a dict pop
-            self.unbilled_index_entries += 1
+            self.unbilled.entries += 1
             self.btrees[index.name].delete(index.key_of(row), rid)
 
     def apply_index_update(self, table, old_row: tuple, new_row: tuple,
@@ -452,12 +449,12 @@ class Database:
             if pending is not None:
                 p = pending[index.name]
                 if not p.drop(rid):
-                    self.unbilled_index_entries += 1
+                    self.unbilled.entries += 1
                     self.btrees[index.name].delete(old_key, rid)
                 p.add(rid, new_key)
                 self.metrics.bulk_entries_deferred += 1
             else:
-                self.unbilled_index_entries += 2
+                self.unbilled.entries += 2
                 btree = self.btrees[index.name]
                 btree.delete(old_key, rid)
                 btree.insert(new_key, rid)
@@ -516,10 +513,8 @@ class Database:
         """Generator: merge deferred entries, charging the sequential
         bottom-up build at ``BULK_INDEX_FACTOR`` of per-row cost."""
         merged = self._merge_bulk_load(table)
-        cost = self.config.timing.index_entry_cost(
-            merged * BULK_INDEX_FACTOR)
-        if cost > 0:
-            yield Timeout(cost)
+        yield from self.config.timing.charge(INDEX_ENTRY,
+                                             merged * BULK_INDEX_FACTOR)
         return merged
 
     # ------------------------------------------------------------------ DDL
@@ -785,7 +780,7 @@ class Database:
         self._plan_cache.clear()
         self._bulk_loads.clear()
         self.stats_mutations.clear()
-        self.unbilled_index_entries = 0.0
+        self.unbilled.entries = 0.0
 
     def restart(self) -> dict:
         """Restart after a crash; returns a recovery summary.
@@ -809,19 +804,17 @@ class Database:
         """Generator: replay every page still pending after a restart.
 
         A cold page no transaction touches would otherwise pin the log
-        forever (``checkpoint``'s replay floor). The replay's pool
-        misses land in ``unbilled_io``, which foreground statements
-        drain: the drain puts the counter back and pays the I/O itself.
+        forever (``checkpoint``'s replay floor). The drain pays for at
+        least one page per replay and for every I/O the replay added;
+        pages foreground statements counted before it stay theirs.
         """
-        metrics = self.pool.metrics
         for key in sorted(self.replay_pending):
             if key not in self.replay_pending:
                 continue  # foreground traffic already replayed it
-            before = metrics.unbilled_io
+            owed = self.unbilled.pages
             self.replay_page(*key)
-            pages = metrics.unbilled_io - before
-            metrics.unbilled_io = before
-            yield Timeout(self.config.timing.io_cost(max(1, pages)))
+            cost = self.unbilled.drain(entries=False, above=owed, least=1)
+            yield from bill(cost, always=True)
 
     def _ensure_up(self) -> None:
         if self.crashed:

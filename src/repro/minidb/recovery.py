@@ -17,7 +17,7 @@ tail-proportional work only.
 
 Undo writes CLRs so a crash during recovery is itself recoverable. The
 foreground I/O (log scan, page reads, index repair) accumulates in the
-buffer pool's unbilled counter and is converted, at the end of recovery,
+database's unbilled pages and is converted, at the end of recovery,
 into ``Database.traffic_open_at`` — a gate every new statement waits
 out. That is how "time to first commit" materializes in simulated time.
 """
@@ -27,37 +27,20 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.minidb import wal as walmod
+from repro.minidb.config import (INDEX_IMAGE_ENTRIES_PER_PAGE,
+                                 LOG_RECORDS_PER_PAGE)
 from repro.minidb.storage import Heap
-
-#: Log records per log page: converts scan length into page I/Os charged
-#: to the restart gate (restart cost is I/O-bound).
-LOG_RECORDS_PER_PAGE = 10
-
-#: Checkpoint index-image entries per page. Images are dense sorted runs
-#: of small (key, rid) pairs — index-leaf packing, several times denser
-#: than heap rows (``DBConfig.rows_per_page``).
-INDEX_IMAGE_ENTRIES_PER_PAGE = 100
-
-
-def _log_scan_io(records: int) -> int:
-    return (records + LOG_RECORDS_PER_PAGE - 1) // LOG_RECORDS_PER_PAGE
-
-
-def _image_io(entries: int) -> int:
-    return ((entries + INDEX_IMAGE_ENTRIES_PER_PAGE - 1)
-            // INDEX_IMAGE_ENTRIES_PER_PAGE)
 
 
 def _close_traffic_gate(db) -> None:
     """Convert recovery's parked foreground I/O into a statement gate.
 
-    Everything recovery read or wrote through the pool landed in
-    ``unbilled_io``; draining it here (instead of letting whichever
+    Everything recovery read or wrote through the pool landed in the
+    unbilled pages; draining them here (instead of letting whichever
     session touches the pool first pay) models the restart window during
     which the engine is genuinely unavailable to ALL traffic.
     """
-    pages = db.pool.metrics.drain_unbilled()
-    db.traffic_open_at = db.sim.now + db.config.timing.io_cost(pages)
+    db.traffic_open_at = db.sim.now + db.unbilled.drain(entries=False)
 
 
 class _RecoveryTxn:
@@ -79,8 +62,8 @@ def recover(db) -> dict:
     records = wal.since(ckpt)  # after crash(): durable records only
     losers, prepared, committed, last_lsn, first_lsn = _analyze(
         records, wal.record(ckpt).payload["txn_table"] if ckpt else {})
-    # The scan is foreground I/O the first post-restart statement pays.
-    db.pool.metrics.unbilled_io += _log_scan_io(len(records))
+    # The log scan is foreground I/O for the traffic gate (pages, rounded up).
+    db.unbilled.pages += -(-len(records) // LOG_RECORDS_PER_PAGE)
     redone = _redo(db, records)
     # The trees already hold crash-time state, so undo maintains them
     # (touched pages replay through the gate before a before-image lands).
@@ -181,7 +164,7 @@ def _redo(db, tail) -> int:
             btree.clear()
         else:
             btree.bulk_load(image)
-            db.pool.metrics.unbilled_io += _image_io(len(image))
+            db.unbilled.pages += -(-len(image) // INDEX_IMAGE_ENTRIES_PER_PAGE)
         for record in tail:
             if not record.redoable or record.table != index.table:
                 continue

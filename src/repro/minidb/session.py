@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from repro.errors import DatabaseError, TransactionAborted
 from repro.kernel.sim import Timeout
+from repro.minidb.config import COMPILE, STATEMENT, bill
 from repro.sql import ast
 from repro.sql.executor import ResultSet
 from repro.sql.parser import parse
@@ -122,18 +123,15 @@ class Session:
             # the log-tail scan, undo and index repair — page REDO is
             # deferred (DESIGN.md §11).
             yield Timeout(stall)
-        cost = self.db.config.timing.statement_cost()
-        if cost > 0:
-            yield Timeout(cost)
+        timing = self.db.config.timing
+        yield from timing.charge(STATEMENT)
 
         plan, hit = self._plan_or_ddl(sql)
         if not hit:
             # Parse + optimize happened: charge compilation. A cache hit
             # (the prepared-statement steady state) skips this entirely —
             # that asymmetry is the whole point of preparing.
-            cost = self.db.config.timing.compile_cost()
-            if cost > 0:
-                yield Timeout(cost)
+            yield from timing.charge(COMPILE)
         if plan is None:
             return None  # DDL handled eagerly
 
@@ -163,11 +161,11 @@ class Session:
             # Statement-level failure: undo this statement only.
             self.db._undo_to(txn, upto_lsn=statement_start)
             raise
-        if (self.db.pool.metrics.unbilled_io
-                or self.db.unbilled_index_entries):
+        unbilled = self.db.unbilled
+        if unbilled.pages or unbilled.entries:
             # Most statements find their pages in the pool and touch no
             # index: nothing to bill, no generator to build.
-            yield from self._charge_io()
+            yield from bill(unbilled.drain())
         return result
 
     def _plan_or_ddl(self, sql: str):
@@ -180,15 +178,6 @@ class Session:
                 self.db.ddl(stmt)
                 return None, False
         return self.db.bind_plan(sql, stmt)
-
-    def _charge_io(self):
-        pages = self.db.pool.metrics.drain_unbilled()
-        cost = self.db.config.timing.io_cost(pages)
-        entries, self.db.unbilled_index_entries = (
-            self.db.unbilled_index_entries, 0.0)
-        cost += self.db.config.timing.index_entry_cost(entries)
-        if cost > 0:
-            yield Timeout(cost)
 
     # ------------------------------------------------------------------ prepare
 
@@ -206,9 +195,7 @@ class Session:
             raise DatabaseError(f"cannot prepare DDL: {sql!r}")
         _, hit = self.db.bind_plan(sql, stmt)
         if not hit:
-            cost = self.db.config.timing.compile_cost()
-            if cost > 0:
-                yield Timeout(cost)
+            yield from self.db.config.timing.charge(COMPILE)
         return PreparedStatement(self, sql)
 
     # ------------------------------------------------------------------ sugar

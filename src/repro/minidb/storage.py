@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from repro.errors import DatabaseError
+from repro.minidb.config import Unbilled
 
 #: RID: (page number, slot number) within a table's heap.
 Rid = tuple[int, int]
@@ -107,27 +108,21 @@ class BufferMetrics:
     hits: int = 0
     misses: int = 0
     page_writes: int = 0
-    #: misses + writes accumulated since the last drain (for time charging)
-    unbilled_io: int = 0
-
-    def _io(self) -> None:
-        self.unbilled_io += 1
-
-    def drain_unbilled(self) -> int:
-        n, self.unbilled_io = self.unbilled_io, 0
-        return n
 
 
 class BufferPool:
     """Write-back LRU page cache over the :class:`Disk`."""
 
-    def __init__(self, disk: Disk, capacity: int, rows_per_page: int):
+    def __init__(self, disk: Disk, capacity: int, rows_per_page: int,
+                 unbilled: Unbilled):
         self.disk = disk
         self.capacity = capacity
         self.rows_per_page = rows_per_page
         self._frames: "OrderedDict[tuple[str, int], HeapPage]" = OrderedDict()
         self._dirty: set[tuple[str, int]] = set()
         self.metrics = BufferMetrics()
+        #: The database's accumulator: every miss and write is a page I/O.
+        self.unbilled = unbilled
 
     def fetch(self, table: str, page_no: int, create: bool = False) -> HeapPage:
         key = (table, page_no)
@@ -143,7 +138,7 @@ class BufferPool:
             page = HeapPage(page_no, self.rows_per_page)
         else:
             self.metrics.misses += 1
-            self.metrics._io()
+            self.unbilled.pages += 1
         self._frames[key] = page
         self._evict_if_needed()
         return page
@@ -158,7 +153,7 @@ class BufferPool:
                 self._dirty.discard(key)
                 self.disk.write_page(key[0], page)
                 self.metrics.page_writes += 1
-                self.metrics._io()
+                self.unbilled.pages += 1
 
     def flush_all(self) -> int:
         """Write every dirty page to disk (checkpoint); returns pages written."""
@@ -168,7 +163,7 @@ class BufferPool:
             if page is not None:
                 self.disk.write_page(key[0], page)
                 self.metrics.page_writes += 1
-                self.metrics._io()
+                self.unbilled.pages += 1
                 written += 1
         self._dirty.clear()
         return written

@@ -32,12 +32,11 @@ class ShardedSystem(System):
                  dlfm_config: Optional[DLFMConfig] = None,
                  host_config: Optional[HostConfig] = None,
                  dbid: str = "hostdb", tracer=None, injector=None,
-                 fs_name: str = "fs1",
-                 archive_charge_time: bool = False):
+                 fs_name: str = "fs1"):
         self.fs_name = fs_name
         super().__init__(seed, shard_names(shards), dlfm_config,
                          host_config or HostConfig(batch_datalinks=True),
-                         dbid, tracer, injector, archive_charge_time)
+                         dbid, tracer, injector)
         # The last shard's filter won the mount; its upcall must span
         # the fleet (any shard may own the group of the path in hand).
         self.servers[fs_name].filtered.filter.set_upcall(self._fleet_upcall)

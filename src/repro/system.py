@@ -27,13 +27,13 @@ class System:
     def __init__(self, seed: int = 0, servers: tuple[str, ...] = ("fs1",),
                  dlfm_config: Optional[DLFMConfig] = None,
                  host_config: Optional[HostConfig] = None,
-                 dbid: str = "hostdb", tracer=None, injector=None,
-                 archive_charge_time: bool = False):
+                 dbid: str = "hostdb", tracer=None, injector=None):
         self.sim = Simulator(seed=seed, tracer=tracer, injector=injector)
         self.tracer = self.sim.tracer
         self.injector = self.sim.injector
-        self.archive = ArchiveServer(self.sim,
-                                     charge_time=archive_charge_time)
+        # Transfers are billed on the DLFMs' clock (its ``archive`` term).
+        self.archive = ArchiveServer(
+            self.sim, timing=dlfm_config and dlfm_config.local_db.timing)
         self.servers: dict[str, FileServer] = {}
         self.dlfms: dict[str, DLFM] = {}
         for name in servers:

@@ -34,6 +34,15 @@ def assert_holds_declared_configuration(configuration, system):
     assert (ran["dlfm"], ran["host"]) == (asdict(dlfm), asdict(host))
 
 
+def bill_only(monkeypatch, **prices):
+    """Price every kind in the cost table (``minidb.config.PRICES``) at
+    0.0 except ``prices`` (kind → seconds per unit), so sim-clock
+    deltas isolate what a test bills."""
+    from repro.minidb.config import PRICES
+    for kind in PRICES:
+        monkeypatch.setitem(PRICES, kind, prices.get(kind, 0.0))
+
+
 def run(sim, gen, until=None):
     """Run one root generator to completion and return its result."""
     return sim.run_process(gen, until=until)

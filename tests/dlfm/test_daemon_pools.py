@@ -7,19 +7,18 @@ from repro.dlfm import DLFMConfig
 from repro.dlfm.daemons import delete_group, retrieved
 from repro.errors import CrashedError
 from repro.host import DatalinkSpec, build_url
-from repro.kernel import Timeout
 from repro.system import System
 
 
-def build_system(seed=7, injector=None, charge_time=False, **knobs):
+def build_system(seed=7, injector=None, bill_archive=False, **knobs):
     """System with one recovery=yes datalink table and N user files."""
     config = DLFMConfig.tuned()
+    config.local_db.timing.archive = bill_archive
     for knob, value in knobs.items():
         setattr(config, knob, value)
     # Keep the periodic sweeper parked; these tests drive sweeps directly.
     config.copy_period = 1e6
-    system = System(seed=seed, dlfm_config=config, injector=injector,
-                    archive_charge_time=charge_time)
+    system = System(seed=seed, dlfm_config=config, injector=injector)
 
     def setup():
         yield from system.host.create_datalink_table(
@@ -109,8 +108,8 @@ def test_concurrent_sweeps_never_double_archive():
 # ------------------------------------------------------------------ pipelining
 
 def test_parallel_copy_workers_pipeline_transfers():
-    serial = build_system(charge_time=True, copy_workers=1)
-    pooled = build_system(charge_time=True, copy_workers=4)
+    serial = build_system(bill_archive=True, copy_workers=1)
+    pooled = build_system(bill_archive=True, copy_workers=4)
     elapsed = {}
     for label, system in (("serial", serial), ("pooled", pooled)):
         link_files(system, 8)
@@ -125,8 +124,8 @@ def test_parallel_copy_workers_pipeline_transfers():
 
 
 def test_concurrent_restores_pipeline_fetches():
-    serial = build_system(charge_time=True, retrieve_workers=1)
-    pooled = build_system(charge_time=True, retrieve_workers=4)
+    serial = build_system(bill_archive=True, retrieve_workers=1)
+    pooled = build_system(bill_archive=True, retrieve_workers=4)
     elapsed = {}
     for label, system in (("serial", serial), ("pooled", pooled)):
         dlfm = system.dlfms["fs1"]

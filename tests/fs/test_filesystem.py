@@ -6,6 +6,7 @@ from repro.archive import ArchiveServer
 from repro.errors import (ArchiveError, FileExists, FileNotFound,
                           PermissionDenied)
 from repro.fs.filesystem import READ_ONLY, READ_WRITE, FileSystem
+from repro.minidb.config import TimingModel
 
 
 @pytest.fixture
@@ -171,10 +172,11 @@ def test_archive_delete_version(sim):
 
 
 def test_archive_transfer_charges_time_when_enabled(sim):
-    archive = ArchiveServer(sim, charge_time=True)
+    archive = ArchiveServer(sim, timing=TimingModel(archive=True))
 
     def go():
         yield from archive.store("fs1", "/a", "r1", "x" * 1000, "a", "g", 0)
         return sim.now
 
-    assert run(sim, go()) > 0.0
+    # Setup plus 1 000 bytes, with the engine's clock still disabled.
+    assert run(sim, go()) == pytest.approx(0.05 + 0.1)

@@ -65,7 +65,7 @@ def test_rendezvous_submit_applies_backpressure():
     def handler(item):
         yield Timeout(1.0)
 
-    pool = make_pool(sim, handler, workers=2, capacity=0)
+    pool = make_pool(sim, handler, workers=2)
     times = []
 
     def producer():
@@ -79,18 +79,6 @@ def test_rendezvous_submit_applies_backpressure():
     # two wait a full service time until both workers free up at t=1.
     assert times == [0.0, 0.0, 1.0, 1.0]
     assert pool.metrics.max_depth == 0
-
-
-def test_buffered_queue_records_depth_high_water():
-    sim = Simulator()
-
-    def handler(item):
-        yield Timeout(1.0)
-
-    pool = make_pool(sim, handler, workers=1, capacity=8)
-    sim.run_process(submit_and_drain(pool, range(6)))
-    assert pool.metrics.max_depth >= 4
-    assert pool.metrics.completed == 6
 
 
 def test_submit_on_stopped_pool_raises():
@@ -140,12 +128,12 @@ def test_restart_gets_fresh_queue_and_workers():
         yield Timeout(1.0)
         done.append(item)
 
-    pool = make_pool(sim, handler, workers=1, capacity=8)
+    pool = make_pool(sim, handler, workers=1)
 
     def first_life():
-        yield from pool.submit("doomed-1")
-        yield from pool.submit("doomed-2")
-        # Stop before any item finishes: queued work dies with the pool.
+        yield from pool.submit("doomed")
+        # Stop before the item finishes: handed-out work dies with the
+        # pool.
         pool.stop()
 
     sim.run_process(first_life())

@@ -147,10 +147,11 @@ def test_create_index_during_bulk_sees_heap_rows(sim):
     assert len(db.btrees["t_k"]) == 6
 
 
-def test_end_bulk_load_charges_discounted_index_time(sim):
+def test_end_bulk_load_charges_discounted_index_time(sim, monkeypatch):
     from repro.minidb.config import TimingModel
-    timing = TimingModel(enabled=True, cpu_per_statement=0.0, page_io=0.0,
-                         rpc=0.0, log_force=0.0, index_entry=0.01)
+    from tests.conftest import bill_only
+    bill_only(monkeypatch)
+    timing = TimingModel(enabled=True, index_entry=0.01)
     db = make_db(sim, timing=timing)
     db.begin_bulk_load("t")
     started = sim.now

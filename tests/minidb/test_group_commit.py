@@ -19,8 +19,14 @@ from repro.errors import CrashedError, TransactionAborted
 from repro.kernel import Simulator, Timeout
 from repro.minidb import Database, DBConfig
 from repro.minidb.config import TimingModel
+from tests.conftest import bill_only
 
 F = 0.006   # one log force
+
+
+@pytest.fixture(autouse=True)
+def bill_only_the_force(monkeypatch):
+    bill_only(monkeypatch, log_force=F)
 
 
 def make_db(sim):
@@ -29,8 +35,7 @@ def make_db(sim):
     # lock (E3) and keep them out of each other's force.
     db = Database(sim, "g", DBConfig(
         next_key_locking=False,
-        timing=TimingModel(enabled=True, cpu_per_statement=0.0, page_io=0.0,
-                           rpc=0.0, log_force=F)))
+        timing=TimingModel(enabled=True)))
 
     def setup():
         session = db.session()

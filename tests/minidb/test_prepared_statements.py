@@ -13,8 +13,14 @@ import pytest
 from repro.errors import DatabaseError
 from repro.minidb import Database, DBConfig
 from repro.minidb.config import TimingModel
+from tests.conftest import bill_only
 
 COMPILE = 0.004
+
+
+@pytest.fixture(autouse=True)
+def bill_no_table_price(monkeypatch):
+    bill_only(monkeypatch)
 
 
 def make_db(sim, **cfg):
@@ -33,10 +39,9 @@ def make_db(sim, **cfg):
 
 
 def compile_only_timing():
-    """Bill ONLY compile time, so sim-clock deltas isolate it."""
-    return TimingModel(enabled=True, cpu_per_statement=0.0, page_io=0.0,
-                       rpc=0.0, log_force=0.0,
-                       compile_cpu=COMPILE)
+    """Bill ONLY compile time (the table prices are zeroed), so
+    sim-clock deltas isolate it."""
+    return TimingModel(enabled=True, compile_cpu=COMPILE)
 
 
 def test_prepare_once_execute_many_hits_cache(sim):

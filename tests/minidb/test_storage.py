@@ -3,12 +3,14 @@
 import pytest
 
 from repro.errors import DatabaseError
+from repro.minidb.config import TimingModel, Unbilled
 from repro.minidb.storage import BufferPool, Disk, Heap
 
 
 def make_heap(capacity=100, rows_per_page=4):
     disk = Disk()
-    pool = BufferPool(disk, capacity, rows_per_page)
+    pool = BufferPool(disk, capacity, rows_per_page,
+                      Unbilled(TimingModel.calibrated()))
     return Heap("t", pool), pool, disk
 
 
@@ -170,12 +172,14 @@ def test_drop_table_removes_pages():
     assert disk.page_numbers("t") == []
 
 
-def test_unbilled_io_counts_misses_and_writes():
+def test_unbilled_pages_count_misses_and_writes():
     heap, pool, _ = make_heap(capacity=1, rows_per_page=1)
     for i in range(4):
         heap.insert((i,))
-    assert pool.metrics.drain_unbilled() > 0
-    assert pool.metrics.drain_unbilled() == 0  # drained
+    io = pool.metrics.misses + pool.metrics.page_writes
+    assert pool.unbilled.pages == io > 0
+    assert pool.unbilled.drain() == pytest.approx(0.004 * io)
+    assert pool.unbilled.drain() == 0.0  # drained
 
 
 # -- free-space hint (lazy min-heap over _free_pages) -------------------------

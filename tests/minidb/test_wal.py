@@ -4,7 +4,9 @@ import pytest
 
 from repro.errors import LogFullError
 from repro.minidb import DBConfig
-from repro.minidb.config import TimingModel
+from repro.minidb.config import (ARCHIVE, COMPILE, INDEX_ENTRY, LOG_FORCE,
+                                 PAGE_IO, PRICES, RPC, STATEMENT,
+                                 TimingModel)
 from repro.minidb.txn import Transaction
 from repro.minidb.wal import (ABORT, CLR, COMMIT, INSERT, LogManager,
                               PREPARE)
@@ -115,16 +117,21 @@ def test_config_with_changes_is_functional():
 
 
 def test_timing_model_zero_charges_nothing():
-    timing = TimingModel.zero()
-    assert timing.statement_cost() == 0.0
-    assert timing.io_cost(10) == 0.0
-    assert timing.log_force_cost() == 0.0
-    assert timing.rpc_cost() == 0.0
+    timing = TimingModel()
+    for kind in (STATEMENT, COMPILE, PAGE_IO, INDEX_ENTRY, LOG_FORCE, RPC,
+                 ARCHIVE):
+        assert timing.price(kind, 10) == 0.0
 
 
 def test_timing_model_calibrated_charges():
     timing = TimingModel.calibrated()
-    assert timing.statement_cost() > 0
-    assert timing.io_cost(2) == 2 * timing.page_io
-    assert timing.log_force_cost() > 0
-    assert timing.rpc_cost() > 0
+    assert timing.price(STATEMENT) > 0
+    assert timing.price(PAGE_IO, 2) == 2 * PRICES[PAGE_IO]
+    assert timing.price(LOG_FORCE) > 0
+    assert timing.price(RPC) > 0
+    # The two terms a configuration sets default to free, and the
+    # archive bills only when its own term is on.
+    assert timing.price(COMPILE) == timing.price(INDEX_ENTRY) == 0.0
+    assert timing.price(ARCHIVE, 1000) == 0.0
+    timing.archive = True
+    assert timing.price(ARCHIVE, 1000) == pytest.approx(0.05 + 0.1)

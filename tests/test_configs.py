@@ -15,7 +15,7 @@ from repro.chaos.campaign import CampaignConfig
 from repro.configs import Configuration
 from repro.dlfm.config import DLFMConfig
 from repro.host import HostConfig
-from repro.minidb.config import DBConfig
+from repro.minidb.config import DBConfig, TimingModel
 from repro.obs import scenarios
 from repro.workloads import SystemTestConfig
 from tests.conftest import assert_holds_declared_configuration
@@ -24,14 +24,15 @@ SRC = Path(configs.__file__).parent
 REPO = SRC.parent.parent
 
 #: The configuration surface: every field of these is one option.
-CONFIG_CLASSES = (DBConfig, DLFMConfig, HostConfig, SystemTestConfig,
-                  CampaignConfig)
+CONFIG_CLASSES = (DBConfig, TimingModel, DLFMConfig, HostConfig,
+                  SystemTestConfig, CampaignConfig)
 #: Where a second value counts; tests (``test_*.py`` here too) and
 #: examples do not.
 SHIPPED = ("src", "benchmarks")
 #: ``Configuration`` override-key prefixes and the class they walk into.
 OVERRIDE_ROOTS = {"dlfm": DLFMConfig, "dlfm.local_db": DBConfig,
-                  "host": HostConfig, "host.db": DBConfig}
+                  "host": HostConfig, "host.db": DBConfig,
+                  "timing": TimingModel}
 #: Fields kept although nothing shipped sets a second value — one reason
 #: each. An entry whose field gains such a writer must leave the list.
 ONE_VALUE_KEPT = {
