@@ -84,6 +84,10 @@ def scenario_b():
     dlfm.crash()
     dlfm.restart()
     result = system.run(resolve_indoubts(system.host))
+    # Phase 2 is applied, not forced: the host forgets the decision at
+    # fs1's next log force (the Copy daemon's pass on an idle DLFM).
+    system.sim.run(until=system.sim.now + 60.0,
+                   stop_when=lambda: not system.host.decision_rows())
     return (result["committed"] == 1 and dlfm.linked_count() == 1
             and system.host.decision_rows() == [])
 

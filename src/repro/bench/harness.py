@@ -28,7 +28,7 @@ from repro.configs import Configuration
 #: The history row this tree's harness writes: ``pr<N>-…`` with N the
 #: number of the PR (``tests/test_bench_history.py`` holds it to the
 #: last entry of CHANGES.md). Re-running a tree refreshes its own row.
-HISTORY_LABEL = "pr33-one-cost-model"
+HISTORY_LABEL = "pr34-lazy-phase2"
 
 
 @dataclass
@@ -75,10 +75,13 @@ ARMS = {arm.name: arm for arm in (
                ("1.ops_per_sec", ">=", 0.9, "fleet_one_shard_ops_per_sec")),
         history={"fleet_ops_per_sec": "8.ops_per_sec",
                  "fleet_one_shard_ops_per_sec": "1.ops_per_sec",
-                 "fleet_shard_scaling": "shard_scaling"},
+                 "fleet_shard_scaling": "shard_scaling",
+                 "fleet_dlfm_forces_per_commit":
+                     "8.dlfm_forces_per_commit"},
         summary="{8.ops_per_sec} ops/s at 8 shards, {shard_scaling}x one "
                 "shard's {1.ops_per_sec} ({1.retries} aborted attempts "
-                "there, {8.retries} at 8)"),
+                "there, {8.retries} at 8; {8.dlfm_forces_per_commit} DLFM "
+                "log forces per committed transaction at 8)"),
     Arm("load", "all_on", arms.run_load,
         gates=(("linked", ">=", 10_000),
                ("load_sim_s", "<=", 1.10, "load_all_on_sim_s")),

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.chaos.faults import FaultInjector, FaultPlan, default_plan
-from repro.chaos.invariants import Violation, check_invariants
+from repro.chaos.invariants import Violation, check_forgets, check_invariants
 from repro.configs import Configuration
 from repro.dlfm import schema
 from repro.errors import ReproError, TransactionAborted
@@ -126,6 +126,12 @@ class _Campaign:
         self.file_servers = tuple(sorted(self.system.servers))
         self.rng = self.system.sim.stream("chaos:workload")
         self.result = CampaignResult(config, self.plan)
+        #: ``forget-before-durable`` found at a DLFM crash (reported with
+        #: the round's check).
+        self.crash_violations: list = []
+        for name, dlfm in self.system.dlfms.items():
+            self.injector.register_crash(dlfm.db.name,
+                                         self._checked_crash(name))
         self.rows: list = []        # (row_id, server, path) live media rows
         self.batch_tables: list = []  # short-lived tables awaiting drop
         #: The external TM's journal of undelivered verdicts: gtrid →
@@ -147,7 +153,8 @@ class _Campaign:
             self._recover()
             self._quiesce()
             self.result.checks += 1
-            violations = check_invariants(self.system)
+            violations = (self.crash_violations
+                          + check_invariants(self.system))
             if violations:
                 self.result.violations.extend(violations)
                 break
@@ -160,6 +167,15 @@ class _Campaign:
         self.result.fired = list(self.injector.fired)
         self.result.crashes = list(self.injector.crashes)
         return self.result
+
+    def _checked_crash(self, name: str):
+        """DLFM ``name``'s crash, preceded by the check only a crash can
+        make: the unforced tail about to be lost must hold no phase 2
+        whose decision the host already forgot."""
+        def crash():
+            self.crash_violations.extend(check_forgets(self.system, name))
+            self.system.dlfms[name].crash()
+        return crash
 
     def _run_clean(self, gen, name: str):
         """Run one generator to completion with injection disabled."""

@@ -23,6 +23,15 @@ point                      kinds                     wired into
                                                      every member's record
                                                      is in the unforced
                                                      tail, none may ack
+``wal.unforced:<db>``      crash                     a force about to cover
+                                                     lazy commits (DLFM
+                                                     phase 2: applied and
+                                                     acknowledged, not yet
+                                                     durable), before it
+                                                     is issued: every
+                                                     durability handle
+                                                     fails, the host
+                                                     re-drives phase 2
 ``lock.acquire:<db>``      lock_timeout,             forced victim at
                            lock_deadlock             lock-manager entry
 ``daemon.pass:<node>:<d>`` crash                     daemon pass entry
@@ -345,6 +354,10 @@ def default_plan(seed: int = 0) -> FaultPlan:
         # must fail every member of the group.
         FaultRule("wal.group:leader:dlfm-*", "crash", prob=0.02,
                   max_fires=2),
+        # Lazy phase 2: a DLFM dies with applied, acknowledged phase-2
+        # COMMITs in its unforced tail. The host must still hold their
+        # decisions (forget-before-durable) and re-drives them.
+        FaultRule("wal.unforced:dlfm-*", "crash", prob=0.03, max_fires=2),
         # The same point on the host, whose COMMIT records carry the 2PC
         # decision. A lone chaos client queues behind another host
         # committer only once or twice per campaign, hence the high rate.

@@ -39,7 +39,14 @@ Violation codes (also documented in DESIGN.md §10):
                             it, or an active group no catalog row routes to
 ``unreplayed-page``         a live database still has pages waiting for lazy
                             replay (its log stays pinned below them)
+``forget-before-durable``   the host forgot a decision whose phase-2 COMMIT
+                            is still in a DLFM's unforced log tail
 ==========================  ====================================================
+
+``forget-before-durable`` is also checked at every DLFM crash of a
+campaign, just before the tail is lost (:func:`check_forgets`): that is
+the moment the mistake turns into damage — the transaction comes back
+prepared, no decision is left, and presumed abort undoes a commit.
 
 Decision bookkeeping (``stale-decision-row``, ``orphan-indoubt-txn``)
 reads the one decision store: the unforgotten decisions carried on the
@@ -58,6 +65,7 @@ from repro.dlfm import schema
 from repro.errors import DataLinkError
 from repro.fs.filesystem import READ_ONLY
 from repro.host.datalink import parse_url, shadow_column
+from repro.minidb import wal as walmod
 from repro.minidb.txn import TxnState
 
 
@@ -87,6 +95,7 @@ def check_invariants(system) -> list["Violation"]:
         if name in downs or system.host.db.crashed:
             continue  # can't cross-check against a crashed side
         _check_dlfm(system, name, host_refs, out)
+        out.extend(check_forgets(system, name))
     _check_fs_crosslinks(system, downs, host_refs, out)
     if not system.host.db.crashed:
         _check_host(system, downs, out)
@@ -171,6 +180,36 @@ def _check_host(system, downs: set, out: list) -> None:
                 f"decision ({txn_id}, {server}) but {server} has no "
                 f"prepared txn {txn_id}"))
     _check_engine_residue(host.db, "host", out)
+
+
+def check_forgets(system, name: str) -> list["Violation"]:
+    """``forget-before-durable`` for DLFM ``name``: phase 2 commits
+    lazily, so the host may write FORGET only once the participant's
+    phase-2 COMMIT is durable. Reads the DLFM's log — a local
+    transaction committed in the unforced tail that took a ``dfm_txn``
+    row of this host out of PREPARED is a phase 2 not yet durable — and
+    the FORGET records the host still holds."""
+    host, db = system.host, system.dlfms[name].db
+    wal = db.wal
+    lazy = {r.txn_id for r in wal.since(wal.flushed_upto)
+            if r.kind == walmod.COMMIT}
+    if not lazy:
+        return []
+    names = db.catalog.tables["dfm_txn"].column_names
+    pending = set()
+    for record in wal.records:
+        if (record.txn_id in lazy and record.table == "dfm_txn"
+                and record.kind in (walmod.UPDATE, walmod.DELETE)):
+            row = dict(zip(names, record.before))
+            if (row["dbid"] == host.dbid
+                    and row["state"] == schema.TXN_PREPARED):
+                pending.add(row["txn_id"])
+    forgotten = {r.payload["txn"] for r in host.db.wal.records
+                 if r.kind == walmod.FORGET}
+    return [Violation("forget-before-durable", name,
+                      f"host forgot txn {txn_id} while its phase-2 COMMIT "
+                      f"is in {name}'s unforced log tail")
+            for txn_id in sorted(pending & forgotten)]
 
 
 # ---------------------------------------------------------------- DLFM side

@@ -7,8 +7,10 @@ the mechanism behind the paper's synchronous-commit lesson (E6).
 
 A child agent owns one local-database session. Forward operations of a
 host transaction accumulate in one local transaction; Prepare performs
-the hardening local COMMIT; phase-2 Commit/Abort run through the
-manager's retry loops on fresh sessions.
+the hardening (forced) local COMMIT; phase-2 Commit/Abort run through
+the manager's retry loops on fresh sessions and commit lazily: a Commit
+reply says "applied" and carries the ``durable`` handle the host waits
+on before it forgets its decision.
 """
 
 from __future__ import annotations

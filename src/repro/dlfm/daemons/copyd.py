@@ -73,6 +73,9 @@ class CopyDaemon:
     def run(self):
         while True:
             yield Timeout(self.dlfm.config.copy_period)
+            # An idle DLFM's log force: phase 2 commits lazily, and the
+            # host keeps each decision until a force covers its commit.
+            yield from self.dlfm.db.harden()
             yield from self.sweep()
 
     def sweep(self):

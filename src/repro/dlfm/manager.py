@@ -14,7 +14,12 @@ Transactional design (paper §3.3/§4):
   COMMIT — from then on the local database cannot roll the work back;
 * phase-2 **Commit/Abort** therefore use the *delayed-update scheme*
   (mark/restore) and must acquire new locks, so they can deadlock or
-  time out; they retry until they succeed (Figure 4, experiment E2).
+  time out; they retry until they succeed (Figure 4, experiment E2);
+* phase 2 is *applied, not forced*: its local COMMIT is lazy
+  (``Session.commit_lazy``) and becomes durable with the next force of
+  this log — usually the next Prepare. A crash before then loses it, and
+  the host re-drives it: a Commit from the decision it keeps until the
+  reply's ``durable`` handle completes, an Abort by presumed abort.
 """
 
 from __future__ import annotations
@@ -589,8 +594,13 @@ class DLFM:
             "WHERE dbid = ? AND txn_id = ? FOR UPDATE",
             (req.dbid, req.txn_id))
         if txn_row is None:
+            # Idempotent redelivery. The row may have gone with a lazy
+            # COMMIT still in the unforced tail: harden it before
+            # answering, or the host would forget the decision on the
+            # strength of a deletion a crash can still undo.
             yield from session.rollback()
-            return {"outcome": "already-finished"}  # idempotent redelivery
+            yield from self.db.harden()
+            return {"outcome": "already-finished"}
         _, groups_deleted = txn_row
 
         # Unlinked files first: release to the file system; delete the
@@ -672,14 +682,17 @@ class DLFM:
             yield from session.execute(
                 "DELETE FROM dfm_txn WHERE dbid = ? AND txn_id = ?",
                 (req.dbid, req.txn_id))
-        yield from session.commit()
+        durable = yield from session.commit_lazy()
         if groups_deleted:
             yield from self.delete_groupd.notify(req.dbid, req.txn_id)
-        return {"outcome": "committed"}
+        return {"outcome": "committed", "durable": durable}
 
     def op_abort_prepared(self, req: api.Abort):
         """Generator: phase 2 abort after prepare — undo committed local
-        changes via the delayed-update records; retry until success."""
+        changes via the delayed-update records; retry until success. The
+        reply carries no handle: a crash that loses the lazy COMMIT
+        leaves the transaction prepared with no host decision, and
+        presumed abort aborts it again."""
         return (yield from self._phase2("abort", self._abort_once, req))
 
     def _abort_once(self, session, req: api.Abort):
@@ -732,7 +745,7 @@ class DLFM:
         yield from session.execute(
             "DELETE FROM dfm_txn WHERE dbid = ? AND txn_id = ?",
             (req.dbid, req.txn_id))
-        yield from session.commit()
+        yield from session.commit_lazy()
         return {"outcome": "aborted"}
 
     def op_list_indoubt(self, req: api.ListIndoubt):

@@ -3,10 +3,11 @@
 Owns the user tables (on minidb), the DATALINK column registry, group
 ids, recovery-id generation, access-token issuing, and the 2PC commit
 decisions (presumed abort: a decision exists iff the transaction
-committed and phase 2 has not been fully acknowledged). A decision is
-the write-participant list carried as the payload of the transaction's
-own COMMIT log record — the host keeps no decision table; the WAL is
-the only durable store and ``HostDB._decisions`` its in-memory mirror.
+committed and phase 2 is not yet durable at every participant). A
+decision is the write-participant list carried as the payload of the
+transaction's own COMMIT log record — the host keeps no decision table;
+the WAL is the only durable store and ``HostDB._decisions`` its
+in-memory mirror.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from typing import Optional
 
 from repro.dlff.filter import AccessToken
 from repro.dlfm import api
-from repro.errors import DataLinkError
+from repro.errors import DataLinkError, ReproError
 from repro.host.datalink import DatalinkSpec, parse_url, shadow_column
 from repro.host.ids import RecoveryIdGenerator
+from repro.kernel import rpc
 from repro.kernel.sim import Simulator
 from repro.minidb import Database, DBConfig
 from repro.minidb import wal as walmod
@@ -106,6 +108,8 @@ class HostDB:
         #: COMMIT-payload decisions in the WAL; rebuilt from the log at
         #: restart.
         self._decisions: dict[int, tuple] = {}
+        #: server → its running in-doubt poller (:meth:`poll`).
+        self._pollers: dict = {}
         #: Shard router (``repro.shard.ShardMap``) — None on an unsharded
         #: host, where datalink ops address DLFMs by file-server name.
         self.shard_map = None
@@ -131,8 +135,48 @@ class HostDB:
         if servers:
             self._decisions[txn_id] = servers
 
+    def forget_when_durable(self, txn_id: int, replies) -> None:
+        """Forget decision ``txn_id`` once its phase 2 is durable at
+        every participant. ``replies`` are its acknowledged Commit
+        replies, ``(server, reply)`` for each participant; a reply's
+        ``durable`` handle completes when the participant's log force
+        covers its lazy COMMIT. The wait runs off the caller's path. A
+        failed handle (the participant crashed first) keeps the decision
+        and hands the server to the in-doubt poller, which re-drives the
+        lost phase 2 once it is back."""
+        pending = [(server, reply["durable"]) for server, reply in replies
+                   if reply.get("durable") is not None]
+        if not pending:
+            self.forget_decision(txn_id)
+            return
+        self.sim.spawn(self._forget_after(txn_id, pending),
+                       f"forget-{txn_id}")
+
+    def _forget_after(self, txn_id: int, pending):
+        recoveries = self.db.metrics.recoveries
+        lost = []
+        for server, handle in pending:
+            try:
+                yield from rpc.wait_reply(handle)
+            except ReproError:
+                lost.append(server)
+        if self.db.crashed or self.db.metrics.recoveries != recoveries:
+            return  # the host crashed meanwhile: its restart re-drives
+        if not lost:
+            self.forget_decision(txn_id)
+        for server in lost:
+            self.poll(server)
+
+    def poll(self, server: str) -> None:
+        """Spawn the in-doubt poller for ``server`` unless one runs."""
+        from repro.host.indoubt import indoubt_poller
+        proc = self._pollers.get(server)
+        if proc is None or proc.finished:
+            self._pollers[server] = self.sim.spawn(
+                indoubt_poller(self, server), f"indoubt-poller-{server}")
+
     def forget_decision(self, txn_id: int) -> None:
-        """Forget a decision after phase 2 fully acked.
+        """Forget a decision whose phase 2 is durable everywhere.
 
         Appends an *unforced* FORGET record — losing it in a crash only
         re-drives an idempotent phase-2 Commit at restart.

@@ -11,7 +11,7 @@ resolve the indoubts when the DLFM is up."
 from __future__ import annotations
 
 from repro.dlfm import api
-from repro.errors import ReproError
+from repro.errors import CrashedError, ReproError
 from repro.kernel import rpc
 from repro.kernel.sim import Timeout
 
@@ -28,9 +28,12 @@ def resolve_indoubts(host):
     (``host.pending_decisions()`` — after a crash mid-fan-out many are
     in doubt together, so all (transaction, server) pairs go out at
     once); then every transaction a DLFM still reports as prepared has
-    no decision and is aborted. Transactions the host itself holds
-    PREPARED are XA branches whose outcome belongs to the external
-    transaction manager — they are left alone.
+    no decision and is aborted — unless the host still has a say in
+    it: a decision taken since (its phase 2 is on the way), or a live
+    local transaction (its coordinator is in phase 1, or it is an XA
+    branch whose outcome belongs to the external transaction manager).
+    A pass may run beside live traffic (the poller), but never on a
+    crashed host, whose decisions are not in memory.
     """
     coordinator = host.session()
     try:
@@ -46,11 +49,14 @@ def resolve_indoubts(host):
             [(coordinator.channel(server), api.ListIndoubt(host.dbid))
              for server in servers],
             name="indoubt-list")
-        tm_owned = {txn.id for txn in host.db.indoubt_transactions()}
+        if host.db.crashed:
+            raise CrashedError(f"host {host.dbid} crashed mid-resolution")
+        spoken_for = ({txn.id for txn in host.db.txns.active}
+                     | set(host.pending_decisions()))
         outcomes = yield from coordinator.fan_out(
             api.Abort,
             [(txn_id, server) for server, txn_ids in zip(servers, listed)
-             for txn_id in txn_ids if txn_id not in tm_owned],
+             for txn_id in txn_ids if txn_id not in spoken_for],
             name="indoubt-abort")
     finally:
         coordinator.close()
@@ -64,7 +70,8 @@ def resolve_indoubts(host):
 
 def indoubt_poller(host, server: str):
     """Generator (daemon): poll an unavailable DLFM until it comes back,
-    then resolve. Spawn with ``sim.spawn(indoubt_poller(host, name))``."""
+    then resolve. The host spawns one per server whose phase 2 a crash
+    lost (``HostDB.poll``)."""
     while True:
         try:
             result = yield from resolve_indoubts(host)

@@ -624,11 +624,15 @@ class HostSession:
         """Generator: phase-2 Commit for ``decisions`` (txn_id →
         servers), every (transaction, server) pair at once.
 
-        A transaction is forgotten (one unforced FORGET record) only
-        when all its participants acknowledged; a partial ack keeps the
-        decision and the next resolution pass re-drives the idempotent
-        Commits. Returns ``(acked, error)``: acknowledged Commits and
-        the first participant error (None when all acknowledged).
+        A participant acknowledges once its phase 2 is applied; it is
+        durable only at its next log force. A transaction is forgotten
+        (one unforced FORGET record) only when all its participants
+        acknowledged AND their phase 2 is durable
+        (:meth:`HostDB.forget_when_durable`, off this path); a partial
+        ack keeps the decision and the next resolution pass re-drives
+        the idempotent Commits. Returns ``(acked, error)``: acknowledged
+        Commits and the first participant error (None when all
+        acknowledged).
         """
         pairs = sorted((txn_id, server)
                        for txn_id, servers in decisions.items()
@@ -637,10 +641,14 @@ class HostSession:
                                            name="phase2",
                                            fault_point=fault_point)
         errors = [o for o in outcomes if isinstance(o, ReproError)]
-        unacked = {txn_id for (txn_id, _), outcome in zip(pairs, outcomes)
-                   if isinstance(outcome, ReproError)}
-        for txn_id in sorted(set(decisions) - unacked):
-            self.host.forget_decision(txn_id)
+        acked: dict[int, list] = {txn_id: [] for txn_id in decisions}
+        for (txn_id, server), outcome in zip(pairs, outcomes):
+            if isinstance(outcome, ReproError):
+                acked.pop(txn_id, None)
+            elif txn_id in acked:
+                acked[txn_id].append((server, outcome))
+        for txn_id in sorted(acked):
+            self.host.forget_when_durable(txn_id, acked[txn_id])
         return len(pairs) - len(errors), (errors[0] if errors else None)
 
     def fan_out(self, verb, pairs, *, name: str, fault_point=None):
@@ -683,9 +691,10 @@ class HostSession:
             fault_node=self.host.db.name)
 
         def finish():
-            for reply in replies:
-                yield from rpc.wait_reply(reply)
-            self.host.forget_decision(txn_id)
+            acked = []
+            for server, reply in zip(participants, replies):
+                acked.append((server, (yield from rpc.wait_reply(reply))))
+            self.host.forget_when_durable(txn_id, acked)
 
         self.sim.spawn(finish(), f"async-phase2-{txn_id}")
 

@@ -5,6 +5,8 @@ Owns every engine component and exposes:
 * :meth:`session` — SQL sessions (the only interface DLFM uses);
 * transaction control (begin/commit/rollback/savepoints) as kernel
   generators, since commit forces the log and rollback may take locks;
+  :meth:`Database.commit_lazy` commits without forcing and hands back a
+  durability handle instead;
 * plan binding with statistics-version invalidation (E4);
 * RUNSTATS and hand-crafted statistics;
 * :meth:`crash` / :meth:`restart` with ARIES-style recovery (E10);
@@ -158,6 +160,9 @@ class Database:
         #: LSNs of committers queued for the next one. Volatile state.
         self._force: Optional[tuple[Event, int]] = None
         self._queued: set[int] = set()
+        #: Lazy commits not yet durable: ``(lsn, handle)`` in LSN order
+        #: (:meth:`commit_lazy`). Volatile state.
+        self._unforced: list[tuple[int, Event]] = []
         #: Active bulk LOADs: table → {index name → _BulkIndexPending}.
         #: Volatile by design — a crash discards the deferral and restart
         #: rebuilds indexes from durable state as usual.
@@ -188,6 +193,32 @@ class Database:
             raise ValueError(f"unknown isolation level {level!r}")
         return self.txns.begin(level, self.sim.now)
 
+    def admit(self, txn: Transaction, verb: str) -> None:
+        """Let ``txn`` take its next step (a statement, commit, prepare)
+        only if this incarnation owns it. One that ended, or whose
+        writes a crash took, is refused; a write-free one from before a
+        crash is only an id (a utility transaction kept open across a
+        restart) and is re-admitted under it."""
+        self._ensure_up()
+        if self.txns.owns(txn):
+            return
+        if txn.last_lsn is not None or txn.state is not TxnState.ACTIVE:
+            raise TransactionAborted(
+                f"txn {txn.id} is not live on {self.name} at {verb}",
+                reason="ended")
+        self.txns.readmit(txn)
+
+    def _admit_end(self, txn: Transaction, verb: str):
+        """Generator: :meth:`admit` ``txn`` to its end by ``verb``; one
+        marked rollback-only is rolled back instead, and the caller
+        told so."""
+        self.admit(txn, verb)
+        if txn.rollback_only:
+            yield from self.rollback(txn)
+            raise TransactionAborted(
+                f"txn {txn.id} was rollback-only at {verb}",
+                reason=txn.abort_reason or "error")
+
     def commit(self, txn: Transaction, payload=None):
         """Generator: commit — force the log, release locks.
 
@@ -196,12 +227,7 @@ class Database:
         payload forces a COMMIT record even for a write-free
         transaction — the decision must be durable regardless.
         """
-        self._ensure_up()
-        if txn.rollback_only:
-            yield from self.rollback(txn)
-            raise TransactionAborted(
-                f"txn {txn.id} was rollback-only at commit",
-                reason=txn.abort_reason or "error")
+        yield from self._admit_end(txn, "commit")
         if txn.last_lsn is not None or payload is not None:
             self.wal.append(walmod.COMMIT, txn, payload=payload,
                             active_floor=self.txns.active_floor())
@@ -210,11 +236,48 @@ class Database:
                 # Crash with the COMMIT record appended but NOT durable.
                 injector.maybe_crash(f"wal.force.before:{self.name}",
                                      self.name)
-            yield from self._force_wal(txn, "commit")
+            yield from self._force_wal(txn.last_lsn, txn, "commit")
             if injector.enabled:
                 # Crash with the record durable but the ack never sent.
                 injector.maybe_crash(f"wal.force.after:{self.name}",
                                      self.name)
+        self._end_committed(txn)
+
+    def commit_lazy(self, txn: Transaction):
+        """Generator: commit WITHOUT forcing the log; returns the
+        durability handle, or None when the transaction wrote nothing.
+
+        The COMMIT record is appended, locks are released and the
+        transaction ends at once; the record becomes durable with the
+        next force of this log, whoever leads it. The handle is a
+        latched event that triggers ``("ok", None)`` when that force
+        completes, or ``("err", CrashedError)`` if the database crashes
+        first (``kernel.rpc.wait_reply`` reads it). Only for work whose
+        outcome another node holds durably and re-drives after a crash:
+        DLFM phase 2, whose decision the host keeps until the handle
+        completes.
+        """
+        yield from self._admit_end(txn, "commit")
+        handle = None
+        if txn.last_lsn is not None:
+            self.wal.append(walmod.COMMIT, txn,
+                            active_floor=self.txns.active_floor())
+            handle = Event(self.sim, latch=True,
+                           name=f"durable-{self.name}")
+            self._unforced.append((txn.last_lsn, handle))
+        self._end_committed(txn)
+        return handle
+
+    def harden(self):
+        """Generator: make every lazy commit durable — one force to the
+        newest of them, or a ride on the force in flight; nothing when
+        none is waiting."""
+        self._ensure_up()
+        if self._unforced:
+            yield from self._force_wal(self._unforced[-1][0], None,
+                                       "harden")
+
+    def _end_committed(self, txn: Transaction) -> None:
         self.locks.release_all(txn)
         self.txns.end(txn, TxnState.COMMITTED)
         self.metrics.commits += 1
@@ -231,12 +294,7 @@ class Database:
         ``payload`` rides on the PREPARE record — one force — and stays
         on the transaction as ``txn.payload``, after a restart too.
         """
-        self._ensure_up()
-        if txn.rollback_only:
-            yield from self.rollback(txn)
-            raise TransactionAborted(
-                f"txn {txn.id} was rollback-only at prepare",
-                reason=txn.abort_reason or "error")
+        yield from self._admit_end(txn, "prepare")
         txn.ensure_active()
         self.wal.append(walmod.PREPARE, txn, payload=payload,
                         active_floor=self.txns.active_floor())
@@ -244,13 +302,15 @@ class Database:
         injector = self.sim.injector
         if injector.enabled:
             injector.maybe_crash(f"wal.force.before:{self.name}", self.name)
-        yield from self._force_wal(txn, "prepare")
+        yield from self._force_wal(txn.last_lsn, txn, "prepare")
         if injector.enabled:
             injector.maybe_crash(f"wal.force.after:{self.name}", self.name)
         txn.state = TxnState.PREPARED
 
-    def _force_wal(self, txn: Transaction, record: str):
-        """Generator: make the just-appended commit/prepare record durable.
+    def _force_wal(self, lsn: int, txn: Optional[Transaction], record: str):
+        """Generator: make the log durable through ``lsn`` — ``txn``'s
+        just-appended commit/prepare record, or (``txn`` None) the
+        newest lazy commit.
 
         Pipelined group commit, with nothing to tune: a committer that
         finds no force in flight leads one at once, to the log tail.
@@ -259,9 +319,10 @@ class Database:
         and the rest ride on it (``forces_saved``). Control never returns
         before the force covering the record has completed, so an
         acknowledgement cannot precede it: a crash fails every member of
-        the in-flight group with CrashedError.
+        the in-flight group with CrashedError. A completed force also
+        completes the handles of the lazy commits it covered.
         """
-        lsn, txns, wal = txn.last_lsn, self.txns, self.wal
+        txns, wal = self.txns, self.wal
         while self._force is not None:
             event, upto = self._force
             if upto >= lsn:
@@ -272,12 +333,12 @@ class Database:
             self._queued.discard(lsn)
             if self.crashed or self.txns is not txns:
                 raise CrashedError(f"database {self.name} crashed before "
-                                   f"the force covering txn {txn.id}")
+                                   f"the force covering LSN {lsn}")
             if upto >= lsn:
                 return
         if lsn <= wal.flushed_upto:
             return
-        if txn.rollback_only:
+        if txn is not None and txn.rollback_only:
             # Aborted while queued (e.g. picked as a victim): a dead
             # transaction must not force its own commit record; the next
             # queued committer leads instead.
@@ -287,16 +348,22 @@ class Database:
         force = self._force = (Event(self.sim, latch=True,
                                      name=f"group-force-{self.name}"),
                                wal.tail_lsn)
+        injector = self.sim.injector
         if any(queued > wal.flushed_upto for queued in self._queued):
             wal.metrics.group_commits += 1
-            injector = self.sim.injector
             if injector.enabled:
                 # Crash with other committers' records in the unforced
                 # tail: crash() must fail every member (never-ack).
                 injector.maybe_crash(f"wal.group:leader:{self.name}",
                                      self.name)
+        if injector.enabled and self._unforced:
+            # Crash with lazy commits applied and acknowledged but not
+            # durable: crash() must fail every handle, and their owners
+            # re-drive the lost work.
+            injector.maybe_crash(f"wal.unforced:{self.name}", self.name)
         wal.force(force[1])
-        with self.sim.tracer.span("wal.force", db=self.name, txn=txn.id,
+        with self.sim.tracer.span("wal.force", db=self.name,
+                                  txn=txn.id if txn is not None else None,
                                   record=record, lsn=force[1]):
             yield from self.config.timing.charge(LOG_FORCE)
         if self._force is not force:
@@ -304,6 +371,16 @@ class Database:
                 f"database {self.name} crashed during the log force")
         self._force = None
         force[0].trigger(None)
+        self._harden_upto(force[1])
+
+    def _harden_upto(self, upto: int) -> None:
+        """Complete the handles of the lazy commits at or below ``upto``."""
+        unforced = self._unforced
+        done = 0
+        while done < len(unforced) and unforced[done][0] <= upto:
+            unforced[done][1].trigger(("ok", None))
+            done += 1
+        del unforced[:done]
 
     def indoubt_transactions(self) -> list[Transaction]:
         """Prepared transactions awaiting an outcome (after restart too)."""
@@ -311,9 +388,11 @@ class Database:
                 if t.state is TxnState.PREPARED]
 
     def rollback(self, txn: Transaction):
-        """Generator: undo everything the transaction did, release locks."""
+        """Generator: undo everything the transaction did, release locks.
+        A transaction that already ended — or died in a crash, so its
+        records are not in this log — has nothing left to undo."""
         self._ensure_up()
-        if txn.state not in (TxnState.ACTIVE, TxnState.PREPARED):
+        if not self.txns.owns(txn):
             return
         self._undo_to(txn, upto_lsn=None)
         if txn.last_lsn is not None:
@@ -747,6 +826,7 @@ class Database:
             payload={"chain_heads": dict(self.wal.page_heads),
                      "txn_table": txn_table})
         self.wal.force()
+        self._harden_upto(self.wal.flushed_upto)
         self.wal.note_checkpoint(record.lsn)
         # Drop what no restart can read. Besides the checkpoint, three
         # things reach further back: an active or prepared transaction
@@ -770,6 +850,11 @@ class Database:
             # Wake every member of the in-flight group into CrashedError:
             # none of them was acknowledged.
             force[0].trigger(None)
+        unforced, self._unforced = self._unforced, []
+        for _, handle in unforced:
+            handle.trigger(("err", CrashedError(
+                f"database {self.name} crashed before a lazy commit was "
+                f"durable")))
         self.wal.crash()
         self.pool.clear()
         self.locks.clear()

@@ -77,6 +77,14 @@ class Session:
     def _require_txn(self):
         if self.txn is None:
             self.txn = self.db.begin(self.isolation)
+        elif not self.db.txns.owns(self.txn):
+            # A crash took the transaction: it goes on only if it wrote
+            # nothing (then it is just an id).
+            try:
+                self.db.admit(self.txn, "statement")
+            except TransactionAborted:
+                self.txn = None
+                raise
         return self.txn
 
     def commit(self, payload=None):
@@ -92,6 +100,15 @@ class Session:
             self._require_txn()
         txn, self.txn = self.txn, None
         yield from self.db.commit(txn, payload=payload)
+
+    def commit_lazy(self):
+        """Generator: commit the open transaction without forcing the
+        log; returns its durability handle (:meth:`Database.commit_lazy`),
+        None when no transaction is open or it wrote nothing."""
+        if self.txn is None:
+            return None
+        txn, self.txn = self.txn, None
+        return (yield from self.db.commit_lazy(txn))
 
     def rollback(self):
         """Generator: roll back the open transaction (no-op when none)."""

@@ -119,6 +119,17 @@ class TransactionTable:
     def highest_id(self) -> int:
         return self._highest
 
+    def owns(self, txn: Transaction) -> bool:
+        """Is ``txn`` live here? An ended transaction is not, and neither
+        is one a crash took: restart builds a new table."""
+        return self._active.get(txn.id) is txn
+
+    def readmit(self, txn: Transaction) -> None:
+        """Take a write-free transaction from before a crash back under
+        its id; the locks it held went with the old lock table."""
+        txn.drain_locks()
+        self._active[txn.id] = txn
+
     def end(self, txn: Transaction, state: TxnState) -> None:
         txn.state = state
         self._active.pop(txn.id, None)

@@ -30,8 +30,8 @@ backward, so truncating the unforced tail cannot dangle a chain).
 Three record kinds carry a ``payload`` — a fact that must be durable with
 exactly that record and lives nowhere else: CHECKPOINT (transaction
 table, chain heads), COMMIT (the host's 2PC decision: the participants
-phase 2 must reach; a FORGET ends it) and PREPARE (the XA branch: gtrid
-and participants).
+phase 2 must reach; a FORGET ends it once phase 2 is durable at every
+one of them) and PREPARE (the XA branch: gtrid and participants).
 """
 
 from __future__ import annotations

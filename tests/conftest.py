@@ -43,6 +43,17 @@ def bill_only(monkeypatch, **prices):
         monkeypatch.setitem(PRICES, kind, prices.get(kind, 0.0))
 
 
+def run_until_durable(system, limit=60.0):
+    """Run ``system``'s simulation until the host holds no 2PC decision
+    (at most ``limit`` sim-seconds). Phase 2 is applied, not forced: the
+    host forgets a decision only once each participant's next log force
+    has made its phase-2 COMMIT durable — on an idle DLFM, the copy
+    daemon's periodic pass."""
+    sim = system.sim
+    sim.run(until=sim.now + limit,
+            stop_when=lambda: not system.host.pending_decisions())
+
+
 def run(sim, gen, until=None):
     """Run one root generator to completion and return its result."""
     return sim.run_process(gen, until=until)

@@ -17,6 +17,7 @@ from repro.errors import LinkError, ReproError
 from repro.host import DatalinkSpec, build_url
 from repro.kernel import Timeout
 from repro.shard import move_group
+from tests.conftest import run_until_durable
 
 DEPLOYMENTS = pytest.mark.parametrize("shards", [0, 4])
 
@@ -218,6 +219,7 @@ def test_sixteen_one_link_transactions_into_one_group_overlap(shards):
         system.run(system.sim.gather([client(i) for i in range(clients)],
                                      "linker"))
         assert sum(_linked(system).values()) == clients
+        run_until_durable(system)
         assert check_invariants(system) == []
         return max(done) - started, sum(
             dlfm.db.locks.metrics.waits for dlfm in system.dlfms.values())

@@ -2,11 +2,17 @@
 
 import pytest
 
+from repro.chaos.faults import FaultInjector, FaultPlan, FaultRule
+from repro.chaos.invariants import check_invariants
+from repro.dlff.filter import DLFM_ADMIN
 from repro.dlfm import api
 from repro.errors import TwoPCProtocolError
+from repro.host import DatalinkSpec
 from repro.kernel import Timeout, rpc
+from repro.system import System
 
 from tests.dlfm.conftest import insert_clip, url
+from tests.conftest import run_until_durable
 
 
 def test_txn_table_empty_after_clean_commit(media):
@@ -126,13 +132,11 @@ def test_prepared_txn_without_decision_aborts(media):
         return txn_id
 
     media.run(prepare_only())
-
-    def resolve():
-        from repro.host.indoubt import resolve_indoubts
-        return (yield from resolve_indoubts(host))
-
-    result = media.run(resolve())
-    assert result == {"committed": 0, "aborted": 1}
+    host.crash()
+    result = media.run(host.restart())
+    # The one "committed" is the fixture's DDL decision, re-sent and
+    # answered already-finished: its FORGET was never durable.
+    assert result == {"committed": 1, "aborted": 1}
     assert media.dlfms["fs1"].linked_count() == 0
 
 
@@ -197,7 +201,8 @@ def test_commit_survives_dlfm_crash_and_restart_between_phases(media):
 
     media.run(finish())
     assert dlfm.linked_count() == 1
-    # decision forgotten after successful phase 2
+    # decision forgotten once phase 2 is durable at fs1
+    run_until_durable(media)
     assert host.decision_rows() == []
 
 
@@ -250,4 +255,138 @@ def test_indoubt_poller_waits_for_dlfm_to_return(media):
 
     result = media.run(root())
     assert result["committed"] == 1
+    assert dlfm.linked_count() == 1
+
+
+# --------------------------------------------------------------------------
+# Phase 2 is applied, not forced: the window between the lazy COMMIT and
+# the next force of the DLFM's log.
+
+def _media_with_plan(*rules):
+    """The ``media`` deployment with a fault plan, injection off."""
+    system = System(seed=7, injector=FaultInjector(FaultPlan(list(rules))))
+    system.injector.enabled = False
+
+    def setup():
+        for i in range(5):
+            system.create_user_file("fs1", f"/v/clip{i}.mpg", owner="alice",
+                                    content=f"VIDEO-{i}" * 20)
+        yield from system.host.create_datalink_table(
+            "clips", [("id", "INT"), ("title", "TEXT"), ("video", "TEXT")],
+            {"video": DatalinkSpec(access_control="full", recovery=True)})
+
+    system.run(setup())
+    run_until_durable(system)
+    return system
+
+
+def test_crash_before_phase2_is_durable_redrives_commit_from_the_decision():
+    """The DLFM acknowledges phase 2 ("applied") and dies at the next
+    force — the copy daemon's pass, hardening the idle log — before the
+    COMMIT is durable. The handle fails, the host keeps its decision and
+    its in-doubt poller re-drives Commit once the DLFM is back: the file
+    ends linked once, taken over, archived from one queue entry."""
+    system = _media_with_plan(FaultRule("wal.unforced:dlfm-fs1", "crash"))
+    host, dlfm = system.host, system.dlfms["fs1"]
+
+    def link():
+        session = system.session()
+        yield from insert_clip(session, 0)
+        yield from session.commit()
+        return session.txn_id
+
+    system.injector.enabled = True
+    system.run(link())
+    assert dlfm.db.table_rows("dfm_txn") == []          # applied
+    txn_id = next(iter(host.pending_decisions()))       # not forgotten
+    system.sim.run(until=system.sim.now + 10.0, raise_failures=False)
+    system.sim.consume_failures()
+    assert [c["point"] for c in system.injector.crashes] == [
+        "wal.unforced:dlfm-fs1"]
+    assert host.pending_decisions() == {txn_id: ("fs1",)}
+    dlfm.restart()
+    [row] = dlfm.db.table_rows("dfm_txn")               # in doubt again
+    assert row[1] == txn_id and row[2] == "prepared"
+    run_until_durable(system)
+    assert host.pending_decisions() == {}
+    assert dlfm.linked_count() == 1
+    assert system.servers["fs1"].fs.stat("/v/clip0.mpg").owner == DLFM_ADMIN
+    assert len(dlfm.db.table_rows("dfm_archive")) <= 1
+    system.sim.run(until=system.sim.now + 30.0)         # the copy daemon
+    assert dlfm.db.table_rows("dfm_archive") == []
+    assert dlfm.copyd.archived == 1
+    assert check_invariants(system) == []
+
+
+def test_a_lost_phase2_abort_resolves_to_abort_again(media):
+    """A phase-2 Abort commits lazily too, and its reply carries no
+    handle: a crash that loses it leaves the transaction prepared with
+    no host decision, and presumed abort aborts it again."""
+    host, dlfm = media.host, media.dlfms["fs1"]
+    run_until_durable(media)
+
+    def prepare_then_abort():
+        session = media.session()
+        yield from insert_clip(session, 0)
+        yield from session.prepare_participants()
+        yield from session.rollback()
+
+    media.run(prepare_then_abort())
+    assert dlfm.db.table_rows("dfm_txn") == []
+    dlfm.crash()
+    dlfm.restart()
+    assert len(dlfm.db.table_rows("dfm_txn")) == 1 and dlfm.linked_count() == 1
+    assert host.pending_decisions() == {}
+
+    def resolve():
+        from repro.host.indoubt import resolve_indoubts
+        return (yield from resolve_indoubts(host))
+
+    assert media.run(resolve()) == {"committed": 0, "aborted": 1}
+    assert dlfm.db.table_rows("dfm_txn") == [] and dlfm.linked_count() == 0
+    media.sim.run(until=media.sim.now + 10.0)
+    assert check_invariants(media) == []
+
+
+def test_resolution_beside_live_traffic_leaves_phase_one_alone(media):
+    """The poller's pass runs beside live traffic: a transaction that is
+    prepared at the DLFM while its coordinator is still in phase 1 has
+    no decision yet, but it is not an orphan — presumed abort must not
+    touch it."""
+    from repro.host.indoubt import resolve_indoubts
+    host, dlfm = media.host, media.dlfms["fs1"]
+
+    def go():
+        session = media.session()
+        yield from insert_clip(session, 0)
+        writers, _ = yield from session.prepare_participants()
+        result = yield from resolve_indoubts(host)
+        yield from session.commit_decided(writers)
+        return result
+
+    assert media.run(go())["aborted"] == 0
+    assert dlfm.linked_count() == 1
+    run_until_durable(media)
+    assert host.pending_decisions() == {}
+
+
+def test_resolution_refuses_to_run_on_a_crashed_host(media):
+    """A crashed host has no decisions in memory: a pass then would
+    presume-abort a transaction whose decision is durable in its log."""
+    from repro.errors import CrashedError
+    from repro.host.indoubt import resolve_indoubts
+    host, dlfm = media.host, media.dlfms["fs1"]
+
+    def decide():
+        session = media.session()
+        yield from insert_clip(session, 0)
+        writers, _ = yield from session.prepare_participants()
+        yield from host.decide(session.session, session.txn_id, writers)
+
+    media.run(decide())
+    host.crash()
+    with pytest.raises(CrashedError):
+        media.run(resolve_indoubts(host))
+    assert len(dlfm.db.table_rows("dfm_txn")) == 1
+    assert media.run(host.restart())["aborted"] == 0
     assert dlfm.linked_count() == 1

@@ -10,6 +10,7 @@ from repro.host import DatalinkSpec, HostConfig, build_url
 from repro.host.indoubt import resolve_indoubts
 from repro.host.load import LoadUtility
 from repro.system import System
+from tests.conftest import run_until_durable
 
 
 def make_system(files=250, servers=("fs1",), **host_kwargs):
@@ -351,6 +352,7 @@ def assert_load_complete(system, linked):
         assert dlfm.db.table_rows("dfm_txn") == []
         for row in dlfm.file_entries():
             assert system.servers[name].fs.stat(row[0]).owner == DLFM_ADMIN
+    run_until_durable(system)
     assert system.host.decision_rows() == []
     assert check_invariants(system) == []
 

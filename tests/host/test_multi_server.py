@@ -12,6 +12,7 @@ from repro.dlff.filter import DLFM_ADMIN
 from repro.errors import LinkError, TransactionAborted
 from repro.host import DatalinkSpec, build_url
 from repro.system import System
+from tests.conftest import run_until_durable
 
 
 @pytest.fixture
@@ -86,6 +87,7 @@ def test_prepare_failure_aborts_everyone(twin):
     assert twin.dlfms["fs2"].linked_count() == 0
     # nothing indoubt anywhere
     assert twin.dlfms["fs1"].db.table_rows("dfm_txn") == []
+    run_until_durable(twin)
     assert twin.host.decision_rows() == []
 
 

@@ -18,6 +18,7 @@ from repro.host.hostdb import HostDB
 from repro.kernel import Timeout
 from repro.sql.parser import parse as parse_sql
 from repro.system import System
+from tests.conftest import run_until_durable
 
 
 def _make(servers=("fs1", "fs2", "fs3"), injector=None, **host_kwargs):
@@ -36,6 +37,7 @@ def _make(servers=("fs1", "fs2", "fs3"), injector=None, **host_kwargs):
     if injector is not None:
         injector.enabled = False  # keep faults out of the fixture setup
     system.run(setup())
+    run_until_durable(system)   # the fixture's DDL decision forgotten
     if injector is not None:
         injector.enabled = True
     return system
@@ -83,6 +85,7 @@ def test_readonly_participant_skips_phase2(monkeypatch):
         yield from session.commit()
 
     system.run(go())
+    run_until_durable(system)
     txn_id = decision_rows["rows"][0][0]
     assert decision_rows["rows"] == [(txn_id, "fs1")]  # no fs2 entry
     # fs1 saw Prepare + Commit; fs2 saw ONLY Prepare.
@@ -226,6 +229,7 @@ def test_commit_then_rollback_durable_state():
         yield from session.rollback()
 
     system.run(go())
+    run_until_durable(system)
     assert sorted((name, system.dlfms[name].linked_count())
                   for name in system.dlfms) == [
         ("fs1", 1), ("fs2", 1), ("fs3", 1)]
@@ -262,6 +266,7 @@ def test_host_crash_after_forced_commit_record_redrives_from_wal():
     assert resolved == {"committed": 1, "aborted": 0}
     assert fs1.linked_count() == 1
     assert fs1.db.table_rows("dfm_txn") == []
+    run_until_durable(system)
     assert system.host.decision_rows() == []
     assert check_invariants(system) == []
 
@@ -317,6 +322,7 @@ def test_lost_forget_record_only_resends_an_idempotent_commit():
         yield from session.commit()
 
     system.run(go())
+    run_until_durable(system)
     assert system.host.decision_rows() == []
     assert fs1.linked_count() == 1
     system.host.crash()
@@ -361,5 +367,6 @@ def test_an_unforgotten_decision_survives_checkpoints_and_a_host_crash():
     resolved = system.run(host.restart(), "host-restart")
     assert resolved == {"committed": 1, "aborted": 0}
     assert fs1.linked_count() == 1
+    run_until_durable(system)
     assert host.decision_rows() == []
     assert check_invariants(system) == []

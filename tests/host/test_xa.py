@@ -12,6 +12,7 @@ from repro.host.indoubt import resolve_indoubts
 from repro.host.xa import xa_commit, xa_prepare, xa_recover, xa_rollback
 from repro.shard import ShardedSystem
 from repro.system import System
+from tests.conftest import run_until_durable
 
 
 @pytest.fixture
@@ -188,6 +189,7 @@ def test_host_restart_leaves_tm_owned_branch_in_doubt(xa_system):
     assert xa_system.dlfms["fs1"].linked_count() == 1
     assert xa_system.dlfms["fs2"].linked_count() == 1
     assert count_rows(xa_system) == 2
+    run_until_durable(xa_system)
     assert check_invariants(xa_system) == []
 
 
@@ -366,6 +368,7 @@ def test_xa_commit_on_a_batching_host_links_the_buffered_files(make):
     assert _linked(system) == 2
     assert count_rows(system) == 2
     assert xa_recover(system.host) == {}
+    run_until_durable(system)
     assert system.host.decision_rows() == []
     assert check_invariants(system) == []
 
@@ -477,6 +480,7 @@ def test_readonly_voters_survive_a_host_restart(xa_system):
     assert decision == {"txn_id": prepared.txn_id, "servers": ("fs1",),
                         "readonly": ("fs2",)}
     assert xa_system.dlfms["fs1"].linked_count() == 1
+    run_until_durable(xa_system)
     assert check_invariants(xa_system) == []
 
 
@@ -512,6 +516,7 @@ def test_branch_prepared_before_a_fuzzy_checkpoint_is_found_after_a_crash(
     decision = system.run(xa_commit(host, "g-ckpt"))
     assert decision["servers"] == ("fs1", "fs2")
     assert count_rows(system) == 2 and _linked(system) == 2
+    run_until_durable(system)
     assert check_invariants(system) == []
 
 

@@ -282,3 +282,81 @@ def test_commit_after_restart_works_again():
     rows = dict(all_rows(db))
     assert (rows[4], rows[5], rows[6]) == ("v4", "v5", "v6")
     assert metrics.forces_saved - saved == 1  # the engine groups again
+
+
+def lazy_committer(db, k, handles):
+    """Update row ``k`` and commit WITHOUT forcing; keep the handle."""
+    session = db.session()
+    yield from session.execute(
+        "UPDATE t SET v = ? WHERE k = ?", (f"lazy{k}", k))
+    handles[k] = yield from session.commit_lazy()
+
+
+def test_a_lazy_commit_is_durable_at_the_next_force_whoever_leads_it():
+    """A lazy commit ends its transaction at once, with no force and no
+    wait; its handle completes when the next force of the log — here a
+    later committer's — has covered the record."""
+    sim = Simulator()
+    db = make_db(sim)
+    metrics = db.wal.metrics
+    forces, start, handles, acks = metrics.forces, sim.now, {}, {}
+    run_all(sim, lazy_committer(db, 1, handles))
+    assert sim.now == start and metrics.forces == forces
+    assert db.txns.active == [] and db.locks.total_locks == 0
+    lsn = db.wal.tail_lsn
+    assert db.wal.flushed_upto < lsn
+
+    def waiter():
+        outcome = yield handles[1].wait()
+        acks["lazy"] = (sim.now, outcome, db.wal.flushed_upto)
+
+    run_all(sim, waiter(), committer(db, 2, acks=acks))
+    now, outcome, durable = acks["lazy"]
+    assert outcome == ("ok", None) and durable >= lsn
+    assert now - start == pytest.approx(F) and metrics.forces == forces + 1
+
+
+def test_harden_forces_only_when_a_lazy_commit_waits():
+    sim = Simulator()
+    db = make_db(sim)
+    metrics = db.wal.metrics
+    forces, handles = metrics.forces, {}
+    sim.run_process(db.harden())
+    assert metrics.forces == forces
+    run_all(sim, lazy_committer(db, 1, handles))
+    sim.run_process(db.harden())
+    assert metrics.forces == forces + 1
+    assert handles[1].value == ("ok", None)
+    assert db.wal.flushed_upto == db.wal.tail_lsn
+
+
+def test_a_crash_fails_the_lazy_commit_and_takes_its_work():
+    """The record was never forced: the crash loses it, the handle says
+    so, and restart brings back the row as it was."""
+    sim = Simulator()
+    db = make_db(sim)
+    handles = {}
+    run_all(sim, lazy_committer(db, 3, handles))
+    db.crash()
+    kind, error = handles[3].value
+    assert kind == "err" and isinstance(error, CrashedError)
+    db.restart()
+    assert all_rows(db)[3] == (3, "init")
+
+
+def test_the_unforced_crash_point_fires_only_over_lazy_commits():
+    """``wal.unforced:<db>`` crashes a force about to cover lazy commits
+    — never a force that covers forced commits alone."""
+    injector = FaultInjector(FaultPlan([FaultRule(
+        "wal.unforced:g", "crash", max_fires=None)]))
+    sim = Simulator(injector=injector)
+    db = make_db(sim)
+    injector.register_crash("g", db.crash)
+    run_all(sim, committer(db, 1))
+    assert injector.crashes == []
+    handles, outcomes = {}, {}
+    run_all(sim, lazy_committer(db, 2, handles),
+            survivor(db, 4, outcomes))
+    assert outcomes == {4: "crashed"}
+    assert [c["point"] for c in injector.crashes] == ["wal.unforced:g"]
+    assert handles[2].value[0] == "err"

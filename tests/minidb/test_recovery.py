@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import CrashedError, LogFullError
+from repro.errors import CrashedError, LogFullError, TransactionAborted
 from repro.kernel import Simulator
 from repro.minidb import Database, DBConfig
 
@@ -447,3 +447,43 @@ def test_work_committed_after_a_restore_survives_the_next_crash(drained):
     restart(db, drained)
     assert all_rows(db)[:2] == [(1, "after"), (2, "after")]
     assert len(all_rows(db)) == 7
+
+
+def test_a_pre_crash_transaction_is_not_undone_against_the_new_log():
+    """A session that wrote before a crash holds a transaction of the
+    dead incarnation: its LSNs name records of the old log. After the
+    restart, rolling it back appends nothing — restart already undid
+    it — and neither a statement nor a commit may continue it."""
+    sim = Simulator()
+    db = make_db(sim)
+    stale = db.session()
+    sim.run_process(insert(db, stale, 1, "lost"))
+    db.crash()
+    db.restart()
+    tail = db.wal.tail_lsn
+    sim.run_process(stale.rollback())
+    assert db.wal.tail_lsn == tail
+
+    resumed = db.session()
+    sim.run_process(insert(db, resumed, 2, "lost"))
+    db.crash()
+    db.restart()
+    with pytest.raises(TransactionAborted):
+        sim.run_process(insert(db, resumed, 3, "after"))
+    assert resumed.txn is None and db.locks.total_locks == 0
+    assert db.table_rows("t") == []
+
+
+def test_a_write_free_transaction_lives_on_under_its_id_after_a_crash():
+    """A write-free transaction is only an id (the LOAD utility keeps
+    one open across a host restart): it is re-admitted under it."""
+    sim = Simulator()
+    db = make_db(sim)
+    session = db.session()
+    txn = session._require_txn()
+    db.crash()
+    db.restart()
+    sim.run_process(insert(db, session, 1, "kept"))
+    assert session.txn is txn and db.txns.owns(txn)
+    sim.run_process(session.commit())
+    assert db.table_rows("t") == [(1, "kept")]

@@ -21,6 +21,7 @@ from repro.host import DatalinkSpec, build_url
 from repro.host.indoubt import resolve_indoubts
 from repro.kernel import Timeout
 from repro.shard import ShardedSystem, move_group
+from tests.conftest import run_until_durable
 
 
 def _group_rows(dlfm, grp_id):
@@ -127,7 +128,8 @@ def test_wide_transaction_spans_shards(fleet):
     assert docs_shard != pics_shard
     assert fleet.dlfms[docs_shard].linked_count() == 1
     assert fleet.dlfms[pics_shard].linked_count() == 1
-    # Phase 2 fully acked: no decision left anywhere.
+    # Phase 2 acked and durable: no decision left anywhere.
+    run_until_durable(fleet)
     assert fleet.host.decision_rows() == []
 
 
@@ -254,6 +256,7 @@ def test_indoubt_move_resolves_to_new_owner():
     assert group[4] == schema.GRP_ACTIVE
     assert system.dlfms[src].linked_count() == 0
     assert system.dlfms[dst].linked_count() == 2
+    run_until_durable(system)
     assert system.host.decision_rows() == []
 
 
@@ -382,6 +385,7 @@ def test_load_on_a_fleet_links_through_the_shard_map(wide_fleet):
         name: 20 if name == owner else 0 for name in system.dlfms}
     assert system.dlfms[owner].db.table_rows("dfm_txn") == []
     assert system.servers["fs1"].fs.stat("/y/f7").owner == DLFM_ADMIN
+    run_until_durable(system)
     assert system.host.decision_rows() == []
 
 
@@ -489,6 +493,7 @@ def test_abort_after_prepare_takes_back_the_group_it_registered(fleet):
     assert all(_group_rows(dlfm, grp_id) == []
                for dlfm in fleet.dlfms.values())
     assert sum(d.linked_count() for d in fleet.dlfms.values()) == 0
+    run_until_durable(fleet)
     assert check_invariants(fleet) == []
 
 
