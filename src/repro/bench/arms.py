@@ -208,8 +208,9 @@ def run_daemons(cfg, serial, pooled) -> dict:
 def run_recovery(cfg, config) -> dict:
     """Seed committed link transactions, crash the DLFM, restart it and
     time the FIRST new link transaction. It pays the post-checkpoint
-    tail scan and the one page the insert touches; the rest drains in
-    the background while the commit is already done."""
+    tail scan and the pages its statements touch — heap pages replay,
+    and checkpoint index-image pages are read, on first touch; the rest
+    drains in the background while the commit is already done."""
     system = config.system(cfg.seed)
     dlfm = system.dlfms["fs1"]
 
@@ -227,10 +228,15 @@ def run_recovery(cfg, config) -> dict:
     dlfm.crash()
     started = system.sim.now
     summary = dlfm.restart()
+    metrics = dlfm.db.metrics
+    read_at_restart = metrics.index_pages_read
+    cold = sum(dlfm.db.cold_index_pages().values())
     system.run(_link_rows(system, "docs", [RECOVERY_TXNS]))
+    read = metrics.index_pages_read - read_at_restart
     return {"seed_txns": RECOVERY_TXNS, "redone": summary["redone"],
             "first_commit_s": round(system.sim.now - started, 6),
-            "pages_replayed": dlfm.db.metrics.pages_replayed}
+            "pages_replayed": metrics.pages_replayed,
+            "index_pages_read": read, "index_pages_drained": cold - read}
 
 
 # --------------------------------------------------------------------- fleet

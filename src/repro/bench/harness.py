@@ -28,7 +28,7 @@ from repro.configs import Configuration
 #: The history row this tree's harness writes: ``pr<N>-…`` with N the
 #: number of the PR (``tests/test_bench_history.py`` holds it to the
 #: last entry of CHANGES.md). Re-running a tree refreshes its own row.
-HISTORY_LABEL = "pr34-lazy-phase2"
+HISTORY_LABEL = "pr35-cold-index-images"
 
 
 @dataclass
@@ -113,7 +113,8 @@ ARMS = {arm.name: arm for arm in (
         history={"recovery_first_commit_instant_s": "first_commit_s"},
         summary="first commit {first_commit_s}s after a restart over "
                 "{seed_txns} committed transactions ({redone} records "
-                "left to replay)"),
+                "left to replay; it read {index_pages_read} index-image "
+                "pages and left {index_pages_drained} to the drain)"),
     Arm("e6_sentinel", "paper", arms.run_e6_sentinel,
         gates=(("preserved", "==", True),),
         history={},

@@ -500,13 +500,13 @@ class _Campaign:
             return "commit decisions pending"
         if any(t for t in host.db.txns.active):
             return "active host transactions"
-        if host.db.replay_pending:
+        if host.db.replay_pending or host.db.cold_index_pages():
             return "host: lazy replay pending"
         for name in sorted(self.system.dlfms):
             dlfm = self.system.dlfms[name]
             if dlfm.db.crashed:
                 return f"{name} down"
-            if dlfm.db.replay_pending:
+            if dlfm.db.replay_pending or dlfm.db.cold_index_pages():
                 return f"{name}: lazy replay pending"
             if dlfm.db.table_rows("dfm_txn"):
                 return f"{name}: dfm_txn rows"

@@ -38,7 +38,8 @@ Violation codes (also documented in DESIGN.md §10):
 ``unrouted-group``          sharded: catalog row with no active group behind
                             it, or an active group no catalog row routes to
 ``unreplayed-page``         a live database still has pages waiting for lazy
-                            replay (its log stays pinned below them)
+                            replay (its log stays pinned below them), or
+                            checkpoint index-image pages restart never read
 ``forget-before-durable``   the host forgot a decision whose phase-2 COMMIT
                             is still in a DLFM's unforced log tail
 ==========================  ====================================================
@@ -124,6 +125,10 @@ def _check_nodes_up(system, out: list) -> set:
             out.append(Violation(
                 "unreplayed-page", name,
                 f"{len(db.replay_pending)} pages still wait for lazy replay"))
+        for index, pages in db.cold_index_pages().items():
+            out.append(Violation(
+                "unreplayed-page", name,
+                f"{pages} image pages of index {index} still unread"))
     return downs
 
 

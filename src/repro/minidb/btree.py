@@ -9,7 +9,9 @@ lesson §3.2.1/§4 (experiment E3).
 Indexes are memory-resident; restart repairs each from its checkpoint
 image plus the log tail, so index maintenance needs no WAL records
 (documented substitution; DB2 logs index pages, but recovery observable
-behaviour is the same).
+behaviour is the same). The repaired tree is whole in host memory at
+once; what restart defers is the simulated read of each image page,
+billed through :attr:`BTree.cold_hook` when an access first meets it.
 
 The tree is keyed by the whole entry ``(ekey, rid)``, separators
 included: a separator is the first *entry* of its right subtree, so an
@@ -94,6 +96,12 @@ class BTree:
         self.order = order
         self._root: object = _Leaf()
         self._count = 0
+        #: ``hook(low, high)``, called with the entry bounds of every
+        #: insert, delete and lookup (``None`` is unbounded) while a
+        #: restart's checkpoint-image pages are still unread; it bills
+        #: the pages the range meets (``recovery.ColdImagePages``). None
+        #: otherwise — the common case pays one attribute test.
+        self.cold_hook = None
 
     def __len__(self) -> int:
         return self._count
@@ -106,6 +114,8 @@ class BTree:
             raise DuplicateKeyError(
                 f"duplicate key {key_values!r} in unique index {self.name}")
         entry = (ekey, rid)
+        if self.cold_hook is not None:
+            self.cold_hook(entry, entry)
         path = []
         node = self._root
         while type(node) is _Inner:
@@ -129,6 +139,8 @@ class BTree:
     def delete(self, key_values: tuple, rid: Rid) -> bool:
         """Remove one (key, rid) entry; returns False if absent."""
         entry = (encode_key(key_values), rid)
+        if self.cold_hook is not None:
+            self.cold_hook(entry, entry)
         entries = self._leaf_for(entry).entries
         idx = bisect_left(entries, entry)
         if idx < len(entries) and entries[idx] == entry:
@@ -177,11 +189,15 @@ class BTree:
         low = ((encode_key(key_values) + INFINITY_KEY,)
                if key_values is not None else None)
         leaf, idx = self._seek(low)
+        found = None
         while leaf is not None:
             if idx < len(leaf.entries):
-                return leaf.entries[idx][0]
+                found = leaf.entries[idx]
+                break
             leaf, idx = leaf.next, 0
-        return INFINITY_KEY
+        if self.cold_hook is not None:
+            self.cold_hook(low, found)
+        return INFINITY_KEY if found is None else found[0]
 
     # -- internals ----------------------------------------------------------------
 
@@ -193,6 +209,8 @@ class BTree:
         """Every entry ``e`` with ``low <= e < high``, in order (None is
         unbounded): one descent, then one bisect per leaf — no entry is
         compared one by one."""
+        if self.cold_hook is not None:
+            self.cold_hook(low, high)
         leaf, start = self._seek(low)
         found: list = []
         while leaf is not None:
@@ -295,12 +313,3 @@ class BTree:
                 parents.append((group[0][0], node))
             level = parents
         self._root = level[0][1]
-
-    @property
-    def nlevels(self) -> int:
-        levels = 1
-        node = self._root
-        while type(node) is _Inner:
-            levels += 1
-            node = node.children[0]
-        return levels

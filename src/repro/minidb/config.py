@@ -95,8 +95,8 @@ class TimingModel:
 
 class Unbilled:
     """One database's work done but not yet billed: page I/Os (pool
-    misses and writes, restart's log scan and index images) and index
-    entries maintained."""
+    misses and writes, restart's log scan, index-image pages read after
+    a restart) and index entries maintained."""
 
     __slots__ = ("timing", "pages", "entries")
 

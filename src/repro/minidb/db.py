@@ -71,6 +71,10 @@ class DBMetrics:
     #: applied.
     pages_replayed: int = 0
     replay_records: int = 0
+    #: Checkpoint-image index pages read after a restart by the first
+    #: access meeting them (restart's undo or a statement); the drain
+    #: reads the rest.
+    index_pages_read: int = 0
     #: Bulk LOAD: index entries whose maintenance was deferred to the
     #: end-of-load bottom-up build instead of per-row inserts.
     bulk_entries_deferred: int = 0
@@ -149,8 +153,9 @@ class Database:
         #: :meth:`replay_page` (volatile; rebuilt from the WAL at restart).
         self.replay_pending: dict[tuple[str, int], list[int]] = {}
         #: Sim time before which new statements stall: recovery converts
-        #: its foreground I/O (log-tail scan, undo's page reads, index
-        #: repair) into this gate; page REDO is not in it (deferred).
+        #: its foreground I/O (log-tail scan, undo's page reads) into this
+        #: gate; page REDO and the reads of index-image pages are not in
+        #: it (deferred to first touch or the drain).
         self.traffic_open_at: float = 0.0
         self.executor = Executor(self)
         #: Bound-plan cache, LRU-ordered (oldest first); capped at
@@ -871,26 +876,35 @@ class Database:
         """Restart after a crash; returns a recovery summary.
 
         Instant, REDO-only restart: tail analysis + eager undo run here,
-        but page REDO is deferred into ``replay_pending`` — replayed on
-        first touch (:meth:`replay_page`) or by the background drain
-        spawned here (:meth:`_drain_replay`), which a crash kills.
+        but page REDO is deferred into ``replay_pending`` and the read of
+        each checkpoint index-image page into the tree's cold hook —
+        done on first touch (:meth:`replay_page`,
+        ``recovery.ColdImagePages``) or by the background drain spawned
+        here (:meth:`_drain_replay`), which a crash kills.
         """
         from repro.minidb.recovery import recover
         self.crashed = False
         self._build_volatile()
         summary = recover(self)
         self.metrics.recoveries += 1
-        if self.replay_pending:
+        if self.replay_pending or self.cold_index_pages():
             self._drain = self.sim.spawn(self._drain_replay(),
                                          f"{self.name}-replay")
         return summary
 
+    def cold_index_pages(self) -> dict[str, int]:
+        """Index name → checkpoint-image pages restart has not read yet."""
+        return {name: len(btree.cold_hook.unread)
+                for name, btree in sorted(self.btrees.items())
+                if btree.cold_hook is not None}
+
     def _drain_replay(self):
-        """Generator: replay every page still pending after a restart.
+        """Generator: replay every page still pending after a restart,
+        then read every index-image page no access has read.
 
         A cold page no transaction touches would otherwise pin the log
         forever (``checkpoint``'s replay floor). The drain pays for at
-        least one page per replay and for every I/O the replay added;
+        least one page per step and for every I/O the step added;
         pages foreground statements counted before it stay theirs.
         """
         for key in sorted(self.replay_pending):
@@ -900,6 +914,16 @@ class Database:
             self.replay_page(*key)
             cost = self.unbilled.drain(entries=False, above=owed, least=1)
             yield from bill(cost, always=True)
+        for name in self.cold_index_pages():
+            btree = self.btrees.get(name)
+            cold = btree.cold_hook if btree is not None else None
+            # Foreground traffic reads pages meanwhile, or drops the index.
+            while (cold is not None and cold.unread
+                   and self.btrees.get(name) is btree):
+                owed = self.unbilled.pages
+                cold.read(min(cold.unread))
+                cost = self.unbilled.drain(entries=False, above=owed, least=1)
+                yield from bill(cost, always=True)
 
     def _ensure_up(self) -> None:
         if self.crashed:

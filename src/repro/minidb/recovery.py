@@ -10,20 +10,25 @@ is recorded in ``db.replay_pending`` and replayed on first touch through
 the heap's replay gate (``Database.replay_page``) or by the background
 drain ``Database.restart`` spawns. Secondary indexes are repaired from
 their checkpoint images plus the tail deltas instead of a full-heap
-rebuild. Undo of loser transactions and prepared-transaction lock
-resurrection stay eager, so the engine is transaction-consistent (and
-accepts new work) the moment ``restart()`` returns, after
-tail-proportional work only.
+rebuild; the tree is rebuilt whole in host memory, but each image page
+is *read* (billed) on demand too: by the first statement whose key range
+meets it (:class:`ColdImagePages`) or by the same background drain.
+Undo of loser transactions and prepared-transaction lock resurrection
+stay eager, so the engine is transaction-consistent (and accepts new
+work) the moment ``restart()`` returns, after tail-proportional work
+only.
 
 Undo writes CLRs so a crash during recovery is itself recoverable. The
-foreground I/O (log scan, page reads, index repair) accumulates in the
-database's unbilled pages and is converted, at the end of recovery,
+foreground I/O (the log-tail scan and undo's page reads) accumulates in
+the database's unbilled pages and is converted, at the end of recovery,
 into ``Database.traffic_open_at`` — a gate every new statement waits
 out. That is how "time to first commit" materializes in simulated time.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import islice
 from typing import Optional
 
 from repro.minidb import wal as walmod
@@ -41,6 +46,49 @@ def _close_traffic_gate(db) -> None:
     which the engine is genuinely unavailable to ALL traffic.
     """
     db.traffic_open_at = db.sim.now + db.unbilled.drain(entries=False)
+
+
+class ColdImagePages:
+    """The unread pages of one index's checkpoint image, and the
+    tree's :attr:`~repro.minidb.btree.BTree.cold_hook` while any is left.
+
+    The image is dense sorted ``(key, rid)`` runs, so page ``i`` holds
+    the entries from ``firsts[i]`` up to ``firsts[i + 1]``. An access
+    reads every unread page its entry range meets: one page I/O each
+    into ``db.unbilled`` — the statement that touched it pays, as for a
+    pool miss — and the restart's background drain reads the rest.
+    """
+
+    __slots__ = ("btree", "db", "firsts", "unread")
+
+    def __init__(self, db, btree):
+        """Call right after ``btree.bulk_load(image)``: the tree's
+        entries are then exactly the image, in sorted order."""
+        self.db = db
+        self.btree = btree
+        self.firsts = list(islice(btree.items(), 0, None,
+                                  INDEX_IMAGE_ENTRIES_PER_PAGE))
+        self.unread = set(range(
+            -(-len(btree) // INDEX_IMAGE_ENTRIES_PER_PAGE)))
+
+    def __call__(self, low: Optional[tuple], high: Optional[tuple]) -> None:
+        """Read the pages that can hold an entry between ``low`` and
+        ``high`` (entry bounds, ``None`` unbounded)."""
+        firsts = self.firsts
+        first = 0 if low is None else max(0, bisect_right(firsts, low) - 1)
+        last = (len(firsts) - 1 if high is None
+                else max(first, bisect_right(firsts, high) - 1))
+        for page in range(first, last + 1):
+            if page in self.unread:
+                self.read(page)
+                self.db.metrics.index_pages_read += 1
+
+    def read(self, page: int) -> None:
+        """Read one unread page; the last read takes the hook off."""
+        self.unread.discard(page)
+        self.db.unbilled.pages += 1
+        if not self.unread:
+            self.btree.cold_hook = None
 
 
 class _RecoveryTxn:
@@ -66,7 +114,8 @@ def recover(db) -> dict:
     db.unbilled.pages += -(-len(records) // LOG_RECORDS_PER_PAGE)
     redone = _redo(db, records)
     # The trees already hold crash-time state, so undo maintains them
-    # (touched pages replay through the gate before a before-image lands).
+    # (touched heap pages replay, and touched index-image pages are
+    # read, before a before-image lands).
     undone = _undo_losers(db, losers)
     _resurrect_prepared(db, prepared, last_lsn, first_lsn)
     db.checkpoint()
@@ -112,7 +161,8 @@ def _analyze(records, txn_table: dict) -> tuple:
 
 
 def _redo(db, tail) -> int:
-    """Defer REDO into per-page chains; repair indexes from image + tail."""
+    """Defer REDO into per-page chains; repair indexes from image + tail,
+    deferring the read of each image page."""
     wal = db.wal
     # ---- build the pending per-page replay chains -------------------------
     # Walk each chain head down until the durable page LSN catches it: the
@@ -158,13 +208,14 @@ def _redo(db, tail) -> int:
             for rid, row in db.heaps[index.table].scan():
                 btree.insert(index.key_of(row), rid)
             continue
+        cold = None
         if image is None:
             # No image and no durable pages: every row the index should
             # hold comes from tail records — replay deltas from empty.
             btree.clear()
         else:
             btree.bulk_load(image)
-            db.unbilled.pages += -(-len(image) // INDEX_IMAGE_ENTRIES_PER_PAGE)
+            cold = ColdImagePages(db, btree)
         for record in tail:
             if not record.redoable or record.table != index.table:
                 continue
@@ -172,6 +223,9 @@ def _redo(db, tail) -> int:
                 btree.delete(index.key_of(record.before), record.rid)
             if record.after is not None:
                 btree.insert(index.key_of(record.after), record.rid)
+        # Installed after the deltas: replaying them reads nothing.
+        if cold is not None and cold.unread:
+            btree.cold_hook = cold
     return redone
 
 

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DuplicateKeyError
-from repro.minidb.btree import BTree, INFINITY_KEY, encode_key, encode_value
+from repro.minidb.btree import (BTree, INFINITY_KEY, _Inner, encode_key,
+                                encode_value)
 
 
 def make(unique=False, order=8):
@@ -52,7 +53,7 @@ def test_splits_preserve_order_with_many_keys():
         tree.insert((key,), (i, 0))
     scanned = [k for k, _ in tree.scan_range(None, True, None, True)]
     assert scanned == sorted(encode_key((k,)) for k in keys)
-    assert tree.nlevels > 1
+    assert type(tree._root) is _Inner
 
 
 def test_range_scan_inclusive_exclusive():
@@ -240,7 +241,7 @@ def test_bulk_load_sorts_out_of_order_input():
     tree.bulk_load(pairs)
     scanned = [k for k, _ in tree.scan_range(None, True, None, True)]
     assert scanned == sorted(encode_key((k,)) for k in keys)
-    assert tree.nlevels > 1
+    assert type(tree._root) is _Inner
 
 
 def test_bulk_load_differential_against_per_row():
@@ -405,7 +406,7 @@ def test_an_entry_equal_to_a_separator_is_found_again(bulk):
     else:
         for _, rid in pairs:
             tree.insert((1,), rid)
-    assert tree.nlevels > 2
+    assert type(tree._root.children[0]) is _Inner
     for _, rid in pairs:
         assert tree.delete((1,), rid) is True
         tree.insert((1,), rid)

@@ -5,6 +5,9 @@ import pytest
 from repro.errors import CrashedError, LogFullError, TransactionAborted
 from repro.kernel import Simulator
 from repro.minidb import Database, DBConfig
+from repro.minidb.config import (INDEX_IMAGE_ENTRIES_PER_PAGE,
+                                 LOG_RECORDS_PER_PAGE, PAGE_IO, TimingModel)
+from repro.minidb.recovery import ColdImagePages
 
 
 def make_db(sim, **cfg):
@@ -31,7 +34,7 @@ def restart(db, drained):
     summary = db.restart()
     if drained:
         db.sim.run()
-        assert not db.replay_pending
+        assert not db.replay_pending and not db.cold_index_pages()
     return summary
 
 
@@ -487,3 +490,128 @@ def test_a_write_free_transaction_lives_on_under_its_id_after_a_crash():
     assert session.txn is txn and db.txns.owns(txn)
     sim.run_process(session.commit())
     assert db.table_rows("t") == [(1, "kept")]
+
+
+# ------------------------------------------------- index images read on demand
+
+def image_db(rows, tail=3):
+    """A timed database whose checkpoint holds ``rows`` rows and two
+    index images of ``rows`` entries each; ``tail`` committed inserts
+    follow the checkpoint."""
+    sim = Simulator()
+    db = Database(sim, "r", DBConfig(timing=TimingModel.calibrated()))
+
+    def load(keys):
+        session = db.session()
+        for k in keys:
+            yield from insert(db, session, k, f"v{k:05d}")
+        yield from session.commit()
+
+    def setup():
+        session = db.session()
+        yield from session.execute("CREATE TABLE t (k INT, v TEXT)")
+        yield from session.execute("CREATE UNIQUE INDEX t_k ON t (k)")
+        yield from session.execute("CREATE INDEX t_v ON t (v)")
+        yield from session.commit()
+        yield from load(range(rows))
+
+    sim.run_process(setup())
+    db.runstats("t")
+    db.checkpoint()
+    sim.run_process(load(range(rows, rows + tail)))
+    return db
+
+
+def point_lookup(db, k):
+    def go():
+        session = db.session()
+        row = yield from session.query_one("SELECT v FROM t WHERE k = ?",
+                                           (k,))
+        yield from session.commit()
+        return row
+    return db.sim.run_process(go())
+
+
+def test_the_traffic_gate_is_the_log_tail_whatever_the_index_images():
+    """Index images 10x apart in size, the same post-checkpoint tail:
+    the same gate, and it is the tail's log scan alone."""
+    gates, dbs = set(), []
+    for rows in (200, 2_000):
+        db = image_db(rows)
+        db.crash()
+        crashed_at = db.sim.now
+        tail = len(db.wal.since(db.wal.last_checkpoint_lsn))
+        db.restart()
+        gates.add(db.traffic_open_at - crashed_at)
+        dbs.append((rows, db))
+    assert len(gates) == 1, gates
+    scan = db.config.timing.price(PAGE_IO, -(-tail // LOG_RECORDS_PER_PAGE))
+    assert gates.pop() == pytest.approx(scan)
+    for rows, db in dbs:
+        pages = rows // INDEX_IMAGE_ENTRIES_PER_PAGE
+        assert db.cold_index_pages() == {"t_k": pages, "t_v": pages}
+
+
+def test_a_point_lookup_after_restart_reads_one_image_page_per_index():
+    """The drain reads cold pages meanwhile; ``index_pages_read`` counts
+    only the reads of first touches."""
+    db = image_db(1_000)
+    db.crash()
+    db.restart()
+    t_k, t_v = db.btrees["t_k"].cold_hook, db.btrees["t_v"].cold_hook
+    assert db.explain("SELECT v FROM t WHERE k = ?")["index"] == "t_k"
+    assert point_lookup(db, 550) == ("v00550",)
+    assert db.metrics.index_pages_read == 1 and 5 not in t_k.unread
+    assert t_v.unread == set(range(10))
+    # An insert maintains both indexes: one page of each.
+    session = db.session()
+    db.sim.run_process(insert(db, session, 5_000, "v05000"))
+    assert db.metrics.index_pages_read == 3
+    assert 9 not in t_k.unread and 9 not in t_v.unread
+
+
+def test_every_image_page_is_billed_once_by_the_gate_statements_or_drain(
+        monkeypatch):
+    db = image_db(1_037)
+    loser = db.session()
+    db.sim.run_process(insert(db, loser, 2_000, "v02000"))
+    db.wal.force()
+    images = {name: db.disk.load_index_image(name)
+              for name in ("t_k", "t_v")}
+    reads = []
+    read = ColdImagePages.read
+
+    def counted(self, page):
+        owed = self.db.unbilled.pages
+        read(self, page)
+        assert self.db.unbilled.pages == owed + 1
+        reads.append((self.btree.name, page))
+
+    monkeypatch.setattr(ColdImagePages, "read", counted)
+    db.crash()
+    db.restart()
+    # Undo took the loser's entry out of each index's last page.
+    assert reads == [("t_k", 10), ("t_v", 10)]
+    assert point_lookup(db, 950) == ("v00950",)
+    assert db.metrics.index_pages_read == 3 and ("t_k", 9) in reads
+    db.sim.run()
+    assert db.cold_index_pages() == {}
+    assert len(reads) == len(set(reads))
+    for name, image in images.items():
+        pages = -(-len(image) // INDEX_IMAGE_ENTRIES_PER_PAGE)
+        assert sorted(p for n, p in reads if n == name) == list(range(pages))
+
+
+def test_a_crash_in_the_middle_of_the_drain_restarts_to_the_same_indexes():
+    db, uncrashed = image_db(1_000), image_db(1_000)
+    db.crash()
+    db.restart()
+    db.sim.run(stop_when=lambda: sum(db.cold_index_pages().values()) < 10)
+    assert db.cold_index_pages(), "the crash must land mid-drain"
+    db.crash()
+    restart(db, drained=True)
+    for name in ("t_k", "t_v"):
+        assert (list(db.btrees[name].scan_range(None, True, None, True))
+                == list(uncrashed.btrees[name].scan_range(
+                    None, True, None, True)))
+    assert all_rows(db) == all_rows(uncrashed)
