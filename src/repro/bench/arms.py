@@ -210,7 +210,9 @@ def run_recovery(cfg, config) -> dict:
     time the FIRST new link transaction. It pays the post-checkpoint
     tail scan and the pages its statements touch — heap pages replay,
     and checkpoint index-image pages are read, on first touch; the rest
-    drains in the background while the commit is already done."""
+    drains in the background while the commit is already done.
+    ``cleaned`` counts the pages the page cleaner wrote behind the seed
+    load's checkpoints before the crash."""
     system = config.system(cfg.seed)
     dlfm = system.dlfms["fs1"]
 
@@ -225,6 +227,7 @@ def run_recovery(cfg, config) -> dict:
             every=1)
 
     system.run(seed_load())
+    cleaned = dlfm.db.pool.metrics.cleaned
     dlfm.crash()
     started = system.sim.now
     summary = dlfm.restart()
@@ -236,7 +239,8 @@ def run_recovery(cfg, config) -> dict:
     return {"seed_txns": RECOVERY_TXNS, "redone": summary["redone"],
             "first_commit_s": round(system.sim.now - started, 6),
             "pages_replayed": metrics.pages_replayed,
-            "index_pages_read": read, "index_pages_drained": cold - read}
+            "index_pages_read": read, "index_pages_drained": cold - read,
+            "cleaned": cleaned}
 
 
 # --------------------------------------------------------------------- fleet

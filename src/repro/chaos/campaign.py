@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.chaos.faults import FaultInjector, FaultPlan, default_plan
-from repro.chaos.invariants import Violation, check_forgets, check_invariants
+from repro.chaos.invariants import (Violation, check_forgets,
+                                    check_invariants, check_wal_rule)
 from repro.configs import Configuration
 from repro.dlfm import schema
 from repro.errors import ReproError, TransactionAborted
@@ -126,12 +127,18 @@ class _Campaign:
         self.file_servers = tuple(sorted(self.system.servers))
         self.rng = self.system.sim.stream("chaos:workload")
         self.result = CampaignResult(config, self.plan)
-        #: ``forget-before-durable`` found at a DLFM crash (reported with
-        #: the round's check).
+        #: ``forget-before-durable`` found at a DLFM crash and
+        #: ``page-ahead-of-log`` at a crash point (reported with the
+        #: round's check).
         self.crash_violations: list = []
         for name, dlfm in self.system.dlfms.items():
             self.injector.register_crash(dlfm.db.name,
                                          self._checked_crash(name))
+            self.injector.watch(dlfm.db.name, self._wal_rule_watch(
+                name, lambda dlfm=dlfm: dlfm.db))
+        host = self.system.host
+        self.injector.watch(host.db.name,
+                            self._wal_rule_watch("host", lambda: host.db))
         self.rows: list = []        # (row_id, server, path) live media rows
         self.batch_tables: list = []  # short-lived tables awaiting drop
         #: The external TM's journal of undelivered verdicts: gtrid →
@@ -176,6 +183,16 @@ class _Campaign:
             self.crash_violations.extend(check_forgets(self.system, name))
             self.system.dlfms[name].crash()
         return crash
+
+    def _wal_rule_watch(self, name: str, db_of):
+        """The check every crash point of a database makes, just before
+        a crash there would lose the unforced tail: no durable page may
+        need a record of it (``page-ahead-of-log``, reported once)."""
+        def check():
+            for violation in check_wal_rule(db_of(), name):
+                if violation not in self.crash_violations:
+                    self.crash_violations.append(violation)
+        return check
 
     def _run_clean(self, gen, name: str):
         """Run one generator to completion with injection disabled."""

@@ -233,6 +233,9 @@ class NullInjector:
     def register_crash(self, node: str, crash_fn) -> None:
         pass
 
+    def watch(self, node: str, check_fn) -> None:
+        pass
+
     def fire(self, point: str, kinds) -> Optional[FaultRule]:
         return None
 
@@ -261,6 +264,7 @@ class FaultInjector(NullInjector):
         self.crashes: list[dict] = []
         self._sim = None
         self._crash_fns: dict[str, object] = {}
+        self._watches: dict[str, object] = {}
         self._seen: dict[str, int] = {}
         self._fires: dict[str, int] = {}
 
@@ -270,6 +274,12 @@ class FaultInjector(NullInjector):
     def register_crash(self, node: str, crash_fn) -> None:
         """Register the callable that crashes ``node`` (a db name)."""
         self._crash_fns[node] = crash_fn
+
+    def watch(self, node: str, check_fn) -> None:
+        """Call ``check_fn()`` at every crash point ``node`` passes, fired
+        or not: what a crash there would damage is checked whether the
+        plan's dice crash it or not."""
+        self._watches[node] = check_fn
 
     # -- the hot path ---------------------------------------------------------
 
@@ -307,6 +317,9 @@ class FaultInjector(NullInjector):
 
     def maybe_crash(self, point: str, node: str) -> None:
         """Crash ``node`` (whole-process crash semantics) if a rule fires."""
+        check = self._watches.get(node)
+        if check is not None:
+            check()
         rule = self.fire(point, CRASH_KINDS)
         if rule is None:
             return
@@ -364,6 +377,10 @@ def default_plan(seed: int = 0) -> FaultPlan:
         FaultRule("wal.group:leader:host-*", "crash", prob=0.3),
         FaultRule("wal.force.after:host-*", "crash", prob=0.001,
                   max_fires=1),
+        # The page cleaner dies with a page just written: the pages it
+        # had not reached are redone from their chains, and no page it
+        # wrote may carry an LSN the lost tail held (page-ahead-of-log).
+        FaultRule("cleaner.write:*", "crash", prob=0.05, max_fires=2),
         FaultRule("daemon.pass:*:copyd", "crash", prob=0.01, max_fires=1),
         FaultRule("daemon.pass:*:delgrpd", "crash", prob=0.01, max_fires=1),
         # Pool-worker crashes land between claim/dispatch and the work —

@@ -42,12 +42,18 @@ Violation codes (also documented in DESIGN.md §10):
                             checkpoint index-image pages restart never read
 ``forget-before-durable``   the host forgot a decision whose phase-2 COMMIT
                             is still in a DLFM's unforced log tail
+``page-ahead-of-log``       a durable page carries an LSN past the durable
+                            log (a page write broke the WAL rule)
 ==========================  ====================================================
 
 ``forget-before-durable`` is also checked at every DLFM crash of a
 campaign, just before the tail is lost (:func:`check_forgets`): that is
 the moment the mistake turns into damage — the transaction comes back
 prepared, no decision is left, and presumed abort undoes a commit.
+``page-ahead-of-log`` is checked at every crash point a database of a
+campaign passes, fired or not (:func:`check_wal_rule`, through
+``FaultInjector.watch``): a crash there would lose records such a page
+needs to be undone or redone, and the window closes at the next force.
 
 Decision bookkeeping (``stale-decision-row``, ``orphan-indoubt-txn``)
 reads the one decision store: the unforgotten decisions carried on the
@@ -121,6 +127,7 @@ def _check_nodes_up(system, out: list) -> set:
                                  f"DLFM database on {name} still down"))
     for name, db in [("host", system.host.db)] + [
             (name, dlfm.db) for name, dlfm in sorted(system.dlfms.items())]:
+        out.extend(check_wal_rule(db, name))
         if db.replay_pending:
             out.append(Violation(
                 "unreplayed-page", name,
@@ -130,6 +137,17 @@ def _check_nodes_up(system, out: list) -> set:
                 "unreplayed-page", name,
                 f"{pages} image pages of index {index} still unread"))
     return downs
+
+
+def check_wal_rule(db, node: str) -> list["Violation"]:
+    """``page-ahead-of-log``: no durable page of ``db`` may carry an LSN
+    the durable log does not reach (steal, the page cleaner)."""
+    durable = db.wal.flushed_upto
+    return [Violation("page-ahead-of-log", node,
+                      f"{table} page {page_no} is on disk at LSN {lsn}; "
+                      f"{db.name}'s log is durable to {durable}")
+            for table, page_no, lsn in sorted(db.disk.page_lsns())
+            if lsn > durable]
 
 
 # ---------------------------------------------------------------- host side

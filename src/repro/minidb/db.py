@@ -10,7 +10,9 @@ Owns every engine component and exposes:
 * plan binding with statistics-version invalidation (E4);
 * RUNSTATS and hand-crafted statistics;
 * :meth:`crash` / :meth:`restart` with ARIES-style recovery (E10);
-* :meth:`checkpoint` — flush dirty pages and truncate the log.
+* :meth:`checkpoint` — a fuzzy checkpoint that writes no page and
+  truncates the log; the page cleaner (:meth:`_clean`) writes the dirty
+  pages behind it in the background.
 """
 
 from __future__ import annotations
@@ -129,19 +131,22 @@ class Database:
         self.catalog = Catalog()
         self.metrics = DBMetrics()
         self.crashed = False
-        #: The restart's background drain (:meth:`_drain_replay`).
+        #: The restart's background drain (:meth:`_drain_replay`) and
+        #: the page cleaner (:meth:`_clean`), while they run.
         self._drain = None
+        self._cleaner = None
         self._build_volatile()
 
     def _build_volatile(self) -> None:
         """(Re)create everything lost in a crash."""
         #: Drained at statement end, into restart's traffic gate, and
-        #: per page by the replay drain.
+        #: per page by the replay drain and the page cleaner.
         self.unbilled = Unbilled(self.config.timing)
-        self.pool = BufferPool(self.disk, self.config.buffer_pool_pages,
-                               self.config.rows_per_page, self.unbilled)
         self.wal = getattr(self, "wal", None) or LogManager(
             self.config.wal_capacity)
+        self.pool = BufferPool(self.disk, self.config.buffer_pool_pages,
+                               self.config.rows_per_page, self.unbilled,
+                               self.wal, self._force_for_steal)
         self.locks = LockManager(self.sim, self.config, self.name)
         previous = getattr(self, "txns", None)
         self.txns = TransactionTable(
@@ -431,13 +436,13 @@ class Database:
                 next_to_undo = record.undo_next
                 continue
             if record.redoable:
-                self._apply_state(record.table, record.rid, record.before)
                 clr = self.wal.append(
                     walmod.CLR, txn, table=record.table, rid=record.rid,
                     before=record.after, after=record.before,
                     undo_next=record.prev_lsn,
                     active_floor=self.txns.active_floor())
                 self.heaps[record.table].set_page_lsn(record.rid[0], clr.lsn)
+                self._apply_state(record.table, record.rid, record.before)
             next_to_undo = record.prev_lsn
 
     def _apply_state(self, table: str, rid, desired: Optional[tuple]) -> None:
@@ -476,12 +481,12 @@ class Database:
                 record = self.wal.record(lsn)
                 if heap.page_lsn(page_no) >= lsn:
                     continue
+                heap.set_page_lsn(page_no, lsn)
                 current = heap.fetch(record.rid)
                 if current is not None:
                     heap.delete(record.rid)
                 if record.after is not None:
                     heap.insert(record.after, rid=record.rid)
-                heap.set_page_lsn(page_no, lsn)
                 applied += 1
             self.metrics.pages_replayed += 1
             self.metrics.replay_records += applied
@@ -790,7 +795,13 @@ class Database:
             self.checkpoint()
 
     def checkpoint(self) -> None:
-        """Flush dirty pages, snapshot volatile state, truncate the log.
+        """Fuzzy checkpoint: snapshot volatile state, truncate the log.
+
+        It writes no page (DB2's soft checkpoint): a dirty page's REDO is
+        its per-page log chain above the durable page LSN, so the
+        truncation floor keeps the log from the oldest recLSN on, and
+        the page cleaner (:meth:`_clean`), spawned when dirty pages
+        exist, writes them in the background and truncates again.
 
         The payload carries what instant recovery's tail-only analysis
         needs: the transaction table (first/last LSN and prepared flag
@@ -801,7 +812,6 @@ class Database:
         tail deltas instead of a full-heap rebuild.
         """
         self._ensure_up()
-        self.pool.flush_all()
         for name, btree in self.btrees.items():
             image = list(btree.items())
             for pending in self._bulk_loads.values():
@@ -833,23 +843,83 @@ class Database:
         self.wal.force()
         self._harden_upto(self.wal.flushed_upto)
         self.wal.note_checkpoint(record.lsn)
-        # Drop what no restart can read. Besides the checkpoint, three
-        # things reach further back: an active or prepared transaction
-        # (undo, lock resurrection), an unforgotten 2PC decision (the
-        # host re-drives phase 2 from its COMMIT record) and a page still
-        # queued for lazy replay (this checkpoint did not flush it).
-        self.wal.truncate(min([
-            record.lsn, *self.wal.decisions.values(),
+        self.wal.truncate(self._log_floor())
+        if self._cleaner is None and self.pool.oldest_rec_lsn() is not None:
+            self._cleaner = self.sim.spawn(self._clean(),
+                                           f"{self.name}-cleaner")
+
+    def _log_floor(self) -> int:
+        """The oldest LSN a restart can read. Besides the last checkpoint,
+        four things reach further back: an active or prepared transaction
+        (undo, lock resurrection), an unforgotten 2PC decision (the host
+        re-drives phase 2 from its COMMIT record), a page still queued
+        for lazy replay, and a dirty page (REDO walks its chain down to
+        the durable page LSN: its recLSN)."""
+        oldest_dirty = self.pool.oldest_rec_lsn()
+        return min([
+            self.wal.last_checkpoint_lsn, *self.wal.decisions.values(),
             *(txn.first_lsn for txn in self.txns.active
               if txn.first_lsn is not None),
-            *(lsns[0] for lsns in self.replay_pending.values())]))
+            *(lsns[0] for lsns in self.replay_pending.values()),
+            *([oldest_dirty] if oldest_dirty is not None else [])])
+
+    def _clean(self):
+        """Generator: the page cleaner. Writes every dirty page whose
+        recLSN is below the last checkpoint, oldest recLSN first, one page
+        I/O each, paid by itself; then truncates the log to the floor
+        those pages held.
+
+        WAL rule: a page whose page LSN is past the durable log waits for
+        a force covering it — it rides the one in flight or leads one.
+        A crash kills the cleaner; the next checkpoint spawns it again.
+        """
+        pool, wal = self.pool, self.wal
+
+        def due(key) -> bool:
+            # Not written by a steal meanwhile (and perhaps dirtied again).
+            rec_lsn = pool.rec_lsn(key)
+            return rec_lsn is not None and rec_lsn < checkpoint
+
+        while True:
+            checkpoint = wal.last_checkpoint_lsn
+            todo = pool.dirty_below(checkpoint)
+            if not todo:
+                break
+            for key in todo:
+                while due(key) and pool.page_lsn(key) > wal.flushed_upto:
+                    yield from self._force_wal(pool.page_lsn(key), None,
+                                               "clean")
+                if not due(key):
+                    continue
+                owed = self.unbilled.pages
+                pool.clean(key)
+                injector = self.sim.injector
+                if injector.enabled:
+                    # Crash with the page just written: restart redoes
+                    # the pages not reached yet from their chains, and
+                    # the tail it loses holds no record this page needs.
+                    injector.maybe_crash(f"cleaner.write:{self.name}",
+                                         self.name)
+                cost = self.unbilled.drain(entries=False, above=owed, least=1)
+                yield from bill(cost, always=True)
+        self._cleaner = None
+        wal.truncate(self._log_floor())
+
+    def _force_for_steal(self) -> None:
+        """A steal found every frame ahead of the log: force all of it
+        now, inside the statement, which pays one page I/O for the log
+        page written; lazy commits it covered are durable."""
+        self.wal.force()
+        self.unbilled.pages += 1
+        self._harden_upto(self.wal.flushed_upto)
 
     def crash(self) -> None:
         """Power failure: volatile state gone, durable state preserved."""
         self.crashed = True
-        if self._drain is not None:
-            self._drain.kill()
-            self._drain = None
+        for process in (self._drain, self._cleaner):
+            if process is not None:
+                process.kill()
+        self._drain = self._cleaner = None
         force, self._force = self._force, None
         if force is not None:
             # Wake every member of the in-flight group into CrashedError:
@@ -880,7 +950,9 @@ class Database:
         each checkpoint index-image page into the tree's cold hook —
         done on first touch (:meth:`replay_page`,
         ``recovery.ColdImagePages``) or by the background drain spawned
-        here (:meth:`_drain_replay`), which a crash kills.
+        here (:meth:`_drain_replay`), which a crash kills. Recovery's
+        closing checkpoint leaves the pages undo dirtied to the page
+        cleaner (:meth:`_clean`).
         """
         from repro.minidb.recovery import recover
         self.crashed = False
@@ -934,9 +1006,10 @@ class Database:
     def backup_image(self) -> dict:
         """Full backup: checkpoint, then snapshot durables — log included.
 
-        The checkpoint is fuzzy (it flushes open transactions' rows into
-        the copied disk), so the image is only consistent together with
-        the log that can undo them: the retained log rides along, from
+        The checkpoint is fuzzy (the copied disk may hold open
+        transactions' rows and lack committed changes still in the
+        pool), so the image is only consistent together with the log
+        that can undo and redo them: the retained log rides along, from
         the oldest LSN a restart still needs; records are immutable and
         are shared.
         """

@@ -6,6 +6,9 @@ prefix of the WAL.
 Analysis reads only the durable tail since the last checkpoint (the
 checkpoint payload carries the transaction table and the per-page
 chain-head snapshot). REDO is *deferred*: each page's pending log chain
+— the records above its durable page LSN, which may reach below the
+checkpoint, since checkpoints are fuzzy and write no page; the log keeps
+them from the oldest dirty page's recLSN on (``Database._log_floor``) —
 is recorded in ``db.replay_pending`` and replayed on first touch through
 the heap's replay gate (``Database.replay_page``) or by the background
 drain ``Database.restart`` spawns. Secondary indexes are repaired from
@@ -18,7 +21,9 @@ stay eager, so the engine is transaction-consistent (and accepts new
 work) the moment ``restart()`` returns, after tail-proportional work
 only.
 
-Undo writes CLRs so a crash during recovery is itself recoverable. The
+Undo writes CLRs so a crash during recovery is itself recoverable; the
+closing checkpoint writes none of the pages undo dirtied (the page
+cleaner it spawns does, in the background). The
 foreground I/O (the log-tail scan and undo's page reads) accumulates in
 the database's unbilled pages and is converted, at the end of recovery,
 into ``Database.traffic_open_at`` — a gate every new statement waits
@@ -196,14 +201,19 @@ def _redo(db, tail) -> int:
         db.heaps[table].replay_hook = db.replay_page
 
     # ---- chain-driven per-index repair (no full-heap rebuild) -------------
+    ckpt = wal.last_checkpoint_lsn
     for index in db.catalog.indexes.values():
         btree = db.btrees[index.name]
         image = db.disk.load_index_image(index.name)
-        if image is None and db.disk.page_numbers(index.table):
-            # No checkpoint image but durable heap pages exist: the index
-            # was created after the last checkpoint. Fall back to a heap
-            # scan — the replay gate makes the scan see crash-time rows,
-            # at the price of replaying this one table eagerly.
+        if image is None and (
+                db.disk.page_numbers(index.table)
+                or any(lsns[0] <= ckpt for (table, _), lsns in pending.items()
+                       if table == index.table)):
+            # No checkpoint image, but rows older than the tail exist (on
+            # durable pages, or in chains a fuzzy checkpoint left): the
+            # index was created after the last checkpoint. Fall back to a
+            # heap scan — the replay gate makes the scan see crash-time
+            # rows, at the price of replaying this one table eagerly.
             btree.clear()
             for rid, row in db.heaps[index.table].scan():
                 btree.insert(index.key_of(row), rid)
@@ -250,15 +260,14 @@ def _undo_losers(db, losers: dict[int, int]) -> int:
             next_lsn = record.undo_next
         elif record.redoable:
             heap = db.heaps.get(record.table)
-            if heap is not None:
-                db._apply_state(record.table, record.rid, record.before)
-                undone += 1
             clr = db.wal.append(
                 walmod.CLR, shim, table=record.table, rid=record.rid,
                 before=record.after, after=record.before,
                 undo_next=record.prev_lsn)
             if heap is not None:
                 heap.set_page_lsn(record.rid[0], clr.lsn)
+                db._apply_state(record.table, record.rid, record.before)
+                undone += 1
             next_lsn = record.prev_lsn
         else:  # BEGIN or foreign record kind
             next_lsn = record.prev_lsn

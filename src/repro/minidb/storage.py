@@ -10,6 +10,13 @@ Durability model: the :class:`Disk` holds immutable snapshots of pages;
 the buffer pool is a write-back cache over it (steal/no-force). A crash
 drops the buffer pool and the unforced log tail; restart redoes/undoes
 from the log (see ``recovery.py``).
+
+Every dirty frame carries its recLSN, the LSN of its oldest change not
+yet on disk; checkpoints write no page, their truncation floor keeps
+the log from the oldest recLSN on, and the database's page cleaner
+(``Database._clean``) writes the pages that hold the floor. Every write
+obeys the WAL rule: a page goes to disk only once the log covers its
+page LSN.
 """
 
 from __future__ import annotations
@@ -17,7 +24,8 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.errors import DatabaseError
 from repro.minidb.config import Unbilled
@@ -87,6 +95,12 @@ class Disk:
         stored = self._tables.get(table, {}).get(page_no)
         return stored[0] if stored is not None else 0
 
+    def page_lsns(self) -> Iterator[tuple[str, int, int]]:
+        """Every durable page as ``(table, page_no, page LSN)``."""
+        for table, pages in self._tables.items():
+            for page_no, (page_lsn, _) in pages.items():
+                yield table, page_no, page_lsn
+
     def drop_table(self, table: str) -> None:
         self._tables.pop(table, None)
 
@@ -107,22 +121,38 @@ class Disk:
 class BufferMetrics:
     hits: int = 0
     misses: int = 0
+    #: Dirty pages written by a steal (an eviction).
     page_writes: int = 0
+    #: Dirty pages written by the page cleaner.
+    cleaned: int = 0
 
 
 class BufferPool:
-    """Write-back LRU page cache over the :class:`Disk`."""
+    """Write-back LRU page cache over the :class:`Disk`.
+
+    ``wal`` is the log whose ``flushed_upto`` the WAL rule reads, and
+    ``force_log`` forces it when a steal finds no frame it covers; a
+    pool without a log (storage unit tests) treats every page as
+    covered.
+    """
 
     def __init__(self, disk: Disk, capacity: int, rows_per_page: int,
-                 unbilled: Unbilled):
+                 unbilled: Unbilled, wal=None,
+                 force_log: Optional[Callable[[], None]] = None):
         self.disk = disk
         self.capacity = capacity
         self.rows_per_page = rows_per_page
         self._frames: "OrderedDict[tuple[str, int], HeapPage]" = OrderedDict()
-        self._dirty: set[tuple[str, int]] = set()
+        #: Dirty frame → recLSN. A frame enters at its first change
+        #: since it was last written, so insertion order is recLSN order
+        #: (LSNs only grow) — except for pages restart replays, whose
+        #: recLSN is the first record replayed.
+        self._dirty: dict[tuple[str, int], int] = {}
         self.metrics = BufferMetrics()
         #: The database's accumulator: every miss and write is a page I/O.
         self.unbilled = unbilled
+        self.wal = wal
+        self.force_log = force_log
 
     def fetch(self, table: str, page_no: int, create: bool = False) -> HeapPage:
         key = (table, page_no)
@@ -143,35 +173,89 @@ class BufferPool:
         self._evict_if_needed()
         return page
 
-    def mark_dirty(self, table: str, page_no: int) -> None:
-        self._dirty.add((table, page_no))
+    def mark_dirty(self, table: str, page_no: int, lsn: int) -> None:
+        """Note a change logged at ``lsn``; the first since the page was
+        last written sets its recLSN."""
+        self._dirty.setdefault((table, page_no), lsn)
+
+    def _covered(self, page: HeapPage) -> bool:
+        """WAL rule: may ``page`` go to disk now?"""
+        return self.wal is None or page.page_lsn <= self.wal.flushed_upto
 
     def _evict_if_needed(self) -> None:
-        while len(self._frames) > self.capacity:
-            key, page = self._frames.popitem(last=False)
-            if key in self._dirty:
-                self._dirty.discard(key)
-                self.disk.write_page(key[0], page)
+        """Evict the least recently used frame — but a dirty one only
+        once the log covers it (WAL rule)."""
+        frames, dirty = self._frames, self._dirty
+        while len(frames) > self.capacity:
+            victim = next(iter(frames))
+            if victim in dirty and not self._covered(frames[victim]):
+                victim = self._steal_victim()
+            page = frames.pop(victim)
+            if dirty.pop(victim, None) is not None:
+                self._write(victim, page)
                 self.metrics.page_writes += 1
-                self.unbilled.pages += 1
+
+    def _steal_victim(self) -> tuple[str, int]:
+        """The least recently used frame the log covers, skipping those
+        ahead of it; when every one is, force the log first. The frame
+        just fetched is never the victim."""
+        older = islice(self._frames.items(), len(self._frames) - 1)
+        victim = next((key for key, page in older
+                       if key not in self._dirty or self._covered(page)),
+                      None)
+        if victim is None:
+            self.force_log()
+            victim = next(iter(self._frames))
+        return victim
+
+    def _write(self, key: tuple[str, int], page: HeapPage) -> None:
+        self.disk.write_page(key[0], page)
+        self.unbilled.pages += 1
+
+    # -- the page cleaner's view ------------------------------------------------
+
+    def rec_lsn(self, key: tuple[str, int]) -> Optional[int]:
+        """The dirty page's recLSN (None when ``key`` is clean)."""
+        return self._dirty.get(key)
+
+    def oldest_rec_lsn(self) -> Optional[int]:
+        """The smallest recLSN of any dirty page (the log floor it sets)."""
+        return min(self._dirty.values(), default=None)
+
+    def dirty_below(self, lsn: int) -> list[tuple[str, int]]:
+        """Dirty pages whose recLSN is below ``lsn``, oldest first."""
+        dirty = self._dirty
+        return sorted((key for key, rec in dirty.items() if rec < lsn),
+                      key=dirty.__getitem__)
+
+    def page_lsn(self, key: tuple[str, int]) -> int:
+        """Page LSN of a resident frame (every dirty page is resident)."""
+        return self._frames[key].page_lsn
+
+    def clean(self, key: tuple[str, int]) -> None:
+        """Write one dirty page (the page cleaner's step; the cleaner
+        has made the log cover it)."""
+        del self._dirty[key]
+        self._write(key, self._frames[key])
+        self.metrics.cleaned += 1
 
     def flush_all(self) -> int:
-        """Write every dirty page to disk (checkpoint); returns pages written."""
-        written = 0
-        for key in sorted(self._dirty):
-            page = self._frames.get(key)
-            if page is not None:
-                self.disk.write_page(key[0], page)
-                self.metrics.page_writes += 1
-                self.unbilled.pages += 1
-                written += 1
-        self._dirty.clear()
-        return written
+        """Write every dirty page the log covers; returns pages written.
+
+        The engine never calls it: a checkpoint writes no page, and the
+        page cleaner writes one page at a time (:meth:`clean`). It is
+        kept for the tracers that hook the storage layer by this name.
+        """
+        covered = [key for key in self._dirty
+                   if self._covered(self._frames[key])]
+        for key in covered:
+            self.clean(key)
+        return len(covered)
 
     def drop_table(self, table: str) -> None:
         for key in [k for k in self._frames if k[0] == table]:
             del self._frames[key]
-            self._dirty.discard(key)
+            self._dirty.pop(key, None)
         self.disk.drop_table(table)
 
     def clear(self) -> None:
@@ -279,7 +363,7 @@ class Heap:
             self._free_pages.discard(page.page_no)
         else:
             self._note_free(page.page_no)
-        self.pool.mark_dirty(self.table, page.page_no)
+        self.pool.mark_dirty(self.table, page.page_no, page.page_lsn)
         self._row_count += 1
         return target
 
@@ -290,7 +374,7 @@ class Heap:
             raise DatabaseError(f"delete of empty slot {self.table}:{rid}")
         page.slots[rid[1]] = None
         self._note_free(page.page_no)
-        self.pool.mark_dirty(self.table, page.page_no)
+        self.pool.mark_dirty(self.table, page.page_no, page.page_lsn)
         self._row_count -= 1
         return row
 
@@ -300,7 +384,7 @@ class Heap:
         if old is None:
             raise DatabaseError(f"update of empty slot {self.table}:{rid}")
         page.slots[rid[1]] = new_row
-        self.pool.mark_dirty(self.table, page.page_no)
+        self.pool.mark_dirty(self.table, page.page_no, page.page_lsn)
         return old
 
     def fetch(self, rid: Rid) -> Optional[tuple]:
@@ -317,7 +401,11 @@ class Heap:
                     yield (page_no, slot_no), row
 
     def set_page_lsn(self, page_no: int, lsn: int) -> None:
+        """Stamp the page with the record logged for a change to it,
+        before the change is made: the first since the page was last
+        written sets its recLSN."""
         page = self._page_for(page_no, create=True)
+        self.pool.mark_dirty(self.table, page_no, lsn)
         page.page_lsn = max(page.page_lsn, lsn)
 
     def page_lsn(self, page_no: int) -> int:

@@ -72,3 +72,13 @@ def setup_files_table(db, rows=0):
             (i, f"file-{i:05d}", i * 10, "linked" if i % 2 == 0 else "free"))
     yield from session.commit()
     return session
+
+
+def run_until_clean(db, limit=60.0):
+    """Run ``db``'s simulation until its page cleaner has written every
+    page a checkpoint left dirty and truncated the log behind them (at
+    most ``limit`` sim-seconds). Checkpoints are fuzzy: they write no
+    page, so a test that pins what a checkpoint leaves on disk or in
+    the log waits for the cleaner first."""
+    sim = db.sim
+    sim.run(until=sim.now + limit, stop_when=lambda: db._cleaner is None)

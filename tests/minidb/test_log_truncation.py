@@ -2,13 +2,15 @@
 
 Every checkpoint drops the records below the oldest of: the checkpoint
 itself, the first record of the oldest active or prepared transaction,
-the oldest unforgotten 2PC decision (pinned in ``tests/host``) and the
-oldest record still queued for lazy replay. Each floor has a test here
-that fails when it is removed; LSNs stay monotone across the cut, a
-backup carries only the retained log, and the retained log stays
-bounded by the soft checkpoint's volume trigger — after a restart too,
-because the restart's background drain replays the pages no commit
-touches.
+the oldest unforgotten 2PC decision (pinned in ``tests/host``), the
+oldest record still queued for lazy replay and the oldest dirty page's
+recLSN (checkpoints write no page; the page cleaner does, and truncates
+again when it is done — ``tests/minidb/test_page_cleaner.py``). Each
+floor has a test that fails when it is removed; LSNs stay monotone
+across the cut, a backup carries only the retained log, and the
+retained log stays bounded by the soft checkpoint's volume trigger —
+after a restart too, because the restart's background drain replays
+the pages no commit touches and the cleaner writes them.
 """
 
 import pytest
@@ -19,6 +21,7 @@ from repro.minidb import Database, DBConfig
 from repro.minidb.config import TimingModel
 from repro.minidb.db import SOFT_CHECKPOINT_RECORDS
 from repro.system import System
+from tests.conftest import run_until_clean
 
 
 def make_db(**cfg):
@@ -105,24 +108,31 @@ def test_an_xa_branch_prepared_before_two_checkpoints_resolves(drained):
 
 
 def test_a_page_pending_lazy_replay_survives_a_second_checkpoint():
-    """Restart's own closing checkpoint does not flush the pages it left
+    """Restart's own closing checkpoint does not write the pages it left
     for lazy replay; neither does the next one, taken while the drain is
     still under way. Their chains must stay readable for the replay gate,
-    the drain and another restart."""
+    the drain and another restart — the pending chain by the replay
+    floor, the page already replayed (dirty since, its recLSN the first
+    record replayed) by the recLSN floor."""
     db = make_db(rows_per_page=2)
     churn(db, range(10), table="a")
+    run_until_clean(db)
     run(db, "UPDATE a SET v = 'u3' WHERE k = 3",
         "UPDATE a SET v = 'u8' WHERE k = 8")
     expected = rows(db, "a")
     db.crash()
     db.restart()
-    assert len(db.replay_pending) == 2
+    chains = dict(db.replay_pending)
+    assert len(chains) == 2
     # Stop the simulation once the drain has replayed its first page.
     db.sim.run(stop_when=lambda: len(db.replay_pending) < 2)
+    [(replayed, first)] = [(key, lsns[0]) for key, lsns in chains.items()
+                           if key not in db.replay_pending]
     [lsns] = db.replay_pending.values()
+    assert db.pool.rec_lsn(replayed) == first
     db.checkpoint()
     assert db.replay_pending
-    assert db.wal.base == lsns[0] - 1
+    assert db.wal.base == min(first, lsns[0]) - 1
     db.crash()
     db.restart()
     assert rows(db, "a") == expected
@@ -134,6 +144,8 @@ def test_a_page_pending_lazy_replay_survives_a_second_checkpoint():
 def test_backup_restore_round_trip_over_a_truncated_log(drained):
     db = make_db()
     churn(db, range(30), table="a")
+    run_until_clean(db)
+    assert db.wal.base == db.wal.last_checkpoint_lsn - 1
     image = db.backup_image()
     assert image["base"] > 0
     assert [r.lsn for r in image["log"]] == list(
@@ -151,19 +163,24 @@ def test_backup_restore_round_trip_over_a_truncated_log(drained):
     assert rows(db, "a") == sorted(at_backup + [(99, "after")])
 
 
+#: Pages of ``a`` that :func:`restart_with_cold_pages` leaves cold.
+COLD_PAGES = 50
+
+
 def restart_with_cold_pages(db, restart):
-    """Checkpoint 100 rows over 50 pages of ``a``, RUNSTATS it (so a
-    probe by ``k`` is an index plan that touches one page), touch every
-    page after the checkpoint, crash and restart: 50 cold pages wait for
-    lazy replay (the drain may have taken one while a host's restart
-    ran the simulation). Returns the records retained right after the
-    restart."""
+    """Checkpoint 100 rows over 50 pages of ``a`` and let the page
+    cleaner write them, RUNSTATS it (so a probe by ``k`` is an index
+    plan that touches one page), touch every page after the checkpoint,
+    crash and restart: 50 cold pages wait for lazy replay (the drain may
+    have taken one while a host's restart ran the simulation). Returns
+    the records retained right after the restart."""
     churn(db, range(100), table="a")
+    run_until_clean(db)
     db.runstats("a")
     run(db, "UPDATE a SET v = 'touched'")
     db.crash()
     restart()
-    assert len(db.replay_pending) >= 49
+    assert len(db.replay_pending) >= COLD_PAGES - 1
     return len(db.wal.records)
 
 
@@ -188,9 +205,13 @@ def commit_ten_thousand(db, sim):
 def assert_bounded(db, longest, retained):
     """One checkpoint plus ``SOFT_CHECKPOINT_RECORDS`` plus the
     transaction that crossed it (two records) — beyond the restart's
-    own retained tail only until the first soft checkpoint after the
-    drain."""
-    assert longest <= retained + SOFT_CHECKPOINT_RECORDS + 3
+    own retained tail only until the page cleaner has written the pages
+    whose recLSNs hold the floor after the first soft checkpoint past
+    the drain. While it writes the ``COLD_PAGES`` the drain replayed,
+    the committer appends at most two records per page: a commit's log
+    force costs more than a page write."""
+    assert longest <= (retained + SOFT_CHECKPOINT_RECORDS + 3
+                       + 2 * COLD_PAGES)
     assert len(db.wal.records) <= SOFT_CHECKPOINT_RECORDS + 3
     assert db.wal.base >= db.wal.tail_lsn - SOFT_CHECKPOINT_RECORDS - 3
     assert db.wal.tail_lsn > 20_000

@@ -8,6 +8,7 @@ from repro.minidb import Database, DBConfig
 from repro.minidb.config import (INDEX_IMAGE_ENTRIES_PER_PAGE,
                                  LOG_RECORDS_PER_PAGE, PAGE_IO, TimingModel)
 from repro.minidb.recovery import ColdImagePages
+from tests.conftest import run_until_clean
 
 
 def make_db(sim, **cfg):
@@ -178,10 +179,12 @@ def test_checkpoint_bounds_redo_work():
 
     sim.run_process(phase(range(50)))
     db.checkpoint()
+    run_until_clean(db)
     sim.run_process(phase(range(50, 60)))
     db.crash()
     summary = db.restart()
-    # Only the 10 post-checkpoint inserts should need redo.
+    # Only the 10 post-checkpoint inserts should need redo: the page
+    # cleaner wrote every page the checkpoint left dirty.
     assert summary["redone"] <= 12
     assert len(all_rows(db)) == 60
 
@@ -615,3 +618,27 @@ def test_a_crash_in_the_middle_of_the_drain_restarts_to_the_same_indexes():
                 == list(uncrashed.btrees[name].scan_range(
                     None, True, None, True)))
     assert all_rows(db) == all_rows(uncrashed)
+
+
+def test_a_steal_never_writes_a_page_ahead_of_the_log():
+    """WAL rule on eviction: a transaction that dirties more pages than
+    the pool holds and never commits. Its records are never forced by a
+    commit, so each steal must skip frames the log does not cover, or
+    force the log first when every frame is ahead of it; otherwise its
+    rows land on disk with no log record left to undo them."""
+    sim = Simulator()
+    db = make_db(sim, buffer_pool_pages=8, rows_per_page=4)
+
+    def loser():
+        session = db.session()
+        for k in range(80):
+            yield from insert(db, session, k, "loser")
+
+    sim.run_process(loser())
+    assert db.pool.metrics.page_writes > 0
+    assert all(lsn <= db.wal.flushed_upto
+               for _, _, lsn in db.disk.page_lsns())
+    db.crash()
+    restart(db, drained=True)
+    assert all_rows(db) == []
+    assert db.table_rows("t") == []

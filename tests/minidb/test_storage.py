@@ -7,11 +7,18 @@ from repro.minidb.config import TimingModel, Unbilled
 from repro.minidb.storage import BufferPool, Disk, Heap
 
 
-def make_heap(capacity=100, rows_per_page=4):
+def make_heap(capacity=100, rows_per_page=4, wal=None, force_log=None):
     disk = Disk()
     pool = BufferPool(disk, capacity, rows_per_page,
-                      Unbilled(TimingModel.calibrated()))
+                      Unbilled(TimingModel.calibrated()), wal, force_log)
     return Heap("t", pool), pool, disk
+
+
+def clean(pool):
+    """The page cleaner's pass over a pool without a log (every page is
+    covered): write each dirty page, oldest recLSN first."""
+    for key in pool.dirty_below(float("inf")):
+        pool.clean(key)
 
 
 def test_insert_returns_rids_and_fetch():
@@ -126,10 +133,11 @@ def test_buffer_pool_reload_after_eviction_preserves_rows():
         assert heap.fetch(rid) == (expected,)
 
 
-def test_flush_all_then_crash_preserves_rows():
+def test_cleaned_pages_survive_a_crash():
     heap, pool, disk = make_heap(rows_per_page=2)
     rids = [heap.insert((i,)) for i in range(4)]
-    pool.flush_all()
+    clean(pool)
+    assert pool.metrics.cleaned == 2
     pool.clear()  # crash: volatile cache gone
     recovered = Heap.recover_lazy("t", pool)
     assert recovered.npages == 2
@@ -148,7 +156,7 @@ def test_unflushed_pages_lost_on_clear():
 def test_disk_snapshots_are_isolated_from_later_mutation():
     heap, pool, disk = make_heap(rows_per_page=2)
     rid = heap.insert(("original",))
-    pool.flush_all()
+    clean(pool)
     heap.update(rid, ("mutated",))
     stored = disk.read_page("t", 0, 2)
     assert stored.slots[0] == ("original",)
@@ -158,16 +166,68 @@ def test_page_lsn_round_trip_through_disk():
     heap, pool, disk = make_heap()
     rid = heap.insert(("a",))
     heap.set_page_lsn(rid[0], 42)
-    pool.flush_all()
+    clean(pool)
     pool.clear()
     recovered = Heap.recover_lazy("t", pool)
     assert recovered.page_lsn(rid[0]) == 42
 
 
+class Log:
+    """The one thing the pool reads of a log: its durable watermark."""
+
+    def __init__(self):
+        self.flushed_upto = 0
+
+
+def test_the_first_change_since_a_page_was_written_sets_its_rec_lsn():
+    heap, pool, _ = make_heap(rows_per_page=1)
+    for lsn, page_no in ((5, 0), (6, 1), (7, 0), (8, 2)):
+        heap.set_page_lsn(page_no, lsn)
+    assert [pool.rec_lsn(("t", n)) for n in range(3)] == [5, 6, 8]
+    assert pool.oldest_rec_lsn() == 5
+    assert pool.dirty_below(8) == [("t", 0), ("t", 1)]
+    pool.clean(("t", 0))
+    assert pool.rec_lsn(("t", 0)) is None and pool.oldest_rec_lsn() == 6
+    heap.set_page_lsn(0, 9)
+    assert pool.dirty_below(10) == [("t", 1), ("t", 2), ("t", 0)]
+
+
+def test_a_steal_skips_frames_ahead_of_the_log():
+    log = Log()
+    heap, pool, disk = make_heap(capacity=2, rows_per_page=1, wal=log,
+                                 force_log=lambda: None)
+    heap.set_page_lsn(0, 1)
+    heap.set_page_lsn(1, 2)
+    log.flushed_upto = 2
+    heap.set_page_lsn(0, 3)          # page 0 is ahead of the log again
+    heap.fetch((1, 0))               # ... and the least recently used
+    heap.set_page_lsn(2, 4)          # a steal for page 2 takes page 1
+    assert disk.page_numbers("t") == [1]
+    assert pool.metrics.page_writes == 1
+
+
+def test_a_steal_forces_the_log_when_every_frame_is_ahead_of_it():
+    log = Log()
+
+    def force_log():
+        forced.append(log.flushed_upto)
+        log.flushed_upto = 3
+
+    forced = []
+    heap, pool, disk = make_heap(capacity=2, rows_per_page=1, wal=log,
+                                 force_log=force_log)
+    heap.set_page_lsn(0, 1)
+    heap.set_page_lsn(1, 2)
+    heap.set_page_lsn(2, 3)
+    assert forced == [0]
+    assert disk.page_numbers("t") == [0]
+    assert pool.flush_all() == 2     # everything the log covers now
+
+
 def test_drop_table_removes_pages():
     heap, pool, disk = make_heap()
     heap.insert(("a",))
-    pool.flush_all()
+    clean(pool)
     pool.drop_table("t")
     assert disk.page_numbers("t") == []
 
@@ -217,7 +277,7 @@ def test_free_hint_starts_empty_after_a_lazy_recover():
     heap, pool, _ = make_heap(rows_per_page=2)
     rids = [heap.insert((i,)) for i in range(6)]
     heap.delete(rids[1])
-    pool.flush_all()
+    clean(pool)
     pool.clear()
     recovered = Heap.recover_lazy("t", pool)
     assert recovered.candidate_rid() == (3, 0)
