@@ -70,7 +70,7 @@ def _prepare_with_decision(system, record_decision: bool):
         yield from session.send_control(
             "fs1", api.Prepare(system.host.dbid, txn_id))
         yield from system.host.decide(
-            session.session, txn_id, ["fs1"] if record_decision else [])
+            session.session, ["fs1"] if record_decision else [])
         return txn_id
 
     return system.run(go())

@@ -40,7 +40,7 @@ def main():
         txn_id = session.txn_id
         yield from session.send_control("fs1",
                                         api.Prepare(host.dbid, txn_id))
-        yield from host.decide(session.session, txn_id, ["fs1"])
+        yield from host.decide(session.session, ["fs1"])
         print(f"txn {txn_id}: prepared at DLFM, commit decision durable "
               "at host")
 

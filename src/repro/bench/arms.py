@@ -210,8 +210,8 @@ def run_recovery(cfg, config) -> dict:
     time the FIRST new link transaction. It pays the post-checkpoint
     tail scan and the pages its statements touch — heap pages replay,
     and checkpoint index-image pages are read, on first touch; the rest
-    drains in the background while the commit is already done.
-    ``cleaned`` counts the pages the page cleaner wrote behind the seed
+    is left to the background page worker while the commit is already
+    done. ``cleaned`` counts the pages the worker wrote behind the seed
     load's checkpoints before the crash."""
     system = config.system(cfg.seed)
     dlfm = system.dlfms["fs1"]

@@ -28,7 +28,7 @@ from repro.configs import Configuration
 #: The history row this tree's harness writes: ``pr<N>-…`` with N the
 #: number of the PR (``tests/test_bench_history.py`` holds it to the
 #: last entry of CHANGES.md). Re-running a tree refreshes its own row.
-HISTORY_LABEL = "pr36-fuzzy-checkpoints"
+HISTORY_LABEL = "pr37-one-page-worker"
 
 
 @dataclass
@@ -114,8 +114,8 @@ ARMS = {arm.name: arm for arm in (
         summary="first commit {first_commit_s}s after a restart over "
                 "{seed_txns} committed transactions ({redone} records "
                 "left to replay; it read {index_pages_read} index-image "
-                "pages and left {index_pages_drained} to the drain; the "
-                "page cleaner wrote {cleaned} pages before the crash)"),
+                "pages and left {index_pages_drained} to the page "
+                "worker, which wrote {cleaned} pages before the crash)"),
     Arm("e6_sentinel", "paper", arms.run_e6_sentinel,
         gates=(("preserved", "==", True),),
         history={},

@@ -377,7 +377,7 @@ def default_plan(seed: int = 0) -> FaultPlan:
         FaultRule("wal.group:leader:host-*", "crash", prob=0.3),
         FaultRule("wal.force.after:host-*", "crash", prob=0.001,
                   max_fires=1),
-        # The page cleaner dies with a page just written: the pages it
+        # The page worker dies with a page just written: the pages it
         # had not reached are redone from their chains, and no page it
         # wrote may carry an LSN the lost tail held (page-ahead-of-log).
         FaultRule("cleaner.write:*", "crash", prob=0.05, max_fires=2),

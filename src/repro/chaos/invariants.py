@@ -141,7 +141,7 @@ def _check_nodes_up(system, out: list) -> set:
 
 def check_wal_rule(db, node: str) -> list["Violation"]:
     """``page-ahead-of-log``: no durable page of ``db`` may carry an LSN
-    the durable log does not reach (steal, the page cleaner)."""
+    the durable log does not reach (steal, the page worker)."""
     durable = db.wal.flushed_upto
     return [Violation("page-ahead-of-log", node,
                       f"{table} page {page_no} is on disk at LSN {lsn}; "

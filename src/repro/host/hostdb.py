@@ -5,9 +5,9 @@ ids, recovery-id generation, access-token issuing, and the 2PC commit
 decisions (presumed abort: a decision exists iff the transaction
 committed and phase 2 is not yet durable at every participant). A
 decision is the write-participant list carried as the payload of the
-transaction's own COMMIT log record — the host keeps no decision table;
-the WAL is the only durable store and ``HostDB._decisions`` its
-in-memory mirror.
+transaction's own COMMIT log record — the host keeps no decision table
+and no copy of one: the WAL's open decisions (``LogManager.decisions``)
+are the only store, read whenever a decision is needed.
 """
 
 from __future__ import annotations
@@ -103,11 +103,6 @@ class HostDB:
         self._grp_counter = itertools.count(1)
         self._backup_counter = itertools.count(1)
         self.backups: dict[int, dict] = {}
-        #: 2PC commit decisions not yet forgotten: txn_id → tuple of
-        #: write-participant servers. In-memory mirror of the
-        #: COMMIT-payload decisions in the WAL; rebuilt from the log at
-        #: restart.
-        self._decisions: dict[int, tuple] = {}
         #: server → its running in-doubt poller (:meth:`poll`).
         self._pollers: dict = {}
         #: Shard router (``repro.shard.ShardMap``) — None on an unsharded
@@ -117,7 +112,7 @@ class HostDB:
 
     # ------------------------------------------------------------------ decisions
 
-    def decide(self, session, txn_id: int, servers, dropped=()):
+    def decide(self, session, servers, dropped=()):
         """Generator: the coordinator's one decision step.
 
         Commits the local transaction of ``session`` (a minidb session)
@@ -132,8 +127,6 @@ class HostDB:
         yield from session.commit(payload={
             "indoubt": list(servers), "dropped": list(dropped)}
             if servers else None)
-        if servers:
-            self._decisions[txn_id] = servers
 
     def forget_when_durable(self, txn_id: int, replies) -> None:
         """Forget decision ``txn_id`` once its phase 2 is durable at
@@ -181,31 +174,31 @@ class HostDB:
         Appends an *unforced* FORGET record — losing it in a crash only
         re-drives an idempotent phase-2 Commit at restart.
         """
-        if txn_id in self._decisions:
+        if txn_id in self.db.wal.decisions:
             self.db.wal.append(walmod.FORGET, None,
                                payload={"txn": txn_id})
-            del self._decisions[txn_id]
 
     def pending_decisions(self) -> dict:
-        """txn_id → tuple(servers) for every unforgotten decision."""
-        return dict(self._decisions)
+        """txn_id → tuple(servers) for every unforgotten decision whose
+        COMMIT record is durable; none while the host is down."""
+        if self.db.crashed:
+            return {}
+        wal = self.db.wal
+        return {txn_id: tuple(wal.record(lsn).payload["indoubt"])
+                for txn_id, lsn in wal.decisions.items()
+                if lsn <= wal.flushed_upto}
 
     def decision_rows(self):
         """Every live commit decision as (txn_id, server) pairs."""
         return [(txn_id, server)
-                for txn_id, servers in sorted(self._decisions.items())
+                for txn_id, servers in sorted(self.pending_decisions().items())
                 for server in servers]
 
     def _rescan_decisions(self) -> set:
-        """Rebuild the decision map from the COMMIT records of the WAL's
-        open decisions; returns the file groups they drop."""
+        """The file groups the WAL's open decisions drop."""
         wal = self.db.wal
-        payloads = {txn_id: wal.record(lsn).payload
-                    for txn_id, lsn in wal.decisions.items()}
-        self._decisions = {txn_id: tuple(payload["indoubt"])
-                           for txn_id, payload in payloads.items()}
-        return {grp for payload in payloads.values()
-                for grp in payload["dropped"]}
+        return {grp for lsn in wal.decisions.values()
+                for grp in wal.record(lsn).payload["dropped"]}
 
     # ------------------------------------------------------------------ sessions
 
@@ -289,13 +282,12 @@ class HostDB:
 
     def crash(self) -> None:
         self.db.crash()
-        self._decisions.clear()
 
     def restart(self):
         """Generator: restart + distributed recovery (paper §3.3).
 
-        Re-drives unfinished phase-2 commits from the decisions rescanned
-        out of the WAL, then resolves every DLFM's remaining prepared
+        Re-drives unfinished phase-2 commits from the decisions the WAL
+        holds open, then resolves every DLFM's remaining prepared
         transactions to abort (presumed abort: no decision → the host
         never committed).
         """

@@ -33,7 +33,8 @@ def resolve_indoubts(host):
     local transaction (its coordinator is in phase 1, or it is an XA
     branch whose outcome belongs to the external transaction manager).
     A pass may run beside live traffic (the poller), but never on a
-    crashed host, whose decisions are not in memory.
+    crashed host, which reads no decision until it restarts; nor does it
+    re-drive a decision whose COMMIT record still waits for its force.
     """
     coordinator = host.session()
     try:

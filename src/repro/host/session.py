@@ -601,7 +601,7 @@ class HostSession:
         """Generator: the decision and phase 2, for a transaction whose
         write ``participants`` all voted commit in phase 1."""
         txn_id = self.txn_id
-        yield from self.host.decide(self.session, txn_id, participants, [
+        yield from self.host.decide(self.session, participants, [
             self.host.group_ids[(name, col)] for name in self.pending_drops
             for col in self.host.datalink_columns[name]])
         self._decided = True

@@ -105,12 +105,11 @@ class Unbilled:
         self.pages = 0
         self.entries = 0.0
 
-    def drain(self, entries: bool = True, above: int = 0, least: int = 0) -> float:
-        """Seconds owed for the pages counted past ``above`` (at least
-        ``least`` of them) and, with ``entries``, for every index entry;
-        all of it is billed, so only ``above`` pages stay owed."""
-        pages, self.pages = self.pages - above, above
-        cost = self.timing.price(PAGE_IO, max(least, pages))
+    def drain(self, entries: bool = True) -> float:
+        """Seconds owed for every page and, with ``entries``, for every
+        index entry; all of it is billed, so nothing stays owed."""
+        cost = self.timing.price(PAGE_IO, self.pages)
+        self.pages = 0
         if entries:
             cost += self.timing.price(INDEX_ENTRY, self.entries)
             self.entries = 0.0

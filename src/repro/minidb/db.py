@@ -11,8 +11,9 @@ Owns every engine component and exposes:
 * RUNSTATS and hand-crafted statistics;
 * :meth:`crash` / :meth:`restart` with ARIES-style recovery (E10);
 * :meth:`checkpoint` — a fuzzy checkpoint that writes no page and
-  truncates the log; the page cleaner (:meth:`_clean`) writes the dirty
-  pages behind it in the background.
+  truncates the log; the database's one background page worker
+  (:meth:`_page_worker`) writes the dirty pages behind it, after
+  finishing a restart's deferred page replay and index-image reads.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from repro.minidb import wal as walmod
 from repro.minidb.btree import BTree, encode_key
 from repro.minidb.catalog import Catalog, ColumnDef
 from repro.minidb.config import (BULK_INDEX_FACTOR, INDEX_ENTRY,
-                                 ISOLATION_LEVELS, LOG_FORCE, DBConfig,
-                                 Unbilled, bill)
+                                 ISOLATION_LEVELS, LOG_FORCE, PAGE_IO,
+                                 DBConfig, Unbilled, bill)
 from repro.minidb.locks import LockManager
 from repro.minidb.storage import BufferPool, Disk, Heap
 from repro.minidb.txn import Transaction, TransactionTable, TxnState
@@ -69,13 +70,12 @@ class DBMetrics:
     auto_runstats_runs: int = 0
     recoveries: int = 0
     #: Pages whose pending log chain was replayed after a restart (on
-    #: first touch or by the restart's background drain), and records
-    #: applied.
+    #: first touch or by the page worker), and records applied.
     pages_replayed: int = 0
     replay_records: int = 0
     #: Checkpoint-image index pages read after a restart by the first
-    #: access meeting them (restart's undo or a statement); the drain
-    #: reads the rest.
+    #: access meeting them (restart's undo or a statement); the page
+    #: worker reads the rest.
     index_pages_read: int = 0
     #: Bulk LOAD: index entries whose maintenance was deferred to the
     #: end-of-load bottom-up build instead of per-row inserts.
@@ -131,22 +131,20 @@ class Database:
         self.catalog = Catalog()
         self.metrics = DBMetrics()
         self.crashed = False
-        #: The restart's background drain (:meth:`_drain_replay`) and
-        #: the page cleaner (:meth:`_clean`), while they run.
-        self._drain = None
-        self._cleaner = None
+        #: The background page worker (:meth:`_page_worker`), while it runs.
+        self._worker = None
         self._build_volatile()
 
     def _build_volatile(self) -> None:
         """(Re)create everything lost in a crash."""
         #: Drained at statement end, into restart's traffic gate, and
-        #: per page by the replay drain and the page cleaner.
+        #: per page by the page worker.
         self.unbilled = Unbilled(self.config.timing)
         self.wal = getattr(self, "wal", None) or LogManager(
             self.config.wal_capacity)
         self.pool = BufferPool(self.disk, self.config.buffer_pool_pages,
                                self.config.rows_per_page, self.unbilled,
-                               self.wal, self._force_for_steal)
+                               self.wal, self._force_log)
         self.locks = LockManager(self.sim, self.config, self.name)
         previous = getattr(self, "txns", None)
         self.txns = TransactionTable(
@@ -160,7 +158,7 @@ class Database:
         #: Sim time before which new statements stall: recovery converts
         #: its foreground I/O (log-tail scan, undo's page reads) into this
         #: gate; page REDO and the reads of index-image pages are not in
-        #: it (deferred to first touch or the drain).
+        #: it (deferred to first touch or the page worker).
         self.traffic_open_at: float = 0.0
         self.executor = Executor(self)
         #: Bound-plan cache, LRU-ordered (oldest first); capped at
@@ -465,7 +463,7 @@ class Database:
         """On-demand REDO of one page's pending log chain (instant recovery).
 
         Called by the heap replay gate on first touch after a lazy
-        restart, and by the restart's background drain for cold pages. Pops
+        restart, and by the page worker for cold pages. Pops
         the page from the pending set *before* applying, so the replay's
         own page accesses pass straight through the gate. Idempotent:
         each record is applied only when the page LSN is behind it.
@@ -800,8 +798,10 @@ class Database:
         It writes no page (DB2's soft checkpoint): a dirty page's REDO is
         its per-page log chain above the durable page LSN, so the
         truncation floor keeps the log from the oldest recLSN on, and
-        the page cleaner (:meth:`_clean`), spawned when dirty pages
-        exist, writes them in the background and truncates again.
+        the page worker (:meth:`_page_worker`) writes them in the
+        background and truncates again. The checkpoint spawns the worker
+        when there is page work and none runs; one that runs picks the
+        new dirty pages up itself.
 
         The payload carries what instant recovery's tail-only analysis
         needs: the transaction table (first/last LSN and prepared flag
@@ -840,13 +840,14 @@ class Database:
             walmod.CHECKPOINT, None,
             payload={"chain_heads": dict(self.wal.page_heads),
                      "txn_table": txn_table})
-        self.wal.force()
-        self._harden_upto(self.wal.flushed_upto)
+        self._force_log()
         self.wal.note_checkpoint(record.lsn)
         self.wal.truncate(self._log_floor())
-        if self._cleaner is None and self.pool.oldest_rec_lsn() is not None:
-            self._cleaner = self.sim.spawn(self._clean(),
-                                           f"{self.name}-cleaner")
+        if self._worker is None and (self.replay_pending
+                                     or self.cold_index_pages()
+                                     or self.pool.oldest_rec_lsn() is not None):
+            self._worker = self.sim.spawn(self._page_worker(),
+                                          f"{self.name}-pages")
 
     def _log_floor(self) -> int:
         """The oldest LSN a restart can read. Besides the last checkpoint,
@@ -863,23 +864,57 @@ class Database:
             *(lsns[0] for lsns in self.replay_pending.values()),
             *([oldest_dirty] if oldest_dirty is not None else [])])
 
-    def _clean(self):
-        """Generator: the page cleaner. Writes every dirty page whose
-        recLSN is below the last checkpoint, oldest recLSN first, one page
-        I/O each, paid by itself; then truncates the log to the floor
-        those pages held.
+    def _page_worker(self):
+        """Generator: the database's one background page process.
 
-        WAL rule: a page whose page LSN is past the durable log waits for
-        a force covering it — it rides the one in flight or leads one.
-        A crash kills the cleaner; the next checkpoint spawns it again.
+        In order: it replays every page a restart left pending (page
+        order), reads every checkpoint index-image page no access has
+        read, then writes every dirty page whose recLSN is below the
+        last checkpoint, oldest recLSN first — a checkpoint meanwhile
+        only adds pages to that last pass — and truncates the log to
+        the floor those pages held. A cold page nobody touches would
+        otherwise pin the log forever.
+
+        Each page is one step, billed to the worker: at least one page
+        I/O, or every I/O the step added; pages foreground statements
+        counted before it stay theirs. WAL rule: a page whose page LSN
+        is past the durable log waits for a force covering it — it
+        rides the one in flight or leads one. A crash kills the worker;
+        restart's closing checkpoint spawns it again.
         """
-        pool, wal = self.pool, self.wal
+        pool, wal, unbilled = self.pool, self.wal, self.unbilled
+
+        def step(work, *args):
+            owed = unbilled.pages
+            work(*args)
+            pages, unbilled.pages = unbilled.pages - owed, owed
+            return bill(self.config.timing.price(PAGE_IO, max(1, pages)),
+                        always=True)
+
+        def write(key) -> None:
+            pool.clean(key)
+            injector = self.sim.injector
+            if injector.enabled:
+                # Crash with the page just written: restart redoes the
+                # pages not reached yet from their chains, and the tail
+                # it loses holds no record this page needs.
+                injector.maybe_crash(f"cleaner.write:{self.name}", self.name)
 
         def due(key) -> bool:
             # Not written by a steal meanwhile (and perhaps dirtied again).
             rec_lsn = pool.rec_lsn(key)
             return rec_lsn is not None and rec_lsn < checkpoint
 
+        for key in sorted(self.replay_pending):
+            if key in self.replay_pending:  # or a statement replayed it
+                yield from step(self.replay_page, *key)
+        for name in self.cold_index_pages():
+            btree = self.btrees.get(name)
+            cold = btree.cold_hook if btree is not None else None
+            # Foreground traffic reads pages meanwhile, or drops the index.
+            while (cold is not None and cold.unread
+                   and self.btrees.get(name) is btree):
+                yield from step(cold.read, min(cold.unread))
         while True:
             checkpoint = wal.last_checkpoint_lsn
             todo = pool.dirty_below(checkpoint)
@@ -889,37 +924,24 @@ class Database:
                 while due(key) and pool.page_lsn(key) > wal.flushed_upto:
                     yield from self._force_wal(pool.page_lsn(key), None,
                                                "clean")
-                if not due(key):
-                    continue
-                owed = self.unbilled.pages
-                pool.clean(key)
-                injector = self.sim.injector
-                if injector.enabled:
-                    # Crash with the page just written: restart redoes
-                    # the pages not reached yet from their chains, and
-                    # the tail it loses holds no record this page needs.
-                    injector.maybe_crash(f"cleaner.write:{self.name}",
-                                         self.name)
-                cost = self.unbilled.drain(entries=False, above=owed, least=1)
-                yield from bill(cost, always=True)
-        self._cleaner = None
+                if due(key):
+                    yield from step(write, key)
+        self._worker = None
         wal.truncate(self._log_floor())
 
-    def _force_for_steal(self) -> None:
-        """A steal found every frame ahead of the log: force all of it
-        now, inside the statement, which pays one page I/O for the log
-        page written; lazy commits it covered are durable."""
+    def _force_log(self) -> None:
+        """Force the whole log now, inside the caller's step (a steal
+        that found every frame ahead of the log, a checkpoint); the lazy
+        commits it covered are durable."""
         self.wal.force()
-        self.unbilled.pages += 1
         self._harden_upto(self.wal.flushed_upto)
 
     def crash(self) -> None:
         """Power failure: volatile state gone, durable state preserved."""
         self.crashed = True
-        for process in (self._drain, self._cleaner):
-            if process is not None:
-                process.kill()
-        self._drain = self._cleaner = None
+        if self._worker is not None:
+            self._worker.kill()
+            self._worker = None
         force, self._force = self._force, None
         if force is not None:
             # Wake every member of the in-flight group into CrashedError:
@@ -949,19 +971,15 @@ class Database:
         but page REDO is deferred into ``replay_pending`` and the read of
         each checkpoint index-image page into the tree's cold hook —
         done on first touch (:meth:`replay_page`,
-        ``recovery.ColdImagePages``) or by the background drain spawned
-        here (:meth:`_drain_replay`), which a crash kills. Recovery's
-        closing checkpoint leaves the pages undo dirtied to the page
-        cleaner (:meth:`_clean`).
+        ``recovery.ColdImagePages``) or by the page worker
+        (:meth:`_page_worker`) that recovery's closing checkpoint
+        spawns; it then writes the pages replay and undo dirtied.
         """
         from repro.minidb.recovery import recover
         self.crashed = False
         self._build_volatile()
         summary = recover(self)
         self.metrics.recoveries += 1
-        if self.replay_pending or self.cold_index_pages():
-            self._drain = self.sim.spawn(self._drain_replay(),
-                                         f"{self.name}-replay")
         return summary
 
     def cold_index_pages(self) -> dict[str, int]:
@@ -969,33 +987,6 @@ class Database:
         return {name: len(btree.cold_hook.unread)
                 for name, btree in sorted(self.btrees.items())
                 if btree.cold_hook is not None}
-
-    def _drain_replay(self):
-        """Generator: replay every page still pending after a restart,
-        then read every index-image page no access has read.
-
-        A cold page no transaction touches would otherwise pin the log
-        forever (``checkpoint``'s replay floor). The drain pays for at
-        least one page per step and for every I/O the step added;
-        pages foreground statements counted before it stay theirs.
-        """
-        for key in sorted(self.replay_pending):
-            if key not in self.replay_pending:
-                continue  # foreground traffic already replayed it
-            owed = self.unbilled.pages
-            self.replay_page(*key)
-            cost = self.unbilled.drain(entries=False, above=owed, least=1)
-            yield from bill(cost, always=True)
-        for name in self.cold_index_pages():
-            btree = self.btrees.get(name)
-            cold = btree.cold_hook if btree is not None else None
-            # Foreground traffic reads pages meanwhile, or drops the index.
-            while (cold is not None and cold.unread
-                   and self.btrees.get(name) is btree):
-                owed = self.unbilled.pages
-                cold.read(min(cold.unread))
-                cost = self.unbilled.drain(entries=False, above=owed, least=1)
-                yield from bill(cost, always=True)
 
     def _ensure_up(self) -> None:
         if self.crashed:

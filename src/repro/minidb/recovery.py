@@ -10,20 +10,22 @@ chain-head snapshot). REDO is *deferred*: each page's pending log chain
 checkpoint, since checkpoints are fuzzy and write no page; the log keeps
 them from the oldest dirty page's recLSN on (``Database._log_floor``) —
 is recorded in ``db.replay_pending`` and replayed on first touch through
-the heap's replay gate (``Database.replay_page``) or by the background
-drain ``Database.restart`` spawns. Secondary indexes are repaired from
-their checkpoint images plus the tail deltas instead of a full-heap
-rebuild; the tree is rebuilt whole in host memory, but each image page
-is *read* (billed) on demand too: by the first statement whose key range
-meets it (:class:`ColdImagePages`) or by the same background drain.
+the heap's replay gate (``Database.replay_page``) or by the database's
+background page worker (``Database._page_worker``). Secondary indexes
+are repaired from their checkpoint images plus the tail deltas instead
+of a full-heap rebuild; the tree is rebuilt whole in host memory, but
+each image page is *read* (billed) on demand too: by the first statement
+whose key range meets it (:class:`ColdImagePages`) or by the same
+worker.
 Undo of loser transactions and prepared-transaction lock resurrection
 stay eager, so the engine is transaction-consistent (and accepts new
 work) the moment ``restart()`` returns, after tail-proportional work
 only.
 
 Undo writes CLRs so a crash during recovery is itself recoverable; the
-closing checkpoint writes none of the pages undo dirtied (the page
-cleaner it spawns does, in the background). The
+closing checkpoint writes none of the pages undo dirtied and spawns the
+page worker, which replays and reads what is still deferred and then
+writes them, in the background. The
 foreground I/O (the log-tail scan and undo's page reads) accumulates in
 the database's unbilled pages and is converted, at the end of recovery,
 into ``Database.traffic_open_at`` — a gate every new statement waits
@@ -61,7 +63,7 @@ class ColdImagePages:
     the entries from ``firsts[i]`` up to ``firsts[i + 1]``. An access
     reads every unread page its entry range meets: one page I/O each
     into ``db.unbilled`` — the statement that touched it pays, as for a
-    pool miss — and the restart's background drain reads the rest.
+    pool miss — and the page worker reads the rest.
     """
 
     __slots__ = ("btree", "db", "firsts", "unread")
@@ -103,9 +105,6 @@ class _RecoveryTxn:
         self.id = txn_id
         self.last_lsn = last_lsn
         self.first_lsn = last_lsn
-
-    def mark_rollback_only(self, reason: str = "error") -> None:
-        pass
 
 
 def recover(db) -> dict:

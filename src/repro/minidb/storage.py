@@ -13,10 +13,10 @@ from the log (see ``recovery.py``).
 
 Every dirty frame carries its recLSN, the LSN of its oldest change not
 yet on disk; checkpoints write no page, their truncation floor keeps
-the log from the oldest recLSN on, and the database's page cleaner
-(``Database._clean``) writes the pages that hold the floor. Every write
-obeys the WAL rule: a page goes to disk only once the log covers its
-page LSN.
+the log from the oldest recLSN on, and the database's background page
+worker (``Database._page_worker``) writes the pages that hold the
+floor. Every write obeys the WAL rule: a page goes to disk only once
+the log covers its page LSN.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ class BufferMetrics:
     misses: int = 0
     #: Dirty pages written by a steal (an eviction).
     page_writes: int = 0
-    #: Dirty pages written by the page cleaner.
+    #: Dirty pages written by the background page worker.
     cleaned: int = 0
 
 
@@ -131,9 +131,9 @@ class BufferPool:
     """Write-back LRU page cache over the :class:`Disk`.
 
     ``wal`` is the log whose ``flushed_upto`` the WAL rule reads, and
-    ``force_log`` forces it when a steal finds no frame it covers; a
-    pool without a log (storage unit tests) treats every page as
-    covered.
+    ``force_log`` forces all of it when a steal finds no frame it
+    covers; a pool without a log (storage unit tests) treats every page
+    as covered.
     """
 
     def __init__(self, disk: Disk, capacity: int, rows_per_page: int,
@@ -197,14 +197,16 @@ class BufferPool:
 
     def _steal_victim(self) -> tuple[str, int]:
         """The least recently used frame the log covers, skipping those
-        ahead of it; when every one is, force the log first. The frame
-        just fetched is never the victim."""
+        ahead of it; when every one is, force the log first, inside the
+        statement, which pays one page I/O for the log page written. The
+        frame just fetched is never the victim."""
         older = islice(self._frames.items(), len(self._frames) - 1)
         victim = next((key for key, page in older
                        if key not in self._dirty or self._covered(page)),
                       None)
         if victim is None:
             self.force_log()
+            self.unbilled.pages += 1
             victim = next(iter(self._frames))
         return victim
 
@@ -212,7 +214,7 @@ class BufferPool:
         self.disk.write_page(key[0], page)
         self.unbilled.pages += 1
 
-    # -- the page cleaner's view ------------------------------------------------
+    # -- the page worker's view -------------------------------------------------
 
     def rec_lsn(self, key: tuple[str, int]) -> Optional[int]:
         """The dirty page's recLSN (None when ``key`` is clean)."""
@@ -233,7 +235,7 @@ class BufferPool:
         return self._frames[key].page_lsn
 
     def clean(self, key: tuple[str, int]) -> None:
-        """Write one dirty page (the page cleaner's step; the cleaner
+        """Write one dirty page (the page worker's step; the worker
         has made the log cover it)."""
         del self._dirty[key]
         self._write(key, self._frames[key])
@@ -243,7 +245,7 @@ class BufferPool:
         """Write every dirty page the log covers; returns pages written.
 
         The engine never calls it: a checkpoint writes no page, and the
-        page cleaner writes one page at a time (:meth:`clean`). It is
+        page worker writes one page at a time (:meth:`clean`). It is
         kept for the tracers that hook the storage layer by this name.
         """
         covered = [key for key in self._dirty
@@ -320,12 +322,12 @@ class Heap:
     # -- operations ---------------------------------------------------------------
 
     def free_rids(self) -> Iterator[Rid]:
-        """Free slots in the order a free-choice insert prefers them:
-        pages with space lowest first (a committed delete's space is
-        reused before the heap grows), then the slots of a fresh page.
-        The executor X-locks the first one nobody else holds *before*
-        inserting, so a slot an uncommitted deleter still X-locks can
-        neither expose dirty data nor make the insert queue (DESIGN §9).
+        """Free slots in the order an insert prefers them: pages with
+        space lowest first (a committed delete's space is reused before
+        the heap grows), then the slots of a fresh page. The executor
+        X-locks the first one nobody else holds *before* inserting, so a
+        slot an uncommitted deleter still X-locks can neither expose
+        dirty data nor make the insert queue (DESIGN §9).
         """
         lowest = self._first_page_with_space()
         if lowest is not None:
@@ -335,37 +337,26 @@ class Heap:
         for slot_no in range(self.rows_per_page):
             yield (self._page_count, slot_no)
 
-    def candidate_rid(self) -> Rid:
-        """Where the next free-choice insert would land (no mutation)."""
-        return next(self.free_rids())
-
     def is_free(self, rid: Rid) -> bool:
         if rid[0] >= self._page_count:
             return True
         page = self._page_for(rid[0])
         return page.slots[rid[1]] is None
 
-    def insert(self, row: tuple, rid: Optional[Rid] = None) -> Rid:
-        """Place ``row``; a forced ``rid`` is used by redo/undo replay."""
-        if rid is not None:
-            page = self._page_for(rid[0], create=True)
-            if page.slots[rid[1]] is not None:
-                raise DatabaseError(f"redo insert into occupied slot {rid}")
-            page.slots[rid[1]] = row
-            target = rid
-        else:
-            page = self._page_with_space()
-            slot = page.first_free()
-            assert slot is not None
-            page.slots[slot] = row
-            target = (page.page_no, slot)
+    def insert(self, row: tuple, rid: Rid) -> Rid:
+        """Place ``row`` at ``rid``, a free slot its caller chose (the
+        executor from :meth:`free_rids`, undo and replay from the log)."""
+        page = self._page_for(rid[0], create=True)
+        if page.slots[rid[1]] is not None:
+            raise DatabaseError(f"insert into occupied slot {rid}")
+        page.slots[rid[1]] = row
         if page.free_slots == 0:
             self._free_pages.discard(page.page_no)
         else:
             self._note_free(page.page_no)
         self.pool.mark_dirty(self.table, page.page_no, page.page_lsn)
         self._row_count += 1
-        return target
+        return rid
 
     def delete(self, rid: Rid) -> tuple:
         page = self._page_for(rid[0])
@@ -450,13 +441,3 @@ class Heap:
                 continue
             return page
         return None
-
-    def _page_with_space(self) -> HeapPage:
-        page = self._first_page_with_space()
-        if page is not None:
-            return page
-        page_no = self._page_count
-        self._page_count += 1
-        page = self.pool.fetch(self.table, page_no, create=True)
-        self._note_free(page_no)
-        return page

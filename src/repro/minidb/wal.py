@@ -12,11 +12,14 @@ delete-group) had to dodge with periodic local commits (lesson §4, E8).
 
 The log forgets what no restart can read, as DB2 reuses the extents
 below its oldest needed LSN: LSNs are monotone integers over
-:attr:`LogManager.base`, and every checkpoint drops the records below
-the oldest of four LSNs (``Database.checkpoint``) — the checkpoint, the
-oldest active or prepared transaction's first record, the oldest 2PC
-decision not yet forgotten (:attr:`LogManager.decisions`), and the
-oldest record still queued for lazy replay.
+:attr:`LogManager.base`, and every checkpoint (and the page worker,
+once it has written the pages a checkpoint left dirty) drops the records
+below the oldest of five LSNs (``Database._log_floor``) — the
+checkpoint, the oldest active or prepared transaction's first record,
+the oldest 2PC decision not yet forgotten (:attr:`LogManager.decisions`),
+the oldest record still queued for lazy replay, and the oldest dirty
+page's recLSN (checkpoints write no page, so a dirty page's REDO is its
+chain above the durable page LSN).
 
 Per-page chains (Sauer & Härder instant recovery): every redoable
 record carries ``prev_page_lsn``, the LSN of the previous redoable

@@ -260,7 +260,7 @@ class Executor:
         while True:
             rid = next((rid for rid in heap.free_rids() if not
                         locks.others_on(txn, ("row", table.name, rid))),
-                       None) or heap.candidate_rid()
+                       None) or next(heap.free_rids())
             newly = yield from locks.acquire(
                 txn, ("row", table.name, rid), LockMode.X)
             if heap.is_free(rid):

@@ -75,10 +75,11 @@ def setup_files_table(db, rows=0):
 
 
 def run_until_clean(db, limit=60.0):
-    """Run ``db``'s simulation until its page cleaner has written every
-    page a checkpoint left dirty and truncated the log behind them (at
-    most ``limit`` sim-seconds). Checkpoints are fuzzy: they write no
-    page, so a test that pins what a checkpoint leaves on disk or in
-    the log waits for the cleaner first."""
+    """Run ``db``'s simulation until its background page worker is done:
+    every page a restart left to replay is replayed, every index-image
+    page read, every page a checkpoint left dirty written and the log
+    truncated behind them (at most ``limit`` sim-seconds). Checkpoints
+    are fuzzy: they write no page, so a test that pins what a checkpoint
+    leaves on disk or in the log waits for the worker first."""
     sim = db.sim
-    sim.run(until=sim.now + limit, stop_when=lambda: db._cleaner is None)
+    sim.run(until=sim.now + limit, stop_when=lambda: db._worker is None)

@@ -94,7 +94,7 @@ def test_dlfm_crash_after_prepare_leaves_indoubt_then_host_resolves(media):
         yield from session.send_control("fs1", api.Prepare(host.dbid,
                                                            txn_id))
         # the coordinator's decision step: durable on the host side
-        yield from host.decide(session.session, txn_id, ["fs1"])
+        yield from host.decide(session.session, ["fs1"])
         dlfm.crash()
         return txn_id
 
@@ -188,7 +188,7 @@ def test_commit_survives_dlfm_crash_and_restart_between_phases(media):
         txn_id = session.txn_id
         yield from session.send_control("fs1", api.Prepare(host.dbid,
                                                            txn_id))
-        yield from host.decide(session.session, txn_id, ["fs1"])
+        yield from host.decide(session.session, ["fs1"])
         return txn_id
 
     txn_id = media.run(phase1())
@@ -215,7 +215,7 @@ def test_host_crash_and_restart_redrives_phase2(media):
         txn_id = session.txn_id
         yield from session.send_control("fs1", api.Prepare(host.dbid,
                                                            txn_id))
-        yield from host.decide(session.session, txn_id, ["fs1"])
+        yield from host.decide(session.session, ["fs1"])
         return txn_id
 
     media.run(phase1())
@@ -239,7 +239,7 @@ def test_indoubt_poller_waits_for_dlfm_to_return(media):
         txn_id = session.txn_id
         yield from session.send_control("fs1", api.Prepare(host.dbid,
                                                            txn_id))
-        yield from host.decide(session.session, txn_id, ["fs1"])
+        yield from host.decide(session.session, ["fs1"])
         return txn_id
 
     media.run(phase1())
@@ -370,6 +370,43 @@ def test_resolution_beside_live_traffic_leaves_phase_one_alone(media):
     assert host.pending_decisions() == {}
 
 
+def test_resolution_leaves_a_decision_whose_commit_record_is_not_forced(
+        media, monkeypatch):
+    """A decision exists once its COMMIT record is durable, not once it
+    is appended: a pass that runs while the record waits for its log
+    force must neither re-drive the Commit nor presume-abort the
+    transaction, whose coordinator is about to send phase 2 itself."""
+    from repro.host.indoubt import resolve_indoubts
+    from repro.kernel.sim import Event
+    host, dlfm = media.host, media.dlfms["fs1"]
+    gate = Event(media.sim, latch=True, name="held-force")
+    force_wal = host.db._force_wal
+
+    def held(lsn, txn, record):
+        yield gate.wait()
+        yield from force_wal(lsn, txn, record)
+
+    monkeypatch.setattr(host.db, "_force_wal", held)
+
+    def go():
+        session = media.session()
+        yield from insert_clip(session, 0)
+        writers, _ = yield from session.prepare_participants()
+        deciding = media.sim.spawn(session.commit_decided(writers), "decide")
+        yield Timeout(1.0)
+        assert host.db.wal.decisions and host.pending_decisions() == {}
+        result = yield from resolve_indoubts(host)
+        gate.trigger(None)
+        yield from deciding.join()
+        return result
+
+    assert media.run(go()) == {"committed": 0, "aborted": 0}
+    assert host.metrics.indoubt_commits == 0
+    assert dlfm.linked_count() == 1
+    run_until_durable(media)
+    assert host.pending_decisions() == {}
+
+
 def test_resolution_refuses_to_run_on_a_crashed_host(media):
     """A crashed host has no decisions in memory: a pass then would
     presume-abort a transaction whose decision is durable in its log."""
@@ -381,7 +418,7 @@ def test_resolution_refuses_to_run_on_a_crashed_host(media):
         session = media.session()
         yield from insert_clip(session, 0)
         writers, _ = yield from session.prepare_participants()
-        yield from host.decide(session.session, session.txn_id, writers)
+        yield from host.decide(session.session, writers)
 
     media.run(decide())
     host.crash()

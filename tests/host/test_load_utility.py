@@ -370,8 +370,7 @@ def _host_crash_between_the_two_commits(system, load):
 
     def go():
         writers, _ = yield from load.session.prepare_participants()
-        yield from system.host.decide(load.session.session, load.txn_id,
-                                      writers)
+        yield from system.host.decide(load.session.session, writers)
         yield from load.session.fan_out(
             api.Commit, [(load.txn_id, "fs1")], name="phase2-fs1")
 

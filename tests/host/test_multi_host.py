@@ -127,7 +127,7 @@ def test_indoubt_resolution_is_per_host(shared):
         txn_id = session.txn_id
         yield from session.send_control(
             "fs1", api.Prepare(host.dbid, txn_id))
-        yield from host.decide(session.session, txn_id,
+        yield from host.decide(session.session,
                                ["fs1"] if decided else [])
 
     # host A prepares WITH a decision; host B prepares WITHOUT one

@@ -346,7 +346,7 @@ def test_an_unforgotten_decision_survives_checkpoints_and_a_host_crash():
     def decide_without_phase2():
         yield from _link(session, 1, "fs1")
         writers, _ = yield from session.prepare_participants()
-        yield from host.decide(session.session, session.txn_id, writers)
+        yield from host.decide(session.session, writers)
 
     def plain_commits(first):
         plain = host.db.session()

@@ -1,10 +1,11 @@
-"""The page cleaner: checkpoints write no page, a background process does.
+"""Page cleaning: checkpoints write no page, a background process does.
 
-A checkpoint leaves its dirty pages to the database's page cleaner,
-which writes them oldest recLSN first, one page I/O each that it pays
-itself, never before the log covers a page, and truncates the log when
-it is done. A crash kills it; the pages it had not written are redone
-from their per-page log chains.
+A checkpoint leaves its dirty pages to the database's one background
+page worker, which writes them oldest recLSN first, one page I/O each
+that it pays itself, never before the log covers a page, and truncates
+the log when it is done. The same worker first finishes a restart's
+deferred page replay and index-image reads. A crash kills it; the
+pages it had not written are redone from their per-page log chains.
 """
 
 import pytest
@@ -131,7 +132,7 @@ def test_a_crash_in_the_middle_of_cleaning_restarts_to_the_same_rows_and_indexes
         each.checkpoint()
         run(each, "DELETE FROM t WHERE k = 150")
     db.sim.run(stop_when=lambda: db.pool.metrics.cleaned >= 40)
-    assert db._cleaner is not None, "the crash must land mid-cleaning"
+    assert db._worker is not None, "the crash must land mid-cleaning"
     db.crash()
     db.restart()
     db.sim.run()
@@ -140,3 +141,46 @@ def test_a_crash_in_the_middle_of_cleaning_restarts_to_the_same_rows_and_indexes
     assert indexes(db) == indexes(uncrashed)
     run_until_clean(uncrashed)
     assert sorted(db.table_rows("t")) == sorted(uncrashed.table_rows("t"))
+
+
+def test_one_background_page_process_per_database(monkeypatch):
+    """A restart that leaves pages to replay and pages its undo dirtied
+    runs one background page process for both; a checkpoint while it
+    runs hands it more work instead of spawning another, a crash leaves
+    none, and ``run_until_clean`` waits for all of its work."""
+    db = make_db()
+    fill(db, 40)
+    db.checkpoint()
+    run_until_clean(db)
+    run(db, "UPDATE t SET v = 'late' WHERE k < 10")
+    loser = run(db, "UPDATE t SET v = 'lost' WHERE k >= 30", commit=False)
+    db.wal.force()                    # the loser's records are durable
+    spawned = []
+    spawn = db.sim.spawn
+
+    def recording(gen, name=""):
+        spawned.append(spawn(gen, name))
+        return spawned[-1]
+
+    monkeypatch.setattr(db.sim, "spawn", recording)
+
+    def alive():
+        return [p for p in spawned if not (p.finished or p._killed)]
+
+    db.crash()
+    summary = db.restart()
+    assert summary["losers"] == [loser.txn.id]
+    assert db.replay_pending and db.pool.oldest_rec_lsn() is not None
+    assert len(alive()) == 1
+    db.checkpoint()
+    assert len(spawned) == 1 and len(alive()) == 1
+    db.crash()
+    assert alive() == []
+    db.restart()
+    assert db.replay_pending and len(alive()) == 1
+    run_until_clean(db)
+    assert alive() == [] and db._worker is None
+    assert not db.replay_pending and not db.cold_index_pages()
+    assert db.pool.oldest_rec_lsn() is None
+    assert sorted(db.table_rows("t")) == sorted(
+        (k, "late" if k < 10 else f"v{k}") for k in range(40))

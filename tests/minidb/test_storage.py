@@ -14,6 +14,11 @@ def make_heap(capacity=100, rows_per_page=4, wal=None, force_log=None):
     return Heap("t", pool), pool, disk
 
 
+def put(heap, row):
+    """Insert ``row`` where the executor would: the first free rid."""
+    return heap.insert(row, next(heap.free_rids()))
+
+
 def clean(pool):
     """The page cleaner's pass over a pool without a log (every page is
     covered): write each dirty page, oldest recLSN first."""
@@ -23,51 +28,51 @@ def clean(pool):
 
 def test_insert_returns_rids_and_fetch():
     heap, _, _ = make_heap()
-    rid = heap.insert(("a", 1))
+    rid = put(heap, ("a", 1))
     assert heap.fetch(rid) == ("a", 1)
     assert heap.nrows == 1
 
 
 def test_rows_fill_page_then_spill():
     heap, _, _ = make_heap(rows_per_page=2)
-    rids = [heap.insert((i,)) for i in range(5)]
+    rids = [put(heap, (i,)) for i in range(5)]
     assert {rid[0] for rid in rids} == {0, 1, 2}
     assert heap.npages == 3
 
 
 def test_delete_frees_slot_for_reuse():
     heap, _, _ = make_heap(rows_per_page=2)
-    rid = heap.insert(("a",))
-    heap.insert(("b",))
+    rid = put(heap, ("a",))
+    put(heap, ("b",))
     heap.delete(rid)
     assert heap.fetch(rid) is None
-    new_rid = heap.insert(("c",))
+    new_rid = put(heap, ("c",))
     assert new_rid == rid  # lowest free slot reused
     assert heap.nrows == 2
 
 
-def test_candidate_rid_predicts_insert_position():
+def test_first_free_rid_predicts_insert_position():
     heap, _, _ = make_heap(rows_per_page=2)
-    assert heap.candidate_rid() == (0, 0)
-    rid = heap.insert(("a",))
-    assert heap.candidate_rid() == (0, 1)
+    assert next(heap.free_rids()) == (0, 0)
+    rid = put(heap, ("a",))
+    assert next(heap.free_rids()) == (0, 1)
     heap.delete(rid)
-    assert heap.candidate_rid() == (0, 0)
+    assert next(heap.free_rids()) == (0, 0)
 
 
 def test_free_rids_lists_reusable_space_lowest_first_then_a_fresh_page():
     """The order inserts try slots in: every free slot of every page
     with space, lowest page first, then the slots of the page the heap
-    would grow by — and ``candidate_rid`` is its first element."""
+    would grow by — and an insert lands on its first element."""
     heap, _, _ = make_heap(rows_per_page=2)
     assert list(heap.free_rids()) == [(0, 0), (0, 1)]   # empty heap
-    rids = [heap.insert((i,)) for i in range(6)]         # pages 0-2, full
+    rids = [put(heap, (i,)) for i in range(6)]         # pages 0-2, full
     assert list(heap.free_rids()) == [(3, 0), (3, 1)]
     heap.delete(rids[5])
     heap.delete(rids[0])
     heap.delete(rids[1])
     assert list(heap.free_rids()) == [(0, 0), (0, 1), (2, 1), (3, 0), (3, 1)]
-    assert heap.candidate_rid() == (0, 0)
+    assert next(heap.free_rids()) == (0, 0)
     assert heap.npages == 3          # listing a fresh page creates nothing
     heap.insert(("x",), rid=(0, 0))
     assert next(heap.free_rids()) == (0, 1)
@@ -75,14 +80,14 @@ def test_free_rids_lists_reusable_space_lowest_first_then_a_fresh_page():
 
 def test_is_free():
     heap, _, _ = make_heap()
-    rid = heap.insert(("a",))
+    rid = put(heap, ("a",))
     assert not heap.is_free(rid)
     assert heap.is_free((5, 0))
 
 
 def test_update_in_place():
     heap, _, _ = make_heap()
-    rid = heap.insert(("a", 1))
+    rid = put(heap, ("a", 1))
     old = heap.update(rid, ("a", 2))
     assert old == ("a", 1)
     assert heap.fetch(rid) == ("a", 2)
@@ -90,14 +95,14 @@ def test_update_in_place():
 
 def test_delete_empty_slot_is_error():
     heap, _, _ = make_heap()
-    heap.insert(("a",))
+    put(heap, ("a",))
     with pytest.raises(DatabaseError):
         heap.delete((0, 1))
 
 
 def test_scan_yields_all_live_rows_in_rid_order():
     heap, _, _ = make_heap(rows_per_page=2)
-    rids = [heap.insert((i,)) for i in range(6)]
+    rids = [put(heap, (i,)) for i in range(6)]
     heap.delete(rids[2])
     scanned = list(heap.scan())
     assert [row for _, row in scanned] == [(0,), (1,), (3,), (4,), (5,)]
@@ -120,7 +125,7 @@ def test_insert_at_occupied_forced_rid_is_error():
 def test_buffer_pool_eviction_writes_dirty_pages():
     heap, pool, disk = make_heap(capacity=2, rows_per_page=1)
     for i in range(5):
-        heap.insert((i,))
+        put(heap, (i,))
     # With capacity 2, at least 3 pages must have been written back.
     assert pool.metrics.page_writes >= 3
     assert len(disk.page_numbers("t")) >= 3
@@ -128,14 +133,14 @@ def test_buffer_pool_eviction_writes_dirty_pages():
 
 def test_buffer_pool_reload_after_eviction_preserves_rows():
     heap, pool, disk = make_heap(capacity=2, rows_per_page=1)
-    rids = [heap.insert((i,)) for i in range(10)]
+    rids = [put(heap, (i,)) for i in range(10)]
     for rid, expected in zip(rids, range(10)):
         assert heap.fetch(rid) == (expected,)
 
 
 def test_cleaned_pages_survive_a_crash():
     heap, pool, disk = make_heap(rows_per_page=2)
-    rids = [heap.insert((i,)) for i in range(4)]
+    rids = [put(heap, (i,)) for i in range(4)]
     clean(pool)
     assert pool.metrics.cleaned == 2
     pool.clear()  # crash: volatile cache gone
@@ -147,7 +152,7 @@ def test_cleaned_pages_survive_a_crash():
 
 def test_unflushed_pages_lost_on_clear():
     heap, pool, disk = make_heap(rows_per_page=2)
-    heap.insert((1,))
+    put(heap, (1,))
     pool.clear()
     recovered = Heap.recover_lazy("t", pool)
     assert recovered.npages == 0
@@ -155,7 +160,7 @@ def test_unflushed_pages_lost_on_clear():
 
 def test_disk_snapshots_are_isolated_from_later_mutation():
     heap, pool, disk = make_heap(rows_per_page=2)
-    rid = heap.insert(("original",))
+    rid = put(heap, ("original",))
     clean(pool)
     heap.update(rid, ("mutated",))
     stored = disk.read_page("t", 0, 2)
@@ -164,7 +169,7 @@ def test_disk_snapshots_are_isolated_from_later_mutation():
 
 def test_page_lsn_round_trip_through_disk():
     heap, pool, disk = make_heap()
-    rid = heap.insert(("a",))
+    rid = put(heap, ("a",))
     heap.set_page_lsn(rid[0], 42)
     clean(pool)
     pool.clear()
@@ -221,12 +226,13 @@ def test_a_steal_forces_the_log_when_every_frame_is_ahead_of_it():
     heap.set_page_lsn(2, 3)
     assert forced == [0]
     assert disk.page_numbers("t") == [0]
+    assert pool.unbilled.pages == 2  # the log page forced, the page stolen
     assert pool.flush_all() == 2     # everything the log covers now
 
 
 def test_drop_table_removes_pages():
     heap, pool, disk = make_heap()
-    heap.insert(("a",))
+    put(heap, ("a",))
     clean(pool)
     pool.drop_table("t")
     assert disk.page_numbers("t") == []
@@ -235,7 +241,7 @@ def test_drop_table_removes_pages():
 def test_unbilled_pages_count_misses_and_writes():
     heap, pool, _ = make_heap(capacity=1, rows_per_page=1)
     for i in range(4):
-        heap.insert((i,))
+        put(heap, (i,))
     io = pool.metrics.misses + pool.metrics.page_writes
     assert pool.unbilled.pages == io > 0
     assert pool.unbilled.drain() == pytest.approx(0.004 * io)
@@ -246,43 +252,43 @@ def test_unbilled_pages_count_misses_and_writes():
 
 def test_free_hint_always_picks_lowest_page_with_space():
     heap, _, _ = make_heap(rows_per_page=2)
-    rids = [heap.insert((i,)) for i in range(8)]   # pages 0..3 full
+    rids = [put(heap, (i,)) for i in range(8)]   # pages 0..3 full
     heap.delete(rids[6])                           # page 3 has a hole
     heap.delete(rids[2])                           # page 1 has a hole
-    assert heap.candidate_rid() == rids[2]         # lowest wins
-    assert heap.insert(("x",)) == rids[2]
-    assert heap.candidate_rid() == rids[6]
-    assert heap.insert(("y",)) == rids[6]
+    assert next(heap.free_rids()) == rids[2]         # lowest wins
+    assert put(heap, ("x",)) == rids[2]
+    assert next(heap.free_rids()) == rids[6]
+    assert put(heap, ("y",)) == rids[6]
     # everything full again: next insert extends the heap
-    assert heap.candidate_rid() == (4, 0)
+    assert next(heap.free_rids()) == (4, 0)
 
 
 def test_free_hint_skips_stale_entries():
     """Pages that filled back up (or duplicate notes) pop lazily without
     being offered as candidates."""
     heap, _, _ = make_heap(rows_per_page=2)
-    rids = [heap.insert((i,)) for i in range(4)]
+    rids = [put(heap, (i,)) for i in range(4)]
     # Free and refill page 0 repeatedly: the hint heap accumulates
     # notes; only live free space may surface.
     for _ in range(3):
         heap.delete(rids[0])
-        assert heap.insert(("again",)) == rids[0]
-    assert heap.candidate_rid() == (2, 0)
-    assert heap.insert(("tail",)) == (2, 0)
+        assert put(heap, ("again",)) == rids[0]
+    assert next(heap.free_rids()) == (2, 0)
+    assert put(heap, ("tail",)) == (2, 0)
 
 
 def test_free_hint_starts_empty_after_a_lazy_recover():
     """No page is read at restart, so free space on durable pages is
     unknown: inserts go to a fresh page until a delete frees a slot."""
     heap, pool, _ = make_heap(rows_per_page=2)
-    rids = [heap.insert((i,)) for i in range(6)]
+    rids = [put(heap, (i,)) for i in range(6)]
     heap.delete(rids[1])
     clean(pool)
     pool.clear()
     recovered = Heap.recover_lazy("t", pool)
-    assert recovered.candidate_rid() == (3, 0)
+    assert next(recovered.free_rids()) == (3, 0)
     recovered.delete(rids[2])
-    assert recovered.candidate_rid() == rids[2]
+    assert next(recovered.free_rids()) == rids[2]
 
 
 def test_free_hint_matches_linear_scan_reference():
@@ -298,7 +304,7 @@ def test_free_hint_matches_linear_scan_reference():
             rid = live.pop(rng.randrange(len(live)))
             heap.delete(rid)
         else:
-            live.append(heap.insert((step,)))
+            live.append(put(heap, (step,)))
         # reference: lowest (page, slot) with a free slot, else new page
         expected = None
         for page_no in range(heap.npages):
@@ -309,4 +315,4 @@ def test_free_hint_matches_linear_scan_reference():
                 break
         if expected is None:
             expected = (heap.npages, 0)
-        assert heap.candidate_rid() == expected
+        assert next(heap.free_rids()) == expected

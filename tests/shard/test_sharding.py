@@ -304,7 +304,6 @@ def test_export_refuses_group_with_unresolved_transaction():
     # Bring the host db back WITHOUT resolving, as a poller would see it:
     # the link's prepared transaction is still in doubt on the shard.
     system.host.db.restart()
-    system.host._rescan_decisions()
     system.host.shard_map.reload()
 
     def go():
