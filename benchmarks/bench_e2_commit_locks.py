@@ -15,6 +15,7 @@ succeeds.
 
 from benchmarks.conftest import print_table, run_once
 from repro.configs import UNTUNED, Configuration
+from repro.obs import Histogram
 from repro.workloads import SystemTestConfig, run_system_test
 
 
@@ -26,6 +27,8 @@ def _measure(overrides, clients, duration, think):
     system = report.system
     dlfm = system.dlfms["fs1"]
     dlfm_locks = dlfm.db.locks.metrics
+    latency = Histogram()
+    latency.extend(report.latencies)
     return {
         "report": report,
         "dlfm_lock_acquires_per_commit": round(
@@ -36,7 +39,7 @@ def _measure(overrides, clients, duration, think):
         "host_commit_lock_acquires": 0,  # by construction: release-only
         "dlfm_deadlocks": dlfm_locks.deadlocks,
         "dlfm_timeouts": dlfm_locks.timeouts,
-        "latency": report.latency_hist.summary(),
+        "latency": latency.summary(),
     }
 
 

@@ -85,7 +85,7 @@ def cmd_trace(args) -> int:
         print(f"unknown scenario {args.scenario!r}; "
               f"choose from: {', '.join(sorted(SCENARIOS))}", file=sys.stderr)
         return 2
-    tracer, registry, meta = scenario(seed=args.seed)
+    tracer, counters, meta = scenario(seed=args.seed)
     if args.json:
         try:
             with open(args.json, "w") as out:
@@ -97,7 +97,7 @@ def cmd_trace(args) -> int:
     for key, value in sorted(meta.items()):
         print(f"  {key:<16} {value}")
     print()
-    print(render_report(tracer, registry), end="")
+    print(render_report(tracer, counters), end="")
     return 0
 
 

@@ -185,7 +185,7 @@ def _restore_storm(cfg, config) -> dict:
         [dlfm.retrieved.restore(f"/lost/f{i:05d}", f"rid{i:05d}")
          for i in range(STORM_RESTORES)], "restore"))
     return {"workers": dlfm.config.retrieve_workers,
-            "restored": dlfm.retrieved.restored,
+            "restored": dlfm.metrics.files_restored,
             "sim_s": round(system.sim.now - started, 6)}
 
 
@@ -462,7 +462,7 @@ def e8_scenario(config, files: int, horizon: float) -> dict:
     system.run(drop_and_wait(), until=horizon + 60)
     return {"linked": linked, "unlinked": linked - dlfm.linked_count(),
             "log_fulls": dlfm.db.wal.metrics.log_fulls,
-            "batch_commits": dlfm.delete_groupd.batch_commits,
+            "batch_commits": dlfm.metrics.delgrpd_batch_commits,
             "completed": dlfm.linked_count() == 0}
 
 

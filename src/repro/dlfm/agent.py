@@ -38,7 +38,6 @@ class ChildAgent:
         #: were rolled back to their statement savepoints) has nothing to
         #: harden: Prepare answers with the read-only vote instead.
         self.wrote = False
-        self.requests = 0
 
     def serve(self):
         yield from serve_loop(self.chan, self.dispatch)
@@ -63,7 +62,6 @@ class ChildAgent:
             return (yield from self._dispatch(req))
 
     def _dispatch(self, req):
-        self.requests += 1
         self.dlfm.metrics.rpcs += 1
         yield from self.dlfm.config.local_db.timing.charge(RPC)
 
@@ -199,7 +197,6 @@ class ChildAgent:
             if self.session is not None:
                 yield from self.session.rollback()
             self.dlfm.metrics.readonly_votes += 1
-            self.dlfm.sim.tracer.count("readonly_votes", self.dlfm.name)
             self._finish(req)
             return {"vote": "read-only"}
         result = yield from self.dlfm.op_prepare(self.session, req)

@@ -20,13 +20,13 @@ from repro.kernel.rpc import call, serve_loop
 
 
 class ChownDaemon:
-    def __init__(self, sim, fs: FileSystem, secret: str):
+    def __init__(self, sim, fs: FileSystem, secret: str, metrics):
         self.sim = sim
         self.fs = fs
         self.secret = secret
+        #: The owning DLFM's ``DLFMMetrics`` (``chown_*`` fields).
+        self.metrics = metrics
         self.chan = Channel(sim, capacity=32, name="chownd")
-        self.requests = 0
-        self.denied = 0
 
     def run(self):
         yield from serve_loop(self.chan, self._dispatch)
@@ -42,9 +42,9 @@ class ChownDaemon:
     # -- server side --------------------------------------------------------------
 
     def _dispatch(self, payload: dict):
-        self.requests += 1
+        self.metrics.chown_requests += 1
         if payload.get("secret") != self.secret:
-            self.denied += 1
+            self.metrics.chown_denied += 1
             raise PermissionDenied("chown daemon: bad authentication")
         op = payload["op"]
         path = payload["path"]

@@ -16,7 +16,7 @@ parallel archiving crash-safe:
 * the claim set (``_claims``) is memory-only, so a claim dies with a
   crash while the ``inflight`` row survives — the restarted daemon
   treats any ``inflight`` row without a live claim as stale and
-  re-queues it (counted in ``reclaimed``);
+  re-queues it (counted in ``DLFMMetrics.copyd_reclaimed``);
 * no two workers ever archive the same entry, because an entry enters
   the pool only on a successful state-qualified UPDATE and stays in
   ``_claims`` until its worker finishes;
@@ -50,10 +50,6 @@ ST_INFLIGHT = "inflight"
 class CopyDaemon:
     def __init__(self, dlfm):
         self.dlfm = dlfm
-        self.archived = 0
-        self.conflicts = 0  # deadlocks/timeouts against child agents
-        self.claimed = 0    # entries claimed over the daemon's lifetime
-        self.reclaimed = 0  # stale/retried inflight entries re-queued
         self._claims: set = set()
         self.pool = WorkerPool(
             dlfm.sim, f"{dlfm.name}-copyd", self._archive_entry,
@@ -66,9 +62,6 @@ class CopyDaemon:
         incarnation are gone, so its inflight rows become re-claimable."""
         self._claims.clear()
         return self.pool.start()
-
-    def stop_workers(self) -> None:
-        self.pool.stop()
 
     def run(self):
         while True:
@@ -89,7 +82,7 @@ class CopyDaemon:
             try:
                 batch = yield from self._claim_batch()
             except TransactionAborted:
-                self.conflicts += 1
+                self.dlfm.metrics.copyd_conflicts += 1
                 span.set(outcome="conflict")
                 return 0
             # Per-sweep accumulator: each worker reports its entry's
@@ -131,11 +124,11 @@ class CopyDaemon:
                 (ST_INFLIGHT, path, recovery_id, state))
             if changed:
                 if state == ST_INFLIGHT:
-                    self.reclaimed += 1
+                    self.dlfm.metrics.copyd_reclaimed += 1
                 batch.append(key)
         yield from session.commit()
         self._claims.update(batch)
-        self.claimed += len(batch)
+        self.dlfm.metrics.copyd_claimed += len(batch)
         return batch
 
     def archive_priority(self, entries):
@@ -167,7 +160,7 @@ class CopyDaemon:
         except FileNotFound:
             content = None  # crashed mid-flight long ago; drop the entry
         except TransientIOError:
-            self.conflicts += 1
+            dlfm.metrics.copyd_conflicts += 1
             return 0  # transient I/O fault; the next sweep retries
         if content is not None:
             yield from dlfm.archive.store(
@@ -186,10 +179,9 @@ class CopyDaemon:
         except TransactionAborted:
             # Deadlock/timeout against a child agent (the paper's archive
             # table contention); the sweep will retry next period.
-            self.conflicts += 1
+            dlfm.metrics.copyd_conflicts += 1
             return 0
         if removed and content is not None:
-            self.archived += 1
             dlfm.metrics.files_archived += 1
             return 1
         return 0

@@ -34,10 +34,6 @@ class DeleteGroupDaemon:
         self.chan = Channel(dlfm.sim, capacity=QUEUE_CAPACITY,
                             name="delgrpd")
         self.rescan_needed = True
-        self.groups_processed = 0
-        self.files_unlinked = 0
-        self.batch_commits = 0
-        self.log_fulls = 0
         self._active: set = set()
         self.pool = WorkerPool(
             dlfm.sim, f"{dlfm.name}-delgrpd", self._process_one,
@@ -47,14 +43,6 @@ class DeleteGroupDaemon:
     def start_workers(self):
         self._active.clear()
         return self.pool.start()
-
-    def stop_workers(self) -> None:
-        self.pool.stop()
-
-    @property
-    def queue_depth(self) -> int:
-        """Commit notifications accepted but not yet dispatched."""
-        return self.chan.pending
 
     def notify(self, dbid: str, txn_id: int):
         """Generator: commit processing hands over a transaction id."""
@@ -113,7 +101,6 @@ class DeleteGroupDaemon:
             yield from session.commit()
             for (grp_id,) in groups.rows:
                 yield from self._drain_group(dbid, grp_id)
-                self.groups_processed += 1
                 self.dlfm.metrics.groups_deleted += 1
             span.set(groups=len(groups.rows))
             session = db.session()
@@ -126,6 +113,7 @@ class DeleteGroupDaemon:
         """Unlink every linked file of the group, N per local commit."""
         batch_n = self.dlfm.config.batch_commit_n
         db = self.dlfm.db
+        metrics = self.dlfm.metrics
         backoff = self.dlfm.retry_backoff(f"delgrpd:{grp_id}")
         while True:
             try:
@@ -158,19 +146,16 @@ class DeleteGroupDaemon:
                             "DELETE FROM dfm_file WHERE filename = ? AND "
                             "recovery_id = ? AND state = ?",
                             (path, recovery_id, schema.ST_LINKED))
-                    self.files_unlinked += 1
+                    metrics.delgrpd_files_unlinked += 1
                 yield from session.commit()
-                self.batch_commits += 1
+                metrics.delgrpd_batch_commits += 1
                 backoff.reset()
-            except RETRIABLE_FAULTS as error:
-                if getattr(error, "reason", None) == "logfull":
-                    self.log_fulls += 1
+            except RETRIABLE_FAULTS:
                 # A transient transport/I/O fault leaves the batch's local
                 # transaction open (unlike an engine abort): drop its locks
                 # before sleeping.
                 yield from session.rollback()
-                self.dlfm.sim.tracer.count("retries",
-                                           f"{self.dlfm.name}.delgrpd")
+                metrics.delgrpd_retries += 1
                 yield Timeout(backoff.next())
         # Group fully drained: mark it emptied; GC removes it at expiry.
         session = db.session()

@@ -25,10 +25,6 @@ KEEP_BACKUPS = 2
 class GarbageCollector:
     def __init__(self, dlfm):
         self.dlfm = dlfm
-        self.entries_removed = 0
-        self.copies_removed = 0
-        self.backups_pruned = 0
-        self.groups_removed = 0
 
     def run(self):
         while True:
@@ -84,7 +80,7 @@ class GarbageCollector:
             for backup_id, _ in cycles[KEEP_BACKUPS:]:
                 yield from drop_backup.execute((backup_id, dbid))
                 summary["backups"] += 1
-                self.backups_pruned += 1
+                self.dlfm.metrics.gc_backups_pruned += 1
             # Unlinked entries dead to every retained backup of this host.
             victims = yield from session.execute(
                 "SELECT filename, recovery_id, unlink_recovery_id "
@@ -96,7 +92,6 @@ class GarbageCollector:
                     yield from drop_entry.execute(
                         (path, recovery_id, schema.ST_UNLINKED))
                     summary["entries"] += 1
-                    self.entries_removed += 1
                     summary["copies"] += self._drop_copy(path, recovery_id)
         yield from session.commit()
 
@@ -124,18 +119,16 @@ class GarbageCollector:
                 yield from drop_entry.execute(
                     (path, recovery_id, schema.ST_UNLINKED))
                 summary["entries"] += 1
-                self.entries_removed += 1
                 summary["copies"] += self._drop_copy(path, recovery_id)
             yield from drop_group.execute((grp_id,))
             summary["groups"] += 1
-            self.groups_removed += 1
+            self.dlfm.metrics.gc_groups_removed += 1
         yield from session.commit()
 
     def _drop_copy(self, path: str, recovery_id: str) -> int:
         try:
             self.dlfm.archive.delete_version(
                 self.dlfm.server.name, path, recovery_id)
-            self.copies_removed += 1
             return 1
         except ArchiveError:
             return 0  # never archived (recovery=no or still pending)

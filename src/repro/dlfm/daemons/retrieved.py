@@ -31,7 +31,6 @@ class RetrieveDaemon:
         self.dlfm = dlfm
         self.chan = Channel(dlfm.sim, capacity=QUEUE_CAPACITY,
                             name="retrieved")
-        self.restored = 0
         self.pool = WorkerPool(
             dlfm.sim, f"{dlfm.name}-retrieved", self._serve_one,
             workers=dlfm.config.retrieve_workers,
@@ -40,14 +39,6 @@ class RetrieveDaemon:
 
     def start_workers(self):
         return self.pool.start()
-
-    def stop_workers(self) -> None:
-        self.pool.stop()
-
-    @property
-    def queue_depth(self) -> int:
-        """Restore requests accepted but not yet handed to a worker."""
-        return self.chan.pending
 
     def run(self):
         """Intake loop: hand each request to the pool (rendezvous, so at
@@ -88,6 +79,5 @@ class RetrieveDaemon:
         yield from dlfm.chown.request(
             "restore_file", path, content=copy.content, owner=copy.owner,
             group=copy.group, mode=copy.mode)
-        self.restored += 1
         dlfm.metrics.files_restored += 1
         return {"restored": True, "bytes": len(copy.content)}

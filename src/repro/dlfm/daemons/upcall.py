@@ -18,7 +18,6 @@ class UpcallDaemon:
     def __init__(self, dlfm):
         self.dlfm = dlfm
         self.chan = Channel(dlfm.sim, capacity=32, name="upcalld")
-        self.queries = 0
 
     def run(self):
         yield from serve_loop(self.chan, self._dispatch)
@@ -33,7 +32,7 @@ class UpcallDaemon:
     # -- server side ------------------------------------------------------------------
 
     def _dispatch(self, payload: dict):
-        self.queries += 1
+        self.dlfm.metrics.upcall_queries += 1
         session = self.dlfm.db.session("CS")
         try:
             row = yield from session.query_one(

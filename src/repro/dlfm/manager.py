@@ -69,13 +69,32 @@ class DLFMMetrics:
     commit_retries: int = 0
     abort_retries: int = 0
     files_archived: int = 0
+    #: Files the Retrieve daemon fetched back from the archive.
     files_restored: int = 0
     groups_registered: int = 0
     groups_deleted: int = 0
     gc_entries_removed: int = 0
     gc_copies_removed: int = 0
+    gc_backups_pruned: int = 0
+    gc_groups_removed: int = 0
     indoubt_reported: int = 0
     stats_repins: int = 0
+    #: Copy daemon: archive entries claimed, stale ``inflight`` entries
+    #: re-queued, and claims/archives lost to a deadlock, timeout or
+    #: transient I/O fault.
+    copyd_claimed: int = 0
+    copyd_reclaimed: int = 0
+    copyd_conflicts: int = 0
+    #: Delete-Group daemon: files unlinked, batch commits, and batches
+    #: retried after a transient fault.
+    delgrpd_files_unlinked: int = 0
+    delgrpd_batch_commits: int = 0
+    delgrpd_retries: int = 0
+    #: Chown daemon requests served, and those refused (bad secret).
+    chown_requests: int = 0
+    chown_denied: int = 0
+    #: Upcall daemon "is this file linked?" queries.
+    upcall_queries: int = 0
 
 
 class DLFM:
@@ -97,7 +116,7 @@ class DLFM:
         # DLFF mount + daemons (started by start()).
         self.filter = Filter(sim, token_secret)
         self.filtered_fs = self.filter.mount(server)
-        self.chown = ChownDaemon(sim, server.fs, secret=f"{name}-chown")
+        self.chown = ChownDaemon(sim, server.fs, f"{name}-chown", self.metrics)
         self.copyd = CopyDaemon(self)
         self.retrieved = RetrieveDaemon(self)
         self.delete_groupd = DeleteGroupDaemon(self)
@@ -139,9 +158,8 @@ class DLFM:
             if not proc.finished:
                 proc.kill()
         self._daemon_procs = []
-        self.copyd.stop_workers()
-        self.retrieved.stop_workers()
-        self.delete_groupd.stop_workers()
+        for pool in self.pools():
+            pool.stop()
         self._pool_procs = []
         self.running = False
 
@@ -192,19 +210,16 @@ class DLFM:
                        jitter=0.1,
                        rng=self.sim.stream(f"retry:{self.name}:{what}"))
 
+    def pools(self) -> tuple:
+        """The worker pools of the Copy, Retrieve and Delete-Group
+        daemons."""
+        return (self.copyd.pool, self.retrieved.pool, self.delete_groupd.pool)
+
     def daemon_counters(self) -> dict:
-        """Flat integer queue/claim/pool counters for a metrics registry."""
-        counters = {
-            "copyd_claimed": self.copyd.claimed,
-            "copyd_reclaimed": self.copyd.reclaimed,
-            "copyd_conflicts": self.copyd.conflicts,
-            "retrieved_queue_depth": self.retrieved.queue_depth,
-            "delgrpd_queue_depth": self.delete_groupd.queue_depth,
-        }
-        for daemon in (self.copyd, self.retrieved, self.delete_groupd):
-            prefix = daemon.pool.name.rsplit("-", 1)[-1]
-            counters.update(daemon.pool.metrics.snapshot(prefix))
-        return counters
+        """The three pools' counters, flat: ``copyd_max_depth`` ..."""
+        return {f"{pool.name.rsplit('-', 1)[-1]}_{field}": value
+                for pool in self.pools()
+                for field, value in vars(pool.metrics).items()}
 
     # ------------------------------------------------------------------ statistics guard
 
@@ -584,7 +599,6 @@ class DLFM:
                     # and everyone else — is not blocked by a corpse.
                     yield from session.rollback()
                     counters[f"{verb}_retries"] += 1
-                    self.sim.tracer.count("retries", f"{self.name}.{verb}")
             attempt += 1
             yield Timeout(backoff.next())
 
@@ -837,7 +851,6 @@ class DLFM:
                     (schema.ST_LINKED, schema.LINKED_FLAG, path, recovery_id))
                 restored += 1
         yield from session.commit()
-        self.metrics.files_restored += restored
         return {"restored": restored, "released": released}
 
     def op_reconcile(self, req: api.ReconcileFiles):

@@ -10,25 +10,11 @@ still busy — the precondition of the distributed-deadlock scenario in the
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from repro.chaos.faults import SEND_KINDS
 from repro.errors import ChannelClosed, ChannelTimeout
 from repro.kernel.sim import TIMEOUT, Event, Simulator, Timeout
-
-
-@dataclass
-class ChannelMetrics:
-    """Message accounting for one channel.
-
-    ``sends`` counts physical messages handed over (one per rendezvous or
-    buffered slot) — with vectored envelopes many logical operations ride
-    in one send, which is exactly what the batching fast path exploits.
-    """
-
-    sends: int = 0
-    recvs: int = 0
 
 
 class Channel:
@@ -39,7 +25,6 @@ class Channel:
         self.capacity = capacity
         self.name = name
         self.closed = False
-        self.metrics = ChannelMetrics()
         self._buffer: deque[Any] = deque()
         self._senders: deque[tuple[Any, Event]] = deque()
         self._receivers: deque[Event] = deque()
@@ -80,11 +65,9 @@ class Channel:
                     raise ChannelClosed(self.name)
         receiver = self._pop_live_receiver()
         if receiver is not None:
-            self.metrics.sends += 1
             receiver.trigger(message)
             return
         if len(self._buffer) < self.capacity:
-            self.metrics.sends += 1
             self._buffer.append(message)
             return
         handoff = Event(self.sim, name=f"{self.name}.send")
@@ -99,7 +82,6 @@ class Channel:
                 span.set(outcome="closed")
                 raise outcome
             span.set(outcome="ok")
-            self.metrics.sends += 1
 
     def _pop_live_receiver(self):
         """Next receiver event that still has a live waiting process.
@@ -126,12 +108,10 @@ class Channel:
         if self._buffer:
             message = self._buffer.popleft()
             self._refill_from_senders()
-            self.metrics.recvs += 1
             return message
         if self._senders:
             message, handoff = self._senders.popleft()
             handoff.trigger(None)
-            self.metrics.recvs += 1
             return message
         if self.closed:
             raise ChannelClosed(self.name)
@@ -150,7 +130,6 @@ class Channel:
                 span.set(outcome="closed")
                 raise outcome
             span.set(outcome="ok")
-            self.metrics.recvs += 1
             return outcome
 
     def _refill_from_senders(self) -> None:
@@ -158,22 +137,6 @@ class Channel:
             message, handoff = self._senders.popleft()
             self._buffer.append(message)
             handoff.trigger(None)
-
-    # -- non-blocking inspection ---------------------------------------------------
-
-    def try_recv(self) -> tuple[bool, Any]:
-        """Non-blocking receive: ``(True, msg)`` or ``(False, None)``."""
-        if self._buffer:
-            message = self._buffer.popleft()
-            self._refill_from_senders()
-            self.metrics.recvs += 1
-            return True, message
-        if self._senders:
-            message, handoff = self._senders.popleft()
-            handoff.trigger(None)
-            self.metrics.recvs += 1
-            return True, message
-        return False, None
 
     @property
     def pending(self) -> int:

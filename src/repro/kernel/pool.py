@@ -60,16 +60,6 @@ class PoolMetrics:
     #: Total simulated seconds workers spent inside the handler.
     busy_time: float = 0.0
 
-    def snapshot(self, prefix: str = "pool") -> dict:
-        """Flat integer counters for a metrics registry."""
-        return {
-            f"{prefix}_submitted": self.submitted,
-            f"{prefix}_completed": self.completed,
-            f"{prefix}_errors": self.errors,
-            f"{prefix}_max_depth": self.max_depth,
-            f"{prefix}_busy_ms": int(self.busy_time * 1000),
-        }
-
 
 class WorkerPool:
     """N simulator processes pulling work items off a shared channel."""

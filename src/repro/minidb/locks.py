@@ -115,9 +115,6 @@ class LockMetrics:
     peak_locks: int = 0
     detector_runs: int = 0
 
-    def snapshot(self) -> dict:
-        return dict(self.__dict__)
-
 
 class LockManager:
     def __init__(self, sim: Simulator, config: DBConfig, name: str = "db"):

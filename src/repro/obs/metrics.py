@@ -1,4 +1,4 @@
-"""Histogram + metrics registry primitives for the observability layer.
+"""Latency histograms and the one counters walker.
 
 The :class:`Histogram` uses fixed log-scale buckets so percentile math
 is deterministic, bounded-memory and mergeable — the standard shape for
@@ -6,16 +6,16 @@ latency instrumentation (cf. HdrHistogram).  Percentiles use the
 nearest-rank definition over bucket upper bounds, clamped by the true
 observed maximum so ``p100 == max`` exactly.
 
-A :class:`MetricsRegistry` is one queryable home for counters and
-histograms from every layer; ``snapshot()`` yields a plain sorted dict
-suitable for JSON dumps or report tables.
+Every counter has one home: a field of its component's ``*Metrics``
+dataclass. :func:`counters` walks them all and names each
+``<layer>.<node>.<field>``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 
 class Histogram:
@@ -92,51 +92,40 @@ class Histogram:
         }
 
 
-class Counter:
-    """A named monotonically increasing counter."""
+def counters(system) -> Dict[str, float]:
+    """Every counter of a ``System`` or ``ShardedSystem``, flat.
 
-    __slots__ = ("value",)
+    Keys are ``<layer>.<node>.<field>``: the layers ``db``, ``locks``,
+    ``wal`` and ``buffer`` of the host database (node = its dbid) and
+    of each DLFM's database (node = the DLFM's name), ``host`` and
+    ``dlfm`` for the datalink engines, ``daemon`` for each DLFM worker
+    pool (node = the pool's name) and ``shardmap`` for a fleet's routing
+    cache. A dict field (``aborts_by_reason``) adds one key per entry.
+    """
+    host = system.host
+    out: Dict[str, float] = {}
+    dlfms = sorted(system.dlfms.items())
+    for node, db in [(host.dbid, host.db)] + [(n, d.db) for n, d in dlfms]:
+        _fields(out, "db", node, db.metrics)
+        _fields(out, "locks", node, db.locks.metrics)
+        _fields(out, "wal", node, db.wal.metrics)
+        _fields(out, "buffer", node, db.pool.metrics)
+    _fields(out, "host", host.dbid, host.metrics)
+    for name, dlfm in dlfms:
+        _fields(out, "dlfm", name, dlfm.metrics)
+        for pool in dlfm.pools():
+            _fields(out, "daemon", pool.name, pool.metrics)
+    if host.shard_map is not None:
+        out[f"shardmap.{host.dbid}.reloads"] = host.shard_map.reloads
+        out[f"shardmap.{host.dbid}.entries"] = len(host.shard_map.entries())
+    return out
 
-    def __init__(self):
-        self.value = 0
 
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-
-class MetricsRegistry:
-    """One queryable home for counters and latency histograms."""
-
-    def __init__(self):
-        self._counters: Dict[str, Counter] = {}
-        self._histograms: Dict[str, Histogram] = {}
-
-    def counter(self, name: str) -> Counter:
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = self._counters[name] = Counter()
-        return counter
-
-    def histogram(self, name: str, **kwargs) -> Histogram:
-        hist = self._histograms.get(name)
-        if hist is None:
-            hist = self._histograms[name] = Histogram(**kwargs)
-        return hist
-
-    def register_counters(self, prefix: str, values: Dict[str, int]) -> None:
-        """Bulk-import plain counter values (e.g. a DLFMMetrics dump)."""
-        for key, value in values.items():
-            counter = self.counter(f"{prefix}.{key}")
-            counter.value = int(value)
-
-    def histograms(self) -> List[Tuple[str, Histogram]]:
-        return sorted(self._histograms.items())
-
-    def snapshot(self) -> Dict[str, object]:
-        doc: Dict[str, object] = {}
-        for name, counter in sorted(self._counters.items()):
-            doc[name] = counter.value
-        for name, hist in sorted(self._histograms.items()):
-            doc[name] = {k: round(v, 9) if isinstance(v, float) else v
-                         for k, v in hist.summary().items()}
-        return doc
+def _fields(out: dict, layer: str, node: str, metrics) -> None:
+    for name, value in vars(metrics).items():
+        key = f"{layer}.{node}.{name}"
+        if isinstance(value, dict):
+            for sub, count in value.items():
+                out[f"{key}.{sub}"] = count
+        else:
+            out[key] = value

@@ -1,11 +1,12 @@
 """Compact text reports over a recorded trace.
 
-``render_report(tracer, registry)`` returns the human-readable summary
+``render_report(tracer, counters)`` returns the human-readable summary
 printed by ``python -m repro trace``: top lock hotspots (total virtual
 time spent waiting per resource), lock requests per database
 (requested / avoided / waited), the phase-2 retry breakdown (attempts,
-outcomes, abort causes) and a per-operation latency table with
-p50/p95/p99/max drawn from the registry's span histograms.
+outcomes, abort causes), a per-operation latency table with
+p50/p95/p99/max drawn from the tracer's span histograms, and every
+nonzero counter of the :func:`repro.obs.counters` dict.
 """
 
 from __future__ import annotations
@@ -81,10 +82,9 @@ def lock_hotspots(spans: List[dict], top: int = 10,
     return ranked[:top]
 
 
-def lock_requests(registry) -> List[List[str]]:
+def lock_requests(counters: dict) -> List[List[str]]:
     """Per database with any lock traffic: requested / avoided / waited,
-    from the registry's ``locks.<db>.*`` counter groups."""
-    counters = registry.snapshot()
+    from the ``locks.<db>.*`` counters."""
     dbs = sorted(name[len("locks."):-len(".acquires")] for name in counters
                  if name.startswith("locks.") and name.endswith(".acquires")
                  and counters[name])
@@ -116,8 +116,9 @@ def phase2_breakdown(spans: List[dict]) -> dict:
             for verb, entry in sorted(verbs.items())}
 
 
-def render_report(tracer, registry) -> str:
-    """Render the full text report for a finished traced run."""
+def render_report(tracer, counters: dict) -> str:
+    """Render the full text report for a finished traced run; ``counters``
+    is :func:`repro.obs.counters` of the system it ran."""
     spans = tracer.completed_spans()
     lines: List[str] = []
 
@@ -148,7 +149,7 @@ def render_report(tracer, registry) -> str:
                   str(e["deadlocks"]), str(e["timeouts"])]
                  for e in hotspots])
 
-    lock_rows = lock_requests(registry)
+    lock_rows = lock_requests(counters)
     if lock_rows:
         lines += _table(
             "Lock requests (avoided = cursor-stability reads nobody could "
@@ -170,7 +171,7 @@ def render_report(tracer, registry) -> str:
             rows)
 
     hist_rows = []
-    for name, hist in registry.histograms():
+    for name, hist in sorted(tracer.histograms.items()):
         if hist.count == 0:
             continue
         summary = hist.summary()
@@ -183,12 +184,12 @@ def render_report(tracer, registry) -> str:
             ["histogram", "count", "mean", "p50", "p95", "p99", "max"],
             hist_rows)
 
-    counter_rows = [[name, str(counter.value)]
-                    for name, counter in sorted(registry._counters.items())
-                    if counter.value]
+    counter_rows = [[name, _fmt(value) if isinstance(value, float)
+                     else str(value)]
+                    for name, value in sorted(counters.items()) if value]
     if counter_rows:
         lines += _table(
-            "Counters (nonzero; per-node groups like dlfm.<shard>.<name>)",
+            "Counters (nonzero; <layer>.<node>.<field>)",
             ["counter", "value"],
             counter_rows)
 

@@ -6,7 +6,8 @@ overrides declared in :data:`CONFIGURATIONS` — with a recording
 :class:`~repro.obs.Tracer` attached, drives a deterministic workload
 that exercises every instrumented layer (kernel channels/RPC, minidb
 lock waits, WAL forces, DLFM forward ops, phase-2 retries, at least one
-daemon pass), and returns ``(tracer, registry, meta)``.
+daemon pass), and returns ``(tracer, counters, meta)``: ``counters`` is
+:func:`repro.obs.counters` of the system at the end of the run.
 
 Because everything runs on the virtual clock with seeded RNG streams,
 two runs with the same seed produce byte-identical traces.
@@ -19,7 +20,7 @@ from repro.dlfm import api
 from repro.host import DatalinkSpec, build_url
 from repro.kernel import rpc
 from repro.kernel.sim import Timeout
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import counters
 from repro.obs.trace import Tracer
 
 #: Scenario → (base, declared overrides). ``commit-retry`` shortens the
@@ -43,8 +44,7 @@ def commit_retry(seed: int = 7):
     blocker lets go. The trailing sleep lets the Copy daemon archive the
     newly linked file, so the trace includes a daemon pass.
     """
-    registry = MetricsRegistry()
-    tracer = Tracer(registry)
+    tracer = Tracer()
     configuration = Configuration(*CONFIGURATIONS["commit-retry"])
     system = configuration.system(seed, tracer=tracer)
     dlfm = system.dlfms["fs1"]
@@ -97,21 +97,19 @@ def commit_retry(seed: int = 7):
         "commit_retries": dlfm.metrics.commit_retries,
         "files_archived": dlfm.metrics.files_archived,
     }
-    _import_counters(registry, system)
-    return tracer, registry, meta
+    return tracer, counters(system), meta
 
 
 def workload(seed: int = 42, clients: int = 8, duration: float = 120.0):
     """A short multi-client E1-style workload with tracing on."""
     from repro.workloads.runner import SystemTestConfig, run_system_test
 
-    registry = MetricsRegistry()
-    tracer = Tracer(registry)
+    tracer = Tracer()
     configuration = Configuration(*CONFIGURATIONS["workload"])
     config = SystemTestConfig(clients=clients, duration=duration, seed=seed,
                               tracer=tracer, configuration=configuration)
     report = run_system_test(config)
-    registry.histogram("workload.latency").extend(report.latencies)
+    tracer.histogram("workload.latency").extend(report.latencies)
     meta = {
         "scenario": "workload",
         "config": configuration.base,
@@ -123,19 +121,17 @@ def workload(seed: int = 42, clients: int = 8, duration: float = 120.0):
         "deadlocks": report.deadlocks,
         "commit_retries": report.commit_retries,
     }
-    _import_counters(registry, report.system)
-    return tracer, registry, meta
+    return tracer, counters(report.system), meta
 
 
 def sharded(seed: int = 11, shards: int = 3):
     """A small sharded fleet under concurrent cross-shard traffic plus
     one online rebalance, so the trace carries per-shard spans and the
-    report's lock hotspots / counter groups attribute work to a shard
+    report's lock hotspots / counters attribute work to a shard
     (``dlfm.shard2.*``, ``locks.shard3.*``, ...)."""
     from repro.shard import move_group
 
-    registry = MetricsRegistry()
-    tracer = Tracer(registry)
+    tracer = Tracer()
     configuration = Configuration(*CONFIGURATIONS["sharded"])
     system = configuration.system(seed, shards=shards, tracer=tracer)
     host = system.host
@@ -183,12 +179,7 @@ def sharded(seed: int = 11, shards: int = 3):
         "rpcs": {name: system.dlfms[name].metrics.rpcs
                  for name in sorted(system.dlfms)},
     }
-    _import_counters(registry, system)
-    registry.register_counters("shardmap", {
-        "reloads": host.shard_map.reloads,
-        "entries": len(host.shard_map._cache),
-    })
-    return tracer, registry, meta
+    return tracer, counters(system), meta
 
 
 def fleet(seed: int = 42, shards: int = 8):
@@ -197,45 +188,13 @@ def fleet(seed: int = 42, shards: int = 8):
     lock waits, which the report rolls up by table and mode."""
     from repro.bench import arms
 
-    registry = MetricsRegistry()
-    tracer = Tracer(registry)
+    tracer = Tracer()
     configuration = Configuration(*CONFIGURATIONS["fleet"])
     system = configuration.system(seed, shards=shards, tracer=tracer)
     result = arms.fleet_load(system, arms.FLEET_TXNS_QUICK)
     meta = {"scenario": "fleet", "config": configuration.base, "seed": seed,
             "shards": shards, "clients": arms.FLEET_CLIENTS, **result}
-    _import_counters(registry, system)
-    return tracer, registry, meta
-
-
-def _plan_cache_counters(db) -> dict:
-    """The plan-cache group: how statement compilation is amortized."""
-    m = db.metrics
-    return {
-        "hits": m.plan_hits,
-        "binds": m.plan_binds,
-        "invalidations": m.plan_invalidations,
-        "evictions": m.plan_evictions,
-        "auto_runstats": m.auto_runstats_runs,
-    }
-
-
-def _import_counters(registry, system) -> None:
-    """Snapshot flat engine counters into the registry for the report."""
-    for name, dlfm in sorted(system.dlfms.items()):
-        registry.register_counters(f"dlfm.{name}",
-                                   dict(dlfm.metrics.__dict__))
-        registry.register_counters(f"daemon.{name}",
-                                   dlfm.daemon_counters())
-        _import_db_counters(registry, name, dlfm.db)
-    _import_db_counters(registry, "host", system.host.db)
-    registry.register_counters("host", dict(system.host.metrics.__dict__))
-
-
-def _import_db_counters(registry, name: str, db) -> None:
-    registry.register_counters(f"locks.{name}", db.locks.metrics.snapshot())
-    registry.register_counters(f"wal.{name}", dict(db.wal.metrics.__dict__))
-    registry.register_counters(f"plancache.{name}", _plan_cache_counters(db))
+    return tracer, counters(system), meta
 
 
 SCENARIOS = {

@@ -40,6 +40,8 @@ import itertools
 import json
 from typing import Any, Optional
 
+from repro.obs.metrics import Histogram
+
 
 def _jsonable(value: Any):
     """Coerce an attribute value into something JSON-stable."""
@@ -78,10 +80,6 @@ class NullTracer:
         return _NULL_SPAN
 
     def event(self, name: str, **attrs) -> None:
-        pass
-
-    def count(self, name: str, key: Optional[str] = None,
-              amount: int = 1) -> None:
         pass
 
 
@@ -123,17 +121,16 @@ class _Span:
 class Tracer(NullTracer):
     """Recording tracer. Attach via ``Simulator(seed, tracer=Tracer())``.
 
-    ``registry`` (optional) is a
-    :class:`~repro.obs.metrics.MetricsRegistry`; every finished span's
-    duration is recorded into the registry histogram ``span.<name>``, so
-    per-operation latency percentiles come for free.
+    Every finished span's duration is also recorded into the histogram
+    ``span.<name>`` of :attr:`histograms`, so per-operation latency
+    percentiles come for free.
     """
 
     enabled = True
 
-    def __init__(self, registry=None):
+    def __init__(self):
         self.events: list[dict] = []
-        self.registry = registry
+        self.histograms: dict[str, Histogram] = {}
         self._ids = itertools.count(1)
         self._stacks: dict[str, list[int]] = {}
         self._sim = None
@@ -160,13 +157,12 @@ class Tracer(NullTracer):
         self._record("event", name, next(self._ids), None,
                      self._proc_name(), attrs)
 
-    def count(self, name: str, key: Optional[str] = None,
-              amount: int = 1) -> None:
-        """Bump the registry counter ``<name>.<key>`` (e.g. per-resource
-        ``retries.fs1.commit``); a no-op without a registry."""
-        if self.registry is not None:
-            full = f"{name}.{key}" if key else name
-            self.registry.counter(full).inc(amount)
+    def histogram(self, name: str) -> Histogram:
+        """The histogram ``name``, created empty on first use."""
+        hist = self.histograms.get(name)
+        if hist is None:
+            hist = self.histograms[name] = Histogram()
+        return hist
 
     def _start(self, span: _Span) -> None:
         process = self._proc_name()
@@ -193,8 +189,7 @@ class Tracer(NullTracer):
         attrs["duration"] = round(duration, 9)
         self._record("span_end", span.name, span.span_id, span.parent_id,
                      span.process, attrs)
-        if self.registry is not None:
-            self.registry.histogram(f"span.{span.name}").record(duration)
+        self.histogram(f"span.{span.name}").record(duration)
 
     def _record(self, kind: str, name: str, span_id: int,
                 parent_id: Optional[int], process: str, attrs: dict) -> None:

@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.obs.metrics import Histogram
-
 
 @dataclass
 class WorkloadReport:
@@ -21,7 +19,6 @@ class WorkloadReport:
     selects: int = 0
     aborts: dict = field(default_factory=dict)   # reason → count
     latencies: list = field(default_factory=list)
-    latency_hist: Histogram = field(default_factory=Histogram)
     # engine-side counters snapshotted at the end:
     deadlocks: int = 0
     lock_timeouts: int = 0
@@ -34,7 +31,6 @@ class WorkloadReport:
 
     def record_latency(self, seconds: float) -> None:
         self.latencies.append(seconds)
-        self.latency_hist.record(seconds)
 
     @property
     def minutes(self) -> float:

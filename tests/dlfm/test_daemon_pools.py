@@ -74,7 +74,7 @@ def test_worker_crash_mid_claim_reclaims_exactly_once():
     assert dlfm.metrics.files_archived == 0
     done = system.run(dlfm.copyd.sweep(), "recovery-sweep")
     assert done == 1
-    assert dlfm.copyd.reclaimed == 1           # stale claim re-queued once
+    assert dlfm.metrics.copyd_reclaimed == 1           # stale claim re-queued once
     assert system.archive.copy_count() == 1    # no lost file
     assert dlfm.metrics.files_archived == 1    # no double archive
     assert dlfm.db.table_rows("dfm_archive") == []
@@ -82,7 +82,7 @@ def test_worker_crash_mid_claim_reclaims_exactly_once():
 
     # And the system is healthy: a second sweep finds nothing.
     assert system.run(dlfm.copyd.sweep(), "idle-sweep") == 0
-    assert dlfm.copyd.reclaimed == 1
+    assert dlfm.metrics.copyd_reclaimed == 1
 
 
 def test_concurrent_sweeps_never_double_archive():
@@ -102,7 +102,7 @@ def test_concurrent_sweeps_never_double_archive():
     assert a + b == 4
     assert system.archive.copy_count() == 4
     assert dlfm.metrics.files_archived == 4
-    assert dlfm.copyd.claimed == 4
+    assert dlfm.metrics.copyd_claimed == 4
 
 
 # ------------------------------------------------------------------ pipelining
@@ -150,7 +150,7 @@ def test_concurrent_restores_pipeline_fetches():
 
         system.run(storm())
         elapsed[label] = system.sim.now - started
-        assert dlfm.retrieved.restored == 8
+        assert dlfm.metrics.files_restored == 8
         for i in range(8):
             assert system.servers["fs1"].fs.stat(f"/lost/f{i}").owner == \
                 "alice"
@@ -185,15 +185,16 @@ def test_pool_workers_die_on_crash_and_restart_respawns():
     assert dlfm.delete_groupd.pool.alive == 1
 
 
-def test_daemon_counters_are_flat_ints():
+def test_daemon_counters_are_the_three_pools_counters():
     system = build_system()
     link_files(system, 2)
     dlfm = system.dlfms["fs1"]
     system.run(dlfm.copyd.sweep())
     counters = dlfm.daemon_counters()
-    assert counters["copyd_claimed"] == 2
+    assert dlfm.metrics.copyd_claimed == 2
     assert counters["copyd_submitted"] == 2
     assert counters["copyd_completed"] == 2
-    assert counters["retrieved_queue_depth"] == 0
-    assert counters["delgrpd_queue_depth"] == 0
-    assert all(isinstance(v, int) for v in counters.values())
+    assert counters["retrieved_submitted"] == 0
+    assert {"copyd_max_depth", "retrieved_max_depth",
+            "delgrpd_max_depth"} <= set(counters)
+    assert len(counters) == 3 * len(vars(dlfm.copyd.pool.metrics))

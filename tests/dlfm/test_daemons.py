@@ -228,7 +228,7 @@ def test_chown_daemon_rejects_bad_secret(media):
         return True
 
     assert media.run(forge()) is True
-    assert dlfm.chown.denied == 1
+    assert dlfm.metrics.chown_denied == 1
 
 
 def test_partial_access_control_uses_upcall(media):

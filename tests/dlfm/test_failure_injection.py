@@ -44,7 +44,7 @@ def test_copy_daemon_survives_lock_conflicts(media):
             "UPDATE dfm_archive SET state = 'pending' WHERE filename = ?",
             ("/v/clip0.mpg",))
         swept = yield from dlfm.copyd.sweep()
-        conflicts = dlfm.copyd.conflicts
+        conflicts = dlfm.metrics.copyd_conflicts
         yield from blocker.rollback()
         again = yield from dlfm.copyd.sweep()
         return swept, conflicts, again

@@ -314,7 +314,7 @@ def test_crash_before_phase2_is_durable_redrives_commit_from_the_decision():
     assert len(dlfm.db.table_rows("dfm_archive")) <= 1
     system.sim.run(until=system.sim.now + 30.0)         # the copy daemon
     assert dlfm.db.table_rows("dfm_archive") == []
-    assert dlfm.copyd.archived == 1
+    assert dlfm.metrics.files_archived == 1
     assert check_invariants(system) == []
 
 

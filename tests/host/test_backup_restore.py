@@ -58,6 +58,28 @@ def test_restore_resurrects_unlinked_file(media):
     assert media.dlfms["fs1"].linked_count() == 1
 
 
+def test_files_restored_counts_archive_fetches_once(media):
+    """Three entries come back to linked; only the one whose file is
+    gone is fetched from the archive, and ``files_restored`` counts that
+    fetch once (the reply's ``restored`` counts entries)."""
+    def go():
+        session = media.session()
+        for i in range(3):
+            yield from insert_clip(session, i)
+        yield from session.commit()
+        backup_id = yield from media.backup()
+        yield from session.execute("DELETE FROM clips")
+        yield from session.commit()
+        yield from media.filtered_fs("fs1").delete("/v/clip0.mpg", "alice")
+        result = yield from media.restore(backup_id)
+        return result
+
+    result = media.run(go())
+    assert result["fs1"]["restored"] == 3
+    assert media.dlfms["fs1"].metrics.files_restored == 1
+    assert media.servers["fs1"].fs.exists("/v/clip0.mpg")
+
+
 def test_restore_releases_files_linked_after_backup(media):
     def go():
         session = media.session()

@@ -122,13 +122,12 @@ def test_send_timeout_raises_and_removes_message():
 
     def late_receiver():
         yield Timeout(10.0)
-        ok, msg = chan.try_recv()
-        return ok, msg
+        return chan.pending
 
     sim.spawn(sender())
     proc = sim.spawn(late_receiver())
     sim.run()
-    assert proc.result == (False, None)
+    assert proc.result == 0
 
 
 def test_close_wakes_blocked_receiver_with_error():
@@ -181,19 +180,6 @@ def test_send_on_closed_channel_raises_immediately():
         yield  # pragma: no cover
 
     assert sim.run_process(sender()) is True
-
-
-def test_try_recv_nonblocking():
-    sim = Simulator()
-    chan = Channel(sim, capacity=1)
-    assert chan.try_recv() == (False, None)
-
-    def sender():
-        yield from chan.send("v")
-
-    sim.spawn(sender())
-    sim.run()
-    assert chan.try_recv() == (True, "v")
 
 
 def test_pending_counts_buffer_and_blocked_senders():

@@ -401,12 +401,12 @@ def test_precheck_is_side_effect_free_and_needs_an_active_intent_holder():
         yield from locks.acquire(txn, ("table", "t"), LockMode.IS)
         other = db.begin("RR")
         yield from locks.acquire(other, ("row", "t", (0, 1)), LockMode.S)
-        before = (set(locks.heads), locks.metrics.snapshot())
+        before = (set(locks.heads), dict(vars(locks.metrics)))
         assert not locks.reads_unobserved(txn, "t", rids)   # a head exists
         locks.release(other, ("row", "t", (0, 1)))
         txn.mark_rollback_only("timeout")
         assert not locks.reads_unobserved(txn, "t", rids)   # not active
-        assert locks.metrics.snapshot() == before[1]
+        assert dict(vars(locks.metrics)) == before[1]
         assert set(locks.heads) == before[0] - {("row", "t", (0, 1))}
         txn.rollback_only = False
         assert locks.reads_unobserved(txn, "t", rids)

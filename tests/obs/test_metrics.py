@@ -1,6 +1,6 @@
-"""Histogram / registry math used by the observability layer."""
+"""Histogram math used by the observability layer."""
 
-from repro.obs import Counter, Histogram, MetricsRegistry
+from repro.obs import Histogram
 
 
 def test_empty_histogram_summary():
@@ -48,24 +48,3 @@ def test_values_outside_the_bounds_still_count():
     assert hist.count == 2
     assert hist.percentile(1) == 1.0
     assert hist.percentile(100) == 9999.0
-
-
-def test_counter_and_registry():
-    registry = MetricsRegistry()
-    counter = registry.counter("x")
-    assert isinstance(counter, Counter)
-    counter.inc()
-    counter.inc(4)
-    assert registry.counter("x").value == 5          # same object
-    assert registry.counter("x") is counter
-    hist = registry.histogram("lat")
-    hist.record(2.0)
-    assert registry.histogram("lat") is hist
-    registry.register_counters("dlfm", {"commits": 7, "links": 3})
-    snap = registry.snapshot()
-    assert snap["dlfm.commits"] == 7
-    assert snap["dlfm.links"] == 3
-    assert snap["x"] == 5
-    assert snap["lat"]["count"] == 1
-    # counters come sorted first, then histograms sorted
-    assert list(snap) == ["dlfm.commits", "dlfm.links", "x", "lat"]

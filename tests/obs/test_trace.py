@@ -1,7 +1,7 @@
 """Tracer mechanics: null-tracer cost model, span nesting, determinism."""
 
 from repro.kernel.sim import Simulator, Timeout
-from repro.obs import NULL_TRACER, MetricsRegistry, Tracer
+from repro.obs import NULL_TRACER, Tracer
 from repro.obs.report import render_report
 from repro.obs.trace import _NULL_SPAN
 
@@ -19,8 +19,7 @@ def test_simulator_defaults_to_the_null_tracer():
 
 
 def test_spans_nest_per_process_with_virtual_timestamps():
-    registry = MetricsRegistry()
-    tracer = Tracer(registry)
+    tracer = Tracer()
     sim = Simulator(seed=1, tracer=tracer)
 
     def worker():
@@ -40,9 +39,9 @@ def test_spans_nest_per_process_with_virtual_timestamps():
     assert spans["inner"]["start"] == 2.0
     assert spans["inner"]["duration"] == 1.0
     assert spans["outer"]["attrs"] == {"k": "v", "rows": 3}
-    # durations landed in the registry histograms
-    assert registry.histogram("span.outer").count == 1
-    assert registry.histogram("span.inner").count == 1
+    # durations landed in the tracer's span histograms
+    assert tracer.histograms["span.outer"].count == 1
+    assert tracer.histograms["span.inner"].count == 1
 
 
 def test_sibling_processes_do_not_nest_into_each_other():
@@ -106,8 +105,7 @@ def test_same_run_produces_byte_identical_json():
 
 
 def test_render_report_lists_spans_and_histograms():
-    registry = MetricsRegistry()
-    tracer = Tracer(registry)
+    tracer = Tracer()
     sim = Simulator(seed=1, tracer=tracer)
 
     def worker():
@@ -125,12 +123,12 @@ def test_render_report_lists_spans_and_histograms():
             span.set(outcome="ok")
 
     sim.run_process(worker(), "worker")
-    registry.counter("dlfm.fs1.commits").value = 1
-    text = render_report(tracer, registry)
+    text = render_report(tracer, {"dlfm.fs1.commits": 1})
     assert "lock.wait" in text
     assert "('row', 't', 1)" in text
     assert "dlfm.phase2" in text
     assert "span.lock.wait" in text
+    assert "dlfm.fs1.commits" in text
     # The hotspot row splits its waits reader-vs-writer by lock mode.
     from repro.obs.report import lock_hotspots
     [row] = lock_hotspots(tracer.completed_spans())
@@ -145,8 +143,7 @@ def test_lock_rollup_ranks_a_convoy_spread_over_many_rids():
     table, requested mode) they are the top row."""
     from repro.obs.report import lock_hotspots
 
-    registry = MetricsRegistry()
-    tracer = Tracer(registry)
+    tracer = Tracer()
     sim = Simulator(seed=1, tracer=tracer)
 
     def worker():
@@ -176,7 +173,7 @@ def test_lock_rollup_ranks_a_convoy_spread_over_many_rids():
         ("dlfm-shard1", "row dfm_group X", 1, 5.0, 5.0),
         ("dlfm-shard1", "row dfm_group S", 1, 2.0, 2.0),
         ("host-hostdb", "key t X", 1, 0.5, 0.5)]
-    text = render_report(tracer, registry)
+    text = render_report(tracer, {})
     assert ("Lock waits by table and requested mode (15 waits, "
             "19.500000 s in all)") in text
     assert "row dfm_txn X" in text
@@ -189,31 +186,29 @@ def test_fleet_scenario_is_the_saturated_all_on_fleet(monkeypatch):
     from repro.obs.scenarios import CONFIGURATIONS, fleet
 
     monkeypatch.setattr(arms, "FLEET_TXNS_QUICK", 2)
-    tracer, registry, meta = fleet(seed=42)
+    tracer, counters, meta = fleet(seed=42)
     assert CONFIGURATIONS["fleet"] == ("all_on", {})
     assert meta["config"] == "all_on" and meta["shards"] >= 4
     assert meta["clients"] == arms.FLEET_CLIENTS >= 16
     assert meta["committed"] == 2 * arms.FLEET_CLIENTS
     assert meta["failed"] == 0
-    snapshot = registry.snapshot()
-    assert all(f"locks.shard{n}.acquires" in snapshot for n in range(1, 9))
-    assert "prepare.fanout" in render_report(tracer, registry)
+    assert all(f"locks.shard{n}.acquires" in counters for n in range(1, 9))
+    assert "prepare.fanout" in render_report(tracer, counters)
 
 
 def test_sharded_scenario_exports_per_shard_counter_groups():
     from repro.obs.scenarios import sharded
 
-    tracer, registry, meta = sharded(seed=11, shards=3)
+    tracer, counters, meta = sharded(seed=11, shards=3)
     assert meta["moved_group"]["moved"] is True
-    snapshot = registry.snapshot()
     for name in ("shard1", "shard2", "shard3"):
-        assert f"dlfm.{name}.rpcs" in snapshot
-        assert f"locks.{name}.acquires" in snapshot
-        assert f"locks.{name}.avoided" in snapshot
-        assert f"wal.{name}.forces" in snapshot
-    assert "shardmap.entries" in snapshot
+        assert f"dlfm.{name}.rpcs" in counters
+        assert f"locks.{name}.acquires" in counters
+        assert f"locks.{name}.avoided" in counters
+        assert f"wal.{name}.forces" in counters
+    assert "shardmap.hostdb.entries" in counters
     # Per-shard attribution survives into the rendered report.
-    text = render_report(tracer, registry)
+    text = render_report(tracer, counters)
     assert "dlfm.shard2.rpcs" in text
     # ... and the lock report says, per database, how many requests were
     # made, avoided (billed, never taken) and waited for.
@@ -222,5 +217,5 @@ def test_sharded_scenario_exports_per_shard_counter_groups():
     assert header.split() == ["db", "requested", "avoided", "waited"]
     row = next(line.split() for line in text.splitlines()
                if line.startswith("shard2 "))
-    assert row[1:] == [str(snapshot[f"locks.shard2.{key}"])
+    assert row[1:] == [str(counters[f"locks.shard2.{key}"])
                        for key in ("acquires", "avoided", "waits")]

@@ -149,7 +149,7 @@ def test_each_trace_scenario_runs_its_declared_configuration(
     monkeypatch.setattr(Configuration, "system", recording)
     kwargs = {"clients": 2, "duration": 20.0} if name == "workload" else {}
     monkeypatch.setattr("repro.bench.arms.FLEET_TXNS_QUICK", 2)
-    _tracer, _registry, meta = scenarios.SCENARIOS[name](**kwargs)
+    _tracer, _counters, meta = scenarios.SCENARIOS[name](**kwargs)
 
     base, overrides = scenarios.CONFIGURATIONS[name]
     [(configuration, system)] = built       # one deployment, built here
