@@ -16,6 +16,7 @@ import math
 from repro.errors import TransactionAborted
 from repro.host import DatalinkSpec, build_url
 from repro.host.load import LoadUtility
+from repro.kernel import rpc
 from repro.kernel.sim import Timeout
 
 LOAD_FILES = 10_000          # the gate is quoted at >= 10k files
@@ -128,8 +129,8 @@ def _multi_server_at(cfg, config, n_servers: int) -> dict:
             yield from session.commit()
             latencies.append(system.sim.now - started)
 
-    system.run(system.sim.gather(
-        [client(i) for i in range(MS_CLIENTS)], "ms-client"))
+    system.run(rpc.gather_all(system.sim, [client(i) for i in range(MS_CLIENTS)],
+                              name="ms-client"))
     return {"txns": len(latencies), "p95_commit_s": _p95(latencies)}
 
 
@@ -181,9 +182,10 @@ def _restore_storm(cfg, config) -> dict:
 
     system.run(seed_archive())
     started = system.sim.now
-    system.run(system.sim.gather(
+    system.run(rpc.gather_all(
+        system.sim,
         [dlfm.retrieved.restore(f"/lost/f{i:05d}", f"rid{i:05d}")
-         for i in range(STORM_RESTORES)], "restore"))
+         for i in range(STORM_RESTORES)], name="restore"))
     return {"workers": dlfm.config.retrieve_workers,
             "restored": dlfm.metrics.files_restored,
             "sim_s": round(system.sim.now - started, 6)}
@@ -334,8 +336,9 @@ def fleet_load(system, txns: int) -> dict:
 
     system.run(setup())
     started, forces = system.sim.now, dlfm_forces()
-    system.run(system.sim.gather(
-        [client(i) for i in range(FLEET_CLIENTS)], "fleet-client"))
+    system.run(rpc.gather_all(
+        system.sim, [client(i) for i in range(FLEET_CLIENTS)],
+        name="fleet-client"))
     elapsed = system.sim.now - started
     committed = max(tally["committed"], 1)
     return {**tally, "sim_s": round(elapsed, 6),

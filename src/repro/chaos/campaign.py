@@ -12,8 +12,8 @@ A campaign builds a full :class:`repro.system.System` with a
    recovery + distributed in-doubt resolution);
 3. **quiesce** — virtual time advances until the deployment is clean (no
    in-flight transactions, no pending delayed updates, empty archive
-   queue, no pending decisions) or a budget expires; here the campaign
-   plays the external TM: XA branches in doubt get their verdicts;
+   queue, no pending decisions) or a budget expires; the system finishes
+   its own work, the campaign only plays the external TM (XA verdicts);
 4. **check** — :func:`repro.chaos.invariants.check_invariants` cross-
    checks host ↔ DLFM ↔ file system ↔ archive.
 
@@ -36,7 +36,6 @@ from repro.configs import Configuration
 from repro.dlfm import schema
 from repro.errors import ReproError, TransactionAborted
 from repro.host import DatalinkSpec, build_url
-from repro.host.indoubt import resolve_indoubts
 from repro.host.xa import xa_commit, xa_prepare, xa_recover, xa_rollback
 from repro.kernel.sim import Timeout
 from repro.shard import move_group
@@ -469,44 +468,16 @@ class _Campaign:
             if reason is None:
                 return True
             try:
-                # Targeted drives for states only a restart rescan or the
-                # host's in-doubt logic resolves (e.g. a dropped phase-2
-                # notify, a decision whose Commit reply was lost, a
-                # prepared transaction whose coordinator never crashed —
-                # the paper's in-doubt poller, §3.3).
                 # The external TM's recovery pass: every branch still in
                 # doubt gets its journaled verdict; what else the journal
                 # names was never prepared or is an ordinary decision.
                 for gtrid in sorted(xa_recover(self.system.host)):
                     yield from self._deliver(gtrid)
                 self.branches.clear()
-                if (self._host_has_decisions()
-                        or any(self._has_txn_rows(d)
-                               for d in self.system.dlfms.values())):
-                    yield from resolve_indoubts(self.system.host)
-                for name in sorted(self.system.dlfms):
-                    dlfm = self.system.dlfms[name]
-                    if self._has_committed_txns(dlfm):
-                        yield from dlfm.delete_groupd._rescan_committed()
             except ReproError:
                 pass  # contention with a daemon; the next lap retries
             yield Timeout(QUIESCE_STEP)
         return self._dirty() is None
-
-    def _host_has_decisions(self) -> bool:
-        host = self.system.host
-        return not host.db.crashed and bool(host.pending_decisions())
-
-    def _has_committed_txns(self, dlfm) -> bool:
-        if dlfm.db.crashed:
-            return False
-        state = dlfm.db.catalog.tables["dfm_txn"].position("state")
-        return any(row[state] == schema.TXN_COMMITTED
-                   for row in dlfm.db.table_rows("dfm_txn"))
-
-    def _has_txn_rows(self, dlfm) -> bool:
-        return (not dlfm.db.crashed
-                and bool(dlfm.db.table_rows("dfm_txn")))
 
     def _dirty(self) -> Optional[str]:
         """Why the deployment is not yet quiesced (None when clean)."""

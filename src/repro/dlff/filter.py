@@ -48,13 +48,12 @@ class AccessToken:
 class Filter:
     """Per-file-server DLFF instance."""
 
-    def __init__(self, sim, token_secret: str):
+    def __init__(self, sim, token_secret: str, metrics):
         self.sim = sim
         self.token_secret = token_secret
+        self.metrics = metrics  # the owning DLFM's DLFMMetrics
         #: generator callable path → linked-info dict or None (Upcall daemon)
         self.upcall: Optional[Callable[[str], Generator]] = None
-        self.upcalls_made = 0
-        self.rejections = 0
 
     def mount(self, server: FileServer) -> "FilteredFileSystem":
         filtered = FilteredFileSystem(self.sim, server.fs, self)
@@ -71,14 +70,14 @@ class Filter:
         node = fs.stat(path)
         if node.owner == DLFM_ADMIN and user != DLFM_ADMIN:
             # Full access control: the database owns the file outright.
-            self.rejections += 1
+            self.metrics.filter_rejections += 1
             raise LinkedFileError(
                 f"{path} is under full database control")
         if self.upcall is not None and user != DLFM_ADMIN:
-            self.upcalls_made += 1
+            self.metrics.filter_upcalls += 1
             info = yield from self.upcall(path)
             if info is not None:
-                self.rejections += 1
+                self.metrics.filter_rejections += 1
                 raise LinkedFileError(
                     f"{path} is linked to database {info.get('dbid')}")
 
@@ -128,7 +127,7 @@ class FilteredFileSystem:
         """Generator: in-place write; refused for DB-controlled files."""
         node = self.fs.stat(path)
         if node.owner == DLFM_ADMIN and user != DLFM_ADMIN:
-            self.filter.rejections += 1
+            self.filter.metrics.filter_rejections += 1
             raise LinkedFileError(f"{path} is under full database control")
         self.fs.write(path, user, content)
         return

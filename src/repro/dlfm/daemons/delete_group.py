@@ -74,8 +74,8 @@ class DeleteGroupDaemon:
             self._active.discard(key)
 
     def _rescan_committed(self):
-        """After restart (and at quiesce): resume every committed txn
-        with pending groups; completes only when all are drained."""
+        """After restart: resume every committed txn with pending
+        groups; completes only when all are drained."""
         session = self.dlfm.db.session()
         rows = yield from session.execute(
             "SELECT dbid, txn_id FROM dfm_txn WHERE state = ?",
@@ -86,79 +86,81 @@ class DeleteGroupDaemon:
         yield from self.pool.drain()
 
     def process_txn(self, dbid: str, txn_id: int):
-        """Generator: unlink all files of all groups this txn deleted."""
+        """Generator: unlink all files of all groups this txn deleted.
+        After a transient fault anywhere, roll back, back off and start
+        over: committed batches stay done."""
         db = self.dlfm.db
         sim = self.dlfm.sim
         if sim.injector.enabled:
             sim.injector.maybe_crash(
                 f"daemon.pass:{self.dlfm.name}:delgrpd", db.name)
-        with self.dlfm.sim.tracer.span("daemon.delgrpd.process_txn",
-                                       dbid=dbid, txn=txn_id) as span:
+        backoff = self.dlfm.retry_backoff(f"delgrpd:{dbid}:{txn_id}")
+        with sim.tracer.span("daemon.delgrpd.process_txn",
+                             dbid=dbid, txn=txn_id) as span:
             session = db.session()
-            groups = yield from session.execute(
-                "SELECT grp_id FROM dfm_group WHERE delete_txn = ? AND "
-                "dbid = ? AND state = ?", (txn_id, dbid, schema.GRP_DELETED))
-            yield from session.commit()
-            for (grp_id,) in groups.rows:
-                yield from self._drain_group(dbid, grp_id)
-                self.dlfm.metrics.groups_deleted += 1
-            span.set(groups=len(groups.rows))
-            session = db.session()
-            yield from session.execute(
-                "DELETE FROM dfm_txn WHERE dbid = ? AND txn_id = ?",
-                (dbid, txn_id))
-            yield from session.commit()
+            while True:
+                try:
+                    groups = yield from session.execute(
+                        "SELECT grp_id FROM dfm_group WHERE delete_txn = ? "
+                        "AND dbid = ? AND state = ?",
+                        (txn_id, dbid, schema.GRP_DELETED))
+                    yield from session.commit()
+                    for (grp_id,) in groups.rows:
+                        yield from self._drain_group(session, dbid, grp_id,
+                                                     backoff)
+                        self.dlfm.metrics.groups_deleted += 1
+                    span.set(groups=len(groups.rows))
+                    yield from session.execute(
+                        "DELETE FROM dfm_txn WHERE dbid = ? AND txn_id = ?",
+                        (dbid, txn_id))
+                    yield from session.commit()
+                    return
+                except RETRIABLE_FAULTS:
+                    # Unlike an engine abort, a transport or I/O fault
+                    # leaves the local transaction open: drop its locks
+                    # before sleeping.
+                    yield from session.rollback()
+                    self.dlfm.metrics.delgrpd_retries += 1
+                    yield Timeout(backoff.next())
 
-    def _drain_group(self, dbid: str, grp_id: int):
+    def _drain_group(self, session, dbid: str, grp_id: int, backoff):
         """Unlink every linked file of the group, N per local commit."""
         batch_n = self.dlfm.config.batch_commit_n
-        db = self.dlfm.db
         metrics = self.dlfm.metrics
-        backoff = self.dlfm.retry_backoff(f"delgrpd:{grp_id}")
         while True:
-            try:
-                session = db.session()
-                batch = yield from session.execute(
-                    "SELECT filename, recovery_id, recovery, orig_owner, "
-                    "orig_group, orig_mode FROM dfm_file WHERE grp_id = ? "
-                    "AND dbid = ? AND state = ? LIMIT ?",
-                    (grp_id, dbid, schema.ST_LINKED, batch_n))
-                if not batch.rows:
-                    yield from session.commit()
-                    break
-                for (path, recovery_id, recovery, owner, group,
-                     mode) in batch.rows:
-                    yield from self.dlfm.chown.request(
-                        "release", path, owner=owner, group=group, mode=mode)
-                    if recovery == "yes":
-                        # Keep an unlinked marker for point-in-time restore;
-                        # its own (unique) recovery id doubles as check flag.
-                        yield from session.execute(
-                            "UPDATE dfm_file SET state = ?, check_flag = ?, "
-                            "unlink_recovery_id = ?, unlink_time = ? "
-                            "WHERE filename = ? AND recovery_id = ? AND "
-                            "state = ?",
-                            (schema.ST_UNLINKED, recovery_id, recovery_id,
-                             self.dlfm.sim.now, path, recovery_id,
-                             schema.ST_LINKED))
-                    else:
-                        yield from session.execute(
-                            "DELETE FROM dfm_file WHERE filename = ? AND "
-                            "recovery_id = ? AND state = ?",
-                            (path, recovery_id, schema.ST_LINKED))
-                    metrics.delgrpd_files_unlinked += 1
+            batch = yield from session.execute(
+                "SELECT filename, recovery_id, recovery, orig_owner, "
+                "orig_group, orig_mode FROM dfm_file WHERE grp_id = ? "
+                "AND dbid = ? AND state = ? LIMIT ?",
+                (grp_id, dbid, schema.ST_LINKED, batch_n))
+            if not batch.rows:
                 yield from session.commit()
-                metrics.delgrpd_batch_commits += 1
-                backoff.reset()
-            except RETRIABLE_FAULTS:
-                # A transient transport/I/O fault leaves the batch's local
-                # transaction open (unlike an engine abort): drop its locks
-                # before sleeping.
-                yield from session.rollback()
-                metrics.delgrpd_retries += 1
-                yield Timeout(backoff.next())
+                break
+            for (path, recovery_id, recovery, owner, group,
+                 mode) in batch.rows:
+                yield from self.dlfm.chown.request(
+                    "release", path, owner=owner, group=group, mode=mode)
+                if recovery == "yes":
+                    # Keep an unlinked marker for point-in-time restore;
+                    # its own (unique) recovery id doubles as check flag.
+                    yield from session.execute(
+                        "UPDATE dfm_file SET state = ?, check_flag = ?, "
+                        "unlink_recovery_id = ?, unlink_time = ? "
+                        "WHERE filename = ? AND recovery_id = ? AND "
+                        "state = ?",
+                        (schema.ST_UNLINKED, recovery_id, recovery_id,
+                         self.dlfm.sim.now, path, recovery_id,
+                         schema.ST_LINKED))
+                else:
+                    yield from session.execute(
+                        "DELETE FROM dfm_file WHERE filename = ? AND "
+                        "recovery_id = ? AND state = ?",
+                        (path, recovery_id, schema.ST_LINKED))
+                metrics.delgrpd_files_unlinked += 1
+            yield from session.commit()
+            metrics.delgrpd_batch_commits += 1
+            backoff.reset()
         # Group fully drained: mark it emptied; GC removes it at expiry.
-        session = db.session()
         yield from session.execute(
             "UPDATE dfm_group SET state = ? WHERE grp_id = ? AND dbid = ?",
             ("emptied", grp_id, dbid))

@@ -85,8 +85,8 @@ class DLFMMetrics:
     copyd_claimed: int = 0
     copyd_reclaimed: int = 0
     copyd_conflicts: int = 0
-    #: Delete-Group daemon: files unlinked, batch commits, and batches
-    #: retried after a transient fault.
+    #: Delete-Group daemon: files unlinked, batch commits, and
+    #: transactions' work restarted after a transient fault.
     delgrpd_files_unlinked: int = 0
     delgrpd_batch_commits: int = 0
     delgrpd_retries: int = 0
@@ -95,6 +95,9 @@ class DLFMMetrics:
     chown_denied: int = 0
     #: Upcall daemon "is this file linked?" queries.
     upcall_queries: int = 0
+    #: DLFF filter: upcalls it made, and mutations it refused.
+    filter_upcalls: int = 0
+    filter_rejections: int = 0
 
 
 class DLFM:
@@ -114,7 +117,7 @@ class DLFM:
             schema.pin_statistics(self.db)
 
         # DLFF mount + daemons (started by start()).
-        self.filter = Filter(sim, token_secret)
+        self.filter = Filter(sim, token_secret, self.metrics)
         self.filtered_fs = self.filter.mount(server)
         self.chown = ChownDaemon(sim, server.fs, f"{name}-chown", self.metrics)
         self.copyd = CopyDaemon(self)

@@ -103,8 +103,10 @@ class HostDB:
         self._grp_counter = itertools.count(1)
         self._backup_counter = itertools.count(1)
         self.backups: dict[int, dict] = {}
-        #: server → its running in-doubt poller (:meth:`poll`).
+        #: server → its in-doubt poller, and the servers handed over
+        #: again while theirs runs a pass (:meth:`poll`).
         self._pollers: dict = {}
+        self.repoll: set = set()
         #: Shard router (``repro.shard.ShardMap``) — None on an unsharded
         #: host, where datalink ops address DLFMs by file-server name.
         self.shard_map = None
@@ -161,12 +163,18 @@ class HostDB:
             self.poll(server)
 
     def poll(self, server: str) -> None:
-        """Spawn the in-doubt poller for ``server`` unless one runs."""
+        """The one hand-off of unfinished 2PC work at ``server``: spawn
+        its in-doubt poller, or have the running one pass again. Nothing
+        on a crashed host, whose restart runs a pass of its own."""
         from repro.host.indoubt import indoubt_poller
+        if self.db.crashed:
+            return
         proc = self._pollers.get(server)
         if proc is None or proc.finished:
             self._pollers[server] = self.sim.spawn(
                 indoubt_poller(self, server), f"indoubt-poller-{server}")
+        else:
+            self.repoll.add(server)
 
     def forget_decision(self, txn_id: int) -> None:
         """Forget a decision whose phase 2 is durable everywhere.

@@ -19,7 +19,7 @@ from repro.kernel.sim import Timeout
 POLL_PERIOD = 5.0
 
 
-def resolve_indoubts(host):
+def resolve_indoubts(host, timeout=None):
     """Generator: one full resolution pass. Returns a summary dict.
 
     Presumed abort, driven through the coordinator's own phase-2 steps
@@ -35,11 +35,12 @@ def resolve_indoubts(host):
     A pass may run beside live traffic (the poller), but never on a
     crashed host, which reads no decision until it restarts; nor does it
     re-drive a decision whose COMMIT record still waits for its force.
+    A reply slower than ``timeout`` (None: no bound) fails the pass.
     """
     coordinator = host.session()
     try:
         committed, error = yield from coordinator.commit_participants(
-            host.pending_decisions())
+            host.pending_decisions(), timeout=timeout)
         host.metrics.indoubt_commits += committed
         if error is not None:
             raise error
@@ -49,7 +50,7 @@ def resolve_indoubts(host):
             host.sim,
             [(coordinator.channel(server), api.ListIndoubt(host.dbid))
              for server in servers],
-            name="indoubt-list")
+            name="indoubt-list", timeout=timeout)
         if host.db.crashed:
             raise CrashedError(f"host {host.dbid} crashed mid-resolution")
         spoken_for = ({txn.id for txn in host.db.txns.active}
@@ -58,7 +59,7 @@ def resolve_indoubts(host):
             api.Abort,
             [(txn_id, server) for server, txn_ids in zip(servers, listed)
              for txn_id in txn_ids if txn_id not in spoken_for],
-            name="indoubt-abort")
+            name="indoubt-abort", timeout=timeout)
     finally:
         coordinator.close()
     errors = [o for o in outcomes if isinstance(o, ReproError)]
@@ -70,12 +71,15 @@ def resolve_indoubts(host):
 
 
 def indoubt_poller(host, server: str):
-    """Generator (daemon): poll an unavailable DLFM until it comes back,
-    then resolve. The host spawns one per server whose phase 2 a crash
-    lost (``HostDB.poll``)."""
+    """Generator (daemon, spawned by ``HostDB.poll``): a resolution pass
+    every POLL_PERIOD until one succeeds with nothing handed over since
+    it began. A reply slower than POLL_PERIOD fails the pass."""
     while True:
+        host.repoll.discard(server)
         try:
-            result = yield from resolve_indoubts(host)
-            return result
+            result = yield from resolve_indoubts(host, timeout=POLL_PERIOD)
+            if server not in host.repoll:
+                return result
         except ReproError:
-            yield Timeout(POLL_PERIOD)
+            pass
+        yield Timeout(POLL_PERIOD)

@@ -459,9 +459,9 @@ class HostSession:
             # already committed: there is nothing to abort. A phase-2
             # failure lands here when the application reacts to the error
             # with ROLLBACK — sending Abort now would undo links of a
-            # COMMITTED transaction on a live DLFM. In-doubt resolution
+            # COMMITTED transaction on a live DLFM. The in-doubt poller
             # re-drives phase 2 from the decision instead.
-            self._reset()
+            self._let_go()
             return
         if self.host.db.crashed:
             # The host database died under us, possibly inside the very
@@ -474,15 +474,25 @@ class HostSession:
             self._reset()
             return
         txn_id = self.txn_id
-        # A participant that is down or unreachable is skipped: presumed
-        # abort resolves it when it comes back.
-        yield from self.fan_out(
-            api.Abort, [(txn_id, server)
-                        for server in sorted(self.participants)],
+        # A participant that is down or unreachable goes to the in-doubt
+        # poller: presumed abort resolves it when it comes back.
+        servers = sorted(self.participants)
+        outcomes = yield from self.fan_out(
+            api.Abort, [(txn_id, server) for server in servers],
             name=f"abort-{txn_id}")
         yield from self.session.rollback()
+        for server, outcome in zip(servers, outcomes):
+            if isinstance(outcome, ReproError):
+                self.host.poll(server)
         self._reset()
         self.host.metrics.rollbacks += 1
+
+    def _let_go(self) -> None:
+        """Hand a decided transaction's participants to the in-doubt
+        poller: its phase 2 may not have finished."""
+        for server in sorted(self.participants):
+            self.host.poll(server)
+        self._reset()
 
     def _reset(self) -> None:
         self.participants = set()
@@ -620,7 +630,8 @@ class HostSession:
                     yield from self._cast_commits(txn_id, participants)
         self._reset()
 
-    def commit_participants(self, decisions, fault_point=None):
+    def commit_participants(self, decisions, fault_point=None,
+                            timeout=None):
         """Generator: phase-2 Commit for ``decisions`` (txn_id →
         servers), every (transaction, server) pair at once.
 
@@ -629,8 +640,9 @@ class HostSession:
         (one unforced FORGET record) only when all its participants
         acknowledged AND their phase 2 is durable
         (:meth:`HostDB.forget_when_durable`, off this path); a partial
-        ack keeps the decision and the next resolution pass re-drives
-        the idempotent Commits. Returns ``(acked, error)``: acknowledged
+        ack keeps the decision and hands each server whose Commit failed
+        to the in-doubt poller (:meth:`HostDB.poll`), which re-drives the
+        idempotent Commits. Returns ``(acked, error)``: acknowledged
         Commits and the first participant error (None when all
         acknowledged).
         """
@@ -639,31 +651,36 @@ class HostSession:
                        for server in servers)
         outcomes = yield from self.fan_out(api.Commit, pairs,
                                            name="phase2",
-                                           fault_point=fault_point)
+                                           fault_point=fault_point,
+                                           timeout=timeout)
         errors = [o for o in outcomes if isinstance(o, ReproError)]
         acked: dict[int, list] = {txn_id: [] for txn_id in decisions}
         for (txn_id, server), outcome in zip(pairs, outcomes):
             if isinstance(outcome, ReproError):
                 acked.pop(txn_id, None)
+                self.host.poll(server)
             elif txn_id in acked:
                 acked[txn_id].append((server, outcome))
         for txn_id in sorted(acked):
             self.host.forget_when_durable(txn_id, acked[txn_id])
         return len(pairs) - len(errors), (errors[0] if errors else None)
 
-    def fan_out(self, verb, pairs, *, name: str, fault_point=None):
+    def fan_out(self, verb, pairs, *, name: str, fault_point=None,
+                timeout=None):
         """Generator: the one phase-2 fan-out — ``verb`` (``api.Commit``
         or ``api.Abort``) to every ``(txn_id, server)`` pair at once,
-        every reply drained. Returns the outcomes in ``pairs`` order, a
-        participant's error (down, unreachable, refused) in place of
-        its reply: a failed Commit keeps the decision, a failed Abort is
-        left to presumed abort — the caller's call."""
+        every reply drained, each waited for at most ``timeout``. Returns
+        the outcomes in ``pairs`` order, a participant's error (down,
+        unreachable, refused, too slow) in place of its reply: a failed
+        Commit keeps the decision, a failed Abort is left to presumed
+        abort — the caller's call."""
         if not pairs:
             return []
 
         def send(txn_id, server):
             return (yield from rpc.call(self.sim, self.channel(server),
-                                        verb(self.host.dbid, txn_id)))
+                                        verb(self.host.dbid, txn_id),
+                                        timeout))
 
         outcomes = yield from rpc.gather_all(
             self.sim, [send(*pair) for pair in pairs], name=name,
@@ -699,6 +716,10 @@ class HostSession:
         self.sim.spawn(finish(), f"async-phase2-{txn_id}")
 
     def close(self) -> None:
+        """Close the DLFM connections, letting go of a decided transaction
+        still open (a client killed mid-phase-2)."""
+        if self._decided:
+            self._let_go()
         for chan in self._chans.values():
             chan.close()
         self._chans = {}

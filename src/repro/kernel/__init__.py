@@ -27,7 +27,6 @@ from repro.kernel.sim import (
     Process,
     Simulator,
     Timeout,
-    run_to_completion,
 )
 from repro.kernel.channel import Channel
 from repro.kernel.pool import PoolMetrics, WorkerPool
@@ -41,5 +40,4 @@ __all__ = [
     "Simulator",
     "Timeout",
     "WorkerPool",
-    "run_to_completion",
 ]

@@ -102,10 +102,9 @@ def gather_all(sim: Simulator, gens, *, name: str = "gather",
                fault_node: Optional[str] = None):
     """Generator: run ``gens`` concurrently and drain EVERY outcome.
 
-    Unlike :meth:`Simulator.gather` (which re-raises at the first failed
-    join, leaving later processes unjoined), this always consumes every
-    process's outcome before returning — no orphaned reply events, no
-    unjoined-failure noise. With ``return_exceptions=False`` the first
+    Every process's outcome is consumed before returning — no orphaned
+    reply events, no unjoined-failure noise. With
+    ``return_exceptions=False`` the first
     error (in ``gens`` order) is re-raised *after* the drain; with True
     the returned list carries the exception objects in place of results.
 
@@ -139,7 +138,8 @@ def gather_all(sim: Simulator, gens, *, name: str = "gather",
 def scatter(sim: Simulator, calls, *, name: str = "scatter",
             return_exceptions: bool = False,
             fault_point: Optional[str] = None,
-            fault_node: Optional[str] = None):
+            fault_node: Optional[str] = None,
+            timeout: Optional[float] = None):
     """Generator: fan one RPC out per ``(channel, payload)`` pair.
 
     All requests are cast concurrently (each in its own process, so one
@@ -150,10 +150,11 @@ def scatter(sim: Simulator, calls, *, name: str = "scatter",
     phase 1 uses to learn *which* participant voted no.
 
     ``fault_point``/``fault_node`` open a chaos window between the
-    scatter and the gather (kinds ``delay`` and ``crash``).
+    scatter and the gather (kinds ``delay`` and ``crash``); ``timeout``
+    bounds each reply's wait, as in :func:`call`.
     """
     calls = list(calls)
-    gens = (call(sim, chan, payload) for chan, payload in calls)
+    gens = (call(sim, chan, payload, timeout) for chan, payload in calls)
     result = yield from gather_all(
         sim, gens, name=name, return_exceptions=return_exceptions,
         fault_point=fault_point, fault_node=fault_node)

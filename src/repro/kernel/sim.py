@@ -16,7 +16,7 @@ import hashlib
 import heapq
 import itertools
 import random
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.chaos.faults import NULL_INJECTOR
 from repro.errors import SimError
@@ -423,20 +423,3 @@ class Simulator:
             rng = random.Random(int.from_bytes(digest[:8], "big"))
             self._rng_cache[name] = rng
         return rng
-
-    # -- convenience ---------------------------------------------------------------
-
-    def gather(self, gens: Iterable[Generator], name: str = "gather") -> Generator:
-        """Generator: run ``gens`` concurrently, return their results in order."""
-        procs = [self.spawn(gen, f"{name}-{i}") for i, gen in enumerate(gens)]
-        results = []
-        for proc in procs:
-            results.append((yield from proc.join()))
-        return results
-
-
-def run_to_completion(gen_factory: Callable[[Simulator], Generator],
-                      seed: int = 0) -> Any:
-    """One-shot helper: build a simulator, run one root process, return result."""
-    sim = Simulator(seed=seed)
-    return sim.run_process(gen_factory(sim), "root")

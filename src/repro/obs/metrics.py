@@ -100,7 +100,9 @@ def counters(system) -> Dict[str, float]:
     of each DLFM's database (node = the DLFM's name), ``host`` and
     ``dlfm`` for the datalink engines, ``daemon`` for each DLFM worker
     pool (node = the pool's name) and ``shardmap`` for a fleet's routing
-    cache. A dict field (``aborts_by_reason``) adds one key per entry.
+    cache, plus ``archive`` for the archive server's transfer counts
+    (node = its name). A dict field (``aborts_by_reason``) adds one key
+    per entry.
     """
     host = system.host
     out: Dict[str, float] = {}
@@ -118,6 +120,9 @@ def counters(system) -> Dict[str, float]:
     if host.shard_map is not None:
         out[f"shardmap.{host.dbid}.reloads"] = host.shard_map.reloads
         out[f"shardmap.{host.dbid}.entries"] = len(host.shard_map.entries())
+    archive = system.archive
+    for name in ("stores", "retrieves", "deletes"):
+        out[f"archive.{archive.name}.{name}"] = getattr(archive, name)
     return out
 
 

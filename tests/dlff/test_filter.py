@@ -27,7 +27,7 @@ def test_delete_of_linked_file_rejected(linked):
                                                         "alice")
         return True
     assert linked.run(go()) is True
-    assert linked.dlfms["fs1"].filter.rejections >= 1
+    assert linked.dlfms["fs1"].metrics.filter_rejections >= 1
 
 
 def test_rename_of_linked_file_rejected(linked):

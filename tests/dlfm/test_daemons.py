@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.chaos.faults import FaultInjector, FaultPlan, FaultRule
 from repro.dlfm.manager import GROUP_LIFETIME
 from repro.errors import PermissionDenied
+from repro.host import DatalinkSpec
 from repro.kernel import Timeout
+from repro.system import System
 
 from tests.dlfm.conftest import insert_clip, url
 
@@ -253,7 +256,49 @@ def test_partial_access_control_uses_upcall(media):
         with pytest.raises(LinkedFileError):
             yield from media.filtered_fs("fs1").delete("/docs/a.txt",
                                                        "carol")
-        return media.dlfms["fs1"].filter.upcalls_made
+        return media.dlfms["fs1"].metrics.filter_upcalls
 
     upcalls = media.run(go())
     assert upcalls >= 1
+
+
+def test_delete_group_survives_a_deadlock_at_its_first_statement():
+    """The Delete-Group daemon's work for a transaction is a deadlock
+    victim at its first statement (the probe for the deleted groups).
+    It rolls back, backs off and starts over: the group is emptied and
+    the transaction row goes, with no DLFM restart."""
+    system = System(seed=7, injector=FaultInjector(FaultPlan([
+        FaultRule("lock.acquire:dlfm-*", "lock_deadlock")])))
+    system.injector.enabled = False
+    dlfm = system.dlfms["fs1"]
+
+    def drop():
+        for i in range(3):
+            system.create_user_file("fs1", f"/v/clip{i}.mpg", owner="alice")
+        yield from system.host.create_datalink_table(
+            "clips", [("id", "INT"), ("title", "TEXT"), ("video", "TEXT")],
+            {"video": DatalinkSpec(access_control="full", recovery=True)})
+        session = system.session()
+        for i in range(3):
+            yield from insert_clip(session, i)
+        yield from session.commit()
+        yield from session.drop_table("clips")
+        txn_id = session.txn_id
+        yield from session.commit()
+        return txn_id
+
+    # Freeze the daemon's intake: the work runs below, by hand, with the
+    # deadlock aimed at its first lock request.
+    next(p for p in dlfm._daemon_procs if "delgrpd" in p.name).kill()
+    txn_id = system.run(drop())
+    assert dlfm.linked_count() == 3
+    system.injector.enabled = True
+    system.run(dlfm.delete_groupd.process_txn(system.host.dbid, txn_id))
+    assert [f["point"] for f in system.injector.fired] == [
+        "lock.acquire:dlfm-fs1"]
+    assert dlfm.metrics.delgrpd_retries == 1
+    assert dlfm.linked_count() == 0
+    assert dlfm.db.table_rows("dfm_txn") == []
+    state = dlfm.db.catalog.tables["dfm_group"].position("state")
+    assert {row[state] for row in dlfm.db.table_rows("dfm_group")} == {
+        "emptied"}

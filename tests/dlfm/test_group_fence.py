@@ -15,7 +15,7 @@ from repro.chaos.invariants import check_invariants
 from repro.configs import Configuration
 from repro.errors import LinkError, ReproError
 from repro.host import DatalinkSpec, build_url
-from repro.kernel import Timeout
+from repro.kernel import Timeout, rpc
 from repro.shard import move_group
 from tests.conftest import run_until_durable
 
@@ -92,8 +92,9 @@ def mover(system, out, start: float):
 
 def race(system, *procs) -> dict:
     out: dict = {}
-    system.run(system.sim.gather([proc(system, out) for proc in procs],
-                                 "racer"))
+    system.run(rpc.gather_all(system.sim,
+                              [proc(system, out) for proc in procs],
+                              name="racer"))
 
     def settle():   # the delete-group daemon, phase 2, the sweeps
         yield Timeout(120.0)
@@ -216,8 +217,9 @@ def test_sixteen_one_link_transactions_into_one_group_overlap(shards):
             done.append(system.sim.now)
 
         started = system.sim.now
-        system.run(system.sim.gather([client(i) for i in range(clients)],
-                                     "linker"))
+        system.run(rpc.gather_all(system.sim,
+                                  [client(i) for i in range(clients)],
+                                  name="linker"))
         assert sum(_linked(system).values()) == clients
         run_until_durable(system)
         assert check_invariants(system) == []

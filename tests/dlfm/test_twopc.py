@@ -427,3 +427,99 @@ def test_resolution_refuses_to_run_on_a_crashed_host(media):
     assert len(dlfm.db.table_rows("dfm_txn")) == 1
     assert media.run(host.restart())["aborted"] == 0
     assert dlfm.linked_count() == 1
+
+
+# --------------------------------------------------------------------------
+# The host finishes every phase 2 it starts: whatever the coordinator
+# leaves unfinished goes to its in-doubt poller, with no host restart and
+# no pass run by hand.
+
+def test_a_live_host_redrives_a_phase2_a_participant_crash_lost(media):
+    """fs1 dies between the phases: phase 2 fails, the application rolls
+    back, fs1 comes back. The host stayed up, and its poller re-drives
+    the Commit from the decision within a few poll periods."""
+    from repro.host.indoubt import POLL_PERIOD
+    host, dlfm = media.host, media.dlfms["fs1"]
+    session = media.session()
+
+    def prepare():
+        yield from insert_clip(session, 0)
+        writers, _ = yield from session.prepare_participants()
+        return writers
+
+    writers = media.run(prepare())
+    txn_id = session.txn_id
+    dlfm.crash()
+
+    def commit_then_rollback():
+        with pytest.raises(TwoPCProtocolError):
+            yield from session.commit_decided(writers)
+        yield from session.rollback()
+
+    media.run(commit_then_rollback())
+    dlfm.restart()
+    assert host.decision_rows() == [(txn_id, "fs1")]
+    run_until_durable(media, limit=4 * POLL_PERIOD)
+    assert host.pending_decisions() == {}
+    assert dlfm.db.table_rows("dfm_txn") == []
+    assert dlfm.linked_count() == 1
+    assert host.db.metrics.recoveries == 0
+
+
+def test_the_poller_gives_up_on_a_reply_a_partition_dropped():
+    """The poller's first pass sends its Commit and a partition drops
+    the reply. The pass waits for it at most one poll period, fails,
+    and the next pass finds phase 2 done and forgets the decision."""
+    from repro.host.indoubt import POLL_PERIOD
+    system = _media_with_plan(FaultRule("rpc.reply:dlfm-agent", "partition"))
+    host, dlfm = system.host, system.dlfms["fs1"]
+
+    def decide():
+        session = system.session()
+        yield from insert_clip(session, 0)
+        writers, _ = yield from session.prepare_participants()
+        yield from host.decide(session.session, writers)
+
+    system.run(decide())
+    system.injector.enabled = True
+    host.poll("fs1")
+    run_until_durable(system, limit=4 * POLL_PERIOD)
+    assert [f["point"] for f in system.injector.fired] == [
+        "rpc.reply:dlfm-agent"]
+    assert host.pending_decisions() == {}
+    assert dlfm.db.table_rows("dfm_txn") == []
+    assert dlfm.linked_count() == 1
+
+
+def test_a_hand_off_during_a_pass_gets_a_pass_of_its_own():
+    """A decision handed to fs1's poller while its pass runs (each
+    request to a DLFM agent delayed 1 s) is not in that pass's snapshot:
+    the poller passes once more before it stops, so the decision is
+    still re-driven and forgotten."""
+    from repro.host.indoubt import POLL_PERIOD
+    system = _media_with_plan(FaultRule("channel.send:dlfm-agent", "delay",
+                                        delay=1.0, max_fires=None))
+    host, dlfm = system.host, system.dlfms["fs1"]
+
+    def prepared(i):
+        session = system.session()
+        yield from insert_clip(session, i)
+        writers, _ = yield from session.prepare_participants()
+        return session, writers
+
+    def root():
+        first, writers = yield from prepared(0)
+        yield from host.decide(first.session, writers)
+        late, writers = yield from prepared(1)
+        system.injector.enabled = True
+        host.poll("fs1")
+        yield Timeout(0.5)          # the pass has read the one decision
+        yield from host.decide(late.session, writers)
+        assert not host._pollers["fs1"].finished
+        host.poll("fs1")            # as if the late phase 2 had failed
+
+    system.run(root())
+    run_until_durable(system, limit=4 * POLL_PERIOD)
+    assert host.pending_decisions() == {}
+    assert dlfm.db.table_rows("dfm_txn") == []
+    assert dlfm.linked_count() == 2

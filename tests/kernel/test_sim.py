@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimError
-from repro.kernel import TIMEOUT, Event, Simulator, Timeout, run_to_completion
+from repro.kernel import TIMEOUT, Event, Simulator, Timeout
 
 
 def test_clock_starts_at_zero():
@@ -291,30 +291,6 @@ def test_rng_streams_are_deterministic_and_independent():
 def test_stream_is_cached_per_name():
     sim = Simulator()
     assert sim.stream("x") is sim.stream("x")
-
-
-def test_gather_runs_children_concurrently():
-    sim = Simulator()
-
-    def child(delay, value):
-        yield Timeout(delay)
-        return value
-
-    def parent():
-        results = yield from sim.gather([child(3, "a"), child(1, "b")])
-        return results, sim.now
-
-    results, now = sim.run_process(parent())
-    assert results == ["a", "b"]
-    assert now == 3.0  # concurrent, not 4.0
-
-
-def test_run_to_completion_helper():
-    def root(sim):
-        yield Timeout(1.0)
-        return sim.now
-
-    assert run_to_completion(root) == 1.0
 
 
 def test_timer_cancel():

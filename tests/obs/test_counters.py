@@ -9,6 +9,7 @@ import pytest
 
 from benchmarks.e2e.counters import _DB_SOURCES, _DLFM_FIELDS, _HOST_FIELDS
 from repro.configs import Configuration
+from repro.dlfm.manager import DLFMMetrics
 from repro.obs import Tracer, counters
 from repro.obs.report import render_report
 from repro.shard import ShardedSystem
@@ -66,9 +67,21 @@ def test_every_metrics_field_is_a_counter_and_in_the_report(build):
                 setattr(obj, field.name, {"probe": stamp})
             else:
                 setattr(obj, field.name, stamp)
+    # The DLFF filter's counts are fields of its DLFM's metrics; the
+    # archive's stay attributes (the e2e benchmark reads them there).
+    filter_fields = {"filter_upcalls", "filter_rejections"}
+    assert filter_fields <= {f.name for f in dataclasses.fields(DLFMMetrics)}
+    for name in ("stores", "retrieves", "deletes"):
+        stamp = 1_000_003 + len(stamps)
+        stamps.add(stamp)
+        setattr(system.archive, name, stamp)
     flat = counters(system)
     assert stamps <= set(flat.values())
     assert len(flat) == len(stamps) + 2 * isinstance(system, ShardedSystem)
+    for name in system.dlfms:
+        assert {f"dlfm.{name}.{field}" for field in filter_fields} <= set(flat)
+    assert {"archive.adsm.stores", "archive.adsm.retrieves",
+            "archive.adsm.deletes"} <= set(flat)
     text = render_report(Tracer(), flat)
     for name, value in flat.items():
         assert (f"\n{name} " in text) == bool(value)

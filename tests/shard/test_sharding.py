@@ -19,7 +19,7 @@ from repro.errors import (CrashedError, DataLinkError, LinkedFileError,
                           LinkError, ReproError)
 from repro.host import DatalinkSpec, build_url
 from repro.host.indoubt import resolve_indoubts
-from repro.kernel import Timeout
+from repro.kernel import Timeout, rpc
 from repro.shard import ShardedSystem, move_group
 from tests.conftest import run_until_durable
 
@@ -590,7 +590,7 @@ def test_load_racing_move_group_waits_the_move_out():
             yield from load.session.rollback()   # or the move never ends
 
     before = fleet.host.shard_map.reloads
-    fleet.run(fleet.sim.gather([mover(), loader()], "race"))
+    fleet.run(rpc.gather_all(fleet.sim, [mover(), loader()], name="race"))
     assert out["moved"]["moved"] and fleet.host.shard_map.reloads > before
     assert not isinstance(out["stats"], ReproError), out["stats"]
     assert out["stats"].linked == 6 and out["stats"].pieces == 2

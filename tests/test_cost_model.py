@@ -20,7 +20,7 @@ POLICY_WAITS = {
     "workloads/runner.py:run_system_test.client("
     "rng.expovariate(1.0 / config.think_time))": "client think time",
     "dlfm/manager.py:DLFM._phase2(backoff.next())": "phase-2 retry backoff",
-    "dlfm/daemons/delete_group.py:DeleteGroupDaemon._drain_group("
+    "dlfm/daemons/delete_group.py:DeleteGroupDaemon.process_txn("
     "backoff.next())": "retry backoff",
     "host/session.py:HostSession.ship(0.05 * (attempt + 1))":
         "backoff while a group is mid-move between shards",
