@@ -3,19 +3,24 @@
 Demonstrates §3.3 of the paper end to end:
 
 1. a transaction links a file and completes phase 1 (prepare) at the
-   DLFM, the host records its commit decision — then the DLFM node dies;
-2. on restart the transaction is *indoubt* at the DLFM; the host's
-   resolution (or its polling daemon, if the DLFM stays down a while)
-   drives phase 2 and the link materializes;
-3. a second transaction that never prepared simply vanishes with the
-   crash — the local database's own restart recovery rolls it back.
+   DLFM, the host records its commit decision; a second one prepares
+   too but the host never decides it; a third never prepares — then
+   the host and the DLFM node both die;
+2. the host restarts first. Its restart resolution cannot reach the
+   DLFM, so it hands the work to its polling daemon ("if DLFM is
+   unavailable at restart, host database spawns a daemon whose sole
+   purpose is to poll the DLFM periodically");
+3. the DLFM restarts; the poller commits the decided transaction (the
+   link materializes) and aborts the undecided one (presumed abort);
+   the transaction that never prepared simply vanished with the crash —
+   the local database's own restart recovery rolled it back.
 
 Run:  python examples/crash_recovery_demo.py
 """
 
 from repro.dlfm import api
+from repro.errors import ReproError
 from repro.host import DatalinkSpec, build_url
-from repro.host.indoubt import indoubt_poller
 from repro.kernel import Timeout
 from repro.system import System
 
@@ -25,39 +30,51 @@ def main():
     host = system.host
     dlfm = system.dlfms["fs1"]
 
+    def link(doc_id, name):
+        session = system.session()
+        yield from session.execute(
+            "INSERT INTO docs (id, doc) VALUES (?, ?)",
+            (doc_id, build_url("fs1", f"/d/{name}")))
+        return session
+
+    def prepare(session):
+        yield from session.send_control(
+            "fs1", api.Prepare(host.dbid, session.txn_id))
+
     def demo():
         yield from host.create_datalink_table(
             "docs", [("id", "INT"), ("doc", "TEXT")],
             {"doc": DatalinkSpec(recovery=True)})
-        for name in ("committed.doc", "inflight.doc"):
+        for name in ("committed.doc", "undecided.doc", "inflight.doc"):
             system.create_user_file("fs1", f"/d/{name}", owner="u")
+        yield Timeout(10)   # the table's own 2PC is durable and forgotten
 
-        # --- transaction 1: prepared, decision logged, then DLFM dies ----
-        session = system.session()
-        yield from session.execute(
-            "INSERT INTO docs (id, doc) VALUES (?, ?)",
-            (1, build_url("fs1", "/d/committed.doc")))
-        txn_id = session.txn_id
-        yield from session.send_control("fs1",
-                                        api.Prepare(host.dbid, txn_id))
+        # --- transaction 1: prepared, decision logged ---------------------
+        session = yield from link(1, "committed.doc")
+        yield from prepare(session)
         yield from host.decide(session.session, ["fs1"])
-        print(f"txn {txn_id}: prepared at DLFM, commit decision durable "
-              "at host")
+        print(f"txn {session.txn_id}: prepared at DLFM, commit decision "
+              "durable at host")
 
-        # --- transaction 2: in-flight, never prepared ----------------------
-        session2 = system.session()
-        yield from session2.execute(
-            "INSERT INTO docs (id, doc) VALUES (?, ?)",
-            (2, build_url("fs1", "/d/inflight.doc")))
-        print(f"txn {session2.txn_id}: forward work done, NOT prepared")
+        # --- transaction 2: prepared, no decision -------------------------
+        session2 = yield from link(2, "undecided.doc")
+        yield from prepare(session2)
+        print(f"txn {session2.txn_id}: prepared at DLFM, no decision")
 
-        print("\n*** DLFM node crashes ***\n")
+        # --- transaction 3: in-flight, never prepared ---------------------
+        session3 = yield from link(3, "inflight.doc")
+        print(f"txn {session3.txn_id}: forward work done, NOT prepared")
+
+        print("\n*** host and DLFM node crash ***\n")
+        host.crash()
         dlfm.crash()
 
-        # The host spawns the polling daemon the paper describes — the
-        # DLFM is unavailable right now.
-        poller = system.sim.spawn(indoubt_poller(host, "fs1"),
-                                  "indoubt-poller")
+        print("host restarts while the DLFM is still down")
+        try:
+            yield from host.restart()
+        except ReproError as error:
+            print(f"  restart resolution failed: {error}")
+        print(f"  handed to the host's poller: {host.poller.name}")
         yield Timeout(12)
 
         print("DLFM restarts; local recovery runs")
@@ -65,14 +82,15 @@ def main():
         print(f"  local restart: redone={summary['redone']} "
               f"undone={summary['undone']}")
 
-        outcome = yield from poller.join()
-        print(f"indoubt resolution: {outcome}")
+        outcome = yield from host.poller.join()
+        print(f"indoubt resolution by the poller: {outcome}")
 
-        # Verify: txn 1's link survived; txn 2 left no trace.
+        # Verify: txn 1's link survived; txns 2 and 3 left no trace.
         entries = dlfm.file_entries()
         linked = [row[0] for row in entries if row[8] == "linked"]
         print(f"linked files after recovery: {linked}")
         assert linked == ["/d/committed.doc"]
+        assert outcome == {"committed": 1, "aborted": 1}
         assert dlfm.db.table_rows("dfm_txn") == []
         owner = system.servers["fs1"].fs.stat("/d/committed.doc").owner
         print(f"/d/committed.doc owner: {owner} (taken over in the "

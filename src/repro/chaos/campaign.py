@@ -8,8 +8,8 @@ A campaign builds a full :class:`repro.system.System` with a
    fuzzy checkpoint of every database, an insert whose commit is an XA
    branch, plus create+drop of short-lived datalink tables) with fault
    injection ENABLED;
-2. **recover** — injection off, every crashed node is restarted (ARIES
-   recovery + distributed in-doubt resolution);
+2. **recover** — injection off, every crashed node is restarted in a
+   seeded order (ARIES recovery + distributed in-doubt resolution);
 3. **quiesce** — virtual time advances until the deployment is clean (no
    in-flight transactions, no pending delayed updates, empty archive
    queue, no pending decisions) or a budget expires; the system finishes
@@ -439,17 +439,20 @@ class _Campaign:
     # ------------------------------------------------------------------ recovery
 
     def _recover(self) -> None:
-        restarted = False
-        for name in sorted(self.system.dlfms):
-            dlfm = self.system.dlfms[name]
-            if dlfm.db.crashed:
-                dlfm.restart()
-                restarted = True
+        """Restart the crashed nodes in an order of their own stream."""
         host = self.system.host
-        if host.db.crashed:
-            self._run_clean(host.restart(), "chaos-host-restart")
-            restarted = True
-        if restarted:
+        nodes = [*self.system.dlfms.values(), host]
+        crashed = [node for node in nodes if node.db.crashed]
+        self.system.sim.stream("chaos:restart").shuffle(crashed)
+        for node in crashed:
+            if node is not host:
+                node.restart()
+                continue
+            try:
+                self._run_clean(host.restart(), "chaos-host-restart")
+            except ReproError:
+                pass    # back before a DLFM: the host's poller finishes
+        if crashed:
             self.result.recoveries += 1
 
     # ------------------------------------------------------------------ quiesce

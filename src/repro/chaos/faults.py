@@ -348,7 +348,7 @@ def default_plan(seed: int = 0) -> FaultPlan:
         FaultRule("rpc.dup:Abort", "dup", prob=0.05, max_fires=None),
         # Partition/heal: the DLFM agent processes a request but its
         # reply is lost. The caller wedges until the round budget kills
-        # it; quiesce's in-doubt poller then re-drives the idempotent
+        # it; the host's in-doubt poller then re-drives the idempotent
         # outcome against the healed (possibly restarted) shard.
         FaultRule("rpc.reply:dlfm-agent", "partition", prob=0.01,
                   max_fires=2),

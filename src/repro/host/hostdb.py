@@ -21,6 +21,7 @@ from repro.dlfm import api
 from repro.errors import DataLinkError, ReproError
 from repro.host.datalink import DatalinkSpec, parse_url, shadow_column
 from repro.host.ids import RecoveryIdGenerator
+from repro.host import indoubt
 from repro.kernel import rpc
 from repro.kernel.sim import Simulator
 from repro.minidb import Database, DBConfig
@@ -103,10 +104,9 @@ class HostDB:
         self._grp_counter = itertools.count(1)
         self._backup_counter = itertools.count(1)
         self.backups: dict[int, dict] = {}
-        #: server → its in-doubt poller, and the servers handed over
-        #: again while theirs runs a pass (:meth:`poll`).
-        self._pollers: dict = {}
-        self.repoll: set = set()
+        #: The in-doubt poller and its "pass again" flag (:meth:`poll`).
+        self.poller = None
+        self.pass_again = False
         #: Shard router (``repro.shard.ShardMap``) — None on an unsharded
         #: host, where datalink ops address DLFMs by file-server name.
         self.shard_map = None
@@ -132,49 +132,44 @@ class HostDB:
 
     def forget_when_durable(self, txn_id: int, replies) -> None:
         """Forget decision ``txn_id`` once its phase 2 is durable at
-        every participant. ``replies`` are its acknowledged Commit
-        replies, ``(server, reply)`` for each participant; a reply's
-        ``durable`` handle completes when the participant's log force
-        covers its lazy COMMIT. The wait runs off the caller's path. A
-        failed handle (the participant crashed first) keeps the decision
-        and hands the server to the in-doubt poller, which re-drives the
-        lost phase 2 once it is back."""
-        pending = [(server, reply["durable"]) for server, reply in replies
+        every participant. ``replies`` are its participants' acknowledged
+        Commit replies; a reply's ``durable`` handle completes when the
+        participant's log force covers its lazy COMMIT. The wait runs
+        off the caller's path. A failed handle (the participant crashed
+        first) keeps the decision and hands it to the in-doubt poller,
+        which re-drives the lost phase 2 once the server is back."""
+        handles = [reply["durable"] for reply in replies
                    if reply.get("durable") is not None]
-        if not pending:
+        if not handles:
             self.forget_decision(txn_id)
             return
-        self.sim.spawn(self._forget_after(txn_id, pending),
+        self.sim.spawn(self._forget_after(txn_id, handles),
                        f"forget-{txn_id}")
 
-    def _forget_after(self, txn_id: int, pending):
+    def _forget_after(self, txn_id: int, handles):
         recoveries = self.db.metrics.recoveries
-        lost = []
-        for server, handle in pending:
+        lost = False
+        for handle in handles:
             try:
                 yield from rpc.wait_reply(handle)
             except ReproError:
-                lost.append(server)
+                lost = True
         if self.db.crashed or self.db.metrics.recoveries != recoveries:
             return  # the host crashed meanwhile: its restart re-drives
-        if not lost:
-            self.forget_decision(txn_id)
-        for server in lost:
-            self.poll(server)
-
-    def poll(self, server: str) -> None:
-        """The one hand-off of unfinished 2PC work at ``server``: spawn
-        its in-doubt poller, or have the running one pass again. Nothing
-        on a crashed host, whose restart runs a pass of its own."""
-        from repro.host.indoubt import indoubt_poller
-        if self.db.crashed:
-            return
-        proc = self._pollers.get(server)
-        if proc is None or proc.finished:
-            self._pollers[server] = self.sim.spawn(
-                indoubt_poller(self, server), f"indoubt-poller-{server}")
+        if lost:
+            self.poll()
         else:
-            self.repoll.add(server)
+            self.forget_decision(txn_id)
+
+    def poll(self) -> None:
+        """The one hand-off of unfinished 2PC work: spawn the host's
+        in-doubt poller, or have the running one pass again. Nothing on
+        a crashed host, whose restart runs a pass of its own."""
+        if self.poller is not None and not self.poller.finished:
+            self.pass_again = True
+        elif not self.db.crashed:
+            self.poller = self.sim.spawn(indoubt.indoubt_poller(self),
+                                         "indoubt-poller")
 
     def forget_decision(self, txn_id: int) -> None:
         """Forget a decision whose phase 2 is durable everywhere.
@@ -201,12 +196,6 @@ class HostDB:
         return [(txn_id, server)
                 for txn_id, servers in sorted(self.pending_decisions().items())
                 for server in servers]
-
-    def _rescan_decisions(self) -> set:
-        """The file groups the WAL's open decisions drop."""
-        wal = self.db.wal
-        return {grp for lsn in wal.decisions.values()
-                for grp in wal.record(lsn).payload["dropped"]}
 
     # ------------------------------------------------------------------ sessions
 
@@ -289,7 +278,11 @@ class HostDB:
     # ------------------------------------------------------------------ crash / restart
 
     def crash(self) -> None:
+        """The poller dies with the host: its restart runs the pass."""
         self.db.crash()
+        if self.poller is not None:
+            self.poller.kill()
+            self.poller = None
 
     def restart(self):
         """Generator: restart + distributed recovery (paper §3.3).
@@ -297,16 +290,21 @@ class HostDB:
         Re-drives unfinished phase-2 commits from the decisions the WAL
         holds open, then resolves every DLFM's remaining prepared
         transactions to abort (presumed abort: no decision → the host
-        never committed).
+        never committed). A failed pass is handed to the poller, then
+        re-raised: the caller learns that recovery did not finish.
         """
-        from repro.host.indoubt import resolve_indoubts
         self.db.restart()
-        dropped = self._rescan_decisions()
+        wal = self.db.wal
+        dropped = {grp for lsn in wal.decisions.values()
+                   for grp in wal.record(lsn).payload["dropped"]}
         if self.shard_map is not None:
             self.shard_map.reload()
         # Drops a crash caught between their decision and apply_drop.
         for name in sorted({name for (name, _), grp in self.group_ids.items()
                             if grp in dropped}):
             self.apply_drop(name)
-        result = yield from resolve_indoubts(self)
-        return result
+        try:
+            return (yield from indoubt.resolve_indoubts(self))
+        except ReproError:
+            self.poll()
+            raise

@@ -70,15 +70,15 @@ def resolve_indoubts(host, timeout=None):
     return {"committed": committed, "aborted": aborted}
 
 
-def indoubt_poller(host, server: str):
-    """Generator (daemon, spawned by ``HostDB.poll``): a resolution pass
-    every POLL_PERIOD until one succeeds with nothing handed over since
-    it began. A reply slower than POLL_PERIOD fails the pass."""
+def indoubt_poller(host):
+    """Generator (the host's one poller, spawned by ``HostDB.poll``): a
+    pass every POLL_PERIOD until one succeeds with nothing handed over
+    since it began. A reply slower than POLL_PERIOD fails the pass."""
     while True:
-        host.repoll.discard(server)
+        host.pass_again = False
         try:
             result = yield from resolve_indoubts(host, timeout=POLL_PERIOD)
-            if server not in host.repoll:
+            if not host.pass_again:
                 return result
         except ReproError:
             pass

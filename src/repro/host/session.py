@@ -476,22 +476,19 @@ class HostSession:
         txn_id = self.txn_id
         # A participant that is down or unreachable goes to the in-doubt
         # poller: presumed abort resolves it when it comes back.
-        servers = sorted(self.participants)
         outcomes = yield from self.fan_out(
-            api.Abort, [(txn_id, server) for server in servers],
+            api.Abort, [(txn_id, s) for s in sorted(self.participants)],
             name=f"abort-{txn_id}")
         yield from self.session.rollback()
-        for server, outcome in zip(servers, outcomes):
-            if isinstance(outcome, ReproError):
-                self.host.poll(server)
+        if any(isinstance(outcome, ReproError) for outcome in outcomes):
+            self.host.poll()
         self._reset()
         self.host.metrics.rollbacks += 1
 
     def _let_go(self) -> None:
-        """Hand a decided transaction's participants to the in-doubt
-        poller: its phase 2 may not have finished."""
-        for server in sorted(self.participants):
-            self.host.poll(server)
+        """Hand a decided transaction to the in-doubt poller: its phase 2
+        may not have finished."""
+        self.host.poll()
         self._reset()
 
     def _reset(self) -> None:
@@ -640,11 +637,10 @@ class HostSession:
         (one unforced FORGET record) only when all its participants
         acknowledged AND their phase 2 is durable
         (:meth:`HostDB.forget_when_durable`, off this path); a partial
-        ack keeps the decision and hands each server whose Commit failed
-        to the in-doubt poller (:meth:`HostDB.poll`), which re-drives the
-        idempotent Commits. Returns ``(acked, error)``: acknowledged
-        Commits and the first participant error (None when all
-        acknowledged).
+        ack keeps the decision and hands it to the in-doubt poller
+        (:meth:`HostDB.poll`), which re-drives the idempotent Commits.
+        Returns ``(acked, error)``: acknowledged Commits and the first
+        participant error (None when all acknowledged).
         """
         pairs = sorted((txn_id, server)
                        for txn_id, servers in decisions.items()
@@ -654,13 +650,14 @@ class HostSession:
                                            fault_point=fault_point,
                                            timeout=timeout)
         errors = [o for o in outcomes if isinstance(o, ReproError)]
+        if errors:
+            self.host.poll()
         acked: dict[int, list] = {txn_id: [] for txn_id in decisions}
-        for (txn_id, server), outcome in zip(pairs, outcomes):
+        for (txn_id, _), outcome in zip(pairs, outcomes):
             if isinstance(outcome, ReproError):
                 acked.pop(txn_id, None)
-                self.host.poll(server)
             elif txn_id in acked:
-                acked[txn_id].append((server, outcome))
+                acked[txn_id].append(outcome)
         for txn_id in sorted(acked):
             self.host.forget_when_durable(txn_id, acked[txn_id])
         return len(pairs) - len(errors), (errors[0] if errors else None)
@@ -709,8 +706,8 @@ class HostSession:
 
         def finish():
             acked = []
-            for server, reply in zip(participants, replies):
-                acked.append((server, (yield from rpc.wait_reply(reply))))
+            for reply in replies:
+                acked.append((yield from rpc.wait_reply(reply)))
             self.host.forget_when_durable(txn_id, acked)
 
         self.sim.spawn(finish(), f"async-phase2-{txn_id}")

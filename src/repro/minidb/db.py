@@ -851,16 +851,17 @@ class Database:
 
     def _log_floor(self) -> int:
         """The oldest LSN a restart can read. Besides the last checkpoint,
-        four things reach further back: an active or prepared transaction
-        (undo, lock resurrection), an unforgotten 2PC decision (the host
-        re-drives phase 2 from its COMMIT record), a page still queued
-        for lazy replay, and a dirty page (REDO walks its chain down to
-        the durable page LSN: its recLSN)."""
+        four things reach further back: a transaction the checkpoint lists
+        (undo and lock resurrection, even once it ended: a crash can lose
+        its unforced ABORT or lazy COMMIT), an unforgotten 2PC decision
+        (the host re-drives phase 2 from its COMMIT record), a page queued
+        for lazy replay, and a dirty page (REDO walks down to its recLSN)."""
+        ckpt = self.wal.last_checkpoint_lsn
+        listed = self.wal.record(ckpt).payload["txn_table"] if ckpt else {}
         oldest_dirty = self.pool.oldest_rec_lsn()
         return min([
-            self.wal.last_checkpoint_lsn, *self.wal.decisions.values(),
-            *(txn.first_lsn for txn in self.txns.active
-              if txn.first_lsn is not None),
+            ckpt, *self.wal.decisions.values(),
+            *(entry["first"] or ckpt for entry in listed.values()),
             *(lsns[0] for lsns in self.replay_pending.values()),
             *([oldest_dirty] if oldest_dirty is not None else [])])
 

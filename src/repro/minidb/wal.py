@@ -15,7 +15,7 @@ below its oldest needed LSN: LSNs are monotone integers over
 :attr:`LogManager.base`, and every checkpoint (and the page worker,
 once it has written the pages a checkpoint left dirty) drops the records
 below the oldest of five LSNs (``Database._log_floor``) — the
-checkpoint, the oldest active or prepared transaction's first record,
+checkpoint, the first record of each transaction it lists as active,
 the oldest 2PC decision not yet forgotten (:attr:`LogManager.decisions`),
 the oldest record still queued for lazy replay, and the oldest dirty
 page's recLSN (checkpoints write no page, so a dirty page's REDO is its

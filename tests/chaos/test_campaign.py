@@ -74,11 +74,11 @@ def test_xa_branch_left_in_doubt_across_a_host_crash_gets_its_verdict():
     """A cell where the ``xa`` op leaves its branch in doubt and the
     host then crashes under it: restart resurrects the branch from its
     PREPARE record, quiesce (the TM) finds it by gtrid and delivers the
-    journaled commit, and the deployment checks clean. (Seed 68 is the
+    journaled commit, and the deployment checks clean. (Seed 65 is the
     first seed that reaches one: the host's leader point fires only for
     a real group, and a lone chaos client rarely queues behind another
     host committer.)"""
-    result = run_campaign(CampaignConfig(seed=68, ops=200, base="all_on"))
+    result = run_campaign(CampaignConfig(seed=65, ops=200, base="all_on"))
     assert any(op["kind"] == "xa" and "host-hostdb" in op["outcome"]
                and op["outcome"].startswith("indoubt:commit across")
                for op in result.op_trace)

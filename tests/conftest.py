@@ -54,6 +54,15 @@ def run_until_durable(system, limit=60.0):
             stop_when=lambda: not system.host.pending_decisions())
 
 
+def run_until_polled(system, limit=60.0):
+    """Run ``system``'s simulation until the host's in-doubt poller has
+    finished (at most ``limit`` sim-seconds): what a failed phase 2 or
+    restart pass handed over is resolved, or the poller still retries."""
+    sim, host = system.sim, system.host
+    sim.run(until=sim.now + limit,
+            stop_when=lambda: host.poller is None or host.poller.finished)
+
+
 def run(sim, gen, until=None):
     """Run one root generator to completion and return its result."""
     return sim.run_process(gen, until=until)

@@ -246,11 +246,10 @@ def test_indoubt_poller_waits_for_dlfm_to_return(media):
     dlfm.crash()
 
     def root():
-        from repro.host.indoubt import indoubt_poller
-        poller = media.sim.spawn(indoubt_poller(host, "fs1"), "poller")
+        host.poll()
         yield Timeout(20)   # DLFM stays down for a while
         dlfm.restart()
-        result = yield from poller.join()
+        result = yield from host.poller.join()
         return result
 
     result = media.run(root())
@@ -482,7 +481,7 @@ def test_the_poller_gives_up_on_a_reply_a_partition_dropped():
 
     system.run(decide())
     system.injector.enabled = True
-    host.poll("fs1")
+    host.poll()
     run_until_durable(system, limit=4 * POLL_PERIOD)
     assert [f["point"] for f in system.injector.fired] == [
         "rpc.reply:dlfm-agent"]
@@ -492,7 +491,7 @@ def test_the_poller_gives_up_on_a_reply_a_partition_dropped():
 
 
 def test_a_hand_off_during_a_pass_gets_a_pass_of_its_own():
-    """A decision handed to fs1's poller while its pass runs (each
+    """A decision handed to the poller while its pass runs (each
     request to a DLFM agent delayed 1 s) is not in that pass's snapshot:
     the poller passes once more before it stops, so the decision is
     still re-driven and forgotten."""
@@ -512,14 +511,176 @@ def test_a_hand_off_during_a_pass_gets_a_pass_of_its_own():
         yield from host.decide(first.session, writers)
         late, writers = yield from prepared(1)
         system.injector.enabled = True
-        host.poll("fs1")
+        host.poll()
         yield Timeout(0.5)          # the pass has read the one decision
         yield from host.decide(late.session, writers)
-        assert not host._pollers["fs1"].finished
-        host.poll("fs1")            # as if the late phase 2 had failed
+        assert not host.poller.finished
+        host.poll()                 # as if the late phase 2 had failed
 
     system.run(root())
     run_until_durable(system, limit=4 * POLL_PERIOD)
     assert host.pending_decisions() == {}
     assert dlfm.db.table_rows("dfm_txn") == []
     assert dlfm.linked_count() == 2
+
+
+# --------------------------------------------------------------------------
+# One poller per host: restart hands it what it cannot reach, it runs one
+# pass at a time, and a host crash ends it.
+
+def test_a_host_restarted_before_its_dlfm_hands_the_dlfm_to_its_poller(media):
+    """§3.3: "if DLFM is unavailable at restart, host database spawns a
+    daemon whose sole purpose is to poll the DLFM". A link is prepared
+    at fs1 with no decision; host and fs1 crash, and the host comes back
+    first. Its restart pass fails on fs1 and hands it to the poller,
+    which aborts the link (presumed abort) once fs1 is back."""
+    from repro.host.indoubt import POLL_PERIOD
+    host, dlfm = media.host, media.dlfms["fs1"]
+    run_until_durable(media)        # setup's decisions are forgotten
+
+    def prepare():
+        session = media.session()
+        yield from insert_clip(session, 0)
+        yield from session.prepare_participants()
+
+    media.run(prepare())
+    host.db.wal.force()             # ... and their FORGET records kept
+    host.crash()
+    dlfm.crash()
+    with pytest.raises(TwoPCProtocolError):
+        media.run(host.restart())
+    dlfm.restart()
+    media.sim.run(until=media.sim.now + 4 * POLL_PERIOD,
+                  stop_when=lambda: not dlfm.db.table_rows("dfm_txn"))
+    assert dlfm.db.table_rows("dfm_txn") == []
+    assert dlfm.linked_count() == 0
+
+
+def _count_passes(monkeypatch, sim):
+    """Wrap the resolution pass: returns a record of the passes in
+    flight now and at most, and of the process that ran each one."""
+    from repro.host import indoubt
+    real = indoubt.resolve_indoubts
+    passes = {"now": 0, "most": 0, "by": []}
+
+    def counted(host, timeout=None):
+        passes["by"].append(sim._current_proc)
+        passes["now"] += 1
+        passes["most"] = max(passes["most"], passes["now"])
+        try:
+            return (yield from real(host, timeout))
+        finally:
+            passes["now"] -= 1
+
+    monkeypatch.setattr(indoubt, "resolve_indoubts", counted)
+    return passes
+
+
+def test_the_host_runs_one_resolution_pass_at_a_time(monkeypatch):
+    """fs1 and fs2 are both down across one phase 2, so both Commits
+    fail and both are handed over. Every pass covers every server, and
+    the host runs one at a time: one poller, not one per server."""
+    from repro.host.indoubt import POLL_PERIOD
+    system = System(seed=7, servers=("fs1", "fs2"))
+    host = system.host
+    passes = _count_passes(monkeypatch, system.sim)
+
+    def setup():
+        for server in ("fs1", "fs2"):
+            system.create_user_file(server, "/v/clip0.mpg", owner="alice")
+        yield from host.create_datalink_table(
+            "clips", [("id", "INT"), ("video", "TEXT")],
+            {"video": DatalinkSpec(access_control="full", recovery=True)})
+
+    system.run(setup())
+    run_until_durable(system)
+    session = system.session()
+
+    def prepare():
+        for i, server in enumerate(("fs1", "fs2")):
+            yield from session.execute(
+                "INSERT INTO clips (id, video) VALUES (?, ?)",
+                (i, url(0, server)))
+        writers, _ = yield from session.prepare_participants()
+        return writers
+
+    writers = system.run(prepare())
+    assert writers == ["fs1", "fs2"]
+    for dlfm in system.dlfms.values():
+        dlfm.crash()
+
+    def commit_then_rollback():
+        with pytest.raises(TwoPCProtocolError):
+            yield from session.commit_decided(writers)
+        yield from session.rollback()
+        yield Timeout(2 * POLL_PERIOD)      # passes fail while both are down
+
+    system.run(commit_then_rollback())
+    for dlfm in system.dlfms.values():
+        dlfm.restart()
+    run_until_durable(system, limit=4 * POLL_PERIOD)
+    assert host.pending_decisions() == {}
+    assert passes["most"] == 1 and len(passes["by"]) >= 2
+    for dlfm in system.dlfms.values():
+        assert dlfm.db.table_rows("dfm_txn") == []
+        assert dlfm.linked_count() == 1
+
+
+def test_a_host_crash_during_its_restart_pass_ends_the_old_poller(
+        monkeypatch):
+    """A live host hands a lost phase 2 to its poller. The host crashes
+    (the poller with it), and crashes again while its restart pass waits
+    on a Commit reply (each request to a DLFM agent is delayed 1 s).
+    The second restart re-drives the decision; the first incarnation's
+    poller never runs another pass, and the deployment checks clean."""
+    from repro.errors import CrashedError
+    system = _media_with_plan(FaultRule("channel.send:dlfm-agent", "delay",
+                                        delay=1.0, max_fires=None))
+    host, dlfm = system.host, system.dlfms["fs1"]
+    passes = _count_passes(monkeypatch, system.sim)
+    session = system.session()
+
+    def prepare():
+        yield from insert_clip(session, 0)
+        writers, _ = yield from session.prepare_participants()
+        return writers
+
+    writers = system.run(prepare())
+    dlfm.crash()
+
+    def commit_then_rollback():
+        with pytest.raises(TwoPCProtocolError):
+            yield from session.commit_decided(writers)
+        yield from session.rollback()
+        yield Timeout(1)                    # its first pass fails
+
+    system.run(commit_then_rollback())
+    first = host.poller
+    assert first in passes["by"] and not first.finished
+    dlfm.restart()
+    host.crash()
+    crashed_at = len(passes["by"])
+    system.injector.enabled = True
+
+    def crash_in_the_pass():
+        yield Timeout(0.5)                  # the Commit is on its way
+        host.crash()
+
+    def restart_twice():
+        restart = system.sim.spawn(host.restart(), "restart-1")
+        system.sim.spawn(crash_in_the_pass(), "crasher")
+        with pytest.raises(CrashedError):
+            yield from restart.join()
+        assert host.poller is None          # a dead host hands nothing off
+        yield from host.restart()
+
+    system.run(restart_twice())
+    system.injector.enabled = False
+    run_until_durable(system)
+    system.sim.run(until=system.sim.now + 60)   # the Copy daemon archives
+    assert first not in passes["by"][crashed_at:]
+    assert passes["most"] == 1
+    assert host.pending_decisions() == {}
+    assert dlfm.db.table_rows("dfm_txn") == []
+    assert dlfm.linked_count() == 1
+    assert check_invariants(system) == []

@@ -8,11 +8,10 @@ from repro.chaos.invariants import check_invariants
 from repro.errors import (CrashedError, DataLinkError, ReproError,
                           TransactionAborted)
 from repro.host import DatalinkSpec, HostConfig, build_url
-from repro.host.indoubt import resolve_indoubts
 from repro.host.xa import xa_commit, xa_prepare, xa_recover, xa_rollback
 from repro.shard import ShardedSystem
 from repro.system import System
-from tests.conftest import run_until_durable
+from tests.conftest import run_until_durable, run_until_polled
 
 
 @pytest.fixture
@@ -431,9 +430,11 @@ def test_host_crash_at_the_prepare_force_leaves_no_branch():
             yield from host.restart()
 
     system.run(restart_without_fs2())
+    assert host.poller is not None         # the restart handed fs2 over
     system.dlfms["fs2"].restart()
     assert xa_recover(host) == {}          # the TM's recovery scan
-    system.run(resolve_indoubts(host))     # the in-doubt poller's pass
+    run_until_polled(system)
+    assert host.poller.finished
     assert _linked(system) == 0
     assert count_rows(system) == 0
     assert check_invariants(system) == []

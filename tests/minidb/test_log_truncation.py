@@ -1,7 +1,8 @@
 """The log forgets what no restart can read.
 
 Every checkpoint drops the records below the oldest of: the checkpoint
-itself, the first record of the oldest active or prepared transaction,
+itself, the first record of each transaction it lists as active or
+prepared (ended since, too: its ABORT may not be durable),
 the oldest unforgotten 2PC decision (pinned in ``tests/host``), the
 oldest record still queued for lazy replay and the oldest dirty page's
 recLSN (checkpoints write no page; the page cleaner does, and truncates
@@ -240,3 +241,27 @@ def test_a_restarted_host_stops_pinning_its_log():
     retained = restart_with_cold_pages(
         db, lambda: system.run(host.restart(), "host-restart"))
     assert_bounded(db, commit_ten_thousand(db, system.sim), retained)
+
+
+def test_a_rollback_whose_abort_is_not_durable_keeps_its_first_record():
+    """The last checkpoint lists a transaction as active, and it rolls
+    back after that: its CLR and ABORT records are not forced. The page
+    worker truncates when its pass is done, then a crash loses both
+    records, and restart undoes the transaction from the checkpoint's
+    list — from its first record, which the cut must have kept."""
+    db = make_db()
+    loser = run(db, "INSERT INTO a (k, v) VALUES (2, 'loser')", commit=False)
+    run(db, "INSERT INTO b (k, v) VALUES (1, 'kept')")
+    db.checkpoint()
+    first = loser.txn.first_lsn
+    # The worker writes the oldest page (the loser's) first; the
+    # rollback lands while the other page still waits.
+    db.sim.run(stop_when=lambda: db.pool.oldest_rec_lsn() != first)
+    assert db._worker is not None
+    db.sim.run_process(loser.rollback())
+    run_until_clean(db)
+    assert db.wal.flushed_upto < db.wal.tail_lsn    # the ABORT is not durable
+    db.crash()
+    db.restart()
+    assert rows(db, "a") == []
+    assert rows(db, "b") == [(1, "kept")]
