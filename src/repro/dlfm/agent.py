@@ -18,11 +18,21 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from repro.dlfm import api
+from repro.dlfm import api, schema
+from repro.dlfm.manager import TxnFacts
 from repro.errors import ReproError, TransactionAborted, TwoPCProtocolError
 from repro.kernel.channel import Channel
 from repro.kernel.rpc import serve_loop
 from repro.minidb.config import RPC
+
+
+#: The kind of work (``dfm_txn.work``) each forward op does.
+WORK_OF = {api.LinkFile: schema.WORK_LINK,
+           api.UnlinkFile: schema.WORK_UNLINK,
+           api.DeleteGroup: schema.WORK_DELETE,
+           api.RegisterGroup: schema.WORK_REGISTER,
+           api.ExportGroup: schema.WORK_MOVE,
+           api.ImportGroup: schema.WORK_MOVE}
 
 
 class ChildAgent:
@@ -38,6 +48,8 @@ class ChildAgent:
         #: were rolled back to their statement savepoints) has nothing to
         #: harden: Prepare answers with the read-only vote instead.
         self.wrote = False
+        #: What the current transaction did (:class:`TxnFacts`).
+        self.facts = TxnFacts()
 
     def serve(self):
         yield from serve_loop(self.chan, self.dispatch)
@@ -76,8 +88,10 @@ class ChildAgent:
         if isinstance(req, api.CommitPiece):
             self._check_txn(req)
             # A committed piece is already durable: the transaction can
-            # never vote read-only, whatever happens afterwards.
+            # never vote read-only, whatever happens afterwards. Its
+            # local commit released the group fences' S locks.
             self.wrote = True
+            self.facts.groups.clear()
             return (yield from self.dlfm.op_commit_piece(self.session, req))
         if isinstance(req, api.Prepare):
             return (yield from self._prepare(req))
@@ -106,6 +120,7 @@ class ChildAgent:
         self.prepared = False
         self.failed = False
         self.wrote = False
+        self.facts = TxnFacts()
         return {"started": True}
 
     def _check_txn(self, req) -> None:
@@ -120,28 +135,25 @@ class ChildAgent:
             raise TransactionAborted(
                 "local transaction already rolled back; the host must "
                 "abort the whole transaction", reason="failed")
+        dlfm, args = self.dlfm, (self.session, req, self.facts)
         try:
             if isinstance(req, api.LinkFile):
-                result = yield from self.dlfm.op_link_file(self.session, req)
+                result = yield from dlfm.op_link_file(*args)
             elif isinstance(req, api.UnlinkFile):
-                result = yield from self.dlfm.op_unlink_file(self.session,
-                                                             req)
+                result = yield from dlfm.op_unlink_file(*args)
             elif isinstance(req, api.RegisterGroup):
-                result = yield from self.dlfm.op_register_group(self.session,
-                                                                req)
+                result = yield from dlfm.op_register_group(*args)
             elif isinstance(req, api.ExportGroup):
-                result = yield from self.dlfm.op_export_group(self.session,
-                                                              req)
+                result = yield from dlfm.op_export_group(*args)
             elif isinstance(req, api.ImportGroup):
-                result = yield from self.dlfm.op_import_group(self.session,
-                                                              req)
+                result = yield from dlfm.op_import_group(*args)
             else:
-                result = yield from self.dlfm.op_delete_group(self.session,
-                                                              req)
+                result = yield from dlfm.op_delete_group(*args)
             # Only a SUCCESSFUL op dirties the transaction: a failed one
             # was rolled back to its statement savepoint and left no
             # local state behind.
             self.wrote = True
+            self.facts.work.add(WORK_OF[type(req)])
             return result
         except TransactionAborted:
             # A severe local error (deadlock/timeout/log-full) already
@@ -199,7 +211,8 @@ class ChildAgent:
             self.dlfm.metrics.readonly_votes += 1
             self._finish(req)
             return {"vote": "read-only"}
-        result = yield from self.dlfm.op_prepare(self.session, req)
+        result = yield from self.dlfm.op_prepare(self.session, req,
+                                                 self.facts)
         self.prepared = True
         return result
 
@@ -232,3 +245,4 @@ class ChildAgent:
             self.prepared = False
             self.failed = False
             self.wrote = False
+            self.facts = TxnFacts()

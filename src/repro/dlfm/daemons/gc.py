@@ -102,7 +102,7 @@ class GarbageCollector:
         db = self.dlfm.db
         session = db.session()
         expired = yield from session.execute(
-            "SELECT grp_id FROM dfm_group WHERE state = ? AND "
+            "SELECT grp_id, dbid FROM dfm_group WHERE state = ? AND "
             "expires_at < ?", ("emptied", now))
         find_leftovers = yield from session.prepare(
             "SELECT filename, recovery_id FROM dfm_file WHERE "
@@ -111,8 +111,8 @@ class GarbageCollector:
             "DELETE FROM dfm_file WHERE filename = ? AND "
             "recovery_id = ? AND state = ?")
         drop_group = yield from session.prepare(
-            "DELETE FROM dfm_group WHERE grp_id = ?")
-        for (grp_id,) in expired.rows:
+            "DELETE FROM dfm_group WHERE grp_id = ? AND dbid = ?")
+        for grp_id, dbid in expired.rows:
             leftovers = yield from find_leftovers.execute(
                 (grp_id, schema.ST_UNLINKED))
             for path, recovery_id in leftovers.rows:
@@ -120,7 +120,7 @@ class GarbageCollector:
                     (path, recovery_id, schema.ST_UNLINKED))
                 summary["entries"] += 1
                 summary["copies"] += self._drop_copy(path, recovery_id)
-            yield from drop_group.execute((grp_id,))
+            yield from drop_group.execute((grp_id, dbid))
             summary["groups"] += 1
             self.dlfm.metrics.gc_groups_removed += 1
         yield from session.commit()

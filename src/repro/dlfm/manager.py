@@ -24,11 +24,11 @@ Transactional design (paper §3.3/§4):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.archive import ArchiveServer
-from repro.dlff.filter import Filter
+from repro.dlff.filter import DLFM_ADMIN, Filter
 from repro.dlfm import api, schema
 from repro.dlfm.config import DLFMConfig
 from repro.dlfm.daemons.chown import ChownDaemon
@@ -98,6 +98,28 @@ class DLFMMetrics:
     #: DLFF filter: upcalls it made, and mutations it refused.
     filter_upcalls: int = 0
     filter_rejections: int = 0
+
+
+@dataclass
+class TxnFacts:
+    """What a child agent knows of its current transaction without
+    asking its database — so it sends only the SQL that can find
+    something.
+
+    * ``groups``: grp_id → the ``(state, epoch)`` row a link or unlink
+      fenced. Its ``FOR SHARE`` S lock is held to commit, so only this
+      transaction can change the row: its DeleteGroup, Export, Import or
+      Register of the group drops the entry, and a local commit (a
+      utility's CommitPiece) drops them all.
+    * ``unlinked``: the paths it unlinked (a relink of one inherits the
+      originals of the pending unlinking entry).
+    * ``work``: the kinds of work it did (``schema.WORK_KINDS``); Prepare
+      writes them into ``dfm_txn.work`` for phase 2.
+    """
+
+    groups: dict = field(default_factory=dict)
+    unlinked: set = field(default_factory=set)
+    work: set = field(default_factory=set)
 
 
 class DLFM:
@@ -259,7 +281,21 @@ class DLFM:
                 f"group {grp_id} route epoch {route_epoch} != shard "
                 f"epoch {epoch} on {self.name}")
 
-    def op_link_file(self, session, req: api.LinkFile):
+    def _fence_group(self, session, facts: TxnFacts, req):
+        """Generator: the ``(state, epoch)`` row of ``req``'s group, or
+        None, read ``FOR SHARE`` once per transaction: a later link or
+        unlink of the same group reuses the row the held S lock keeps
+        unchanged."""
+        group = facts.groups.get(req.grp_id)
+        if group is None:
+            group = yield from session.query_one(
+                "SELECT state, epoch FROM dfm_group WHERE grp_id = ? AND "
+                "dbid = ? FOR SHARE", (req.grp_id, req.dbid))
+            if group is not None:
+                facts.groups[req.grp_id] = group
+        return group
+
+    def op_link_file(self, session, req: api.LinkFile, facts: TxnFacts):
         """Generator: LinkFile forward processing (paper §3.2)."""
         if req.in_backout:
             # §3.2: "For link file request with in_backout set, DLFM
@@ -293,28 +329,34 @@ class DLFM:
         # plain read's lock ends with the statement): the group's writers
         # — DeleteGroup's UPDATE, ExportGroup's FOR UPDATE — wait for this
         # link, another linker does not (DESIGN §13).
-        group = yield from session.query_one(
-            "SELECT state, epoch FROM dfm_group WHERE grp_id = ? AND "
-            "dbid = ? FOR SHARE", (req.grp_id, req.dbid))
+        group = yield from self._fence_group(session, facts, req)
         if req.route_epoch:
             self._check_route(group, req.grp_id, req.route_epoch)
         if group is None or group[0] != schema.GRP_ACTIVE:
             raise LinkError(f"file group {req.grp_id} missing or deleted")
-        # Same-transaction unlink+relink: the file is still under database
-        # control, so a live stat would record the DLFM admin user as the
-        # "original" owner. Inherit the true originals from the pending
-        # unlinking entry instead. Repeated unlink+relink in one
-        # transaction leaves SEVERAL unlinking entries for the filename
-        # (each with its own unlink recovery id); they all carry the same
-        # inherited originals, so take the most recent deterministically.
-        pending = yield from session.execute(
-            "SELECT orig_owner, orig_group, orig_mode, unlink_recovery_id "
-            "FROM dfm_file WHERE filename = ? AND dbid = ? AND state = ?",
-            (req.path, req.dbid, schema.ST_UNLINKING))
-        if pending.rows:
-            latest = max(pending.rows, key=lambda row: row[3])
-            info = {"owner": latest[0], "group": latest[1],
-                    "mode": latest[2]}
+        # Relink of a file with a pending unlink — this transaction's, or
+        # another's that is prepared but not yet through phase 2: the file
+        # is still under database control, so a live stat would record
+        # the DLFM admin user (or a read-only mode) as the "original".
+        # Inherit the true originals from the unlinking entry instead.
+        # Only a taken-over file, or a path this transaction unlinked
+        # (partial control without recovery takes nothing over), can have
+        # one. Repeated unlink+relink leaves SEVERAL unlinking entries
+        # for the filename (each with its own unlink recovery id); they
+        # all carry the same inherited originals, so take the most recent
+        # deterministically.
+        taken_over = (info["owner"] == DLFM_ADMIN
+                      or not info["mode"] & 0o200)  # the owner's write bit
+        if taken_over or req.path in facts.unlinked:
+            pending = yield from session.execute(
+                "SELECT orig_owner, orig_group, orig_mode, "
+                "unlink_recovery_id FROM dfm_file WHERE filename = ? AND "
+                "dbid = ? AND state = ?",
+                (req.path, req.dbid, schema.ST_UNLINKING))
+            if pending.rows:
+                latest = max(pending.rows, key=lambda row: row[3])
+                info = {"owner": latest[0], "group": latest[1],
+                        "mode": latest[2]}
         # Check 3 + insert, made atomic by the unique (filename,
         # check_flag) index: a concurrent linker loses with a duplicate.
         from repro.errors import DuplicateKeyError
@@ -336,7 +378,8 @@ class DLFM:
         self.metrics.links += 1
         return {"linked": True}
 
-    def op_unlink_file(self, session, req: api.UnlinkFile):
+    def op_unlink_file(self, session, req: api.UnlinkFile,
+                       facts: TxnFacts):
         """Generator: UnlinkFile forward processing (delayed update)."""
         if req.in_backout:
             # §3.2: "For unlink request with the flag set, the unlinked
@@ -360,10 +403,7 @@ class DLFM:
             # Sharded host: fence against the shard map before touching
             # the entry, so a stale route retries instead of reporting
             # "not linked" for a file whose group moved elsewhere.
-            group = yield from session.query_one(
-                "SELECT state, epoch FROM dfm_group WHERE grp_id = ? AND "
-                "dbid = ? FOR SHARE",
-                (req.grp_id, req.dbid))
+            group = yield from self._fence_group(session, facts, req)
             self._check_route(group, req.grp_id, req.route_epoch)
         entry = yield from session.query_one(
             "SELECT state FROM dfm_file WHERE filename = ? AND "
@@ -380,10 +420,13 @@ class DLFM:
             "WHERE filename = ? AND check_flag = ? AND dbid = ?",
             (schema.ST_UNLINKING, req.txn_id, req.recovery_id, self.sim.now,
              req.recovery_id, req.path, schema.LINKED_FLAG, req.dbid))
+        facts.unlinked.add(req.path)
         self.metrics.unlinks += 1
         return {"unlinked": True}
 
-    def op_register_group(self, session, req: api.RegisterGroup):
+    def op_register_group(self, session, req: api.RegisterGroup,
+                          facts: TxnFacts):
+        facts.groups.pop(req.grp_id, None)
         # ``delete_txn`` is the registering transaction's delayed-update
         # mark (as it is an import's): the Abort of a prepared
         # transaction finds the group it hardened by it. The group is
@@ -400,8 +443,10 @@ class DLFM:
         self.metrics.groups_registered += 1
         return {"registered": True}
 
-    def op_delete_group(self, session, req: api.DeleteGroup):
+    def op_delete_group(self, session, req: api.DeleteGroup,
+                        facts: TxnFacts):
         """Mark a group deleted (host DROP TABLE); daemon unlinks later."""
+        facts.groups.pop(req.grp_id, None)
         if req.in_backout:
             yield from session.execute(
                 "UPDATE dfm_group SET state = ?, delete_txn = NULL, "
@@ -434,7 +479,8 @@ class DLFM:
                      "check_flag, access_ctl, recovery, orig_owner, "
                      "orig_group, orig_mode, archived")
 
-    def op_export_group(self, session, req: api.ExportGroup):
+    def op_export_group(self, session, req: api.ExportGroup,
+                        facts: TxnFacts):
         """Generator: rebalance source side — snapshot and mark moving-out.
 
         The FOR UPDATE on the group row and on every file row means the
@@ -444,6 +490,7 @@ class DLFM:
         (retryable), so a move cannot start while the group has any —
         by design, never by luck.
         """
+        facts.groups.pop(req.grp_id, None)
         group = yield from session.query_one(
             "SELECT grp_id, dbid, table_name, column_name, state, "
             "delete_txn, delete_time, expires_at, epoch FROM dfm_group "
@@ -497,7 +544,8 @@ class DLFM:
                 "file_rows": tuple(tuple(row) for row in files.rows),
                 "epoch": group[8] or 0}
 
-    def op_import_group(self, session, req: api.ImportGroup):
+    def op_import_group(self, session, req: api.ImportGroup,
+                        facts: TxnFacts):
         """Generator: rebalance destination side — adopt the snapshot.
 
         File rows are re-inserted verbatim (original link/unlink txn ids
@@ -506,6 +554,7 @@ class DLFM:
         finished long ago, so the adopted rows must not look freshly
         written by the move transaction.
         """
+        facts.groups.pop(req.grp_id, None)
         g = req.group_row
         yield from session.execute(
             "INSERT INTO dfm_group (grp_id, dbid, table_name, column_name, "
@@ -542,28 +591,34 @@ class DLFM:
 
     # ------------------------------------------------------------------ 2PC participant
 
-    def op_prepare(self, session, req: api.Prepare):
+    def op_prepare(self, session, req: api.Prepare, facts: TxnFacts):
         """Generator: phase 1 — harden everything with a local COMMIT.
 
-        A long utility transaction keeps the ``in-flight`` entry its
-        first CommitPiece made: its pieces are never undone (§4), so it
-        must not look in doubt to a presumed-abort resolver. Its Prepare
-        only hardens the tail and votes.
+        The ``dfm_txn`` entry records the kinds of work done, so phase 2
+        runs only the sweeps they need. A long utility transaction keeps
+        the ``in-flight`` entry its first CommitPiece made (no kinds:
+        phase 2 runs every sweep): its pieces are never undone (§4), so
+        it must not look in doubt to a presumed-abort resolver. Its
+        Prepare only hardens the tail and votes.
         """
-        groups = yield from session.execute(
-            "SELECT COUNT(*) FROM dfm_group WHERE delete_txn = ? AND "
-            "dbid = ? AND state = ?",
-            (req.txn_id, req.dbid, schema.GRP_DELETED))
-        n_groups = groups.scalar()
+        n_groups = 0
+        if schema.WORK_DELETE in facts.work:
+            groups = yield from session.execute(
+                "SELECT COUNT(*) FROM dfm_group WHERE delete_txn = ? AND "
+                "dbid = ? AND state = ?",
+                (req.txn_id, req.dbid, schema.GRP_DELETED))
+            n_groups = groups.scalar()
         existing = yield from session.query_one(
             "SELECT state FROM dfm_txn WHERE dbid = ? AND txn_id = ?",
             (req.dbid, req.txn_id))
         if existing is None:
+            work = ",".join(kind for kind in schema.WORK_KINDS
+                            if kind in facts.work)
             yield from session.execute(
                 "INSERT INTO dfm_txn (dbid, txn_id, state, prepare_time, "
-                "groups_deleted) VALUES (?, ?, ?, ?, ?)",
+                "groups_deleted, work) VALUES (?, ?, ?, ?, ?, ?)",
                 (req.dbid, req.txn_id, schema.TXN_PREPARED, self.sim.now,
-                 n_groups))
+                 n_groups, work))
         yield from session.commit()  # the vote: local database hardened
         self.metrics.prepares += 1
         return {"vote": "commit"}
@@ -607,7 +662,7 @@ class DLFM:
 
     def _commit_once(self, session, req: api.Commit, done_chown: set):
         txn_row = yield from session.query_one(
-            "SELECT state, groups_deleted FROM dfm_txn "
+            "SELECT state, groups_deleted, work FROM dfm_txn "
             "WHERE dbid = ? AND txn_id = ? FOR UPDATE",
             (req.dbid, req.txn_id))
         if txn_row is None:
@@ -618,17 +673,23 @@ class DLFM:
             yield from session.rollback()
             yield from self.db.harden()
             return {"outcome": "already-finished"}
-        _, groups_deleted = txn_row
+        _, groups_deleted, work = txn_row
+        # Only the sweeps for the work Prepare recorded; a row without a
+        # record (a utility's in-flight row) runs them all.
+        did = schema.WORK_KINDS if work is None else work.split(",")
 
         # Unlinked files first: release to the file system; delete the
         # entry when no point-in-time recovery is needed, else keep it as
         # an unlinked version marker (§3.2). Releases run before takeovers
         # so an unlink+relink of the SAME file in one transaction ends up
         # taken over, not released.
-        unlinking = yield from session.execute(
-            "SELECT filename, recovery, orig_owner, orig_group, orig_mode "
-            "FROM dfm_file WHERE unlink_txn = ? AND dbid = ? AND state = ?",
-            (req.txn_id, req.dbid, schema.ST_UNLINKING))
+        unlinking = []
+        if schema.WORK_UNLINK in did:
+            unlinking = yield from session.execute(
+                "SELECT filename, recovery, orig_owner, orig_group, "
+                "orig_mode FROM dfm_file WHERE unlink_txn = ? AND dbid = ? "
+                "AND state = ?",
+                (req.txn_id, req.dbid, schema.ST_UNLINKING))
         for path, recovery, owner, group, mode in unlinking:
             # Chown side effects are not transactional: remember what a
             # failed attempt already did so retries don't redo it (the
@@ -651,10 +712,12 @@ class DLFM:
 
         # Newly linked files: take over ownership / strip write permission
         # (enables asynchronous archiving, §3.4) and queue archive work.
-        linked = yield from session.execute(
-            "SELECT filename, recovery_id, access_ctl, recovery "
-            "FROM dfm_file WHERE link_txn = ? AND dbid = ? AND state = ?",
-            (req.txn_id, req.dbid, schema.ST_LINKED))
+        linked = []
+        if schema.WORK_LINK in did:
+            linked = yield from session.execute(
+                "SELECT filename, recovery_id, access_ctl, recovery "
+                "FROM dfm_file WHERE link_txn = ? AND dbid = ? AND state = ?",
+                (req.txn_id, req.dbid, schema.ST_LINKED))
         for path, recovery_id, access_ctl, recovery in linked:
             if ("takeover", path) not in done_chown:
                 yield from self.chown.request(
@@ -671,23 +734,24 @@ class DLFM:
         # moving-out group here (its rows live on the destination shard
         # now — no chown, the files never left the shared file server)
         # and flips the moving-in copy active at its new epoch.
-        moved_out = yield from session.execute(
-            "SELECT grp_id FROM dfm_group WHERE delete_txn = ? AND "
-            "dbid = ? AND state = ?",
-            (req.txn_id, req.dbid, schema.GRP_MOVING_OUT))
-        for (grp_id,) in moved_out.rows:
+        if schema.WORK_MOVE in did:
+            moved_out = yield from session.execute(
+                "SELECT grp_id FROM dfm_group WHERE delete_txn = ? AND "
+                "dbid = ? AND state = ?",
+                (req.txn_id, req.dbid, schema.GRP_MOVING_OUT))
+            for (grp_id,) in moved_out.rows:
+                yield from session.execute(
+                    "DELETE FROM dfm_file WHERE grp_id = ? AND dbid = ?",
+                    (grp_id, req.dbid))
+                yield from session.execute(
+                    "DELETE FROM dfm_group WHERE grp_id = ? AND dbid = ?",
+                    (grp_id, req.dbid))
             yield from session.execute(
-                "DELETE FROM dfm_file WHERE grp_id = ? AND dbid = ?",
-                (grp_id, req.dbid))
-            yield from session.execute(
-                "DELETE FROM dfm_group WHERE grp_id = ? AND dbid = ?",
-                (grp_id, req.dbid))
-        yield from session.execute(
-            "UPDATE dfm_group SET state = ?, delete_txn = NULL, "
-            "delete_time = NULL WHERE delete_txn = ? AND dbid = ? "
-            "AND state = ?",
-            (schema.GRP_ACTIVE, req.txn_id, req.dbid,
-             schema.GRP_MOVING_IN))
+                "UPDATE dfm_group SET state = ?, delete_txn = NULL, "
+                "delete_time = NULL WHERE delete_txn = ? AND dbid = ? "
+                "AND state = ?",
+                (schema.GRP_ACTIVE, req.txn_id, req.dbid,
+                 schema.GRP_MOVING_IN))
 
         if groups_deleted:
             # Keep the entry so the Delete-Group daemon (or a restart

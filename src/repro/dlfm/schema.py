@@ -12,7 +12,11 @@ Five SQL tables:
   needed to unlink everything when a host SQL table is dropped.
 * ``dfm_txn`` — transaction table for 2PC: entries appear at *prepare*
   (or at the first batched local commit of a long utility, marked
-  ``in-flight``).
+  ``in-flight``). Its ``work`` column names the kinds of work the
+  transaction did (:data:`WORK_KINDS`, comma-joined), so phase-2 Commit
+  runs only the sweeps that can find something — on any session, after
+  a restart or from the host's poller. A row with no value (a utility's
+  in-flight row) runs every sweep.
 * ``dfm_archive`` — pending copy work for the Copy daemon; kept separate
   from ``dfm_file`` exactly as the paper says, "to avoid contention in
   the main metadata table" and to restart copying cheaply.
@@ -22,6 +26,9 @@ The multiple secondary indexes on ``dfm_file`` are faithful to the paper
 — they are what made next-key locking deadlock-prone (E3). Every index
 is some plan's access path (``tests/dlfm/test_schema_plans.py``): an
 index no plan reads only adds an entry to every write of its table.
+For the same reason ``dfm_file_unlink_txn`` is ``EXCLUDE NULL KEYS``: a
+linked entry's ``unlink_txn`` is NULL, and no text can reach a NULL key
+(``= ?`` never matches NULL), so a link writes no entry there.
 """
 
 from __future__ import annotations
@@ -49,6 +56,16 @@ TXN_PREPARED = "prepared"
 TXN_COMMITTED = "committed"   # retained only while delete-group work remains
 TXN_INFLIGHT = "in-flight"    # long utility with batched local commits
 
+#: Kinds of work a transaction does at a DLFM, as ``dfm_txn.work``
+#: records them: LinkFile, UnlinkFile, DeleteGroup, RegisterGroup, and
+#: ExportGroup/ImportGroup (a rebalance move).
+WORK_LINK = "link"
+WORK_UNLINK = "unlink"
+WORK_DELETE = "delete"
+WORK_REGISTER = "register"
+WORK_MOVE = "move"
+WORK_KINDS = (WORK_LINK, WORK_UNLINK, WORK_DELETE, WORK_REGISTER, WORK_MOVE)
+
 DDL = [
     """CREATE TABLE dfm_file (
         filename TEXT, dbid TEXT, grp_id INT, recovery_id TEXT,
@@ -59,7 +76,8 @@ DDL = [
         archived INT)""",
     "CREATE UNIQUE INDEX dfm_file_name_flag ON dfm_file (filename, check_flag)",
     "CREATE INDEX dfm_file_link_txn ON dfm_file (dbid, link_txn)",
-    "CREATE INDEX dfm_file_unlink_txn ON dfm_file (dbid, unlink_txn)",
+    "CREATE INDEX dfm_file_unlink_txn ON dfm_file (dbid, unlink_txn) "
+    "EXCLUDE NULL KEYS",
     "CREATE INDEX dfm_file_grp ON dfm_file (grp_id, state)",
     """CREATE TABLE dfm_group (
         grp_id INT, dbid TEXT, table_name TEXT, column_name TEXT,
@@ -69,7 +87,7 @@ DDL = [
     "CREATE INDEX dfm_group_txn ON dfm_group (dbid, delete_txn)",
     """CREATE TABLE dfm_txn (
         dbid TEXT, txn_id INT, state TEXT, prepare_time FLOAT,
-        groups_deleted INT)""",
+        groups_deleted INT, work TEXT)""",
     "CREATE UNIQUE INDEX dfm_txn_id ON dfm_txn (dbid, txn_id)",
     """CREATE TABLE dfm_archive (
         filename TEXT, recovery_id TEXT, state TEXT, enqueued_at FLOAT)""",

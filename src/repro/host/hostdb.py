@@ -291,7 +291,8 @@ class HostDB:
         holds open, then resolves every DLFM's remaining prepared
         transactions to abort (presumed abort: no decision → the host
         never committed). A failed pass is handed to the poller, then
-        re-raised: the caller learns that recovery did not finish.
+        re-raised: the caller learns that recovery did not finish. A pass
+        whose host crashed under it hands nothing off.
         """
         self.db.restart()
         wal = self.db.wal
@@ -303,8 +304,10 @@ class HostDB:
         for name in sorted({name for (name, _), grp in self.group_ids.items()
                             if grp in dropped}):
             self.apply_drop(name)
+        recoveries = self.db.metrics.recoveries
         try:
             return (yield from indoubt.resolve_indoubts(self))
         except ReproError:
-            self.poll()
+            if self.db.metrics.recoveries == recoveries:
+                self.poll()     # a later incarnation runs its own pass
             raise

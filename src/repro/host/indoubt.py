@@ -35,12 +35,22 @@ def resolve_indoubts(host, timeout=None):
     A pass may run beside live traffic (the poller), but never on a
     crashed host, which reads no decision until it restarts; nor does it
     re-drive a decision whose COMMIT record still waits for its force.
-    A reply slower than ``timeout`` (None: no bound) fails the pass.
+    A pass belongs to the host incarnation it began in: after every wait
+    it fails if its host crashed meanwhile, restarted or not (the next
+    incarnation's restart runs a pass of its own). A reply slower than
+    ``timeout`` (None: no bound) fails the pass.
     """
+    recoveries = host.db.metrics.recoveries
+
+    def still_mine():
+        if host.db.crashed or host.db.metrics.recoveries != recoveries:
+            raise CrashedError(f"host {host.dbid} crashed mid-resolution")
+
     coordinator = host.session()
     try:
         committed, error = yield from coordinator.commit_participants(
             host.pending_decisions(), timeout=timeout)
+        still_mine()
         host.metrics.indoubt_commits += committed
         if error is not None:
             raise error
@@ -51,8 +61,7 @@ def resolve_indoubts(host, timeout=None):
             [(coordinator.channel(server), api.ListIndoubt(host.dbid))
              for server in servers],
             name="indoubt-list", timeout=timeout)
-        if host.db.crashed:
-            raise CrashedError(f"host {host.dbid} crashed mid-resolution")
+        still_mine()
         spoken_for = ({txn.id for txn in host.db.txns.active}
                      | set(host.pending_decisions()))
         outcomes = yield from coordinator.fan_out(
@@ -60,6 +69,7 @@ def resolve_indoubts(host, timeout=None):
             [(txn_id, server) for server, txn_ids in zip(servers, listed)
              for txn_id in txn_ids if txn_id not in spoken_for],
             name="indoubt-abort", timeout=timeout)
+        still_mine()
     finally:
         coordinator.close()
     errors = [o for o in outcomes if isinstance(o, ReproError)]

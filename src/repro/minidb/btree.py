@@ -269,16 +269,18 @@ class BTree:
         self._root = _Leaf()
         self._count = 0
 
-    def items(self) -> Iterator[tuple[tuple, Rid]]:
-        """Every ``(encoded_key, rid)`` pair in key order.
+    def items(self) -> list[tuple[tuple, Rid]]:
+        """A new list of every ``(encoded_key, rid)`` pair in key order.
 
         Used by checkpoints to snapshot the index image that instant
-        recovery repairs from (DESIGN.md §11).
+        recovery repairs from (DESIGN.md §11): one list extend per leaf.
         """
+        pairs: list[tuple[tuple, Rid]] = []
         leaf = self._leftmost()
         while leaf is not None:
-            yield from leaf.entries
+            pairs += leaf.entries
             leaf = leaf.next
+        return pairs
 
     def bulk_load(self, pairs) -> None:
         """Reload from ``(encoded_key, rid)`` pairs, in any order.

@@ -56,14 +56,32 @@ class IndexDef:
     #: ``row -> key values`` (always a tuple, also for one column),
     #: resolved from the column positions when the index is created: a
     #: table's columns never move, and every row pays this per index.
-    key_of: Callable[[tuple], tuple] = field(repr=False, compare=False)
+    #: None means the row has no entry in this index (``exclude_null``):
+    #: every path that adds, removes, locks or rebuilds entries asks
+    #: here, so the rule lives in this one function.
+    key_of: Callable[[tuple], Optional[tuple]] = field(repr=False,
+                                                        compare=False)
+    #: ``EXCLUDE NULL KEYS``: a key with a NULL column gets no entry, so
+    #: only a probe that binds every key column may read the index.
+    exclude_null: bool = False
 
 
-def _key_extractor(positions: list[int]) -> Callable[[tuple], tuple]:
+def _key_extractor(positions: list[int], exclude_null: bool
+                   ) -> Callable[[tuple], Optional[tuple]]:
     if len(positions) == 1:
         position = positions[0]
-        return lambda row: (row[position],)
-    return itemgetter(*positions)
+
+        def values(row: tuple) -> tuple:
+            return (row[position],)
+    else:
+        values = itemgetter(*positions)
+    if not exclude_null:
+        return values
+
+    def key_of(row: tuple) -> Optional[tuple]:
+        key = values(row)
+        return None if None in key else key
+    return key_of
 
 
 @dataclass
@@ -108,13 +126,17 @@ class Catalog:
         self._stats_versions.pop(name, None)
 
     def create_index(self, name: str, table: str, columns: tuple[str, ...],
-                     unique: bool) -> IndexDef:
+                     unique: bool, exclude_null: bool = False) -> IndexDef:
         if name in self.indexes:
             raise CatalogError(f"index {name} already exists")
+        if unique and exclude_null:
+            raise CatalogError(f"index {name}: EXCLUDE NULL KEYS needs a "
+                               "non-unique index")
         tdef = self.require_table(table)
         positions = [tdef.position(column) for column in columns]  # validates
         index = IndexDef(name, table, tuple(columns), unique,
-                         _key_extractor(positions))
+                         _key_extractor(positions, exclude_null),
+                         exclude_null)
         self.indexes[name] = index
         self.indexes_by_table[table].append(index)
         return index

@@ -39,6 +39,12 @@ ARCHIVE_SETUP = 0.05
 #: page (dense sorted (key, rid) runs); a sorted bottom-up bulk index
 #: build costs this fraction of a per-row entry (sequential writes).
 LOG_RECORDS_PER_PAGE = 10
+#: Restart's budget for that scan: a soft checkpoint fires once the log
+#: since the last one fills this many pages (0.04 s of ``PAGE_IO``).
+#: Restart time saws between zero and the budget, by where in the cycle
+#: the crash lands, so the budget is also how far one restart can differ
+#: from the next.
+RESTART_LOG_PAGES = 10
 INDEX_IMAGE_ENTRIES_PER_PAGE = 100
 BULK_INDEX_FACTOR = 0.1
 

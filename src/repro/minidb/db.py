@@ -28,8 +28,9 @@ from repro.minidb import wal as walmod
 from repro.minidb.btree import BTree, encode_key
 from repro.minidb.catalog import Catalog, ColumnDef
 from repro.minidb.config import (BULK_INDEX_FACTOR, INDEX_ENTRY,
-                                 ISOLATION_LEVELS, LOG_FORCE, PAGE_IO,
-                                 DBConfig, Unbilled, bill)
+                                 ISOLATION_LEVELS, LOG_FORCE,
+                                 LOG_RECORDS_PER_PAGE, PAGE_IO,
+                                 RESTART_LOG_PAGES, DBConfig, Unbilled, bill)
 from repro.minidb.locks import LockManager
 from repro.minidb.storage import BufferPool, Disk, Heap
 from repro.minidb.txn import Transaction, TransactionTable, TxnState
@@ -46,9 +47,9 @@ PLAN_CACHE_SIZE = 512
 #: million-row tables only after proportional churn.
 AUTO_RUNSTATS_FRACTION = 0.2
 #: Log records since the last checkpoint that trigger a soft one (DB2's
-#: SOFTMAX): restart reads a tail bounded by log volume, not by how fast
-#: transactions commit.
-SOFT_CHECKPOINT_RECORDS = 3_000
+#: SOFTMAX): restart reads a tail bounded by log volume — at most
+#: ``RESTART_LOG_PAGES`` pages — not by how fast transactions commit.
+SOFT_CHECKPOINT_RECORDS = RESTART_LOG_PAGES * LOG_RECORDS_PER_PAGE
 
 
 @dataclass
@@ -510,6 +511,8 @@ class Database:
         pending = self._bulk_loads.get(table.name)
         for index in self.catalog.indexes_by_table.get(table.name, []):
             key = index.key_of(row)
+            if key is None:
+                continue  # an excluded NULL key has no entry
             if pending is not None:
                 pending[index.name].add(rid, key)
                 self.metrics.bulk_entries_deferred += 1
@@ -520,10 +523,13 @@ class Database:
     def apply_index_delete(self, table, row: tuple, rid) -> None:
         pending = self._bulk_loads.get(table.name)
         for index in self.catalog.indexes_by_table.get(table.name, []):
+            key = index.key_of(row)
+            if key is None:
+                continue
             if pending is not None and pending[index.name].drop(rid):
                 continue  # entry was still deferred; undo is a dict pop
             self.unbilled.entries += 1
-            self.btrees[index.name].delete(index.key_of(row), rid)
+            self.btrees[index.name].delete(key, rid)
 
     def apply_index_update(self, table, old_row: tuple, new_row: tuple,
                            rid) -> None:
@@ -535,15 +541,19 @@ class Database:
                 continue
             if pending is not None:
                 p = pending[index.name]
-                if not p.drop(rid):
+                if old_key is not None and not p.drop(rid):
                     self.unbilled.entries += 1
                     self.btrees[index.name].delete(old_key, rid)
-                p.add(rid, new_key)
-                self.metrics.bulk_entries_deferred += 1
-            else:
-                self.unbilled.entries += 2
-                btree = self.btrees[index.name]
+                if new_key is not None:
+                    p.add(rid, new_key)
+                    self.metrics.bulk_entries_deferred += 1
+                continue
+            btree = self.btrees[index.name]
+            if old_key is not None:
+                self.unbilled.entries += 1
                 btree.delete(old_key, rid)
+            if new_key is not None:
+                self.unbilled.entries += 1
                 btree.insert(new_key, rid)
 
     # ------------------------------------------------------------------ bulk LOAD
@@ -589,7 +599,7 @@ class Database:
             btree = self.btrees.get(index_name)
             if btree is None or not p.by_rid:
                 continue
-            pairs = list(btree.items())
+            pairs = btree.items()
             pairs.extend((encode_key(key), rid)
                          for rid, key in p.by_rid.items())
             btree.bulk_load(pairs)
@@ -616,11 +626,14 @@ class Database:
             touched = stmt.table
         elif isinstance(stmt, ast.CreateIndex):
             index = self.catalog.create_index(stmt.index, stmt.table,
-                                              stmt.columns, stmt.unique)
+                                              stmt.columns, stmt.unique,
+                                              stmt.exclude_null)
             btree = BTree(index.name, index.table, index.columns,
                           index.unique)
             for rid, row in self.heaps[stmt.table].scan():
-                btree.insert(index.key_of(row), rid)
+                key = index.key_of(row)
+                if key is not None:
+                    btree.insert(key, rid)
             self.btrees[index.name] = btree
             if stmt.table in self._bulk_loads:
                 # Built from the heap, which already holds the loaded
@@ -813,7 +826,7 @@ class Database:
         """
         self._ensure_up()
         for name, btree in self.btrees.items():
-            image = list(btree.items())
+            image = btree.items()
             for pending in self._bulk_loads.values():
                 p = pending.get(name)
                 if p is not None and p.by_rid:

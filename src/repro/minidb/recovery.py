@@ -35,7 +35,6 @@ out. That is how "time to first commit" materializes in simulated time.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import islice
 from typing import Optional
 
 from repro.minidb import wal as walmod
@@ -73,8 +72,7 @@ class ColdImagePages:
         entries are then exactly the image, in sorted order."""
         self.db = db
         self.btree = btree
-        self.firsts = list(islice(btree.items(), 0, None,
-                                  INDEX_IMAGE_ENTRIES_PER_PAGE))
+        self.firsts = btree.items()[::INDEX_IMAGE_ENTRIES_PER_PAGE]
         self.unread = set(range(
             -(-len(btree) // INDEX_IMAGE_ENTRIES_PER_PAGE)))
 
@@ -215,7 +213,9 @@ def _redo(db, tail) -> int:
             # rows, at the price of replaying this one table eagerly.
             btree.clear()
             for rid, row in db.heaps[index.table].scan():
-                btree.insert(index.key_of(row), rid)
+                key = index.key_of(row)
+                if key is not None:
+                    btree.insert(key, rid)
             continue
         cold = None
         if image is None:
@@ -228,10 +228,14 @@ def _redo(db, tail) -> int:
         for record in tail:
             if not record.redoable or record.table != index.table:
                 continue
-            if record.before is not None:
-                btree.delete(index.key_of(record.before), record.rid)
-            if record.after is not None:
-                btree.insert(index.key_of(record.after), record.rid)
+            old_key = (index.key_of(record.before)
+                       if record.before is not None else None)
+            if old_key is not None:
+                btree.delete(old_key, record.rid)
+            new_key = (index.key_of(record.after)
+                       if record.after is not None else None)
+            if new_key is not None:
+                btree.insert(new_key, record.rid)
         # Installed after the deltas: replaying them reads nothing.
         if cold is not None and cold.unread:
             btree.cold_hook = cold

@@ -76,7 +76,8 @@ def commit_retry(seed: int = 7):
     def scenario():
         blocker = dlfm.db.session()
         yield from blocker.execute(
-            "SELECT * FROM dfm_txn WHERE txn_id = ? FOR UPDATE", (txn_id,))
+            "SELECT * FROM dfm_txn WHERE dbid = ? AND txn_id = ? FOR UPDATE",
+            (host.dbid, txn_id))
         chan = dlfm.connect()
         reply = yield from rpc.cast(
             system.sim, chan, api.Commit(host.dbid, txn_id))

@@ -109,6 +109,9 @@ class CreateIndex:
     table: str
     columns: tuple[str, ...]
     unique: bool
+    #: ``EXCLUDE NULL KEYS`` (DB2 LUW; non-unique indexes only): a row
+    #: whose key has a NULL column gets no entry.
+    exclude_null: bool = False
 
 
 @dataclass(frozen=True)

@@ -283,6 +283,8 @@ class Executor:
             # the loader is the table's only writer by contract.
             for index in indexes:
                 key = index.key_of(row)
+                if key is None:
+                    continue  # no entry, so no key to lock
                 yield from self.db.locks.acquire(
                     txn, ("key", table.name, index.name, encode_key(key)),
                     LockMode.X)
@@ -422,6 +424,8 @@ class Executor:
                     continue  # this index is untouched by the update
                 touched.append(new_key)
             for key in touched:
+                if key is None:
+                    continue  # an excluded NULL key has no entry
                 yield from self.db.locks.acquire(
                     txn, ("key", table.name, index.name, encode_key(key)),
                     LockMode.X)

@@ -12,7 +12,7 @@ from repro.errors import SQLSyntaxError
 KEYWORDS = frozenset("""
     SELECT FROM WHERE AND IN NULL ORDER BY ASC DESC INSERT INTO VALUES UPDATE
     SET DELETE CREATE DROP TABLE INDEX UNIQUE ON EXCEPT FOR COUNT LIMIT
-    SHARE TRUE FALSE
+    SHARE TRUE FALSE EXCLUDE KEYS
 """.split())
 
 TYPES = frozenset({"INT", "INTEGER", "FLOAT", "REAL", "TEXT", "VARCHAR",

@@ -201,6 +201,11 @@ def _index_candidate(index: IndexDef, sargs: list[_Sarg], stats: TableStats,
     range_bounds = (lo is not None) + (hi is not None)
     if n_eq == 0 and range_bounds == 0:
         return None
+    if index.exclude_null and n_eq < len(index.columns):
+        # Rows with a NULL key column are not in the index: only an
+        # equality on every key column (never true of NULL) is sure to
+        # want none of them.
+        return None
     cost = cost_index_scan(stats, index, n_eq, range_bounds)
     probe = IndexProbe(index, eq_exprs, lo, hi)
     return AccessPath("index_scan", table.name, probe, cost)

@@ -205,7 +205,12 @@ class _Parser:
         while self.accept_op(","):
             columns.append(self.expect_ident())
         self.expect_op(")")
-        return ast.CreateIndex(name, table, tuple(columns), unique)
+        exclude_null = self.accept_kw("EXCLUDE")
+        if exclude_null:
+            self.expect_kw("NULL")
+            self.expect_kw("KEYS")
+        return ast.CreateIndex(name, table, tuple(columns), unique,
+                               exclude_null)
 
     def _create_table(self) -> ast.CreateTable:
         name = self.expect_ident()

@@ -684,3 +684,74 @@ def test_a_host_crash_during_its_restart_pass_ends_the_old_poller(
     assert dlfm.db.table_rows("dfm_txn") == []
     assert dlfm.linked_count() == 1
     assert check_invariants(system) == []
+
+
+def test_a_restart_pass_ends_with_its_host_incarnation(monkeypatch):
+    """Restart 1's pass waits on its Commit reply (each request to a DLFM
+    agent is delayed 1 s) when the host crashes, 0.5 s in, and restarts
+    again 0.1 s later. The pass belongs to the dead incarnation: restart
+    1 raises when the wait ends, and only restart 2's pass asks the DLFM
+    for its in-doubt list — never two passes in one incarnation."""
+    from repro.errors import CrashedError
+    from repro.host import indoubt
+    system = _media_with_plan(FaultRule("channel.send:dlfm-agent", "delay",
+                                        delay=1.0, max_fires=None))
+    host, dlfm, sim = system.host, system.dlfms["fs1"], system.sim
+    session = system.session()
+
+    def prepare():
+        yield from insert_clip(session, 0)
+        writers, _ = yield from session.prepare_participants()
+        return writers
+
+    writers = system.run(prepare())
+    dlfm.crash()
+
+    def commit_then_rollback():
+        with pytest.raises(TwoPCProtocolError):
+            yield from session.commit_decided(writers)
+        yield from session.rollback()
+
+    system.run(commit_then_rollback())
+    host.crash()
+    dlfm.restart()
+    assert len(host.db.wal.decisions) == 1
+
+    listers: dict = {}                  # incarnation → passes that listed
+    real_scatter = indoubt.rpc.scatter
+
+    def scatter(sim_, calls, **kwargs):
+        if kwargs.get("name") == "indoubt-list":
+            listers.setdefault(host.db.metrics.recoveries, set()).add(
+                sim._current_proc)
+        return (yield from real_scatter(sim_, calls, **kwargs))
+
+    monkeypatch.setattr(indoubt.rpc, "scatter", scatter)
+    system.injector.enabled = True
+    outcome = {}
+
+    def restart_1():
+        try:
+            outcome["first"] = yield from host.restart()
+        except CrashedError as error:
+            outcome["first"] = error
+
+    def crash_then_restart():
+        yield Timeout(0.5)                  # the Commit is on its way
+        host.crash()
+        yield Timeout(0.1)
+        outcome["second"] = yield from host.restart()
+
+    first = sim.spawn(restart_1(), "restart-1")
+    second = sim.spawn(crash_then_restart(), "restart-2")
+    sim.run(until=sim.now + 30, stop_when=lambda: first.finished
+            and second.finished)
+    system.injector.enabled = False
+    assert isinstance(outcome["first"], CrashedError)
+    assert outcome["second"] == {"committed": 1, "aborted": 0}
+    assert all(len(procs) == 1 for procs in listers.values())
+    assert first not in set().union(*listers.values())
+    run_until_durable(system)
+    assert host.pending_decisions() == {}
+    assert dlfm.db.table_rows("dfm_txn") == []
+    assert dlfm.linked_count() == 1

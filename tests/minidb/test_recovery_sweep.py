@@ -31,6 +31,7 @@ import pytest
 
 from repro.kernel import Simulator
 from repro.minidb import Database, DBConfig
+from repro.minidb import db as dbmod
 
 
 #: The two states a restarted engine is read in: cold pages left to the
@@ -241,6 +242,9 @@ def sweep(build, drained, prefixes=None):
         assert db.wal.tail_lsn == tail, "trace is not deterministic"
         assert db.pool.metrics.page_writes == db.pool.metrics.cleaned == 0, \
             "dirty page reached disk: arbitrary prefixes are no longer valid"
+        assert db.wal.last_checkpoint_lsn == 0, \
+            "a checkpoint stored index images: earlier prefixes are no " \
+            "crash states"
         db.wal.flushed_upto = min(prefix, db.wal.tail_lsn)
         db.crash()
         restart(db, drained)
@@ -281,10 +285,17 @@ def test_full_prefix_equals_clean_restart():
     check_indexes(db)
 
 
+@pytest.fixture
+def no_soft_checkpoints(monkeypatch):
+    """The random trace runs past ``SOFT_CHECKPOINT_RECORDS``; the sweeps
+    over it place every checkpoint themselves (none, or the fuzzy one)."""
+    monkeypatch.setattr(dbmod, "SOFT_CHECKPOINT_RECORDS", 10**9)
+
+
 @pytest.mark.slow
 @RESTARTS
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_random_trace_every_prefix(seed, drained):
+def test_random_trace_every_prefix(seed, drained, no_soft_checkpoints):
     tail = sweep(lambda: run_random_trace(seed), drained)
     assert tail >= 80
 
@@ -489,7 +500,8 @@ def test_fuzzy_checkpoint_at_every_position_every_later_prefix(build,
 @pytest.mark.slow
 @RESTARTS
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_fuzzy_checkpoint_over_a_random_trace(seed, drained):
+def test_fuzzy_checkpoint_over_a_random_trace(seed, drained,
+                                             no_soft_checkpoints):
     def build(after):
         db, snaps = run_random_trace(seed, checkpoint_after=after)
         return db, snaps, db.wal.last_checkpoint_lsn
