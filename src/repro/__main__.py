@@ -136,30 +136,17 @@ def cmd_bench(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    import shlex
-
     from repro.chaos.campaign import CampaignConfig, run_campaign
-    from repro.chaos.faults import FaultPlan, FaultPlanError
 
-    plan = None
-    if args.plan:
-        try:
-            with open(args.plan) as handle:
-                plan = FaultPlan.from_json(handle.read())
-        except (OSError, FaultPlanError) as error:
-            print(f"cannot load plan {args.plan}: {error}", file=sys.stderr)
-            return 2
     result = run_campaign(CampaignConfig(
-        seed=args.seed, ops=args.ops, plan=plan, shards=args.shards,
-        base=args.config))
+        seed=args.seed, ops=args.ops, shards=args.shards, base=args.config))
 
     doc = result.to_doc()
     if args.json:
         print(result.to_json())
     else:
         print(f"python -m repro chaos --seed {doc['seed']} --ops {doc['ops']} "
-              f"--shards {doc['shards']} --config {doc['config']}"
-              + (f" --plan {shlex.quote(args.plan)}" if args.plan else ""))
+              f"--shards {doc['shards']} --config {doc['config']}")
         print(f"  plan          {result.plan.name}")
         print(f"  ops run       {len(doc['op_trace'])}")
         print(f"  rounds        {doc['rounds']} "
@@ -232,8 +219,6 @@ def main(argv=None) -> int:
                        help="the shipped configuration the deployment "
                             "runs: 'paper' has every fast path off, "
                             "'all_on' every one on (repro.configs)")
-    chaos.add_argument("--plan", metavar="FILE",
-                       help="FaultPlan JSON (default: built-in default plan)")
     chaos.add_argument("--json", action="store_true",
                        help="print the full result document (deterministic)")
     chaos.set_defaults(fn=cmd_chaos)

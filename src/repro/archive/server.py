@@ -79,10 +79,5 @@ class ArchiveServer:
     def has_copy(self, server: str, path: str, recovery_id: str) -> bool:
         return (server, path, recovery_id) in self._copies
 
-    def versions(self, server: str, path: str) -> list[ArchivedCopy]:
-        return sorted((c for (s, p, _), c in self._copies.items()
-                       if s == server and p == path),
-                      key=lambda c: c.archived_at)
-
     def copy_count(self) -> int:
         return len(self._copies)

@@ -17,7 +17,7 @@ A campaign builds a full :class:`repro.system.System` with a
 4. **check** — :func:`repro.chaos.invariants.check_invariants` cross-
    checks host ↔ DLFM ↔ file system ↔ archive.
 
-Everything is deterministic given (seed, ops, shards, base, plan): the
+Everything is deterministic given (seed, ops, shards, base): the
 workload draws from ``sim.stream("chaos:workload")`` and faults from
 per-rule streams, so the command line that ran a campaign reproduces it,
 violation and all (``python -m repro chaos`` prints that line first).
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.chaos.faults import FaultInjector, FaultPlan, default_plan
 from repro.chaos.invariants import (Violation, check_forgets,
@@ -55,7 +54,6 @@ ROUND_OPS = 25
 class CampaignConfig:
     seed: int = 0
     ops: int = 200
-    plan: Optional[FaultPlan] = None          # None → default_plan(seed)
     #: 0 → the classic unsharded deployment (one DLFM per file server).
     #: N > 0 → a :class:`~repro.shard.ShardedSystem` fleet of N shards
     #: over one shared file server; the workload gains ``move_group``
@@ -111,8 +109,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
 class _Campaign:
     def __init__(self, config: CampaignConfig):
         self.config = config
-        self.plan = (config.plan if config.plan is not None
-                     else default_plan(config.seed))
+        self.plan = default_plan(config.seed)
         self.injector = FaultInjector(self.plan)
         self.injector.enabled = False  # setup runs clean
         self.sharded = config.shards > 0

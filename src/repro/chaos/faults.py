@@ -86,7 +86,6 @@ guards with ``if sim.injector.enabled:`` — the same pattern as
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from fnmatch import fnmatchcase
 from typing import Optional
@@ -108,7 +107,7 @@ REPLY_KINDS = ("partition",)
 
 
 class FaultPlanError(ReproError):
-    """A fault plan failed validation or (de)serialization."""
+    """A fault plan failed validation."""
 
 
 @dataclass(frozen=True)
@@ -152,18 +151,6 @@ class FaultRule:
                 "max_fires": self.max_fires, "skip": self.skip,
                 "delay": self.delay, "rule_id": self.rule_id}
 
-    @classmethod
-    def from_doc(cls, doc: dict) -> "FaultRule":
-        try:
-            return cls(point=doc["point"], kind=doc["kind"],
-                       prob=float(doc.get("prob", 1.0)),
-                       max_fires=doc.get("max_fires", 1),
-                       skip=int(doc.get("skip", 0)),
-                       delay=float(doc.get("delay", 0.0)),
-                       rule_id=str(doc.get("rule_id", "")))
-        except (KeyError, TypeError, ValueError) as error:
-            raise FaultPlanError(f"bad fault rule {doc!r}: {error}")
-
 
 @dataclass
 class FaultPlan:
@@ -197,32 +184,15 @@ class FaultPlan:
         return {"name": self.name,
                 "rules": [rule.to_doc() for rule in self.rules]}
 
-    @classmethod
-    def from_doc(cls, doc: dict) -> "FaultPlan":
-        if not isinstance(doc, dict) or "rules" not in doc:
-            raise FaultPlanError(f"fault plan document needs 'rules': {doc!r}")
-        return cls(rules=[FaultRule.from_doc(r) for r in doc["rules"]],
-                   name=str(doc.get("name", "plan")))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), sort_keys=True,
-                          separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        try:
-            doc = json.loads(text)
-        except ValueError as error:
-            raise FaultPlanError(f"fault plan is not valid JSON: {error}")
-        return cls.from_doc(doc)
-
 
 class NullInjector:
     """Do-nothing injector installed on every simulator by default.
 
     ``enabled`` is False as a *class* attribute, so the guard
     ``if sim.injector.enabled:`` at each call site costs two attribute
-    loads and nothing else — the NullTracer discipline.
+    loads and nothing else — the NullTracer discipline. The guard is the
+    rule: a call site reaches ``fire``, ``fs_check``, ``maybe_crash`` or
+    ``watch`` only through it, so only :class:`FaultInjector` has them.
     """
 
     enabled = False
@@ -231,18 +201,6 @@ class NullInjector:
         pass
 
     def register_crash(self, node: str, crash_fn) -> None:
-        pass
-
-    def watch(self, node: str, check_fn) -> None:
-        pass
-
-    def fire(self, point: str, kinds) -> Optional[FaultRule]:
-        return None
-
-    def fs_check(self, point: str, path: str = "") -> None:
-        pass
-
-    def maybe_crash(self, point: str, node: str) -> None:
         pass
 
 
@@ -303,8 +261,6 @@ class FaultInjector(NullInjector):
             self._fires[rid] = fires + 1
             self.fired.append({"t": round(self._sim.now, 9), "point": point,
                                "kind": rule.kind, "rule": rid})
-            self._sim.tracer.event("chaos.fault", point=point,
-                                   kind=rule.kind, rule=rid)
             return rule
         return None
 

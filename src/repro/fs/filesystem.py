@@ -73,9 +73,6 @@ class FileSystem:
             raise FileNotFound(path)
         return node
 
-    def listdir(self, prefix: str = "/") -> list[str]:
-        return sorted(p for p in self._files if p.startswith(prefix))
-
     # -- mutation ----------------------------------------------------------------
 
     def create(self, path: str, owner: str, content: str = "",

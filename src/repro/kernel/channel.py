@@ -10,11 +10,11 @@ still busy — the precondition of the distributed-deadlock scenario in the
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 from repro.chaos.faults import SEND_KINDS
 from repro.errors import ChannelClosed, ChannelTimeout
-from repro.kernel.sim import TIMEOUT, Event, Simulator, Timeout
+from repro.kernel.sim import Event, Simulator, Timeout
 
 
 class Channel:
@@ -47,7 +47,7 @@ class Channel:
 
     # -- sending ---------------------------------------------------------------
 
-    def send(self, message: Any, timeout: Optional[float] = None) -> Generator:
+    def send(self, message: Any) -> Generator:
         """Generator: deliver ``message``, blocking until a peer/slot exists."""
         if self.closed:
             raise ChannelClosed(self.name)
@@ -73,11 +73,7 @@ class Channel:
         handoff = Event(self.sim, name=f"{self.name}.send")
         self._senders.append((message, handoff))
         with self.sim.tracer.span("channel.send", channel=self.name) as span:
-            outcome = yield handoff.wait(timeout)
-            if outcome is TIMEOUT:
-                span.set(outcome="timeout")
-                self._drop_sender(handoff)
-                raise ChannelTimeout(f"send on {self.name} timed out")
+            outcome = yield handoff.wait()
             if isinstance(outcome, ChannelClosed):
                 span.set(outcome="closed")
                 raise outcome
@@ -95,15 +91,9 @@ class Channel:
                 return event
         return None
 
-    def _drop_sender(self, event: Event) -> None:
-        for pending in list(self._senders):
-            if pending[1] is event:
-                self._senders.remove(pending)
-                return
-
     # -- receiving --------------------------------------------------------------
 
-    def recv(self, timeout: Optional[float] = None) -> Generator:
+    def recv(self) -> Generator:
         """Generator: return the next message, blocking until one arrives."""
         if self._buffer:
             message = self._buffer.popleft()
@@ -118,14 +108,7 @@ class Channel:
         arrival = Event(self.sim, name=f"{self.name}.recv")
         self._receivers.append(arrival)
         with self.sim.tracer.span("channel.recv", channel=self.name) as span:
-            outcome = yield arrival.wait(timeout)
-            if outcome is TIMEOUT:
-                span.set(outcome="timeout")
-                try:
-                    self._receivers.remove(arrival)
-                except ValueError:
-                    pass
-                raise ChannelTimeout(f"recv on {self.name} timed out")
+            outcome = yield arrival.wait()
             if isinstance(outcome, ChannelClosed):
                 span.set(outcome="closed")
                 raise outcome

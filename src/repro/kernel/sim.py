@@ -77,11 +77,6 @@ class Timer:
     def cancel(self) -> None:
         self.cancelled = True
 
-    def fire(self) -> None:
-        if not self.cancelled:
-            self.cancelled = True
-            self.fn()
-
 
 class Event:
     """Broadcast wakeup primitive.
@@ -236,12 +231,6 @@ class Process:
             self.sim.absolve(self)
             raise payload
         return payload
-
-    def throw(self, exc: BaseException) -> None:
-        """Inject an exception at the process's current suspension point."""
-        if self.finished or self._killed:
-            raise SimError(f"cannot throw into finished process {self.name}")
-        self._step(None, exc=exc)
 
     # -- kernel-side stepping ------------------------------------------------
 

@@ -13,7 +13,7 @@ later waits in a database's one :class:`Unbilled` accumulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.kernel.sim import Timeout
 
@@ -166,10 +166,6 @@ class DBConfig:
     rows_per_page: int = 32
     #: Virtual service times.
     timing: TimingModel = field(default_factory=TimingModel)
-
-    def with_changes(self, **kwargs) -> "DBConfig":
-        """Functional update helper used by experiment configuration."""
-        return replace(self, **kwargs)
 
     def validate(self) -> None:
         if self.lock_timeout <= 0:

@@ -416,8 +416,6 @@ class LockManager:
             self.metrics.escalation_failures += 1
             raise
         self.metrics.escalations += 1
-        self.sim.tracer.event("lock.escalation", db=self.name, table=table,
-                              txn=txn.id, mode=target.name)
         for resource in list(txn.row_locks(table)):
             head = self.heads.get(resource)
             if head is not None and txn.id in head.holders:
@@ -444,8 +442,6 @@ class LockManager:
             if victim is None:
                 break
             resource, request, txn = self._waiting.pop(victim)
-            self.sim.tracer.event("lock.deadlock", db=self.name,
-                                  victim=victim, resource=resource)
             head = self.heads.get(resource)
             if head is not None:
                 try:

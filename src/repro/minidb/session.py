@@ -59,12 +59,6 @@ class PreparedStatement:
         result = yield from self.session.execute(self.sql, params)
         return result
 
-    def query_one(self, params: tuple = ()):
-        """Generator: run a prepared SELECT, return the one row or None."""
-        self.executions += 1
-        row = yield from self.session.query_one(self.sql, params)
-        return row
-
 
 class Session:
     def __init__(self, db, isolation: str):

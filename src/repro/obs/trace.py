@@ -2,15 +2,15 @@
 
 A :class:`Tracer` is attached to a :class:`~repro.kernel.sim.Simulator`
 and records typed span events from every layer of the stack: kernel
-RPC/channel blocking, minidb lock waits and escalations, WAL forces,
+RPC/channel blocking, minidb lock waits, WAL forces,
 DLFM forward operations, phase-1 prepare, each phase-2 attempt (with its
 ``TransactionAborted`` cause on failure) and daemon passes.
 
 Design rules:
 
 * **Zero cost when disabled.** The default tracer on every simulator is
-  :data:`NULL_TRACER`; its ``span``/``event`` calls allocate nothing and
-  record nothing, so instrumented hot paths (lock manager, channels) pay
+  :data:`NULL_TRACER`; its ``span`` calls allocate nothing and record
+  nothing, so instrumented hot paths (lock manager, channels) pay
   only a method call.
 * **Deterministic.** Events carry *virtual* timestamps and process
   names; span ids come from a per-tracer counter. The same seed produces
@@ -78,9 +78,6 @@ class NullTracer:
 
     def span(self, name: str, **attrs) -> _NullSpan:
         return _NULL_SPAN
-
-    def event(self, name: str, **attrs) -> None:
-        pass
 
 
 #: Shared disabled tracer; ``Simulator`` uses it unless given a real one.
@@ -151,11 +148,6 @@ class Tracer(NullTracer):
 
     def span(self, name: str, **attrs) -> _Span:
         return _Span(self, name, attrs)
-
-    def event(self, name: str, **attrs) -> None:
-        """Record an instantaneous event (no duration)."""
-        self._record("event", name, next(self._ids), None,
-                     self._proc_name(), attrs)
 
     def histogram(self, name: str) -> Histogram:
         """The histogram ``name``, created empty on first use."""

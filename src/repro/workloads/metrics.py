@@ -44,10 +44,6 @@ class WorkloadReport:
     def updates_per_minute(self) -> float:
         return self.updates / self.minutes if self.minutes else 0.0
 
-    @property
-    def total_aborts(self) -> int:
-        return sum(self.aborts.values())
-
     def latency_percentile(self, pct: float) -> Optional[float]:
         """Exact nearest-rank percentile over the recorded latencies.
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chaos import campaign as campaign_module
 from repro.chaos.campaign import CampaignConfig, _Campaign, run_campaign
 from repro.chaos.faults import FaultPlan
 from repro.chaos.invariants import check_invariants
@@ -17,17 +18,25 @@ both_bases = pytest.mark.parametrize("base", sorted(BASES))
 EMPTY_PLAN = FaultPlan(name="none", rules=[])
 
 
-def quiet_config(**kw):
+@pytest.fixture
+def quiet(monkeypatch):
+    """Campaigns of this test run :data:`EMPTY_PLAN` instead of the
+    seed's default plan."""
+    monkeypatch.setattr(campaign_module, "default_plan",
+                        lambda seed: EMPTY_PLAN)
+
+
+def small_config(**kw):
     kw.setdefault("seed", 0)
     kw.setdefault("ops", 12)
-    kw.setdefault("plan", EMPTY_PLAN)
     return CampaignConfig(**kw)
 
 
 # ------------------------------------------------------------------ clean runs
 
+@pytest.mark.usefixtures("quiet")
 def test_fault_free_campaign_is_clean():
-    result = run_campaign(quiet_config())
+    result = run_campaign(small_config())
     assert result.ok, [v.detail for v in result.violations]
     assert len(result.op_trace) == 12
     assert result.fired == []
@@ -49,7 +58,7 @@ def test_campaign_runs_the_named_configuration_plus_its_declared_override(
     override is empty since group commit lost its window (the leader
     point is reached without widening one), and nothing is hand-built
     on the side."""
-    campaign = _Campaign(quiet_config(base=base, shards=shards))
+    campaign = _Campaign(small_config(base=base, shards=shards))
     configuration = campaign.configuration
     assert (configuration.base, configuration.overrides) == (base, {})
     assert_holds_declared_configuration(configuration, campaign.system)
@@ -152,26 +161,30 @@ CORRUPTIONS = {_corrupt_dangling_link_row: "dangling-host-ref",
 def corrupted(corrupt, **kw) -> set:
     """Run a quiet campaign, corrupt what it left, and return the codes
     the checker then reports."""
-    campaign = _Campaign(quiet_config(**kw))
+    campaign = _Campaign(small_config(**kw))
     result = campaign.run()
     assert result.ok, [v.detail for v in result.violations]
     assert corrupt(campaign.system), "nothing to corrupt"
     return {v.code for v in check_invariants(campaign.system)}
 
 
+@pytest.mark.usefixtures("quiet")
 def test_checker_catches_dangling_link_row():
     assert "dangling-host-ref" in corrupted(_corrupt_dangling_link_row)
 
 
+@pytest.mark.usefixtures("quiet")
 def test_checker_catches_leaked_lock():
     assert "leaked-locks" in corrupted(_corrupt_leaked_lock)
 
 
+@pytest.mark.usefixtures("quiet")
 def test_checker_catches_deleted_group_marker():
     assert "unresolved-deleted-group" in corrupted(
         _corrupt_deleted_group_marker)
 
 
+@pytest.mark.usefixtures("quiet")
 def test_every_registered_corruption_applies():
     """On a 2-shard fleet too, each corruption finds a target and the
     checker flags it."""

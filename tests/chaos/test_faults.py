@@ -1,4 +1,4 @@
-"""FaultPlan serialization, rule discipline, injector determinism."""
+"""Fault rule validation, rule discipline, injector determinism."""
 
 import pytest
 
@@ -8,30 +8,7 @@ from repro.errors import TransientIOError
 from repro.kernel import Simulator
 
 
-# ------------------------------------------------------------------ plan JSON
-
-def test_plan_round_trips_through_json():
-    plan = default_plan(seed=3)
-    clone = FaultPlan.from_json(plan.to_json())
-    assert clone.name == plan.name
-    assert clone.rules == plan.rules
-    # and the round trip is a fixed point at the byte level
-    assert clone.to_json() == plan.to_json()
-
-
-def test_plan_round_trip_preserves_every_field():
-    plan = FaultPlan(name="x", rules=[
-        FaultRule("fs.read:fs1", "io_error", prob=0.25, max_fires=None,
-                  skip=3, rule_id="custom"),
-        FaultRule("channel.send:*", "delay", delay=1.5, max_fires=7),
-    ])
-    clone = FaultPlan.from_json(plan.to_json())
-    assert clone.rules[0].max_fires is None
-    assert clone.rules[0].skip == 3
-    assert clone.rules[0].rule_id == "custom"
-    assert clone.rules[1].delay == 1.5
-    assert clone.rules[1].max_fires == 7
-
+# ------------------------------------------------------------------ plan rules
 
 @pytest.mark.parametrize("bad", [
     dict(point="fs.read:fs1", kind="meteor"),
@@ -46,13 +23,6 @@ def test_rule_validation_rejects(bad):
         FaultRule(**bad)
 
 
-def test_from_json_rejects_garbage():
-    with pytest.raises(FaultPlanError):
-        FaultPlan.from_json("not json at all {")
-    with pytest.raises(FaultPlanError):
-        FaultPlan.from_json("[1, 2, 3]")
-
-
 def test_with_ids_is_stable_under_rule_removal():
     plan = FaultPlan(rules=[
         FaultRule("a:*", "drop"),
@@ -62,7 +32,7 @@ def test_with_ids_is_stable_under_rule_removal():
     ids = [r.rule_id for r in plan.rules]
     assert ids == ["drop@a:*", "crash@b:*", "drop@a:*#2"]
     # Dropping the middle rule must not rename the survivors — that is
-    # what keeps the shrinker's RNG streams aligned.
+    # what keeps their RNG streams aligned.
     smaller = FaultPlan(rules=[plan.rules[0], plan.rules[2]]).with_ids()
     assert [r.rule_id for r in smaller.rules] == ["drop@a:*", "drop@a:*#2"]
 
@@ -135,9 +105,6 @@ def test_per_rule_streams_survive_unrelated_removal():
 
 def test_null_injector_is_inert():
     assert NULL_INJECTOR.enabled is False
-    assert NULL_INJECTOR.fire("anything", ("drop",)) is None
-    NULL_INJECTOR.fs_check("fs.read:fs1")   # must not raise
-    NULL_INJECTOR.maybe_crash("wal.force.before:db", "db")
 
 
 def test_partition_is_a_valid_reply_kind():

@@ -7,6 +7,8 @@ WITHOUT any ``set_stats`` call. With pinning ON, auto-RUNSTATS never touches the
 pinned tables — the guard stays authoritative.
 """
 
+from dataclasses import replace
+
 from repro.dlfm.config import DLFMConfig
 from repro.host import DatalinkSpec, build_url
 from repro.system import System
@@ -17,8 +19,8 @@ PROBE = "SELECT state FROM dfm_file WHERE filename = ? AND check_flag = ?"
 def build_system(pin: bool, auto: bool) -> System:
     config = DLFMConfig.tuned()
     config.pin_statistics = pin
-    config.local_db = config.local_db.with_changes(
-        auto_runstats=auto, auto_runstats_threshold=10)
+    config.local_db = replace(config.local_db, auto_runstats=auto,
+                              auto_runstats_threshold=10)
     return System(seed=13, dlfm_config=config)
 
 

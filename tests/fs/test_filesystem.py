@@ -98,13 +98,6 @@ def test_mtime_advances_with_clock(sim):
     assert fs.stat("/a.txt").mtime == 10.0
 
 
-def test_listdir_prefix(fs):
-    fs.create("/v/a.mpg", "a")
-    fs.create("/v/b.mpg", "a")
-    fs.create("/w/c.mpg", "a")
-    assert fs.listdir("/v/") == ["/v/a.mpg", "/v/b.mpg"]
-
-
 def test_restore_file_replaces(fs):
     fs.create("/a.txt", "alice", "old")
     node = fs.restore_file("/a.txt", "new", "bob", "users", READ_WRITE)
@@ -144,7 +137,7 @@ def test_archive_versions_by_recovery_id(sim):
         return one.content, two.content
 
     assert run(sim, go()) == ("v1", "v2")
-    assert len(archive.versions("fs1", "/a")) == 2
+    assert archive.copy_count() == 2
 
 
 def test_archive_missing_version_raises(sim):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ChannelClosed, ChannelTimeout
+from repro.errors import ChannelClosed
 from repro.kernel import Channel, Simulator, Timeout
 
 
@@ -98,36 +98,6 @@ def test_buffered_send_blocks_when_full_and_drains_in_order():
     sim.spawn(receiver())
     sim.run()
     assert [x for x in out if isinstance(x, int)] == [0, 1, 2]
-
-
-def test_recv_timeout_raises():
-    sim = Simulator()
-    chan = Channel(sim)
-
-    def receiver():
-        with pytest.raises(ChannelTimeout):
-            yield from chan.recv(timeout=3.0)
-        return sim.now
-
-    assert sim.run_process(receiver()) == 3.0
-
-
-def test_send_timeout_raises_and_removes_message():
-    sim = Simulator()
-    chan = Channel(sim)
-
-    def sender():
-        with pytest.raises(ChannelTimeout):
-            yield from chan.send("doomed", timeout=2.0)
-
-    def late_receiver():
-        yield Timeout(10.0)
-        return chan.pending
-
-    sim.spawn(sender())
-    proc = sim.spawn(late_receiver())
-    sim.run()
-    assert proc.result == 0
 
 
 def test_close_wakes_blocked_receiver_with_error():

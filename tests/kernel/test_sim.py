@@ -300,20 +300,3 @@ def test_timer_cancel():
     timer.cancel()
     sim.run()
     assert fired == []
-
-
-def test_throw_injects_exception_at_suspension():
-    sim = Simulator()
-    caught = []
-
-    def victim():
-        try:
-            yield Timeout(100.0)
-        except RuntimeError as exc:
-            caught.append(str(exc))
-
-    proc = sim.spawn(victim())
-    sim.run(until=1.0)
-    proc.throw(RuntimeError("injected"))
-    sim.run()
-    assert caught == ["injected"]

@@ -109,13 +109,6 @@ def test_config_validation():
         DBConfig(rows_per_page=0).validate()
 
 
-def test_config_with_changes_is_functional():
-    base = DBConfig()
-    derived = base.with_changes(lock_timeout=5.0)
-    assert derived.lock_timeout == 5.0
-    assert base.lock_timeout == 60.0
-
-
 def test_timing_model_zero_charges_nothing():
     timing = TimingModel()
     for kind in (STATEMENT, COMPILE, PAGE_IO, INDEX_ENTRY, LOG_FORCE, RPC,

@@ -15,7 +15,6 @@ def test_simulator_defaults_to_the_null_tracer():
     assert span is _NULL_SPAN
     with span as s:
         s.set(b=2)  # all no-ops
-    sim.tracer.event("y", c=3)
 
 
 def test_spans_nest_per_process_with_virtual_timestamps():
@@ -96,7 +95,6 @@ def test_same_run_produces_byte_identical_json():
         def worker():
             with tracer.span("op", n=1):
                 yield Timeout(sim.stream("t").random())
-            tracer.event("tick", at=sim.now)
 
         sim.run_process(worker(), "worker")
         return tracer.to_json(scenario="unit", seed=5)

@@ -60,12 +60,11 @@ def _second_value(node, cls, name) -> bool:
 
 def _writers(tree):
     """Yield ``(classes, field name, value node)`` for every keyword
-    argument to a configuration constructor, ``with_changes``,
-    ``replace`` or the e2e benchmark's ``override``, every attribute
+    argument to a configuration constructor, ``replace`` or the e2e
+    benchmark's ``override``, every attribute
     store outside ``self``, and every ``Configuration`` override key in
     ``tree``."""
     by_name = {cls.__name__: (cls,) for cls in CONFIG_CLASSES}
-    by_name["with_changes"] = (DBConfig,)
     by_name["replace"] = by_name["override"] = CONFIG_CLASSES
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):

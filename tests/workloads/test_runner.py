@@ -21,7 +21,6 @@ def test_abort_bookkeeping():
     report.note_abort("deadlock")
     report.note_abort("timeout")
     assert report.aborts == {"deadlock": 2, "timeout": 1}
-    assert report.total_aborts == 3
 
 
 def test_latency_percentiles():

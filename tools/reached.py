@@ -12,7 +12,18 @@ and of function lines (the ``def`` line through the last line of the
 body).
 
     python3 tools/reached.py                    # the report (~3 min)
-    python3 tools/reached.py --require src/repro/host/xa.py
+
+The drivers are independent processes, so they run ``os.cpu_count()``
+at a time; each writes its own record file, and the report is the same
+whatever the order they finish in.
+
+:data:`KEPT` names every function that stays unreached, each with the
+reason it stays (an open ROADMAP item that will drive it, a shipped
+path no driver's data reaches, an error path, a test probe, a
+``__repr__``). The run exits 1 when an unreached function is not in
+the table, and when a function in the table was reached: its entry is
+stale and leaves the table. The table is judged against the default
+drivers; ``--with-experiments`` reaches more and only reports.
 
 The report ends with the SQL census: the same tracer records every
 distinct text ``repro.sql.parser.parse`` is called with — by the
@@ -32,8 +43,6 @@ nothing, and makes the exit status 1. ``--plans PATH`` writes each of
 those texts' access path as JSON: the golden of
 ``tests/dlfm/test_schema_plans.py``.
 
-``--require PATH`` (repeatable) exits 1 when a function of that file is
-unreached: code kept for a reason must be driven by something shipped.
 Tests are deliberately not drivers here — a function only its own unit
 test calls is exactly what this is looking for.
 
@@ -52,6 +61,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -112,8 +122,13 @@ DRIVERS = (
      [sys.executable, "-m", "repro", "systemtest", "--clients", "3",
       "--minutes", "1", "--seed", "5"]]
     + [[sys.executable, "-m", "repro", *args] for args in CHAOS]
+    + [[sys.executable, "-m", "repro", *CHAOS[0], "--json"],
+       [sys.executable, "-m", "repro", "trace", "commit-retry", "--json",
+        os.devnull]]
     + [[sys.executable, "-m", "repro", "trace", scenario]
-       for scenario in ("commit-retry", "workload", "sharded", "fleet")]
+       for scenario in ("workload", "sharded", "fleet")]
+    + [[sys.executable, "-m", "repro", command]
+       for command in ("experiments", "paper")]
     + [[sys.executable, "examples/" + name]
        for name in sorted(os.listdir(os.path.join(ROOT, "examples")))
        if name.endswith(".py")])
@@ -125,6 +140,94 @@ EXPERIMENTS = [[sys.executable, "-m", "pytest", "-q", "--benchmark-disable",
                 "-p", "no:cacheprovider", "benchmarks/" + name]
                for name in sorted(os.listdir(os.path.join(ROOT, "benchmarks")))
                if name.startswith("bench_e") and name.endswith(".py")]
+
+
+#: Drivers run this many at a time.
+WORKERS = os.cpu_count() or 1
+
+_ITEM6 = "ROADMAP item 6 (user file ops in the chaos mix) drives it"
+_ITEM7 = "ROADMAP item 7 (utilities under chaos) drives it"
+_PROBE = "test probe; inlining it into its test sites moves code"
+_REPR = "debugging output"
+#: Every function of ``src/repro`` that no default driver enters, keyed
+#: ``"src/repro/<file>:<Qual.name>"``, with the reason it stays. A
+#: function leaves the table when a driver reaches it or it is deleted.
+KEPT = {
+    # Open ROADMAP items.
+    "src/repro/dlff/filter.py:FilteredFileSystem.stat": _ITEM6,
+    "src/repro/dlff/filter.py:FilteredFileSystem.exists": _ITEM6,
+    "src/repro/dlff/filter.py:FilteredFileSystem.create": _ITEM6,
+    "src/repro/dlff/filter.py:FilteredFileSystem.write": _ITEM6,
+    "src/repro/dlff/filter.py:FilteredFileSystem.rename": _ITEM6,
+    "src/repro/fs/filesystem.py:FileSystem.write": _ITEM6,
+    "src/repro/fs/filesystem.py:FileSystem.rename": _ITEM6,
+    "src/repro/shard/system.py:ShardedSystem._fleet_upcall": _ITEM6,
+    "src/repro/host/load.py:LoadUtility.resume": _ITEM7,
+    "src/repro/shard/rebalance.py:_roll_back_orphan": _ITEM7,
+    "src/repro/minidb/db.py:_BulkIndexPending.drop": _ITEM7,
+    "src/repro/minidb/txn.py:TransactionTable.readmit":
+        "ROADMAP item 4 (the 2PC crash-point sweep) reaches the re-admit "
+        "path",
+    "src/repro/minidb/db.py:Database.explain":
+        "ROADMAP item 5 (attributed time) prints plan summaries with it",
+    "src/repro/minidb/db.py:Database.get_plan":
+        "ROADMAP item 5; the index census of this tool binds with it",
+    "src/repro/minidb/storage.py:BufferPool.flush_all":
+        "benchmarks/e2e/trace.py hooks it; ROADMAP item 1 removes the hook",
+    # Shipped paths that no driver's data reaches.
+    "src/repro/dlfm/daemons/gc.py:GarbageCollector._drop_copy":
+        "backup retention: no driver keeps backups past their expiry",
+    "src/repro/archive/server.py:ArchiveServer.delete_version":
+        "backup retention: the garbage collector's archive delete",
+    "src/repro/sql/executor.py:_Reversed.__init__":
+        "rows under ORDER BY ... DESC, which no driver's text sorts",
+    "src/repro/sql/executor.py:_Reversed.__lt__":
+        "rows under ORDER BY ... DESC, which no driver's text sorts",
+    "src/repro/sql/executor.py:_Reversed.__eq__":
+        "rows under ORDER BY ... DESC, which no driver's text sorts",
+    "src/repro/minidb/storage.py:Disk.drop_index_image":
+        "DROP TABLE of an indexed table; drivers drop unindexed ones",
+    "src/repro/minidb/catalog.py:Catalog.require_index":
+        "DROP INDEX, paired with CREATE INDEX by DESIGN section 2",
+    "src/repro/chaos/invariants.py:Violation.to_doc":
+        "chaos --json of a failing campaign; the driven cells are clean",
+    # Error and general paths.
+    "src/repro/sql/expr.py:_comparable":
+        "a comparison whose operands are NULL or of unlike types",
+    "src/repro/sql/expr.py:_missing_param":
+        "a statement run with fewer parameters than markers",
+    "src/repro/sql/expr.py:_incomparable":
+        "the error a comparison of unlike types raises",
+    "src/repro/sql/expr.py:compile_expr.run_cmp":
+        "the general comparison of two computed operands",
+    "src/repro/sql/expr.py:compile_expr.run_arith":
+        "+ and - over two computed operands, kept by DESIGN section 2",
+    "src/repro/sql/parser.py:_Parser.fail": "the parser's syntax errors",
+    # A tool reads it.
+    "src/repro/sql/optimizer.py:AccessPath.index_name":
+        "the index census of this tool reads it",
+    # Test probes.
+    "src/repro/minidb/locks.py:LockManager.holders_of":
+        _PROBE + "; benchmarks/perf asserts with it",
+    "src/repro/minidb/locks.py:LockManager.waiting_txns":
+        _PROBE + "; benchmarks/perf asserts with it",
+    "src/repro/kernel/pool.py:WorkerPool.alive": _PROBE,
+    "src/repro/minidb/txn.py:Transaction.lock_count": _PROBE,
+    "src/repro/shard/system.py:ShardedSystem.shard_of": _PROBE,
+    "src/repro/minidb/session.py:PreparedStatement.plan": _PROBE,
+    "src/repro/kernel/sim.py:Event.value": _PROBE,
+    "src/repro/sql/executor.py:ResultSet.__getitem__": _PROBE,
+    # __repr__ methods.
+    "src/repro/fs/filesystem.py:FileServer.__repr__": _REPR,
+    "src/repro/kernel/channel.py:Channel.__repr__": _REPR,
+    "src/repro/kernel/pool.py:WorkerPool.__repr__": _REPR,
+    "src/repro/kernel/sim.py:_Sentinel.__repr__": _REPR,
+    "src/repro/kernel/sim.py:Timeout.__repr__": _REPR,
+    "src/repro/kernel/sim.py:Process.__repr__": _REPR,
+    "src/repro/minidb/txn.py:Transaction.__repr__": _REPR,
+    "src/repro/sql/executor.py:ResultSet.__repr__": _REPR,
+    "src/repro/sql/lexer.py:Token.__repr__": _REPR,
+}
 
 
 def functions(path: str) -> dict:
@@ -150,20 +253,28 @@ def functions(path: str) -> dict:
     return found
 
 
-def run_drivers(drivers, record_dir: str, site_dir: str,
-                sql_only: bool = False) -> None:
+def run_drivers(drivers, sql_only, record_dir: str, site_dir: str) -> None:
+    """Run every driver traced, :data:`WORKERS` at a time; ``sql_only``
+    ones record their SQL texts and no functions. Exits on a failure."""
     env = dict(os.environ, REACHED_DIR=record_dir, REACHED_PREFIX=PACKAGE,
                PYTHONPATH=os.pathsep.join([site_dir, SRC]))
-    if sql_only:
-        env["REACHED_SQL_ONLY"] = "1"
-    for command in drivers:
+
+    def run(job):
+        command, env = job
         print("  " + " ".join(command[1:]), file=sys.stderr, flush=True)
-        done = subprocess.run(command, cwd=ROOT, env=env,
-                              stdout=subprocess.DEVNULL,
-                              stderr=subprocess.PIPE, text=True)
-        if done.returncode:
-            sys.exit(f"driver failed ({done.returncode}): "
-                     f"{' '.join(command)}\n{done.stderr[-2000:]}")
+        return command, subprocess.run(
+            command, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True)
+
+    jobs = ([(command, env) for command in drivers]
+            + [(command, dict(env, REACHED_SQL_ONLY="1"))
+               for command in sql_only])
+    with ThreadPoolExecutor(WORKERS) as pool:
+        for command, done in pool.map(run, jobs):
+            if done.returncode:
+                pool.shutdown(cancel_futures=True)
+                sys.exit(f"driver failed ({done.returncode}): "
+                         f"{' '.join(command)}\n{done.stderr[-2000:]}")
 
 
 def entered(record_dir: str) -> tuple[set, set]:
@@ -301,20 +412,12 @@ def index_census(texts) -> tuple:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--with-experiments", action="store_true",
-                        help="also run benchmarks/bench_e*.py (~8 min)")
-    parser.add_argument("--require", action="append", default=[],
-                        metavar="PATH",
-                        help="exit 1 if a function of this file is unreached")
+                        help="also run benchmarks/bench_e*.py (~8 min); "
+                             "the KEPT table is then only reported")
     parser.add_argument("--plans", metavar="PATH",
                         help="write each DLFM text's access path to PATH "
                              "as JSON (tests/golden/dlfm_plans.json)")
     args = parser.parse_args()
-    required = [os.path.relpath(os.path.abspath(path), ROOT)
-                for path in args.require]
-    for rel in required:
-        if not os.path.isfile(os.path.join(ROOT, rel)) \
-                or not rel.startswith(os.path.relpath(PACKAGE, ROOT)):
-            parser.error(f"--require {rel}: not a file under src/repro")
     drivers = DRIVERS + (EXPERIMENTS if args.with_experiments else [])
     with tempfile.TemporaryDirectory() as work:
         site_dir = os.path.join(work, "site")
@@ -323,12 +426,11 @@ def main() -> int:
         os.mkdir(record_dir)
         with open(os.path.join(site_dir, "sitecustomize.py"), "w") as handle:
             handle.write(SITECUSTOMIZE)
-        run_drivers(drivers, record_dir, site_dir)
-        run_drivers(SQL_ONLY, record_dir, site_dir, sql_only=True)
+        run_drivers(drivers, SQL_ONLY, record_dir, site_dir)
         reached, texts = entered(record_dir)
 
     total = total_lines = missed = missed_lines = 0
-    incomplete = set()
+    unreached = set()
     for folder, _, names in sorted(os.walk(PACKAGE)):
         for name in sorted(n for n in names if n.endswith(".py")):
             path = os.path.join(folder, name)
@@ -340,7 +442,7 @@ def main() -> int:
             if not lost:
                 continue
             rel = os.path.relpath(path, ROOT)
-            incomplete.add(rel)
+            unreached.update(f"{rel}:{func}" for _, func, _ in lost)
             lines = sum(span for _, _, span in lost)
             missed += len(lost)
             missed_lines += lines
@@ -358,16 +460,25 @@ def main() -> int:
             json.dump(paths, handle, indent=1, sort_keys=True)
             handle.write("\n")
 
-    failed = [rel for rel in required if rel in incomplete]
-    for rel in failed:
-        print(f"--require {rel}: unreached functions", file=sys.stderr)
+    unkept = sorted(unreached - set(KEPT))
+    stale = sorted(set(KEPT) - unreached)
+    if args.with_experiments:
+        # The experiments reach more; the table holds the default drivers.
+        print(f"KEPT functions the experiments reach: "
+              f"{', '.join(stale) or 'none'}")
+        stale = []
+    for key in unkept:
+        print(f"unreached and not in KEPT: {key}", file=sys.stderr)
+    for key in stale:
+        print(f"in KEPT but reached (drop its entry): {key}",
+              file=sys.stderr)
     if rejected:
         print(f"{len(rejected)} recorded SQL texts do not parse",
               file=sys.stderr)
     if unread:
         print(f"{len(unread)} indexes no DLFM text reads: "
               f"{', '.join(unread)}", file=sys.stderr)
-    return 1 if failed or rejected or unread else 0
+    return 1 if unkept or stale or rejected or unread else 0
 
 
 if __name__ == "__main__":
