@@ -36,12 +36,10 @@ point                      kinds                     wired into
                            lock_deadlock             lock-manager entry
 ``daemon.pass:<node>:<d>`` crash                     daemon pass entry
                                                      (copyd, gcd, delgrpd)
-``daemon.worker:<node>:<d>`` crash                   pool-worker item
-                                                     pickup (copyd,
-                                                     retrieved, delgrpd):
-                                                     after the claim/
-                                                     dispatch, before the
-                                                     work
+``daemon.worker:<node>:<d>`` crash                   copy-worker item
+                                                     pickup (copyd): after
+                                                     the claim, before the
+                                                     archive transfer
 ``rpc.reply:<chan>``       partition                 agent serve loop:
                                                      request delivered and
                                                      processed, REPLY
@@ -339,13 +337,10 @@ def default_plan(seed: int = 0) -> FaultPlan:
         FaultRule("cleaner.write:*", "crash", prob=0.05, max_fires=2),
         FaultRule("daemon.pass:*:copyd", "crash", prob=0.01, max_fires=1),
         FaultRule("daemon.pass:*:delgrpd", "crash", prob=0.01, max_fires=1),
-        # Pool-worker crashes land between claim/dispatch and the work —
-        # the window the copyd claim protocol and the delgrpd restart
-        # rescan must cover. (retrieved is left out: crashing a restore
-        # worker strands its synchronous caller by design.)
+        # Copy-worker crashes land between claim and archive — the
+        # window the copyd claim protocol must cover. (The delgrpd window
+        # between notification and work is its daemon.pass point.)
         FaultRule("daemon.worker:*:copyd", "crash", prob=0.01, max_fires=1),
-        FaultRule("daemon.worker:*:delgrpd", "crash", prob=0.01,
-                  max_fires=1),
         # 2PC fan-out windows: stall the coordinator while every
         # participant's request is in flight, and crash it there once per
         # phase — prepare-window crashes resolve by presumed abort, the

@@ -8,38 +8,41 @@ child agents inserting into the same small multi-indexed table, which is
 precisely where the paper hit next-key-locking deadlocks.
 
 Each sweep CLAIMS its batch first (one transaction flipping the rows to
-``state='inflight'``) and then fans the transfer+commit of each entry
-across a :class:`~repro.kernel.pool.WorkerPool` of
-``DLFMConfig.copy_workers`` processes. The claim protocol is what makes
-parallel archiving crash-safe:
+``state='inflight'``) and then spawns up to ``DLFMConfig.copy_workers``
+worker processes that share one iterator over the claimed entries, each
+archiving (transfer + commit) one entry at a time. One sweep runs at a
+time, and a sweep ends when its last worker is out; the claim protocol
+is what makes parallel archiving crash-safe:
 
-* the claim set (``_claims``) is memory-only, so a claim dies with a
-  crash while the ``inflight`` row survives — the restarted daemon
-  treats any ``inflight`` row without a live claim as stale and
-  re-queues it (counted in ``DLFMMetrics.copyd_reclaimed``);
 * no two workers ever archive the same entry, because an entry enters
-  the pool only on a successful state-qualified UPDATE and stays in
-  ``_claims`` until its worker finishes;
+  a batch only on a successful state-qualified UPDATE;
+* a claim is the ``inflight`` row itself, so it outlives a worker that
+  died or failed with its entry: as no worker runs between sweeps,
+  the next sweep treats every ``inflight`` row as stale and re-queues
+  it (counted in ``DLFMMetrics.copyd_reclaimed``);
 * the DELETE of the archive row is the commit point: it succeeds at
   most once, so ``dfm_file.archived`` flips exactly once and
   ``files_archived`` counts each file once even when a worker crashed
   between claim and delete (the archive store itself is idempotent per
   recovery id).
 
-``sweep()`` stays synchronous for its callers — it drains the pool
-before returning — so backup's ensure-archived and the chaos quiesce
-keep their "sweep means done" semantics.
+``sweep()`` returns only when its last worker is out (or the DLFM
+stopped), so backup's ensure-archived (:meth:`CopyDaemon.wait`), shard
+moves and the chaos quiesce keep their "sweep means done" semantics.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.errors import (
+    CrashedError,
     FileNotFound,
+    ReproError,
     TransactionAborted,
     TransientIOError,
 )
-from repro.kernel.pool import WorkerPool
-from repro.kernel.sim import Timeout
+from repro.kernel.sim import Event, Timeout
 
 #: Archive-entry states: freshly committed links start 'pending'; a
 #: sweep's claim transaction moves them to 'inflight' until archived.
@@ -50,18 +53,9 @@ ST_INFLIGHT = "inflight"
 class CopyDaemon:
     def __init__(self, dlfm):
         self.dlfm = dlfm
-        self._claims: set = set()
-        self.pool = WorkerPool(
-            dlfm.sim, f"{dlfm.name}-copyd", self._archive_entry,
-            workers=dlfm.config.copy_workers,
-            crash_point=f"daemon.worker:{dlfm.name}:copyd",
-            crash_node=dlfm.db.name)
-
-    def start_workers(self):
-        """(Re)start the archive workers; claims of the previous
-        incarnation are gone, so its inflight rows become re-claimable."""
-        self._claims.clear()
-        return self.pool.start()
+        self._workers: list = []
+        #: The running sweep's end (None: no sweep running).
+        self._sweep: Optional[Event] = None
 
     def run(self):
         while True:
@@ -71,6 +65,25 @@ class CopyDaemon:
             yield from self.dlfm.db.harden()
             yield from self.sweep()
 
+    def stop(self) -> None:
+        """The DLFM stops: kill the workers (their inflight rows are
+        re-claimed by the next sweep) and end the running sweep. A killed
+        process never triggers ``done``: nothing joins them."""
+        for proc in self._workers:
+            proc.kill()
+        self._workers = []
+        self._end_sweep(self._sweep)
+
+    def wait(self):
+        """Generator: until no sweep is running."""
+        while self._sweep is not None:
+            yield self._sweep.wait()
+
+    def _end_sweep(self, end: Optional[Event]) -> None:
+        if end is not None and self._sweep is end:
+            self._sweep = None
+            end.trigger(None)
+
     def sweep(self):
         """Generator: claim + archive every claimable entry; returns count."""
         db = self.dlfm.db
@@ -78,33 +91,65 @@ class CopyDaemon:
         if sim.injector.enabled:
             sim.injector.maybe_crash(
                 f"daemon.pass:{self.dlfm.name}:copyd", db.name)
-        with self.dlfm.sim.tracer.span("daemon.copyd.sweep") as span:
+        yield from self.wait()
+        # Checked and set with no yield in between: one sweep at a time.
+        end = self._sweep = Event(sim, name=f"{self.dlfm.name}-copyd.sweep")
+        with sim.tracer.span("daemon.copyd.sweep") as span:
+            batch = []
             try:
                 batch = yield from self._claim_batch()
             except TransactionAborted:
                 self.dlfm.metrics.copyd_conflicts += 1
                 span.set(outcome="conflict")
                 return 0
-            # Per-sweep accumulator: each worker reports its entry's
-            # outcome here, so concurrent sweeps count only their own
-            # batch (and a crashed worker simply never reports).
+            finally:
+                if not batch:  # no worker will end this sweep
+                    self._end_sweep(end)
+            # Each worker reports its entries' outcomes here (a killed
+            # worker simply never reports).
             results: list = []
-            for key in batch:
-                yield from self.pool.submit((key, results))
-            yield from self.pool.drain()
+            if batch:
+                keys = iter(batch)
+                live = [min(self.dlfm.config.copy_workers, len(batch))]
+                self._workers = [
+                    sim.spawn(self._worker(keys, results, live, end),
+                              f"{self.dlfm.name}-copyd-w{i}")
+                    for i in range(live[0])]
+                yield end.wait()
             done = sum(results)
             span.set(pending=len(batch), archived=done)
             return done
 
+    def _worker(self, keys, results: list, live: list, end: Event):
+        """One archive worker of a sweep: archives the next claimed entry
+        until none is left; an entry that failed stays inflight, and the
+        next sweep re-claims (and thereby retries) it. The last worker
+        out ends the sweep."""
+        dlfm = self.dlfm
+        sim = dlfm.sim
+        for path, recovery_id in keys:
+            if sim.injector.enabled:
+                # The hazard window: the entry is claimed, not archived.
+                sim.injector.maybe_crash(
+                    f"daemon.worker:{dlfm.name}:copyd", dlfm.db.name)
+            try:
+                results.append((yield from self._archive_one(path,
+                                                             recovery_id)))
+            except CrashedError:
+                raise  # the node died inside this worker
+            except ReproError:
+                dlfm.metrics.copyd_conflicts += 1
+        live[0] -= 1
+        if not live[0]:
+            self._end_sweep(end)
+
     def _claim_batch(self):
         """Generator: one claim transaction marking a batch 'inflight'.
 
-        Claims every 'pending' row plus every 'inflight' row with no
-        live claim — the latter belonged to a crashed incarnation (the
-        claim set is memory-only) or to a worker whose attempt failed
-        transiently, and must be re-queued. Rows another sweep already
-        claimed (in ``_claims``) are skipped, so concurrent sweeps never
-        double-archive.
+        Claims every 'pending' row plus every 'inflight' row — no
+        worker runs outside a sweep, so the latter belonged to a crashed
+        incarnation or to a worker whose attempt failed, and must be
+        re-queued.
         """
         session = self.dlfm.db.session()
         rows = yield from session.execute(
@@ -117,17 +162,13 @@ class CopyDaemon:
             "AND recovery_id = ? AND state = ?")
         batch = []
         for path, recovery_id, state in rows.rows:
-            key = (path, recovery_id)
-            if key in self._claims:
-                continue  # queued or being archived right now
             changed = yield from claim.execute(
                 (ST_INFLIGHT, path, recovery_id, state))
             if changed:
                 if state == ST_INFLIGHT:
                     self.dlfm.metrics.copyd_reclaimed += 1
-                batch.append(key)
+                batch.append((path, recovery_id))
         yield from session.commit()
-        self._claims.update(batch)
         self.dlfm.metrics.copyd_claimed += len(batch)
         return batch
 
@@ -137,19 +178,6 @@ class CopyDaemon:
         for path, recovery_id in entries:
             done += yield from self._archive_one(path, recovery_id)
         return done
-
-    def _archive_entry(self, item):
-        """Pool handler: archive one claimed entry, then drop its claim.
-
-        The claim is dropped even on failure so the next sweep can
-        re-claim (and thereby retry) the still-present inflight row.
-        """
-        (path, recovery_id), results = item
-        try:
-            results.append((yield from self._archive_one(path,
-                                                         recovery_id)))
-        finally:
-            self._claims.discard((path, recovery_id))
 
     def _archive_one(self, path: str, recovery_id: str):
         dlfm = self.dlfm

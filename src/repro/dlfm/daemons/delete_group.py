@@ -8,20 +8,17 @@ escalate locks (lesson §4, experiment E8). Because the transaction-table
 entry stays in state ``committed`` until the work is done, a DLFM crash
 mid-way is resumed by a restart rescan (§3.5).
 
-The ``run()`` process is the single intake (so killing it freezes the
-daemon, as the freeze tests rely on) and hands each transaction to a
-one-worker :class:`~repro.kernel.pool.WorkerPool`. The ``_active`` set
-dispatches each (dbid, txn_id) at most once even when a notify races the
-restart rescan; a worker crash leaves the ``committed`` dfm_txn row in
-place and the restart rescan resumes it.
+The daemon is one process: after a restart it first finishes every
+transaction the rescan finds, then each notification in turn (one the
+rescan already finished finds nothing left to do). Killing the process
+freezes the daemon; notifications wait in its channel.
 """
 
 from __future__ import annotations
 
 from repro.dlfm import schema
-from repro.errors import RETRIABLE_FAULTS, ChannelClosed
+from repro.errors import RETRIABLE_FAULTS
 from repro.kernel.channel import Channel
-from repro.kernel.pool import WorkerPool
 from repro.kernel.sim import Timeout
 
 #: Capacity of the daemon's commit-notification channel.
@@ -34,15 +31,6 @@ class DeleteGroupDaemon:
         self.chan = Channel(dlfm.sim, capacity=QUEUE_CAPACITY,
                             name="delgrpd")
         self.rescan_needed = True
-        self._active: set = set()
-        self.pool = WorkerPool(
-            dlfm.sim, f"{dlfm.name}-delgrpd", self._process_one,
-            crash_point=f"daemon.worker:{dlfm.name}:delgrpd",
-            crash_node=dlfm.db.name)
-
-    def start_workers(self):
-        self._active.clear()
-        return self.pool.start()
 
     def notify(self, dbid: str, txn_id: int):
         """Generator: commit processing hands over a transaction id."""
@@ -51,39 +39,17 @@ class DeleteGroupDaemon:
     def run(self):
         if self.rescan_needed:
             self.rescan_needed = False
-            yield from self._rescan_committed()
+            # After restart: resume every committed txn with pending groups.
+            session = self.dlfm.db.session()
+            rows = yield from session.execute(
+                "SELECT dbid, txn_id FROM dfm_txn WHERE state = ?",
+                (schema.TXN_COMMITTED,))
+            yield from session.commit()
+            for dbid, txn_id in rows:
+                yield from self.process_txn(dbid, txn_id)
         while True:
-            try:
-                dbid, txn_id = yield from self.chan.recv()
-            except ChannelClosed:
-                return
-            yield from self._submit((dbid, txn_id))
-
-    def _submit(self, key):
-        """Generator: dispatch one txn to the pool, at most once."""
-        if key in self._active:
-            return  # already queued or draining (notify raced a rescan)
-        self._active.add(key)
-        yield from self.pool.submit(key)
-
-    def _process_one(self, key):
-        dbid, txn_id = key
-        try:
+            dbid, txn_id = yield from self.chan.recv()
             yield from self.process_txn(dbid, txn_id)
-        finally:
-            self._active.discard(key)
-
-    def _rescan_committed(self):
-        """After restart: resume every committed txn with pending
-        groups; completes only when all are drained."""
-        session = self.dlfm.db.session()
-        rows = yield from session.execute(
-            "SELECT dbid, txn_id FROM dfm_txn WHERE state = ?",
-            (schema.TXN_COMMITTED,))
-        yield from session.commit()
-        for dbid, txn_id in rows:
-            yield from self._submit((dbid, txn_id))
-        yield from self.pool.drain()
 
     def process_txn(self, dbid: str, txn_id: int):
         """Generator: unlink all files of all groups this txn deleted.

@@ -6,23 +6,19 @@ files that no longer exist on disk are fetched from the archive server
 through the Chown daemon (root privilege needed — the file may belong to
 any user).
 
-Restores are served by a :class:`~repro.kernel.pool.WorkerPool` of
-``DLFMConfig.retrieve_workers`` processes so a post-restore "restore
-storm" pipelines archive fetches with Chown handoffs instead of
-draining one file at a time; the request backlog is bounded by
-:data:`QUEUE_CAPACITY` (callers beyond that block, which is the intended
-backpressure). The ``run()`` process stays the single
-intake so killing it freezes the daemon exactly as before.
+``DLFMConfig.retrieve_workers`` server processes run ``serve_loop`` on
+the daemon's one channel, so a post-restore "restore storm" pipelines
+archive fetches with Chown handoffs instead of draining one file at a
+time; the request backlog is bounded by :data:`QUEUE_CAPACITY` (callers
+beyond that block, which is the intended backpressure).
 """
 
 from __future__ import annotations
 
-from repro.errors import ChannelClosed, ReproError
 from repro.kernel.channel import Channel
-from repro.kernel.pool import WorkerPool
-from repro.kernel.rpc import call
+from repro.kernel.rpc import call, serve_loop
 
-#: Restore requests the daemon's channel queues beyond its workers.
+#: Restore requests the daemon's channel queues beyond its servers.
 QUEUE_CAPACITY = 16
 
 
@@ -31,24 +27,13 @@ class RetrieveDaemon:
         self.dlfm = dlfm
         self.chan = Channel(dlfm.sim, capacity=QUEUE_CAPACITY,
                             name="retrieved")
-        self.pool = WorkerPool(
-            dlfm.sim, f"{dlfm.name}-retrieved", self._serve_one,
-            workers=dlfm.config.retrieve_workers,
-            crash_point=f"daemon.worker:{dlfm.name}:retrieved",
-            crash_node=dlfm.db.name)
 
-    def start_workers(self):
-        return self.pool.start()
-
-    def run(self):
-        """Intake loop: hand each request to the pool (rendezvous, so at
-        most ``retrieve_workers`` restores are in flight at once)."""
-        while True:
-            try:
-                envelope = yield from self.chan.recv()
-            except ChannelClosed:
-                return
-            yield from self.pool.submit(envelope)
+    def start(self) -> list:
+        """Spawn the server processes; the first keeps the daemon's name."""
+        name = f"{self.dlfm.name}-retrieved"
+        return [self.dlfm.sim.spawn(serve_loop(self.chan, self._dispatch),
+                                    f"{name}-{i}" if i else name)
+                for i in range(self.dlfm.config.retrieve_workers)]
 
     # -- client side ----------------------------------------------------------
 
@@ -59,16 +44,6 @@ class RetrieveDaemon:
         return result
 
     # -- server side -----------------------------------------------------------
-
-    def _serve_one(self, envelope):
-        """Pool handler: one request → dispatch → reply (the body of
-        ``rpc.serve_loop``, run concurrently per worker)."""
-        try:
-            result = yield from self._dispatch(envelope.payload)
-        except ReproError as error:
-            envelope.reply.trigger(("err", error))
-        else:
-            envelope.reply.trigger(("ok", result))
 
     def _dispatch(self, payload: dict):
         dlfm = self.dlfm

@@ -149,30 +149,23 @@ class DLFM:
         self.upcalld = UpcallDaemon(self)
         self.filter.set_upcall(self.upcalld.query)
         self._daemon_procs: list = []
-        self._pool_procs: list = []
+        #: (child agent, its process) per host connection.
         self._agents: list = []
         self.running = False
 
     # ------------------------------------------------------------------ lifecycle
 
     def start(self) -> None:
-        """Spawn the service daemons (the paper's Figure 5 process model).
-
-        Worker pools start before the intake daemons so no dispatcher
-        ever submits into a dead pool; their processes are tracked
-        separately from the six service daemons.
-        """
+        """Spawn the service daemons (the paper's Figure 5 process model);
+        the Retrieve daemon runs ``retrieve_workers`` server processes."""
         if self.running:
             return
         self.running = True
-        self._pool_procs = (self.copyd.start_workers()
-                            + self.retrieved.start_workers()
-                            + self.delete_groupd.start_workers())
         spawn = self.sim.spawn
         self._daemon_procs = [
             spawn(self.chown.run(), f"{self.name}-chownd"),
             spawn(self.copyd.run(), f"{self.name}-copyd"),
-            spawn(self.retrieved.run(), f"{self.name}-retrieved"),
+            *self.retrieved.start(),
             spawn(self.delete_groupd.run(), f"{self.name}-delgrpd"),
             spawn(self.gc.run(), f"{self.name}-gcd"),
             spawn(self.upcalld.run(), f"{self.name}-upcalld"),
@@ -183,9 +176,7 @@ class DLFM:
             if not proc.finished:
                 proc.kill()
         self._daemon_procs = []
-        for pool in self.pools():
-            pool.stop()
-        self._pool_procs = []
+        self.copyd.stop()
         self.running = False
 
     def connect(self):
@@ -198,15 +189,18 @@ class DLFM:
         if not self.running:
             raise TwoPCProtocolError(f"DLFM {self.name} is not available")
         agent = ChildAgent(self)
-        self._agents.append(agent)
-        self.sim.spawn(agent.serve(), f"{self.name}-agent-{len(self._agents)}")
+        proc = self.sim.spawn(agent.serve(),
+                              f"{self.name}-agent-{len(self._agents) + 1}")
+        self._agents.append((agent, proc))
         return agent.chan
 
     def crash(self) -> None:
-        """The DLFM node fails: local database and all processes die."""
+        """The DLFM node fails: local database and all processes die —
+        the child agents too, each failing the request it was serving."""
         self.stop()
-        for agent in self._agents:
+        for agent, proc in self._agents:
             agent.chan.close()
+            proc.kill()
         self._agents = []
         self.db.crash()
 
@@ -234,17 +228,6 @@ class DLFM:
         return Backoff(self.config.commit_retry_delay, factor=2.0, cap=8.0,
                        jitter=0.1,
                        rng=self.sim.stream(f"retry:{self.name}:{what}"))
-
-    def pools(self) -> tuple:
-        """The worker pools of the Copy, Retrieve and Delete-Group
-        daemons."""
-        return (self.copyd.pool, self.retrieved.pool, self.delete_groupd.pool)
-
-    def daemon_counters(self) -> dict:
-        """The three pools' counters, flat: ``copyd_max_depth`` ..."""
-        return {f"{pool.name.rsplit('-', 1)[-1]}_{field}": value
-                for pool in self.pools()
-                for field, value in vars(pool.metrics).items()}
 
     # ------------------------------------------------------------------ statistics guard
 
@@ -845,11 +828,10 @@ class DLFM:
         """Generator: backup coordination (§3.4) — every file linked up to
         the watermark must have an archive copy before the host declares
         its backup successful; pending ones are copied with priority.
-        Entries claimed by the Copy daemon's workers are waited out
-        first (pool drain) so the backup never races an in-flight
-        archive transfer, then whatever is left — pending or stale
-        inflight — is copied synchronously."""
-        yield from self.copyd.pool.drain()
+        A running Copy-daemon sweep is waited out first so the backup
+        never races an in-flight archive transfer, then whatever is left
+        — pending or stale inflight — is copied synchronously."""
+        yield from self.copyd.wait()
         session = self.db.session()
         pending = yield from session.execute(
             "SELECT filename, recovery_id FROM dfm_archive")

@@ -56,11 +56,12 @@ def resolve_indoubts(host, timeout=None):
             raise error
 
         servers = sorted(host.dlfms)
-        listed = yield from rpc.scatter(
+        listed = yield from rpc.gather_all(
             host.sim,
-            [(coordinator.channel(server), api.ListIndoubt(host.dbid))
+            [rpc.call(host.sim, coordinator.channel(server),
+                      api.ListIndoubt(host.dbid), timeout)
              for server in servers],
-            name="indoubt-list", timeout=timeout)
+            name="indoubt-list")
         still_mine()
         spoken_for = ({txn.id for txn in host.db.txns.active}
                      | set(host.pending_decisions()))

@@ -696,9 +696,10 @@ class HostSession:
         for the replies — so its next transaction's sends queue behind
         the still-running commit processing. The N sends overlap each
         other; each send still blocks on its rendezvous."""
-        replies = yield from rpc.scatter_cast(
+        replies = yield from rpc.gather_all(
             self.sim,
-            [(self.channel(server), api.Commit(self.host.dbid, txn_id))
+            [rpc.cast(self.sim, self.channel(server),
+                      api.Commit(self.host.dbid, txn_id))
              for server in participants],
             name=f"phase2-cast-{txn_id}",
             fault_point="twopc.fanout:phase2",

@@ -18,7 +18,10 @@ A process is a Python generator. It suspends by yielding one of:
 Sub-operations that may block are ordinary generators composed with
 ``yield from``. Channels (:class:`Channel`) provide blocking rendezvous
 message passing, which the paper's distributed-deadlock lesson (E6)
-depends on.
+depends on. Concurrency comes in two idioms, both in :mod:`.rpc`: a
+server loop (``serve_loop``: N processes may serve one channel) and a
+fan-out of processes (``gather_all``); a process killed with its node
+(:meth:`Process.kill`) never completes, so nothing may join it.
 """
 
 from repro.kernel.sim import (
@@ -29,15 +32,12 @@ from repro.kernel.sim import (
     Timeout,
 )
 from repro.kernel.channel import Channel
-from repro.kernel.pool import PoolMetrics, WorkerPool
 
 __all__ = [
     "TIMEOUT",
     "Channel",
     "Event",
-    "PoolMetrics",
     "Process",
     "Simulator",
     "Timeout",
-    "WorkerPool",
 ]

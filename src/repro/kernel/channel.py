@@ -120,8 +120,3 @@ class Channel:
             message, handoff = self._senders.popleft()
             self._buffer.append(message)
             handoff.trigger(None)
-
-    @property
-    def pending(self) -> int:
-        """Messages immediately receivable without blocking."""
-        return len(self._buffer) + len(self._senders)

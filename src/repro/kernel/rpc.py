@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.chaos.faults import DUP_KINDS
-from repro.errors import ReproError, SimError
+from repro.chaos.faults import DUP_KINDS, REPLY_KINDS
+from repro.errors import ChannelClosed, CrashedError, ReproError, SimError
 from repro.kernel.channel import Channel
 from repro.kernel.sim import TIMEOUT, Event, Simulator, Timeout
 
@@ -135,52 +135,6 @@ def gather_all(sim: Simulator, gens, *, name: str = "gather",
     return results
 
 
-def scatter(sim: Simulator, calls, *, name: str = "scatter",
-            return_exceptions: bool = False,
-            fault_point: Optional[str] = None,
-            fault_node: Optional[str] = None,
-            timeout: Optional[float] = None):
-    """Generator: fan one RPC out per ``(channel, payload)`` pair.
-
-    All requests are cast concurrently (each in its own process, so one
-    slow participant no longer serializes the rest), then every reply is
-    gathered. First-error semantics: the remaining replies are still
-    drained before the first error (in ``calls`` order) is re-raised —
-    or returned in-place with ``return_exceptions=True``, which 2PC
-    phase 1 uses to learn *which* participant voted no.
-
-    ``fault_point``/``fault_node`` open a chaos window between the
-    scatter and the gather (kinds ``delay`` and ``crash``); ``timeout``
-    bounds each reply's wait, as in :func:`call`.
-    """
-    calls = list(calls)
-    gens = (call(sim, chan, payload, timeout) for chan, payload in calls)
-    result = yield from gather_all(
-        sim, gens, name=name, return_exceptions=return_exceptions,
-        fault_point=fault_point, fault_node=fault_node)
-    return result
-
-
-def scatter_cast(sim: Simulator, calls, *, name: str = "scatter-cast",
-                 fault_point: Optional[str] = None,
-                 fault_node: Optional[str] = None):
-    """Generator: fan out the *sends* only; return the reply events.
-
-    The asynchronous-commit (E6) analogue of :func:`scatter`: every
-    payload is cast concurrently, and control returns once every send
-    has completed its rendezvous — i.e. every peer agent has RECEIVED
-    its request and started processing — without waiting for any reply.
-    The per-send blocking that makes asynchronous commit hazardous is
-    preserved exactly; only the N sends overlap each other.
-    """
-    calls = list(calls)
-    gens = (cast(sim, chan, payload) for chan, payload in calls)
-    replies = yield from gather_all(
-        sim, gens, name=name, fault_point=fault_point,
-        fault_node=fault_node)
-    return replies
-
-
 def wait_reply(reply: Event, timeout: Optional[float] = None):
     """Generator: await a reply event from ``cast``."""
     outcome = yield reply.wait(timeout)
@@ -198,10 +152,10 @@ def serve_loop(chan: Channel, dispatch):
     ``dispatch`` is a generator callable(payload) → result. The loop ends
     when the channel closes. While a request is being processed the agent
     is NOT receiving, so further senders block (rendezvous) — the paper's
-    message-send blocking behaviour.
+    message-send blocking behaviour. A server killed mid-request (its
+    node crashed) answers that request with :class:`CrashedError`, as a
+    connection reset would, instead of leaving the caller hanging.
     """
-    from repro.chaos.faults import REPLY_KINDS
-    from repro.errors import ChannelClosed, ReproError
     while True:
         try:
             envelope = yield from chan.recv()
@@ -211,6 +165,10 @@ def serve_loop(chan: Channel, dispatch):
             result = yield from dispatch(envelope.payload)
         except ReproError as error:
             outcome = ("err", error)
+        except GeneratorExit:
+            envelope.reply.trigger(("err", CrashedError(
+                f"{chan.name} server died serving the request")))
+            raise
         else:
             outcome = ("ok", result)
         sim = chan.sim

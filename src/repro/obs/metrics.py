@@ -98,8 +98,7 @@ def counters(system) -> Dict[str, float]:
     Keys are ``<layer>.<node>.<field>``: the layers ``db``, ``locks``,
     ``wal`` and ``buffer`` of the host database (node = its dbid) and
     of each DLFM's database (node = the DLFM's name), ``host`` and
-    ``dlfm`` for the datalink engines, ``daemon`` for each DLFM worker
-    pool (node = the pool's name) and ``shardmap`` for a fleet's routing
+    ``dlfm`` for the datalink engines and ``shardmap`` for a fleet's routing
     cache, plus ``archive`` for the archive server's transfer counts
     (node = its name). A dict field (``aborts_by_reason``) adds one key
     per entry.
@@ -115,8 +114,6 @@ def counters(system) -> Dict[str, float]:
     _fields(out, "host", host.dbid, host.metrics)
     for name, dlfm in dlfms:
         _fields(out, "dlfm", name, dlfm.metrics)
-        for pool in dlfm.pools():
-            _fields(out, "daemon", pool.name, pool.metrics)
     if host.shard_map is not None:
         out[f"shardmap.{host.dbid}.reloads"] = host.shard_map.reloads
         out[f"shardmap.{host.dbid}.entries"] = len(host.shard_map.entries())

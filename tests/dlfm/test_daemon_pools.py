@@ -1,4 +1,4 @@
-"""Parallel daemon worker pools: claims, concurrency, crash safety."""
+"""Parallel daemon processes: claims, concurrency, crash safety."""
 
 import pytest
 
@@ -56,9 +56,9 @@ def test_worker_crash_mid_claim_reclaims_exactly_once():
     link_files(system, 1)
     dlfm = system.dlfms["fs1"]
 
-    # The sweep claims the entry and hands it to a worker; the worker
-    # crashes the node at pickup. The sweep itself survives long enough
-    # for its drain gate to be released by the pool teardown.
+    # The sweep claims the entry and spawns a worker; the worker crashes
+    # the node at pickup. The sweep itself survives: the DLFM's stop
+    # ends it.
     sweep = system.sim.spawn(dlfm.copyd.sweep(), "driven-sweep")
     system.sim.run(raise_failures=False,
                    stop_when=lambda: sweep.finished)
@@ -161,40 +161,58 @@ def test_concurrent_restores_pipeline_fetches():
 # ------------------------------------------------------------------ lifecycle
 
 def test_config_knobs_size_queues_and_pools():
+    """``retrieve_workers`` server processes share the Retrieve daemon's
+    one channel; a sweep runs at most ``copy_workers`` copy workers."""
     system = build_system(retrieve_workers=3, copy_workers=2)
     dlfm = system.dlfms["fs1"]
     assert dlfm.retrieved.chan.capacity == retrieved.QUEUE_CAPACITY == 16
     assert dlfm.delete_groupd.chan.capacity == delete_group.QUEUE_CAPACITY == 64
-    assert dlfm.retrieved.pool.alive == 3
-    assert dlfm.copyd.pool.alive == 2
-    assert dlfm.delete_groupd.pool.alive == 1
-    assert len(dlfm._pool_procs) == 6
+    names = sorted(p.name for p in dlfm._daemon_procs)
+    assert names == sorted(f"fs1-{d}" for d in (
+        "chownd", "copyd", "retrieved", "retrieved-1", "retrieved-2",
+        "delgrpd", "gcd", "upcalld"))
+    assert len(dlfm.retrieved.chan._receivers) == 3
+    link_files(system, 5)
+    assert system.run(dlfm.copyd.sweep()) == 5
+    assert [p.name for p in dlfm.copyd._workers] == ["fs1-copyd-w0",
+                                                      "fs1-copyd-w1"]
+    assert all(p.finished for p in dlfm.copyd._workers)
 
 
 def test_pool_workers_die_on_crash_and_restart_respawns():
-    system = build_system()
+    """Copy workers die with a DLFM crash: the sweep that spawned them
+    returns, and the restarted daemon re-claims their entries."""
+    system = build_system(bill_archive=True, copy_workers=2)
+    link_files(system, 4)
     dlfm = system.dlfms["fs1"]
-    assert len(dlfm._pool_procs) == 3  # one worker per pooled daemon
+    sweep = system.sim.spawn(dlfm.copyd.sweep(), "driven-sweep")
+    system.sim.run(stop_when=lambda: bool(dlfm.copyd._workers))
+    # Halfway through both workers' first 0.06 s archive transfer.
+    system.sim.run(until=system.sim.now + 0.03)
+    workers = list(dlfm.copyd._workers)
+    assert len(workers) == 2 and not any(p.finished for p in workers)
     dlfm.crash()
-    assert dlfm._pool_procs == []
-    assert dlfm.copyd.pool.alive == 0
+    assert all(p._killed for p in workers)
+    assert dlfm.copyd._workers == []
+    system.sim.run(stop_when=lambda: sweep.finished)
+    assert sweep.result == 0
+    assert system.archive.copy_count() == 0
+
     dlfm.restart()
-    assert len(dlfm._pool_procs) == 3
-    assert dlfm.copyd.pool.alive == 1
-    assert dlfm.retrieved.pool.alive == 1
-    assert dlfm.delete_groupd.pool.alive == 1
+    assert system.run(dlfm.copyd.sweep()) == 4
+    assert dlfm.metrics.copyd_reclaimed == 4
+    assert system.archive.copy_count() == 4
 
 
-def test_daemon_counters_are_the_three_pools_counters():
-    system = build_system()
-    link_files(system, 2)
+def test_restart_respawns_every_daemon_process():
+    system = build_system(retrieve_workers=2)
     dlfm = system.dlfms["fs1"]
-    system.run(dlfm.copyd.sweep())
-    counters = dlfm.daemon_counters()
-    assert dlfm.metrics.copyd_claimed == 2
-    assert counters["copyd_submitted"] == 2
-    assert counters["copyd_completed"] == 2
-    assert counters["retrieved_submitted"] == 0
-    assert {"copyd_max_depth", "retrieved_max_depth",
-            "delgrpd_max_depth"} <= set(counters)
-    assert len(counters) == 3 * len(vars(dlfm.copyd.pool.metrics))
+    old = list(dlfm._daemon_procs)
+    assert len(old) == 7
+    dlfm.crash()
+    assert dlfm._daemon_procs == []
+    assert all(p._killed for p in old)
+    dlfm.restart()
+    assert sorted(p.name for p in dlfm._daemon_procs) == sorted(
+        p.name for p in old)
+    assert not any(p in old or p.finished for p in dlfm._daemon_procs)

@@ -7,7 +7,7 @@ paper's six service daemons; all are real simulation processes.
 import pytest
 
 from repro.dlfm import api
-from repro.kernel import rpc
+from repro.kernel import Timeout, rpc
 
 
 def test_service_daemons_running(media):
@@ -97,3 +97,53 @@ def test_daemons_die_on_crash_and_restart_respawns(media):
     dlfm.restart()
     assert len(dlfm._daemon_procs) == 6
     assert all(p not in old for p in dlfm._daemon_procs)
+
+
+def test_a_dlfm_crash_ends_the_request_its_agent_was_serving(monkeypatch):
+    """The DLFM crashes 1 ms into the child agent's 2 ms envelope charge
+    for the commit's one Batch (Prepare piggybacked). The agent dies with
+    its node and fails the request, as a connection reset would: the
+    host aborts at prepare, and nothing of the transaction reaches the
+    restarted DLFM 30 s later."""
+    from repro.configs import Configuration
+    from repro.dlfm.agent import ChildAgent
+    from repro.errors import TransactionAborted
+    from repro.host import DatalinkSpec, build_url
+
+    system = Configuration("all_on").system(1)
+    sim, dlfm = system.sim, system.dlfms["fs1"]
+    system.create_user_file("fs1", "/v/a.mpg", owner="alice", content="A")
+    system.run(system.host.create_datalink_table(
+        "clips", [("id", "INT"), ("video", "TEXT")],
+        {"video": DatalinkSpec(access_control="full", recovery=True)}))
+
+    served = ChildAgent.dispatch
+
+    def dispatch(agent, req):
+        if isinstance(req, api.Batch):
+            sim.after(0.001, dlfm.crash)
+            sim.after(30.001, dlfm.restart)
+        return served(agent, req)
+
+    monkeypatch.setattr(ChildAgent, "dispatch", dispatch)
+
+    def link():
+        session = system.session()
+        yield from session.execute(
+            "INSERT INTO clips (id, video) VALUES (?, ?)",
+            (1, build_url("fs1", "/v/a.mpg")))
+        started = sim.now
+        with pytest.raises(TransactionAborted) as aborted:
+            yield from session.commit()
+        return aborted.value.reason, sim.now - started
+
+    def settle():
+        yield Timeout(60.0)
+
+    reason, took = system.run(link())
+    assert reason == "prepare"
+    assert took < 1.0                    # at the crash, not the restart
+    system.run(settle())
+    assert dlfm.running
+    assert dlfm.db.table_rows("dfm_file") == []
+    assert dlfm.db.table_rows("dfm_txn") == []

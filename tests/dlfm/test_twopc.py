@@ -718,15 +718,15 @@ def test_a_restart_pass_ends_with_its_host_incarnation(monkeypatch):
     assert len(host.db.wal.decisions) == 1
 
     listers: dict = {}                  # incarnation → passes that listed
-    real_scatter = indoubt.rpc.scatter
+    real_gather_all = indoubt.rpc.gather_all
 
-    def scatter(sim_, calls, **kwargs):
+    def gather_all(sim_, gens, **kwargs):
         if kwargs.get("name") == "indoubt-list":
             listers.setdefault(host.db.metrics.recoveries, set()).add(
                 sim._current_proc)
-        return (yield from real_scatter(sim_, calls, **kwargs))
+        return (yield from real_gather_all(sim_, gens, **kwargs))
 
-    monkeypatch.setattr(indoubt.rpc, "scatter", scatter)
+    monkeypatch.setattr(indoubt.rpc, "gather_all", gather_all)
     system.injector.enabled = True
     outcome = {}
 

@@ -76,7 +76,7 @@ def test_buffered_send_does_not_block_until_full():
     proc = sim.spawn(sender())
     sim.run()
     assert proc.result == 0.0
-    assert chan.pending == 2
+    assert list(chan._buffer) == [1, 2]
 
 
 def test_buffered_send_blocks_when_full_and_drains_in_order():
@@ -162,4 +162,10 @@ def test_pending_counts_buffer_and_blocked_senders():
     sim.spawn(sender(0))
     sim.spawn(sender(1))
     sim.run(until=1.0)
-    assert chan.pending == 2  # one buffered + one blocked sender
+
+    def receiver():
+        got = [(yield from chan.recv()), (yield from chan.recv())]
+        return got, sim.now
+
+    # One buffered + one blocked sender: both receivable without waiting.
+    assert sim.run_process(receiver()) == ([0, 1], 1.0)

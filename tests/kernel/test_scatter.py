@@ -1,12 +1,12 @@
-"""Scatter-gather fan-out primitives (the parallel 2PC transport)."""
+"""Scatter-gather fan-out: ``gather_all`` over ``call``/``cast`` (the
+parallel 2PC transport)."""
 
 import pytest
 
 from repro.chaos.faults import FaultInjector, FaultPlan, FaultRule
 from repro.errors import CrashedError, ReproError
 from repro.kernel import Channel, Simulator, Timeout
-from repro.kernel.rpc import (gather_all, scatter, scatter_cast, serve_loop,
-                              wait_reply)
+from repro.kernel.rpc import call, cast, gather_all, serve_loop, wait_reply
 
 
 def echo_server(sim, delay=0.0, name="server"):
@@ -46,8 +46,8 @@ def test_scatter_overlaps_rpcs():
     chans = [echo_server(sim, delay=2.0, name=f"s{i}") for i in range(3)]
 
     def root():
-        replies = yield from scatter(
-            sim, [(chan, f"req{i}") for i, chan in enumerate(chans)])
+        replies = yield from gather_all(
+            sim, [call(sim, chan, f"req{i}") for i, chan in enumerate(chans)])
         return replies, sim.now
 
     replies, now = sim.run_process(root())
@@ -64,9 +64,10 @@ def test_scatter_first_error_raised_after_full_drain():
 
     def root():
         with pytest.raises(ReproError, match="vote-no"):
-            yield from scatter(sim, [(slow_ok, "a"),
-                                     (fast_fail, ReproError("vote-no")),
-                                     (slow_ok, "c")])
+            yield from gather_all(sim, [
+                call(sim, slow_ok, "a"),
+                call(sim, fast_fail, ReproError("vote-no")),
+                call(sim, slow_ok, "c")])
         return sim.now
 
     # slow_ok serves its two requests back to back: 6s + 6s.
@@ -80,8 +81,8 @@ def test_scatter_return_exceptions_reports_which_failed():
     bad = echo_server(sim, name="bad")
 
     def root():
-        replies = yield from scatter(
-            sim, [(good, "ok"), (bad, ReproError("boom"))],
+        replies = yield from gather_all(
+            sim, [call(sim, good, "ok"), call(sim, bad, ReproError("boom"))],
             return_exceptions=True)
         return replies
 
@@ -98,8 +99,8 @@ def test_scatter_cast_returns_after_sends_not_replies():
     chans = [echo_server(sim, delay=3.0, name=f"s{i}") for i in range(2)]
 
     def root():
-        replies = yield from scatter_cast(
-            sim, [(chan, f"r{i}") for i, chan in enumerate(chans)])
+        replies = yield from gather_all(
+            sim, [cast(sim, chan, f"r{i}") for i, chan in enumerate(chans)])
         sent_at = sim.now
         results = []
         for reply in replies:
@@ -141,8 +142,8 @@ def test_delay_fault_stalls_the_gather_window():
     chans = [echo_server(sim, delay=2.0, name=f"s{i}") for i in range(2)]
 
     def root():
-        replies = yield from scatter(
-            sim, [(chan, i) for i, chan in enumerate(chans)],
+        replies = yield from gather_all(
+            sim, [call(sim, chan, i) for i, chan in enumerate(chans)],
             fault_point="fan.test")
         return replies, sim.now
 
@@ -162,9 +163,10 @@ def test_crash_fault_in_window_drains_outstanding_replies():
 
     def root():
         with pytest.raises(CrashedError):
-            yield from scatter(sim, [(chan, i) for i, chan in
-                                     enumerate(chans)],
-                               fault_point="fan.test", fault_node="host-db")
+            yield from gather_all(sim, [call(sim, chan, i) for i, chan in
+                                        enumerate(chans)],
+                                  fault_point="fan.test",
+                                  fault_node="host-db")
         return sim.now
 
     assert sim.run_process(root()) == 0.0  # crash beat every reply

@@ -56,8 +56,7 @@ def test_every_metrics_field_is_a_counter_and_in_the_report(build):
     objects = metrics_objects(system)
     kinds = {type(obj).__name__ for obj in objects}
     assert kinds >= {"DBMetrics", "LockMetrics", "WalMetrics",
-                     "BufferMetrics", "HostMetrics", "DLFMMetrics",
-                     "PoolMetrics"}
+                     "BufferMetrics", "HostMetrics", "DLFMMetrics"}
     stamps = set()
     for obj in objects:
         for field in dataclasses.fields(obj):
@@ -93,7 +92,6 @@ def test_the_walker_names_layer_node_field():
     assert flat["locks.hostdb.acquires"] == system.host.db.locks.metrics.acquires
     assert flat["buffer.shard2.hits"] == system.dlfms["shard2"].db.pool.metrics.hits
     assert flat["dlfm.shard1.rpcs"] == 0
-    assert flat["daemon.shard1-copyd.max_depth"] == 0
     assert flat["shardmap.hostdb.reloads"] == system.host.shard_map.reloads
     system.dlfms["shard1"].db.metrics.note_abort("deadlock")
     assert counters(system)["db.shard1.aborts_by_reason.deadlock"] == 1
@@ -118,11 +116,6 @@ def test_the_e2e_benchmark_reads_resolve_on_an_all_on_fleet():
     for dlfm in system.dlfms.values():
         for name in _DLFM_FIELDS:
             number(dlfm, ("metrics",), name)
-        depths = {k: v for k, v in dlfm.daemon_counters().items()
-                  if k.endswith("_max_depth")}
-        assert sorted(depths) == ["copyd_max_depth", "delgrpd_max_depth",
-                                  "retrieved_max_depth"]
-        assert all(isinstance(v, int) for v in depths.values())
     for name in _HOST_FIELDS:
         number(system.host, ("metrics",), name)
     number(system.host, ("shard_map",), "reloads")

@@ -169,6 +169,53 @@ def test_move_group_end_to_end(fleet):
     assert fleet.servers["fs1"].fs.stat("/x/f0").owner == "u"
 
 
+def test_move_group_sweep_waits_out_the_periodic_sweep(monkeypatch):
+    """``move_group`` drains the source's archive backlog with a Copy
+    daemon sweep. When the periodic sweep is already running there (its
+    archive transfers billed), the move's sweep waits it out: both
+    return, one after the other, and the move goes through."""
+    from repro.dlfm.daemons.copyd import CopyDaemon
+    fleet = Configuration("all_on", {"timing.archive": True}).system(
+        7, shards=2)
+    fleet.run(fleet.host.create_datalink_table(
+        "docs", [("id", "INT"), ("doc", "TEXT")],
+        {"doc": DatalinkSpec(recovery=True)}))
+    for i in range(2):
+        fleet.create_user_file("fs1", f"/x/f{i}", owner="u")
+    grp_id = fleet.host.group_ids[("docs", "doc")]
+    src = fleet.shard_of(grp_id)
+    dst = next(n for n in fleet.dlfms if n != src)
+    copyd = fleet.dlfms[src].copyd
+    fleet.run(_link(fleet, "docs", 1, "/x/f0"))
+    fleet.run(_link(fleet, "docs", 2, "/x/f1"))
+
+    returned, claimed = {}, []
+    sweep, claim = CopyDaemon.sweep, CopyDaemon._claim_batch
+
+    def logged_sweep(self):
+        done = yield from sweep(self)
+        if self is copyd:
+            returned[fleet.sim.process_name] = done
+        return done
+
+    def logged_claim(self):
+        if self is copyd:   # who claims, and what is archived by then?
+            claimed.append((fleet.sim.process_name,
+                            self.dlfm.metrics.files_archived))
+        return (yield from claim(self))
+
+    monkeypatch.setattr(CopyDaemon, "sweep", logged_sweep)
+    monkeypatch.setattr(CopyDaemon, "_claim_batch", logged_claim)
+    fleet.sim.run(stop_when=lambda: copyd._sweep is not None)
+    # Bounded, so a wedged sweep fails the run instead of hanging it.
+    moved = fleet.run(move_group(fleet.host, grp_id, dst), "mover",
+                      until=fleet.sim.now + 60.0)
+    assert moved["moved"] and moved["files"] == 2
+    assert returned == {f"{src}-copyd": 2, "mover": 0}
+    assert claimed == [(f"{src}-copyd", 0), ("mover", 2)]
+    assert copyd._sweep is None
+
+
 def test_move_group_rejects_bad_targets(fleet):
     grp_id = fleet.host.group_ids[("docs", "doc")]
     src = fleet.shard_of(grp_id)

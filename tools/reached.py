@@ -211,7 +211,6 @@ KEPT = {
         _PROBE + "; benchmarks/perf asserts with it",
     "src/repro/minidb/locks.py:LockManager.waiting_txns":
         _PROBE + "; benchmarks/perf asserts with it",
-    "src/repro/kernel/pool.py:WorkerPool.alive": _PROBE,
     "src/repro/minidb/txn.py:Transaction.lock_count": _PROBE,
     "src/repro/shard/system.py:ShardedSystem.shard_of": _PROBE,
     "src/repro/minidb/session.py:PreparedStatement.plan": _PROBE,
@@ -220,7 +219,6 @@ KEPT = {
     # __repr__ methods.
     "src/repro/fs/filesystem.py:FileServer.__repr__": _REPR,
     "src/repro/kernel/channel.py:Channel.__repr__": _REPR,
-    "src/repro/kernel/pool.py:WorkerPool.__repr__": _REPR,
     "src/repro/kernel/sim.py:_Sentinel.__repr__": _REPR,
     "src/repro/kernel/sim.py:Timeout.__repr__": _REPR,
     "src/repro/kernel/sim.py:Process.__repr__": _REPR,
