@@ -109,7 +109,8 @@ def scenario_d():
     system = _fresh(4)
     _prepare_with_decision(system, record_decision=True)
     system.host.crash()
-    result = system.run(system.host.restart())
+    poller = system.run(system.host.restart())
+    result = system.run(poller.join())
     return (result["committed"] == 1
             and system.dlfms["fs1"].linked_count() == 1)
 

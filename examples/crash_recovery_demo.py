@@ -6,10 +6,11 @@ Demonstrates §3.3 of the paper end to end:
    DLFM, the host records its commit decision; a second one prepares
    too but the host never decides it; a third never prepares — then
    the host and the DLFM node both die;
-2. the host restarts first. Its restart resolution cannot reach the
-   DLFM, so it hands the work to its polling daemon ("if DLFM is
-   unavailable at restart, host database spawns a daemon whose sole
-   purpose is to poll the DLFM periodically");
+2. the host restarts first and hands in-doubt resolution to its
+   polling daemon at once; the poller's first pass cannot reach the
+   DLFM, so it polls ("if DLFM is unavailable at restart, host database
+   spawns a daemon whose sole purpose is to poll the DLFM
+   periodically");
 3. the DLFM restarts; the poller commits the decided transaction (the
    link materializes) and aborts the undecided one (presumed abort);
    the transaction that never prepared simply vanished with the crash —
@@ -19,7 +20,6 @@ Run:  python examples/crash_recovery_demo.py
 """
 
 from repro.dlfm import api
-from repro.errors import ReproError
 from repro.host import DatalinkSpec, build_url
 from repro.kernel import Timeout
 from repro.system import System
@@ -70,11 +70,9 @@ def main():
         dlfm.crash()
 
         print("host restarts while the DLFM is still down")
-        try:
-            yield from host.restart()
-        except ReproError as error:
-            print(f"  restart resolution failed: {error}")
-        print(f"  handed to the host's poller: {host.poller.name}")
+        poller = yield from host.restart()
+        print(f"  in-doubt resolution handed to the host's poller: "
+              f"{poller.name}")
         yield Timeout(12)
 
         print("DLFM restarts; local recovery runs")

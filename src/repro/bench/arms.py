@@ -343,7 +343,9 @@ def fleet_load(system, txns: int) -> dict:
     committed = max(tally["committed"], 1)
     return {**tally, "sim_s": round(elapsed, 6),
             "ops_per_sec": round(tally["committed"] / max(elapsed, 1e-9), 1),
-            # Only Prepare forces; phase 2 commits lazily.
+            # Billed DLFM log forces (Prepare's, a steal's, the page
+            # cleaner's); phase 2 commits lazily, and a checkpoint's
+            # force is counted apart (``checkpoint_forces``).
             "dlfm_forces_per_commit": round(
                 (dlfm_forces() - forces) / committed, 2)}
 

@@ -28,7 +28,7 @@ from repro.configs import Configuration
 #: The history row this tree's harness writes: ``pr<N>-…`` with N the
 #: number of the PR (``tests/test_bench_history.py`` holds it to the
 #: last entry of CHANGES.md). Re-running a tree refreshes its own row.
-HISTORY_LABEL = "pr44-daemons-are-processes"
+HISTORY_LABEL = "pr45-instant-host-restart"
 
 
 @dataclass

@@ -442,13 +442,10 @@ class _Campaign:
         crashed = [node for node in nodes if node.db.crashed]
         self.system.sim.stream("chaos:restart").shuffle(crashed)
         for node in crashed:
-            if node is not host:
-                node.restart()
-                continue
-            try:
+            if node is host:
                 self._run_clean(host.restart(), "chaos-host-restart")
-            except ReproError:
-                pass    # back before a DLFM: the host's poller finishes
+            else:
+                node.restart()
         if crashed:
             self.result.recoveries += 1
 

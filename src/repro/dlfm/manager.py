@@ -24,6 +24,7 @@ Transactional design (paper §3.3/§4):
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -149,8 +150,10 @@ class DLFM:
         self.upcalld = UpcallDaemon(self)
         self.filter.set_upcall(self.upcalld.query)
         self._daemon_procs: list = []
-        #: (child agent, its process) per host connection.
-        self._agents: list = []
+        #: Child agent → its process, per open host connection; the
+        #: numbering restarts with each incarnation.
+        self._agents: dict = {}
+        self._agent_ids = itertools.count(1)
         self.running = False
 
     # ------------------------------------------------------------------ lifecycle
@@ -189,19 +192,25 @@ class DLFM:
         if not self.running:
             raise TwoPCProtocolError(f"DLFM {self.name} is not available")
         agent = ChildAgent(self)
-        proc = self.sim.spawn(agent.serve(),
-                              f"{self.name}-agent-{len(self._agents) + 1}")
-        self._agents.append((agent, proc))
+        self._agents[agent] = self.sim.spawn(
+            self._serve(agent), f"{self.name}-agent-{next(self._agent_ids)}")
         return agent.chan
+
+    def _serve(self, agent):
+        """Generator: one child agent's life; it is let go when its
+        connection closes (a crash kills it first)."""
+        yield from agent.serve()
+        self._agents.pop(agent, None)
 
     def crash(self) -> None:
         """The DLFM node fails: local database and all processes die —
         the child agents too, each failing the request it was serving."""
         self.stop()
-        for agent, proc in self._agents:
+        for agent, proc in self._agents.items():
             agent.chan.close()
             proc.kill()
-        self._agents = []
+        self._agents = {}
+        self._agent_ids = itertools.count(1)
         self.db.crash()
 
     def restart(self) -> dict:

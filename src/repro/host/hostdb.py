@@ -164,7 +164,7 @@ class HostDB:
     def poll(self) -> None:
         """The one hand-off of unfinished 2PC work: spawn the host's
         in-doubt poller, or have the running one pass again. Nothing on
-        a crashed host, whose restart runs a pass of its own."""
+        a crashed host, whose restart starts the poller."""
         if self.poller is not None and not self.poller.finished:
             self.pass_again = True
         elif not self.db.crashed:
@@ -278,22 +278,25 @@ class HostDB:
     # ------------------------------------------------------------------ crash / restart
 
     def crash(self) -> None:
-        """The poller dies with the host: its restart runs the pass."""
+        """The poller dies with the host: its restart starts a new one."""
         self.db.crash()
         if self.poller is not None:
             self.poller.kill()
             self.poller = None
 
     def restart(self):
-        """Generator: restart + distributed recovery (paper §3.3).
+        """Generator: restart the host database and return at once, with
+        the distributed recovery (paper §3.3) handed to the poller.
 
-        Re-drives unfinished phase-2 commits from the decisions the WAL
-        holds open, then resolves every DLFM's remaining prepared
-        transactions to abort (presumed abort: no decision → the host
-        never committed). A failed pass is handed to the poller, then
-        re-raised: the caller learns that recovery did not finish. A pass
-        whose host crashed under it hands nothing off.
+        Local recovery reloads the shard map and finishes the table drops
+        a pending decision names; the in-doubt pass — re-drive every
+        unfinished phase 2, abort what a DLFM still holds prepared with
+        no decision — is the poller's first pass, and new transactions
+        run beside it (instant restart). Returns the poller
+        :class:`~repro.kernel.sim.Process`: a caller that needs the
+        outcome joins ``host.poller``.
         """
+        yield from ()   # a generator, so callers run restart as a process
         self.db.restart()
         wal = self.db.wal
         dropped = {grp for lsn in wal.decisions.values()
@@ -304,10 +307,5 @@ class HostDB:
         for name in sorted({name for (name, _), grp in self.group_ids.items()
                             if grp in dropped}):
             self.apply_drop(name)
-        recoveries = self.db.metrics.recoveries
-        try:
-            return (yield from indoubt.resolve_indoubts(self))
-        except ReproError:
-            if self.db.metrics.recoveries == recoveries:
-                self.poll()     # a later incarnation runs its own pass
-            raise
+        self.poll()
+        return self.poller

@@ -6,6 +6,11 @@ indoubt transactions with the DLFM. Either host database restart
 processing does it, or, if DLFM is unavailable at restart, host database
 spawns a daemon whose sole purpose is to poll the DLFM periodically and
 resolve the indoubts when the DLFM is up."
+
+Here both are one process, the host's poller (:func:`indoubt_poller`):
+restart starts it and returns (instant restart), so its first pass runs
+beside the new transactions; every later hand-off of unfinished 2PC
+work has it pass again.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from repro.kernel.sim import Timeout
 POLL_PERIOD = 5.0
 
 
-def resolve_indoubts(host, timeout=None):
+def resolve_indoubts(host):
     """Generator: one full resolution pass. Returns a summary dict.
 
     Presumed abort, driven through the coordinator's own phase-2 steps
@@ -32,13 +37,14 @@ def resolve_indoubts(host, timeout=None):
     it: a decision taken since (its phase 2 is on the way), or a live
     local transaction (its coordinator is in phase 1, or it is an XA
     branch whose outcome belongs to the external transaction manager).
-    A pass may run beside live traffic (the poller), but never on a
-    crashed host, which reads no decision until it restarts; nor does it
-    re-drive a decision whose COMMIT record still waits for its force.
-    A pass belongs to the host incarnation it began in: after every wait
-    it fails if its host crashed meanwhile, restarted or not (the next
-    incarnation's restart runs a pass of its own). A reply slower than
-    ``timeout`` (None: no bound) fails the pass.
+    A pass runs beside live traffic (in the poller, from the instant the
+    host restarts), but never on a crashed host, which reads no decision
+    until it restarts; nor does it re-drive a decision whose COMMIT
+    record still waits for its force. A pass belongs to the host
+    incarnation it began in: after every wait it fails if its host
+    crashed meanwhile, restarted or not (the next incarnation's restart
+    starts a poller of its own). A reply slower than POLL_PERIOD fails
+    the pass.
     """
     recoveries = host.db.metrics.recoveries
 
@@ -49,7 +55,7 @@ def resolve_indoubts(host, timeout=None):
     coordinator = host.session()
     try:
         committed, error = yield from coordinator.commit_participants(
-            host.pending_decisions(), timeout=timeout)
+            host.pending_decisions(), timeout=POLL_PERIOD)
         still_mine()
         host.metrics.indoubt_commits += committed
         if error is not None:
@@ -59,7 +65,7 @@ def resolve_indoubts(host, timeout=None):
         listed = yield from rpc.gather_all(
             host.sim,
             [rpc.call(host.sim, coordinator.channel(server),
-                      api.ListIndoubt(host.dbid), timeout)
+                      api.ListIndoubt(host.dbid), POLL_PERIOD)
              for server in servers],
             name="indoubt-list")
         still_mine()
@@ -69,7 +75,7 @@ def resolve_indoubts(host, timeout=None):
             api.Abort,
             [(txn_id, server) for server, txn_ids in zip(servers, listed)
              for txn_id in txn_ids if txn_id not in spoken_for],
-            name="indoubt-abort", timeout=timeout)
+            name="indoubt-abort", timeout=POLL_PERIOD)
         still_mine()
     finally:
         coordinator.close()
@@ -82,13 +88,14 @@ def resolve_indoubts(host, timeout=None):
 
 
 def indoubt_poller(host):
-    """Generator (the host's one poller, spawned by ``HostDB.poll``): a
-    pass every POLL_PERIOD until one succeeds with nothing handed over
-    since it began. A reply slower than POLL_PERIOD fails the pass."""
+    """Generator (the host's one poller, spawned by ``HostDB.poll`` at
+    restart or at a hand-off): a pass at once, then one every POLL_PERIOD
+    until one succeeds with nothing handed over since it began. Returns
+    the last pass's summary."""
     while True:
         host.pass_again = False
         try:
-            result = yield from resolve_indoubts(host, timeout=POLL_PERIOD)
+            result = yield from resolve_indoubts(host)
             if not host.pass_again:
                 return result
         except ReproError:

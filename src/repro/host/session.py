@@ -569,7 +569,7 @@ class HostSession:
                     fault_node=self.host.db.name)
             except ReproError as error:
                 # The coordinator itself died in the scatter→gather
-                # window; outstanding prepares drain detached,
+                # window; outstanding prepares finish on their own,
                 # participants resolve by presumed abort after restart.
                 targets, outcomes = ["(coordinator)"], [error]
             for server, outcome in zip(targets, outcomes):
@@ -579,8 +579,6 @@ class HostSession:
                     raise TransactionAborted(
                         f"participant {server} failed to prepare: "
                         f"{outcome}", reason="prepare") from outcome
-                if isinstance(outcome, BaseException):
-                    raise outcome  # non-protocol error: a bug, surface it
         readonly = []
         for server, reply in outcomes:
             if (reply or {}).get("vote", "commit") == "read-only":
@@ -679,15 +677,10 @@ class HostSession:
                                         verb(self.host.dbid, txn_id),
                                         timeout))
 
-        outcomes = yield from rpc.gather_all(
+        return (yield from rpc.gather_all(
             self.sim, [send(*pair) for pair in pairs], name=name,
             return_exceptions=True, fault_point=fault_point,
-            fault_node=self.host.db.name)
-        for outcome in outcomes:
-            if (isinstance(outcome, BaseException)
-                    and not isinstance(outcome, ReproError)):
-                raise outcome  # non-protocol error: a bug, surface it
-        return outcomes
+            fault_node=self.host.db.name))
 
     def _cast_commits(self, txn_id: int, participants):
         """Generator: E6 mode (``sync_commit=False``). Every Commit verb

@@ -72,12 +72,14 @@ def _payload_nops(payload: Any) -> int:
     return len(ops) if ops is not None else 1
 
 
-def _absorb(proc):
-    """Generator: join ``proc`` swallowing its error (reply drained)."""
+def _outcome(gen):
+    """Generator: run ``gen``; a protocol error is its outcome, not its
+    failure, so a fan-out child never fails unjoined when its gatherer
+    is gone (crashed or killed) or has yet to reach it."""
     try:
-        yield from proc.join()
-    except ReproError:
-        pass
+        return (yield from gen)
+    except ReproError as error:
+        return error
 
 
 def _fanout_faults(sim: Simulator, fault_point: str,
@@ -102,36 +104,27 @@ def gather_all(sim: Simulator, gens, *, name: str = "gather",
                fault_node: Optional[str] = None):
     """Generator: run ``gens`` concurrently and drain EVERY outcome.
 
-    Every process's outcome is consumed before returning — no orphaned
-    reply events, no unjoined-failure noise. With
-    ``return_exceptions=False`` the first
-    error (in ``gens`` order) is re-raised *after* the drain; with True
-    the returned list carries the exception objects in place of results.
+    Every process's outcome is consumed before returning. With
+    ``return_exceptions=False`` the first protocol error (in ``gens``
+    order) is re-raised *after* the drain; with True the returned list
+    carries the error objects in place of results. Any other exception
+    is a bug and fails its process.
 
-    If a crash fault fires inside the scatter→gather window, the still
-    outstanding processes are handed to detached absorbers so their
-    replies are consumed even though the gatherer is gone.
+    A child process ends with its outcome whether or not anyone joins
+    it: if a crash fault fires inside the scatter→gather window, or the
+    gatherer is killed while it drains, the outstanding requests finish
+    on their own and no failure is left behind.
     """
-    procs = [sim.spawn(gen, f"{name}-{i}") for i, gen in enumerate(gens)]
+    procs = [sim.spawn(_outcome(gen), f"{name}-{i}")
+             for i, gen in enumerate(gens)]
     if fault_point is not None and sim.injector.enabled:
-        try:
-            yield from _fanout_faults(sim, fault_point, fault_node)
-        except ReproError:
-            for proc in procs:
-                sim.spawn(_absorb(proc), f"{name}-drain")
-            raise
+        yield from _fanout_faults(sim, fault_point, fault_node)
     results = []
-    first_error: Optional[BaseException] = None
     for proc in procs:
-        outcome = yield proc.done.wait()
-        kind, value = outcome
-        if kind == "err":
-            sim.absolve(proc)  # consumed here, not an unhandled failure
-            if first_error is None:
-                first_error = value
-        results.append(value)
-    if first_error is not None and not return_exceptions:
-        raise first_error
+        results.append((yield from proc.join()))
+    errors = [r for r in results if isinstance(r, ReproError)]
+    if errors and not return_exceptions:
+        raise errors[0]
     return results
 
 

@@ -853,7 +853,7 @@ class Database:
             walmod.CHECKPOINT, None,
             payload={"chain_heads": dict(self.wal.page_heads),
                      "txn_table": txn_table})
-        self._force_log()
+        self._force_log(checkpoint=True)
         self.wal.note_checkpoint(record.lsn)
         self.wal.truncate(self._log_floor())
         if self._worker is None and (self.replay_pending
@@ -943,11 +943,11 @@ class Database:
         self._worker = None
         wal.truncate(self._log_floor())
 
-    def _force_log(self) -> None:
+    def _force_log(self, checkpoint: bool = False) -> None:
         """Force the whole log now, inside the caller's step (a steal
         that found every frame ahead of the log, a checkpoint); the lazy
         commits it covered are durable."""
-        self.wal.force()
+        self.wal.force(checkpoint=checkpoint)
         self._harden_upto(self.wal.flushed_upto)
 
     def crash(self) -> None:

@@ -90,7 +90,10 @@ class LogRecord:
 @dataclass
 class WalMetrics:
     appends: int = 0
+    #: Billed log forces: commit, prepare, steal and page-cleaner forces.
     forces: int = 0
+    #: A checkpoint's own force: unbilled, and no committer waits for it.
+    checkpoint_forces: int = 0
     log_fulls: int = 0
     #: Group commit (``Database._force_wal``): forces that covered another
     #: committer's record, and commits/prepares that rode on someone
@@ -170,16 +173,21 @@ class LogManager:
                 txn.first_lsn = lsn
         return record
 
-    def force(self, upto: Optional[int] = None) -> bool:
+    def force(self, upto: Optional[int] = None, *,
+              checkpoint: bool = False) -> bool:
         """Make the log durable up to ``upto`` (default: tail).
 
         Returns True when a physical force was needed (caller charges I/O).
+        A ``checkpoint`` force is counted apart: nobody pays for it.
         """
         target = self.tail_lsn if upto is None else upto
         if target <= self.flushed_upto:
             return False
         self.flushed_upto = target
-        self.metrics.forces += 1
+        if checkpoint:
+            self.metrics.checkpoint_forces += 1
+        else:
+            self.metrics.forces += 1
         return True
 
     def record(self, lsn: int) -> LogRecord:

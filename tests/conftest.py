@@ -56,11 +56,19 @@ def run_until_durable(system, limit=60.0):
 
 def run_until_polled(system, limit=60.0):
     """Run ``system``'s simulation until the host's in-doubt poller has
-    finished (at most ``limit`` sim-seconds): what a failed phase 2 or
-    restart pass handed over is resolved, or the poller still retries."""
+    finished (at most ``limit`` sim-seconds): what a restart or a failed
+    phase 2 handed over is resolved, or the poller still retries."""
     sim, host = system.sim, system.host
     sim.run(until=sim.now + limit,
             stop_when=lambda: host.poller is None or host.poller.finished)
+
+
+def restart_and_resolve(host):
+    """Generator: restart ``host`` — which returns at once, its in-doubt
+    pass handed to the poller — then join the poller; returns the
+    summary of its last pass (``{"committed": n, "aborted": m}``)."""
+    yield from host.restart()
+    return (yield from host.poller.join())
 
 
 def run(sim, gen, until=None):

@@ -29,6 +29,26 @@ def test_child_agent_per_connection(media):
     assert chan_a is not chan_b  # separate agents, separate channels
 
 
+def test_a_closed_connection_lets_its_agent_go(media):
+    """Each in-doubt pass opens a connection to every server and closes
+    it again: 50 sessions opened and closed leave at most the agents of
+    connections still open."""
+    dlfm, host = media.dlfms["fs1"], media.host
+    before = len(dlfm._agents)
+
+    def go():
+        for _ in range(50):
+            session = media.session()
+            yield from session.send_control("fs1", api.ListIndoubt(host.dbid))
+            session.close()
+        yield Timeout(1.0)          # the agents see their channels close
+
+    media.run(go())
+    assert len(dlfm._agents) <= before
+    assert all(not agent.chan.closed for agent in dlfm._agents)
+    assert all(not proc.finished for proc in dlfm._agents.values())
+
+
 def test_agents_serve_their_own_connections_independently(media):
     """Two connections can run interleaved transactions — each is served
     by its own child agent (§3.5)."""

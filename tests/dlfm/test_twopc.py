@@ -12,7 +12,7 @@ from repro.kernel import Timeout, rpc
 from repro.system import System
 
 from tests.dlfm.conftest import insert_clip, url
-from tests.conftest import run_until_durable
+from tests.conftest import restart_and_resolve, run_until_durable
 
 
 def test_txn_table_empty_after_clean_commit(media):
@@ -133,7 +133,7 @@ def test_prepared_txn_without_decision_aborts(media):
 
     media.run(prepare_only())
     host.crash()
-    result = media.run(host.restart())
+    result = media.run(restart_and_resolve(host))
     # The one "committed" is the fixture's DDL decision, re-sent and
     # answered already-finished: its FORGET was never durable.
     assert result == {"committed": 1, "aborted": 1}
@@ -220,11 +220,7 @@ def test_host_crash_and_restart_redrives_phase2(media):
 
     media.run(phase1())
     host.crash()
-
-    def restart():
-        return (yield from host.restart())
-
-    result = media.run(restart())
+    result = media.run(restart_and_resolve(host))
     assert result["committed"] == 1
     assert media.dlfms["fs1"].linked_count() == 1
 
@@ -424,7 +420,7 @@ def test_resolution_refuses_to_run_on_a_crashed_host(media):
     with pytest.raises(CrashedError):
         media.run(resolve_indoubts(host))
     assert len(dlfm.db.table_rows("dfm_txn")) == 1
-    assert media.run(host.restart())["aborted"] == 0
+    assert media.run(restart_and_resolve(host))["aborted"] == 0
     assert dlfm.linked_count() == 1
 
 
@@ -525,15 +521,16 @@ def test_a_hand_off_during_a_pass_gets_a_pass_of_its_own():
 
 
 # --------------------------------------------------------------------------
-# One poller per host: restart hands it what it cannot reach, it runs one
-# pass at a time, and a host crash ends it.
+# One poller per host: restart hands it the whole in-doubt pass and
+# returns, it runs one pass at a time, and a host crash ends it.
 
 def test_a_host_restarted_before_its_dlfm_hands_the_dlfm_to_its_poller(media):
     """§3.3: "if DLFM is unavailable at restart, host database spawns a
     daemon whose sole purpose is to poll the DLFM". A link is prepared
     at fs1 with no decision; host and fs1 crash, and the host comes back
-    first. Its restart pass fails on fs1 and hands it to the poller,
-    which aborts the link (presumed abort) once fs1 is back."""
+    first. Its restart hands the pass to the poller at once; the pass
+    fails on fs1, and the poller aborts the link (presumed abort) once
+    fs1 is back."""
     from repro.host.indoubt import POLL_PERIOD
     host, dlfm = media.host, media.dlfms["fs1"]
     run_until_durable(media)        # setup's decisions are forgotten
@@ -547,8 +544,11 @@ def test_a_host_restarted_before_its_dlfm_hands_the_dlfm_to_its_poller(media):
     host.db.wal.force()             # ... and their FORGET records kept
     host.crash()
     dlfm.crash()
-    with pytest.raises(TwoPCProtocolError):
-        media.run(host.restart())
+    restarted_at = media.sim.now
+    poller = media.run(host.restart())
+    assert media.sim.now == restarted_at and poller is host.poller
+    media.sim.run(until=media.sim.now + POLL_PERIOD)
+    assert not poller.finished          # fs1 is down: the pass failed
     dlfm.restart()
     media.sim.run(until=media.sim.now + 4 * POLL_PERIOD,
                   stop_when=lambda: not dlfm.db.table_rows("dfm_txn"))
@@ -563,12 +563,12 @@ def _count_passes(monkeypatch, sim):
     real = indoubt.resolve_indoubts
     passes = {"now": 0, "most": 0, "by": []}
 
-    def counted(host, timeout=None):
+    def counted(host):
         passes["by"].append(sim._current_proc)
         passes["now"] += 1
         passes["most"] = max(passes["most"], passes["now"])
         try:
-            return (yield from real(host, timeout))
+            return (yield from real(host))
         finally:
             passes["now"] -= 1
 
@@ -629,11 +629,11 @@ def test_the_host_runs_one_resolution_pass_at_a_time(monkeypatch):
 def test_a_host_crash_during_its_restart_pass_ends_the_old_poller(
         monkeypatch):
     """A live host hands a lost phase 2 to its poller. The host crashes
-    (the poller with it), and crashes again while its restart pass waits
-    on a Commit reply (each request to a DLFM agent is delayed 1 s).
-    The second restart re-drives the decision; the first incarnation's
-    poller never runs another pass, and the deployment checks clean."""
-    from repro.errors import CrashedError
+    (the poller with it), restarts, and crashes again while the new
+    poller's first pass waits on a Commit reply (each request to a DLFM
+    agent is delayed 1 s): that crash kills the pass. The second
+    restart's poller re-drives the decision; neither earlier poller runs
+    another pass, and the deployment checks clean."""
     system = _media_with_plan(FaultRule("channel.send:dlfm-agent", "delay",
                                         delay=1.0, max_fires=None))
     host, dlfm = system.host, system.dlfms["fs1"]
@@ -662,23 +662,21 @@ def test_a_host_crash_during_its_restart_pass_ends_the_old_poller(
     crashed_at = len(passes["by"])
     system.injector.enabled = True
 
-    def crash_in_the_pass():
+    def restart_twice():
+        killed = yield from host.restart()
         yield Timeout(0.5)                  # the Commit is on its way
         host.crash()
-
-    def restart_twice():
-        restart = system.sim.spawn(host.restart(), "restart-1")
-        system.sim.spawn(crash_in_the_pass(), "crasher")
-        with pytest.raises(CrashedError):
-            yield from restart.join()
-        assert host.poller is None          # a dead host hands nothing off
+        assert host.poller is None          # the pass died with its host
         yield from host.restart()
+        return killed
 
-    system.run(restart_twice())
+    killed = system.run(restart_twice())
     system.injector.enabled = False
     run_until_durable(system)
     system.sim.run(until=system.sim.now + 60)   # the Copy daemon archives
     assert first not in passes["by"][crashed_at:]
+    assert passes["by"][crashed_at:].count(killed) == 1
+    assert not killed.finished
     assert passes["most"] == 1
     assert host.pending_decisions() == {}
     assert dlfm.db.table_rows("dfm_txn") == []
@@ -687,12 +685,11 @@ def test_a_host_crash_during_its_restart_pass_ends_the_old_poller(
 
 
 def test_a_restart_pass_ends_with_its_host_incarnation(monkeypatch):
-    """Restart 1's pass waits on its Commit reply (each request to a DLFM
-    agent is delayed 1 s) when the host crashes, 0.5 s in, and restarts
-    again 0.1 s later. The pass belongs to the dead incarnation: restart
-    1 raises when the wait ends, and only restart 2's pass asks the DLFM
-    for its in-doubt list — never two passes in one incarnation."""
-    from repro.errors import CrashedError
+    """Restart 1's poller pass waits on its Commit reply (each request
+    to a DLFM agent is delayed 1 s) when the host crashes, 0.5 s in, and
+    restarts again 0.1 s later. The crash kills that pass and it hands
+    nothing on; only restart 2's poller asks the DLFM for its in-doubt
+    list, once — never two passes in one incarnation."""
     from repro.host import indoubt
     system = _media_with_plan(FaultRule("channel.send:dlfm-agent", "delay",
                                         delay=1.0, max_fires=None))
@@ -728,30 +725,66 @@ def test_a_restart_pass_ends_with_its_host_incarnation(monkeypatch):
 
     monkeypatch.setattr(indoubt.rpc, "gather_all", gather_all)
     system.injector.enabled = True
-    outcome = {}
-
-    def restart_1():
-        try:
-            outcome["first"] = yield from host.restart()
-        except CrashedError as error:
-            outcome["first"] = error
 
     def crash_then_restart():
+        first = yield from host.restart()
         yield Timeout(0.5)                  # the Commit is on its way
         host.crash()
         yield Timeout(0.1)
-        outcome["second"] = yield from host.restart()
+        handed_on = host.poller
+        second = yield from host.restart()
+        outcome = yield from second.join()
+        return first, handed_on, second, outcome
 
-    first = sim.spawn(restart_1(), "restart-1")
-    second = sim.spawn(crash_then_restart(), "restart-2")
-    sim.run(until=sim.now + 30, stop_when=lambda: first.finished
-            and second.finished)
+    first, handed_on, second, outcome = system.run(crash_then_restart())
     system.injector.enabled = False
-    assert isinstance(outcome["first"], CrashedError)
-    assert outcome["second"] == {"committed": 1, "aborted": 0}
-    assert all(len(procs) == 1 for procs in listers.values())
-    assert first not in set().union(*listers.values())
+    assert handed_on is None and not first.finished
+    assert outcome == {"committed": 1, "aborted": 0}
+    assert listers == {host.db.metrics.recoveries: {second}}
     run_until_durable(system)
     assert host.pending_decisions() == {}
     assert dlfm.db.table_rows("dfm_txn") == []
     assert dlfm.linked_count() == 1
+
+
+def test_new_transactions_commit_beside_the_restart_pass():
+    """Instant restart: one decision is pending on fs1 when the host
+    crashes, and its re-driven Commit is delayed 1 s. restart() returns
+    at the crash instant, and a new one-link transaction commits while
+    the poller's pass still waits on that Commit."""
+    system = _media_with_plan(FaultRule("channel.send:dlfm-agent", "delay",
+                                        delay=1.0))
+    host, dlfm, sim = system.host, system.dlfms["fs1"], system.sim
+
+    def decide():
+        session = system.session()
+        yield from insert_clip(session, 0)
+        writers, _ = yield from session.prepare_participants()
+        yield from host.decide(session.session, writers)
+
+    system.run(decide())
+    host.crash()
+    assert len(host.db.wal.decisions) == 1
+    crashed_at = sim.now
+    system.injector.enabled = True
+
+    def restart_then_commit():
+        poller = yield from host.restart()
+        assert sim.now == crashed_at
+        yield Timeout(0.1)              # the re-driven Commit is on its way
+        session = system.session()
+        yield from insert_clip(session, 1)
+        yield from session.commit()
+        return poller
+
+    poller = system.run(restart_then_commit())
+    assert [f["point"] for f in system.injector.fired] == [
+        "channel.send:dlfm-agent"]
+    assert not poller.finished          # its Commit is still delayed
+    assert sim.now < crashed_at + 1.0
+    system.injector.enabled = False
+    assert system.run(poller.join()) == {"committed": 1, "aborted": 0}
+    run_until_durable(system)
+    assert host.pending_decisions() == {}
+    assert dlfm.db.table_rows("dfm_txn") == []
+    assert dlfm.linked_count() == 2

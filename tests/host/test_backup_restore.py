@@ -3,6 +3,7 @@
 
 from repro.dlff.filter import DLFM_ADMIN
 
+from tests.conftest import restart_and_resolve
 from tests.dlfm.conftest import insert_clip
 
 
@@ -269,6 +270,6 @@ def test_backup_under_running_clients_survives_a_host_crash(media):
     media.run(root())
     assert state["open_at_backup"] >= 2
     media.host.crash()
-    media.run(media.host.restart())
+    media.run(restart_and_resolve(media.host))
     assert check_invariants(media) == []
     assert count_clips(media) == 4

@@ -10,7 +10,7 @@ from repro.host import DatalinkSpec, HostConfig, build_url
 from repro.host.indoubt import resolve_indoubts
 from repro.host.load import LoadUtility
 from repro.system import System
-from tests.conftest import run_until_durable
+from tests.conftest import restart_and_resolve, run_until_durable
 
 
 def make_system(files=250, servers=("fs1",), **host_kwargs):
@@ -377,16 +377,16 @@ def _host_crash_between_the_two_commits(system, load):
     system.run(go())
     system.host.crash()
     load.session.close()     # the loader died with its host
-    assert system.run(system.host.restart()) == {"committed": 2,
-                                                 "aborted": 0}
+    assert system.run(restart_and_resolve(system.host)) == {
+        "committed": 2, "aborted": 0}
 
 
 def _host_crash_before_forget(system, load):
     """FORGET is unforced: a crash right after the load loses it."""
     system.run(load.run())
     system.host.crash()
-    assert system.run(system.host.restart()) == {"committed": 2,
-                                                 "aborted": 0}
+    assert system.run(restart_and_resolve(system.host)) == {
+        "committed": 2, "aborted": 0}
 
 
 def _dlfm_crash_between_pieces(system, load):
@@ -460,7 +460,7 @@ def test_presumed_abort_never_undoes_committed_pieces():
     drive(system, load, 4)
     system.run(load.session.prepare_participants())
     system.host.crash()
-    assert system.run(system.host.restart())["aborted"] == 0
+    assert system.run(restart_and_resolve(system.host))["aborted"] == 0
 
     def stray_abort():
         session = system.session()

@@ -18,7 +18,7 @@ from repro.host.hostdb import HostDB
 from repro.kernel import Timeout
 from repro.sql.parser import parse as parse_sql
 from repro.system import System
-from tests.conftest import run_until_durable
+from tests.conftest import restart_and_resolve, run_until_durable
 
 
 def _make(servers=("fs1", "fs2", "fs3"), injector=None, **host_kwargs):
@@ -178,7 +178,7 @@ def test_host_crash_between_parallel_prepares_leaves_only_indoubt():
     # "committed" are the fixture's DDL decisions: their unforced FORGET
     # records died with the host, so Commit is re-sent and answered
     # already-finished.)
-    resolved = system.run(system.host.restart(), "host-restart")
+    resolved = system.run(restart_and_resolve(system.host), "host-restart")
     assert resolved == {"committed": 2, "aborted": 2}
     for name in ("fs1", "fs2"):
         assert system.dlfms[name].db.table_rows("dfm_txn") == []
@@ -207,7 +207,7 @@ def test_indoubt_resolution_with_mixed_readonly_and_write_set():
     assert system.host.db.crashed
     system.sim.run(until=system.sim.now + 60.0)
     system.sim.consume_failures()
-    resolved = system.run(system.host.restart(), "host-restart")
+    resolved = system.run(restart_and_resolve(system.host), "host-restart")
     assert resolved["aborted"] == 0
     assert resolved["committed"] == 1  # fs1's decision re-driven
     assert system.dlfms["fs1"].linked_count() == 1  # decision survived
@@ -262,7 +262,7 @@ def test_host_crash_after_forced_commit_record_redrives_from_wal():
     assert system.host.db.crashed
     assert len(fs1.db.table_rows("dfm_txn")) == 1   # prepared, in doubt
     assert fs1.metrics.commits == phase2_before   # no phase-2 message yet
-    resolved = system.run(system.host.restart(), "host-restart")
+    resolved = system.run(restart_and_resolve(system.host), "host-restart")
     assert resolved == {"committed": 1, "aborted": 0}
     assert fs1.linked_count() == 1
     assert fs1.db.table_rows("dfm_txn") == []
@@ -302,7 +302,7 @@ def test_host_crash_after_a_drops_commit_record_still_drops_the_table():
     system.run(drop())
     assert system.host.db.crashed
     injector.enabled = False
-    system.run(system.host.restart(), "host-restart")
+    system.run(restart_and_resolve(system.host), "host-restart")
     system.run(settle())
     assert "spread" not in system.host.db.catalog.tables
     assert system.dlfms["fs1"].linked_count() == 0
@@ -326,7 +326,7 @@ def test_lost_forget_record_only_resends_an_idempotent_commit():
     assert system.host.decision_rows() == []
     assert fs1.linked_count() == 1
     system.host.crash()
-    resolved = system.run(system.host.restart(), "host-restart")
+    resolved = system.run(restart_and_resolve(system.host), "host-restart")
     assert resolved == {"committed": 1, "aborted": 0}
     assert fs1.linked_count() == 1
     assert system.host.decision_rows() == []
@@ -364,7 +364,7 @@ def test_an_unforgotten_decision_survives_checkpoints_and_a_host_crash():
     assert host.db.wal.base == host.db.wal.decisions[txn_id] - 1
     session.close()
     host.crash()
-    resolved = system.run(host.restart(), "host-restart")
+    resolved = system.run(restart_and_resolve(host), "host-restart")
     assert resolved == {"committed": 1, "aborted": 0}
     assert fs1.linked_count() == 1
     run_until_durable(system)

@@ -5,13 +5,13 @@ import pytest
 
 from repro.chaos.faults import FaultInjector, FaultPlan, FaultRule
 from repro.chaos.invariants import check_invariants
-from repro.errors import (CrashedError, DataLinkError, ReproError,
-                          TransactionAborted)
+from repro.errors import CrashedError, DataLinkError, TransactionAborted
 from repro.host import DatalinkSpec, HostConfig, build_url
 from repro.host.xa import xa_commit, xa_prepare, xa_recover, xa_rollback
 from repro.shard import ShardedSystem
 from repro.system import System
-from tests.conftest import run_until_durable, run_until_polled
+from tests.conftest import (restart_and_resolve, run_until_durable,
+                            run_until_polled)
 
 
 @pytest.fixture
@@ -156,7 +156,7 @@ def test_host_crash_after_commit_decision_redrives_phase2():
     assert host.db.crashed
     system.sim.run(until=system.sim.now + 60.0)   # stray Commits land
     system.sim.consume_failures()
-    resolved = system.run(host.restart(), "host-restart")
+    resolved = system.run(restart_and_resolve(host), "host-restart")
     assert resolved["aborted"] == 0 and resolved["committed"] >= 2
 
     assert xa_recover(host) == {}
@@ -178,7 +178,7 @@ def test_host_restart_leaves_tm_owned_branch_in_doubt(xa_system):
 
     xa_system.run(phase1())
     host.crash()
-    resolved = xa_system.run(host.restart(), "host-restart")
+    resolved = xa_system.run(restart_and_resolve(host), "host-restart")
     assert resolved["aborted"] == 0
 
     def commit():
@@ -425,12 +425,9 @@ def test_host_crash_at_the_prepare_force_leaves_no_branch():
     assert host.db.crashed and len(injector.crashes) == 1
     system.dlfms["fs2"].crash()
 
-    def restart_without_fs2():
-        with pytest.raises(ReproError):
-            yield from host.restart()
-
-    system.run(restart_without_fs2())
-    assert host.poller is not None         # the restart handed fs2 over
+    system.run(host.restart(), "host-restart")
+    system.sim.run(until=system.sim.now + 1.0)
+    assert not host.poller.finished        # its pass failed on fs2
     system.dlfms["fs2"].restart()
     assert xa_recover(host) == {}          # the TM's recovery scan
     run_until_polled(system)

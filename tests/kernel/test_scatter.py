@@ -154,8 +154,8 @@ def test_delay_fault_stalls_the_gather_window():
 
 def test_crash_fault_in_window_drains_outstanding_replies():
     """The coordinator dies between scatter and gather: the error
-    surfaces immediately and detached absorbers consume the replies the
-    gatherer will never collect."""
+    surfaces immediately, and the requests the gatherer will never
+    collect finish on their own without leaving a failure behind."""
     plan = FaultPlan([FaultRule("fan.test", "crash", prob=1.0,
                                 max_fires=1)], name="t")
     sim = Simulator(injector=FaultInjector(plan))
@@ -170,5 +170,5 @@ def test_crash_fault_in_window_drains_outstanding_replies():
         return sim.now
 
     assert sim.run_process(root()) == 0.0  # crash beat every reply
-    sim.run()  # let the in-flight requests and absorbers finish
+    sim.run()  # let the in-flight requests finish
     assert sim.consume_failures() == []

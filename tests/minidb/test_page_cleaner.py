@@ -184,3 +184,17 @@ def test_one_background_page_process_per_database(monkeypatch):
     assert db.pool.oldest_rec_lsn() is None
     assert sorted(db.table_rows("t")) == sorted(
         (k, "late" if k < 10 else f"v{k}") for k in range(40))
+
+
+def test_a_checkpoint_s_log_force_is_counted_apart():
+    """A checkpoint forces the log unbilled and no committer waits for
+    it: it counts in ``checkpoint_forces``, never in the billed
+    ``forces`` that ``minidb.wal.forces_per_commit`` reads."""
+    db = make_db()
+    run(db, "INSERT INTO t (k, v) VALUES (1, 'a')", commit=False)
+    metrics = db.wal.metrics
+    forces, checkpoint_forces = metrics.forces, metrics.checkpoint_forces
+    db.checkpoint()
+    assert db.wal.flushed_upto == db.wal.tail_lsn
+    assert metrics.forces == forces
+    assert metrics.checkpoint_forces == checkpoint_forces + 1

@@ -21,7 +21,7 @@ from repro.host import DatalinkSpec, build_url
 from repro.host.indoubt import resolve_indoubts
 from repro.kernel import Timeout, rpc
 from repro.shard import ShardedSystem, move_group
-from tests.conftest import run_until_durable
+from tests.conftest import restart_and_resolve, run_until_durable
 
 
 def _group_rows(dlfm, grp_id):
@@ -245,7 +245,7 @@ def test_shard_map_survives_host_restart(fleet):
         # The move completed before the crash but its FORGET record is
         # unforced and died with the host: restart re-drives the move's
         # two idempotent phase-2 Commits.
-        result = yield from fleet.host.restart()
+        result = yield from restart_and_resolve(fleet.host)
         assert result == {"committed": 2, "aborted": 0}
         # Routing rebuilt from the durable catalog, not the old cache.
         assert fleet.host.shard_map.resolve(grp_id) == (dst, 2)
@@ -291,7 +291,7 @@ def test_indoubt_move_resolves_to_new_owner():
     assert len(system.injector.crashes) == 1
 
     def recover():
-        result = yield from system.host.restart()
+        result = yield from restart_and_resolve(system.host)
         # Both participants of the move re-acked the re-driven Commit.
         assert result == {"committed": 2, "aborted": 0}
         assert system.host.shard_map.resolve(grp_id) == (dst, 2)
@@ -323,7 +323,7 @@ def test_decision_redriven_after_crash():
     system.injector.enabled = False
 
     def recover():
-        result = yield from system.host.restart()
+        result = yield from restart_and_resolve(system.host)
         assert result == {"committed": 1, "aborted": 0}
 
     system.run(recover())

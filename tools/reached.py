@@ -203,6 +203,9 @@ KEPT = {
     "src/repro/sql/expr.py:compile_expr.run_arith":
         "+ and - over two computed operands, kept by DESIGN section 2",
     "src/repro/sql/parser.py:_Parser.fail": "the parser's syntax errors",
+    "src/repro/kernel/sim.py:Simulator.absolve":
+        "a join that consumes a failed process's error; no driver joins "
+        "one, as a gather_all child ends with its outcome",
     # A tool reads it.
     "src/repro/sql/optimizer.py:AccessPath.index_name":
         "the index census of this tool reads it",
